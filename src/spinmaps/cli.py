@@ -9,7 +9,6 @@ grid point, complex quantities split into _re/_im columns.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 from dataclasses import replace
@@ -274,14 +273,6 @@ def figure7_result(points: int = 1000) -> protocols.ScenarioResult:
     return protocols.four_qubit_measure_sweep(points_per_window=points)
 
 
-def _write_rows(path: str, columns, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([repr(float(x)) if isinstance(x, (int, float, np.floating)) else x for x in row])
-
-
 # ---------------------------------------------------------------------------
 # entry point
 
@@ -322,7 +313,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser(
         "verify", help="run the invariant suite (sector unitarity, oracle equivalence, CPTP)",
     )
-    p_verify.add_argument("--sites", type=int, default=6, help="network size (default 6)")
+    p_verify.add_argument(
+        "--sites", type=int, default=6, help=f"network size, 3 to {oracle.MAX_SITES} (default 6)"
+    )
     p_verify.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p_verify.add_argument("--trials", type=int, default=5, help="random map/state trials (default 5)")
     p_verify.add_argument("--tolerance", type=float, default=1e-8, help="oracle-equivalence tolerance")
@@ -385,7 +378,7 @@ def _cmd_sweep(args) -> int:
         for row in res.rows:
             rows.append((res.meta[axis],) + tuple(row))
     out = _resolve_output(args.output or cfg.get("output"), f"{spec.kind}_{axis}_sweep.csv")
-    _write_rows(out, columns, rows)
+    protocols.ScenarioResult(spec.kind, columns, tuple(rows)).write_csv(out)
     print(f"wrote {len(rows)} rows to {out}")
     return 0
 
@@ -393,6 +386,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_verify(args) -> int:
     if args.sites < 3:
         raise ConfigError("verify needs at least 3 sites")
+    if args.sites > oracle.MAX_SITES:
+        raise ConfigError(f"--sites {args.sites} exceeds the dense-oracle cap of {oracle.MAX_SITES} sites")
     ok = _run_checks(args.sites, args.seed, args.tolerance, args.trials)
     print("verification " + ("passed" if ok else "FAILED"))
     return 0 if ok else 1
@@ -401,15 +396,14 @@ def _cmd_verify(args) -> int:
 def _cmd_figure(args) -> int:
     number = args.number
     if number == 3:
-        columns, rows = figure3_rows(args.points or 201)
+        result = protocols.ScenarioResult("figure3", *figure3_rows(args.points or 201))
     elif number == 5:
-        columns, rows = figure5_rows(args.points or 201)
+        result = protocols.ScenarioResult("figure5", *figure5_rows(args.points or 201))
     else:
         result = figure7_result(args.points or 1000)
-        columns, rows = result.columns, result.rows
     out = _resolve_output(args.output, f"figure{number}.csv")
-    _write_rows(out, columns, rows)
-    print(f"wrote {len(rows)} rows to {out}")
+    result.write_csv(out)
+    print(f"wrote {len(result.rows)} rows to {out}")
     return 0
 
 

@@ -42,11 +42,16 @@ def assert_density_matrix(rho: np.ndarray, atol: float = DENSITY_ATOL, eig_floor
         raise ValueError(f"density matrix has negative eigenvalue {w.min():.3e}")
 
 
-def pure_state_density(psi: np.ndarray) -> np.ndarray:
+def _unit_vector(psi: np.ndarray) -> np.ndarray:
     psi = np.asarray(psi, dtype=complex)
     norm = np.linalg.norm(psi)
     if abs(norm - 1.0) > 1e-10:
         raise ValueError(f"state vector norm is {norm}, expected 1")
+    return psi
+
+
+def pure_state_density(psi: np.ndarray) -> np.ndarray:
+    psi = _unit_vector(psi)
     return np.outer(psi, psi.conj())
 
 
@@ -79,6 +84,32 @@ def partial_trace(rho: np.ndarray, keep, dims) -> np.ndarray:
     dr = total // dk
     red = resh.transpose(perm).reshape(dk, dr, dk, dr)
     return np.einsum("ipjp->ij", red)
+
+
+def partial_trace_outer(a: np.ndarray, b: np.ndarray, keep, dims) -> np.ndarray:
+    """``partial_trace(a @ b^dag, keep, dims)`` without forming the full product.
+
+    ``a`` and ``b`` are (prod(dims), m) blocks, or vectors (m = 1).  The cost
+    is O(prod(dims) * m * d_keep) instead of O(prod(dims)^2 * m).
+    """
+    dims, keep = list(dims), list(keep)
+    a, b = np.asarray(a), np.asarray(b)
+    total = int(np.prod(dims))
+    if a.shape != b.shape or a.shape[0] != total:
+        raise ValueError(f"blocks of shapes {a.shape}, {b.shape} inconsistent with factor dims {dims}")
+    if len(set(keep)) != len(keep) or any(not 0 <= q < len(dims) for q in keep):
+        raise ValueError(f"invalid subsystem selection {keep} for {len(dims)} factors")
+    rest = [q for q in range(len(dims)) if q not in keep]
+    perm = keep + rest + [len(dims)]
+    dk = int(np.prod([dims[q] for q in keep]))
+    a_rows, b_rows = (x.reshape(dims + [-1]).transpose(perm).reshape(dk, -1) for x in (a, b))
+    return a_rows @ b_rows.conj().T
+
+
+def pure_partial_trace(psi: np.ndarray, keep, dims) -> np.ndarray:
+    """Reduced state of the unit vector ``psi`` on the factors in ``keep``."""
+    psi = _unit_vector(psi)
+    return partial_trace_outer(psi, psi, keep, dims)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,8 @@ def _symmetric_matrix(mat, n: int, name: str) -> np.ndarray:
     m = np.array(mat, dtype=float)
     if m.shape != (n, n):
         raise ValueError(f"{name} must have shape ({n}, {n}), got {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"{name} must be finite")
     if not np.allclose(m, m.T, atol=1e-12):
         raise ValueError(f"{name} must be symmetric")
     if np.any(np.abs(np.diag(m)) > 0):
@@ -72,6 +74,8 @@ class SpinNetwork:
         h = np.zeros(n) if self.fields is None else np.array(self.fields, dtype=float)
         if h.shape != (n,):
             raise ValueError(f"fields must have shape ({n},), got {h.shape}")
+        if not np.all(np.isfinite(h)):
+            raise ValueError("fields must be finite")
         h.setflags(write=False)
         object.__setattr__(self, "fields", h)
 

@@ -1,21 +1,33 @@
-"""Brute-force dense evolution of the full 2^N network as ground truth.
+"""Brute-force evolution of the full 2^N network as ground truth.
 
 Site 0 occupies the leftmost (most significant) position of the basis
 bitstring; bit value 1 marks an excited spin (sigma^z = +1).
+
+The Hamiltonian is real symmetric (hopping elements 2 J_ij, a real
+diagonal), so it is stored as a dense float64 matrix (8 * 4^N bytes) and
+diagonalised once with a real-symmetric ``eigh``; ``U(t) = V e^{-iEt} V^T``.
+No time point forms a 2^N x 2^N matrix unless a caller asks for one through
+:meth:`FullPropagator.unitary` or the density-matrix branch of
+:meth:`FullPropagator.evolve`.  :func:`reduced_output` evolves only the 2^k
+embedded sender columns ``U(t)[:, embed]`` and contracts them with the sender
+state straight into the receiver state.
+
+This module builds the full space itself and shares no code with the sector
+engine, so that it stays an independent check of it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .maps import assert_density_matrix, partial_trace
+from .maps import assert_density_matrix, partial_trace_outer
 from .network import SpinNetwork, basis_index
 
 MAX_SITES = 14
 
 
 def full_hamiltonian(network: SpinNetwork) -> np.ndarray:
-    """Dense 2^N Hamiltonian assembled from the network couplings."""
+    """Dense real-symmetric 2^N Hamiltonian assembled from the network couplings."""
     n = network.n_sites
     if n > MAX_SITES:
         raise ValueError(f"{n} sites exceeds the dense-evolution cap of {MAX_SITES}")
@@ -24,7 +36,7 @@ def full_hamiltonian(network: SpinNetwork) -> np.ndarray:
     bits = (np.arange(dim)[:, None] >> shifts) & 1
     s = 2.0 * bits - 1.0
     diag = s @ network.fields + 0.5 * np.einsum("bi,ij,bj->b", s, network.zz, s)
-    h = np.diag(diag.astype(complex))
+    h = np.diag(diag)
     states = np.arange(dim)
     for i in range(n):
         for j in range(i + 1, n):
@@ -38,6 +50,13 @@ def full_hamiltonian(network: SpinNetwork) -> np.ndarray:
     return h
 
 
+def _real_matmul(a: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``a @ z`` for real ``a`` and complex ``z`` without casting ``a`` to complex."""
+    z = np.ascontiguousarray(z, dtype=complex)
+    pairs = z.reshape(z.shape[0], -1).view(float)  # real and imaginary parts side by side
+    return (a @ pairs).view(complex).reshape(a.shape[:1] + z.shape[1:])
+
+
 class FullPropagator:
     """Eigendecomposed full-space propagator, reusable across times."""
 
@@ -47,14 +66,20 @@ class FullPropagator:
 
     def unitary(self, t: float) -> np.ndarray:
         phases = np.exp(-1j * self.eigvals * t)
-        return (self.eigvecs * phases) @ self.eigvecs.conj().T
+        return (self.eigvecs * phases) @ self.eigvecs.T
+
+    def columns(self, indices, t: float) -> np.ndarray:
+        """``unitary(t)[:, indices]`` at O(4^N) cost per column."""
+        phases = np.exp(-1j * self.eigvals * t)
+        return _real_matmul(self.eigvecs, phases[:, None] * self.eigvecs[indices].T)
 
     def evolve(self, state: np.ndarray, t: float) -> np.ndarray:
-        """Evolve a state vector or density matrix by time t."""
-        u = self.unitary(t)
+        """Evolve a state vector (O(4^N)) or density matrix (O(8^N)) by time t."""
         state = np.asarray(state, dtype=complex)
         if state.ndim == 1:
-            return u @ state
+            phases = np.exp(-1j * self.eigvals * t)
+            return _real_matmul(self.eigvecs, phases * _real_matmul(self.eigvecs.T, state))
+        u = self.unitary(t)
         return u @ state @ u.conj().T
 
 
@@ -63,8 +88,8 @@ def full_evolve(network: SpinNetwork, state: np.ndarray, t: float) -> np.ndarray
     return FullPropagator(network).evolve(state, t)
 
 
-def initial_density(network: SpinNetwork, rho_s: np.ndarray, sender_sites) -> np.ndarray:
-    """Embed a sender state into the network with the rest fully polarised."""
+def _embedding(network: SpinNetwork, rho_s: np.ndarray, sender_sites):
+    """Validated sender state and the full-space index of each of its basis states."""
     sender_sites = list(sender_sites)
     n = network.n_sites
     if len(set(sender_sites)) != len(sender_sites):
@@ -75,12 +100,18 @@ def initial_density(network: SpinNetwork, rho_s: np.ndarray, sender_sites) -> np
     rho_s = np.asarray(rho_s, dtype=complex)
     if rho_s.shape != (2**k, 2**k):
         raise ValueError(f"sender state shape {rho_s.shape} does not match {k} sites")
-    dim = 1 << n
-    sigma = np.zeros((dim, dim), dtype=complex)
     embed = []
     for a in range(2**k):
         occupied = [site for q, site in enumerate(sender_sites) if (a >> (k - 1 - q)) & 1]
         embed.append(basis_index(occupied, n))
+    return rho_s, embed
+
+
+def initial_density(network: SpinNetwork, rho_s: np.ndarray, sender_sites) -> np.ndarray:
+    """Embed a sender state into the network with the rest fully polarised."""
+    rho_s, embed = _embedding(network, rho_s, sender_sites)
+    dim = 1 << network.n_sites
+    sigma = np.zeros((dim, dim), dtype=complex)
     sigma[np.ix_(embed, embed)] = rho_s
     return sigma
 
@@ -99,14 +130,21 @@ def reduced_output(
     every other spin starts in |0>, the whole network evolves for time t, and
     all sites except ``receiver_sites`` are traced out (receiver qubit order
     follows the given site order).
+
+    With C = U(t)[:, embed] the evolved state is C rho_s C^dag, so only the
+    2^k embedded columns are evolved and the trace over the other sites is
+    taken on C directly.
     """
     receiver_sites = list(receiver_sites)
+    n = network.n_sites
     if len(set(receiver_sites)) != len(receiver_sites):
         raise ValueError(f"receiver sites {receiver_sites} contain duplicates")
-    sigma0 = initial_density(network, rho_s, sender_sites)
+    if any(not 0 <= r < n for r in receiver_sites):
+        raise ValueError(f"receiver sites {receiver_sites} out of range for {n} sites")
+    rho_s, embed = _embedding(network, rho_s, sender_sites)
     prop = propagator or FullPropagator(network)
-    sigma_t = prop.evolve(sigma0, t)
-    out = partial_trace(sigma_t, receiver_sites, [2] * network.n_sites)
+    cols = prop.columns(embed, t)
+    out = partial_trace_outer(cols @ rho_s, cols, receiver_sites, [2] * n)
     assert_density_matrix(out, atol=1e-8, eig_floor=-1e-8)
     return out
 

@@ -548,7 +548,7 @@ def _run_four_qubit_weak(spec: ScenarioSpec) -> ScenarioResult:
     rows = []
     for t in spec.times:
         psi_t = propagator.evolve(vec, t)
-        red = maps.partial_trace(maps.pure_state_density(psi_t), corners, [2] * n)
+        red = maps.pure_partial_trace(psi_t, corners, [2] * n)
         pc = {p: measures.concurrence(maps.partial_trace(red, list(p), [2] * 4)) for p in measures.PAIRS_4}
         purity = np.trace(red @ red).real
         reference = four_qubit_closed_form(g, j, t, label) if label in ("1100", "1010") else None

@@ -11,6 +11,7 @@ from spinmaps.cli import (
     serialize_config,
     spec_from_config,
 )
+from spinmaps.oracle import MAX_SITES
 
 GOOD_CONFIG = """\
 scenario: distribute_single
@@ -94,6 +95,13 @@ def test_verify_passes_on_default_network(capsys):
     assert "ok   sector unitarity (k=1)" in captured
     assert "ok   two-qubit map vs oracle" in captured
     assert "verification passed" in captured
+
+
+def test_verify_rejects_sites_above_oracle_cap(capsys):
+    assert main(["verify", "--sites", str(MAX_SITES + 1)]) == 2
+    captured = capsys.readouterr()
+    assert "--sites" in captured.err and str(MAX_SITES) in captured.err
+    assert captured.out == ""  # rejected before any check runs
 
 
 def test_output_dir_env(tmp_path, monkeypatch):

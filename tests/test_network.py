@@ -23,6 +23,12 @@ def test_network_validation():
         SpinNetwork(np.array([[1.0, 0.5], [0.5, 0.0]]))  # nonzero diagonal
     with pytest.raises(ValueError):
         SpinNetwork(np.zeros((2, 2)), fields=np.zeros(3))  # inconsistent sizes
+    with pytest.raises(ValueError, match="xy couplings must be finite"):
+        SpinNetwork(np.array([[0.0, np.nan], [np.nan, 0.0]]))
+    with pytest.raises(ValueError, match="zz couplings must be finite"):
+        SpinNetwork(np.eye(2)[::-1], np.array([[0.0, np.inf], [np.inf, 0.0]]))
+    with pytest.raises(ValueError, match="fields must be finite"):
+        SpinNetwork(np.eye(2)[::-1], fields=[0.0, -np.inf])
     net = SpinNetwork.uniform_chain(4, 0.7)
     assert net.n_sites == 4
     assert net.is_open_chain()

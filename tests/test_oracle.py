@@ -11,7 +11,8 @@ from spinmaps import (
     reduced_output,
     trace_distance,
 )
-from spinmaps.maps import random_density_matrix
+from spinmaps import network, oracle
+from spinmaps.maps import partial_trace, random_density_matrix
 from spinmaps.network import basis_index
 from spinmaps.oracle import MAX_SITES, FullPropagator, full_hamiltonian, initial_density
 
@@ -118,3 +119,58 @@ def test_initial_density_validation(rng):
         initial_density(net, random_density_matrix(4, rng), [1, 4])
     with pytest.raises(ValueError):
         initial_density(net, random_density_matrix(2, rng), [1, 2])
+
+
+def test_full_hamiltonian_is_real_symmetric(rng):
+    h = full_hamiltonian(random_network(rng, 5))
+    assert h.dtype == np.float64
+    assert np.array_equal(h, h.T)
+
+
+def test_vector_evolve_matches_unitary(rng):
+    net = random_network(rng, 6)
+    prop = FullPropagator(net)
+    for t in (0.0, 0.7, 3.1):
+        psi = random_state(rng, 64)
+        assert np.abs(prop.evolve(psi, t) - prop.unitary(t) @ psi).max() < 1e-12
+
+
+@pytest.mark.parametrize(
+    "n, senders, receivers",
+    [
+        (5, [2], [4]),
+        (6, [0], [1, 5]),
+        (6, [1, 3], [0]),
+        (7, [0, 1], [5, 6]),
+        (7, [4, 2], [2, 4]),  # same sites, reversed order
+        (8, [1, 6], [6, 3]),  # overlapping sets
+        (8, [3], [3]),
+    ],
+)
+def test_reduced_output_matches_dense_reference(rng, n, senders, receivers):
+    net = random_network(rng, n)
+    prop = FullPropagator(net)
+    for t in (0.4, 2.3):
+        rho = random_density_matrix(1 << len(senders), rng)
+        u = prop.unitary(t)
+        sigma_t = u @ initial_density(net, rho, senders) @ u.conj().T
+        ref = partial_trace(sigma_t, receivers, [2] * n)
+        out = reduced_output(net, rho, senders, receivers, t, propagator=prop)
+        assert np.abs(out - ref).max() < 1e-12
+
+
+def test_reduced_output_rejects_bad_receivers(rng):
+    net = random_network(rng, 4)
+    rho = random_density_matrix(2, rng)
+    for receivers in ([4], [0, 9], [-1], [2, 2]):
+        with pytest.raises(ValueError):
+            reduced_output(net, rho, [0], receivers, 1.0)
+
+
+def test_oracle_shares_no_code_with_sector_engine():
+    sector_engine = ("SectorPropagator", "build_sector_hamiltonian", "amplitudes",
+                     "AmplitudeTable", "ExcitationSector")
+    bound = list(vars(oracle).values())
+    for name in sector_engine:
+        assert not hasattr(oracle, name)
+        assert all(value is not getattr(network, name) for value in bound)
