@@ -3,6 +3,7 @@
 from .network import (
     AmplitudeTable,
     ExcitationSector,
+    NumericalError,
     SectorHamiltonian,
     SectorPropagator,
     SpinNetwork,

@@ -1,6 +1,7 @@
 """Command-line front end: scenario runs, parameter sweeps, verification, figures.
 
-Exit codes: 0 success, 1 verification failure, 2 configuration error.
+Exit codes: 0 success, 1 verification or numerical failure, 2 configuration
+error.
 
 All output is CSV: UTF-8, header row, '.' decimal separator, one row per
 grid point, complex quantities split into _re/_im columns.
@@ -18,6 +19,7 @@ import yaml
 
 from . import maps, measures, oracle, protocols
 from .network import (
+    NumericalError,
     SpinNetwork,
     amplitudes,
     full_unitary_from_sectors,
@@ -281,6 +283,12 @@ _CSV_NOTE = (
     "point; complex values appear as paired _re/_im columns."
 )
 
+_EXIT_NOTE = (
+    "Exit codes: 0 success; 1 verification failure (oracle deviation, CPTP, "
+    "'verify' check) or numerical failure (a sector eigenbasis or propagator "
+    "failed its 1e-10 orthonormality check); 2 configuration error."
+)
+
 _FIGURE_COLUMNS = {
     3: "columns: p, f_abs, ratio  (five Werner weights, single-rail transfer ratio)",
     5: "columns: family, p, f_abs, ratio, c1, c2  (dual-rail, psi+/phi+ Werner families)",
@@ -293,11 +301,13 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spinmaps",
         description="Quantum-map simulator for U(1) spin networks.",
-        epilog=_CSV_NOTE,
+        epilog=_CSV_NOTE + " " + _EXIT_NOTE,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="execute one scenario config and write CSV", epilog=_CSV_NOTE)
+    p_run = sub.add_parser(
+        "run", help="execute one scenario config and write CSV", epilog=_CSV_NOTE + " " + _EXIT_NOTE
+    )
     p_run.add_argument("config", help="YAML scenario configuration file")
     p_run.add_argument("--output", help="CSV output path (overrides config)")
     p_run.add_argument("--tolerance", type=float, help="override the oracle-comparison tolerance")
@@ -314,7 +324,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "verify", help="run the invariant suite (sector unitarity, oracle equivalence, CPTP)",
     )
     p_verify.add_argument(
-        "--sites", type=int, default=6, help=f"network size, 3 to {oracle.MAX_SITES} (default 6)"
+        "--sites", type=int, default=6,
+        help=f"network size, 3 to the dense-oracle cap set by physical memory "
+             f"({oracle.MAX_SITES} here; default 6)",
     )
     p_verify.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p_verify.add_argument("--trials", type=int, default=5, help="random map/state trials (default 5)")
@@ -386,8 +398,10 @@ def _cmd_sweep(args) -> int:
 def _cmd_verify(args) -> int:
     if args.sites < 3:
         raise ConfigError("verify needs at least 3 sites")
-    if args.sites > oracle.MAX_SITES:
-        raise ConfigError(f"--sites {args.sites} exceeds the dense-oracle cap of {oracle.MAX_SITES} sites")
+    try:
+        oracle.require_dense_sites(args.sites, "--sites")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     ok = _run_checks(args.sites, args.seed, args.tolerance, args.trials)
     print("verification " + ("passed" if ok else "FAILED"))
     return 0 if ok else 1
@@ -418,6 +432,9 @@ def main(argv=None) -> int:
         return 2
     except protocols.VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
+        return 1
+    except NumericalError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
 
 

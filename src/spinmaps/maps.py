@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import AmplitudeTable, SpinNetwork, amplitudes, vacuum_amplitude
+from .network import AmplitudeTable, SectorPropagator, SpinNetwork, vacuum_amplitude
 
 DENSITY_ATOL = 1e-10
 PSD_FLOOR = -1e-9
@@ -285,7 +285,7 @@ def network_one_qubit_kraus(network: SpinNetwork, sender: int, receiver: int, t:
     n = network.n_sites
     if not (0 <= sender < n and 0 <= receiver < n):
         raise ValueError(f"sites ({sender}, {receiver}) out of range for {n} sites")
-    table = amplitudes(network, 1, t)
+    table = SectorPropagator(network, 1).table(t, [(sender,)])
     f = np.conj(vacuum_amplitude(network, t)) * table.site_amplitude(sender, receiver)
     return one_qubit_kraus(f)
 
@@ -335,8 +335,15 @@ def two_qubit_kraus(
     first/second qubit of the 4-dimensional input/output space in the order
     given; the pairs may coincide (storage) or overlap.  The set contains the
     4x4 block-diagonal E_0, one E_1^k for every site k outside the receiver
-    pair (one excitation left in the environment) and one E_2^{kl} for every
-    environment pair (both excitations lost).
+    pair (one excitation left in the environment) and a single E_2 for both
+    excitations lost.  Every environment-pair operator E_2^{kl} has its only
+    entry f_2(k, l) at [0, 3], so their sum of kron(E, conj(E)) equals that of
+    one operator with entry sqrt(sum_{k<l} |f_2(k, l)|^2) there, just as
+    :func:`one_qubit_kraus` merges its leakage operators.  An N-site network
+    gives N operators.
+
+    The tables may hold only the columns read here: sources (i,) and (j,) of
+    ``k1`` and (i, j) of ``k2``.
     """
     n_sites = k1.sector.n_sites
     if k2.sector.n_sites != n_sites:
@@ -373,16 +380,21 @@ def two_qubit_kraus(
         e1[1, 3] = f2(k, m)
         e1[2, 3] = f2(n, k)
         ops.append(e1)
-    for k, l in itertools.combinations(environment, 2):
-        e2 = np.zeros((4, 4), dtype=complex)
-        e2[0, 3] = f2(k, l)
-        ops.append(e2)
+    lost = ~np.isin(k2.sector.sites, (n, m)).any(axis=1)  # targets with both excitations outside
+    e2 = np.zeros((4, 4), dtype=complex)
+    e2[0, 3] = np.sqrt(np.sum(np.abs(gauge * k2.column((i, j))[lost]) ** 2))
+    ops.append(e2)
     return KrausSet(tuple(ops))
 
 
 def network_two_qubit_kraus(network: SpinNetwork, senders, receivers, t: float) -> KrausSet:
-    k1 = amplitudes(network, 1, t)
-    k2 = amplitudes(network, 2, t)
+    """Two-qubit map at time t, built from the sender columns of the k=1 and k=2 sectors."""
+    n_sites = network.n_sites
+    _check_pair(senders, n_sites, "sender")
+    _check_pair(receivers, n_sites, "receiver")
+    i, j = senders
+    k1 = SectorPropagator(network, 1).table(t, [(i,), (j,)])
+    k2 = SectorPropagator(network, 2).table(t, [(i, j)])
     return two_qubit_kraus(k1, k2, senders, receivers, vacuum_amplitude(network, t))
 
 

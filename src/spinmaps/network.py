@@ -4,7 +4,19 @@ Total magnetization along Z is conserved, so the Hilbert space splits into
 fixed-excitation-number sectors.  This module builds the sector-restricted
 Hamiltonians in the lexicographically ordered subset basis and computes the
 transition amplitudes f[target, source] = <target| exp(-i H_k t) |source>
-by Hermitian eigendecomposition.
+by eigendecomposition.
+
+Every sector Hamiltonian is real symmetric (hopping elements 2*J_ij, a real
+diagonal), so it is stored as float64 and diagonalised once with a
+real-symmetric ``eigh``, H_k = V diag(E) V^T.  A table at time t holds only
+the source columns a caller asks for, V (exp(-iEt) * V[sources, :]^T); the
+full d x d table is one choice of sources.
+
+Unitarity is guaranteed in two steps, both at 1e-10: once per propagator the
+eigenbasis is checked to be orthonormal, |V^T V - 1| <= 1e-10, and every
+table checks the Gram matrix of its own columns, |f^dag f - 1| <= 1e-10 (for
+a full table this is the unitarity of f).  A failure raises
+:class:`NumericalError`, never ``ValueError``.
 
 Conventions
 -----------
@@ -29,6 +41,14 @@ import numpy as np
 
 HERMITICITY_ATOL = 1e-12
 UNITARITY_ATOL = 1e-10
+
+
+class NumericalError(ArithmeticError):
+    """A numerical invariant (orthonormal eigenbasis, unitary propagator) failed.
+
+    Deliberately not a ``ValueError``: it reports a failure of the computation,
+    not a bad input.
+    """
 
 
 def _symmetric_matrix(mat, n: int, name: str) -> np.ndarray:
@@ -113,19 +133,32 @@ class SpinNetwork:
 
 @dataclass(frozen=True)
 class ExcitationSector:
-    """Fixed-excitation-number subspace with a lexicographic subset basis."""
+    """Fixed-excitation-number subspace with a lexicographic subset basis.
+
+    ``sites`` holds the same basis as a (dimension, k) integer array whose rows
+    are the ascending occupied sites.
+    """
 
     n_sites: int
     excitation_count: int
     basis: tuple = field(init=False)
+    sites: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n, k = self.n_sites, self.excitation_count
         if not 0 <= k <= n:
             raise ValueError(f"excitation count {k} out of range for {n} sites")
         basis = tuple(itertools.combinations(range(n), k))
+        d = len(basis)
+        sites = np.array(basis, dtype=np.intp).reshape(d, k)
+        sites.setflags(write=False)
         object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "sites", sites)
         object.__setattr__(self, "_index", {occ: a for a, occ in enumerate(basis)})
+        # rank weights C(n - 1 - c, k - q) of site c at position q; a valid row only
+        # reads weights up to d, and clipping keeps the others in int64
+        weights = [[min(comb(n - 1 - c, k - q), d) for c in range(n)] for q in range(k)]
+        object.__setattr__(self, "_rank_weights", np.array(weights, dtype=np.int64).reshape(k, n))
 
     @property
     def dimension(self) -> int:
@@ -138,6 +171,15 @@ class ExcitationSector:
             return self._index[key]
         except KeyError:
             raise ValueError(f"{occupied} is not a valid configuration of this sector") from None
+
+    def positions(self, sites: np.ndarray) -> np.ndarray:
+        """Basis positions of configurations given as rows of ascending sites.
+
+        Vectorised :meth:`index_of` without validation: the lexicographic rank
+        of c_0 < ... < c_{k-1} is d - 1 - sum_q C(n - 1 - c_q, k - q).
+        """
+        k = self.excitation_count
+        return self.dimension - 1 - self._rank_weights[np.arange(k), sites].sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -152,88 +194,137 @@ class SectorHamiltonian:
             raise ValueError("sector Hamiltonian is not Hermitian")
 
 
+def _orthonormality_defect(cols: np.ndarray) -> float:
+    """max |C^dag C - 1| over the Gram matrix of the columns of C."""
+    gram = cols.conj().T @ cols
+    gram.flat[:: gram.shape[0] + 1] -= 1.0  # subtract the identity in place
+    return float(np.abs(gram).max(initial=0.0))
+
+
 @dataclass(frozen=True)
 class AmplitudeTable:
-    """Transition amplitudes of one sector at a fixed time.
+    """Transition amplitudes of one sector at a fixed time, for some sources.
 
-    ``amplitudes[target, source]`` is <target| exp(-i H_k t) |source> in the
-    sector's subset basis.  Columns are normalized and the matrix is unitary
-    (each is checked to 1e-10 at construction).
+    ``sources`` lists the source configurations (ascending site tuples) whose
+    columns are stored; ``None`` stores all of them in basis order, i.e. the
+    full d x d table.  ``amplitudes[target, c]`` is
+    <target| exp(-i H_k t) |sources[c]> with targets in the sector's subset
+    basis.  The stored columns must be orthonormal, |f^dag f - 1| <= 1e-10
+    (for a full table: f is unitary); otherwise :class:`NumericalError` is
+    raised at construction.
     """
 
     sector: ExcitationSector
     time: float
     amplitudes: np.ndarray
+    sources: tuple = None
 
     def __post_init__(self):
         f = np.asarray(self.amplitudes)
         d = self.sector.dimension
-        if f.shape != (d, d):
-            raise ValueError(f"amplitude matrix must be {d}x{d}, got {f.shape}")
-        dev = np.abs(f.conj().T @ f - np.eye(d)).max()
+        width = d if self.sources is None else len(self.sources)
+        if f.shape != (d, width):
+            raise ValueError(f"amplitude matrix must be {d}x{width}, got {f.shape}")
+        dev = _orthonormality_defect(f)
         if dev > UNITARITY_ATOL:
-            raise ValueError(f"amplitude matrix is not unitary (deviation {dev:.2e})")
+            raise NumericalError(f"amplitude columns are not orthonormal (deviation {dev:.2e})")
+
+    def _column(self, source) -> int:
+        if self.sources is None:
+            return self.sector.index_of(source)
+        key = tuple(sorted(source))
+        try:
+            return self.sources.index(key)
+        except ValueError:
+            raise ValueError(f"source {source} is not among the stored columns {self.sources}") from None
+
+    def column(self, source) -> np.ndarray:
+        """All target amplitudes of one stored source configuration."""
+        return self.amplitudes[:, self._column(source)]
 
     def amplitude(self, source, target) -> complex:
         """Amplitude between two configurations given as site subsets."""
-        return self.amplitudes[self.sector.index_of(target), self.sector.index_of(source)]
+        return self.amplitudes[self.sector.index_of(target), self._column(source)]
 
     def site_amplitude(self, i: int, j: int) -> complex:
         """One-excitation amplitude f_i^j (requires a k=1 table)."""
         if self.sector.excitation_count != 1:
             raise ValueError("site_amplitude needs a one-excitation table")
-        return self.amplitudes[self.sector.index_of((j,)), self.sector.index_of((i,))]
+        return self.amplitude((i,), (j,))
 
 
 def build_sector_hamiltonian(network: SpinNetwork, k: int) -> SectorHamiltonian:
-    """Hamiltonian restricted to the k-excitation sector.
+    """Real symmetric (float64) Hamiltonian restricted to the k-excitation sector.
 
     Off-diagonal elements are 2*J_ij between configurations differing by one
-    excitation hop; the diagonal is sum_i h_i s_i + sum_{i<j} zz_ij s_i s_j
-    with s = +1 on excited sites and -1 elsewhere.
+    excitation hop from i to j; the diagonal is
+    sum_i h_i s_i + sum_{i<j} zz_ij s_i s_j with s = +1 on excited sites and
+    -1 elsewhere.  All hops are filled at once: every (configuration, ordered
+    bond (i, j)) pair with i occupied and j empty gives one element.
     """
     sector = ExcitationSector(network.n_sites, k)
     n = network.n_sites
     dim = sector.dimension
-    h = np.zeros((dim, dim), dtype=complex)
+    h = np.zeros((dim, dim))
     for a, occ in enumerate(sector.basis):
         s = -np.ones(n)
         s[list(occ)] = 1.0
         h[a, a] = s @ network.fields + 0.5 * s @ network.zz @ s
-        occ_set = set(occ)
-        for i in occ:
-            for j in range(n):
-                if j in occ_set or network.xy[i, j] == 0.0:
-                    continue
-                target = sector.index_of(occ_set - {i} | {j})
-                h[target, a] += 2.0 * network.xy[i, j]
+    occupied = np.zeros((dim, n), dtype=bool)
+    occupied[np.arange(dim)[:, None], sector.sites] = True
+    bond_i, bond_j = np.nonzero(network.xy)
+    src, bond = np.nonzero(occupied[:, bond_i] & ~occupied[:, bond_j])
+    i, j = bond_i[bond], bond_j[bond]
+    rows = sector.sites[src]
+    hopped = np.sort(np.where(rows == i[:, None], j[:, None], rows), axis=1)
+    h[sector.positions(hopped), src] = 2.0 * network.xy[i, j]
     return SectorHamiltonian(sector, h)
 
 
 class SectorPropagator:
-    """Eigendecomposed sector Hamiltonian, reusable across many times."""
+    """Eigendecomposed sector Hamiltonian, reusable across many times.
+
+    The real-symmetric ``eigh`` runs once; its eigenbasis is checked to be
+    orthonormal to 1e-10 (:class:`NumericalError` otherwise).
+    """
 
     def __init__(self, network: SpinNetwork, k: int):
         sh = build_sector_hamiltonian(network, k)
         self.sector = sh.sector
         self._eigvals, self._eigvecs = np.linalg.eigh(sh.matrix)
+        dev = _orthonormality_defect(self._eigvecs)
+        if dev > UNITARITY_ATOL:
+            raise NumericalError(f"sector eigenbasis is not orthonormal (deviation {dev:.2e})")
 
-    def table(self, t: float) -> AmplitudeTable:
+    def table(self, t: float, sources=None) -> AmplitudeTable:
+        """Amplitudes at time t from the listed source configurations (all if None).
+
+        Costs O(d^2) per source column: V (exp(-iEt) * V[sources, :]^T).
+        """
         if not np.isfinite(t):
             raise ValueError(f"time must be finite, got {t}")
-        phases = np.exp(-1j * self._eigvals * t)
-        f = (self._eigvecs * phases) @ self._eigvecs.conj().T
-        return AmplitudeTable(self.sector, float(t), f)
+        if sources is None:
+            rows = slice(None)
+        else:
+            sources = tuple(tuple(sorted(s)) for s in sources)
+            if len(set(sources)) != len(sources):
+                raise ValueError(f"source configurations {sources} contain duplicates")
+            rows = [self.sector.index_of(s) for s in sources]
+        phases = np.exp(self._eigvals * (-1j * t))
+        block = np.multiply(phases[:, None], self._eigvecs[rows].T, order="C")
+        # real V times the complex block as one real product over interleaved (re, im) columns
+        f = (self._eigvecs @ block.view(float)).view(complex)
+        return AmplitudeTable(self.sector, float(t), f, sources)
 
 
 def amplitudes(network: SpinNetwork, k: int, t: float) -> AmplitudeTable:
-    """Sector propagator exp(-i H_k t) via Hermitian eigendecomposition."""
+    """Full sector propagator exp(-i H_k t) via real-symmetric eigendecomposition."""
     return SectorPropagator(network, k).table(t)
 
 
 def vacuum_amplitude(network: SpinNetwork, t: float) -> complex:
     """Phase exp(-i E_vac t) of the fully polarised configuration."""
-    e0 = build_sector_hamiltonian(network, 0).matrix[0, 0].real
+    e0 = build_sector_hamiltonian(network, 0).matrix[0, 0]
     return complex(np.exp(-1j * e0 * t))
 
 
@@ -264,8 +355,8 @@ def pair_amplitude_determinant(
         raise ValueError("determinant shortcut requires an open chain with zero ZZ couplings")
     if not (i < j and n < m):
         raise ValueError(f"pair indices must be ascending, got ({i},{j}) -> ({n},{m})")
-    f = table_k1.amplitudes
-    det = f[n, i] * f[m, j] - f[m, i] * f[n, j]
+    f = table_k1.site_amplitude
+    det = f(i, n) * f(j, m) - f(i, m) * f(j, n)
     return det * np.exp(-1j * network.fields.sum() * table_k1.time)
 
 

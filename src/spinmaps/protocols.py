@@ -137,14 +137,21 @@ def _require_network(spec: ScenarioSpec) -> SpinNetwork:
     return spec.network
 
 
-def _require_site(spec: ScenarioSpec, key: str) -> int:
+def _check_site_range(key: str, site: int, network: SpinNetwork):
+    if not 0 <= site < network.n_sites:
+        raise ValueError(f"sites.{key} {site} out of range for {network.n_sites} sites")
+
+
+def _require_site(spec: ScenarioSpec, key: str, network: SpinNetwork) -> int:
     try:
-        return int(spec.sites[key])
+        site = int(spec.sites[key])
     except KeyError:
         raise ValueError(f"scenario {spec.kind!r} needs the site assignment {key!r}") from None
+    _check_site_range(key, site, network)
+    return site
 
 
-def _require_pair(spec: ScenarioSpec, key: str) -> tuple:
+def _require_pair(spec: ScenarioSpec, key: str, network: SpinNetwork) -> tuple:
     try:
         pair = spec.sites[key]
     except KeyError:
@@ -152,6 +159,10 @@ def _require_pair(spec: ScenarioSpec, key: str) -> tuple:
     pair = tuple(int(s) for s in pair)
     if len(pair) != 2:
         raise ValueError(f"site pair {key!r} must have exactly two entries, got {pair}")
+    if pair[0] == pair[1]:
+        raise ValueError(f"sites.{key} must name two distinct sites, got {pair}")
+    for site in pair:
+        _check_site_range(key, site, network)
     return pair
 
 
@@ -163,7 +174,7 @@ class _ChannelFactory:
 
     def __init__(self, network: SpinNetwork):
         self.network = network
-        self.e_vac = build_sector_hamiltonian(network, 0).matrix[0, 0].real
+        self.e_vac = build_sector_hamiltonian(network, 0).matrix[0, 0]
         self.prop1 = SectorPropagator(network, 1)
         self._prop2 = None
 
@@ -171,17 +182,17 @@ class _ChannelFactory:
         return complex(np.exp(-1j * self.e_vac * t))
 
     def site_amplitude(self, i: int, j: int, t: float) -> complex:
-        """Vacuum-gauged one-excitation amplitude f_i^j."""
-        return np.conj(self.vacuum(t)) * self.prop1.table(t).site_amplitude(i, j)
-
-    def one_qubit(self, i: int, j: int, t: float) -> maps.KrausSet:
-        return maps.one_qubit_kraus(self.site_amplitude(i, j, t))
+        """Vacuum-gauged one-excitation amplitude f_i^j, from the single column of source i."""
+        return np.conj(self.vacuum(t)) * self.prop1.table(t, [(i,)]).site_amplitude(i, j)
 
     def two_qubit(self, senders, receivers, t: float) -> maps.KrausSet:
+        """Two-qubit map from the sender columns (i,), (j,) of k=1 and (i, j) of k=2."""
         if self._prop2 is None:
             self._prop2 = SectorPropagator(self.network, 2)
+        i, j = senders
         return maps.two_qubit_kraus(
-            self.prop1.table(t), self._prop2.table(t), senders, receivers, self.vacuum(t)
+            self.prop1.table(t, [(i,), (j,)]), self._prop2.table(t, [(i, j)]),
+            senders, receivers, self.vacuum(t),
         )
 
 
@@ -323,11 +334,17 @@ def sweep(spec: ScenarioSpec, axis: str, values) -> list:
     return results
 
 
+def _oracle_propagator(spec, network):
+    """Dense propagator of ``network`` when the spec asks for oracle verification, else None."""
+    if not spec.verify_oracle:
+        return None
+    oracle.require_dense_sites(network.n_sites, "verify.oracle")
+    return oracle.FullPropagator(network)
+
+
 def _maybe_oracle_dev(spec, network, rho_in, senders, receivers, t, rho_out, propagator):
     if not spec.verify_oracle:
         return ()
-    if network.n_sites > oracle.MAX_SITES:
-        raise ValueError(f"oracle verification infeasible for {network.n_sites} sites")
     ref = oracle.reduced_output(network, rho_in, senders, receivers, t, propagator=propagator)
     dev = maps.trace_distance(rho_out, ref)
     if dev > spec.oracle_tol:
@@ -357,10 +374,10 @@ def _extra_columns(spec):
 
 def _run_qst(spec: ScenarioSpec) -> ScenarioResult:
     net = _require_network(spec)
-    sender, receiver = _require_site(spec, "sender"), _require_site(spec, "receiver")
+    sender, receiver = _require_site(spec, "sender", net), _require_site(spec, "receiver", net)
     rho_in = build_initial_state(spec.initial or {"kind": "basis", "string": "1"}, 1)
     factory = _ChannelFactory(net)
-    propagator = oracle.FullPropagator(net) if spec.verify_oracle else None
+    propagator = _oracle_propagator(spec, net)
     rows = []
     for t in spec.times:
         f = factory.site_amplitude(sender, receiver, t)
@@ -376,13 +393,13 @@ def _run_qst(spec: ScenarioSpec) -> ScenarioResult:
 
 def _run_distribute_single(spec: ScenarioSpec) -> ScenarioResult:
     net = _require_network(spec)
-    sender, receiver = _require_site(spec, "sender"), _require_site(spec, "receiver")
+    sender, receiver = _require_site(spec, "sender", net), _require_site(spec, "receiver", net)
     rho_in = build_initial_state(spec.initial, 2)
     c_in = measures.concurrence(rho_in)
     x_in = _x_state_or_none(rho_in)
     factory = _ChannelFactory(net)
     extended = _decoupled_extension(net) if spec.verify_oracle else None
-    propagator = oracle.FullPropagator(extended) if spec.verify_oracle else None
+    propagator = _oracle_propagator(spec, extended)
     rows = []
     for t in spec.times:
         f = factory.site_amplitude(sender, receiver, t)
@@ -410,14 +427,14 @@ def _run_distribute_single(spec: ScenarioSpec) -> ScenarioResult:
 def _run_distribute_dual(spec: ScenarioSpec) -> ScenarioResult:
     net_a = _require_network(spec)
     net_b = spec.network_b or net_a
-    sa, ra = _require_site(spec, "sender_a"), _require_site(spec, "receiver_a")
-    sb, rb = _require_site(spec, "sender_b"), _require_site(spec, "receiver_b")
+    sa, ra = _require_site(spec, "sender_a", net_a), _require_site(spec, "receiver_a", net_a)
+    sb, rb = _require_site(spec, "sender_b", net_b), _require_site(spec, "receiver_b", net_b)
     rho_in = build_initial_state(spec.initial, 2)
     c_in = measures.concurrence(rho_in)
     x_in = _x_state_or_none(rho_in)
     fac_a, fac_b = _ChannelFactory(net_a), _ChannelFactory(net_b)
     combined = _combined_network(net_a, net_b) if spec.verify_oracle else None
-    propagator = oracle.FullPropagator(combined) if spec.verify_oracle else None
+    propagator = _oracle_propagator(spec, combined)
     rows = []
     for t in spec.times:
         f = fac_a.site_amplitude(sa, ra, t)
@@ -446,11 +463,11 @@ def _run_distribute_dual(spec: ScenarioSpec) -> ScenarioResult:
 
 def _run_two_qubit(spec: ScenarioSpec, storage: bool = False) -> ScenarioResult:
     net = _require_network(spec)
-    senders = _require_pair(spec, "senders")
-    receivers = senders if storage else _require_pair(spec, "receivers")
+    senders = _require_pair(spec, "senders", net)
+    receivers = senders if storage else _require_pair(spec, "receivers", net)
     rho_in = build_initial_state(spec.initial, 2)
     factory = _ChannelFactory(net)
-    propagator = oracle.FullPropagator(net) if spec.verify_oracle else None
+    propagator = _oracle_propagator(spec, net)
     rows = []
     for t in spec.times:
         channel = factory.two_qubit(senders, receivers, t)
@@ -485,7 +502,7 @@ def _run_weak_pair(spec: ScenarioSpec) -> ScenarioResult:
     a, b = 0, net.n_sites - 1
     rho_in = build_initial_state(spec.initial or {"kind": "basis", "string": "10"}, 2)
     factory = _ChannelFactory(net)
-    propagator = oracle.FullPropagator(net) if spec.verify_oracle else None
+    propagator = _oracle_propagator(spec, net)
     rows = []
     conc = []
     for t in spec.times:
@@ -532,8 +549,7 @@ def _four_qubit_network(spec: ScenarioSpec) -> SpinNetwork:
 def _run_four_qubit_weak(spec: ScenarioSpec) -> ScenarioResult:
     net = _four_qubit_network(spec)
     n = net.n_sites
-    if n > oracle.MAX_SITES:
-        raise ValueError(f"wire too long: {n} sites exceed the dense cap {oracle.MAX_SITES}")
+    oracle.require_dense_sites(n, f"four_qubit_weak with params.wire_sites {n - 4}")
     corners = [0, 1, n - 2, n - 1]  # A1, A2, B1, B2
     initial = spec.initial or {"kind": "basis", "string": "1100"}
     if initial.get("kind") != "basis":

@@ -1,7 +1,9 @@
 import csv
 
+import numpy as np
 import pytest
 
+from spinmaps import oracle
 from spinmaps.cli import (
     ConfigError,
     figure3_rows,
@@ -167,3 +169,65 @@ def test_tolerance_flag(tmp_path):
     out = tmp_path / "out.csv"
     # absurdly tight tolerance turns numerical noise into a verification failure
     assert main(["run", str(config), "--output", str(out), "--tolerance", "1e-18"]) == 1
+
+
+QST_CONFIG = """\
+scenario: qst
+network:
+  kind: uniform_chain
+  sites: 8
+sites:
+  sender: 0
+  receiver: 7
+times:
+  start: 0.0
+  stop: 1.0
+  points: 3
+"""
+
+
+def test_numerical_failure_exits_1(tmp_path, monkeypatch, capsys):
+    eigh = np.linalg.eigh
+
+    def skewed_eigh(matrix):
+        w, v = eigh(matrix)
+        return w, v * (1.0 + 1e-8)
+
+    monkeypatch.setattr(np.linalg, "eigh", skewed_eigh)
+    config = tmp_path / "qst.yaml"
+    config.write_text(QST_CONFIG)
+    out = tmp_path / "never.csv"
+    assert main(["run", str(config), "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and "eigenbasis is not orthonormal" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scenario, sites, message", [
+    ("qst", "  sender: 0\n  receiver: 9\n", "sites.receiver 9 out of range for 8 sites"),
+    ("qst", "  sender: -1\n  receiver: 7\n", "sites.sender -1 out of range for 8 sites"),
+    ("two_qubit_transfer", "  senders: [0, 1]\n  receivers: [6, 8]\n",
+     "sites.receivers 8 out of range for 8 sites"),
+    ("storage", "  senders: [3, 3]\n", "sites.senders must name two distinct sites"),
+])
+def test_bad_sites_name_the_field(tmp_path, capsys, scenario, sites, message):
+    text = QST_CONFIG.replace("scenario: qst", f"scenario: {scenario}")
+    text = text.replace("  sender: 0\n  receiver: 7\n", sites)
+    if scenario != "qst":
+        text += "initial:\n  kind: bell\n"
+    config = tmp_path / "bad.yaml"
+    config.write_text(text)
+    out = tmp_path / "never.csv"
+    assert main(["run", str(config), "--output", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_sites_cap_follows_physical_memory(monkeypatch, capsys):
+    monkeypatch.setattr(oracle, "physical_memory_bytes", lambda: 2 * 2**30)
+    assert oracle.max_sites() == 12  # 5 * 8 * 4^12 bytes = 0.63 GiB fits, 4^13 needs 2.5 GiB
+    assert main(["verify", "--sites", "13"]) == 2
+    captured = capsys.readouterr()
+    assert "--sites" in captured.err and "cap of 12 sites" in captured.err
+    assert "estimated peak 2.5 GiB" in captured.err and "physical memory 2 GiB" in captured.err
+    assert captured.out == ""

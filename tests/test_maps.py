@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -307,6 +309,42 @@ def test_element_table_matches_kraus_superoperator(rng):
         table = two_qubit_map_elements(k1, k2, senders, receivers, vac)
         built = superop_from_kraus(two_qubit_kraus(k1, k2, senders, receivers, vac))
         assert np.abs(table - built).max() < 1e-10
+
+
+def test_merged_double_loss_operator_matches_per_pair_sum(rng):
+    # reference: one E_2^{kl} with entry f_2(k, l) at [0, 3] per environment pair
+    for n in (4, 5, 7):
+        net = random_network(rng, n)
+        for _ in range(3):
+            t = float(rng.uniform(0.2, 4.0))
+            senders = tuple(int(x) for x in rng.choice(n, 2, replace=False))
+            receivers = tuple(int(x) for x in rng.choice(n, 2, replace=False))
+            k1, k2 = amplitudes(net, 1, t), amplitudes(net, 2, t)
+            vac = vacuum_amplitude(net, t)
+            ks = two_qubit_kraus(k1, k2, senders, receivers, vac)
+            assert len(ks.operators) == n  # E_0, n - 2 single losses, one merged E_2
+            env = [k for k in range(n) if k not in receivers]
+            reference = sum(np.kron(op, op.conj()) for op in ks.operators[:-1])
+            for k, l in itertools.combinations(env, 2):
+                e2 = np.zeros((4, 4), dtype=complex)
+                e2[0, 3] = np.conj(vac) * k2.amplitude(sorted(senders), (k, l))
+                reference = reference + np.kron(e2, e2.conj())
+            assert np.abs(superop_from_kraus(ks) - reference).max() <= 1e-14
+
+
+def test_network_maps_from_sender_columns_match_full_tables(rng):
+    net = random_network(rng, 6)
+    for _ in range(3):
+        t = float(rng.uniform(0.2, 4.0))
+        senders = tuple(int(x) for x in rng.choice(6, 2, replace=False))
+        receivers = tuple(int(x) for x in rng.choice(6, 2, replace=False))
+        vac = vacuum_amplitude(net, t)
+        full = two_qubit_kraus(amplitudes(net, 1, t), amplitudes(net, 2, t), senders, receivers, vac)
+        built = network_two_qubit_kraus(net, senders, receivers, t)
+        assert np.abs(superop_from_kraus(built) - superop_from_kraus(full)).max() <= 1e-13
+        f = np.conj(vac) * amplitudes(net, 1, t).site_amplitude(senders[0], receivers[0])
+        one = network_one_qubit_kraus(net, senders[0], receivers[0], t)
+        assert np.abs(superop_from_kraus(one) - superop_from_kraus(one_qubit_kraus(f))).max() <= 1e-13
 
 
 def test_element_table_anchor_entries(rng):

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinmaps import (
+    NumericalError,
+    SectorPropagator,
     SpinNetwork,
     amplitudes,
     build_sector_hamiltonian,
@@ -10,7 +13,7 @@ from spinmaps import (
     pair_amplitude_determinant,
     vacuum_amplitude,
 )
-from spinmaps.network import ExcitationSector, basis_index
+from spinmaps.network import AmplitudeTable, ExcitationSector, basis_index
 from spinmaps.oracle import FullPropagator, full_hamiltonian
 
 from conftest import random_network
@@ -200,3 +203,99 @@ def test_vacuum_amplitude_matches_full_propagator(rng):
     t = 0.9
     u = FullPropagator(net).unitary(t)
     assert abs(vacuum_amplitude(net, t) - u[0, 0]) < 1e-12
+
+
+def reference_sector_hamiltonian(network, k):
+    """Per-configuration loop with dictionary lookups, kept as the reference build."""
+    sector = ExcitationSector(network.n_sites, k)
+    n = network.n_sites
+    h = np.zeros((sector.dimension, sector.dimension), dtype=complex)
+    for a, occ in enumerate(sector.basis):
+        s = -np.ones(n)
+        s[list(occ)] = 1.0
+        h[a, a] = s @ network.fields + 0.5 * s @ network.zz @ s
+        occ_set = set(occ)
+        for i in occ:
+            for j in range(n):
+                if j in occ_set or network.xy[i, j] == 0.0:
+                    continue
+                h[sector.index_of(occ_set - {i} | {j}), a] += 2.0 * network.xy[i, j]
+    return h
+
+
+def test_sector_hamiltonian_is_real_symmetric_and_matches_reference_loop(rng):
+    nets = [random_network(rng, n) for n in range(1, 8)]
+    nets.append(SpinNetwork.chain(rng.normal(size=8), rng.normal(size=8), rng.normal(size=9)))
+    for net in nets:
+        for k in range(net.n_sites + 1):
+            h = build_sector_hamiltonian(net, k).matrix
+            assert h.dtype == np.float64
+            assert np.array_equal(h, h.T)
+            assert np.array_equal(h, reference_sector_hamiltonian(net, k).real)
+
+
+def test_sector_positions_match_index_of():
+    for n in range(1, 9):
+        for k in range(n + 1):
+            sector = ExcitationSector(n, k)
+            assert list(sector.positions(sector.sites)) == list(range(sector.dimension))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(3, 7),
+    k=st.integers(0, 2),
+    seed=st.integers(0, 2**32 - 1),
+    t=st.floats(-20.0, 20.0),
+    picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=4, unique=True),
+)
+def test_column_tables_match_full_table_columns(n, k, seed, t, picks):
+    net = random_network(np.random.default_rng(seed), n)
+    prop = SectorPropagator(net, k)
+    full = prop.table(t)
+    basis = prop.sector.basis
+    sources = list(dict.fromkeys(basis[p % len(basis)] for p in picks))
+    cols = prop.table(t, [tuple(reversed(s)) for s in sources])  # order inside a source is free
+    assert cols.sources == tuple(sources)
+    assert cols.amplitudes.shape == (len(basis), len(sources))
+    for source in sources:
+        assert np.abs(cols.column(source) - full.column(source)).max() <= 1e-13
+        target = basis[(seed + len(source)) % len(basis)]
+        assert abs(cols.amplitude(source, target) - full.amplitude(source, target)) <= 1e-13
+
+
+def test_column_table_source_errors(rng):
+    prop = SectorPropagator(random_network(rng, 5), 1)
+    with pytest.raises(ValueError, match="duplicates"):
+        prop.table(0.5, [(1,), (1,)])
+    with pytest.raises(ValueError, match="not a valid configuration"):
+        prop.table(0.5, [(7,)])
+    table = prop.table(0.5, [(1,)])
+    with pytest.raises(ValueError, match="not among the stored columns"):
+        table.site_amplitude(2, 0)
+
+
+def test_corrupted_eigenbasis_raises_numerical_error(rng, monkeypatch):
+    net = random_network(rng, 5)
+    eigh = np.linalg.eigh
+
+    def skewed_eigh(matrix):
+        w, v = eigh(matrix)
+        return w, v * (1.0 + 1e-8)
+
+    monkeypatch.setattr(np.linalg, "eigh", skewed_eigh)
+    with pytest.raises(NumericalError, match="eigenbasis is not orthonormal") as info:
+        SectorPropagator(net, 2)
+    assert not isinstance(info.value, ValueError)
+
+
+def test_column_gram_check_raises_numerical_error(rng):
+    table = amplitudes(random_network(rng, 4), 1, 0.7)
+    sector, f = table.sector, table.amplitudes
+    AmplitudeTable(sector, 0.7, f[:, [0, 2]], ((0,), (2,)))
+    with pytest.raises(NumericalError, match="not orthonormal"):
+        AmplitudeTable(sector, 0.7, f[:, [0, 2]] * (1.0 + 1e-9), ((0,), (2,)))
+    with pytest.raises(NumericalError):
+        AmplitudeTable(sector, 0.7, f[:, [0, 0]], ((0,), (1,)))
+    with pytest.raises(ValueError, match="must be 4x2"):
+        AmplitudeTable(sector, 0.7, f[:, [0]], ((0,), (2,)))

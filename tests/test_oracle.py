@@ -174,3 +174,13 @@ def test_oracle_shares_no_code_with_sector_engine():
     for name in sector_engine:
         assert not hasattr(oracle, name)
         assert all(value is not getattr(network, name) for value in bound)
+
+
+def test_max_sites_follows_memory_estimate(monkeypatch):
+    assert oracle.dense_peak_bytes(12) == 5 * 8 * 4**12
+    monkeypatch.setattr(oracle, "physical_memory_bytes", lambda: 2**50)
+    assert oracle.max_sites() == oracle.SITE_CEILING == 14
+    monkeypatch.setattr(oracle, "physical_memory_bytes", lambda: 100 * 10**6)
+    assert oracle.max_sites() == 10
+    with pytest.raises(ValueError, match=r"dense Hamiltonian: 11 sites exceed the dense-oracle cap of 10 sites"):
+        full_hamiltonian(SpinNetwork.uniform_chain(11))  # rejected before any allocation

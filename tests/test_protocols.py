@@ -288,3 +288,21 @@ def test_run_is_deterministic():
         initial={"kind": "werner", "p": 0.7},
     )
     assert run(spec).rows == run(spec).rows
+
+
+def test_dense_oracle_callers_name_the_memory_cap(monkeypatch):
+    from spinmaps import oracle
+
+    monkeypatch.setattr(oracle, "physical_memory_bytes", lambda: 100 * 10**6)  # cap: 10 sites
+    spec = ScenarioSpec(
+        kind="four_qubit_weak", times=(0.0, 1.0), params={"wire_sites": 7},
+        initial={"kind": "basis", "string": "1100"},
+    )
+    with pytest.raises(ValueError, match=r"params.wire_sites 7: 11 sites exceed .* cap of 10 sites"):
+        run(spec)
+    spec = ScenarioSpec(
+        kind="qst", times=(0.0, 1.0), network=SpinNetwork.uniform_chain(11),
+        sites={"sender": 0, "receiver": 10}, verify_oracle=True,
+    )
+    with pytest.raises(ValueError, match=r"verify.oracle: 11 sites exceed .*estimated peak"):
+        run(spec)
