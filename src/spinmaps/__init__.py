@@ -17,6 +17,7 @@ from .network import (
 from .maps import (
     CptpVerdict,
     KrausSet,
+    NetworkChannel,
     apply,
     assert_density_matrix,
     choi_from_kraus,
@@ -26,8 +27,6 @@ from .maps import (
     is_hermiticity_preserving,
     is_trace_preserving,
     kraus_from_choi,
-    network_one_qubit_kraus,
-    network_two_qubit_kraus,
     one_qubit_kraus,
     partial_trace,
     superop_from_kraus,

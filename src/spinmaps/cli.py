@@ -20,11 +20,11 @@ import yaml
 from . import maps, measures, oracle, protocols
 from .network import (
     NumericalError,
+    SectorPropagator,
     SpinNetwork,
     amplitudes,
     full_unitary_from_sectors,
     pair_amplitude_determinant,
-    vacuum_amplitude,
 )
 
 OUTPUT_DIR_ENV = "SPINMAPS_OUTPUT_DIR"
@@ -171,9 +171,9 @@ def _run_checks(n_sites: int, seed: int, tol: float, trials: int, report=print) 
             ok = False
 
     t = float(rng.uniform(0.5, 3.0))
-    for k in (0, 1, 2):
-        table = amplitudes(net, k, t)
-        a = table.amplitudes
+    chan = maps.NetworkChannel(net)
+    for k, propagator in ((0, SectorPropagator(net, 0)), (1, chan.k1), (2, chan.k2)):
+        a = propagator.table(t).amplitudes
         dev = np.abs(a @ a.conj().T - np.eye(a.shape[0])).max()
         check(f"sector unitarity (k={k})", float(dev), 1e-10)
         col = np.abs((np.abs(a) ** 2).sum(axis=0) - 1.0).max()
@@ -196,7 +196,7 @@ def _run_checks(n_sites: int, seed: int, tol: float, trials: int, report=print) 
     for _ in range(trials):
         tt = float(rng.uniform(0.0, 5.0))
         s, r = rng.choice(n_sites, size=2, replace=True)
-        channel = maps.network_one_qubit_kraus(net, int(s), int(r), tt)
+        channel = chan.one_qubit(int(s), int(r), tt)
         rho = maps.random_density_matrix(2, rng)
         out = maps.apply(channel, rho)
         ref = oracle.reduced_output(net, rho, [int(s)], [int(r)], tt, propagator=prop)
@@ -206,7 +206,7 @@ def _run_checks(n_sites: int, seed: int, tol: float, trials: int, report=print) 
 
         senders = tuple(int(x) for x in rng.choice(n_sites, size=2, replace=False))
         receivers = tuple(int(x) for x in rng.choice(n_sites, size=2, replace=False))
-        channel2 = maps.network_two_qubit_kraus(net, senders, receivers, tt)
+        channel2 = chan.two_qubit(senders, receivers, tt)
         rho2 = maps.random_density_matrix(4, rng)
         out2 = maps.apply(channel2, rho2)
         ref2 = oracle.reduced_output(net, rho2, senders, receivers, tt, propagator=prop)
@@ -214,9 +214,8 @@ def _run_checks(n_sites: int, seed: int, tol: float, trials: int, report=print) 
         verdict2 = maps.is_cptp(channel2)
         worst_choi = max(worst_choi, -verdict2.min_choi_eigenvalue, verdict2.trace_defect)
 
-        k1 = amplitudes(net, 1, tt)
-        k2 = amplitudes(net, 2, tt)
-        elem = maps.two_qubit_map_elements(k1, k2, senders, receivers, vacuum_amplitude(net, tt))
+        k1, k2 = chan.k1.table(tt), chan.k2.table(tt)
+        elem = maps.two_qubit_map_elements(k1, k2, senders, receivers, chan.vacuum(tt))
         built = maps.superop_from_kraus(channel2)
         worst_elem = max(worst_elem, float(np.abs(elem - built).max()))
 
@@ -357,11 +356,20 @@ def _run_spec(spec):
         raise ConfigError(str(exc)) from exc
 
 
+def _check_tolerance(tolerance):
+    if tolerance is not None and not (np.isfinite(tolerance) and tolerance > 0):
+        raise ConfigError(f"--tolerance must be finite and positive, got {tolerance}")
+
+
+def _spec_with_tolerance(cfg: dict, tolerance) -> protocols.ScenarioSpec:
+    _check_tolerance(tolerance)
+    spec = spec_from_config(cfg)
+    return spec if tolerance is None else replace(spec, oracle_tol=tolerance)
+
+
 def _cmd_run(args) -> int:
     cfg = _load_config(args.config)
-    spec = spec_from_config(cfg)
-    if args.tolerance is not None:
-        spec = replace(spec, oracle_tol=args.tolerance)
+    spec = _spec_with_tolerance(cfg, args.tolerance)
     result = _run_spec(spec)
     out = _resolve_output(args.output or cfg.get("output"), f"{spec.kind}.csv")
     result.write_csv(out)
@@ -376,9 +384,7 @@ def _cmd_sweep(args) -> int:
     sweep_cfg = cfg.get("sweep")
     if not sweep_cfg or "axis" not in sweep_cfg or "values" not in sweep_cfg:
         raise ConfigError("sweep requires a 'sweep:' section with 'axis' and 'values'")
-    spec = spec_from_config(cfg)
-    if args.tolerance is not None:
-        spec = replace(spec, oracle_tol=args.tolerance)
+    spec = _spec_with_tolerance(cfg, args.tolerance)
     axis = str(sweep_cfg["axis"])
     try:
         results = protocols.sweep(spec, axis, sweep_cfg["values"])
@@ -398,6 +404,9 @@ def _cmd_sweep(args) -> int:
 def _cmd_verify(args) -> int:
     if args.sites < 3:
         raise ConfigError("verify needs at least 3 sites")
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be at least 1, got {args.trials}")
+    _check_tolerance(args.tolerance)
     try:
         oracle.require_dense_sites(args.sites, "--sites")
     except ValueError as exc:
@@ -409,6 +418,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_figure(args) -> int:
     number = args.number
+    if args.points is not None and args.points < 1:
+        raise ConfigError(f"--points must be at least 1, got {args.points}")
     if number == 3:
         result = protocols.ScenarioResult("figure3", *figure3_rows(args.points or 201))
     elif number == 5:

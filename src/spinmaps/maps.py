@@ -5,20 +5,24 @@ vector (rho_00, rho_01, ..., rho_dd); the matrix element A[(i,j),(n,m)] is
 sum_k (E_k)_{in} (E_k)*_{jm}, so A = sum_k kron(E_k, conj(E_k)).
 
 The one- and two-qubit maps induced by a U(1) network on sender/receiver
-subsets are built from sector amplitude tables.  All amplitudes entering a
-map are taken relative to the vacuum phase exp(-i E_vac t), which makes the
-vacuum-vacuum Kraus element exactly 1 and the resulting channel equal to the
-exact reduced dynamics for arbitrary fields and ZZ couplings.
+subsets are built from sector amplitude tables, in one place:
+:class:`NetworkChannel` holds a network's sector propagators and turns their
+sender columns into :func:`one_qubit_kraus` and :func:`two_qubit_kraus`
+sets.  All amplitudes entering a map are taken relative to the vacuum phase
+exp(-i E_vac t), which makes the vacuum-vacuum Kraus element exactly 1 and
+the resulting channel equal to the exact reduced dynamics for arbitrary
+fields and ZZ couplings.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .network import AmplitudeTable, SectorPropagator, SpinNetwork, vacuum_amplitude
+from .network import AmplitudeTable, SectorPropagator, SpinNetwork
 
 DENSITY_ATOL = 1e-10
 PSD_FLOOR = -1e-9
@@ -280,16 +284,6 @@ def one_qubit_kraus(f: complex) -> KrausSet:
     return KrausSet((e0, e1))
 
 
-def network_one_qubit_kraus(network: SpinNetwork, sender: int, receiver: int, t: float) -> KrausSet:
-    """Map from one sender site to one receiver site at time t."""
-    n = network.n_sites
-    if not (0 <= sender < n and 0 <= receiver < n):
-        raise ValueError(f"sites ({sender}, {receiver}) out of range for {n} sites")
-    table = SectorPropagator(network, 1).table(t, [(sender,)])
-    f = np.conj(vacuum_amplitude(network, t)) * table.site_amplitude(sender, receiver)
-    return one_qubit_kraus(f)
-
-
 def extend_with_identity(ks: KrausSet, side: str = "left") -> KrausSet:
     """Tensor a one-qubit map with the identity map on a second qubit.
 
@@ -387,15 +381,47 @@ def two_qubit_kraus(
     return KrausSet(tuple(ops))
 
 
-def network_two_qubit_kraus(network: SpinNetwork, senders, receivers, t: float) -> KrausSet:
-    """Two-qubit map at time t, built from the sender columns of the k=1 and k=2 sectors."""
-    n_sites = network.n_sites
-    _check_pair(senders, n_sites, "sender")
-    _check_pair(receivers, n_sites, "receiver")
-    i, j = senders
-    k1 = SectorPropagator(network, 1).table(t, [(i,), (j,)])
-    k2 = SectorPropagator(network, 2).table(t, [(i, j)])
-    return two_qubit_kraus(k1, k2, senders, receivers, vacuum_amplitude(network, t))
+class NetworkChannel:
+    """The one- and two-qubit channels that one network induces between its sites.
+
+    Holds the k=1 sector propagator, builds the k=2 one on first use, and
+    computes the vacuum energy once, so each sector is diagonalised once for
+    any number of times and site choices.  Every channel reads only the
+    sender columns of its sectors: (i,) of k=1 for one qubit, (i,), (j,) of
+    k=1 and (i, j) of k=2 for two.
+    """
+
+    def __init__(self, network: SpinNetwork):
+        self.network = network
+        self.k1 = SectorPropagator(network, 1)
+        self._e_vac = network.diagonal_energy()
+
+    @cached_property
+    def k2(self) -> SectorPropagator:
+        return SectorPropagator(self.network, 2)
+
+    def vacuum(self, t: float) -> complex:
+        """Phase exp(-i E_vac t) of the fully polarised configuration."""
+        return complex(np.exp(-1j * self._e_vac * t))
+
+    def amplitude(self, sender: int, receiver: int, t: float) -> complex:
+        """Vacuum-gauged one-excitation amplitude f from sender to receiver at time t."""
+        n = self.network.n_sites
+        if not (0 <= sender < n and 0 <= receiver < n):
+            raise ValueError(f"sites ({sender}, {receiver}) out of range for {n} sites")
+        return np.conj(self.vacuum(t)) * self.k1.table(t, [(sender,)]).site_amplitude(sender, receiver)
+
+    def one_qubit(self, sender: int, receiver: int, t: float) -> KrausSet:
+        """Map from one sender site to one receiver site at time t."""
+        return one_qubit_kraus(self.amplitude(sender, receiver, t))
+
+    def two_qubit(self, senders, receivers, t: float) -> KrausSet:
+        """Map from the sender pair to the receiver pair at time t (see :func:`two_qubit_kraus`)."""
+        _check_pair(senders, self.network.n_sites, "sender")
+        i, j = senders
+        return two_qubit_kraus(
+            self.k1.table(t, [(i,), (j,)]), self.k2.table(t, [(i, j)]), senders, receivers, self.vacuum(t)
+        )
 
 
 def two_qubit_map_elements(

@@ -18,6 +18,10 @@ table checks the Gram matrix of its own columns, |f^dag f - 1| <= 1e-10 (for
 a full table this is the unitarity of f).  A failure raises
 :class:`NumericalError`, never ``ValueError``.
 
+Networks that evolve side by side without interacting are one network, their
+:meth:`SpinNetwork.disjoint_union`; an idle external qubit is the union of a
+single uncoupled site with the network.
+
 Conventions
 -----------
 * Pauli-matrix normalization: the XY exchange contributes a hopping matrix
@@ -25,8 +29,9 @@ Conventions
   excitation from site i to site j.
 * |0> is the sigma^z = -1 state; an "excitation" is a flipped (up) spin.
 * Sector diagonals carry the full field/ZZ energy of each configuration,
-  with no constant subtracted.  Phases relative to the vacuum are obtained
-  with :func:`vacuum_amplitude`.
+  :meth:`SpinNetwork.diagonal_energy`, with no constant subtracted.  Phases
+  relative to the vacuum (the empty configuration) are obtained with
+  :func:`vacuum_amplitude`.
 * Construction is sign-free (hard-core boson / spin basis); no fermionic
   strings enter for any coupling graph.
 """
@@ -38,6 +43,7 @@ from dataclasses import dataclass, field
 from math import comb
 
 import numpy as np
+from scipy.linalg import block_diag
 
 HERMITICITY_ATOL = 1e-12
 UNITARITY_ATOL = 1e-10
@@ -122,6 +128,28 @@ class SpinNetwork:
         if n_sites < 2:
             raise ValueError("uniform chain needs at least 2 sites")
         return cls.chain(np.full(n_sites - 1, coupling))
+
+    def disjoint_union(self, other: "SpinNetwork") -> "SpinNetwork":
+        """Block-diagonal network of ``self`` and ``other``, which do not interact.
+
+        The sites of ``self`` come first; site j of ``other`` becomes site
+        ``self.n_sites + j``.
+        """
+        return SpinNetwork(
+            block_diag(self.xy, other.xy),
+            block_diag(self.zz, other.zz),
+            np.concatenate([self.fields, other.fields]),
+        )
+
+    def diagonal_energy(self, occupied=()) -> float:
+        """Field and ZZ energy of a configuration (the vacuum by default).
+
+        sum_i h_i s_i + sum_{i<j} zz_ij s_i s_j with s = +1 on the occupied
+        sites and -1 elsewhere.
+        """
+        s = -np.ones(self.n_sites)
+        s[list(occupied)] = 1.0
+        return s @ self.fields + 0.5 * s @ self.zz @ s
 
     def is_open_chain(self) -> bool:
         """True if XY couplings live only on nearest-neighbour bonds."""
@@ -257,19 +285,17 @@ def build_sector_hamiltonian(network: SpinNetwork, k: int) -> SectorHamiltonian:
     """Real symmetric (float64) Hamiltonian restricted to the k-excitation sector.
 
     Off-diagonal elements are 2*J_ij between configurations differing by one
-    excitation hop from i to j; the diagonal is
-    sum_i h_i s_i + sum_{i<j} zz_ij s_i s_j with s = +1 on excited sites and
-    -1 elsewhere.  All hops are filled at once: every (configuration, ordered
-    bond (i, j)) pair with i occupied and j empty gives one element.
+    excitation hop from i to j; the diagonal holds the
+    :meth:`SpinNetwork.diagonal_energy` of each configuration.  All hops are
+    filled at once: every (configuration, ordered bond (i, j)) pair with i
+    occupied and j empty gives one element.
     """
     sector = ExcitationSector(network.n_sites, k)
     n = network.n_sites
     dim = sector.dimension
     h = np.zeros((dim, dim))
     for a, occ in enumerate(sector.basis):
-        s = -np.ones(n)
-        s[list(occ)] = 1.0
-        h[a, a] = s @ network.fields + 0.5 * s @ network.zz @ s
+        h[a, a] = network.diagonal_energy(occ)
     occupied = np.zeros((dim, n), dtype=bool)
     occupied[np.arange(dim)[:, None], sector.sites] = True
     bond_i, bond_j = np.nonzero(network.xy)
@@ -324,8 +350,7 @@ def amplitudes(network: SpinNetwork, k: int, t: float) -> AmplitudeTable:
 
 def vacuum_amplitude(network: SpinNetwork, t: float) -> complex:
     """Phase exp(-i E_vac t) of the fully polarised configuration."""
-    e0 = build_sector_hamiltonian(network, 0).matrix[0, 0]
-    return complex(np.exp(-1j * e0 * t))
+    return complex(np.exp(-1j * network.diagonal_energy() * t))
 
 
 def pair_amplitude(table_k2: AmplitudeTable, i: int, j: int, n: int, m: int) -> complex:

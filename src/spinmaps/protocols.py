@@ -15,7 +15,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from . import maps, measures, oracle
-from .network import SpinNetwork, build_sector_hamiltonian, SectorPropagator
+from .network import SpinNetwork
 
 SCENARIO_KINDS = (
     "qst",
@@ -56,9 +56,13 @@ class ScenarioSpec:
         times = tuple(float(t) for t in self.times)
         if not times:
             raise ValueError("time grid is empty")
+        if not all(map(math.isfinite, times)):
+            raise ValueError("times must be finite (no NaN or infinity)")
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("time grid must be strictly increasing")
         object.__setattr__(self, "times", times)
+        if not (math.isfinite(self.oracle_tol) and self.oracle_tol > 0):
+            raise ValueError(f"tolerances.oracle must be finite and positive, got {self.oracle_tol}")
 
 
 @dataclass(frozen=True)
@@ -164,60 +168,6 @@ def _require_pair(spec: ScenarioSpec, key: str, network: SpinNetwork) -> tuple:
     for site in pair:
         _check_site_range(key, site, network)
     return pair
-
-
-# ---------------------------------------------------------------------------
-# cached channel construction
-
-class _ChannelFactory:
-    """Per-network cache of sector propagators for map construction."""
-
-    def __init__(self, network: SpinNetwork):
-        self.network = network
-        self.e_vac = build_sector_hamiltonian(network, 0).matrix[0, 0]
-        self.prop1 = SectorPropagator(network, 1)
-        self._prop2 = None
-
-    def vacuum(self, t: float) -> complex:
-        return complex(np.exp(-1j * self.e_vac * t))
-
-    def site_amplitude(self, i: int, j: int, t: float) -> complex:
-        """Vacuum-gauged one-excitation amplitude f_i^j, from the single column of source i."""
-        return np.conj(self.vacuum(t)) * self.prop1.table(t, [(i,)]).site_amplitude(i, j)
-
-    def two_qubit(self, senders, receivers, t: float) -> maps.KrausSet:
-        """Two-qubit map from the sender columns (i,), (j,) of k=1 and (i, j) of k=2."""
-        if self._prop2 is None:
-            self._prop2 = SectorPropagator(self.network, 2)
-        i, j = senders
-        return maps.two_qubit_kraus(
-            self.prop1.table(t, [(i,), (j,)]), self._prop2.table(t, [(i, j)]),
-            senders, receivers, self.vacuum(t),
-        )
-
-
-def _decoupled_extension(network: SpinNetwork) -> SpinNetwork:
-    """Prepend one isolated site (an idle external qubit) to a network."""
-    n = network.n_sites
-    xy = np.zeros((n + 1, n + 1))
-    zz = np.zeros((n + 1, n + 1))
-    h = np.zeros(n + 1)
-    xy[1:, 1:] = network.xy
-    zz[1:, 1:] = network.zz
-    h[1:] = network.fields
-    return SpinNetwork(xy, zz, h)
-
-
-def _combined_network(net_a: SpinNetwork, net_b: SpinNetwork) -> SpinNetwork:
-    """Two non-interacting networks as one block-diagonal network."""
-    na, nb = net_a.n_sites, net_b.n_sites
-    xy = np.zeros((na + nb, na + nb))
-    zz = np.zeros((na + nb, na + nb))
-    h = np.zeros(na + nb)
-    xy[:na, :na], xy[na:, na:] = net_a.xy, net_b.xy
-    zz[:na, :na], zz[na:, na:] = net_a.zz, net_b.zz
-    h[:na], h[na:] = net_a.fields, net_b.fields
-    return SpinNetwork(xy, zz, h)
 
 
 # ---------------------------------------------------------------------------
@@ -334,61 +284,60 @@ def sweep(spec: ScenarioSpec, axis: str, values) -> list:
     return results
 
 
-def _oracle_propagator(spec, network):
-    """Dense propagator of ``network`` when the spec asks for oracle verification, else None."""
-    if not spec.verify_oracle:
-        return None
-    oracle.require_dense_sites(network.n_sites, "verify.oracle")
-    return oracle.FullPropagator(network)
+def _channel_run(spec, kind, columns, rho_in, step, whole, senders, receivers) -> ScenarioResult:
+    """The per-time loop of the channel runners: one row per time of ``spec.times``.
 
-
-def _maybe_oracle_dev(spec, network, rho_in, senders, receivers, t, rho_out, propagator):
-    if not spec.verify_oracle:
-        return ()
-    ref = oracle.reduced_output(network, rho_in, senders, receivers, t, propagator=propagator)
-    dev = maps.trace_distance(rho_out, ref)
-    if dev > spec.oracle_tol:
-        raise VerificationError(f"map/oracle deviation {dev:.3e} beyond tolerance at t={t}")
-    return (dev,)
-
-
-def _maybe_cptp(spec, channel):
-    if not spec.verify_cptp:
-        return ()
-    verdict = maps.is_cptp(channel)
-    if not verdict.ok:
-        raise VerificationError(
-            f"map failed the CPTP check (min Choi eigenvalue {verdict.min_choi_eigenvalue:.3e})"
-        )
-    return (verdict.min_choi_eigenvalue,)
-
-
-def _extra_columns(spec):
-    cols = ()
+    ``step(t)`` returns the channel at time t and a function from its output
+    state to the runner's row values after t.  The loop applies the channel
+    to ``rho_in`` and, as the spec asks, appends ``oracle_dev``, the trace
+    distance to the dense oracle's reduced output on ``whole`` (the network,
+    or union of networks, whose sites ``senders`` feed the channel and
+    ``receivers`` hold its output), and ``cptp_min_eig``, the channel's
+    minimum Choi eigenvalue.  The dense propagator is built only for the
+    oracle check.
+    """
     if spec.verify_oracle:
-        cols += ("oracle_dev",)
+        oracle.require_dense_sites(whole.n_sites, "verify.oracle")
+        propagator = oracle.FullPropagator(whole)
+        columns += ("oracle_dev",)
     if spec.verify_cptp:
-        cols += ("cptp_min_eig",)
-    return cols
+        columns += ("cptp_min_eig",)
+    rows = []
+    for t in spec.times:
+        channel, values = step(t)
+        rho_out = maps.apply(channel, rho_in)
+        row = (t,) + values(rho_out)
+        if spec.verify_oracle:
+            ref = oracle.reduced_output(whole, rho_in, senders, receivers, t, propagator=propagator)
+            dev = maps.trace_distance(rho_out, ref)
+            if dev > spec.oracle_tol:
+                raise VerificationError(f"map/oracle deviation {dev:.3e} beyond tolerance at t={t}")
+            row += (dev,)
+        if spec.verify_cptp:
+            verdict = maps.is_cptp(channel)
+            if not verdict.ok:
+                raise VerificationError(
+                    f"map failed the CPTP check (min Choi eigenvalue {verdict.min_choi_eigenvalue:.3e})"
+                )
+            row += (verdict.min_choi_eigenvalue,)
+        rows.append(row)
+    return ScenarioResult(kind, ("t",) + columns, tuple(rows))
 
 
 def _run_qst(spec: ScenarioSpec) -> ScenarioResult:
     net = _require_network(spec)
     sender, receiver = _require_site(spec, "sender", net), _require_site(spec, "receiver", net)
     rho_in = build_initial_state(spec.initial or {"kind": "basis", "string": "1"}, 1)
-    factory = _ChannelFactory(net)
-    propagator = _oracle_propagator(spec, net)
-    rows = []
-    for t in spec.times:
-        f = factory.site_amplitude(sender, receiver, t)
-        channel = maps.one_qubit_kraus(f)
-        rho_out = maps.apply(channel, rho_in)
-        row = (t, f.real, f.imag, abs(f), rho_out[1, 1].real, rho_out[0, 1].real, rho_out[0, 1].imag)
-        row += _maybe_oracle_dev(spec, net, rho_in, [sender], [receiver], t, rho_out, propagator)
-        row += _maybe_cptp(spec, channel)
-        rows.append(row)
-    columns = ("t", "f_re", "f_im", "f_abs", "out_p1", "out_coh_re", "out_coh_im") + _extra_columns(spec)
-    return ScenarioResult("qst", columns, tuple(rows))
+    chan = maps.NetworkChannel(net)
+
+    def step(t):
+        f = chan.amplitude(sender, receiver, t)
+        return maps.one_qubit_kraus(f), lambda out: (
+            f.real, f.imag, abs(f), out[1, 1].real, out[0, 1].real, out[0, 1].imag
+        )
+
+    columns = ("f_re", "f_im", "f_abs", "out_p1", "out_coh_re", "out_coh_im")
+    return _channel_run(spec, "qst", columns, rho_in, step, net, [sender], [receiver])
 
 
 def _run_distribute_single(spec: ScenarioSpec) -> ScenarioResult:
@@ -397,31 +346,28 @@ def _run_distribute_single(spec: ScenarioSpec) -> ScenarioResult:
     rho_in = build_initial_state(spec.initial, 2)
     c_in = measures.concurrence(rho_in)
     x_in = _x_state_or_none(rho_in)
-    factory = _ChannelFactory(net)
-    extended = _decoupled_extension(net) if spec.verify_oracle else None
-    propagator = _oracle_propagator(spec, extended)
-    rows = []
-    for t in spec.times:
-        f = factory.site_amplitude(sender, receiver, t)
-        channel = maps.extend_with_identity(maps.one_qubit_kraus(f), side="left")
-        rho_out = maps.apply(channel, rho_in)
-        c_out = measures.concurrence(rho_out)
-        if x_in is not None:
-            _, c1, c2 = measures.transferred_concurrence(x_in, f)
-        else:
-            c1 = c2 = math.nan
-        ratio = c_out / c_in if c_in > 0 else math.nan
-        row = (t, f.real, f.imag, abs(f), c_out, c1, c2, c_in, ratio)
-        if spec.verify_oracle:
-            row += _maybe_oracle_dev(
-                spec, extended, rho_in, [0, sender + 1], [0, receiver + 1], t, rho_out, propagator
-            )
-        row += _maybe_cptp(spec, channel)
-        rows.append(row)
-    columns = (
-        "t", "f_re", "f_im", "f_abs", "concurrence", "c1", "c2", "initial_concurrence", "ratio"
-    ) + _extra_columns(spec)
-    return ScenarioResult("distribute_single", columns, tuple(rows))
+    chan = maps.NetworkChannel(net)
+
+    def step(t):
+        f = chan.amplitude(sender, receiver, t)
+
+        def values(out):
+            c_out = measures.concurrence(out)
+            if x_in is not None:
+                _, c1, c2 = measures.transferred_concurrence(x_in, f)
+            else:
+                c1 = c2 = math.nan
+            ratio = c_out / c_in if c_in > 0 else math.nan
+            return (f.real, f.imag, abs(f), c_out, c1, c2, c_in, ratio)
+
+        return maps.extend_with_identity(maps.one_qubit_kraus(f), side="left"), values
+
+    # the oracle evolves the idle first qubit as an uncoupled site 0 beside the network
+    whole = SpinNetwork(np.zeros((1, 1))).disjoint_union(net)
+    columns = ("f_re", "f_im", "f_abs", "concurrence", "c1", "c2", "initial_concurrence", "ratio")
+    return _channel_run(
+        spec, "distribute_single", columns, rho_in, step, whole, [0, sender + 1], [0, receiver + 1]
+    )
 
 
 def _run_distribute_dual(spec: ScenarioSpec) -> ScenarioResult:
@@ -432,33 +378,29 @@ def _run_distribute_dual(spec: ScenarioSpec) -> ScenarioResult:
     rho_in = build_initial_state(spec.initial, 2)
     c_in = measures.concurrence(rho_in)
     x_in = _x_state_or_none(rho_in)
-    fac_a, fac_b = _ChannelFactory(net_a), _ChannelFactory(net_b)
-    combined = _combined_network(net_a, net_b) if spec.verify_oracle else None
-    propagator = _oracle_propagator(spec, combined)
-    rows = []
-    for t in spec.times:
-        f = fac_a.site_amplitude(sa, ra, t)
-        g = fac_b.site_amplitude(sb, rb, t)
-        channel = maps.tensor_map(maps.one_qubit_kraus(f), maps.one_qubit_kraus(g))
-        rho_out = maps.apply(channel, rho_in)
-        c_out = measures.concurrence(rho_out)
-        if x_in is not None and abs(f - g) < 1e-12:
-            _, c1, c2 = measures.dual_rail_concurrence(x_in, f)
-        else:
-            c1 = c2 = math.nan
-        ratio = c_out / c_in if c_in > 0 else math.nan
-        row = (t, abs(f), abs(g), c_out, c1, c2, c_in, ratio)
-        if spec.verify_oracle:
-            na = net_a.n_sites
-            row += _maybe_oracle_dev(
-                spec, combined, rho_in, [sa, na + sb], [ra, na + rb], t, rho_out, propagator
-            )
-        row += _maybe_cptp(spec, channel)
-        rows.append(row)
-    columns = (
-        "t", "f_abs", "g_abs", "concurrence", "c1", "c2", "initial_concurrence", "ratio"
-    ) + _extra_columns(spec)
-    return ScenarioResult("distribute_dual", columns, tuple(rows))
+    chan_a, chan_b = maps.NetworkChannel(net_a), maps.NetworkChannel(net_b)
+
+    def step(t):
+        f = chan_a.amplitude(sa, ra, t)
+        g = chan_b.amplitude(sb, rb, t)
+
+        def values(out):
+            c_out = measures.concurrence(out)
+            if x_in is not None and abs(f - g) < 1e-12:
+                _, c1, c2 = measures.dual_rail_concurrence(x_in, f)
+            else:
+                c1 = c2 = math.nan
+            ratio = c_out / c_in if c_in > 0 else math.nan
+            return (abs(f), abs(g), c_out, c1, c2, c_in, ratio)
+
+        return maps.tensor_map(maps.one_qubit_kraus(f), maps.one_qubit_kraus(g)), values
+
+    na = net_a.n_sites
+    columns = ("f_abs", "g_abs", "concurrence", "c1", "c2", "initial_concurrence", "ratio")
+    return _channel_run(
+        spec, "distribute_dual", columns, rho_in, step,
+        net_a.disjoint_union(net_b), [sa, na + sb], [ra, na + rb],
+    )
 
 
 def _run_two_qubit(spec: ScenarioSpec, storage: bool = False) -> ScenarioResult:
@@ -466,25 +408,19 @@ def _run_two_qubit(spec: ScenarioSpec, storage: bool = False) -> ScenarioResult:
     senders = _require_pair(spec, "senders", net)
     receivers = senders if storage else _require_pair(spec, "receivers", net)
     rho_in = build_initial_state(spec.initial, 2)
-    factory = _ChannelFactory(net)
-    propagator = _oracle_propagator(spec, net)
-    rows = []
-    for t in spec.times:
-        channel = factory.two_qubit(senders, receivers, t)
-        rho_out = maps.apply(channel, rho_in)
+    chan = maps.NetworkChannel(net)
+
+    def step(t):
+        channel = chan.two_qubit(senders, receivers, t)
         e0 = channel.operators[0]
-        purity = np.trace(rho_out @ rho_out).real
-        row = (
-            t, abs(e0[2, 2]), abs(e0[1, 1]), abs(e0[3, 3]),
-            measures.concurrence(rho_out), purity,
+        return channel, lambda out: (
+            abs(e0[2, 2]), abs(e0[1, 1]), abs(e0[3, 3]),
+            measures.concurrence(out), np.trace(out @ out).real,
         )
-        row += _maybe_oracle_dev(spec, net, rho_in, senders, receivers, t, rho_out, propagator)
-        row += _maybe_cptp(spec, channel)
-        rows.append(row)
-    columns = (
-        "t", "f11_abs", "f22_abs", "fpair_abs", "concurrence", "purity"
-    ) + _extra_columns(spec)
-    return ScenarioResult("storage" if storage else "two_qubit_transfer", columns, tuple(rows))
+
+    kind = "storage" if storage else "two_qubit_transfer"
+    columns = ("f11_abs", "f22_abs", "fpair_abs", "concurrence", "purity")
+    return _channel_run(spec, kind, columns, rho_in, step, net, senders, receivers)
 
 
 def _weak_pair_network(spec: ScenarioSpec) -> SpinNetwork:
@@ -501,25 +437,20 @@ def _run_weak_pair(spec: ScenarioSpec) -> ScenarioResult:
     net = _weak_pair_network(spec)
     a, b = 0, net.n_sites - 1
     rho_in = build_initial_state(spec.initial or {"kind": "basis", "string": "10"}, 2)
-    factory = _ChannelFactory(net)
-    propagator = _oracle_propagator(spec, net)
-    rows = []
-    conc = []
-    for t in spec.times:
-        channel = factory.two_qubit((a, b), (a, b), t)
-        rho_out = maps.apply(channel, rho_in)
-        c = measures.concurrence(rho_out)
-        conc.append(c)
-        f_ab = abs(factory.site_amplitude(a, b, t))
-        row = (t, f_ab, c)
-        row += _maybe_oracle_dev(spec, net, rho_in, [a, b], [a, b], t, rho_out, propagator)
-        row += _maybe_cptp(spec, channel)
-        rows.append(row)
+    chan = maps.NetworkChannel(net)
+
+    def step(t):
+        return chan.two_qubit((a, b), (a, b), t), lambda out: (
+            abs(chan.amplitude(a, b, t)), measures.concurrence(out)
+        )
+
+    result = _channel_run(spec, "weak_pair", ("f_ab_abs", "concurrence"), rho_in, step, net, [a, b], [a, b])
+    conc = [row[2] for row in result.rows]
     peak_idx = int(np.argmax(conc))
     peak_t, peak_c = spec.times[peak_idx], conc[peak_idx]
     if spec.params.get("refine", True) and 0 < peak_idx < len(spec.times) - 1:
         def negative_concurrence(t):
-            rho = maps.apply(factory.two_qubit((a, b), (a, b), t), rho_in)
+            rho = maps.apply(chan.two_qubit((a, b), (a, b), t), rho_in)
             return -measures.concurrence(rho)
 
         bracket = (spec.times[peak_idx - 1], peak_t, spec.times[peak_idx + 1])
@@ -529,11 +460,7 @@ def _run_weak_pair(spec: ScenarioSpec) -> ScenarioResult:
                 peak_t, peak_c = float(res.x), float(-res.fun)
         except ValueError:
             pass  # non-bracketing grid triple; keep the grid peak
-    columns = ("t", "f_ab_abs", "concurrence") + _extra_columns(spec)
-    return ScenarioResult(
-        "weak_pair", columns, tuple(rows),
-        meta={"peak_time": peak_t, "peak_concurrence": peak_c},
-    )
+    return replace(result, meta={"peak_time": peak_t, "peak_concurrence": peak_c})
 
 
 def _four_qubit_network(spec: ScenarioSpec) -> SpinNetwork:

@@ -1,12 +1,26 @@
 import numpy as np
 import pytest
 
-from spinmaps import SpinNetwork
+from spinmaps import SectorPropagator, SpinNetwork
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def sector_builds(monkeypatch):
+    """Excitation counts of the SectorPropagators built while the test runs, in order."""
+    built = []
+    init = SectorPropagator.__init__
+
+    def counting_init(self, network, k):
+        built.append(k)
+        init(self, network, k)
+
+    monkeypatch.setattr(SectorPropagator, "__init__", counting_init)
+    return built
 
 
 def random_network(rng, n_sites, with_zz=True, with_fields=True, scale=1.0):

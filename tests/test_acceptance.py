@@ -7,6 +7,7 @@ criteria complete.  Tolerances are fixed here, not configurable.
 import numpy as np
 
 from spinmaps import (
+    NetworkChannel,
     SpinNetwork,
     amplitudes,
     apply,
@@ -18,8 +19,6 @@ from spinmaps import (
     four_tangle,
     is_cptp,
     magnetization_expectation,
-    network_one_qubit_kraus,
-    network_two_qubit_kraus,
     one_qubit_kraus,
     pair_amplitude_determinant,
     partial_trace,
@@ -66,11 +65,12 @@ def test_criterion_1_map_oracle_equivalence():
         n = int(rng.integers(3, 9))
         net = random_network(rng, n, scale=1.0)
         prop = FullPropagator(net)
+        chan = NetworkChannel(net)
         for _ in range(5):
             t = float(rng.uniform(0.0, 10.0))
             s, r = (int(x) for x in rng.integers(0, n, size=2))
             rho = random_density_matrix(2, rng)
-            channel = network_one_qubit_kraus(net, s, r, t)
+            channel = chan.one_qubit(s, r, t)
             dev = trace_distance(apply(channel, rho), reduced_output(net, rho, [s], [r], t, propagator=prop))
             worst = max(worst, dev)
             collected_maps.append(channel)
@@ -79,7 +79,7 @@ def test_criterion_1_map_oracle_equivalence():
             senders = _random_sites(rng, n, 2)
             receivers = _random_sites(rng, n, 2)
             rho2 = random_density_matrix(4, rng)
-            channel2 = network_two_qubit_kraus(net, senders, receivers, t)
+            channel2 = chan.two_qubit(senders, receivers, t)
             dev2 = trace_distance(
                 apply(channel2, rho2), reduced_output(net, rho2, senders, receivers, t, propagator=prop)
             )
@@ -146,8 +146,9 @@ def test_criterion_4_cptp_suite():
             n = int(rng.integers(3, 7))
             net = random_network(rng, n)
             t = float(rng.uniform(0, 5))
-            maps_to_check.append(network_one_qubit_kraus(net, 0, n - 1, t))
-            maps_to_check.append(network_two_qubit_kraus(net, (0, 1), (n - 2, n - 1), t))
+            chan = NetworkChannel(net)
+            maps_to_check.append(chan.one_qubit(0, n - 1, t))
+            maps_to_check.append(chan.two_qubit((0, 1), (n - 2, n - 1), t))
     for f in (1.0, 0.6, 0.3 + 0.4j):
         maps_to_check.append(one_qubit_kraus(f))
         maps_to_check.append(extend_with_identity(one_qubit_kraus(f)))

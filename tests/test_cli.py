@@ -231,3 +231,55 @@ def test_verify_sites_cap_follows_physical_memory(monkeypatch, capsys):
     assert "--sites" in captured.err and "cap of 12 sites" in captured.err
     assert "estimated peak 2.5 GiB" in captured.err and "physical memory 2 GiB" in captured.err
     assert captured.out == ""
+
+
+def test_verify_builds_each_sector_once(sector_builds, capsys):
+    assert main(["verify", "--sites", "8"]) == 0
+    assert "verification passed" in capsys.readouterr().out
+    # k = 0, 1, 2 of the random network, its 9 sectors assembled into U(t), k = 1, 2 of the chain
+    assert len(sector_builds) <= 14
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["figure", "3", "--points", "0"], "--points"),
+    (["figure", "7", "--points", "-5"], "--points"),
+    (["verify", "--trials", "0"], "--trials"),
+    (["verify", "--tolerance", "nan"], "--tolerance"),
+    (["verify", "--tolerance", "-1"], "--tolerance"),
+])
+def test_bad_flags_exit_2_naming_the_flag(argv, flag, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("SPINMAPS_OUTPUT_DIR", str(tmp_path))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert flag in captured.err and captured.out == ""
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1"])
+def test_bad_tolerance_flag_exits_2(tmp_path, capsys, command, tolerance):
+    config = tmp_path / "run.yaml"
+    config.write_text(GOOD_CONFIG + "sweep:\n  axis: p\n  values: [0.5, 0.9]\n")
+    out = tmp_path / "never.csv"
+    assert main([command, str(config), "--output", str(out), "--tolerance", tolerance]) == 2
+    assert "--tolerance must be finite and positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tolerance", [".nan", ".inf", "0", "-1.0e-8"])
+def test_bad_oracle_tolerance_in_config_exits_2(tmp_path, capsys, tolerance):
+    config = tmp_path / "run.yaml"
+    config.write_text(GOOD_CONFIG + f"tolerances:\n  oracle: {tolerance}\n")
+    out = tmp_path / "never.csv"
+    assert main(["run", str(config), "--output", str(out)]) == 2
+    assert "tolerances.oracle must be finite and positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_finite_time_exits_2_naming_times(tmp_path, capsys):
+    config = tmp_path / "run.yaml"
+    config.write_text("scenario: four_qubit_weak\ntimes:\n  list: [0.0, .nan]\n")
+    out = tmp_path / "never.csv"
+    assert main(["run", str(config), "--output", str(out)]) == 2
+    assert "times must be finite" in capsys.readouterr().err
+    assert not out.exists()

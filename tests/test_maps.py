@@ -5,6 +5,7 @@ import pytest
 
 from spinmaps import (
     KrausSet,
+    NetworkChannel,
     SpinNetwork,
     amplitudes,
     apply,
@@ -14,8 +15,6 @@ from spinmaps import (
     is_hermiticity_preserving,
     is_trace_preserving,
     kraus_from_choi,
-    network_one_qubit_kraus,
-    network_two_qubit_kraus,
     one_qubit_kraus,
     partial_trace,
     superop_from_kraus,
@@ -178,11 +177,12 @@ def test_coherence_never_amplified(rng):
 def test_one_qubit_map_vs_oracle(rng):
     net = random_network(rng, 5)
     prop = FullPropagator(net)
+    chan = NetworkChannel(net)
     for _ in range(5):
         t = float(rng.uniform(0, 4))
         s, r = (int(x) for x in rng.integers(0, 5, size=2))
         rho = random_density_matrix(2, rng)
-        out = apply(network_one_qubit_kraus(net, s, r, t), rho)
+        out = apply(chan.one_qubit(s, r, t), rho)
         ref = reduced_output(net, rho, [s], [r], t, propagator=prop)
         assert trace_distance(out, ref) < 1e-9
 
@@ -222,7 +222,7 @@ def test_tensor_map_composition(rng):
 
 def test_two_qubit_storage_identity_at_zero_time(rng):
     net = random_network(rng, 5)
-    ks = network_two_qubit_kraus(net, (1, 3), (1, 3), 0.0)
+    ks = NetworkChannel(net).two_qubit((1, 3), (1, 3), 0.0)
     e0 = ks.operators[0]
     assert np.abs(e0 - np.eye(4)).max() < 1e-12
     for op in ks.operators[1:]:
@@ -232,9 +232,9 @@ def test_two_qubit_storage_identity_at_zero_time(rng):
 def test_two_qubit_site_validation(rng):
     net = random_network(rng, 4)
     with pytest.raises(ValueError):
-        network_two_qubit_kraus(net, (1, 1), (2, 3), 0.5)
+        NetworkChannel(net).two_qubit((1, 1), (2, 3), 0.5)
     with pytest.raises(ValueError):
-        network_two_qubit_kraus(net, (0, 1), (2, 4), 0.5)
+        NetworkChannel(net).two_qubit((0, 1), (2, 4), 0.5)
     k1 = amplitudes(net, 1, 0.5)
     k2 = amplitudes(net, 2, 0.7)
     with pytest.raises(ValueError):
@@ -270,16 +270,17 @@ def test_two_qubit_sparsity_pattern(rng):
         t = float(rng.uniform(0.2, 3.0))
         senders = tuple(int(x) for x in rng.choice(net.n_sites, 2, replace=False))
         receivers = tuple(int(x) for x in rng.choice(net.n_sites, 2, replace=False))
-        a = superop_from_kraus(network_two_qubit_kraus(net, senders, receivers, t))
+        a = superop_from_kraus(NetworkChannel(net).two_qubit(senders, receivers, t))
         assert np.abs(a[~expected]).max() == 0.0
 
 
 def test_two_qubit_map_vs_oracle(rng):
     net = SpinNetwork.uniform_chain(4, 1.0)
     prop = FullPropagator(net)
+    chan = NetworkChannel(net)
     for t in (0.4, 1.3, 2.9):
         rho = random_density_matrix(4, rng)
-        out = apply(network_two_qubit_kraus(net, (0, 1), (2, 3), t), rho)
+        out = apply(chan.two_qubit((0, 1), (2, 3), t), rho)
         ref = reduced_output(net, rho, [0, 1], [2, 3], t, propagator=prop)
         assert trace_distance(out, ref) < 1e-9
 
@@ -287,12 +288,13 @@ def test_two_qubit_map_vs_oracle(rng):
 def test_two_qubit_map_vs_oracle_with_fields_and_zz(rng):
     net = random_network(rng, 5)
     prop = FullPropagator(net)
+    chan = NetworkChannel(net)
     for _ in range(4):
         t = float(rng.uniform(0.2, 3.0))
         senders = tuple(int(x) for x in rng.choice(5, 2, replace=False))
         receivers = tuple(int(x) for x in rng.choice(5, 2, replace=False))
         rho = random_density_matrix(4, rng)
-        out = apply(network_two_qubit_kraus(net, senders, receivers, t), rho)
+        out = apply(chan.two_qubit(senders, receivers, t), rho)
         ref = reduced_output(net, rho, senders, receivers, t, propagator=prop)
         assert trace_distance(out, ref) < 1e-9
 
@@ -334,17 +336,53 @@ def test_merged_double_loss_operator_matches_per_pair_sum(rng):
 
 def test_network_maps_from_sender_columns_match_full_tables(rng):
     net = random_network(rng, 6)
+    chan = NetworkChannel(net)
     for _ in range(3):
         t = float(rng.uniform(0.2, 4.0))
         senders = tuple(int(x) for x in rng.choice(6, 2, replace=False))
         receivers = tuple(int(x) for x in rng.choice(6, 2, replace=False))
         vac = vacuum_amplitude(net, t)
         full = two_qubit_kraus(amplitudes(net, 1, t), amplitudes(net, 2, t), senders, receivers, vac)
-        built = network_two_qubit_kraus(net, senders, receivers, t)
+        built = chan.two_qubit(senders, receivers, t)
         assert np.abs(superop_from_kraus(built) - superop_from_kraus(full)).max() <= 1e-13
         f = np.conj(vac) * amplitudes(net, 1, t).site_amplitude(senders[0], receivers[0])
-        one = network_one_qubit_kraus(net, senders[0], receivers[0], t)
+        one = chan.one_qubit(senders[0], receivers[0], t)
         assert np.abs(superop_from_kraus(one) - superop_from_kraus(one_qubit_kraus(f))).max() <= 1e-13
+
+
+def test_network_channel_builds_each_sector_once(rng, sector_builds):
+    net = random_network(rng, 6)
+    chan = NetworkChannel(net)
+    times = np.linspace(0.0, 3.0, 7)
+    for t in times:
+        for s, r in itertools.product(range(6), repeat=2):
+            chan.amplitude(s, r, t)
+            chan.one_qubit(s, r, t)
+    assert sector_builds == [1]  # the k=2 sector waits for the first two-qubit map
+    for t in times:
+        for senders, receivers in (((0, 1), (4, 5)), ((3, 2), (3, 2)), ((5, 0), (1, 4))):
+            chan.two_qubit(senders, receivers, t)
+    assert sector_builds == [1, 2]
+
+
+def test_oracle_on_disjoint_union_is_tensor_product_of_channels(rng):
+    net_a, net_b = random_network(rng, 3), random_network(rng, 4)
+    chan_a, chan_b = NetworkChannel(net_a), NetworkChannel(net_b)
+    union = net_a.disjoint_union(net_b)
+    prop = FullPropagator(union)
+    idle = SpinNetwork(np.zeros((1, 1))).disjoint_union(net_b)  # an idle first qubit
+    idle_prop = FullPropagator(idle)
+    for _ in range(4):
+        t = float(rng.uniform(0.2, 4.0))
+        sa, ra = (int(x) for x in rng.integers(0, 3, 2))
+        sb, rb = (int(x) for x in rng.integers(0, 4, 2))
+        rho = random_density_matrix(4, rng)
+        out = apply(tensor_map(chan_a.one_qubit(sa, ra, t), chan_b.one_qubit(sb, rb, t)), rho)
+        ref = reduced_output(union, rho, [sa, 3 + sb], [ra, 3 + rb], t, propagator=prop)
+        assert trace_distance(out, ref) < 1e-10
+        out = apply(extend_with_identity(chan_b.one_qubit(sb, rb, t)), rho)
+        ref = reduced_output(idle, rho, [0, sb + 1], [0, rb + 1], t, propagator=idle_prop)
+        assert trace_distance(out, ref) < 1e-10
 
 
 def test_element_table_anchor_entries(rng):
@@ -364,7 +402,7 @@ def test_element_table_anchor_entries(rng):
 def test_bell_coherence_cannot_be_generated(rng):
     # rho_03 evolves in isolation: zero in, zero out
     net = random_network(rng, 5)
-    ks = network_two_qubit_kraus(net, (0, 1), (3, 4), 1.7)
+    ks = NetworkChannel(net).two_qubit((0, 1), (3, 4), 1.7)
     rho = random_density_matrix(4, rng)
     rho[0, 3] = rho[3, 0] = 0.0
     rho = (rho + rho.conj().T) / 2
@@ -378,11 +416,12 @@ def test_constructed_maps_are_cptp(rng):
         net = random_network(rng, int(rng.integers(3, 6)))
         t = float(rng.uniform(0, 3))
         i, j = (int(x) for x in rng.integers(0, net.n_sites, 2))
-        verdict = is_cptp(network_one_qubit_kraus(net, i, j, t))
+        chan = NetworkChannel(net)
+        verdict = is_cptp(chan.one_qubit(i, j, t))
         assert verdict.ok
         senders = tuple(int(x) for x in rng.choice(net.n_sites, 2, replace=False))
         receivers = tuple(int(x) for x in rng.choice(net.n_sites, 2, replace=False))
-        verdict2 = is_cptp(network_two_qubit_kraus(net, senders, receivers, t))
+        verdict2 = is_cptp(chan.two_qubit(senders, receivers, t))
         assert verdict2.ok
 
 

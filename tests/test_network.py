@@ -13,6 +13,7 @@ from spinmaps import (
     pair_amplitude_determinant,
     vacuum_amplitude,
 )
+from spinmaps import network as network_module
 from spinmaps.network import AmplitudeTable, ExcitationSector, basis_index
 from spinmaps.oracle import FullPropagator, full_hamiltonian
 
@@ -203,6 +204,33 @@ def test_vacuum_amplitude_matches_full_propagator(rng):
     t = 0.9
     u = FullPropagator(net).unitary(t)
     assert abs(vacuum_amplitude(net, t) - u[0, 0]) < 1e-12
+
+
+def test_vacuum_amplitude_reads_the_sector_diagonal_without_a_sector(rng, monkeypatch):
+    net = random_network(rng, 5)
+    assert net.diagonal_energy() == build_sector_hamiltonian(net, 0).matrix[0, 0]
+
+    def no_sector(network, k):
+        raise AssertionError("vacuum_amplitude built a sector Hamiltonian")
+
+    monkeypatch.setattr(network_module, "build_sector_hamiltonian", no_sector)
+    assert vacuum_amplitude(net, 0.7) == complex(np.exp(-1j * net.diagonal_energy() * 0.7))
+
+
+def test_disjoint_union_is_block_diagonal(rng):
+    a, b = random_network(rng, 3), random_network(rng, 4)
+    union = a.disjoint_union(b)
+    assert union.n_sites == 7
+    for name in ("xy", "zz"):
+        m = getattr(union, name)
+        assert np.array_equal(m[:3, :3], getattr(a, name))
+        assert np.array_equal(m[3:, 3:], getattr(b, name))
+        assert not m[:3, 3:].any() and not m[3:, :3].any()
+    assert np.array_equal(union.fields, np.concatenate([a.fields, b.fields]))
+    idle = SpinNetwork(np.zeros((1, 1))).disjoint_union(b)  # one uncoupled site first
+    assert idle.n_sites == 5 and idle.fields[0] == 0.0
+    assert not idle.xy[0].any() and not idle.zz[0].any()
+    assert np.array_equal(idle.xy[1:, 1:], b.xy) and np.array_equal(idle.fields[1:], b.fields)
 
 
 def reference_sector_hamiltonian(network, k):

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from spinmaps import (
+    NetworkChannel,
     SpinNetwork,
     amplitudes,
     apply,
     full_evolve,
     magnetization_expectation,
-    network_one_qubit_kraus,
     reduced_output,
     trace_distance,
 )
@@ -102,11 +102,12 @@ def test_reduced_output_receiver_order_matters(rng):
 def test_central_equivalence_one_qubit(rng):
     net = random_network(rng, 5)
     prop = FullPropagator(net)
+    chan = NetworkChannel(net)
     for _ in range(5):
         t = float(rng.uniform(0, 4))
         s, r = (int(x) for x in rng.integers(0, 5, 2))
         rho = random_density_matrix(2, rng)
-        out = apply(network_one_qubit_kraus(net, s, r, t), rho)
+        out = apply(chan.one_qubit(s, r, t), rho)
         ref = reduced_output(net, rho, [s], [r], t, propagator=prop)
         assert trace_distance(out, ref) < 1e-9
 

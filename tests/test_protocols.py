@@ -26,6 +26,12 @@ def test_spec_validation():
         ScenarioSpec(kind="qst", times=())
     with pytest.raises(ValueError):
         ScenarioSpec(kind="qst", times=(0.0, 1.0, 1.0))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="times must be finite"):
+            ScenarioSpec(kind="qst", times=(0.0, bad))
+    for bad in (np.nan, np.inf, 0.0, -1e-8):
+        with pytest.raises(ValueError, match="tolerances.oracle must be finite and positive"):
+            ScenarioSpec(kind="qst", times=(0.0, 1.0), oracle_tol=bad)
 
 
 def test_initial_state_descriptions(rng):
