@@ -172,7 +172,8 @@ def _run_checks(n_sites: int, seed: int, tol: float, trials: int, report=print) 
 
     t = float(rng.uniform(0.5, 3.0))
     chan = maps.NetworkChannel(net)
-    for k, propagator in ((0, SectorPropagator(net, 0)), (1, chan.k1), (2, chan.k2)):
+    held = (SectorPropagator(net, 0), chan.k1, chan.k2)
+    for k, propagator in enumerate(held):
         a = propagator.table(t).amplitudes
         dev = np.abs(a @ a.conj().T - np.eye(a.shape[0])).max()
         check(f"sector unitarity (k={k})", float(dev), 1e-10)
@@ -180,7 +181,7 @@ def _run_checks(n_sites: int, seed: int, tol: float, trials: int, report=print) 
         check(f"sector completeness (k={k})", float(col), 1e-10)
 
     prop = oracle.FullPropagator(net)
-    dev = np.abs(full_unitary_from_sectors(net, t) - prop.unitary(t)).max()
+    dev = np.abs(full_unitary_from_sectors(net, t, held) - prop.unitary(t)).max()
     check("sector block assembly vs full unitary", float(dev), 1e-9)
 
     psi = rng.normal(size=1 << n_sites) + 1j * rng.normal(size=1 << n_sites)
@@ -247,25 +248,26 @@ WERNER_WEIGHTS = (0.4, 0.5, 0.7, 0.9, 1.0)
 def figure3_rows(points: int = 201):
     """Transferred/initial concurrence ratio of Werner states vs |f| (one rail)."""
     rows = []
+    f = np.linspace(0.0, 1.0, points)
     for p in WERNER_WEIGHTS:
         x = measures.XState.werner(p, "psi+")
         c_in = (3.0 * p - 1.0) / 2.0
-        for f in np.linspace(0.0, 1.0, points):
-            c, _, _ = measures.transferred_concurrence(x, f)
-            rows.append((p, float(f), c / c_in))
+        c, _, _ = measures.transferred_concurrence(x, f)
+        rows += zip([p] * points, f.tolist(), (c / c_in).tolist())
     return ("p", "f_abs", "ratio"), rows
 
 
 def figure5_rows(points: int = 201):
     """Transferred/initial concurrence ratio of Werner states vs |f| (dual rail)."""
     rows = []
+    f = np.linspace(0.0, 1.0, points)
     for family in ("psi+", "phi+"):
         for p in WERNER_WEIGHTS:
             x = measures.XState.werner(p, family)
             c_in = (3.0 * p - 1.0) / 2.0
-            for f in np.linspace(0.0, 1.0, points):
-                c, c1, c2 = measures.dual_rail_concurrence(x, f)
-                rows.append((family, p, float(f), c / c_in, c1, c2))
+            c, c1, c2 = measures.dual_rail_concurrence(x, f)
+            rows += zip([family] * points, [p] * points, f.tolist(), (c / c_in).tolist(),
+                        c1.tolist(), c2.tolist())
     return ("family", "p", "f_abs", "ratio", "c1", "c2"), rows
 
 

@@ -12,6 +12,16 @@ sets.  All amplitudes entering a map are taken relative to the vacuum phase
 exp(-i E_vac t), which makes the vacuum-vacuum Kraus element exactly 1 and
 the resulting channel equal to the exact reduced dynamics for arbitrary
 fields and ZZ couplings.
+
+Time grids are a leading axis.  Given an array of T times (or amplitudes),
+:class:`NetworkChannel`, :func:`one_qubit_kraus`, :func:`two_qubit_kraus`,
+:func:`extend_with_identity` and :func:`tensor_map` build one
+:class:`KrausSet` whose operators are (T, d, d) stacks; :func:`apply` maps a
+state (or a (T, d, d) stack of states) through every slice at once and
+:func:`assert_density_matrix` checks each output slice.  Every check runs on
+every slice at its usual tolerance; a scalar time is the case without the
+axis.  :meth:`KrausSet.at` picks out the map at one time, for the per-map
+routines (superoperators, Choi matrices, :func:`is_cptp`).
 """
 
 from __future__ import annotations
@@ -33,14 +43,20 @@ COMPLETENESS_ATOL = 1e-10
 # density matrices
 
 def assert_density_matrix(rho: np.ndarray, atol: float = DENSITY_ATOL, eig_floor: float = PSD_FLOOR):
-    """Raise ValueError unless rho is Hermitian, unit-trace and PSD within tolerance."""
+    """Raise ValueError unless rho is Hermitian, unit-trace and PSD within tolerance.
+
+    ``rho`` is a (d, d) matrix or a (T, d, d) stack, checked slice by slice;
+    a message names the worst slice's value.
+    """
     rho = np.asarray(rho)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+    if rho.ndim not in (2, 3) or rho.shape[-1] != rho.shape[-2]:
         raise ValueError(f"density matrix must be square, got shape {rho.shape}")
-    if np.abs(rho - rho.conj().T).max() > atol:
+    if np.abs(rho - rho.conj().swapaxes(-1, -2)).max() > atol:
         raise ValueError("density matrix is not Hermitian")
-    if abs(np.trace(rho) - 1.0) > atol:
-        raise ValueError(f"density matrix trace is {np.trace(rho)}, expected 1")
+    trace = np.trace(rho, axis1=-2, axis2=-1)
+    worst = np.argmax(np.abs(trace - 1.0))
+    if abs(trace.flat[worst] - 1.0) > atol:
+        raise ValueError(f"density matrix trace is {trace.flat[worst]}, expected 1")
     w = np.linalg.eigvalsh(rho)
     if w.min() < eig_floor:
         raise ValueError(f"density matrix has negative eigenvalue {w.min():.3e}")
@@ -123,8 +139,10 @@ def pure_partial_trace(psi: np.ndarray, keep, dims) -> np.ndarray:
 class KrausSet:
     """A quantum map as a tuple of Kraus operators.
 
+    Every operator is a (d_out, d_in) matrix, or every operator is a
+    (T, d_out, d_in) stack: then the set holds one map per time of a grid.
     With ``complete=True`` (the default) the completeness relation
-    sum_k E_k^dag E_k = 1 is checked to 1e-10 at construction.
+    sum_k E_k^dag E_k = 1 is checked to 1e-10 at construction, on every slice.
     """
 
     operators: tuple
@@ -135,8 +153,8 @@ class KrausSet:
             raise ValueError("KrausSet needs at least one operator")
         ops = tuple(np.asarray(op, dtype=complex) for op in self.operators)
         shape = ops[0].shape
-        if len(shape) != 2:
-            raise ValueError("Kraus operators must be matrices")
+        if len(shape) not in (2, 3):
+            raise ValueError("Kraus operators must be matrices (or stacks of matrices)")
         if any(op.shape != shape for op in ops):
             raise ValueError("all Kraus operators must share the same shape")
         object.__setattr__(self, "operators", ops)
@@ -147,48 +165,65 @@ class KrausSet:
 
     @property
     def input_dim(self) -> int:
-        return self.operators[0].shape[1]
+        return self.operators[0].shape[-1]
 
     @property
     def output_dim(self) -> int:
-        return self.operators[0].shape[0]
+        return self.operators[0].shape[-2]
 
     def completeness_defect(self) -> np.ndarray:
-        acc = sum(op.conj().T @ op for op in self.operators)
+        acc = sum(op.conj().swapaxes(-1, -2) @ op for op in self.operators)
         return acc - np.eye(self.input_dim)
+
+    def at(self, index: int) -> "KrausSet":
+        """The map at one index of the leading time axis."""
+        if self.operators[0].ndim != 3:
+            raise ValueError("KrausSet.at needs operators with a leading time axis")
+        return KrausSet(tuple(op[index] for op in self.operators), complete=self.complete)
 
 
 def identity_kraus(dim: int) -> KrausSet:
     return KrausSet((np.eye(dim, dtype=complex),))
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of the last two axes, broadcast over a leading time axis."""
+    out = np.einsum("...ij,...kl->...ikjl", a, b)
+    return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
+
+
 def superop_from_kraus(ks: KrausSet) -> np.ndarray:
-    """Superoperator matrix A = sum_k kron(E_k, conj(E_k))."""
-    a = np.zeros((ks.output_dim**2, ks.input_dim**2), dtype=complex)
-    for op in ks.operators:
-        a += np.kron(op, op.conj())
-    return a
+    """Superoperator matrix A = sum_k kron(E_k, conj(E_k)) (one per slice of a stack)."""
+    return sum(_kron(op, op.conj()) for op in ks.operators)
+
+
+def _check_state_shape(rho: np.ndarray, din: int):
+    if rho.ndim not in (2, 3) or rho.shape[-2:] != (din, din):
+        raise ValueError(f"state dimension {rho.shape} does not match input dim {din}")
 
 
 def apply_kraus(ks: KrausSet, rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (ks.input_dim, ks.input_dim):
-        raise ValueError(f"state dimension {rho.shape} does not match input dim {ks.input_dim}")
-    return sum(op @ rho @ op.conj().T for op in ks.operators)
+    _check_state_shape(rho, ks.input_dim)
+    return sum(op @ rho @ op.conj().swapaxes(-1, -2) for op in ks.operators)
 
 
 def apply_superop(a: np.ndarray, rho: np.ndarray) -> np.ndarray:
     a = np.asarray(a)
     rho = np.asarray(rho, dtype=complex)
-    din = int(round(np.sqrt(a.shape[1])))
-    dout = int(round(np.sqrt(a.shape[0])))
-    if rho.shape != (din, din):
-        raise ValueError(f"state dimension {rho.shape} does not match input dim {din}")
-    return (a @ rho.reshape(-1)).reshape(dout, dout)
+    din = int(round(np.sqrt(a.shape[-1])))
+    dout = int(round(np.sqrt(a.shape[-2])))
+    _check_state_shape(rho, din)
+    out = a @ rho.reshape(rho.shape[:-2] + (-1, 1))
+    return out.reshape(out.shape[:-2] + (dout, dout))
 
 
 def apply(map_, rho: np.ndarray, validate: bool = True) -> np.ndarray:
-    """Apply a map (KrausSet or superoperator matrix) to a density matrix."""
+    """Apply a map (KrausSet or superoperator matrix) to a density matrix.
+
+    A map or a state with a leading time axis gives a (T, d, d) stack of
+    outputs, each validated.
+    """
     out = apply_kraus(map_, rho) if isinstance(map_, KrausSet) else apply_superop(map_, rho)
     if validate:
         assert_density_matrix(out)
@@ -249,7 +284,10 @@ class CptpVerdict:
 
 
 def is_cptp(map_, tol: float = 1e-9) -> CptpVerdict:
-    """Choi-PSD plus trace-preservation verdict with witness values."""
+    """Choi-PSD plus trace-preservation verdict with witness values.
+
+    Takes one map; :meth:`KrausSet.at` picks one out of a time stack.
+    """
     if isinstance(map_, KrausSet):
         a = superop_from_kraus(map_)
         din, dout = map_.input_dim, map_.output_dim
@@ -257,6 +295,8 @@ def is_cptp(map_, tol: float = 1e-9) -> CptpVerdict:
         a = np.asarray(map_)
         din = int(round(np.sqrt(a.shape[1])))
         dout = int(round(np.sqrt(a.shape[0])))
+    if a.ndim != 2:
+        raise ValueError("is_cptp takes one map, not a time stack of maps")
     choi = choi_from_superop(a, din, dout)
     min_eig = float(np.linalg.eigvalsh(choi).min())
     # partial trace of the Choi matrix over the output factor
@@ -268,19 +308,26 @@ def is_cptp(map_, tol: float = 1e-9) -> CptpVerdict:
 # ---------------------------------------------------------------------------
 # one-qubit map
 
-def one_qubit_kraus(f: complex) -> KrausSet:
+def one_qubit_kraus(f) -> KrausSet:
     """Kraus pair of the single-excitation map with transition amplitude f.
 
     E_0 = [[1, 0], [0, f]] together with a single leakage operator
     [[0, sqrt(1-|f|^2)], [0, 0]] that stands in for the whole family of
     environment-resolved operators (only the total 1-|f|^2 enters the map).
+    An array of T amplitudes gives (T, 2, 2) operators.
     """
-    f = complex(f)
-    rem = 1.0 - abs(f) ** 2
-    if rem < -1e-10:
-        raise ValueError(f"amplitude modulus {abs(f)} exceeds 1")
-    e0 = np.array([[1.0, 0.0], [0.0, f]], dtype=complex)
-    e1 = np.array([[0.0, np.sqrt(max(rem, 0.0))], [0.0, 0.0]], dtype=complex)
+    f = np.asarray(f, dtype=complex)
+    if f.ndim > 1:
+        raise ValueError(f"amplitudes must be a scalar or a 1-D array, got shape {f.shape}")
+    modulus = np.abs(f)
+    rem = 1.0 - modulus**2
+    if (rem < -1e-10).any():
+        raise ValueError(f"amplitude modulus {modulus.max()} exceeds 1")
+    e0 = np.zeros(f.shape + (2, 2), dtype=complex)
+    e0[..., 0, 0] = 1.0
+    e0[..., 1, 1] = f
+    e1 = np.zeros(f.shape + (2, 2), dtype=complex)
+    e1[..., 0, 1] = np.sqrt(np.maximum(rem, 0.0))
     return KrausSet((e0, e1))
 
 
@@ -293,15 +340,18 @@ def extend_with_identity(ks: KrausSet, side: str = "left") -> KrausSet:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     eye = np.eye(2, dtype=complex)
     if side == "left":
-        ops = tuple(np.kron(eye, op) for op in ks.operators)
+        ops = tuple(_kron(eye, op) for op in ks.operators)
     else:
-        ops = tuple(np.kron(op, eye) for op in ks.operators)
+        ops = tuple(_kron(op, eye) for op in ks.operators)
     return KrausSet(ops, complete=ks.complete)
 
 
 def tensor_map(m1: KrausSet, m2: KrausSet) -> KrausSet:
-    """Kronecker composition of two maps acting on independent systems."""
-    ops = tuple(np.kron(a, b) for a in m1.operators for b in m2.operators)
+    """Kronecker composition of two maps acting on independent systems.
+
+    Stacked maps must share their time axis (a single map broadcasts).
+    """
+    ops = tuple(_kron(a, b) for a in m1.operators for b in m2.operators)
     return KrausSet(ops, complete=m1.complete and m2.complete)
 
 
@@ -337,20 +387,24 @@ def two_qubit_kraus(
     gives N operators.
 
     The tables may hold only the columns read here: sources (i,) and (j,) of
-    ``k1`` and (i, j) of ``k2``.
+    ``k1`` and (i, j) of ``k2``.  Tables over T times (with T vacuum phases)
+    give (T, 4, 4) operators.
     """
     n_sites = k1.sector.n_sites
     if k2.sector.n_sites != n_sites:
         raise ValueError("amplitude tables belong to different networks")
     if k1.sector.excitation_count != 1 or k2.sector.excitation_count != 2:
         raise ValueError("two_qubit_kraus needs a k=1 and a k=2 table")
-    if k1.time != k2.time:
+    if not np.array_equal(k1.time, k2.time):
         raise ValueError(f"amplitude tables at different times: {k1.time} vs {k2.time}")
     _check_pair(senders, n_sites, "sender")
     _check_pair(receivers, n_sites, "receiver")
     i, j = senders
     n, m = receivers
-    gauge = np.conj(complex(vacuum_amp))
+    gauge = np.conj(np.asarray(vacuum_amp, dtype=complex))
+    if gauge.shape not in ((), np.shape(k1.time)):
+        raise ValueError(f"vacuum phases of shape {gauge.shape} do not match the tables' times")
+    stack = np.shape(k1.time) + (4, 4)
 
     def f1(src, tgt):
         return gauge * k1.amplitude((src,), (tgt,))
@@ -358,25 +412,25 @@ def two_qubit_kraus(
     def f2(tgt_a, tgt_b):
         return gauge * k2.amplitude(tuple(sorted((i, j))), tuple(sorted((tgt_a, tgt_b))))
 
-    e0 = np.zeros((4, 4), dtype=complex)
-    e0[0, 0] = 1.0
-    e0[1, 1] = f1(j, m)
-    e0[1, 2] = f1(i, m)
-    e0[2, 1] = f1(j, n)
-    e0[2, 2] = f1(i, n)
-    e0[3, 3] = f2(n, m)
+    e0 = np.zeros(stack, dtype=complex)
+    e0[..., 0, 0] = 1.0
+    e0[..., 1, 1] = f1(j, m)
+    e0[..., 1, 2] = f1(i, m)
+    e0[..., 2, 1] = f1(j, n)
+    e0[..., 2, 2] = f1(i, n)
+    e0[..., 3, 3] = f2(n, m)
     ops = [e0]
     environment = [k for k in range(n_sites) if k not in (n, m)]
     for k in environment:
-        e1 = np.zeros((4, 4), dtype=complex)
-        e1[0, 1] = f1(j, k)
-        e1[0, 2] = f1(i, k)
-        e1[1, 3] = f2(k, m)
-        e1[2, 3] = f2(n, k)
+        e1 = np.zeros(stack, dtype=complex)
+        e1[..., 0, 1] = f1(j, k)
+        e1[..., 0, 2] = f1(i, k)
+        e1[..., 1, 3] = f2(k, m)
+        e1[..., 2, 3] = f2(n, k)
         ops.append(e1)
     lost = ~np.isin(k2.sector.sites, (n, m)).any(axis=1)  # targets with both excitations outside
-    e2 = np.zeros((4, 4), dtype=complex)
-    e2[0, 3] = np.sqrt(np.sum(np.abs(gauge * k2.column((i, j))[lost]) ** 2))
+    e2 = np.zeros(stack, dtype=complex)
+    e2[..., 0, 3] = np.sqrt(np.sum(np.abs(gauge[..., None] * k2.column((i, j))[..., lost]) ** 2, axis=-1))
     ops.append(e2)
     return KrausSet(tuple(ops))
 
@@ -388,7 +442,9 @@ class NetworkChannel:
     computes the vacuum energy once, so each sector is diagonalised once for
     any number of times and site choices.  Every channel reads only the
     sender columns of its sectors: (i,) of k=1 for one qubit, (i,), (j,) of
-    k=1 and (i, j) of k=2 for two.
+    k=1 and (i, j) of k=2 for two.  Every method takes a time or a 1-D array
+    of T times; for an array, one table per sector covers the whole grid and
+    the result carries a leading time axis.
     """
 
     def __init__(self, network: SpinNetwork):
@@ -400,22 +456,22 @@ class NetworkChannel:
     def k2(self) -> SectorPropagator:
         return SectorPropagator(self.network, 2)
 
-    def vacuum(self, t: float) -> complex:
+    def vacuum(self, t):
         """Phase exp(-i E_vac t) of the fully polarised configuration."""
-        return complex(np.exp(-1j * self._e_vac * t))
+        return np.exp(-1j * self._e_vac * np.asarray(t, dtype=float))[()]
 
-    def amplitude(self, sender: int, receiver: int, t: float) -> complex:
+    def amplitude(self, sender: int, receiver: int, t):
         """Vacuum-gauged one-excitation amplitude f from sender to receiver at time t."""
         n = self.network.n_sites
         if not (0 <= sender < n and 0 <= receiver < n):
             raise ValueError(f"sites ({sender}, {receiver}) out of range for {n} sites")
         return np.conj(self.vacuum(t)) * self.k1.table(t, [(sender,)]).site_amplitude(sender, receiver)
 
-    def one_qubit(self, sender: int, receiver: int, t: float) -> KrausSet:
+    def one_qubit(self, sender: int, receiver: int, t) -> KrausSet:
         """Map from one sender site to one receiver site at time t."""
         return one_qubit_kraus(self.amplitude(sender, receiver, t))
 
-    def two_qubit(self, senders, receivers, t: float) -> KrausSet:
+    def two_qubit(self, senders, receivers, t) -> KrausSet:
         """Map from the sender pair to the receiver pair at time t (see :func:`two_qubit_kraus`)."""
         _check_pair(senders, self.network.n_sites, "sender")
         i, j = senders

@@ -2,6 +2,13 @@
 
 All measures are clipped to [0, 1] after a -1e-9 tolerance window to absorb
 eigenvalue noise from partial traces.
+
+Time grids are a leading axis: :func:`concurrence` takes a (T, 4, 4) stack of
+states, :func:`four_qubit_measures` and the pure-state measures a (T, 2^n)
+stack of state vectors, and :func:`transferred_concurrence` and
+:func:`dual_rail_concurrence` an array of amplitudes; each then returns one
+value per slice.  Every clip, norm and amplitude-bound check runs on every
+slice at its usual tolerance and raises the same error as for a single state.
 """
 
 from __future__ import annotations
@@ -10,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import partial_trace, pure_state_density
+from .maps import partial_trace
 
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SYSY = np.kron(_SY, _SY).real
@@ -21,10 +28,14 @@ CLIP_TOL = 1e-9
 BELL_LABELS = ("phi+", "phi-", "psi+", "psi-")
 
 
-def _clip_unit(x: float, tol: float = CLIP_TOL) -> float:
-    if x < -tol or x > 1.0 + tol:
-        raise ValueError(f"measure value {x} outside [0, 1] beyond tolerance")
-    return float(min(max(x, 0.0), 1.0))
+def _clip_unit(x, tol: float = CLIP_TOL):
+    """Clip a value (or every entry of an array) to [0, 1] after a ``tol`` window."""
+    x = np.asarray(x, dtype=float)
+    outside = (x < -tol) | (x > 1.0 + tol)
+    if outside.any():
+        raise ValueError(f"measure value {x[outside][0]} outside [0, 1] beyond tolerance")
+    clipped = np.minimum(np.maximum(x, 0.0), 1.0)
+    return float(clipped) if clipped.ndim == 0 else clipped
 
 
 def bell_state(label: str) -> np.ndarray:
@@ -49,23 +60,25 @@ def werner_state(p: float, bell: str = "psi+") -> np.ndarray:
     return p * np.outer(psi, psi.conj()) + (1.0 - p) * np.eye(4) / 4.0
 
 
-def concurrence(rho: np.ndarray) -> float:
-    """Wootters concurrence of a two-qubit density matrix.
+def concurrence(rho: np.ndarray):
+    """Wootters concurrence of a two-qubit density matrix (or a (T, 4, 4) stack).
 
     The lambda_i are the decreasing square-rooted eigenvalues of
     rho (sy x sy) rho* (sy x sy); they are evaluated here as the singular
     values of the symmetric overlap matrix of the subnormalized eigenvectors
     of rho, which is exact on rank-deficient states where the direct
     eigenvalue route loses half the working precision to the square root.
+    Eigen-directions below 1e-14 of the largest eigenvalue are zeroed, which
+    only adds zero singular values.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
+    if rho.ndim not in (2, 3) or rho.shape[-2:] != (4, 4):
         raise ValueError(f"concurrence needs a 4x4 state, got {rho.shape}")
     w, v = np.linalg.eigh(rho)
-    keep = w > max(w.max(), 0.0) * 1e-14
-    x = v[:, keep] * np.sqrt(w[keep])
-    lam = np.linalg.svd(x.T @ _SYSY @ x, compute_uv=False)
-    return _clip_unit(max(0.0, lam[0] - lam[1:].sum()))
+    keep = w > np.maximum(w.max(axis=-1, keepdims=True), 0.0) * 1e-14
+    x = v * np.sqrt(np.where(keep, w, 0.0))[..., None, :]
+    lam = np.linalg.svd(x.swapaxes(-1, -2) @ _SYSY @ x, compute_uv=False)
+    return _clip_unit(np.maximum(0.0, lam[..., 0] - lam[..., 1:].sum(axis=-1)))
 
 
 @dataclass(frozen=True)
@@ -122,83 +135,112 @@ class XState:
         return _clip_unit(2.0 * max(0.0, c1, c2))
 
 
-def transferred_concurrence(x: XState, f: complex):
+def _amplitude_modulus(f) -> np.ndarray:
+    """|f| of an amplitude or an array of them, each checked |f| <= 1 + 1e-10."""
+    af = np.abs(np.asarray(f, dtype=complex))
+    if (af > 1.0 + 1e-10).any():
+        raise ValueError(f"amplitude modulus {af.max()} exceeds 1")
+    return np.minimum(af, 1.0)
+
+
+def _branches(c1, c2):
+    """(C, C1, C2) with C = 2*max(0, C1, C2); floats for a scalar amplitude."""
+    c = _clip_unit(2.0 * np.maximum(0.0, np.maximum(c1, c2)))
+    if np.ndim(c1) == 0:
+        return c, float(c1), float(c2)
+    return c, c1, c2
+
+
+def transferred_concurrence(x: XState, f):
     """Concurrence after sending the second qubit through one network map.
 
     Returns (C, C1, C2): the anti-parallel (C1) and parallel (C2) branches and
-    C = 2*max(0, C1, C2), for an X-state input and transition amplitude f.
+    C = 2*max(0, C1, C2), for an X-state input and transition amplitude f
+    (or an array of amplitudes, giving arrays).
     """
-    af = abs(complex(f))
-    if af > 1.0 + 1e-10:
-        raise ValueError(f"amplitude modulus {af} exceeds 1")
-    af = min(af, 1.0)
+    af = _amplitude_modulus(f)
     rem = 1.0 - af**2
     c1 = af * (abs(x.rho12) - np.sqrt(x.p33 * (x.p00 + x.p11 * rem)))
     c2 = af * (abs(x.rho03) - np.sqrt(x.p11 * (x.p22 + x.p33 * rem)))
-    return _clip_unit(2.0 * max(0.0, c1, c2)), float(c1), float(c2)
+    return _branches(c1, c2)
 
 
-def dual_rail_concurrence(x: XState, f: complex):
+def dual_rail_concurrence(x: XState, f):
     """Concurrence after sending both qubits through identical network maps.
 
-    Returns (C, C1, C2) for an X-state carried by two equal-amplitude rails.
+    Returns (C, C1, C2) for an X-state carried by two equal-amplitude rails
+    (arrays for an array of amplitudes).
     """
-    af = abs(complex(f))
-    if af > 1.0 + 1e-10:
-        raise ValueError(f"amplitude modulus {af} exceeds 1")
-    af = min(af, 1.0)
+    af = _amplitude_modulus(f)
     a2 = af**2
     rem = 1.0 - a2
     c1 = a2 * (abs(x.rho12) - np.sqrt(x.p33 * (x.p00 + rem * (x.p11 + x.p22 + rem * x.p33))))
     c2 = a2 * (abs(x.rho03) - np.sqrt((x.p11 + rem * x.p33) * (x.p22 + rem * x.p33)))
-    return _clip_unit(2.0 * max(0.0, c1, c2)), float(c1), float(c2)
+    return _branches(c1, c2)
 
 
 def _as_state_vector(psi, n_qubits: int) -> np.ndarray:
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    if psi.size != 2**n_qubits:
-        raise ValueError(f"expected a {n_qubits}-qubit vector, got length {psi.size}")
-    norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > 1e-10:
-        raise ValueError(f"state vector norm is {norm}, expected 1")
+    """Unit n-qubit state vector, or a (T, 2^n) stack of them, each checked to 1e-10.
+
+    Any other shape holding 2^n entries is read as one flattened vector.
+    """
+    dim = 2**n_qubits
+    psi = np.asarray(psi, dtype=complex)
+    if not (psi.ndim == 2 and psi.shape[1] == dim):
+        psi = psi.reshape(-1)
+        if psi.size != dim:
+            raise ValueError(f"expected a {n_qubits}-qubit vector, got length {psi.size}")
+    norm = np.linalg.norm(psi, axis=-1)
+    dev = np.abs(norm - 1.0)
+    if (dev > 1e-10).any():
+        raise ValueError(f"state vector norm is {np.ravel(norm)[np.argmax(dev)]}, expected 1")
     return psi
 
 
-def four_tangle(psi) -> float:
-    """|<psi| sy x sy x sy x sy |psi*>|^2 for a four-qubit pure state."""
+def _reduced(psi: np.ndarray, keep, n_qubits: int) -> np.ndarray:
+    """Reduced states on the qubits ``keep`` of pure states psi (..., 2^n), by one einsum."""
+    ket = "abcdefgh"[:n_qubits]
+    bra = "".join("ABCDEFGH"[q] if q in keep else ket[q] for q in range(n_qubits))
+    out = "".join(ket[q] for q in keep) + "".join(bra[q] for q in keep)
+    a = psi.reshape(psi.shape[:-1] + (2,) * n_qubits)
+    d = 2 ** len(keep)
+    return np.einsum(f"...{ket},...{bra}->...{out}", a, a.conj()).reshape(psi.shape[:-1] + (d, d))
+
+
+def _purity(r: np.ndarray) -> np.ndarray:
+    """Tr r^2 of a state or of every state in a stack."""
+    return np.trace(r @ r, axis1=-2, axis2=-1).real
+
+
+def four_tangle(psi):
+    """|<psi| sy x sy x sy x sy |psi*>|^2 for a four-qubit pure state (or a stack)."""
     psi = _as_state_vector(psi, 4)
-    val = psi.conj() @ _SY4 @ psi.conj()
-    return _clip_unit(abs(val) ** 2)
+    val = np.sum((psi.conj() @ _SY4) * psi.conj(), axis=-1)
+    return _clip_unit(np.abs(val) ** 2)
 
 
-def three_tangle_pure(psi) -> float:
-    """Residual tangle C^2_{A(BC)} - C^2_{AB} - C^2_{AC} of a 3-qubit pure state.
+def three_tangle_pure(psi):
+    """Residual tangle C^2_{A(BC)} - C^2_{AB} - C^2_{AC} of a 3-qubit pure state (or a stack).
 
     Evaluated through the degree-4 polynomial invariant (Cayley
     hyperdeterminant), which is algebraically identical to the concurrence
     expression but avoids the sqrt-of-eigenvalue noise floor near zero.
     """
     psi = _as_state_vector(psi, 3)
-    a = psi.reshape(2, 2, 2)
-    d1 = (
-        a[0, 0, 0] ** 2 * a[1, 1, 1] ** 2
-        + a[0, 0, 1] ** 2 * a[1, 1, 0] ** 2
-        + a[0, 1, 0] ** 2 * a[1, 0, 1] ** 2
-        + a[1, 0, 0] ** 2 * a[0, 1, 1] ** 2
-    )
+    a = psi.reshape(psi.shape[:-1] + (2, 2, 2))
+    a000, a001, a010, a011 = a[..., 0, 0, 0], a[..., 0, 0, 1], a[..., 0, 1, 0], a[..., 0, 1, 1]
+    a100, a101, a110, a111 = a[..., 1, 0, 0], a[..., 1, 0, 1], a[..., 1, 1, 0], a[..., 1, 1, 1]
+    d1 = a000**2 * a111**2 + a001**2 * a110**2 + a010**2 * a101**2 + a100**2 * a011**2
     d2 = (
-        a[0, 0, 0] * a[1, 1, 1] * a[0, 1, 1] * a[1, 0, 0]
-        + a[0, 0, 0] * a[1, 1, 1] * a[1, 0, 1] * a[0, 1, 0]
-        + a[0, 0, 0] * a[1, 1, 1] * a[1, 1, 0] * a[0, 0, 1]
-        + a[0, 1, 1] * a[1, 0, 0] * a[1, 0, 1] * a[0, 1, 0]
-        + a[0, 1, 1] * a[1, 0, 0] * a[1, 1, 0] * a[0, 0, 1]
-        + a[1, 0, 1] * a[0, 1, 0] * a[1, 1, 0] * a[0, 0, 1]
+        a000 * a111 * a011 * a100
+        + a000 * a111 * a101 * a010
+        + a000 * a111 * a110 * a001
+        + a011 * a100 * a101 * a010
+        + a011 * a100 * a110 * a001
+        + a101 * a010 * a110 * a001
     )
-    d3 = (
-        a[0, 0, 0] * a[1, 1, 0] * a[1, 0, 1] * a[0, 1, 1]
-        + a[1, 1, 1] * a[0, 0, 1] * a[0, 1, 0] * a[1, 0, 0]
-    )
-    return _clip_unit(4.0 * abs(d1 - 2.0 * d2 + 4.0 * d3))
+    d3 = a000 * a110 * a101 * a011 + a111 * a001 * a010 * a100
+    return _clip_unit(4.0 * np.abs(d1 - 2.0 * d2 + 4.0 * d3))
 
 
 def three_tangle_from_concurrences(psi) -> float:
@@ -212,41 +254,45 @@ def three_tangle_from_concurrences(psi) -> float:
     return _clip_unit(max(0.0, c2_one_rest - cab**2 - cac**2), tol=1e-6)
 
 
-def three_tangle_decomposition_bound(rho: np.ndarray, eig_tol: float = 1e-12) -> float:
-    """Average residual tangle over the eigendecomposition of a 3-qubit state.
+def three_tangle_decomposition_bound(rho: np.ndarray, eig_tol: float = 1e-12):
+    """Average residual tangle over the eigendecomposition of a 3-qubit state (or a stack).
 
     Upper bound on the convex-roof extension; when it vanishes the convex
     roof is exactly zero, since a zero-average decomposition is minimal.
+    Eigenvectors with eigenvalue at most ``eig_tol`` do not enter.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (8, 8):
+    if rho.ndim not in (2, 3) or rho.shape[-2:] != (8, 8):
         raise ValueError(f"expected an 8x8 three-qubit state, got {rho.shape}")
     w, v = np.linalg.eigh(rho)
-    total = 0.0
-    for lam, vec in zip(w, v.T):
-        if lam > eig_tol:
-            total += lam * three_tangle_pure(vec / np.linalg.norm(vec))
-    return float(total)
+    keep = w > eig_tol
+    vecs = v.swapaxes(-1, -2)[keep]  # the kept eigenvectors as rows
+    weighted = np.zeros(w.shape)
+    weighted[keep] = w[keep] * three_tangle_pure(vecs / np.linalg.norm(vecs, axis=-1, keepdims=True))
+    total = weighted.sum(axis=-1)
+    return float(total) if total.ndim == 0 else total
 
 
-def one_vs_rest_concurrence(psi, qubit: int, n_qubits: int = 4) -> float:
+def one_vs_rest_concurrence(psi, qubit: int, n_qubits: int = 4):
     """sqrt(2 (1 - Tr rho_a^2)) for one qubit against the rest."""
     psi = _as_state_vector(psi, n_qubits)
-    r = partial_trace(pure_state_density(psi), [qubit], [2] * n_qubits)
-    return _clip_unit(np.sqrt(max(0.0, 2.0 * (1.0 - np.trace(r @ r).real))))
+    r = _reduced(psi, (qubit,), n_qubits)
+    return _clip_unit(np.sqrt(np.maximum(0.0, 2.0 * (1.0 - _purity(r)))))
 
 
-def pair_split_concurrence(psi, pair) -> float:
+def pair_split_concurrence(psi, pair):
     """sqrt((4/3) (1 - Tr rho_AB^2)) for a two-two bipartition of four qubits."""
     psi = _as_state_vector(psi, 4)
-    r = partial_trace(pure_state_density(psi), list(pair), [2] * 4)
-    return _clip_unit(np.sqrt(max(0.0, (4.0 / 3.0) * (1.0 - np.trace(r @ r).real))))
+    r = _reduced(psi, tuple(pair), 4)
+    return _clip_unit(np.sqrt(np.maximum(0.0, (4.0 / 3.0) * (1.0 - _purity(r)))))
 
 
 SEPARABLE_LINEAR_ENTROPY = 1e-13
 
+_CUTS_4 = ((0,), (1,), (2,), (3,), (0, 1), (0, 2), (0, 3))
 
-def four_qubit_concurrence(psi) -> float:
+
+def four_qubit_concurrence(psi):
     """Geometric mean of the concurrence over all seven bipartitions.
 
     Zero if and only if the pure state is separable across some bipartition.
@@ -255,16 +301,10 @@ def four_qubit_concurrence(psi) -> float:
     1e-13 separability floor forces an exact zero.
     """
     psi = _as_state_vector(psi, 4)
-    rho = pure_state_density(psi)
-    entropies = []
-    for cut in ((0,), (1,), (2,), (3,), (0, 1), (0, 2), (0, 3)):
-        r = partial_trace(rho, list(cut), [2] * 4)
-        entropies.append(max(0.0, 1.0 - np.trace(r @ r).real))
-    if min(entropies) < SEPARABLE_LINEAR_ENTROPY:
-        return 0.0
-    scale = [2.0] * 4 + [4.0 / 3.0] * 3
-    factors = np.sqrt(np.array(scale) * np.array(entropies))
-    return _clip_unit(float(np.prod(factors)) ** (1.0 / 7.0))
+    entropies = np.stack([np.maximum(0.0, 1.0 - _purity(_reduced(psi, cut, 4))) for cut in _CUTS_4])
+    scale = np.array([2.0] * 4 + [4.0 / 3.0] * 3).reshape((7,) + (1,) * (entropies.ndim - 1))
+    mean = np.prod(np.sqrt(scale * entropies), axis=0) ** (1.0 / 7.0)
+    return _clip_unit(np.where(entropies.min(axis=0) < SEPARABLE_LINEAR_ENTROPY, 0.0, mean))
 
 
 PAIRS_4 = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -284,21 +324,21 @@ class MeasureReport:
 
 
 def four_qubit_measures(psi) -> MeasureReport:
-    """Full measure report for a four-qubit pure state."""
+    """Full measure report for a four-qubit pure state.
+
+    For a (T, 16) stack every field holds arrays of T values.
+    """
     psi = _as_state_vector(psi, 4)
-    rho = pure_state_density(psi)
-    dims = [2] * 4
-    pair_c = {p: concurrence(partial_trace(rho, list(p), dims)) for p in PAIRS_4}
-    one_rest = tuple(one_vs_rest_concurrence(psi, q) for q in range(4))
-    splits = {p: pair_split_concurrence(psi, p) for p in SPLITS_4}
+    pair_states = np.stack([_reduced(psi, p, 4) for p in PAIRS_4], axis=-3)  # (..., 6, 4, 4)
+    pair_c = concurrence(pair_states.reshape(-1, 4, 4)).reshape(pair_states.shape[:-2])
     tangle3 = {}
     for dropped in range(4):
         kept = tuple(q for q in range(4) if q != dropped)
-        tangle3[kept] = three_tangle_decomposition_bound(partial_trace(rho, list(kept), dims))
+        tangle3[kept] = three_tangle_decomposition_bound(_reduced(psi, kept, 4))
     return MeasureReport(
-        pair_concurrence=pair_c,
-        one_vs_rest=one_rest,
-        pair_vs_pair=splits,
+        pair_concurrence=dict(zip(PAIRS_4, np.moveaxis(pair_c, -1, 0))),
+        one_vs_rest=tuple(one_vs_rest_concurrence(psi, q) for q in range(4)),
+        pair_vs_pair={p: pair_split_concurrence(psi, p) for p in SPLITS_4},
         three_tangle_bound=tangle3,
         four_tangle=four_tangle(psi),
         four_qubit_concurrence=four_qubit_concurrence(psi),

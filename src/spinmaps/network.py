@@ -10,13 +10,15 @@ Every sector Hamiltonian is real symmetric (hopping elements 2*J_ij, a real
 diagonal), so it is stored as float64 and diagonalised once with a
 real-symmetric ``eigh``, H_k = V diag(E) V^T.  A table at time t holds only
 the source columns a caller asks for, V (exp(-iEt) * V[sources, :]^T); the
-full d x d table is one choice of sources.
+full d x d table is one choice of sources.  Given an array of T times, a
+table carries a leading time axis, (T, d, c), and all T times are evolved in
+one product.
 
 Unitarity is guaranteed in two steps, both at 1e-10: once per propagator the
 eigenbasis is checked to be orthonormal, |V^T V - 1| <= 1e-10, and every
-table checks the Gram matrix of its own columns, |f^dag f - 1| <= 1e-10 (for
-a full table this is the unitarity of f).  A failure raises
-:class:`NumericalError`, never ``ValueError``.
+table checks the Gram matrix of its own columns, |f^dag f - 1| <= 1e-10, at
+every time it holds (for a full table this is the unitarity of f).  A failure
+raises :class:`NumericalError`, never ``ValueError``.
 
 Networks that evolve side by side without interacting are one network, their
 :meth:`SpinNetwork.disjoint_union`; an idle external qubit is the union of a
@@ -223,27 +225,29 @@ class SectorHamiltonian:
 
 
 def _orthonormality_defect(cols: np.ndarray) -> float:
-    """max |C^dag C - 1| over the Gram matrix of the columns of C."""
-    gram = cols.conj().T @ cols
-    gram.flat[:: gram.shape[0] + 1] -= 1.0  # subtract the identity in place
+    """max |C^dag C - 1| over the Gram matrix of the columns of C (of every C in a stack)."""
+    gram = cols.conj().swapaxes(-1, -2) @ cols
+    diag = np.arange(gram.shape[-1])
+    gram[..., diag, diag] -= 1.0  # subtract the identity in place
     return float(np.abs(gram).max(initial=0.0))
 
 
 @dataclass(frozen=True)
 class AmplitudeTable:
-    """Transition amplitudes of one sector at a fixed time, for some sources.
+    """Transition amplitudes of one sector at a fixed time (or times), for some sources.
 
     ``sources`` lists the source configurations (ascending site tuples) whose
     columns are stored; ``None`` stores all of them in basis order, i.e. the
     full d x d table.  ``amplitudes[target, c]`` is
     <target| exp(-i H_k t) |sources[c]> with targets in the sector's subset
-    basis.  The stored columns must be orthonormal, |f^dag f - 1| <= 1e-10
-    (for a full table: f is unitary); otherwise :class:`NumericalError` is
-    raised at construction.
+    basis.  With an array of T times, ``amplitudes`` is (T, d, c) and every
+    lookup returns one value per time.  The stored columns must be
+    orthonormal at every time, |f^dag f - 1| <= 1e-10 (for a full table: f is
+    unitary); otherwise :class:`NumericalError` is raised at construction.
     """
 
     sector: ExcitationSector
-    time: float
+    time: float | np.ndarray
     amplitudes: np.ndarray
     sources: tuple = None
 
@@ -251,8 +255,8 @@ class AmplitudeTable:
         f = np.asarray(self.amplitudes)
         d = self.sector.dimension
         width = d if self.sources is None else len(self.sources)
-        if f.shape != (d, width):
-            raise ValueError(f"amplitude matrix must be {d}x{width}, got {f.shape}")
+        if f.shape != np.shape(self.time) + (d, width):
+            raise ValueError(f"amplitude matrix must be {d}x{width} per time, got {f.shape}")
         dev = _orthonormality_defect(f)
         if dev > UNITARITY_ATOL:
             raise NumericalError(f"amplitude columns are not orthonormal (deviation {dev:.2e})")
@@ -268,11 +272,11 @@ class AmplitudeTable:
 
     def column(self, source) -> np.ndarray:
         """All target amplitudes of one stored source configuration."""
-        return self.amplitudes[:, self._column(source)]
+        return self.amplitudes[..., self._column(source)]
 
     def amplitude(self, source, target) -> complex:
         """Amplitude between two configurations given as site subsets."""
-        return self.amplitudes[self.sector.index_of(target), self._column(source)]
+        return self.amplitudes[..., self.sector.index_of(target), self._column(source)]
 
     def site_amplitude(self, i: int, j: int) -> complex:
         """One-excitation amplitude f_i^j (requires a k=1 table)."""
@@ -316,18 +320,24 @@ class SectorPropagator:
 
     def __init__(self, network: SpinNetwork, k: int):
         sh = build_sector_hamiltonian(network, k)
+        self.network = network
         self.sector = sh.sector
         self._eigvals, self._eigvecs = np.linalg.eigh(sh.matrix)
         dev = _orthonormality_defect(self._eigvecs)
         if dev > UNITARITY_ATOL:
             raise NumericalError(f"sector eigenbasis is not orthonormal (deviation {dev:.2e})")
 
-    def table(self, t: float, sources=None) -> AmplitudeTable:
+    def table(self, t, sources=None) -> AmplitudeTable:
         """Amplitudes at time t from the listed source configurations (all if None).
 
-        Costs O(d^2) per source column: V (exp(-iEt) * V[sources, :]^T).
+        ``t`` is a time or a 1-D array of T times; the table then holds a
+        leading time axis.  Costs O(d^2) per source column and time:
+        V (exp(-iEt) * V[sources, :]^T), one product for all times.
         """
-        if not np.isfinite(t):
+        times = np.array(t, dtype=float)
+        if times.ndim > 1:
+            raise ValueError(f"times must be a scalar or a 1-D array, got shape {times.shape}")
+        if not np.isfinite(times).all():
             raise ValueError(f"time must be finite, got {t}")
         if sources is None:
             rows = slice(None)
@@ -336,11 +346,15 @@ class SectorPropagator:
             if len(set(sources)) != len(sources):
                 raise ValueError(f"source configurations {sources} contain duplicates")
             rows = [self.sector.index_of(s) for s in sources]
-        phases = np.exp(self._eigvals * (-1j * t))
-        block = np.multiply(phases[:, None], self._eigvecs[rows].T, order="C")
+        d = self.sector.dimension
+        phases = np.exp(np.multiply.outer(-1j * times, self._eigvals)).T  # (d,) or (d, T)
+        # block[e, (time,) c] = exp(-i E_e t) V[sources[c], e]
+        cols = self._eigvecs[rows].T.reshape((d,) + (1,) * times.ndim + (-1,))
+        block = np.multiply(phases[..., None], cols, order="C")
         # real V times the complex block as one real product over interleaved (re, im) columns
-        f = (self._eigvecs @ block.view(float)).view(complex)
-        return AmplitudeTable(self.sector, float(t), f, sources)
+        f = (self._eigvecs @ block.reshape(d, -1).view(float)).view(complex).reshape(block.shape)
+        time = float(times) if times.ndim == 0 else times
+        return AmplitudeTable(self.sector, time, np.moveaxis(f, 0, -2), sources)
 
 
 def amplitudes(network: SpinNetwork, k: int, t: float) -> AmplitudeTable:
@@ -390,13 +404,22 @@ def basis_index(occupied, n_sites: int) -> int:
     return sum(1 << (n_sites - 1 - s) for s in occupied)
 
 
-def full_unitary_from_sectors(network: SpinNetwork, t: float) -> np.ndarray:
-    """Assemble the 2^N propagator from all sector amplitude tables."""
+def full_unitary_from_sectors(network: SpinNetwork, t: float, propagators=()) -> np.ndarray:
+    """Assemble the 2^N propagator from all sector amplitude tables.
+
+    ``propagators`` may hold sector propagators of ``network`` that are
+    already diagonalised; every other sector is diagonalised here.
+    """
     n = network.n_sites
+    held = {}
+    for prop in propagators:
+        if prop.network is not network:
+            raise ValueError("propagators must belong to the network being assembled")
+        held[prop.sector.excitation_count] = prop
     dim = 1 << n
     u = np.zeros((dim, dim), dtype=complex)
     for k in range(n + 1):
-        table = amplitudes(network, k, t)
+        table = held[k].table(t) if k in held else amplitudes(network, k, t)
         glob = [basis_index(occ, n) for occ in table.sector.basis]
         u[np.ix_(glob, glob)] = table.amplitudes
     return u

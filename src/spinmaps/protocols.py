@@ -3,6 +3,11 @@
 Every scenario is described by a :class:`ScenarioSpec` and produces a
 :class:`ScenarioResult` with one row per time/parameter grid point.  Rows are
 emitted in deterministic grid order; identical specs yield identical results.
+
+The channel runners and the closed-form four-qubit runs work on the whole
+time grid at once: one stacked channel (see :mod:`spinmaps.maps`), one
+``apply`` and one call of each measure per grid; only the dense-oracle and
+CPTP checks take one time at a time.
 """
 
 from __future__ import annotations
@@ -173,34 +178,39 @@ def _require_pair(spec: ScenarioSpec, key: str, network: SpinNetwork) -> tuple:
 # ---------------------------------------------------------------------------
 # closed-form four-qubit evolutions
 
-def four_qubit_closed_form(g: float, j_coupling: float, t: float, initial: str = "1100") -> np.ndarray:
+def four_qubit_closed_form(g: float, j_coupling: float, t, initial: str = "1100") -> np.ndarray:
     """Closed-form pure state of qubits (A1, A2, B1, B2) in the weak-coupling regime.
 
     ``initial`` selects the starting basis state: "1100" (both sender qubits
-    excited) or "1010" (one excitation per pair).  Normalized to 1e-12.
+    excited) or "1010" (one excitation per pair).  Normalized to 1e-12.  An
+    array of T times gives a (T, 16) stack of states.
     """
     if g <= 0 or j_coupling <= 0:
         raise ValueError(f"couplings must be positive, got g={g}, J={j_coupling}")
+    t = np.asarray(t, dtype=float)
     theta = g**2 * t / j_coupling
-    psi = np.zeros(16, dtype=complex)
+    psi = np.zeros(t.shape + (16,), dtype=complex)
     if initial == "1100":
-        psi[int("0011", 2)] = (1.0 - np.cos(theta)) / 2.0
-        psi[int("0101", 2)] = 0.5j * np.sin(theta)
-        psi[int("1010", 2)] = -0.5j * np.sin(theta)
-        psi[int("1100", 2)] = (1.0 + np.cos(theta)) / 2.0
+        psi[..., int("0011", 2)] = (1.0 - np.cos(theta)) / 2.0
+        psi[..., int("0101", 2)] = 0.5j * np.sin(theta)
+        psi[..., int("1010", 2)] = -0.5j * np.sin(theta)
+        psi[..., int("1100", 2)] = (1.0 + np.cos(theta)) / 2.0
     elif initial == "1010":
         fast_c, fast_s = np.cos(2.0 * j_coupling * t), np.sin(2.0 * j_coupling * t)
-        psi[int("1010", 2)] = (fast_c + np.cos(theta)) / 2.0
-        psi[int("0101", 2)] = (fast_c - np.cos(theta)) / 2.0
-        psi[int("1001", 2)] = -0.5j * fast_s
-        psi[int("0110", 2)] = -0.5j * fast_s
-        psi[int("1100", 2)] = -0.5j * np.sin(theta)
-        psi[int("0011", 2)] = +0.5j * np.sin(theta)
+        psi[..., int("1010", 2)] = (fast_c + np.cos(theta)) / 2.0
+        psi[..., int("0101", 2)] = (fast_c - np.cos(theta)) / 2.0
+        psi[..., int("1001", 2)] = -0.5j * fast_s
+        psi[..., int("0110", 2)] = -0.5j * fast_s
+        psi[..., int("1100", 2)] = -0.5j * np.sin(theta)
+        psi[..., int("0011", 2)] = +0.5j * np.sin(theta)
     else:
         raise ValueError(f"initial must be '1100' or '1010', got {initial!r}")
-    norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > 1e-12:
-        raise ValueError(f"closed-form state norm {norm} off unity")
+    # each state's norm as np.linalg.norm takes it for one vector (a stacked axis sums
+    # in another order), so a stacked state equals the single-time state bit for bit
+    norm = np.array([np.linalg.norm(row) for row in psi.reshape(-1, 16)]).reshape(t.shape + (1,))
+    dev = np.abs(norm - 1.0)
+    if (dev > 1e-12).any():
+        raise ValueError(f"closed-form state norm {norm.flat[np.argmax(dev)]} off unity")
     return psi / norm
 
 
@@ -211,6 +221,12 @@ _MEASURE_COLUMNS = (
     "tau3_a2b1b2", "tau3_a1b1b2", "tau3_a1a2b2", "tau3_a1a2b1",
     "tau4", "c4",
 )
+
+
+def _rows(*columns) -> list:
+    """Row tuples of Python floats from columns of T values (a scalar repeats)."""
+    cols = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in columns))
+    return [tuple(row) for row in np.column_stack(cols).tolist()]
 
 
 def _measure_values(report: measures.MeasureReport) -> tuple:
@@ -243,10 +259,9 @@ def four_qubit_measure_sweep(
     rows = []
     for w, start in enumerate(window_starts):
         thetas = np.linspace(start, start + window_width, points_per_window)
-        for theta in thetas:
-            t = theta * j_coupling / g**2
-            psi = four_qubit_closed_form(g, j_coupling, t, initial)
-            rows.append((float(w), float(t), float(theta)) + _measure_values(measures.four_qubit_measures(psi)))
+        t = thetas * j_coupling / g**2
+        psi = four_qubit_closed_form(g, j_coupling, t, initial)
+        rows += _rows(w, t, thetas, *_measure_values(measures.four_qubit_measures(psi)))
     return ScenarioResult(
         kind="four_qubit_measure_sweep",
         columns=("window", "t", "theta") + _MEASURE_COLUMNS,
@@ -284,17 +299,18 @@ def sweep(spec: ScenarioSpec, axis: str, values) -> list:
     return results
 
 
-def _channel_run(spec, kind, columns, rho_in, step, whole, senders, receivers) -> ScenarioResult:
-    """The per-time loop of the channel runners: one row per time of ``spec.times``.
+def _channel_run(spec, kind, columns, rho_in, build, whole, senders, receivers) -> ScenarioResult:
+    """The time grid of the channel runners: one row per time of ``spec.times``.
 
-    ``step(t)`` returns the channel at time t and a function from its output
-    state to the runner's row values after t.  The loop applies the channel
-    to ``rho_in`` and, as the spec asks, appends ``oracle_dev``, the trace
-    distance to the dense oracle's reduced output on ``whole`` (the network,
-    or union of networks, whose sites ``senders`` feed the channel and
-    ``receivers`` hold its output), and ``cptp_min_eig``, the channel's
-    minimum Choi eigenvalue.  The dense propagator is built only for the
-    oracle check.
+    ``build(times)`` returns the channel stacked over all times (operators with
+    a leading time axis) and a function from the (T, d, d) output states to
+    the runner's columns (arrays of T values, or one value for every row).
+    The channel is applied to ``rho_in`` once.  As the spec asks, one time at
+    a time, ``oracle_dev`` is the trace distance to the dense oracle's reduced
+    output on ``whole`` (the network, or union of networks, whose sites
+    ``senders`` feed the channel and ``receivers`` hold its output), and
+    ``cptp_min_eig`` the minimum Choi eigenvalue of the channel at that time.
+    The dense propagator is built only for the oracle check.
     """
     if spec.verify_oracle:
         oracle.require_dense_sites(whole.n_sites, "verify.oracle")
@@ -302,26 +318,29 @@ def _channel_run(spec, kind, columns, rho_in, step, whole, senders, receivers) -
         columns += ("oracle_dev",)
     if spec.verify_cptp:
         columns += ("cptp_min_eig",)
-    rows = []
-    for t in spec.times:
-        channel, values = step(t)
-        rho_out = maps.apply(channel, rho_in)
-        row = (t,) + values(rho_out)
-        if spec.verify_oracle:
+    channel, values = build(np.array(spec.times))
+    rho_out = maps.apply(channel, rho_in)
+    data = [spec.times, *values(rho_out)]
+    if spec.verify_oracle:
+        devs = []
+        for idx, t in enumerate(spec.times):
             ref = oracle.reduced_output(whole, rho_in, senders, receivers, t, propagator=propagator)
-            dev = maps.trace_distance(rho_out, ref)
+            dev = maps.trace_distance(rho_out[idx], ref)
             if dev > spec.oracle_tol:
                 raise VerificationError(f"map/oracle deviation {dev:.3e} beyond tolerance at t={t}")
-            row += (dev,)
-        if spec.verify_cptp:
-            verdict = maps.is_cptp(channel)
+            devs.append(dev)
+        data.append(devs)
+    if spec.verify_cptp:
+        min_eigs = []
+        for idx in range(len(spec.times)):
+            verdict = maps.is_cptp(channel.at(idx))
             if not verdict.ok:
                 raise VerificationError(
                     f"map failed the CPTP check (min Choi eigenvalue {verdict.min_choi_eigenvalue:.3e})"
                 )
-            row += (verdict.min_choi_eigenvalue,)
-        rows.append(row)
-    return ScenarioResult(kind, ("t",) + columns, tuple(rows))
+            min_eigs.append(verdict.min_choi_eigenvalue)
+        data.append(min_eigs)
+    return ScenarioResult(kind, ("t",) + columns, tuple(_rows(*data)))
 
 
 def _run_qst(spec: ScenarioSpec) -> ScenarioResult:
@@ -330,14 +349,14 @@ def _run_qst(spec: ScenarioSpec) -> ScenarioResult:
     rho_in = build_initial_state(spec.initial or {"kind": "basis", "string": "1"}, 1)
     chan = maps.NetworkChannel(net)
 
-    def step(t):
-        f = chan.amplitude(sender, receiver, t)
+    def build(times):
+        f = chan.amplitude(sender, receiver, times)
         return maps.one_qubit_kraus(f), lambda out: (
-            f.real, f.imag, abs(f), out[1, 1].real, out[0, 1].real, out[0, 1].imag
+            f.real, f.imag, np.abs(f), out[:, 1, 1].real, out[:, 0, 1].real, out[:, 0, 1].imag
         )
 
     columns = ("f_re", "f_im", "f_abs", "out_p1", "out_coh_re", "out_coh_im")
-    return _channel_run(spec, "qst", columns, rho_in, step, net, [sender], [receiver])
+    return _channel_run(spec, "qst", columns, rho_in, build, net, [sender], [receiver])
 
 
 def _run_distribute_single(spec: ScenarioSpec) -> ScenarioResult:
@@ -348,8 +367,8 @@ def _run_distribute_single(spec: ScenarioSpec) -> ScenarioResult:
     x_in = _x_state_or_none(rho_in)
     chan = maps.NetworkChannel(net)
 
-    def step(t):
-        f = chan.amplitude(sender, receiver, t)
+    def build(times):
+        f = chan.amplitude(sender, receiver, times)
 
         def values(out):
             c_out = measures.concurrence(out)
@@ -358,7 +377,7 @@ def _run_distribute_single(spec: ScenarioSpec) -> ScenarioResult:
             else:
                 c1 = c2 = math.nan
             ratio = c_out / c_in if c_in > 0 else math.nan
-            return (f.real, f.imag, abs(f), c_out, c1, c2, c_in, ratio)
+            return (f.real, f.imag, np.abs(f), c_out, c1, c2, c_in, ratio)
 
         return maps.extend_with_identity(maps.one_qubit_kraus(f), side="left"), values
 
@@ -366,7 +385,7 @@ def _run_distribute_single(spec: ScenarioSpec) -> ScenarioResult:
     whole = SpinNetwork(np.zeros((1, 1))).disjoint_union(net)
     columns = ("f_re", "f_im", "f_abs", "concurrence", "c1", "c2", "initial_concurrence", "ratio")
     return _channel_run(
-        spec, "distribute_single", columns, rho_in, step, whole, [0, sender + 1], [0, receiver + 1]
+        spec, "distribute_single", columns, rho_in, build, whole, [0, sender + 1], [0, receiver + 1]
     )
 
 
@@ -380,25 +399,26 @@ def _run_distribute_dual(spec: ScenarioSpec) -> ScenarioResult:
     x_in = _x_state_or_none(rho_in)
     chan_a, chan_b = maps.NetworkChannel(net_a), maps.NetworkChannel(net_b)
 
-    def step(t):
-        f = chan_a.amplitude(sa, ra, t)
-        g = chan_b.amplitude(sb, rb, t)
+    def build(times):
+        f = chan_a.amplitude(sa, ra, times)
+        g = chan_b.amplitude(sb, rb, times)
 
         def values(out):
             c_out = measures.concurrence(out)
-            if x_in is not None and abs(f - g) < 1e-12:
-                _, c1, c2 = measures.dual_rail_concurrence(x_in, f)
-            else:
-                c1 = c2 = math.nan
+            # the closed form holds where both rails carry the same amplitude
+            c1, c2 = np.full(f.shape, math.nan), np.full(f.shape, math.nan)
+            same = np.abs(f - g) < 1e-12
+            if x_in is not None and same.any():
+                _, c1[same], c2[same] = measures.dual_rail_concurrence(x_in, f[same])
             ratio = c_out / c_in if c_in > 0 else math.nan
-            return (abs(f), abs(g), c_out, c1, c2, c_in, ratio)
+            return (np.abs(f), np.abs(g), c_out, c1, c2, c_in, ratio)
 
         return maps.tensor_map(maps.one_qubit_kraus(f), maps.one_qubit_kraus(g)), values
 
     na = net_a.n_sites
     columns = ("f_abs", "g_abs", "concurrence", "c1", "c2", "initial_concurrence", "ratio")
     return _channel_run(
-        spec, "distribute_dual", columns, rho_in, step,
+        spec, "distribute_dual", columns, rho_in, build,
         net_a.disjoint_union(net_b), [sa, na + sb], [ra, na + rb],
     )
 
@@ -410,17 +430,17 @@ def _run_two_qubit(spec: ScenarioSpec, storage: bool = False) -> ScenarioResult:
     rho_in = build_initial_state(spec.initial, 2)
     chan = maps.NetworkChannel(net)
 
-    def step(t):
-        channel = chan.two_qubit(senders, receivers, t)
+    def build(times):
+        channel = chan.two_qubit(senders, receivers, times)
         e0 = channel.operators[0]
         return channel, lambda out: (
-            abs(e0[2, 2]), abs(e0[1, 1]), abs(e0[3, 3]),
-            measures.concurrence(out), np.trace(out @ out).real,
+            np.abs(e0[:, 2, 2]), np.abs(e0[:, 1, 1]), np.abs(e0[:, 3, 3]),
+            measures.concurrence(out), np.trace(out @ out, axis1=1, axis2=2).real,
         )
 
     kind = "storage" if storage else "two_qubit_transfer"
     columns = ("f11_abs", "f22_abs", "fpair_abs", "concurrence", "purity")
-    return _channel_run(spec, kind, columns, rho_in, step, net, senders, receivers)
+    return _channel_run(spec, kind, columns, rho_in, build, net, senders, receivers)
 
 
 def _weak_pair_network(spec: ScenarioSpec) -> SpinNetwork:
@@ -439,12 +459,12 @@ def _run_weak_pair(spec: ScenarioSpec) -> ScenarioResult:
     rho_in = build_initial_state(spec.initial or {"kind": "basis", "string": "10"}, 2)
     chan = maps.NetworkChannel(net)
 
-    def step(t):
-        return chan.two_qubit((a, b), (a, b), t), lambda out: (
-            abs(chan.amplitude(a, b, t)), measures.concurrence(out)
-        )
+    def build(times):
+        channel = chan.two_qubit((a, b), (a, b), times)
+        # E_0[1, 2] = f1(i, m) is f(a -> b), read from the k=1 column the channel already holds
+        return channel, lambda out: (np.abs(channel.operators[0][:, 1, 2]), measures.concurrence(out))
 
-    result = _channel_run(spec, "weak_pair", ("f_ab_abs", "concurrence"), rho_in, step, net, [a, b], [a, b])
+    result = _channel_run(spec, "weak_pair", ("f_ab_abs", "concurrence"), rho_in, build, net, [a, b], [a, b])
     conc = [row[2] for row in result.rows]
     peak_idx = int(np.argmax(conc))
     peak_t, peak_c = spec.times[peak_idx], conc[peak_idx]
@@ -512,15 +532,13 @@ def _run_closed_form(spec: ScenarioSpec) -> ScenarioResult:
     g = float(spec.params.get("g", 1e-2))
     j = float(spec.params.get("J", 1.0))
     label = str((spec.initial or {"kind": "basis", "string": "1100"})["string"])
-    rows = []
-    for t in spec.times:
-        psi = four_qubit_closed_form(g, j, t, label)
-        theta = g**2 * t / j
-        rows.append((t, theta) + _measure_values(measures.four_qubit_measures(psi)))
+    times = np.array(spec.times)
+    psi = four_qubit_closed_form(g, j, times, label)
+    theta = g**2 * times / j
     return ScenarioResult(
         "closed_form_four_qubit",
         ("t", "theta") + _MEASURE_COLUMNS,
-        tuple(rows),
+        tuple(_rows(times, theta, *_measure_values(measures.four_qubit_measures(psi)))),
         meta={"g": g, "J": j, "initial": label},
     )
 

@@ -133,6 +133,16 @@ def test_block_assembly_reproduces_full_unitary(rng):
         assert np.abs(u_sectors - u_full).max() < 1e-9
 
 
+def test_block_assembly_reuses_given_propagators(rng, sector_builds):
+    net = random_network(rng, 5)
+    held = (SectorPropagator(net, 1), SectorPropagator(net, 2))
+    u = full_unitary_from_sectors(net, 0.7, held)
+    assert sector_builds == [1, 2, 0, 3, 4, 5]
+    assert np.array_equal(u, full_unitary_from_sectors(net, 0.7))
+    with pytest.raises(ValueError, match="belong to the network"):
+        full_unitary_from_sectors(random_network(rng, 5), 0.7, held)
+
+
 def test_cross_sector_amplitudes_vanish_by_construction(rng):
     # magnetization conservation: the assembled unitary is block diagonal
     net = random_network(rng, 4)
