@@ -57,12 +57,21 @@ def _check_keys(section: dict, allowed: set, where: str):
         raise ConfigError(f"unknown keys {sorted(unknown)} in section {where!r}")
 
 
+# libyaml's parser, where PyYAML was built with it: the same safe constructor and
+# resolver as yaml.safe_load, about 7x faster on a run configuration
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def parse_config(text: str) -> dict:
     """Parse and validate a YAML run configuration; unknown keys are rejected."""
     try:
-        cfg = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"invalid YAML: {exc}") from exc
+        cfg = yaml.load(text, Loader=_YAML_LOADER)
+    except yaml.YAMLError:
+        # libyaml's messages omit the source line; report the pure-Python parser's
+        try:
+            cfg = yaml.safe_load(text)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"invalid YAML: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("configuration must be a mapping at top level")
     _check_keys(cfg, _TOP_KEYS, "top level")

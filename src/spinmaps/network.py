@@ -3,22 +3,42 @@
 Total magnetization along Z is conserved, so the Hilbert space splits into
 fixed-excitation-number sectors.  This module builds the sector-restricted
 Hamiltonians in the lexicographically ordered subset basis and computes the
-transition amplitudes f[target, source] = <target| exp(-i H_k t) |source>
-by eigendecomposition.
+transition amplitudes f[target, source] = <target| exp(-i H_k t) |source>.
 
 Every sector Hamiltonian is real symmetric (hopping elements 2*J_ij, a real
-diagonal), so it is stored as float64 and diagonalised once with a
-real-symmetric ``eigh``, H_k = V diag(E) V^T.  A table at time t holds only
-the source columns a caller asks for, V (exp(-iEt) * V[sources, :]^T); the
-full d x d table is one choice of sources.  Given an array of T times, a
-table carries a leading time axis, (T, d, c), and all T times are evolved in
-one product.
+diagonal).  It is held as its diagonal and its hop triplets; a dense float64
+matrix or a CSR matrix is formed from them only where a propagation path
+needs one.  A table at time t holds only the source columns a caller asks
+for; the full d x d table is one choice of sources.  Given an array of T
+times, a table carries a leading time axis, (T, d, c).
 
-Unitarity is guaranteed in two steps, both at 1e-10: once per propagator the
-eigenbasis is checked to be orthonormal, |V^T V - 1| <= 1e-10, and every
-table checks the Gram matrix of its own columns, |f^dag f - 1| <= 1e-10, at
-every time it holds (for a full table this is the unitarity of f).  A failure
-raises :class:`NumericalError`, never ``ValueError``.
+A table's columns come from one of two paths:
+
+* ``eigh``: a real-symmetric eigendecomposition H_k = V diag(E) V^T, run once
+  per propagator, after which a table is V (exp(-iEt) * V[sources, :]^T), one
+  product for all T times.
+* Chebyshev (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)): with the
+  spectrum enclosed in [b - a, b + a] by Gershgorin discs, exp(-iHt) v =
+  exp(-ibt) sum_k (2 - delta_k0) (-i)^k J_k(a t) T_k(H') v with H' = (H - b)/a.
+  The real three-term recurrence T_{k+1} = 2H' T_k - T_{k-1} runs on the
+  source columns with sparse products, and one recurrence serves every time
+  of the grid; the series stops where the Bessel tail at a max|t| is
+  negligible.  No eigendecomposition is needed.
+
+Selection rule (in :meth:`SectorPropagator.table`): a full table, or any
+table of a propagator that is already diagonalised, uses ``eigh``.  A column
+table uses the Chebyshev series while the estimated Chebyshev cost spent on
+this propagator so far, plus this table's, stays below the estimated cost of
+one ``eigh``; once it would not, the propagator diagonalises and stays on
+``eigh``.  Small sectors therefore never form a sparse matrix, and repeated
+tables of one sector (a refinement loop) cost at most about two ``eigh``.
+
+Unitarity is guaranteed in two steps, both at 1e-10: whenever ``eigh`` runs
+the eigenbasis is checked to be orthonormal, |V^T V - 1| <= 1e-10, and every
+table, whichever path built it, checks the Gram matrix of its own columns,
+|f^dag f - 1| <= 1e-10, at every time it holds (for a full table this is the
+unitarity of f).  A failure raises :class:`NumericalError`, never
+``ValueError``.  Whichever matrix is formed is checked to be Hermitian.
 
 Networks that evolve side by side without interacting are one network, their
 :meth:`SpinNetwork.disjoint_union`; an idle external qubit is the union of a
@@ -42,13 +62,38 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import comb
 
 import numpy as np
 from scipy.linalg import block_diag
+from scipy.linalg.blas import dger
+from scipy.sparse import csr_array
+from scipy.special import jv, sindg
 
 HERMITICITY_ATOL = 1e-12
 UNITARITY_ATOL = 1e-10
+
+# Largest 2 sum_{k >= K} |J_k(x)| the Chebyshev series may leave out; it bounds
+# the truncation error of every evolved unit column.
+CHEBYSHEV_TAIL = 1e-16
+
+# Cost model of the two propagation paths, in seconds, calibrated on a 2-core
+# x86-64 with 1 OpenBLAS thread (numpy 2.4, scipy 1.17), min of 3-7 runs.
+# * eigh of a real symmetric d x d matrix: 4.2e-10 d^3 s at d = 300, falling to
+#   2.5e-10 at d = 780 and 2.2e-10 at d = 1225, and rising to 3e-9 at d = 45
+#   where fixed costs dominate.  The constant fits d = 250-300, where the two
+#   paths cross for typical grids; below that it underestimates eigh, which
+#   keeps small sectors on eigh.
+# * one Chebyshev step on a (d, c) block for T times, least-squares fit over
+#   d = 66-7140, c = 1-4, T = 1-400 (within a factor 1.5): 11 us, plus 1.3 ns
+#   per stored nonzero and column (sparse product), plus per time 0.21 us
+#   (Bessel weights) and 0.56 ns per row and column (accumulation).
+EIGH_SECONDS_PER_D3 = 4e-10
+CHEBYSHEV_STEP_SECONDS = 11e-6
+CHEBYSHEV_SECONDS_PER_NONZERO = 1.3e-9
+CHEBYSHEV_SECONDS_PER_TIME = 0.21e-6
+CHEBYSHEV_SECONDS_PER_ENTRY = 0.56e-9
 
 
 class NumericalError(ArithmeticError):
@@ -212,16 +257,59 @@ class ExcitationSector:
         return self.dimension - 1 - self._rank_weights[np.arange(k), sites].sum(axis=1)
 
 
+def _require_hermitian(defect: float, scale: float):
+    if defect > HERMITICITY_ATOL * max(1.0, scale):
+        raise ValueError("sector Hamiltonian is not Hermitian")
+
+
 @dataclass(frozen=True)
 class SectorHamiltonian:
-    sector: ExcitationSector
-    matrix: np.ndarray
+    """Real symmetric H_k of one sector, held as its diagonal and its hops.
 
-    def __post_init__(self):
-        m = np.asarray(self.matrix)
-        scale = max(1.0, np.abs(m).max())
-        if np.abs(m - m.conj().T).max() > HERMITICITY_ATOL * scale:
-            raise ValueError("sector Hamiltonian is not Hermitian")
+    ``diagonal[a]`` is the energy of configuration a; hop h is the element
+    ``values[h]`` at (``rows[h]``, ``cols[h]``), and no position repeats.  The
+    dense and the CSR matrix are formed from these on demand, and each is
+    checked to be Hermitian when it is formed (``ValueError`` otherwise).
+    """
+
+    sector: ExcitationSector
+    diagonal: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+
+    @property
+    def nnz(self) -> int:
+        """Stored elements of the sparse matrix: the diagonal plus every hop."""
+        return self.sector.dimension + self.values.size
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense (d, d) float64 matrix, formed anew on every access."""
+        d = self.sector.dimension
+        m = np.zeros((d, d))
+        m[np.arange(d), np.arange(d)] = self.diagonal
+        m[self.rows, self.cols] = self.values
+        _require_hermitian(np.abs(m - m.conj().T).max(), np.abs(m).max())
+        return m
+
+    def sparse(self, shift: float = 0.0, scale: float = 1.0) -> csr_array:
+        """CSR matrix of scale * (H - shift), with the diagonal always stored."""
+        d = self.sector.dimension
+        diag = np.arange(d)
+        m = csr_array(
+            (scale * np.concatenate([self.diagonal - shift, self.values]),
+             (np.concatenate([diag, self.rows]), np.concatenate([diag, self.cols]))),
+            shape=(d, d),
+        )
+        _require_hermitian(abs(m - m.T).max(), abs(m).max())
+        return m
+
+    @cached_property
+    def spectral_bounds(self) -> tuple:
+        """(lowest, highest) Gershgorin bound: every eigenvalue lies between them."""
+        radius = np.bincount(self.rows, np.abs(self.values), minlength=self.sector.dimension)
+        return float((self.diagonal - radius).min()), float((self.diagonal + radius).max())
 
 
 def _orthonormality_defect(cols: np.ndarray) -> float:
@@ -286,20 +374,18 @@ class AmplitudeTable:
 
 
 def build_sector_hamiltonian(network: SpinNetwork, k: int) -> SectorHamiltonian:
-    """Real symmetric (float64) Hamiltonian restricted to the k-excitation sector.
+    """Real symmetric Hamiltonian restricted to the k-excitation sector.
 
     Off-diagonal elements are 2*J_ij between configurations differing by one
     excitation hop from i to j; the diagonal holds the
     :meth:`SpinNetwork.diagonal_energy` of each configuration.  All hops are
-    filled at once: every (configuration, ordered bond (i, j)) pair with i
+    found at once: every (configuration, ordered bond (i, j)) pair with i
     occupied and j empty gives one element.
     """
     sector = ExcitationSector(network.n_sites, k)
     n = network.n_sites
     dim = sector.dimension
-    h = np.zeros((dim, dim))
-    for a, occ in enumerate(sector.basis):
-        h[a, a] = network.diagonal_energy(occ)
+    diagonal = np.array([network.diagonal_energy(occ) for occ in sector.basis])
     occupied = np.zeros((dim, n), dtype=bool)
     occupied[np.arange(dim)[:, None], sector.sites] = True
     bond_i, bond_j = np.nonzero(network.xy)
@@ -307,32 +393,72 @@ def build_sector_hamiltonian(network: SpinNetwork, k: int) -> SectorHamiltonian:
     i, j = bond_i[bond], bond_j[bond]
     rows = sector.sites[src]
     hopped = np.sort(np.where(rows == i[:, None], j[:, None], rows), axis=1)
-    h[sector.positions(hopped), src] = 2.0 * network.xy[i, j]
-    return SectorHamiltonian(sector, h)
+    return SectorHamiltonian(sector, diagonal, sector.positions(hopped), src, 2.0 * network.xy[i, j])
+
+
+def _negligible_order(x: float) -> int:
+    """An order past which |J_k(x)| is far below double precision (under 1e-35 for |x| <= 1e6).
+
+    J_k(x) falls off faster than exponentially once k passes |x| + |x|^(1/3).
+    """
+    return int(abs(x) + 20.0 * np.cbrt(abs(x)) + 40.0)
+
+
+def chebyshev_terms(x: float) -> int:
+    """Number K of Chebyshev terms for exp(-i x H') with the spectrum of H' in [-1, 1].
+
+    The smallest K whose left-out tail 2 sum_{k >= K} |J_k(x)| is below
+    ``CHEBYSHEV_TAIL``; |T_k(H')| <= 1 makes the tail a bound on the error of
+    a unit column.  K exceeds |x|, and above |x| the ratios J_k / J_{k-1} come
+    from the backward continued fraction x / (2k - x J_{k+1} / J_k), which is
+    stable there, so even the smallest terms keep their relative accuracy.
+    """
+    x = abs(x)
+    first = int(np.ceil(x))
+    ratios = [0.0]
+    for k in range(_negligible_order(x), first, -1):
+        ratios.append(x / (2 * k - x * ratios[-1]))
+    values = abs(jv(first, x)) * np.cumprod([1.0] + ratios[:0:-1])  # |J_k(x)|, k = first, first + 1, ...
+    tail = 2.0 * values[::-1].cumsum()[::-1]
+    return first + int(np.argmax(tail < CHEBYSHEV_TAIL))
+
+
+def _bessel_j(x: np.ndarray, terms: int) -> np.ndarray:
+    """J_k(x) for k < terms and every x, shape (terms, x.size).
+
+    Trapezoidal rule of J_k(x) = (1/2pi) int exp(i x sin(th) - i k th) dth on
+    M points, one FFT per x: it returns sum_p J_{k + pM}(x), which is J_k(x)
+    once M - terms passes the negligible orders.  The M samples have modulus
+    one, so J_0^2 + 2 sum_k J_k^2 = 1 holds to rounding.
+    """
+    size = 1 << int(np.ceil(np.log2(terms + _negligible_order(np.abs(x).max(initial=0.0)))))
+    sines = sindg(360.0 * np.arange(size) / size)  # exact angles: no 2pi rounding scaled by x
+    return (np.fft.fft(np.exp(1j * np.multiply.outer(x, sines)))[:, :terms].real / size).T
 
 
 class SectorPropagator:
-    """Eigendecomposed sector Hamiltonian, reusable across many times.
+    """Sector propagator exp(-i H_k t), reusable across many times.
 
-    The real-symmetric ``eigh`` runs once; its eigenbasis is checked to be
-    orthonormal to 1e-10 (:class:`NumericalError` otherwise).
+    Builds the sector Hamiltonian once.  Each table's columns come from the
+    Chebyshev series or from a real-symmetric ``eigh``, by the selection rule
+    of the module docstring; ``eigh`` runs at most once, inside the first
+    table that needs it, and its eigenbasis is checked to be orthonormal to
+    1e-10 (:class:`NumericalError` otherwise).
     """
 
     def __init__(self, network: SpinNetwork, k: int):
-        sh = build_sector_hamiltonian(network, k)
+        self.hamiltonian = build_sector_hamiltonian(network, k)
         self.network = network
-        self.sector = sh.sector
-        self._eigvals, self._eigvecs = np.linalg.eigh(sh.matrix)
-        dev = _orthonormality_defect(self._eigvecs)
-        if dev > UNITARITY_ATOL:
-            raise NumericalError(f"sector eigenbasis is not orthonormal (deviation {dev:.2e})")
+        self.sector = self.hamiltonian.sector
+        self._eigen = None  # (E, V) once diagonalised
+        self._chebyshev_seconds = 0.0  # estimated cost of the Chebyshev tables built so far
 
     def table(self, t, sources=None) -> AmplitudeTable:
         """Amplitudes at time t from the listed source configurations (all if None).
 
         ``t`` is a time or a 1-D array of T times; the table then holds a
-        leading time axis.  Costs O(d^2) per source column and time:
-        V (exp(-iEt) * V[sources, :]^T), one product for all times.
+        leading time axis.  Any real times work, negative and zero included,
+        in any order.
         """
         times = np.array(t, dtype=float)
         if times.ndim > 1:
@@ -346,15 +472,80 @@ class SectorPropagator:
             if len(set(sources)) != len(sources):
                 raise ValueError(f"source configurations {sources} contain duplicates")
             rows = [self.sector.index_of(s) for s in sources]
+        terms = None if sources is None or self._eigen is not None else self._affordable_terms(times, len(rows))
+        if terms is None:
+            f = self._eigh_columns(times, rows)
+        else:
+            f = self._chebyshev_columns(times, rows, terms)
+        time = float(times) if times.ndim == 0 else times
+        return AmplitudeTable(self.sector, time, f, sources)
+
+    def _affordable_terms(self, times: np.ndarray, width: int):
+        """Term count of a Chebyshev table, or None where ``eigh`` is cheaper.
+
+        Charges the table's estimated cost to this propagator when it is
+        taken: the Chebyshev tables of one propagator together stay below the
+        estimated cost of one ``eigh``.
+        """
         d = self.sector.dimension
-        phases = np.exp(np.multiply.outer(-1j * times, self._eigvals)).T  # (d,) or (d, T)
+        step = (CHEBYSHEV_STEP_SECONDS + CHEBYSHEV_SECONDS_PER_NONZERO * self.hamiltonian.nnz * width
+                + times.size * (CHEBYSHEV_SECONDS_PER_TIME + CHEBYSHEV_SECONDS_PER_ENTRY * d * width))
+        budget = EIGH_SECONDS_PER_D3 * d**3 - self._chebyshev_seconds
+        if step >= budget:  # not even one step pays; skip the term count
+            return None
+        low, high = self.hamiltonian.spectral_bounds
+        terms = chebyshev_terms(0.5 * (high - low) * np.abs(times).max(initial=0.0))
+        if terms * step >= budget:
+            return None
+        self._chebyshev_seconds += terms * step
+        return terms
+
+    def _eigh_columns(self, times: np.ndarray, rows) -> np.ndarray:
+        """V (exp(-iEt) * V[rows, :]^T) for every time, as one real product; (T..., d, c)."""
+        if self._eigen is None:
+            eigvals, eigvecs = np.linalg.eigh(self.hamiltonian.matrix)
+            dev = _orthonormality_defect(eigvecs)
+            if dev > UNITARITY_ATOL:
+                raise NumericalError(f"sector eigenbasis is not orthonormal (deviation {dev:.2e})")
+            self._eigen = eigvals, eigvecs
+        eigvals, eigvecs = self._eigen
+        d = self.sector.dimension
+        phases = np.exp(np.multiply.outer(-1j * times, eigvals)).T  # (d,) or (d, T)
         # block[e, (time,) c] = exp(-i E_e t) V[sources[c], e]
-        cols = self._eigvecs[rows].T.reshape((d,) + (1,) * times.ndim + (-1,))
+        cols = eigvecs[rows].T.reshape((d,) + (1,) * times.ndim + (-1,))
         block = np.multiply(phases[..., None], cols, order="C")
         # real V times the complex block as one real product over interleaved (re, im) columns
-        f = (self._eigvecs @ block.reshape(d, -1).view(float)).view(complex).reshape(block.shape)
-        time = float(times) if times.ndim == 0 else times
-        return AmplitudeTable(self.sector, time, np.moveaxis(f, 0, -2), sources)
+        f = (eigvecs @ block.reshape(d, -1).view(float)).view(complex).reshape(block.shape)
+        return np.moveaxis(f, 0, -2)
+
+    def _chebyshev_columns(self, times: np.ndarray, rows: list, terms: int) -> np.ndarray:
+        """Chebyshev series of exp(-iHt) on the unit columns ``rows``, every time at once; (T..., d, c).
+
+        Even and odd terms are summed apart, each with real weights
+        (2 - delta_k0) (-1)^(k // 2) J_k(a t), because (-i)^k is real for even
+        k and imaginary for odd k.  Memory is O((T + 3) d c).
+        """
+        d, c = self.sector.dimension, len(rows)
+        if times.size == 0 or c == 0:  # BLAS takes no empty operands
+            return np.zeros(times.shape + (d, c), dtype=complex)
+        low, high = self.hamiltonian.spectral_bounds
+        centre = 0.5 * (high + low)
+        half = max(0.5 * (high - low), np.finfo(float).tiny)  # zero width: H = b exactly, any a > 0 works
+        two_h = self.hamiltonian.sparse(centre, 2.0 / half)  # 2 H' = 2 (H - b) / a
+        flat = times.reshape(-1)
+        order = np.arange(terms)
+        weights = _bessel_j(half * flat, terms) * np.where(order % 4 < 2, 2.0, -2.0)[:, None]  # (K, T)
+        weights[0] *= 0.5
+        sums = [np.zeros((d * c, flat.size), order="F") for _ in range(2)]  # even and odd terms
+        prev, cur = None, np.zeros((d, c))
+        cur[rows, np.arange(c)] = 1.0  # T_0 v = v
+        for k in range(terms):
+            # rank-1 update sums += T_k(H') v (x) weights_k, in place in BLAS
+            sums[k % 2] = dger(1.0, cur.reshape(-1), weights[k], a=sums[k % 2], overwrite_a=True)
+            if k + 1 < terms:
+                prev, cur = cur, 0.5 * (two_h @ cur) if k == 0 else two_h @ cur - prev
+        f = np.exp(-1j * centre * flat)[:, None] * (sums[0] - 1j * sums[1]).T
+        return f.reshape(times.shape + (d, c))
 
 
 def amplitudes(network: SpinNetwork, k: int, t: float) -> AmplitudeTable:
@@ -380,23 +571,37 @@ def pair_amplitude(table_k2: AmplitudeTable, i: int, j: int, n: int, m: int) -> 
     return table_k2.amplitude((i, j), (n, m))
 
 
-def pair_amplitude_determinant(
-    network: SpinNetwork, table_k1: AmplitudeTable, i: int, j: int, n: int, m: int
-) -> complex:
-    """Two-excitation amplitude from one-excitation data (free-fermion shortcut).
+def pair_amplitude_determinant(network: SpinNetwork, table_k1: AmplitudeTable, *sites) -> complex:
+    """k-excitation amplitude from one-excitation data (free-fermion shortcut), k <= 4.
 
-    Valid only for open chains with zero ZZ couplings, where the dynamics is
-    that of free fermions and the pair amplitude is the 2x2 determinant
-    f_i^n f_j^m - f_i^m f_j^n, times exp(-i sum(h) t) to compensate for the
-    vacuum-referenced diagonal convention.
+    ``sites`` lists k ascending source sites, then k ascending target sites:
+    ``(i, j, n, m)`` is the pair amplitude f_ij^nm.  Valid only for open
+    chains with zero ZZ couplings, where the dynamics is that of free
+    fermions (Lieb, Schultz & Mattis, Ann. Phys. 16, 407 (1961)): the
+    amplitude is the k x k minor det[f_{s_a}^{r_b}] of the k = 1 table
+    (f_i^n f_j^m - f_i^m f_j^n for a pair), times exp(-i (k - 1) sum(h) t),
+    because H_k is the sum of k one-excitation Hamiltonians plus (k - 1)
+    sum(h) in the vacuum-referenced diagonal convention.  The table needs the
+    k source columns; with a time axis, one value per time is returned.
     """
     if not network.is_open_chain() or np.any(network.zz):
         raise ValueError("determinant shortcut requires an open chain with zero ZZ couplings")
-    if not (i < j and n < m):
-        raise ValueError(f"pair indices must be ascending, got ({i},{j}) -> ({n},{m})")
+    k = len(sites) // 2
+    if len(sites) != 2 * k or not 1 <= k <= 4:
+        raise ValueError(f"need k source then k target sites with 1 <= k <= 4, got {sites}")
+    sources, targets = sites[:k], sites[k:]
+    if list(sources) != sorted(set(sources)) or list(targets) != sorted(set(targets)):
+        raise ValueError(f"sites must be ascending within sources and targets, got {sources} -> {targets}")
     f = table_k1.site_amplitude
-    det = f(i, n) * f(j, m) - f(i, m) * f(j, n)
-    return det * np.exp(-1j * network.fields.sum() * table_k1.time)
+    terms = []  # Leibniz expansion; the identity permutation comes first
+    for perm in itertools.permutations(range(k)):
+        term = f(sources[0], targets[perm[0]])
+        for a in range(1, k):
+            term = term * f(sources[a], targets[perm[a]])
+        inversions = sum(perm[a] > perm[b] for a, b in itertools.combinations(range(k), 2))
+        terms.append(-term if inversions % 2 else term)
+    det = sum(terms[1:], terms[0])
+    return det * np.exp(-1j * (k - 1) * network.fields.sum() * table_k1.time)
 
 
 def basis_index(occupied, n_sites: int) -> int:

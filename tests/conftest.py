@@ -9,6 +9,40 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+class PropagationPaths:
+    """Records, while installed, the shapes np.linalg.eigh diagonalises and the Chebyshev tables built.
+
+    Stacks of small matrices (the measures' state spectra) are not recorded.
+    """
+
+    def __init__(self, monkeypatch):
+        self.eigh_shapes = []
+        self.chebyshev = 0
+        eigh, columns = np.linalg.eigh, SectorPropagator._chebyshev_columns
+
+        def recording_eigh(matrix):
+            if np.ndim(matrix) == 2:
+                self.eigh_shapes.append(np.shape(matrix))
+            return eigh(matrix)
+
+        def counting_columns(prop, *args):
+            self.chebyshev += 1
+            return columns(prop, *args)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        monkeypatch.setattr(SectorPropagator, "_chebyshev_columns", counting_columns)
+
+    @property
+    def counts(self) -> tuple:
+        """(eigh calls, Chebyshev tables)."""
+        return len(self.eigh_shapes), self.chebyshev
+
+
+@pytest.fixture
+def paths(monkeypatch):
+    return PropagationPaths(monkeypatch)
+
+
 @pytest.fixture
 def sector_builds(monkeypatch):
     """Excitation counts of the SectorPropagators built while the test runs, in order."""

@@ -1,9 +1,12 @@
+import ast
 import csv
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
-from spinmaps import oracle
+from spinmaps import cli, oracle
 from spinmaps.cli import (
     ConfigError,
     figure3_rows,
@@ -283,4 +286,76 @@ def test_non_finite_time_exits_2_naming_times(tmp_path, capsys):
     out = tmp_path / "never.csv"
     assert main(["run", str(config), "--output", str(out)]) == 2
     assert "times must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+TRANSFER_N80 = """\
+scenario: two_qubit_transfer
+network:
+  kind: uniform_chain
+  sites: 80
+sites:
+  senders: [0, 1]
+  receivers: [78, 79]
+initial:
+  kind: bell
+  label: psi+
+times:
+  start: 0.5
+  stop: 12.0
+  points: 6
+"""
+
+
+def test_two_qubit_transfer_at_80_sites_skips_the_k2_eigh(tmp_path, paths):
+    config = tmp_path / "n80.yaml"
+    config.write_text(TRANSFER_N80)
+    out = tmp_path / "n80.csv"
+    assert main(["run", str(config), "--output", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 7
+    assert (3160, 3160) not in paths.eigh_shapes  # the k = 2 sector of 80 sites
+    assert all(shape[0] <= 80 for shape in paths.eigh_shapes)
+
+
+@pytest.mark.parametrize("sites, d", [(10, 45), (9, 36)])
+def test_point_sweep_sized_sectors_take_eigh(tmp_path, paths, sites, d):
+    text = TRANSFER_N80.replace("sites: 80", f"sites: {sites}").replace("[78, 79]", f"[{sites - 2}, {sites - 1}]")
+    config = tmp_path / "small.yaml"
+    config.write_text(text.replace("points: 6", "points: 200"))
+    assert main(["run", str(config), "--output", str(tmp_path / "small.csv")]) == 0
+    assert sorted(paths.eigh_shapes) == [(sites, sites), (d, d)] and paths.chebyshev == 0
+
+
+def _yaml_strings_in_tests():
+    """Every string constant in the test modules that YAML parses to a mapping."""
+    found = []
+    for path in sorted(Path(__file__).parent.glob("test_*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and ":" in node.value:
+                try:
+                    loaded = yaml.safe_load(node.value)
+                except yaml.YAMLError:
+                    continue
+                if isinstance(loaded, dict):
+                    found.append(node.value)
+    return found
+
+
+def test_config_loader_matches_safe_load_on_every_test_config():
+    texts = _yaml_strings_in_tests()
+    assert GOOD_CONFIG in texts and QST_CONFIG in texts and TRANSFER_N80 in texts
+    for text in texts:
+        # repr compares NaN entries too
+        assert repr(yaml.load(text, Loader=cli._YAML_LOADER)) == repr(yaml.safe_load(text))
+
+
+@pytest.mark.parametrize("text", [": not yaml [\n", "scenario: qst\n  bad: [1, 2\n", "a: 'open\n", "\tx: 1\n"])
+def test_malformed_yaml_exits_2_with_the_safe_load_message(tmp_path, capsys, text):
+    with pytest.raises(yaml.YAMLError) as info:
+        yaml.safe_load(text)
+    config = tmp_path / "bad.yaml"
+    config.write_text(text)
+    out = tmp_path / "never.csv"
+    assert main(["run", str(config), "--output", str(out)]) == 2
+    assert capsys.readouterr().err == f"configuration error: invalid YAML: {info.value}\n"
     assert not out.exists()
