@@ -12,6 +12,7 @@ from .network import (
     full_unitary_from_sectors,
     pair_amplitude,
     pair_amplitude_determinant,
+    reduced_state,
     vacuum_amplitude,
 )
 from .maps import (

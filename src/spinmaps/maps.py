@@ -21,7 +21,8 @@ state (or a (T, d, d) stack of states) through every slice at once and
 :func:`assert_density_matrix` checks each output slice.  Every check runs on
 every slice at its usual tolerance; a scalar time is the case without the
 axis.  :meth:`KrausSet.at` picks out the map at one time, for the per-map
-routines (superoperators, Choi matrices, :func:`is_cptp`).
+routines (superoperators, Choi matrices, :func:`is_cptp`).  :func:`partial_trace`
+takes a (T, D, D) stack of states as well.
 """
 
 from __future__ import annotations
@@ -87,23 +88,26 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def partial_trace(rho: np.ndarray, keep, dims) -> np.ndarray:
-    """Trace out all factors not listed in ``keep`` (kept in the given order)."""
+    """Trace out all factors not listed in ``keep`` (kept in the given order).
+
+    ``rho`` is a (D, D) state or a (T, D, D) stack, reduced slice by slice.
+    """
     dims = list(dims)
     rho = np.asarray(rho)
     total = int(np.prod(dims))
-    if rho.shape != (total, total):
+    if rho.ndim not in (2, 3) or rho.shape[-2:] != (total, total):
         raise ValueError(f"state of shape {rho.shape} inconsistent with factor dims {dims}")
     keep = list(keep)
     if len(set(keep)) != len(keep) or any(not 0 <= q < len(dims) for q in keep):
         raise ValueError(f"invalid subsystem selection {keep} for {len(dims)} factors")
     rest = [q for q in range(len(dims)) if q not in keep]
-    nsub = len(dims)
-    resh = rho.reshape(dims + dims)
-    perm = keep + rest + [q + nsub for q in keep] + [q + nsub for q in rest]
+    lead, order = rho.shape[:-2], keep + rest
+    resh = rho.reshape(lead + tuple(dims + dims))
+    perm = [*range(len(lead)), *(len(lead) + q for q in order), *(len(lead) + len(dims) + q for q in order)]
     dk = int(np.prod([dims[q] for q in keep])) if keep else 1
     dr = total // dk
-    red = resh.transpose(perm).reshape(dk, dr, dk, dr)
-    return np.einsum("ipjp->ij", red)
+    red = resh.transpose(perm).reshape(lead + (dk, dr, dk, dr))
+    return np.einsum("...ipjp->...ij", red)
 
 
 def partial_trace_outer(a: np.ndarray, b: np.ndarray, keep, dims) -> np.ndarray:
@@ -124,12 +128,6 @@ def partial_trace_outer(a: np.ndarray, b: np.ndarray, keep, dims) -> np.ndarray:
     dk = int(np.prod([dims[q] for q in keep]))
     a_rows, b_rows = (x.reshape(dims + [-1]).transpose(perm).reshape(dk, -1) for x in (a, b))
     return a_rows @ b_rows.conj().T
-
-
-def pure_partial_trace(psi: np.ndarray, keep, dims) -> np.ndarray:
-    """Reduced state of the unit vector ``psi`` on the factors in ``keep``."""
-    psi = _unit_vector(psi)
-    return partial_trace_outer(psi, psi, keep, dims)
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,10 @@ table, whichever path built it, checks the Gram matrix of its own columns,
 unitarity of f).  A failure raises :class:`NumericalError`, never
 ``ValueError``.  Whichever matrix is formed is checked to be Hermitian.
 
+The state on a few sites of one evolved configuration is
+:func:`reduced_state`, read from its stored column: U(1) symmetry makes it
+block diagonal in the number of kept excitations, so no 2^N vector forms.
+
 Networks that evolve side by side without interacting are one network, their
 :meth:`SpinNetwork.disjoint_union`; an idle external qubit is the union of a
 single uncoupled site with the network.
@@ -546,6 +550,44 @@ class SectorPropagator:
                 prev, cur = cur, 0.5 * (two_h @ cur) if k == 0 else two_h @ cur - prev
         f = np.exp(-1j * centre * flat)[:, None] * (sums[0] - 1j * sums[1]).T
         return f.reshape(times.shape + (d, c))
+
+
+def reduced_state(table: AmplitudeTable, source, keep) -> np.ndarray:
+    """Reduced state on the sites ``keep`` of the evolved configuration ``source``.
+
+    The stored column psi = exp(-i H_k t)|source> is a pure state of the
+    whole network, and the state on the q kept sites is its partial trace,
+    (2^q, 2^q) per time (keep[0] is the most significant qubit), with a
+    leading time axis if the table has one.  Every configuration splits into
+    m kept excitations and k - m elsewhere, so the state is block diagonal in
+    m and each block is G_m G_m^dag, where G_m gathers psi into (kept pattern,
+    rest configuration) of ExcitationSector(n - q, k - m); the work and memory
+    stay O(T d).  The table's Gram check guarantees a unit trace to 1e-10.
+    """
+    sector = table.sector
+    n, k = sector.n_sites, sector.excitation_count
+    keep = [int(s) for s in keep]
+    if len(set(keep)) != len(keep) or any(not 0 <= s < n for s in keep):
+        raise ValueError(f"kept sites {keep} must be distinct sites of the {n}-site network")
+    q, d = len(keep), sector.dimension
+    psi = table.column(source)
+    flat = psi.reshape(-1, d)
+    occupied = np.zeros((d, n), dtype=bool)
+    occupied[np.arange(d)[:, None], sector.sites] = True
+    kept = occupied[:, keep]
+    rest = occupied[:, np.setdiff1d(np.arange(n), keep)]
+    pattern, count = kept @ (1 << np.arange(q)[::-1]), kept.sum(axis=1)
+    pattern_count = np.array([bin(p).count("1") for p in range(1 << q)])
+    rho = np.zeros((flat.shape[0], 1 << q, 1 << q), dtype=complex)
+    for m in range(max(0, k - (n - q)), min(q, k) + 1):
+        members = np.flatnonzero(count == m)
+        patterns = np.flatnonzero(pattern_count == m)  # kept patterns with m excitations, ascending
+        env = ExcitationSector(n - q, k - m)
+        env_sites = np.nonzero(rest[members])[1].reshape(members.size, k - m)
+        g = np.zeros((flat.shape[0], patterns.size, env.dimension), dtype=complex)
+        g[:, np.searchsorted(patterns, pattern[members]), env.positions(env_sites)] = flat[:, members]
+        rho[:, patterns[:, None], patterns] = g @ g.conj().swapaxes(-1, -2)
+    return rho.reshape(psi.shape[:-1] + rho.shape[1:])
 
 
 def amplitudes(network: SpinNetwork, k: int, t: float) -> AmplitudeTable:

@@ -20,6 +20,8 @@ Peak memory of the build is about five times the 8 * 4^N bytes of H
 turns that estimate and the machine's physical memory into the largest
 network the oracle accepts, never more than ``SITE_CEILING``; every caller
 that builds the dense space checks it through :func:`require_dense_sites`.
+Outside the tests those callers are the ``verify.oracle`` check of a
+scenario run and ``spinmaps verify``; no scenario computes its results here.
 """
 
 from __future__ import annotations

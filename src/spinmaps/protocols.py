@@ -4,10 +4,11 @@ Every scenario is described by a :class:`ScenarioSpec` and produces a
 :class:`ScenarioResult` with one row per time/parameter grid point.  Rows are
 emitted in deterministic grid order; identical specs yield identical results.
 
-The channel runners and the closed-form four-qubit runs work on the whole
-time grid at once: one stacked channel (see :mod:`spinmaps.maps`), one
-``apply`` and one call of each measure per grid; only the dense-oracle and
-CPTP checks take one time at a time.
+Every runner works on the whole time grid at once: one stacked channel (see
+:mod:`spinmaps.maps`) and one ``apply``, or for ``four_qubit_weak`` one sector
+column reduced by :func:`spinmaps.network.reduced_state`, then one call of
+each measure per grid.  Only the dense-oracle check (the one place a run
+builds the 2^N space) and the CPTP check take one time at a time.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from . import maps, measures, oracle
-from .network import SpinNetwork
+from .network import SectorPropagator, SpinNetwork, reduced_state
 
 SCENARIO_KINDS = (
     "qst",
@@ -68,6 +69,10 @@ class ScenarioSpec:
         object.__setattr__(self, "times", times)
         if not (math.isfinite(self.oracle_tol) and self.oracle_tol > 0):
             raise ValueError(f"tolerances.oracle must be finite and positive, got {self.oracle_tol}")
+        if self.verify_cptp and self.kind in ("four_qubit_weak", "closed_form_four_qubit"):
+            raise ValueError(f"verify.cptp does not apply to scenario {self.kind!r}: it evolves no channel")
+        if self.verify_oracle and self.kind == "closed_form_four_qubit":
+            raise ValueError(f"verify.oracle does not apply to scenario {self.kind!r}: it evolves no network")
 
 
 @dataclass(frozen=True)
@@ -85,8 +90,7 @@ class ScenarioResult:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(self.columns)
-            for row in self.rows:
-                writer.writerow([repr(float(x)) if isinstance(x, (int, float, np.floating)) else x for x in row])
+            writer.writerows(self.rows)  # Python floats, which csv writes as their shortest repr
 
 
 # ---------------------------------------------------------------------------
@@ -305,16 +309,13 @@ def _channel_run(spec, kind, columns, rho_in, build, whole, senders, receivers) 
     ``build(times)`` returns the channel stacked over all times (operators with
     a leading time axis) and a function from the (T, d, d) output states to
     the runner's columns (arrays of T values, or one value for every row).
-    The channel is applied to ``rho_in`` once.  As the spec asks, one time at
-    a time, ``oracle_dev`` is the trace distance to the dense oracle's reduced
-    output on ``whole`` (the network, or union of networks, whose sites
-    ``senders`` feed the channel and ``receivers`` hold its output), and
-    ``cptp_min_eig`` the minimum Choi eigenvalue of the channel at that time.
-    The dense propagator is built only for the oracle check.
+    The channel is applied to ``rho_in`` once.  As the spec asks,
+    ``oracle_dev`` is :func:`_oracle_deviations` on ``whole`` (the network, or
+    union of networks, whose sites ``senders`` feed the channel and
+    ``receivers`` hold its output), and ``cptp_min_eig`` the minimum Choi
+    eigenvalue of the channel at each time.
     """
     if spec.verify_oracle:
-        oracle.require_dense_sites(whole.n_sites, "verify.oracle")
-        propagator = oracle.FullPropagator(whole)
         columns += ("oracle_dev",)
     if spec.verify_cptp:
         columns += ("cptp_min_eig",)
@@ -322,14 +323,7 @@ def _channel_run(spec, kind, columns, rho_in, build, whole, senders, receivers) 
     rho_out = maps.apply(channel, rho_in)
     data = [spec.times, *values(rho_out)]
     if spec.verify_oracle:
-        devs = []
-        for idx, t in enumerate(spec.times):
-            ref = oracle.reduced_output(whole, rho_in, senders, receivers, t, propagator=propagator)
-            dev = maps.trace_distance(rho_out[idx], ref)
-            if dev > spec.oracle_tol:
-                raise VerificationError(f"map/oracle deviation {dev:.3e} beyond tolerance at t={t}")
-            devs.append(dev)
-        data.append(devs)
+        data.append(_oracle_deviations(spec, rho_out, rho_in, whole, senders, receivers))
     if spec.verify_cptp:
         min_eigs = []
         for idx in range(len(spec.times)):
@@ -341,6 +335,25 @@ def _channel_run(spec, kind, columns, rho_in, build, whole, senders, receivers) 
             min_eigs.append(verdict.min_choi_eigenvalue)
         data.append(min_eigs)
     return ScenarioResult(kind, ("t",) + columns, tuple(_rows(*data)))
+
+
+def _oracle_deviations(spec, rho_out, rho_in, whole, senders, receivers) -> list:
+    """Trace distance of ``rho_out[idx]`` to the dense oracle's output at ``spec.times[idx]``.
+
+    The oracle evolves ``rho_in`` from the ``senders`` of ``whole`` and reads
+    ``receivers``; a deviation beyond ``spec.oracle_tol`` raises
+    :class:`VerificationError`.
+    """
+    oracle.require_dense_sites(whole.n_sites, "verify.oracle")
+    propagator = oracle.FullPropagator(whole)
+    devs = []
+    for idx, t in enumerate(spec.times):
+        ref = oracle.reduced_output(whole, rho_in, senders, receivers, t, propagator=propagator)
+        dev = maps.trace_distance(rho_out[idx], ref)
+        if dev > spec.oracle_tol:
+            raise VerificationError(f"map/oracle deviation {dev:.3e} beyond tolerance at t={t}")
+        devs.append(dev)
+    return devs
 
 
 def _run_qst(spec: ScenarioSpec) -> ScenarioResult:
@@ -494,38 +507,38 @@ def _four_qubit_network(spec: ScenarioSpec) -> SpinNetwork:
 
 
 def _run_four_qubit_weak(spec: ScenarioSpec) -> ScenarioResult:
+    """(A1, A2, B1, B2) from a basis configuration: one sector column, reduced to the corners."""
     net = _four_qubit_network(spec)
     n = net.n_sites
-    oracle.require_dense_sites(n, f"four_qubit_weak with params.wire_sites {n - 4}")
     corners = [0, 1, n - 2, n - 1]  # A1, A2, B1, B2
     initial = spec.initial or {"kind": "basis", "string": "1100"}
     if initial.get("kind") != "basis":
         raise ValueError("four_qubit_weak starts from a basis configuration of (A1, A2, B1, B2)")
+    rho_in = build_initial_state(initial, 4)
     label = str(initial["string"])
-    vec = np.zeros(1 << n, dtype=complex)
-    occupied = [corners[q] for q, c in enumerate(label) if c == "1"]
-    vec[sum(1 << (n - 1 - s) for s in occupied)] = 1.0
+    occupied = tuple(corners[q] for q, c in enumerate(label) if c == "1")
+    times = np.array(spec.times)
+    table = SectorPropagator(net, len(occupied)).table(times, [occupied])
+    red = reduced_state(table, occupied, corners)
+    pairs = np.stack([maps.partial_trace(red, list(p), [2] * 4) for p in measures.PAIRS_4])
+    pair_c = measures.concurrence(pairs.reshape(-1, 4, 4)).reshape(len(measures.PAIRS_4), -1)
+    purity = np.trace(red @ red, axis1=1, axis2=2).real
     g = float(spec.params.get("g", 0.1))
     j = float(spec.params.get("J", 1.0))
-    propagator = oracle.FullPropagator(net)
-    rows = []
-    for t in spec.times:
-        psi_t = propagator.evolve(vec, t)
-        red = maps.pure_partial_trace(psi_t, corners, [2] * n)
-        pc = {p: measures.concurrence(maps.partial_trace(red, list(p), [2] * 4)) for p in measures.PAIRS_4}
-        purity = np.trace(red @ red).real
-        reference = four_qubit_closed_form(g, j, t, label) if label in ("1100", "1010") else None
-        fid = float((reference.conj() @ red @ reference).real) if reference is not None else math.nan
-        rows.append((
-            t,
-            pc[(0, 1)], pc[(0, 2)], pc[(0, 3)], pc[(1, 2)], pc[(1, 3)], pc[(2, 3)],
-            purity, fid,
-        ))
+    if label in ("1100", "1010"):
+        reference = four_qubit_closed_form(g, j, times, label)
+        fid = np.einsum("ti,tij,tj->t", reference.conj(), red, reference).real
+    else:
+        fid = math.nan
     columns = (
         "t", "c_a1a2", "c_a1b1", "c_a1b2", "c_a2b1", "c_a2b2", "c_b1b2",
         "purity", "closed_form_fidelity",
     )
-    return ScenarioResult("four_qubit_weak", columns, tuple(rows), meta={"n_sites": n})
+    data = [times, *pair_c, purity, fid]
+    if spec.verify_oracle:
+        columns += ("oracle_dev",)
+        data.append(_oracle_deviations(spec, red, rho_in, net, corners, corners))
+    return ScenarioResult("four_qubit_weak", columns, tuple(_rows(*data)), meta={"n_sites": n})
 
 
 def _run_closed_form(spec: ScenarioSpec) -> ScenarioResult:

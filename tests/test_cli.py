@@ -289,6 +289,39 @@ def test_non_finite_time_exits_2_naming_times(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("scenario, verify, field", [
+    ("four_qubit_weak", "{oracle: true, cptp: true}", "verify.cptp"),
+    ("closed_form_four_qubit", "{cptp: true}", "verify.cptp"),
+    ("closed_form_four_qubit", "{oracle: true}", "verify.oracle"),
+])
+def test_verify_flags_a_scenario_cannot_honour_exit_2(tmp_path, capsys, scenario, verify, field):
+    config = tmp_path / "run.yaml"
+    config.write_text(f"scenario: {scenario}\ntimes: {{list: [0.0, 1.0]}}\nverify: {verify}\n")
+    out = tmp_path / "never.csv"
+    assert main(["run", str(config), "--output", str(out)]) == 2
+    assert f"{field} does not apply to scenario '{scenario}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_four_qubit_weak_honours_verify_oracle(tmp_path):
+    config = tmp_path / "run.yaml"
+    config.write_text("scenario: four_qubit_weak\ntimes: {list: [0.0, 1.0, 2.5]}\nverify: {oracle: true}\n")
+    out = tmp_path / "out.csv"
+    assert main(["run", str(config), "--output", str(out)]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0][-1] == "oracle_dev" and len(rows) == 4
+    assert max(float(row[-1]) for row in rows[1:]) <= 1e-12
+
+
+def test_csv_writes_floats_as_their_shortest_repr(tmp_path):
+    from spinmaps.protocols import ScenarioResult
+
+    out = tmp_path / "out.csv"
+    ScenarioResult("x", ("name", "a", "b"), (("psi+", 0.1 + 0.2, 1.0), ("phi-", 1e-17, float("nan")))).write_csv(out)
+    assert out.read_bytes() == b"name,a,b\r\npsi+,0.30000000000000004,1.0\r\nphi-,1e-17,nan\r\n"
+
+
 TRANSFER_N80 = """\
 scenario: two_qubit_transfer
 network:

@@ -31,7 +31,6 @@ from spinmaps.maps import (
     dual_rail_matrix,
     one_qubit_transfer_matrix,
     partial_trace_outer,
-    pure_partial_trace,
     pure_state_density,
     random_density_matrix,
     identity_kraus,
@@ -125,14 +124,9 @@ def test_factored_partial_traces_match_dense_reference(rng):
     dims = [2, 3, 2, 2]
     a = rng.normal(size=(24, 3)) + 1j * rng.normal(size=(24, 3))
     b = rng.normal(size=(24, 3)) + 1j * rng.normal(size=(24, 3))
-    psi = a[:, 0] / np.linalg.norm(a[:, 0])
     for keep in ([1], [3, 0], [2, 1, 3], []):
         ref = partial_trace(a @ b.conj().T, keep, dims)
         assert np.abs(partial_trace_outer(a, b, keep, dims) - ref).max() < 1e-12
-        ref = partial_trace(pure_state_density(psi), keep, dims)
-        assert np.abs(pure_partial_trace(psi, keep, dims) - ref).max() < 1e-12
-    with pytest.raises(ValueError):
-        pure_partial_trace(2 * psi, [0], dims)
     with pytest.raises(ValueError):
         partial_trace_outer(a, b, [4], dims)
     with pytest.raises(ValueError):

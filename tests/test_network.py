@@ -14,8 +14,8 @@ from spinmaps import (
     vacuum_amplitude,
 )
 from spinmaps import network as network_module
-from spinmaps.network import AmplitudeTable, ExcitationSector, basis_index
-from spinmaps.oracle import FullPropagator, full_hamiltonian
+from spinmaps.network import AmplitudeTable, ExcitationSector, basis_index, reduced_state
+from spinmaps.oracle import FullPropagator, full_hamiltonian, reduced_output
 
 from conftest import random_network
 
@@ -337,3 +337,37 @@ def test_column_gram_check_raises_numerical_error(rng):
         AmplitudeTable(sector, 0.7, f[:, [0, 0]], ((0,), (1,)))
     with pytest.raises(ValueError, match="must be 4x2"):
         AmplitudeTable(sector, 0.7, f[:, [0]], ((0,), (2,)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 9), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_reduced_state_matches_the_dense_oracle(n, seed, data):
+    """Any k, 1-4 kept sites in any order, kept sites occupied or not, unsorted grids."""
+    net = random_network(np.random.default_rng(seed), n)
+    k = data.draw(st.integers(0, n), label="k")
+    source = tuple(sorted(data.draw(st.permutations(range(n)), label="order")[:k]))
+    keep = data.draw(st.permutations(range(n)), label="keep")[:data.draw(st.integers(1, min(4, n)), label="q")]
+    drawn = data.draw(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=4), label="times")
+    times = np.array(drawn + [0.0, -0.75])
+    prop = SectorPropagator(net, k)
+    rho = reduced_state(prop.table(times, [source]), source, keep)
+    assert rho.shape == (times.size, 2 ** len(keep), 2 ** len(keep))
+    assert np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0).max() <= 1e-12
+    sender = np.zeros((2**k, 2**k))
+    sender[-1, -1] = 1.0  # every source site excited
+    dense = FullPropagator(net)
+    for t, slice_ in zip(times, rho):
+        ref = reduced_output(net, sender, source, keep, t, propagator=dense)
+        assert np.abs(slice_ - ref).max() <= 1e-12
+    single = reduced_state(prop.table(times[0], [source]), source, keep)
+    assert np.abs(single - rho[0]).max() <= 1e-12
+
+
+def test_reduced_state_errors(rng):
+    table = SectorPropagator(random_network(rng, 5), 2).table(0.4, [(0, 3)])
+    with pytest.raises(ValueError, match="distinct sites"):
+        reduced_state(table, (0, 3), [1, 1])
+    with pytest.raises(ValueError, match="distinct sites"):
+        reduced_state(table, (0, 3), [5])
+    with pytest.raises(ValueError, match="not among the stored columns"):
+        reduced_state(table, (1, 3), [0])

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,9 @@ from spinmaps import (
     run,
     sweep,
 )
+from spinmaps import oracle
 from spinmaps.maps import pure_state_density
-from spinmaps.protocols import build_initial_state
+from spinmaps.protocols import SCENARIO_KINDS, VerificationError, build_initial_state
 
 
 def chain3():
@@ -32,6 +35,16 @@ def test_spec_validation():
     for bad in (np.nan, np.inf, 0.0, -1e-8):
         with pytest.raises(ValueError, match="tolerances.oracle must be finite and positive"):
             ScenarioSpec(kind="qst", times=(0.0, 1.0), oracle_tol=bad)
+
+
+@pytest.mark.parametrize("kind, flag, field", [
+    ("four_qubit_weak", "verify_cptp", "verify.cptp"),
+    ("closed_form_four_qubit", "verify_cptp", "verify.cptp"),
+    ("closed_form_four_qubit", "verify_oracle", "verify.oracle"),
+])
+def test_checks_without_a_channel_or_network_are_rejected(kind, flag, field):
+    with pytest.raises(ValueError, match=f"{field} does not apply to scenario '{kind}'"):
+        ScenarioSpec(kind=kind, times=(0.0, 1.0), **{flag: True})
 
 
 def test_initial_state_descriptions(rng):
@@ -297,18 +310,82 @@ def test_run_is_deterministic():
 
 
 def test_dense_oracle_callers_name_the_memory_cap(monkeypatch):
-    from spinmaps import oracle
-
     monkeypatch.setattr(oracle, "physical_memory_bytes", lambda: 100 * 10**6)  # cap: 10 sites
     spec = ScenarioSpec(
         kind="four_qubit_weak", times=(0.0, 1.0), params={"wire_sites": 7},
         initial={"kind": "basis", "string": "1100"},
     )
-    with pytest.raises(ValueError, match=r"params.wire_sites 7: 11 sites exceed .* cap of 10 sites"):
-        run(spec)
+    assert run(spec).meta == {"n_sites": 11}  # the sector engine has no dense cap
+    with pytest.raises(ValueError, match=r"verify.oracle: 11 sites exceed .* cap of 10 sites"):
+        run(replace(spec, verify_oracle=True))
     spec = ScenarioSpec(
         kind="qst", times=(0.0, 1.0), network=SpinNetwork.uniform_chain(11),
         sites={"sender": 0, "receiver": 10}, verify_oracle=True,
     )
     with pytest.raises(ValueError, match=r"verify.oracle: 11 sites exceed .*estimated peak"):
         run(spec)
+
+
+@pytest.mark.parametrize("label", ["1100", "1010"])
+def test_four_qubit_weak_fidelity_is_the_closed_form_overlap_with_the_oracle_state(label):
+    spec = ScenarioSpec(kind="four_qubit_weak", times=(3.0, 40.0, 90.0), params={"wire_sites": 3},
+                        initial={"kind": "basis", "string": label})
+    fidelity = run(spec).column("closed_form_fidelity")
+    net = SpinNetwork.chain([1.0, 0.1, 1.0, 1.0, 0.1, 1.0])
+    corners = [0, 1, 5, 6]
+    for t, fid in zip(spec.times, fidelity):
+        rho = oracle.reduced_output(net, build_initial_state(spec.initial, 4), corners, corners, t)
+        psi = four_qubit_closed_form(0.1, 1.0, t, label)
+        assert abs(fid - (psi.conj() @ rho @ psi).real) <= 1e-12
+
+
+@pytest.mark.parametrize("label", ["9", "110", "11000", "11x0"])
+def test_four_qubit_weak_rejects_labels_that_are_not_four_qubits(label):
+    # YAML reads an unquoted 0011 as the octal integer 9
+    spec = ScenarioSpec(kind="four_qubit_weak", times=(0.0, 1.0), initial={"kind": "basis", "string": label})
+    with pytest.raises(ValueError, match=f"basis string '{label}' does not describe 4 qubits"):
+        run(spec)
+
+
+def test_four_qubit_weak_oracle_check_flags_a_wrong_state(monkeypatch):
+    spec = ScenarioSpec(
+        kind="four_qubit_weak", times=(0.5, 2.0), params={"wire_sites": 3, "g": 0.3},
+        initial={"kind": "basis", "string": "1010"}, verify_oracle=True,
+    )
+    assert run(spec).column("oracle_dev").max() <= 1e-12
+    reduced = oracle.reduced_output
+    monkeypatch.setattr(oracle, "reduced_output",
+                        lambda *args, **kwargs: reduced(*args, **kwargs)[::-1, ::-1])
+    with pytest.raises(VerificationError, match="map/oracle deviation"):
+        run(spec)
+
+
+def test_runs_without_verify_oracle_never_build_the_dense_space(monkeypatch):
+    """Every scenario kind runs on the sector engine alone, four_qubit_weak at 50 sites too."""
+    def refuse(self, network):
+        raise AssertionError(f"dense propagator built for {network.n_sites} sites")
+
+    monkeypatch.setattr(oracle.FullPropagator, "__init__", refuse)
+    net = SpinNetwork.chain([0.9, 1.1, 1.0, 0.8], [0.1, -0.2, 0.0, 0.1], [0.05, 0.0, -0.1, 0.0, 0.1])
+    werner = {"kind": "werner", "p": 0.8}
+    fields = {
+        "qst": dict(network=net, sites={"sender": 0, "receiver": 4}),
+        "distribute_single": dict(network=net, sites={"sender": 0, "receiver": 4}, initial=werner),
+        "distribute_dual": dict(network=net, sites={"sender_a": 0, "receiver_a": 4, "sender_b": 1,
+                                                    "receiver_b": 3}, initial=werner),
+        "two_qubit_transfer": dict(network=net, sites={"senders": [0, 1], "receivers": [3, 4]},
+                                   initial={"kind": "bell", "label": "psi+"}),
+        "storage": dict(network=net, sites={"senders": [1, 3]}, initial={"kind": "bell", "label": "phi-"}),
+        "weak_pair": dict(params={"wire_sites": 5}),
+        "closed_form_four_qubit": dict(),
+        "four_qubit_weak": dict(params={"wire_sites": 46}),  # last: its result is checked below
+    }
+    assert set(fields) == set(SCENARIO_KINDS)
+    times = tuple(np.linspace(0.0, 120.0, 12))
+    for kind, extra in fields.items():
+        verify_cptp = kind not in ("four_qubit_weak", "closed_form_four_qubit")
+        result = run(ScenarioSpec(kind=kind, times=times, verify_cptp=verify_cptp, **extra))
+        assert len(result.rows) == len(times)
+    assert result.kind == "four_qubit_weak" and result.meta == {"n_sites": 50}
+    assert result.column("closed_form_fidelity")[0] == pytest.approx(1.0, abs=1e-12)
+    assert result.column("purity").max() <= 1.0 + 1e-12

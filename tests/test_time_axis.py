@@ -275,14 +275,29 @@ def test_full_grid_rows_equal_one_time_runs(kind, sites, initial, two_networks):
     rng = np.random.default_rng(7)
     net = _chain(rng, 4 if kind == "distribute_dual" else 5)
     net_b = _chain(rng, 4) if two_networks else None
+    _assert_grid_rows_equal_one_time_runs(
+        dict(kind=kind, network=net, network_b=net_b, sites=sites, initial=initial,
+             verify_oracle=True, verify_cptp=True),
+        ("oracle_dev", "cptp_min_eig"),
+    )
+
+
+@pytest.mark.parametrize("label", ["1100", "1010", "0111"])
+def test_four_qubit_weak_grid_rows_equal_one_time_runs(label):
+    """The one runner without a channel: its oracle column takes the same per-time check."""
+    _assert_grid_rows_equal_one_time_runs(
+        dict(kind="four_qubit_weak", params={"wire_sites": 3, "g": 0.3},
+             initial={"kind": "basis", "string": label}, verify_oracle=True),
+        ("oracle_dev",),
+    )
+
+
+def _assert_grid_rows_equal_one_time_runs(fields, check_columns):
     times = tuple(np.linspace(0.1, 6.0, 9))
-    spec = ScenarioSpec(kind=kind, times=times, network=net, network_b=net_b, sites=sites, initial=initial,
-                        verify_oracle=True, verify_cptp=True)
-    full = run(spec)
-    assert full.columns[-2:] == ("oracle_dev", "cptp_min_eig")
+    full = run(ScenarioSpec(times=times, **fields))
+    assert full.columns[-len(check_columns):] == check_columns
     for t, row in zip(times, full.rows):
-        (one,) = run(ScenarioSpec(kind=kind, times=(t,), network=net, network_b=net_b, sites=sites,
-                                  initial=initial, verify_oracle=True, verify_cptp=True)).rows
+        (one,) = run(ScenarioSpec(times=(t,), **fields)).rows
         np.testing.assert_allclose(row, one, rtol=0, atol=1e-13)
 
 
