@@ -254,30 +254,26 @@ def _run_checks(n_sites: int, seed: int, tol: float, trials: int, report=print) 
 WERNER_WEIGHTS = (0.4, 0.5, 0.7, 0.9, 1.0)
 
 
-def figure3_rows(points: int = 201):
+def figure3_result(points: int = 201) -> protocols.ScenarioResult:
     """Transferred/initial concurrence ratio of Werner states vs |f| (one rail)."""
-    rows = []
     f = np.linspace(0.0, 1.0, points)
+    curves = []
     for p in WERNER_WEIGHTS:
-        x = measures.XState.werner(p, "psi+")
-        c_in = (3.0 * p - 1.0) / 2.0
-        c, _, _ = measures.transferred_concurrence(x, f)
-        rows += zip([p] * points, f.tolist(), (c / c_in).tolist())
-    return ("p", "f_abs", "ratio"), rows
+        c, _, _ = measures.transferred_concurrence(measures.XState.werner(p, "psi+"), f)
+        curves.append({"p": p, "f_abs": f, "ratio": c / ((3.0 * p - 1.0) / 2.0)})
+    return protocols.ScenarioResult.concat("figure3", curves)
 
 
-def figure5_rows(points: int = 201):
+def figure5_result(points: int = 201) -> protocols.ScenarioResult:
     """Transferred/initial concurrence ratio of Werner states vs |f| (dual rail)."""
-    rows = []
     f = np.linspace(0.0, 1.0, points)
+    curves = []
     for family in ("psi+", "phi+"):
         for p in WERNER_WEIGHTS:
-            x = measures.XState.werner(p, family)
-            c_in = (3.0 * p - 1.0) / 2.0
-            c, c1, c2 = measures.dual_rail_concurrence(x, f)
-            rows += zip([family] * points, [p] * points, f.tolist(), (c / c_in).tolist(),
-                        c1.tolist(), c2.tolist())
-    return ("family", "p", "f_abs", "ratio", "c1", "c2"), rows
+            c, c1, c2 = measures.dual_rail_concurrence(measures.XState.werner(p, family), f)
+            curves.append({"family": family, "p": p, "f_abs": f, "ratio": c / ((3.0 * p - 1.0) / 2.0),
+                           "c1": c1, "c2": c2})
+    return protocols.ScenarioResult.concat("figure5", curves)
 
 
 def figure7_result(points: int = 1000) -> protocols.ScenarioResult:
@@ -401,14 +397,11 @@ def _cmd_sweep(args) -> int:
         results = protocols.sweep(spec, axis, sweep_cfg["values"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    columns = (axis,) + results[0].columns
-    rows = []
-    for res in results:
-        for row in res.rows:
-            rows.append((res.meta[axis],) + tuple(row))
+    parts = [{axis: res.meta[axis], **res.data} for res in results]
+    result = protocols.ScenarioResult.concat(spec.kind, parts)
     out = _resolve_output(args.output or cfg.get("output"), f"{spec.kind}_{axis}_sweep.csv")
-    protocols.ScenarioResult(spec.kind, columns, tuple(rows)).write_csv(out)
-    print(f"wrote {len(rows)} rows to {out}")
+    result.write_csv(out)
+    print(f"wrote {len(result.rows)} rows to {out}")
     return 0
 
 
@@ -428,16 +421,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_figure(args) -> int:
-    number = args.number
     if args.points is not None and args.points < 1:
         raise ConfigError(f"--points must be at least 1, got {args.points}")
-    if number == 3:
-        result = protocols.ScenarioResult("figure3", *figure3_rows(args.points or 201))
-    elif number == 5:
-        result = protocols.ScenarioResult("figure5", *figure5_rows(args.points or 201))
-    else:
-        result = figure7_result(args.points or 1000)
-    out = _resolve_output(args.output, f"figure{number}.csv")
+    make = {3: figure3_result, 5: figure5_result, 7: figure7_result}[args.number]
+    result = make() if args.points is None else make(args.points)
+    out = _resolve_output(args.output, f"figure{args.number}.csv")
     result.write_csv(out)
     print(f"wrote {len(result.rows)} rows to {out}")
     return 0

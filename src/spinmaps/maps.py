@@ -18,11 +18,12 @@ Time grids are a leading axis.  Given an array of T times (or amplitudes),
 :func:`extend_with_identity` and :func:`tensor_map` build one
 :class:`KrausSet` whose operators are (T, d, d) stacks; :func:`apply` maps a
 state (or a (T, d, d) stack of states) through every slice at once and
-:func:`assert_density_matrix` checks each output slice.  Every check runs on
-every slice at its usual tolerance; a scalar time is the case without the
-axis.  :meth:`KrausSet.at` picks out the map at one time, for the per-map
-routines (superoperators, Choi matrices, :func:`is_cptp`).  :func:`partial_trace`
-takes a (T, D, D) stack of states as well.
+:func:`assert_density_matrix` checks each output slice.  The per-map routines
+take the stack as well: :func:`superop_from_kraus`, :func:`choi_from_superop`
+and :func:`is_cptp` (one verdict value per slice), as do
+:func:`trace_distance`, :func:`partial_trace` and :func:`partial_trace_outer`.
+Every check runs on every slice at its usual tolerance; a scalar time is the
+case without the axis.
 """
 
 from __future__ import annotations
@@ -82,9 +83,9 @@ def random_density_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """(1/2) trace norm of the difference of two Hermitian matrices."""
-    return 0.5 * float(np.abs(np.linalg.eigvalsh(np.asarray(a) - np.asarray(b))).sum())
+def trace_distance(a: np.ndarray, b: np.ndarray):
+    """(1/2) trace norm of the difference of two Hermitian matrices (one per slice of stacks)."""
+    return 0.5 * np.abs(np.linalg.eigvalsh(np.asarray(a) - np.asarray(b))).sum(axis=-1)
 
 
 def partial_trace(rho: np.ndarray, keep, dims) -> np.ndarray:
@@ -113,21 +114,24 @@ def partial_trace(rho: np.ndarray, keep, dims) -> np.ndarray:
 def partial_trace_outer(a: np.ndarray, b: np.ndarray, keep, dims) -> np.ndarray:
     """``partial_trace(a @ b^dag, keep, dims)`` without forming the full product.
 
-    ``a`` and ``b`` are (prod(dims), m) blocks, or vectors (m = 1).  The cost
-    is O(prod(dims) * m * d_keep) instead of O(prod(dims)^2 * m).
+    ``a`` and ``b`` are (prod(dims), m) blocks, vectors (m = 1) or (T, prod(dims), m)
+    stacks of blocks.  The cost is O(prod(dims) * m * d_keep) instead of
+    O(prod(dims)^2 * m).
     """
     dims, keep = list(dims), list(keep)
     a, b = np.asarray(a), np.asarray(b)
     total = int(np.prod(dims))
-    if a.shape != b.shape or a.shape[0] != total:
+    lead = a.shape[:-2] if a.ndim == 3 else ()
+    if a.shape != b.shape or a.ndim > 3 or a.shape[len(lead)] != total:
         raise ValueError(f"blocks of shapes {a.shape}, {b.shape} inconsistent with factor dims {dims}")
     if len(set(keep)) != len(keep) or any(not 0 <= q < len(dims) for q in keep):
         raise ValueError(f"invalid subsystem selection {keep} for {len(dims)} factors")
     rest = [q for q in range(len(dims)) if q not in keep]
-    perm = keep + rest + [len(dims)]
+    perm = [*range(len(lead)), *(len(lead) + q for q in keep + rest), len(lead) + len(dims)]
     dk = int(np.prod([dims[q] for q in keep]))
-    a_rows, b_rows = (x.reshape(dims + [-1]).transpose(perm).reshape(dk, -1) for x in (a, b))
-    return a_rows @ b_rows.conj().T
+    a_rows, b_rows = (x.reshape(lead + tuple(dims) + (-1,)).transpose(perm).reshape(lead + (dk, -1))
+                      for x in (a, b))
+    return a_rows @ b_rows.conj().swapaxes(-1, -2)
 
 
 # ---------------------------------------------------------------------------
@@ -173,12 +177,6 @@ class KrausSet:
         acc = sum(op.conj().swapaxes(-1, -2) @ op for op in self.operators)
         return acc - np.eye(self.input_dim)
 
-    def at(self, index: int) -> "KrausSet":
-        """The map at one index of the leading time axis."""
-        if self.operators[0].ndim != 3:
-            raise ValueError("KrausSet.at needs operators with a leading time axis")
-        return KrausSet(tuple(op[index] for op in self.operators), complete=self.complete)
-
 
 def identity_kraus(dim: int) -> KrausSet:
     return KrausSet((np.eye(dim, dtype=complex),))
@@ -216,23 +214,24 @@ def apply_superop(a: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return out.reshape(out.shape[:-2] + (dout, dout))
 
 
-def apply(map_, rho: np.ndarray, validate: bool = True) -> np.ndarray:
+def apply(map_, rho: np.ndarray) -> np.ndarray:
     """Apply a map (KrausSet or superoperator matrix) to a density matrix.
 
     A map or a state with a leading time axis gives a (T, d, d) stack of
     outputs, each validated.
     """
     out = apply_kraus(map_, rho) if isinstance(map_, KrausSet) else apply_superop(map_, rho)
-    if validate:
-        assert_density_matrix(out)
+    assert_density_matrix(out)
     return out
 
 
 def choi_from_superop(a: np.ndarray, input_dim: int, output_dim: int) -> np.ndarray:
-    """Unnormalized Choi matrix C[(n,i),(m,j)] = A[(i,j),(n,m)]."""
-    a4 = np.asarray(a).reshape(output_dim, output_dim, input_dim, input_dim)
+    """Unnormalized Choi matrix C[(n,i),(m,j)] = A[(i,j),(n,m)] (one per slice of a stack)."""
+    a = np.asarray(a)
+    lead = a.shape[:-2]
+    a4 = a.reshape(lead + (output_dim, output_dim, input_dim, input_dim))
     d = input_dim * output_dim
-    return a4.transpose(2, 0, 3, 1).reshape(d, d)
+    return a4.transpose(*range(len(lead)), *(len(lead) + q for q in (2, 0, 3, 1))).reshape(lead + (d, d))
 
 
 def choi_from_kraus(ks: KrausSet) -> np.ndarray:
@@ -273,34 +272,34 @@ def is_hermiticity_preserving(a: np.ndarray, atol: float = 1e-10) -> bool:
 
 @dataclass(frozen=True)
 class CptpVerdict:
+    """Verdict and witnesses of one map, or arrays of them over a stack of maps."""
+
     ok: bool
     min_choi_eigenvalue: float
     trace_defect: float
 
     def __bool__(self) -> bool:
-        return self.ok
+        return bool(np.all(self.ok))
 
 
 def is_cptp(map_, tol: float = 1e-9) -> CptpVerdict:
     """Choi-PSD plus trace-preservation verdict with witness values.
 
-    Takes one map; :meth:`KrausSet.at` picks one out of a time stack.
+    A stack of T maps gives T values in every field, slice by slice.
     """
     if isinstance(map_, KrausSet):
         a = superop_from_kraus(map_)
         din, dout = map_.input_dim, map_.output_dim
     else:
         a = np.asarray(map_)
-        din = int(round(np.sqrt(a.shape[1])))
-        dout = int(round(np.sqrt(a.shape[0])))
-    if a.ndim != 2:
-        raise ValueError("is_cptp takes one map, not a time stack of maps")
+        din = int(round(np.sqrt(a.shape[-1])))
+        dout = int(round(np.sqrt(a.shape[-2])))
     choi = choi_from_superop(a, din, dout)
-    min_eig = float(np.linalg.eigvalsh(choi).min())
+    min_eig = np.linalg.eigvalsh(choi).min(axis=-1)
     # partial trace of the Choi matrix over the output factor
-    tr_out = np.einsum("nimi->nm", choi.reshape(din, dout, din, dout))
-    trace_defect = float(np.abs(tr_out - np.eye(din)).max())
-    return CptpVerdict(min_eig >= -tol and trace_defect <= 1e-10, min_eig, trace_defect)
+    tr_out = np.einsum("...nimi->...nm", choi.reshape(choi.shape[:-2] + (din, dout, din, dout)))
+    trace_defect = np.abs(tr_out - np.eye(din)).max(axis=(-2, -1))
+    return CptpVerdict((min_eig >= -tol) & (trace_defect <= 1e-10), min_eig, trace_defect)
 
 
 # ---------------------------------------------------------------------------

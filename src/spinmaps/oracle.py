@@ -10,7 +10,9 @@ No time point forms a 2^N x 2^N matrix unless a caller asks for one through
 :meth:`FullPropagator.unitary` or the density-matrix branch of
 :meth:`FullPropagator.evolve`.  :func:`reduced_output` evolves only the 2^k
 embedded sender columns ``U(t)[:, embed]`` and contracts them with the sender
-state straight into the receiver state.
+state straight into the receiver state; given a 1-D grid of T times, it
+evolves the columns for every time in one stacked product and returns a
+(T, 2^r, 2^r) stack of receiver states.
 
 This module builds the full space itself and shares no code with the sector
 engine, so that it stays an independent check of it.
@@ -97,10 +99,10 @@ def full_hamiltonian(network: SpinNetwork) -> np.ndarray:
 
 
 def _real_matmul(a: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """``a @ z`` for real ``a`` and complex ``z`` without casting ``a`` to complex."""
+    """``a @ z`` for square real ``a`` and a complex vector, matrix or stack ``z``, in real arithmetic."""
     z = np.ascontiguousarray(z, dtype=complex)
-    pairs = z.reshape(z.shape[0], -1).view(float)  # real and imaginary parts side by side
-    return (a @ pairs).view(complex).reshape(a.shape[:1] + z.shape[1:])
+    pairs = (z[:, None] if z.ndim == 1 else z).view(float)  # real and imaginary parts side by side
+    return (a @ pairs).view(complex).reshape(z.shape)
 
 
 class FullPropagator:
@@ -114,10 +116,13 @@ class FullPropagator:
         phases = np.exp(-1j * self.eigvals * t)
         return (self.eigvecs * phases) @ self.eigvecs.T
 
-    def columns(self, indices, t: float) -> np.ndarray:
-        """``unitary(t)[:, indices]`` at O(4^N) cost per column."""
-        phases = np.exp(-1j * self.eigvals * t)
-        return _real_matmul(self.eigvecs, phases[:, None] * self.eigvecs[indices].T)
+    def columns(self, indices, t) -> np.ndarray:
+        """``unitary(t)[:, indices]`` at O(4^N) cost per column and time.
+
+        A 1-D array of T times gives a (T, 2^N, len(indices)) stack.
+        """
+        phases = np.exp(-1j * self.eigvals * np.asarray(t, dtype=float)[..., None])
+        return _real_matmul(self.eigvecs, phases[..., None] * self.eigvecs[indices].T)
 
     def evolve(self, state: np.ndarray, t: float) -> np.ndarray:
         """Evolve a state vector (O(4^N)) or density matrix (O(8^N)) by time t."""
@@ -167,7 +172,7 @@ def reduced_output(
     rho_s: np.ndarray,
     sender_sites,
     receiver_sites,
-    t: float,
+    t,
     propagator: FullPropagator | None = None,
 ) -> np.ndarray:
     """Exact reduced state on the receiver sites after full evolution.
@@ -175,7 +180,8 @@ def reduced_output(
     The sender state is placed on ``sender_sites`` (in the given qubit order),
     every other spin starts in |0>, the whole network evolves for time t, and
     all sites except ``receiver_sites`` are traced out (receiver qubit order
-    follows the given site order).
+    follows the given site order).  A 1-D array of T times gives a stack of T
+    receiver states.
 
     With C = U(t)[:, embed] the evolved state is C rho_s C^dag, so only the
     2^k embedded columns are evolved and the trace over the other sites is

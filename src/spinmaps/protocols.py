@@ -1,14 +1,15 @@
 """Scenario runners: state transfer, entanglement distribution and generation.
 
 Every scenario is described by a :class:`ScenarioSpec` and produces a
-:class:`ScenarioResult` with one row per time/parameter grid point.  Rows are
-emitted in deterministic grid order; identical specs yield identical results.
+:class:`ScenarioResult`: named columns of one value per time/parameter grid
+point, in deterministic grid order; identical specs yield identical results.
 
-Every runner works on the whole time grid at once: one stacked channel (see
+Every run is one pass over the whole time grid: one stacked channel (see
 :mod:`spinmaps.maps`) and one ``apply``, or for ``four_qubit_weak`` one sector
 column reduced by :func:`spinmaps.network.reduced_state`, then one call of
-each measure per grid.  Only the dense-oracle check (the one place a run
-builds the 2^N space) and the CPTP check take one time at a time.
+each measure per grid.  The checks a spec asks for take the grid too: one
+dense-oracle call (the one place a run builds the 2^N space) and one stacked
+CPTP verdict, each raising at the first time that fails.
 """
 
 from __future__ import annotations
@@ -23,16 +24,14 @@ from scipy.optimize import minimize_scalar
 from . import maps, measures, oracle
 from .network import SectorPropagator, SpinNetwork, reduced_state
 
-SCENARIO_KINDS = (
-    "qst",
-    "distribute_single",
-    "distribute_dual",
-    "two_qubit_transfer",
-    "storage",
-    "weak_pair",
-    "four_qubit_weak",
-    "closed_form_four_qubit",
-)
+# the ``params`` each scenario kind reads; the channel kinds read none
+SCENARIO_PARAMS = {
+    **dict.fromkeys(("qst", "distribute_single", "distribute_dual", "two_qubit_transfer", "storage"), ()),
+    "weak_pair": ("wire_sites", "J", "g", "refine"),
+    "four_qubit_weak": ("wire_sites", "J", "g"),
+    "closed_form_four_qubit": ("g", "J"),
+}
+SCENARIO_KINDS = tuple(SCENARIO_PARAMS)
 
 ORACLE_TOL = 1e-8
 
@@ -59,6 +58,10 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.kind not in SCENARIO_KINDS:
             raise ValueError(f"unknown scenario kind {self.kind!r}, expected one of {SCENARIO_KINDS}")
+        for key in self.params:
+            if key not in SCENARIO_PARAMS[self.kind]:
+                raise ValueError(f"params.{key} is not read by scenario {self.kind!r} "
+                                 f"(accepted: {', '.join(SCENARIO_PARAMS[self.kind]) or 'none'})")
         times = tuple(float(t) for t in self.times)
         if not times:
             raise ValueError("time grid is empty")
@@ -75,16 +78,46 @@ class ScenarioSpec:
             raise ValueError(f"verify.oracle does not apply to scenario {self.kind!r}: it evolves no network")
 
 
+def _equal_columns(data: dict) -> dict:
+    """Columns of one length: numbers as float64 arrays, text as text, a scalar repeated."""
+    arrays = [np.asarray(value) for value in data.values()]
+    arrays = [a if a.dtype.kind == "U" else a.astype(float) for a in arrays]
+    return dict(zip(data, np.broadcast_arrays(*arrays)))
+
+
 @dataclass(frozen=True)
 class ScenarioResult:
+    """Named columns of a run, in CSV order, one value per grid point.
+
+    ``data`` maps each column name to its values; a scalar is repeated down
+    the column.  ``columns``, ``rows`` and :meth:`column` read them.
+    """
+
     kind: str
-    columns: tuple
-    rows: tuple
+    data: dict
     meta: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        object.__setattr__(self, "data", _equal_columns(self.data))
+
+    @classmethod
+    def concat(cls, kind: str, parts, meta=None) -> "ScenarioResult":
+        """The column dicts ``parts``, which name the same columns, one after another."""
+        parts = [_equal_columns(part) for part in parts]
+        return cls(kind, {name: np.concatenate([part[name] for part in parts]) for name in parts[0]},
+                   meta or {})
+
+    @property
+    def columns(self) -> tuple:
+        return tuple(self.data)
+
+    @property
+    def rows(self) -> tuple:
+        """Row tuples of Python floats and text."""
+        return tuple(zip(*(values.tolist() for values in self.data.values())))
+
     def column(self, name: str) -> np.ndarray:
-        idx = self.columns.index(name)
-        return np.array([row[idx] for row in self.rows], dtype=float)
+        return np.array(self.data[name], dtype=float)
 
     def write_csv(self, path):
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -95,6 +128,20 @@ class ScenarioResult:
 
 # ---------------------------------------------------------------------------
 # initial states
+
+def _basis_label(desc: dict, n_qubits: int) -> str:
+    """The ``string`` of a basis-state description, checked to name ``n_qubits`` qubits."""
+    string = desc["string"]
+    if not isinstance(string, str):
+        example = "0" * (n_qubits // 2) + "1" * (n_qubits - n_qubits // 2)
+        raise ValueError(
+            f"initial.string is the number {string!r}, not a label: YAML reads unquoted digits "
+            f"as a number (a leading 0 as octal); quote the label, e.g. string: '{example}'"
+        )
+    if len(string) != n_qubits or any(c not in "01" for c in string):
+        raise ValueError(f"basis string {string!r} does not describe {n_qubits} qubits")
+    return string
+
 
 def build_initial_state(desc: dict, n_qubits: int) -> np.ndarray:
     """Density matrix from a state description dictionary."""
@@ -115,11 +162,8 @@ def build_initial_state(desc: dict, n_qubits: int) -> np.ndarray:
         )
         return x.to_density_matrix()
     if kind == "basis":
-        string = str(desc["string"])
-        if len(string) != n_qubits or any(c not in "01" for c in string):
-            raise ValueError(f"basis string {string!r} does not describe {n_qubits} qubits")
         vec = np.zeros(2**n_qubits, dtype=complex)
-        vec[int(string, 2)] = 1.0
+        vec[int(_basis_label(desc, n_qubits), 2)] = 1.0
         return maps.pure_state_density(vec)
     if kind == "matrix":
         rho = np.array([[_as_complex(v) for v in row] for row in desc["entries"]])
@@ -218,32 +262,31 @@ def four_qubit_closed_form(g: float, j_coupling: float, t, initial: str = "1100"
     return psi / norm
 
 
-_MEASURE_COLUMNS = (
-    "c_a1a2", "c_a1b1", "c_a1b2", "c_a2b1", "c_a2b2", "c_b1b2",
-    "c_a1_rest", "c_a2_rest", "c_b1_rest", "c_b2_rest",
-    "c_a1a2_b1b2", "c_a1b1_a2b2", "c_a1b2_a2b1",
-    "tau3_a2b1b2", "tau3_a1b1b2", "tau3_a1a2b2", "tau3_a1a2b1",
-    "tau4", "c4",
-)
+_QUBITS = ("a1", "a2", "b1", "b2")
 
 
-def _rows(*columns) -> list:
-    """Row tuples of Python floats from columns of T values (a scalar repeats)."""
-    cols = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in columns))
-    return [tuple(row) for row in np.column_stack(cols).tolist()]
+def _qubit_names(qubits) -> str:
+    return "".join(_QUBITS[q] for q in qubits)
 
 
-def _measure_values(report: measures.MeasureReport) -> tuple:
-    pc = report.pair_concurrence
-    t3 = report.three_tangle_bound
-    return (
-        pc[(0, 1)], pc[(0, 2)], pc[(0, 3)], pc[(1, 2)], pc[(1, 3)], pc[(2, 3)],
-        *report.one_vs_rest,
-        report.pair_vs_pair[(0, 1)], report.pair_vs_pair[(0, 2)], report.pair_vs_pair[(0, 3)],
-        t3[(1, 2, 3)], t3[(0, 2, 3)], t3[(0, 1, 3)], t3[(0, 1, 2)],
-        report.four_tangle,
-        report.four_qubit_concurrence,
-    )
+def _measure_columns(report: measures.MeasureReport) -> dict:
+    """The four-qubit measures as named columns: pairs, one vs rest, splits, tangles."""
+    def rest(pair):
+        return tuple(q for q in range(4) if q not in pair)
+
+    return {
+        **{f"c_{_qubit_names(p)}": c for p, c in report.pair_concurrence.items()},
+        **{f"c_{_QUBITS[q]}_rest": c for q, c in enumerate(report.one_vs_rest)},
+        **{f"c_{_qubit_names(p)}_{_qubit_names(rest(p))}": c for p, c in report.pair_vs_pair.items()},
+        **{f"tau3_{_qubit_names(kept)}": tau for kept, tau in report.three_tangle_bound.items()},
+        "tau4": report.four_tangle,
+        "c4": report.four_qubit_concurrence,
+    }
+
+
+# phases at which the windows of four_qubit_measure_sweep start, and their span
+WINDOW_STARTS = (0.0, np.pi / 2.0, np.pi)
+WINDOW_WIDTH = np.pi
 
 
 def four_qubit_measure_sweep(
@@ -251,8 +294,6 @@ def four_qubit_measure_sweep(
     j_coupling: float = 1.0,
     points_per_window: int = 1000,
     initial: str = "1010",
-    window_starts=(0.0, np.pi / 2.0, np.pi),
-    window_width: float = np.pi,
 ) -> ScenarioResult:
     """Entanglement measures of the closed-form state over three time windows.
 
@@ -260,18 +301,14 @@ def four_qubit_measure_sweep(
     2*pi*J/g^2 (phases 0, pi/2, pi) and span half a period each.  The time
     grid maps phase theta to t = theta * J / g^2.
     """
-    rows = []
-    for w, start in enumerate(window_starts):
-        thetas = np.linspace(start, start + window_width, points_per_window)
+    windows = []
+    for w, start in enumerate(WINDOW_STARTS):  # one window at a time keeps the measures' peak memory
+        thetas = np.linspace(start, start + WINDOW_WIDTH, points_per_window)
         t = thetas * j_coupling / g**2
-        psi = four_qubit_closed_form(g, j_coupling, t, initial)
-        rows += _rows(w, t, thetas, *_measure_values(measures.four_qubit_measures(psi)))
-    return ScenarioResult(
-        kind="four_qubit_measure_sweep",
-        columns=("window", "t", "theta") + _MEASURE_COLUMNS,
-        rows=tuple(rows),
-        meta={"g": g, "J": j_coupling, "initial": initial},
-    )
+        report = measures.four_qubit_measures(four_qubit_closed_form(g, j_coupling, t, initial))
+        windows.append({"window": w, "t": t, "theta": thetas, **_measure_columns(report)})
+    meta = {"g": g, "J": j_coupling, "initial": initial}
+    return ScenarioResult.concat("four_qubit_measure_sweep", windows, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -286,15 +323,20 @@ def run(spec: ScenarioSpec) -> ScenarioResult:
 def sweep(spec: ScenarioSpec, axis: str, values) -> list:
     """Run the scenario once per value of the swept parameter.
 
-    ``axis="p"`` sweeps the Werner weight of the initial state; any other
-    name is looked up in ``spec.params``.
+    ``axis="p"`` sweeps the Werner weight of a Werner initial state; any
+    other axis must be one of the ``params`` the scenario reads.
     """
+    werner = spec.initial.get("kind") == "werner"
+    if axis not in SCENARIO_PARAMS[spec.kind] and not (axis == "p" and werner):
+        params = ", ".join(SCENARIO_PARAMS[spec.kind]) or "none"
+        raise ValueError(f"sweep.axis {axis!r} changes nothing in scenario {spec.kind!r} "
+                         f"(accepted: 'p' on a Werner initial state, params: {params})")
     values = list(values)
     if not values:
         raise ValueError("sweep grid is empty")
     results = []
     for v in values:
-        if axis == "p" and spec.initial.get("kind") == "werner":
+        if axis == "p" and werner:
             new = replace(spec, initial={**spec.initial, "p": float(v)})
         else:
             new = replace(spec, params={**spec.params, axis: float(v)})
@@ -303,56 +345,42 @@ def sweep(spec: ScenarioSpec, axis: str, values) -> list:
     return results
 
 
-def _channel_run(spec, kind, columns, rho_in, build, whole, senders, receivers) -> ScenarioResult:
-    """The time grid of the channel runners: one row per time of ``spec.times``.
+def _result(spec: ScenarioSpec, columns: dict, check=None, channel=None, meta=None) -> ScenarioResult:
+    """``t``, then ``columns``, then the check columns ``spec`` asks for.
 
-    ``build(times)`` returns the channel stacked over all times (operators with
-    a leading time axis) and a function from the (T, d, d) output states to
-    the runner's columns (arrays of T values, or one value for every row).
-    The channel is applied to ``rho_in`` once.  As the spec asks,
-    ``oracle_dev`` is :func:`_oracle_deviations` on ``whole`` (the network, or
-    union of networks, whose sites ``senders`` feed the channel and
-    ``receivers`` hold its output), and ``cptp_min_eig`` the minimum Choi
-    eigenvalue of the channel at each time.
+    ``oracle_dev`` is :func:`_oracle_deviations` of ``check`` and
+    ``cptp_min_eig`` the minimum Choi eigenvalue of the stacked ``channel`` at
+    each time; a failure raises :class:`VerificationError` for the first time
+    it occurs at.
     """
+    data = {"t": spec.times, **columns}
     if spec.verify_oracle:
-        columns += ("oracle_dev",)
+        data["oracle_dev"] = _oracle_deviations(spec, *check)
     if spec.verify_cptp:
-        columns += ("cptp_min_eig",)
-    channel, values = build(np.array(spec.times))
-    rho_out = maps.apply(channel, rho_in)
-    data = [spec.times, *values(rho_out)]
-    if spec.verify_oracle:
-        data.append(_oracle_deviations(spec, rho_out, rho_in, whole, senders, receivers))
-    if spec.verify_cptp:
-        min_eigs = []
-        for idx in range(len(spec.times)):
-            verdict = maps.is_cptp(channel.at(idx))
-            if not verdict.ok:
-                raise VerificationError(
-                    f"map failed the CPTP check (min Choi eigenvalue {verdict.min_choi_eigenvalue:.3e})"
-                )
-            min_eigs.append(verdict.min_choi_eigenvalue)
-        data.append(min_eigs)
-    return ScenarioResult(kind, ("t",) + columns, tuple(_rows(*data)))
+        verdict = maps.is_cptp(channel)
+        bad = np.flatnonzero(~verdict.ok)
+        if bad.size:
+            raise VerificationError(
+                f"map failed the CPTP check (min Choi eigenvalue {verdict.min_choi_eigenvalue[bad[0]]:.3e})"
+            )
+        data["cptp_min_eig"] = verdict.min_choi_eigenvalue
+    return ScenarioResult(spec.kind, data, meta or {})
 
 
-def _oracle_deviations(spec, rho_out, rho_in, whole, senders, receivers) -> list:
-    """Trace distance of ``rho_out[idx]`` to the dense oracle's output at ``spec.times[idx]``.
+def _oracle_deviations(spec, whole, senders, receivers, rho_in, rho_out) -> np.ndarray:
+    """Trace distance of each ``rho_out`` slice to the dense oracle's output at its time.
 
-    The oracle evolves ``rho_in`` from the ``senders`` of ``whole`` and reads
-    ``receivers``; a deviation beyond ``spec.oracle_tol`` raises
-    :class:`VerificationError`.
+    The oracle evolves ``rho_in`` from the ``senders`` of ``whole`` (the run's
+    network, or union of networks) and reads ``receivers``.
     """
     oracle.require_dense_sites(whole.n_sites, "verify.oracle")
-    propagator = oracle.FullPropagator(whole)
-    devs = []
-    for idx, t in enumerate(spec.times):
-        ref = oracle.reduced_output(whole, rho_in, senders, receivers, t, propagator=propagator)
-        dev = maps.trace_distance(rho_out[idx], ref)
-        if dev > spec.oracle_tol:
-            raise VerificationError(f"map/oracle deviation {dev:.3e} beyond tolerance at t={t}")
-        devs.append(dev)
+    ref = oracle.reduced_output(whole, rho_in, senders, receivers, np.array(spec.times))
+    devs = maps.trace_distance(rho_out, ref)
+    bad = np.flatnonzero(devs > spec.oracle_tol)
+    if bad.size:
+        raise VerificationError(
+            f"map/oracle deviation {devs[bad[0]]:.3e} beyond tolerance at t={spec.times[bad[0]]}"
+        )
     return devs
 
 
@@ -360,16 +388,14 @@ def _run_qst(spec: ScenarioSpec) -> ScenarioResult:
     net = _require_network(spec)
     sender, receiver = _require_site(spec, "sender", net), _require_site(spec, "receiver", net)
     rho_in = build_initial_state(spec.initial or {"kind": "basis", "string": "1"}, 1)
-    chan = maps.NetworkChannel(net)
-
-    def build(times):
-        f = chan.amplitude(sender, receiver, times)
-        return maps.one_qubit_kraus(f), lambda out: (
-            f.real, f.imag, np.abs(f), out[:, 1, 1].real, out[:, 0, 1].real, out[:, 0, 1].imag
-        )
-
-    columns = ("f_re", "f_im", "f_abs", "out_p1", "out_coh_re", "out_coh_im")
-    return _channel_run(spec, "qst", columns, rho_in, build, net, [sender], [receiver])
+    f = maps.NetworkChannel(net).amplitude(sender, receiver, np.array(spec.times))
+    channel = maps.one_qubit_kraus(f)
+    out = maps.apply(channel, rho_in)
+    columns = {
+        "f_re": f.real, "f_im": f.imag, "f_abs": np.abs(f),
+        "out_p1": out[:, 1, 1].real, "out_coh_re": out[:, 0, 1].real, "out_coh_im": out[:, 0, 1].imag,
+    }
+    return _result(spec, columns, (net, [sender], [receiver], rho_in, out), channel)
 
 
 def _run_distribute_single(spec: ScenarioSpec) -> ScenarioResult:
@@ -378,28 +404,21 @@ def _run_distribute_single(spec: ScenarioSpec) -> ScenarioResult:
     rho_in = build_initial_state(spec.initial, 2)
     c_in = measures.concurrence(rho_in)
     x_in = _x_state_or_none(rho_in)
-    chan = maps.NetworkChannel(net)
-
-    def build(times):
-        f = chan.amplitude(sender, receiver, times)
-
-        def values(out):
-            c_out = measures.concurrence(out)
-            if x_in is not None:
-                _, c1, c2 = measures.transferred_concurrence(x_in, f)
-            else:
-                c1 = c2 = math.nan
-            ratio = c_out / c_in if c_in > 0 else math.nan
-            return (f.real, f.imag, np.abs(f), c_out, c1, c2, c_in, ratio)
-
-        return maps.extend_with_identity(maps.one_qubit_kraus(f), side="left"), values
-
+    f = maps.NetworkChannel(net).amplitude(sender, receiver, np.array(spec.times))
+    channel = maps.extend_with_identity(maps.one_qubit_kraus(f), side="left")
+    out = maps.apply(channel, rho_in)
+    c_out = measures.concurrence(out)
+    if x_in is not None:
+        _, c1, c2 = measures.transferred_concurrence(x_in, f)
+    else:
+        c1 = c2 = math.nan
+    columns = {
+        "f_re": f.real, "f_im": f.imag, "f_abs": np.abs(f), "concurrence": c_out, "c1": c1, "c2": c2,
+        "initial_concurrence": c_in, "ratio": c_out / c_in if c_in > 0 else math.nan,
+    }
     # the oracle evolves the idle first qubit as an uncoupled site 0 beside the network
     whole = SpinNetwork(np.zeros((1, 1))).disjoint_union(net)
-    columns = ("f_re", "f_im", "f_abs", "concurrence", "c1", "c2", "initial_concurrence", "ratio")
-    return _channel_run(
-        spec, "distribute_single", columns, rho_in, build, whole, [0, sender + 1], [0, receiver + 1]
-    )
+    return _result(spec, columns, (whole, [0, sender + 1], [0, receiver + 1], rho_in, out), channel)
 
 
 def _run_distribute_dual(spec: ScenarioSpec) -> ScenarioResult:
@@ -410,30 +429,24 @@ def _run_distribute_dual(spec: ScenarioSpec) -> ScenarioResult:
     rho_in = build_initial_state(spec.initial, 2)
     c_in = measures.concurrence(rho_in)
     x_in = _x_state_or_none(rho_in)
-    chan_a, chan_b = maps.NetworkChannel(net_a), maps.NetworkChannel(net_b)
-
-    def build(times):
-        f = chan_a.amplitude(sa, ra, times)
-        g = chan_b.amplitude(sb, rb, times)
-
-        def values(out):
-            c_out = measures.concurrence(out)
-            # the closed form holds where both rails carry the same amplitude
-            c1, c2 = np.full(f.shape, math.nan), np.full(f.shape, math.nan)
-            same = np.abs(f - g) < 1e-12
-            if x_in is not None and same.any():
-                _, c1[same], c2[same] = measures.dual_rail_concurrence(x_in, f[same])
-            ratio = c_out / c_in if c_in > 0 else math.nan
-            return (np.abs(f), np.abs(g), c_out, c1, c2, c_in, ratio)
-
-        return maps.tensor_map(maps.one_qubit_kraus(f), maps.one_qubit_kraus(g)), values
-
+    times = np.array(spec.times)
+    f = maps.NetworkChannel(net_a).amplitude(sa, ra, times)
+    g = maps.NetworkChannel(net_b).amplitude(sb, rb, times)
+    channel = maps.tensor_map(maps.one_qubit_kraus(f), maps.one_qubit_kraus(g))
+    out = maps.apply(channel, rho_in)
+    c_out = measures.concurrence(out)
+    # the closed form holds where both rails carry the same amplitude
+    c1, c2 = np.full(f.shape, math.nan), np.full(f.shape, math.nan)
+    same = np.abs(f - g) < 1e-12
+    if x_in is not None and same.any():
+        _, c1[same], c2[same] = measures.dual_rail_concurrence(x_in, f[same])
+    columns = {
+        "f_abs": np.abs(f), "g_abs": np.abs(g), "concurrence": c_out, "c1": c1, "c2": c2,
+        "initial_concurrence": c_in, "ratio": c_out / c_in if c_in > 0 else math.nan,
+    }
     na = net_a.n_sites
-    columns = ("f_abs", "g_abs", "concurrence", "c1", "c2", "initial_concurrence", "ratio")
-    return _channel_run(
-        spec, "distribute_dual", columns, rho_in, build,
-        net_a.disjoint_union(net_b), [sa, na + sb], [ra, na + rb],
-    )
+    check = (net_a.disjoint_union(net_b), [sa, na + sb], [ra, na + rb], rho_in, out)
+    return _result(spec, columns, check, channel)
 
 
 def _run_two_qubit(spec: ScenarioSpec, storage: bool = False) -> ScenarioResult:
@@ -441,19 +454,14 @@ def _run_two_qubit(spec: ScenarioSpec, storage: bool = False) -> ScenarioResult:
     senders = _require_pair(spec, "senders", net)
     receivers = senders if storage else _require_pair(spec, "receivers", net)
     rho_in = build_initial_state(spec.initial, 2)
-    chan = maps.NetworkChannel(net)
-
-    def build(times):
-        channel = chan.two_qubit(senders, receivers, times)
-        e0 = channel.operators[0]
-        return channel, lambda out: (
-            np.abs(e0[:, 2, 2]), np.abs(e0[:, 1, 1]), np.abs(e0[:, 3, 3]),
-            measures.concurrence(out), np.trace(out @ out, axis1=1, axis2=2).real,
-        )
-
-    kind = "storage" if storage else "two_qubit_transfer"
-    columns = ("f11_abs", "f22_abs", "fpair_abs", "concurrence", "purity")
-    return _channel_run(spec, kind, columns, rho_in, build, net, senders, receivers)
+    channel = maps.NetworkChannel(net).two_qubit(senders, receivers, np.array(spec.times))
+    out = maps.apply(channel, rho_in)
+    e0 = channel.operators[0]
+    columns = {
+        "f11_abs": np.abs(e0[:, 2, 2]), "f22_abs": np.abs(e0[:, 1, 1]), "fpair_abs": np.abs(e0[:, 3, 3]),
+        "concurrence": measures.concurrence(out), "purity": np.trace(out @ out, axis1=1, axis2=2).real,
+    }
+    return _result(spec, columns, (net, senders, receivers, rho_in, out), channel)
 
 
 def _weak_pair_network(spec: ScenarioSpec) -> SpinNetwork:
@@ -471,16 +479,11 @@ def _run_weak_pair(spec: ScenarioSpec) -> ScenarioResult:
     a, b = 0, net.n_sites - 1
     rho_in = build_initial_state(spec.initial or {"kind": "basis", "string": "10"}, 2)
     chan = maps.NetworkChannel(net)
-
-    def build(times):
-        channel = chan.two_qubit((a, b), (a, b), times)
-        # E_0[1, 2] = f1(i, m) is f(a -> b), read from the k=1 column the channel already holds
-        return channel, lambda out: (np.abs(channel.operators[0][:, 1, 2]), measures.concurrence(out))
-
-    result = _channel_run(spec, "weak_pair", ("f_ab_abs", "concurrence"), rho_in, build, net, [a, b], [a, b])
-    conc = [row[2] for row in result.rows]
+    channel = chan.two_qubit((a, b), (a, b), np.array(spec.times))
+    out = maps.apply(channel, rho_in)
+    conc = measures.concurrence(out)
     peak_idx = int(np.argmax(conc))
-    peak_t, peak_c = spec.times[peak_idx], conc[peak_idx]
+    peak_t, peak_c = spec.times[peak_idx], float(conc[peak_idx])
     if spec.params.get("refine", True) and 0 < peak_idx < len(spec.times) - 1:
         def negative_concurrence(t):
             rho = maps.apply(chan.two_qubit((a, b), (a, b), t), rho_in)
@@ -493,7 +496,10 @@ def _run_weak_pair(spec: ScenarioSpec) -> ScenarioResult:
                 peak_t, peak_c = float(res.x), float(-res.fun)
         except ValueError:
             pass  # non-bracketing grid triple; keep the grid peak
-    return replace(result, meta={"peak_time": peak_t, "peak_concurrence": peak_c})
+    # E_0[1, 2] = f1(i, m) is f(a -> b), read from the k=1 column the channel already holds
+    columns = {"f_ab_abs": np.abs(channel.operators[0][:, 1, 2]), "concurrence": conc}
+    return _result(spec, columns, (net, [a, b], [a, b], rho_in, out), channel,
+                   meta={"peak_time": peak_t, "peak_concurrence": peak_c})
 
 
 def _four_qubit_network(spec: ScenarioSpec) -> SpinNetwork:
@@ -515,14 +521,13 @@ def _run_four_qubit_weak(spec: ScenarioSpec) -> ScenarioResult:
     if initial.get("kind") != "basis":
         raise ValueError("four_qubit_weak starts from a basis configuration of (A1, A2, B1, B2)")
     rho_in = build_initial_state(initial, 4)
-    label = str(initial["string"])
+    label = initial["string"]
     occupied = tuple(corners[q] for q, c in enumerate(label) if c == "1")
     times = np.array(spec.times)
     table = SectorPropagator(net, len(occupied)).table(times, [occupied])
     red = reduced_state(table, occupied, corners)
     pairs = np.stack([maps.partial_trace(red, list(p), [2] * 4) for p in measures.PAIRS_4])
     pair_c = measures.concurrence(pairs.reshape(-1, 4, 4)).reshape(len(measures.PAIRS_4), -1)
-    purity = np.trace(red @ red, axis1=1, axis2=2).real
     g = float(spec.params.get("g", 0.1))
     j = float(spec.params.get("J", 1.0))
     if label in ("1100", "1010"):
@@ -530,30 +535,22 @@ def _run_four_qubit_weak(spec: ScenarioSpec) -> ScenarioResult:
         fid = np.einsum("ti,tij,tj->t", reference.conj(), red, reference).real
     else:
         fid = math.nan
-    columns = (
-        "t", "c_a1a2", "c_a1b1", "c_a1b2", "c_a2b1", "c_a2b2", "c_b1b2",
-        "purity", "closed_form_fidelity",
-    )
-    data = [times, *pair_c, purity, fid]
-    if spec.verify_oracle:
-        columns += ("oracle_dev",)
-        data.append(_oracle_deviations(spec, red, rho_in, net, corners, corners))
-    return ScenarioResult("four_qubit_weak", columns, tuple(_rows(*data)), meta={"n_sites": n})
+    columns = {
+        **{f"c_{_qubit_names(p)}": c for p, c in zip(measures.PAIRS_4, pair_c)},
+        "purity": np.trace(red @ red, axis1=1, axis2=2).real,
+        "closed_form_fidelity": fid,
+    }
+    return _result(spec, columns, (net, corners, corners, rho_in, red), meta={"n_sites": n})
 
 
 def _run_closed_form(spec: ScenarioSpec) -> ScenarioResult:
     g = float(spec.params.get("g", 1e-2))
     j = float(spec.params.get("J", 1.0))
-    label = str((spec.initial or {"kind": "basis", "string": "1100"})["string"])
+    label = _basis_label(spec.initial or {"kind": "basis", "string": "1100"}, 4)
     times = np.array(spec.times)
     psi = four_qubit_closed_form(g, j, times, label)
-    theta = g**2 * times / j
-    return ScenarioResult(
-        "closed_form_four_qubit",
-        ("t", "theta") + _MEASURE_COLUMNS,
-        tuple(_rows(times, theta, *_measure_values(measures.four_qubit_measures(psi)))),
-        meta={"g": g, "J": j, "initial": label},
-    )
+    columns = {"theta": g**2 * times / j, **_measure_columns(measures.four_qubit_measures(psi))}
+    return _result(spec, columns, meta={"g": g, "J": j, "initial": label})
 
 
 _RUNNERS = {

@@ -1,7 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from spinmaps import SectorPropagator, SpinNetwork
+from spinmaps import SectorPropagator, SpinNetwork, maps, oracle
 
 
 @pytest.fixture
@@ -55,6 +57,19 @@ def sector_builds(monkeypatch):
 
     monkeypatch.setattr(SectorPropagator, "__init__", counting_init)
     return built
+
+
+@pytest.fixture
+def check_calls(monkeypatch):
+    """Calls of the two run checks, ``oracle.reduced_output`` and ``maps.is_cptp``, by name."""
+    calls = Counter()
+    for module, name in ((oracle, "reduced_output"), (maps, "is_cptp")):
+        def counting(*args, _name=name, _original=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    return calls
 
 
 def random_network(rng, n_sites, with_zz=True, with_fields=True, scale=1.0):

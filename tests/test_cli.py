@@ -9,8 +9,8 @@ import yaml
 from spinmaps import cli, oracle
 from spinmaps.cli import (
     ConfigError,
-    figure3_rows,
-    figure5_rows,
+    figure3_result,
+    figure5_result,
     main,
     parse_config,
     serialize_config,
@@ -123,14 +123,13 @@ def test_figure3_dataset(tmp_path):
     assert rows[0] == ["p", "f_abs", "ratio"]
     ps = sorted({float(r[0]) for r in rows[1:]})
     assert ps == [0.4, 0.5, 0.7, 0.9, 1.0]
-    columns, data = figure3_rows(points=21)
-    assert len(data) == 5 * 21
+    assert len(figure3_result(points=21).rows) == 5 * 21
 
 
 def test_figure5_dataset():
-    columns, rows = figure5_rows(points=11)
-    assert columns[0] == "family"
-    families = {r[0] for r in rows}
+    result = figure5_result(points=11)
+    assert result.columns[0] == "family"
+    families = {r[0] for r in result.rows}
     assert families == {"psi+", "phi+"}
 
 
@@ -318,7 +317,7 @@ def test_csv_writes_floats_as_their_shortest_repr(tmp_path):
     from spinmaps.protocols import ScenarioResult
 
     out = tmp_path / "out.csv"
-    ScenarioResult("x", ("name", "a", "b"), (("psi+", 0.1 + 0.2, 1.0), ("phi-", 1e-17, float("nan")))).write_csv(out)
+    ScenarioResult("x", {"name": ["psi+", "phi-"], "a": [0.1 + 0.2, 1e-17], "b": [1.0, float("nan")]}).write_csv(out)
     assert out.read_bytes() == b"name,a,b\r\npsi+,0.30000000000000004,1.0\r\nphi-,1e-17,nan\r\n"
 
 
@@ -392,3 +391,54 @@ def test_malformed_yaml_exits_2_with_the_safe_load_message(tmp_path, capsys, tex
     assert main(["run", str(config), "--output", str(out)]) == 2
     assert capsys.readouterr().err == f"configuration error: invalid YAML: {info.value}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("sweep", QST_CONFIG + "sweep: {axis: J, values: [0.5, 1.0, 2.0]}\n",
+     "sweep.axis 'J' changes nothing in scenario 'qst'"),
+    ("run", "scenario: weak_pair\ntimes: {list: [0.0, 1.0]}\nparams: {Jj: 5.0}\n",
+     "params.Jj is not read by scenario 'weak_pair' (accepted: wire_sites, J, g, refine)"),
+    ("sweep", GOOD_CONFIG.replace("  kind: werner\n  p: 0.7\n", "  kind: bell\n")
+     + "sweep: {axis: p, values: [0.4, 0.9]}\n",
+     "sweep.axis 'p' changes nothing in scenario 'distribute_single'"),
+], ids=["qst-axis-J", "weak_pair-params-Jj", "bell-axis-p"])
+def test_params_and_sweep_axes_that_change_nothing_exit_2(tmp_path, capsys, command, text, message):
+    config = tmp_path / "run.yaml"
+    config.write_text(text)
+    out = tmp_path / "never.csv"
+    assert main([command, str(config), "--output", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scenario", ["four_qubit_weak", "closed_form_four_qubit"])
+def test_unquoted_basis_label_names_the_yaml_number(tmp_path, capsys, scenario):
+    config = tmp_path / "run.yaml"
+    config.write_text(f"scenario: {scenario}\ntimes: {{list: [0.0, 1.0]}}\n"
+                      "initial:\n  kind: basis\n  string: 0011\n")
+    out = tmp_path / "never.csv"
+    assert main(["run", str(config), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "initial.string is the number 9" in err and "quote the label, e.g. string: '0011'" in err
+    assert not out.exists()
+
+
+def test_sweep_and_figure_csv_bytes(tmp_path):
+    """The swept value comes first, figure 7 writes its window as a float and figure 5 its family as text."""
+    config = tmp_path / "sweep.yaml"
+    config.write_text(QST_CONFIG.replace("scenario: qst", "scenario: distribute_single")
+                      .replace("  points: 3\n", "  points: 2\n")
+                      + "initial: {kind: werner, p: 0.5}\nsweep: {axis: p, values: [0.4, 0.9]}\n")
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", str(config), "--output", str(out)]) == 0
+    lines = out.read_bytes().split(b"\r\n")
+    assert lines[0] == b"p,t,f_re,f_im,f_abs,concurrence,c1,c2,initial_concurrence,ratio"
+    assert [line.split(b",")[:2] for line in lines[1:5]] == [
+        [b"0.4", b"0.0"], [b"0.4", b"1.0"], [b"0.9", b"0.0"], [b"0.9", b"1.0"]]
+    assert lines[5:] == [b""]
+    assert main(["figure", "7", "--points", "1", "--output", str(out)]) == 0
+    rows = out.read_bytes().split(b"\r\n")[1:4]
+    assert [row[:8] for row in rows] == [b"0.0,0.0,", b"1.0,1570", b"2.0,3141"]
+    assert main(["figure", "5", "--points", "2", "--output", str(out)]) == 0
+    assert out.read_bytes().split(b"\r\n")[1:3] == [
+        b"psi+,0.4,0.0,0.0,-0.0,-0.0", b"psi+,0.4,1.0,0.9999999999999983,0.04999999999999996,-0.35"]

@@ -26,6 +26,7 @@ from spinmaps import (
     vacuum_amplitude,
 )
 from spinmaps.maps import (
+    apply_kraus,
     apply_superop,
     distributed_pair_matrix,
     dual_rail_matrix,
@@ -401,7 +402,7 @@ def test_bell_coherence_cannot_be_generated(rng):
     rho[0, 3] = rho[3, 0] = 0.0
     rho = (rho + rho.conj().T) / 2
     rho /= np.trace(rho).real
-    out = apply(ks, rho, validate=False)
+    out = apply_kraus(ks, rho)
     assert abs(out[0, 3]) < 1e-14
 
 
@@ -424,7 +425,7 @@ def test_apply_validates_output(rng):
     bad = KrausSet((np.diag([1.0, 0.5]).astype(complex),), complete=False)
     with pytest.raises(ValueError):
         apply(bad, rho)  # trace not preserved -> invalid output state
-    out = apply(bad, rho, validate=False)
+    out = apply_kraus(bad, rho)
     assert np.trace(out).real < 1.0
     with pytest.raises(ValueError):
         apply(identity_kraus(2), random_density_matrix(4, rng))  # dimension mismatch

@@ -13,8 +13,8 @@ from spinmaps import (
     run,
     sweep,
 )
-from spinmaps import oracle
-from spinmaps.maps import pure_state_density
+from spinmaps import maps, oracle
+from spinmaps.maps import pure_state_density, trace_distance
 from spinmaps.protocols import SCENARIO_KINDS, VerificationError, build_initial_state
 
 
@@ -389,3 +389,80 @@ def test_runs_without_verify_oracle_never_build_the_dense_space(monkeypatch):
     assert result.kind == "four_qubit_weak" and result.meta == {"n_sites": 50}
     assert result.column("closed_form_fidelity")[0] == pytest.approx(1.0, abs=1e-12)
     assert result.column("purity").max() <= 1.0 + 1e-12
+
+
+def test_params_a_scenario_does_not_read_are_rejected():
+    with pytest.raises(ValueError, match=r"params.Jj is not read by scenario 'weak_pair' "
+                                         r"\(accepted: wire_sites, J, g, refine\)"):
+        ScenarioSpec(kind="weak_pair", times=(0.0, 1.0), params={"Jj": 5.0})
+    with pytest.raises(ValueError, match=r"params.J is not read by scenario 'qst' \(accepted: none\)"):
+        ScenarioSpec(kind="qst", times=(0.0, 1.0), params={"J": 1.0})
+    with pytest.raises(ValueError, match=r"params.refine is not read by scenario 'four_qubit_weak'"):
+        ScenarioSpec(kind="four_qubit_weak", times=(0.0, 1.0), params={"refine": False})
+
+
+def test_sweep_rejects_axes_that_change_nothing():
+    qst = ScenarioSpec(kind="qst", times=(0.2, 0.8), network=chain3(), sites={"sender": 0, "receiver": 2})
+    with pytest.raises(ValueError, match=r"sweep.axis 'J' changes nothing in scenario 'qst'"):
+        sweep(qst, "J", [0.5, 1.0])
+    bell = ScenarioSpec(kind="distribute_single", times=(0.2, 0.8), network=chain3(),
+                        sites={"sender": 0, "receiver": 2}, initial={"kind": "bell", "label": "psi+"})
+    with pytest.raises(ValueError, match=r"sweep.axis 'p' changes nothing in scenario 'distribute_single'"):
+        sweep(bell, "p", [0.4, 0.9])
+    weak = ScenarioSpec(kind="weak_pair", times=(0.0, 5.0, 10.0), params={"refine": False})
+    curves = [r.column("concurrence") for r in sweep(weak, "g", [0.1, 0.3])]
+    assert not np.array_equal(*curves)
+
+
+def test_checks_run_once_per_grid(check_calls):
+    """verify: {oracle, cptp} makes one oracle call and one CPTP verdict for the whole grid."""
+    spec = ScenarioSpec(kind="qst", times=tuple(np.linspace(0.0, 3.0, 7)), network=chain3(),
+                        sites={"sender": 0, "receiver": 2}, verify_oracle=True, verify_cptp=True)
+    assert len(run(spec).rows) == 7
+    assert check_calls == {"reduced_output": 1, "is_cptp": 1}
+    run(ScenarioSpec(kind="four_qubit_weak", times=(0.0, 1.0, 2.0), verify_oracle=True))
+    assert check_calls == {"reduced_output": 2, "is_cptp": 1}
+
+
+def test_oracle_check_names_the_first_failing_time(monkeypatch):
+    times = tuple(np.linspace(0.3, 3.0, 6))
+    spec = ScenarioSpec(kind="qst", times=times, network=chain3(), sites={"sender": 0, "receiver": 2},
+                        verify_oracle=True)
+    reduced = oracle.reduced_output
+    bad = [2, 4]
+
+    def swapped(*args, **kwargs):
+        out = reduced(*args, **kwargs).copy()
+        out[bad] = out[bad][:, ::-1, ::-1]
+        return out
+
+    expected = run(spec)  # the channel's outputs, diag(1 - p, p), from the columns
+    p = expected.column("out_p1")[bad[0]]
+    dev = trace_distance(np.diag([1.0 - p, p]), np.diag([p, 1.0 - p]))
+    monkeypatch.setattr(oracle, "reduced_output", swapped)
+    with pytest.raises(VerificationError) as info:
+        run(spec)
+    assert str(info.value) == f"map/oracle deviation {dev:.3e} beyond tolerance at t={times[bad[0]]}"
+
+
+def test_cptp_check_reports_the_failing_slice(monkeypatch):
+    """A slice that is not trace preserving fails with its own minimum Choi eigenvalue."""
+    times = tuple(np.linspace(0.5, 3.0, 6))
+    spec = ScenarioSpec(kind="qst", times=times, network=chain3(), sites={"sender": 0, "receiver": 2},
+                        initial={"kind": "basis", "string": "0"}, verify_cptp=True)
+    kraus = maps.one_qubit_kraus
+
+    def leaky(f):
+        e0, e1 = kraus(f).operators
+        e0 = e0.copy()
+        e0[[3, 5], 1, 1] *= 1.5  # |0><0| goes through unchanged, so apply still passes
+        return maps.KrausSet((e0, e1), complete=False)
+
+    monkeypatch.setattr(maps, "one_qubit_kraus", leaky)
+    stacked = leaky(maps.NetworkChannel(chain3()).amplitude(0, 2, np.array(times)))
+    single = maps.is_cptp(maps.KrausSet(tuple(op[3] for op in stacked.operators), complete=False))
+    assert not single.ok
+    with pytest.raises(VerificationError) as info:
+        run(spec)
+    eig = single.min_choi_eigenvalue
+    assert str(info.value) == f"map failed the CPTP check (min Choi eigenvalue {eig:.3e})"

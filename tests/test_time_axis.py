@@ -27,9 +27,18 @@ from spinmaps import (
     transferred_concurrence,
     werner_state,
 )
-from spinmaps.maps import assert_density_matrix, is_cptp, superop_from_kraus
+from spinmaps.maps import (
+    assert_density_matrix,
+    choi_from_superop,
+    is_cptp,
+    partial_trace_outer,
+    random_density_matrix,
+    superop_from_kraus,
+    trace_distance,
+)
 from spinmaps.measures import XState, _clip_unit, bell_state
 from spinmaps.network import AmplitudeTable, NumericalError
+from spinmaps.oracle import FullPropagator, reduced_output
 
 TOL = 1e-12
 
@@ -150,6 +159,7 @@ def test_stacked_kraus_set_and_apply_equal_per_slice(seed, steps, dim, n_ops, ki
         states = np.array(states)
     out_one, out_many = apply(stacked, rho), apply(stacked, states)
     superop = superop_from_kraus(stacked)
+    verdict = is_cptp(stacked)
     for idx, ops in enumerate(maps_):
         single = KrausSet(ops)
         assert np.abs(stacked.completeness_defect()[idx] - single.completeness_defect()).max() <= TOL
@@ -157,9 +167,57 @@ def test_stacked_kraus_set_and_apply_equal_per_slice(seed, steps, dim, n_ops, ki
         assert np.abs(out_many[idx] - apply(single, states[idx])).max() <= TOL
         assert np.abs(superop[idx] - superop_from_kraus(single)).max() <= TOL
         assert np.abs(apply(superop, rho)[idx] - out_one[idx]).max() <= TOL
-        for got, want in zip(stacked.at(idx).operators, ops):
+        for got, want in zip((op[idx] for op in stacked.operators), ops):
             assert np.array_equal(got, want)
-        assert is_cptp(stacked.at(idx)).ok
+        assert verdict.ok[idx] and is_cptp(single).ok
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 6), extra=st.integers(0, 4), two=st.booleans())
+def test_stacked_checks_equal_per_time(seed, n, extra, two):
+    """The oracle and CPTP checks on a grid equal their one-time calls, on an unsorted grid with t <= 0."""
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, n)
+    times = np.concatenate([[0.0, -rng.uniform(0.1, 3.0)], rng.uniform(-4.0, 4.0, extra)])
+    rng.shuffle(times)
+    q = 2 if two else 1
+    senders, receivers = ([int(x) for x in rng.choice(n, q, replace=False)] for _ in range(2))
+    chan = NetworkChannel(net)
+    stacked = (chan.two_qubit(senders, receivers, times) if two
+               else chan.one_qubit(senders[0], receivers[0], times))
+    rho = random_density_matrix(2**q, rng)
+    prop = FullPropagator(net)
+    refs = reduced_output(net, rho, senders, receivers, times, propagator=prop)
+    outs = apply(stacked, rho)
+    devs = trace_distance(outs, refs)
+    superop = superop_from_kraus(stacked)
+    choi = choi_from_superop(superop, 2**q, 2**q)
+    verdict = is_cptp(stacked)
+    keep = [int(x) for x in rng.choice(n, int(rng.integers(1, n)), replace=False)]
+    shape = (len(times), 2**n, 3)
+    a, b = (rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(2))
+    traced = partial_trace_outer(a, b, keep, [2] * n)
+    for idx, t in enumerate(times):
+        ref = reduced_output(net, rho, senders, receivers, t, propagator=prop)
+        assert np.abs(refs[idx] - ref).max() <= 1e-13
+        assert abs(devs[idx] - trace_distance(outs[idx], ref)) <= 1e-13
+        assert np.abs(choi[idx] - choi_from_superop(superop[idx], 2**q, 2**q)).max() <= 1e-13
+        single = is_cptp(KrausSet(tuple(op[idx] for op in stacked.operators)))
+        assert verdict.ok[idx] == single.ok
+        assert abs(verdict.min_choi_eigenvalue[idx] - single.min_choi_eigenvalue) <= 1e-13
+        assert abs(verdict.trace_defect[idx] - single.trace_defect) <= 1e-13
+        assert np.abs(traced[idx] - partial_trace_outer(a[idx], b[idx], keep, [2] * n)).max() <= 1e-13
+
+
+def test_non_cptp_slice_fails_like_the_slice():
+    """A stacked verdict holds, at a bad slice, that slice's own verdict and witnesses."""
+    superops = np.array([np.eye(4)] * 4)
+    superops[2, 0, 0] = 1.5  # |0><0| -> 1.5 |0><0|: not trace preserving
+    verdict, single = is_cptp(superops), is_cptp(superops[2])
+    assert not verdict and not single
+    assert verdict.ok.tolist() == [True, True, False, True]
+    assert (verdict.min_choi_eigenvalue[2], verdict.trace_defect[2]) == (single.min_choi_eigenvalue,
+                                                                          single.trace_defect)
 
 
 def test_stacked_tables_and_channels_equal_per_time(rng):
