@@ -53,7 +53,6 @@ from .measures import (
 )
 from .oracle import (
     FullPropagator,
-    full_evolve,
     full_hamiltonian,
     magnetization_expectation,
     reduced_output,

@@ -45,7 +45,7 @@ COMPLETENESS_ATOL = 1e-10
 # density matrices
 
 def assert_density_matrix(rho: np.ndarray, atol: float = DENSITY_ATOL, eig_floor: float = PSD_FLOOR):
-    """Raise ValueError unless rho is Hermitian, unit-trace and PSD within tolerance.
+    """Raise ValueError unless rho is finite, Hermitian, unit-trace and PSD within tolerance.
 
     ``rho`` is a (d, d) matrix or a (T, d, d) stack, checked slice by slice;
     a message names the worst slice's value.
@@ -53,6 +53,8 @@ def assert_density_matrix(rho: np.ndarray, atol: float = DENSITY_ATOL, eig_floor
     rho = np.asarray(rho)
     if rho.ndim not in (2, 3) or rho.shape[-1] != rho.shape[-2]:
         raise ValueError(f"density matrix must be square, got shape {rho.shape}")
+    if not np.isfinite(rho).all():  # NaN fails every comparison below
+        raise ValueError("density matrix has non-finite entries")
     if np.abs(rho - rho.conj().swapaxes(-1, -2)).max() > atol:
         raise ValueError("density matrix is not Hermitian")
     trace = np.trace(rho, axis1=-2, axis2=-1)
@@ -66,6 +68,8 @@ def assert_density_matrix(rho: np.ndarray, atol: float = DENSITY_ATOL, eig_floor
 
 def _unit_vector(psi: np.ndarray) -> np.ndarray:
     psi = np.asarray(psi, dtype=complex)
+    if not np.isfinite(psi).all():  # a NaN norm passes the comparison below
+        raise ValueError("state vector has non-finite entries")
     norm = np.linalg.norm(psi)
     if abs(norm - 1.0) > 1e-10:
         raise ValueError(f"state vector norm is {norm}, expected 1")

@@ -4,26 +4,45 @@ Site 0 occupies the leftmost (most significant) position of the basis
 bitstring; bit value 1 marks an excited spin (sigma^z = +1).
 
 The Hamiltonian is real symmetric (hopping elements 2 J_ij, a real
-diagonal), so it is stored as a dense float64 matrix (8 * 4^N bytes) and
-diagonalised once with a real-symmetric ``eigh``; ``U(t) = V e^{-iEt} V^T``.
-No time point forms a 2^N x 2^N matrix unless a caller asks for one through
-:meth:`FullPropagator.unitary` or the density-matrix branch of
-:meth:`FullPropagator.evolve`.  :func:`reduced_output` evolves only the 2^k
-embedded sender columns ``U(t)[:, embed]`` and contracts them with the sender
-state straight into the receiver state; given a 1-D grid of T times, it
-evolves the columns for every time in one stacked product and returns a
-(T, 2^r, 2^r) stack of receiver states.
+diagonal).  :func:`hamiltonian_elements` builds it in one vectorised pass as
+its diagonal and its hops, and the two ways to evolve take their matrix from
+them:
 
-This module builds the full space itself and shares no code with the sector
-engine, so that it stays an independent check of it.
+* :func:`reduced_output`, by default, evolves only the embedded sender
+  columns ``U(t)[:, embed]`` with the Chebyshev series of
+  :mod:`spinmaps.chebyshev` on the CSR matrix (spectrum bounded by
+  Gershgorin discs), for every time of a grid in one recurrence.  It never
+  forms or diagonalises a dense 2^N matrix.
+* :class:`FullPropagator` forms the dense float64 matrix
+  (:func:`full_hamiltonian`, 8 * 4^N bytes) and diagonalises it once with a
+  real-symmetric ``eigh``; ``U(t) = V e^{-iEt} V^T``.  ``spinmaps verify``
+  needs it for the full U(t) of its block-assembly check, and the tests use it
+  as the cross-check of the series.  No time point forms a 2^N x 2^N matrix
+  unless a caller asks for one through :meth:`FullPropagator.unitary` or the
+  density-matrix branch of :meth:`FullPropagator.evolve`.
 
-Peak memory of the build is about five times the 8 * 4^N bytes of H
-(measured peak RSS: +167 MB at N = 11, +653 MB at N = 12).  :func:`max_sites`
-turns that estimate and the machine's physical memory into the largest
-network the oracle accepts, never more than ``SITE_CEILING``; every caller
-that builds the dense space checks it through :func:`require_dense_sites`.
-Outside the tests those callers are the ``verify.oracle`` check of a
-scenario run and ``spinmaps verify``; no scenario computes its results here.
+Either way :func:`reduced_output` contracts the columns with the sender state
+straight into the receiver state; given a 1-D grid of T times it returns a
+(T, 2^r, 2^r) stack of receiver states.  The columns must be orthonormal to
+1e-10 on every slice (:class:`NumericalError` otherwise).
+
+This module builds the full space itself and shares with the sector engine
+only the network description and the series, so that it stays an independent
+check of it: each side builds its own Hamiltonian and bounds, and each keeps
+an ``eigh`` path that the tests compare its series against.
+
+Memory caps, both never above ``SITE_CEILING`` sites:
+
+* the series path needs :func:`series_peak_bytes`, a few MB at N = 14 for a
+  short grid; :func:`require_series_memory` checks it against physical
+  memory for ``verify.oracle`` runs and for :func:`reduced_output` itself.
+* the dense build needs about five times the 8 * 4^N bytes of H (measured
+  peak RSS: +167 MB at N = 11, +653 MB at N = 12).  :func:`max_sites` turns
+  that estimate into the largest network :func:`full_hamiltonian` (so
+  :class:`FullPropagator`) and ``spinmaps verify --sites`` accept, through
+  :func:`require_dense_sites`.
+
+No scenario computes its results here.
 """
 
 from __future__ import annotations
@@ -31,11 +50,14 @@ from __future__ import annotations
 import os
 
 import numpy as np
+from scipy.sparse import csr_array
 
+from .chebyshev import chebyshev_terms, unit_columns
 from .maps import assert_density_matrix, partial_trace_outer
-from .network import SpinNetwork, basis_index
+from .network import NumericalError, SpinNetwork, basis_index
 
 SITE_CEILING = 14
+ORTHONORMALITY_ATOL = 1e-10
 
 
 def dense_peak_bytes(n_sites: int) -> int:
@@ -44,6 +66,21 @@ def dense_peak_bytes(n_sites: int) -> int:
     Five float64 arrays the size of H, 5 * 8 * 4^N bytes (measured at N = 11, 12).
     """
     return 5 * 8 * 4**n_sites
+
+
+def series_peak_bytes(n_sites: int, bonds: int, columns: int, times: int) -> int:
+    """Estimated peak memory of :func:`reduced_output` on the Chebyshev series path.
+
+    80 bytes per stored element of the sparse Hamiltonian (2^N diagonal
+    elements and 2^(N-1) hops per XY bond) for its build, plus 96 bytes per
+    entry of the (times, 2^N, columns) complex column stack, which is held
+    about five times over (the series' sums and their combination, then the
+    copies the partial trace makes).  Measured with ``tracemalloc``: 49-61
+    bytes per element for the build (N = 12, 14, chain and all-to-all) and
+    80 bytes per stack entry (N = 11-13, T = 100-1000).
+    """
+    dim = 1 << n_sites
+    return 80 * (dim + bonds * dim // 2) + 96 * dim * columns * times
 
 
 def physical_memory_bytes() -> int:
@@ -72,29 +109,53 @@ def require_dense_sites(n_sites: int, what: str) -> None:
         )
 
 
+def require_series_memory(network: SpinNetwork, columns: int, times: int, what: str) -> None:
+    """Raise ValueError, naming ``what`` and the memory estimate, where the series path does not fit.
+
+    The path accepts at most ``SITE_CEILING`` sites and a :func:`series_peak_bytes`
+    estimate within physical memory.
+    """
+    n = network.n_sites
+    bonds = int(np.count_nonzero(np.triu(network.xy, 1)))
+    need, memory = series_peak_bytes(n, bonds, columns, times), physical_memory_bytes()
+    if n > SITE_CEILING or need > memory:
+        gib = 2.0**30
+        raise ValueError(
+            f"{what}: {n} sites, {columns} columns and {times} times exceed the series-oracle cap "
+            f"(estimated peak {need / gib:.3g} GiB, physical memory {memory / gib:.3g} GiB, "
+            f"ceiling {SITE_CEILING} sites)"
+        )
+
+
 MAX_SITES = max_sites()  # the cap on this machine, fixed at import
 
 
-def full_hamiltonian(network: SpinNetwork) -> np.ndarray:
-    """Dense real-symmetric 2^N Hamiltonian assembled from the network couplings."""
+def hamiltonian_elements(network: SpinNetwork) -> tuple:
+    """(diagonal, rows, cols, values) of the real symmetric 2^N Hamiltonian.
+
+    ``diagonal[b]`` is the field and ZZ energy of basis state b; hop h is the
+    element ``values[h]`` = 2 J_ij at (``rows[h]``, ``cols[h]``), between two
+    states that differ by one excitation on bond (i, j), in both directions,
+    and no position repeats.  Every bond is read as ``xy[i, j]`` with i < j.
+    """
     n = network.n_sites
-    require_dense_sites(n, "dense Hamiltonian")
     dim = 1 << n
     shifts = n - 1 - np.arange(n)
     bits = (np.arange(dim)[:, None] >> shifts) & 1
     s = 2.0 * bits - 1.0
-    diag = s @ network.fields + 0.5 * np.einsum("bi,ij,bj->b", s, network.zz, s)
-    h = np.diag(diag)
-    states = np.arange(dim)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if network.xy[i, j] == 0.0:
-                continue
-            movable = (bits[:, i] == 1) & (bits[:, j] == 0)
-            src = states[movable]
-            dst = src - (1 << (n - 1 - i)) + (1 << (n - 1 - j))
-            h[dst, src] += 2.0 * network.xy[i, j]
-            h[src, dst] += 2.0 * network.xy[i, j]
+    diagonal = s @ network.fields + 0.5 * np.einsum("bi,ij,bj->b", s, network.zz, s)
+    i, j = np.nonzero(np.triu(network.xy, 1))
+    cols, bond = np.nonzero(bits[:, i] != bits[:, j])  # one of the two sites excited: it can hop
+    rows = cols ^ ((1 << shifts[i]) | (1 << shifts[j]))[bond]
+    return diagonal, rows, cols, 2.0 * network.xy[i, j][bond]
+
+
+def full_hamiltonian(network: SpinNetwork) -> np.ndarray:
+    """Dense real-symmetric 2^N Hamiltonian, formed from :func:`hamiltonian_elements`."""
+    require_dense_sites(network.n_sites, "dense Hamiltonian")
+    diagonal, rows, cols, values = hamiltonian_elements(network)
+    h = np.diag(diagonal)
+    h[rows, cols] = values
     return h
 
 
@@ -134,11 +195,6 @@ class FullPropagator:
         return u @ state @ u.conj().T
 
 
-def full_evolve(network: SpinNetwork, state: np.ndarray, t: float) -> np.ndarray:
-    """One-shot evolution of a vector or density matrix of the whole network."""
-    return FullPropagator(network).evolve(state, t)
-
-
 def _embedding(network: SpinNetwork, rho_s: np.ndarray, sender_sites):
     """Validated sender state and the full-space index of each of its basis states."""
     sender_sites = list(sender_sites)
@@ -167,6 +223,22 @@ def initial_density(network: SpinNetwork, rho_s: np.ndarray, sender_sites) -> np
     return sigma
 
 
+def _series_columns(network: SpinNetwork, embed: list, times: np.ndarray) -> np.ndarray:
+    """``U(t)[:, embed]`` for every time, from the Chebyshev series on the sparse 2^N Hamiltonian."""
+    diagonal, rows, cols, values = hamiltonian_elements(network)
+    dim = diagonal.size
+    radius = np.bincount(rows, np.abs(values), minlength=dim)
+    low, high = float((diagonal - radius).min()), float((diagonal + radius).max())  # Gershgorin
+    index = np.arange(dim)
+    rows, cols = np.concatenate([index, rows]), np.concatenate([index, cols])
+
+    def scaled(shift, scale):
+        return csr_array((scale * np.concatenate([diagonal - shift, values]), (rows, cols)), shape=(dim, dim))
+
+    terms = chebyshev_terms(0.5 * (high - low) * np.abs(times).max(initial=0.0))
+    return unit_columns(scaled, (low, high), embed, times, terms)
+
+
 def reduced_output(
     network: SpinNetwork,
     rho_s: np.ndarray,
@@ -180,12 +252,17 @@ def reduced_output(
     The sender state is placed on ``sender_sites`` (in the given qubit order),
     every other spin starts in |0>, the whole network evolves for time t, and
     all sites except ``receiver_sites`` are traced out (receiver qubit order
-    follows the given site order).  A 1-D array of T times gives a stack of T
-    receiver states.
+    follows the given site order).  A 1-D array of T times, in any order and
+    possibly empty, gives a stack of T receiver states.
 
     With C = U(t)[:, embed] the evolved state is C rho_s C^dag, so only the
-    2^k embedded columns are evolved and the trace over the other sites is
-    taken on C directly.
+    embedded columns are evolved, and of those only the ones rho_s weighs (a
+    basis state needs one); the trace over the other sites is taken on C
+    directly.  Without a ``propagator`` the columns come from the
+    Chebyshev series on the sparse Hamiltonian, within the memory cap of
+    :func:`require_series_memory`; with one, from its eigendecomposition.
+    Either way the columns must stay orthonormal, |C^dag C - 1| <= 1e-10 at
+    every time, or :class:`NumericalError` is raised.
     """
     receiver_sites = list(receiver_sites)
     n = network.n_sites
@@ -194,8 +271,26 @@ def reduced_output(
     if any(not 0 <= r < n for r in receiver_sites):
         raise ValueError(f"receiver sites {receiver_sites} out of range for {n} sites")
     rho_s, embed = _embedding(network, rho_s, sender_sites)
-    prop = propagator or FullPropagator(network)
-    cols = prop.columns(embed, t)
+    times = np.array(t, dtype=float)
+    if times.ndim > 1:
+        raise ValueError(f"t must be a time or a 1-D array of times, got shape {times.shape}")
+    if not np.isfinite(times).all():
+        raise ValueError(f"t must be finite, got {t}")
+    if times.size == 0:
+        dim = 1 << len(receiver_sites)
+        return np.zeros((0, dim, dim), dtype=complex)
+    weighed = rho_s != 0  # a column enters C rho_s C^dag only where rho_s weighs it
+    support = np.flatnonzero(weighed.any(axis=0) | weighed.any(axis=1))
+    embed, rho_s = [embed[a] for a in support], rho_s[np.ix_(support, support)]
+    if propagator is None:
+        require_series_memory(network, len(embed), times.size, "oracle series")
+        cols = _series_columns(network, embed, times)
+    else:
+        cols = propagator.columns(embed, times)
+    gram = cols.conj().swapaxes(-1, -2) @ cols
+    dev = float(np.abs(gram - np.eye(len(embed))).max(initial=0.0))
+    if dev > ORTHONORMALITY_ATOL:
+        raise NumericalError(f"oracle columns are not orthonormal (deviation {dev:.2e})")
     out = partial_trace_outer(cols @ rho_s, cols, receiver_sites, [2] * n)
     assert_density_matrix(out, atol=1e-8, eig_floor=-1e-8)
     return out

@@ -8,8 +8,8 @@ Every run is one pass over the whole time grid: one stacked channel (see
 :mod:`spinmaps.maps`) and one ``apply``, or for ``four_qubit_weak`` one sector
 column reduced by :func:`spinmaps.network.reduced_state`, then one call of
 each measure per grid.  The checks a spec asks for take the grid too: one
-dense-oracle call (the one place a run builds the 2^N space) and one stacked
-CPTP verdict, each raising at the first time that fails.
+oracle call (the one place a run evolves the 2^N space, by the sparse series)
+and one stacked CPTP verdict, each raising at the first time that fails.
 """
 
 from __future__ import annotations
@@ -368,12 +368,12 @@ def _result(spec: ScenarioSpec, columns: dict, check=None, channel=None, meta=No
 
 
 def _oracle_deviations(spec, whole, senders, receivers, rho_in, rho_out) -> np.ndarray:
-    """Trace distance of each ``rho_out`` slice to the dense oracle's output at its time.
+    """Trace distance of each ``rho_out`` slice to the oracle's output at its time.
 
     The oracle evolves ``rho_in`` from the ``senders`` of ``whole`` (the run's
     network, or union of networks) and reads ``receivers``.
     """
-    oracle.require_dense_sites(whole.n_sites, "verify.oracle")
+    oracle.require_series_memory(whole, 1 << len(senders), len(spec.times), "verify.oracle")
     ref = oracle.reduced_output(whole, rho_in, senders, receivers, np.array(spec.times))
     devs = maps.trace_distance(rho_out, ref)
     bad = np.flatnonzero(devs > spec.oracle_tol)

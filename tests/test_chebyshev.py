@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from spinmaps import NumericalError, SectorPropagator, SpinNetwork, pair_amplitude_determinant
-from spinmaps import network as network_module
+from spinmaps import chebyshev, network as network_module
 from spinmaps.network import ExcitationSector, SectorHamiltonian, build_sector_hamiltonian
 
 from conftest import PropagationPaths
@@ -93,11 +93,11 @@ def test_term_count_leaves_a_negligible_bessel_tail():
     from scipy.special import jv
 
     for x in (0.0, 1e-9, 0.4, 3.0, 37.5, 400.0, -12.0):
-        k = network_module.chebyshev_terms(x)
+        k = chebyshev.chebyshev_terms(x)
         orders = np.arange(k - 1, k + 200)
-        assert 2.0 * np.abs(jv(orders[1:], x)).sum() < network_module.CHEBYSHEV_TAIL
-        assert 2.0 * np.abs(jv(orders, x)).sum() >= network_module.CHEBYSHEV_TAIL
-    assert network_module.chebyshev_terms(0.0) == 1
+        assert 2.0 * np.abs(jv(orders[1:], x)).sum() < chebyshev.CHEBYSHEV_TAIL
+        assert 2.0 * np.abs(jv(orders, x)).sum() >= chebyshev.CHEBYSHEV_TAIL
+    assert chebyshev.chebyshev_terms(0.0) == 1
 
 
 def test_column_tables_skip_eigh_until_the_budget_is_spent(rng, paths):

@@ -313,6 +313,22 @@ def test_four_qubit_weak_honours_verify_oracle(tmp_path):
     assert max(float(row[-1]) for row in rows[1:]) <= 1e-12
 
 
+@pytest.mark.parametrize("sites", [12, 14])
+def test_verify_oracle_runs_past_the_dense_cap(tmp_path, sites):
+    """At 14 sites a dense build would need 5 x 8*4^14 bytes = 10 GiB; the series oracle needs a few MB."""
+    config = tmp_path / "run.yaml"
+    config.write_text(
+        f"scenario: two_qubit_transfer\nnetwork: {{kind: uniform_chain, sites: {sites}}}\n"
+        f"sites: {{senders: [0, 1], receivers: [{sites - 1}, {sites - 2}]}}\ninitial: {{kind: bell, label: psi+}}\n"
+        "times: {start: 0.5, stop: 9.0, points: 4}\nverify: {oracle: true, cptp: true}\n"
+    )
+    out = tmp_path / "out.csv"
+    assert main(["run", str(config), "--output", str(out)]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 4 and max(float(row["oracle_dev"]) for row in rows) <= 1e-12
+
+
 def test_csv_writes_floats_as_their_shortest_repr(tmp_path):
     from spinmaps.protocols import ScenarioResult
 

@@ -9,6 +9,7 @@ from spinmaps import (
     SpinNetwork,
     amplitudes,
     apply,
+    assert_density_matrix,
     choi_from_kraus,
     extend_with_identity,
     is_cptp,
@@ -429,3 +430,13 @@ def test_apply_validates_output(rng):
     assert np.trace(out).real < 1.0
     with pytest.raises(ValueError):
         apply(identity_kraus(2), random_density_matrix(4, rng))  # dimension mismatch
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_states_are_rejected(bad):
+    rho = np.full((2, 2), bad)
+    for state in (rho, np.stack([np.eye(2) / 2, rho])):
+        with pytest.raises(ValueError, match="non-finite"):
+            assert_density_matrix(state)
+    with pytest.raises(ValueError, match="non-finite"):
+        pure_state_density(np.array([1.0, bad]))

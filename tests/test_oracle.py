@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinmaps import (
     NetworkChannel,
+    NumericalError,
     SpinNetwork,
     amplitudes,
     apply,
-    full_evolve,
     magnetization_expectation,
     reduced_output,
     trace_distance,
@@ -14,7 +15,8 @@ from spinmaps import (
 from spinmaps import network, oracle
 from spinmaps.maps import partial_trace, random_density_matrix
 from spinmaps.network import basis_index
-from spinmaps.oracle import MAX_SITES, FullPropagator, full_hamiltonian, initial_density
+from spinmaps.cli import main
+from spinmaps.oracle import MAX_SITES, FullPropagator, full_hamiltonian, hamiltonian_elements, initial_density
 
 from conftest import random_network
 
@@ -27,7 +29,7 @@ def random_state(rng, dim):
 def test_zero_time_is_identity(rng):
     net = random_network(rng, 4)
     psi = random_state(rng, 16)
-    assert np.abs(full_evolve(net, psi, 0.0) - psi).max() < 1e-12
+    assert np.abs(FullPropagator(net).evolve(psi, 0.0) - psi).max() < 1e-12
 
 
 def test_site_cap():
@@ -59,7 +61,7 @@ def test_magnetization_conserved(rng):
 def test_purity_preserved(rng):
     net = random_network(rng, 4)
     rho = np.outer(*(lambda p: (p, p.conj()))(random_state(rng, 16)))
-    out = full_evolve(net, rho, 1.4)
+    out = FullPropagator(net).evolve(rho, 1.4)
     assert abs(np.trace(out @ out).real - 1.0) < 1e-10
 
 
@@ -128,6 +130,34 @@ def test_full_hamiltonian_is_real_symmetric(rng):
     assert np.array_equal(h, h.T)
 
 
+def loop_hamiltonian(network):
+    """The dense 2^N Hamiltonian built bond by bond, as a reference for the vectorised builder."""
+    n = network.n_sites
+    dim = 1 << n
+    bits = (np.arange(dim)[:, None] >> (n - 1 - np.arange(n))) & 1
+    s = 2.0 * bits - 1.0
+    h = np.diag(s @ network.fields + 0.5 * np.einsum("bi,ij,bj->b", s, network.zz, s))
+    states = np.arange(dim)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if network.xy[i, j] == 0.0:
+                continue
+            src = states[(bits[:, i] == 1) & (bits[:, j] == 0)]
+            dst = src - (1 << (n - 1 - i)) + (1 << (n - 1 - j))
+            h[dst, src] += 2.0 * network.xy[i, j]
+            h[src, dst] += 2.0 * network.xy[i, j]
+    return h
+
+
+def test_hamiltonian_elements_form_the_loop_hamiltonian_exactly(rng):
+    for n in (1, 2, 5, 8):
+        for net in (random_network(rng, n), SpinNetwork.chain(rng.normal(size=n - 1), fields=rng.normal(size=n))):
+            h = full_hamiltonian(net)
+            assert h.tobytes() == loop_hamiltonian(net).tobytes()
+            diagonal, rows, cols, values = hamiltonian_elements(net)
+            assert len(set(zip(rows, cols))) == rows.size  # no position repeats
+
+
 def test_vector_evolve_matches_unitary(rng):
     net = random_network(rng, 6)
     prop = FullPropagator(net)
@@ -185,3 +215,64 @@ def test_max_sites_follows_memory_estimate(monkeypatch):
     assert oracle.max_sites() == 10
     with pytest.raises(ValueError, match=r"dense Hamiltonian: 11 sites exceed the dense-oracle cap of 10 sites"):
         full_hamiltonian(SpinNetwork.uniform_chain(11))  # rejected before any allocation
+
+
+def verify_network(rng, n: int, chain: bool) -> SpinNetwork:
+    """A random XY+ZZ+field chain, or an all-to-all network drawn as ``spinmaps verify`` draws it."""
+    if chain:
+        return SpinNetwork.chain(rng.normal(size=n - 1), 0.3 * rng.normal(size=n - 1), 0.5 * rng.normal(size=n))
+    j, d = rng.normal(size=(n, n)), 0.3 * rng.normal(size=(n, n))
+    j, d = (j + j.T) / 2, (d + d.T) / 2
+    np.fill_diagonal(j, 0.0)
+    np.fill_diagonal(d, 0.0)
+    return SpinNetwork(j, d, 0.5 * rng.normal(size=n))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(1, 10),
+    chain=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    times=st.lists(st.floats(-8.0, 8.0), max_size=4),
+    data=st.data(),
+)
+def test_series_oracle_matches_the_eigh_oracle(n, chain, seed, times, data):
+    rng = np.random.default_rng(seed)
+    net = verify_network(rng, n, chain)
+    senders = data.draw(st.permutations(range(n)))[: data.draw(st.integers(1, min(4, n)))]
+    if data.draw(st.booleans()):
+        receivers = senders[::-1]
+    else:  # any sites, overlapping the senders or not
+        receivers = data.draw(st.permutations(range(n)))[: data.draw(st.integers(1, min(4, n)))]
+    rho = random_density_matrix(1 << len(senders), rng)
+    grid = np.array(times + [0.0, -abs(times[0]) - 0.5 if times else -1.5])  # unsorted, t = 0, a negative t
+    prop = FullPropagator(net)
+    series = reduced_output(net, rho, senders, receivers, grid)
+    assert np.abs(series - reduced_output(net, rho, senders, receivers, grid, propagator=prop)).max() <= 1e-12
+    r = 1 << len(receivers)
+    for propagator in (None, prop):
+        assert reduced_output(net, rho, senders, receivers, [], propagator=propagator).shape == (0, r, r)
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, [0.5, -np.inf], [[0.5, 1.0]]])
+def test_reduced_output_rejects_bad_times_naming_t(rng, t):
+    net = random_network(rng, 4)
+    with pytest.raises(ValueError, match=r"^t must be"):
+        reduced_output(net, random_density_matrix(2, rng), [0], [3], t)
+
+
+def test_truncated_oracle_series_raises_numerical_error(rng, monkeypatch, tmp_path, capsys):
+    terms = oracle.chebyshev_terms
+    monkeypatch.setattr(oracle, "chebyshev_terms", lambda x: terms(x) // 2)
+    net = random_network(rng, 6)
+    with pytest.raises(NumericalError, match="oracle columns are not orthonormal") as info:
+        reduced_output(net, random_density_matrix(4, rng), [0, 1], [4, 5], [0.5, 6.0])
+    assert not isinstance(info.value, ValueError)
+    config = tmp_path / "qst.yaml"
+    config.write_text("scenario: qst\nnetwork: {kind: uniform_chain, sites: 8}\nsites: {sender: 0, receiver: 7}\n"
+                      "times: {start: 0.5, stop: 6.0, points: 4}\nverify: {oracle: true}\n")
+    out = tmp_path / "never.csv"
+    assert main(["run", str(config), "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and "oracle columns are not orthonormal" in err
+    assert not out.exists()

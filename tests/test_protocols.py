@@ -310,20 +310,52 @@ def test_run_is_deterministic():
 
 
 def test_dense_oracle_callers_name_the_memory_cap(monkeypatch):
-    monkeypatch.setattr(oracle, "physical_memory_bytes", lambda: 100 * 10**6)  # cap: 10 sites
+    monkeypatch.setattr(oracle, "physical_memory_bytes", lambda: 100 * 10**6)  # dense cap: 10 sites
     spec = ScenarioSpec(
         kind="four_qubit_weak", times=(0.0, 1.0), params={"wire_sites": 7},
         initial={"kind": "basis", "string": "1100"},
     )
     assert run(spec).meta == {"n_sites": 11}  # the sector engine has no dense cap
-    with pytest.raises(ValueError, match=r"verify.oracle: 11 sites exceed .* cap of 10 sites"):
-        run(replace(spec, verify_oracle=True))
+    # verify.oracle takes the series oracle, whose estimate here is 80 (2^11 + 10 x 2^10) + 96 x 2^11 x 16 x 2 bytes
+    assert oracle.series_peak_bytes(11, 10, 16, 2) == 7_274_496
+    assert run(replace(spec, verify_oracle=True)).column("oracle_dev").max() <= 1e-12
     spec = ScenarioSpec(
-        kind="qst", times=(0.0, 1.0), network=SpinNetwork.uniform_chain(11),
+        kind="qst", times=tuple(np.linspace(0.0, 1.0, 400)), network=SpinNetwork.uniform_chain(11),
         sites={"sender": 0, "receiver": 10}, verify_oracle=True,
     )
-    with pytest.raises(ValueError, match=r"verify.oracle: 11 sites exceed .*estimated peak"):
+    with pytest.raises(ValueError, match=r"verify.oracle: 11 sites, 2 columns and 400 times exceed the "
+                                         r"series-oracle cap \(estimated peak 0.147 GiB, physical memory"):
         run(spec)
+    spec = replace(spec, times=(0.0, 1.0), network=SpinNetwork.uniform_chain(15), sites={"sender": 0, "receiver": 14})
+    with pytest.raises(ValueError, match=r"verify.oracle: 15 sites, .* ceiling 14 sites"):
+        run(spec)
+    with pytest.raises(ValueError, match=r"dense Hamiltonian: 11 sites exceed the dense-oracle cap of 10 sites"):
+        oracle.full_hamiltonian(SpinNetwork.uniform_chain(11))  # the dense path keeps the dense cap
+
+
+def test_verify_oracle_runs_every_channel_kind_without_the_dense_space(monkeypatch):
+    def refuse(self, network):
+        raise AssertionError(f"dense propagator built for {network.n_sites} sites")
+
+    monkeypatch.setattr(oracle.FullPropagator, "__init__", refuse)
+    net = SpinNetwork.chain([0.9, 1.1, 1.0, 0.8], [0.1, -0.2, 0.0, 0.1], [0.05, 0.0, -0.1, 0.0, 0.1])
+    werner = {"kind": "werner", "p": 0.8}
+    fields = {
+        "qst": dict(network=net, sites={"sender": 0, "receiver": 4}),
+        "distribute_single": dict(network=net, sites={"sender": 0, "receiver": 4}, initial=werner),
+        "distribute_dual": dict(network=net, sites={"sender_a": 0, "receiver_a": 4, "sender_b": 1,
+                                                    "receiver_b": 3}, initial=werner),
+        "two_qubit_transfer": dict(network=net, sites={"senders": [0, 1], "receivers": [4, 3]},
+                                   initial={"kind": "bell", "label": "psi+"}),
+        "storage": dict(network=net, sites={"senders": [1, 3]}, initial={"kind": "bell", "label": "phi-"}),
+        "weak_pair": dict(params={"wire_sites": 5}),
+        "four_qubit_weak": dict(params={"wire_sites": 3, "g": 0.3}, initial={"kind": "basis", "string": "1010"}),
+    }
+    assert set(fields) == set(SCENARIO_KINDS) - {"closed_form_four_qubit"}  # the one kind without a network
+    times = tuple(np.linspace(-1.0, 6.0, 5))
+    for kind, extra in fields.items():
+        result = run(ScenarioSpec(kind=kind, times=times, verify_oracle=True, **extra))
+        assert result.column("oracle_dev").max() <= 1e-12
 
 
 @pytest.mark.parametrize("label", ["1100", "1010"])
