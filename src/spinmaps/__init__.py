@@ -7,13 +7,10 @@ from .network import (
     SectorHamiltonian,
     SectorPropagator,
     SpinNetwork,
-    amplitudes,
     build_sector_hamiltonian,
     full_unitary_from_sectors,
-    pair_amplitude,
     pair_amplitude_determinant,
     reduced_state,
-    vacuum_amplitude,
 )
 from .maps import (
     CptpVerdict,

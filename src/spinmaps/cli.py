@@ -22,7 +22,6 @@ from .network import (
     NumericalError,
     SectorPropagator,
     SpinNetwork,
-    amplitudes,
     full_unitary_from_sectors,
     pair_amplitude_determinant,
 )
@@ -99,10 +98,11 @@ def serialize_config(cfg: dict) -> str:
     return yaml.safe_dump(cfg, sort_keys=True)
 
 
-def _network_from_config(section: dict) -> SpinNetwork:
+def _network_from_config(section: dict, where: str) -> SpinNetwork:
     kind = section.get("kind", "chain")
     if kind == "uniform_chain":
-        return SpinNetwork.uniform_chain(int(section["sites"]), float(section.get("coupling", 1.0)))
+        sites = protocols.whole_number(section["sites"], f"{where}.sites")
+        return SpinNetwork.uniform_chain(sites, float(section.get("coupling", 1.0)))
     if kind == "chain":
         return SpinNetwork.chain(
             section["couplings"], section.get("zz_couplings"), section.get("fields")
@@ -123,7 +123,7 @@ def _times_from_config(section) -> tuple:
         return tuple(float(t) for t in section["list"])
     try:
         start, stop = float(section["start"]), float(section["stop"])
-        points = int(section["points"])
+        points = protocols.whole_number(section["points"], "times.points", minimum=1)
     except KeyError as exc:
         raise ConfigError(f"times section needs start/stop/points or list (missing {exc})") from exc
     return tuple(np.linspace(start, stop, points))
@@ -131,8 +131,8 @@ def _times_from_config(section) -> tuple:
 
 def spec_from_config(cfg: dict) -> protocols.ScenarioSpec:
     try:
-        network = _network_from_config(cfg["network"]) if cfg.get("network") else None
-        network_b = _network_from_config(cfg["network_b"]) if cfg.get("network_b") else None
+        network = _network_from_config(cfg["network"], "network") if cfg.get("network") else None
+        network_b = _network_from_config(cfg["network_b"], "network_b") if cfg.get("network_b") else None
         verify = cfg.get("verify") or {}
         tolerances = cfg.get("tolerances") or {}
         return protocols.ScenarioSpec(
@@ -235,8 +235,8 @@ def _run_checks(n_sites: int, seed: int, tol: float, trials: int, report=print) 
     check("CPTP (Choi PSD + trace preservation)", worst_choi, 1e-9)
 
     chain = SpinNetwork.chain(rng.normal(size=n_sites - 1))
-    k1 = amplitudes(chain, 1, t)
-    k2 = amplitudes(chain, 2, t)
+    k1 = SectorPropagator(chain, 1).table(t)
+    k2 = SectorPropagator(chain, 2).table(t)
     worst_det = 0.0
     for (a, b) in ((0, 1), (0, n_sites - 1)):
         for (c, e) in ((0, 1), (1, n_sites - 1)):
@@ -410,6 +410,8 @@ def _cmd_verify(args) -> int:
         raise ConfigError("verify needs at least 3 sites")
     if args.trials < 1:
         raise ConfigError(f"--trials must be at least 1, got {args.trials}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
     _check_tolerance(args.tolerance)
     try:
         oracle.require_dense_sites(args.sites, "--sites")

@@ -388,8 +388,9 @@ def two_qubit_kraus(
     gives N operators.
 
     The tables may hold only the columns read here: sources (i,) and (j,) of
-    ``k1`` and (i, j) of ``k2``.  Tables over T times (with T vacuum phases)
-    give (T, 4, 4) operators.
+    ``k1`` and (i, j) of ``k2``, each read once, with every target gathered
+    by its basis position.  Tables over T times (with T vacuum phases) give
+    (T, 4, 4) operators.
     """
     n_sites = k1.sector.n_sites
     if k2.sector.n_sites != n_sites:
@@ -405,34 +406,33 @@ def two_qubit_kraus(
     gauge = np.conj(np.asarray(vacuum_amp, dtype=complex))
     if gauge.shape not in ((), np.shape(k1.time)):
         raise ValueError(f"vacuum phases of shape {gauge.shape} do not match the tables' times")
-    stack = np.shape(k1.time) + (4, 4)
-
-    def f1(src, tgt):
-        return gauge * k1.amplitude((src,), (tgt,))
-
-    def f2(tgt_a, tgt_b):
-        return gauge * k2.amplitude(tuple(sorted((i, j))), tuple(sorted((tgt_a, tgt_b))))
-
-    e0 = np.zeros(stack, dtype=complex)
+    env = np.array([k for k in range(n_sites) if k not in (n, m)], dtype=np.intp)
+    ne = env.size
+    # targets of k=1: m, n, then each environment site k; of k=2: (n, m), then every (k, m), then every (n, k)
+    one = k1.sector.positions(np.concatenate([[m, n], env])[:, None])
+    pairs = np.concatenate([[[n, m]], np.column_stack([env, np.full(ne, m)]),
+                            np.column_stack([np.full(ne, n), env])])
+    two = k2.sector.positions(np.sort(pairs, axis=1))
+    # vacuum-gauged amplitudes gathered from the three source columns, target axis first
+    g = gauge[..., None]
+    col_ij = k2.column((i, j))
+    f_i = np.moveaxis(g * k1.column((i,))[..., one], -1, 0)
+    f_j = np.moveaxis(g * k1.column((j,))[..., one], -1, 0)
+    f_ij = np.moveaxis(g * col_ij[..., two], -1, 0)
+    ops = np.zeros((n_sites,) + np.shape(k1.time) + (4, 4), dtype=complex)
+    e0, e1, e2 = ops[0], ops[1:-1], ops[-1]  # E_0, one E_1 per environment site, the merged E_2
     e0[..., 0, 0] = 1.0
-    e0[..., 1, 1] = f1(j, m)
-    e0[..., 1, 2] = f1(i, m)
-    e0[..., 2, 1] = f1(j, n)
-    e0[..., 2, 2] = f1(i, n)
-    e0[..., 3, 3] = f2(n, m)
-    ops = [e0]
-    environment = [k for k in range(n_sites) if k not in (n, m)]
-    for k in environment:
-        e1 = np.zeros(stack, dtype=complex)
-        e1[..., 0, 1] = f1(j, k)
-        e1[..., 0, 2] = f1(i, k)
-        e1[..., 1, 3] = f2(k, m)
-        e1[..., 2, 3] = f2(n, k)
-        ops.append(e1)
+    e0[..., 1, 1] = f_j[0]
+    e0[..., 1, 2] = f_i[0]
+    e0[..., 2, 1] = f_j[1]
+    e0[..., 2, 2] = f_i[1]
+    e0[..., 3, 3] = f_ij[0]
+    e1[..., 0, 1] = f_j[2:]
+    e1[..., 0, 2] = f_i[2:]
+    e1[..., 1, 3] = f_ij[1:ne + 1]
+    e1[..., 2, 3] = f_ij[ne + 1:]
     lost = ~np.isin(k2.sector.sites, (n, m)).any(axis=1)  # targets with both excitations outside
-    e2 = np.zeros(stack, dtype=complex)
-    e2[..., 0, 3] = np.sqrt(np.sum(np.abs(gauge[..., None] * k2.column((i, j))[..., lost]) ** 2, axis=-1))
-    ops.append(e2)
+    e2[..., 0, 3] = np.sqrt(np.sum(np.abs(g * col_ij[..., lost]) ** 2, axis=-1))
     return KrausSet(tuple(ops))
 
 

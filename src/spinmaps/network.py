@@ -53,8 +53,9 @@ Conventions
 * |0> is the sigma^z = -1 state; an "excitation" is a flipped (up) spin.
 * Sector diagonals carry the full field/ZZ energy of each configuration,
   :meth:`SpinNetwork.diagonal_energy`, with no constant subtracted.  Phases
-  relative to the vacuum (the empty configuration) are obtained with
-  :func:`vacuum_amplitude`.
+  relative to the vacuum (the empty configuration) divide by the vacuum phase
+  exp(-i E_vac t) with E_vac = ``diagonal_energy()``, as
+  :class:`spinmaps.maps.NetworkChannel` does.
 * Construction is sign-free (hard-core boson / spin basis); no fermionic
   strings enter for any coupling graph.
 """
@@ -65,6 +66,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import comb
+from operator import getitem
 
 import numpy as np
 from scipy.linalg import block_diag
@@ -207,42 +209,51 @@ class SpinNetwork:
 class ExcitationSector:
     """Fixed-excitation-number subspace with a lexicographic subset basis.
 
-    ``sites`` holds the same basis as a (dimension, k) integer array whose rows
-    are the ascending occupied sites.
+    ``sites`` is the basis: a (dimension, k) integer array whose rows are the
+    ascending occupied sites of each configuration, in lexicographic order.
+    A configuration's position is its lexicographic rank, :meth:`index_of`
+    for one and :meth:`positions` for many.
     """
 
     n_sites: int
     excitation_count: int
-    basis: tuple = field(init=False)
     sites: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n, k = self.n_sites, self.excitation_count
         if not 0 <= k <= n:
             raise ValueError(f"excitation count {k} out of range for {n} sites")
-        basis = tuple(itertools.combinations(range(n), k))
-        d = len(basis)
-        sites = np.array(basis, dtype=np.intp).reshape(d, k)
+        d = self.dimension
+        flat = itertools.chain.from_iterable(itertools.combinations(range(n), k))
+        sites = np.fromiter(flat, dtype=np.intp, count=d * k).reshape(d, k)
         sites.setflags(write=False)
-        object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "sites", sites)
-        object.__setattr__(self, "_index", {occ: a for a, occ in enumerate(basis)})
-        # rank weights C(n - 1 - c, k - q) of site c at position q; a valid row only
-        # reads weights up to d, and clipping keeps the others in int64
-        weights = [[min(comb(n - 1 - c, k - q), d) for c in range(n)] for q in range(k)]
-        object.__setattr__(self, "_rank_weights", np.array(weights, dtype=np.int64).reshape(k, n))
+        # signed rank weights: a row's position sums, over its slots q, d - 1 (slot 0 only) minus
+        # C(n - 1 - c_q, k - q); clipping at d keeps the binomials no valid row reads in int64
+        weights = np.array([[(d - 1 if q == 0 else 0) - min(comb(n - 1 - c, k - q), d) for c in range(n)]
+                            for q in range(k)], dtype=np.int64).reshape(k, n)
+        object.__setattr__(self, "_rank_weights", weights)
+        object.__setattr__(self, "_rank_rows", weights.tolist())  # the same weights, for scalar lookups
 
     @property
     def dimension(self) -> int:
         return comb(self.n_sites, self.excitation_count)
 
     def index_of(self, occupied) -> int:
-        """Basis position of a configuration given as a site subset."""
-        key = tuple(sorted(occupied))
+        """Basis position of a configuration given as a site subset, in any order.
+
+        The validated scalar form of :meth:`positions`: ``occupied`` must name
+        k distinct integer sites of the network.
+        """
+        k = self.excitation_count
         try:
-            return self._index[key]
-        except KeyError:
-            raise ValueError(f"{occupied} is not a valid configuration of this sector") from None
+            key = sorted(occupied)
+            if len(key) == k and len(set(key)) == k and (not k or 0 <= key[0] and key[-1] < self.n_sites):
+                # list indexing accepts integers only: a float site raises TypeError
+                return sum(map(getitem, self._rank_rows, key))
+        except TypeError:
+            pass
+        raise ValueError(f"{occupied} is not a valid configuration of this sector")
 
     def positions(self, sites: np.ndarray) -> np.ndarray:
         """Basis positions of configurations given as rows of ascending sites.
@@ -251,7 +262,14 @@ class ExcitationSector:
         of c_0 < ... < c_{k-1} is d - 1 - sum_q C(n - 1 - c_q, k - q).
         """
         k = self.excitation_count
-        return self.dimension - 1 - self._rank_weights[np.arange(k), sites].sum(axis=1)
+        return self._rank_weights[np.arange(k), sites].sum(axis=1)
+
+    def occupation(self) -> np.ndarray:
+        """(dimension, n) boolean matrix whose row a marks the occupied sites of configuration a."""
+        d = self.dimension
+        occupied = np.zeros((d, self.n_sites), dtype=bool)
+        occupied[np.arange(d)[:, None], self.sites] = True
+        return occupied
 
 
 def _require_hermitian(defect: float, scale: float):
@@ -380,11 +398,8 @@ def build_sector_hamiltonian(network: SpinNetwork, k: int) -> SectorHamiltonian:
     occupied and j empty gives one element.
     """
     sector = ExcitationSector(network.n_sites, k)
-    n = network.n_sites
-    dim = sector.dimension
-    diagonal = np.array([network.diagonal_energy(occ) for occ in sector.basis])
-    occupied = np.zeros((dim, n), dtype=bool)
-    occupied[np.arange(dim)[:, None], sector.sites] = True
+    diagonal = np.array([network.diagonal_energy(occ) for occ in sector.sites.tolist()])
+    occupied = sector.occupation()
     bond_i, bond_j = np.nonzero(network.xy)
     src, bond = np.nonzero(occupied[:, bond_i] & ~occupied[:, bond_j])
     i, j = bond_i[bond], bond_j[bond]
@@ -500,8 +515,7 @@ def reduced_state(table: AmplitudeTable, source, keep) -> np.ndarray:
     q, d = len(keep), sector.dimension
     psi = table.column(source)
     flat = psi.reshape(-1, d)
-    occupied = np.zeros((d, n), dtype=bool)
-    occupied[np.arange(d)[:, None], sector.sites] = True
+    occupied = sector.occupation()
     kept = occupied[:, keep]
     rest = occupied[:, np.setdiff1d(np.arange(n), keep)]
     pattern, count = kept @ (1 << np.arange(q)[::-1]), kept.sum(axis=1)
@@ -516,29 +530,6 @@ def reduced_state(table: AmplitudeTable, source, keep) -> np.ndarray:
         g[:, np.searchsorted(patterns, pattern[members]), env.positions(env_sites)] = flat[:, members]
         rho[:, patterns[:, None], patterns] = g @ g.conj().swapaxes(-1, -2)
     return rho.reshape(psi.shape[:-1] + rho.shape[1:])
-
-
-def amplitudes(network: SpinNetwork, k: int, t: float) -> AmplitudeTable:
-    """Full sector propagator exp(-i H_k t) via real-symmetric eigendecomposition."""
-    return SectorPropagator(network, k).table(t)
-
-
-def vacuum_amplitude(network: SpinNetwork, t: float) -> complex:
-    """Phase exp(-i E_vac t) of the fully polarised configuration."""
-    return complex(np.exp(-1j * network.diagonal_energy() * t))
-
-
-def pair_amplitude(table_k2: AmplitudeTable, i: int, j: int, n: int, m: int) -> complex:
-    """Two-excitation amplitude f_ij^nm from a k=2 table.
-
-    Pairs are indexed in canonical ascending order: i < j and n < m are
-    required, and the lookup follows the lexicographic subset basis.
-    """
-    if table_k2.sector.excitation_count != 2:
-        raise ValueError("pair_amplitude needs a two-excitation table")
-    if not (i < j and n < m):
-        raise ValueError(f"pair indices must be ascending, got ({i},{j}) -> ({n},{m})")
-    return table_k2.amplitude((i, j), (n, m))
 
 
 def pair_amplitude_determinant(network: SpinNetwork, table_k1: AmplitudeTable, *sites) -> complex:
@@ -594,7 +585,7 @@ def full_unitary_from_sectors(network: SpinNetwork, t: float, propagators=()) ->
     dim = 1 << n
     u = np.zeros((dim, dim), dtype=complex)
     for k in range(n + 1):
-        table = held[k].table(t) if k in held else amplitudes(network, k, t)
-        glob = [basis_index(occ, n) for occ in table.sector.basis]
+        table = (held[k] if k in held else SectorPropagator(network, k)).table(t)
+        glob = (1 << (n - 1 - table.sector.sites)).sum(axis=1)  # basis_index of every configuration
         u[np.ix_(glob, glob)] = table.amplitudes
     return u

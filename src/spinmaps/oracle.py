@@ -18,8 +18,7 @@ them:
   real-symmetric ``eigh``; ``U(t) = V e^{-iEt} V^T``.  ``spinmaps verify``
   needs it for the full U(t) of its block-assembly check, and the tests use it
   as the cross-check of the series.  No time point forms a 2^N x 2^N matrix
-  unless a caller asks for one through :meth:`FullPropagator.unitary` or the
-  density-matrix branch of :meth:`FullPropagator.evolve`.
+  unless a caller asks for one through :meth:`FullPropagator.unitary`.
 
 Either way :func:`reduced_output` contracts the columns with the sender state
 straight into the receiver state; given a 1-D grid of T times it returns a
@@ -185,14 +184,13 @@ class FullPropagator:
         phases = np.exp(-1j * self.eigvals * np.asarray(t, dtype=float)[..., None])
         return _real_matmul(self.eigvecs, phases[..., None] * self.eigvecs[indices].T)
 
-    def evolve(self, state: np.ndarray, t: float) -> np.ndarray:
-        """Evolve a state vector (O(4^N)) or density matrix (O(8^N)) by time t."""
-        state = np.asarray(state, dtype=complex)
-        if state.ndim == 1:
-            phases = np.exp(-1j * self.eigvals * t)
-            return _real_matmul(self.eigvecs, phases * _real_matmul(self.eigvecs.T, state))
-        u = self.unitary(t)
-        return u @ state @ u.conj().T
+    def evolve(self, psi: np.ndarray, t: float) -> np.ndarray:
+        """Evolve a state vector by time t, at O(4^N)."""
+        psi = np.asarray(psi, dtype=complex)
+        if psi.ndim != 1:
+            raise ValueError(f"evolve takes a state vector, got shape {psi.shape}")
+        phases = np.exp(-1j * self.eigvals * t)
+        return _real_matmul(self.eigvecs, phases * _real_matmul(self.eigvecs.T, psi))
 
 
 def _embedding(network: SpinNetwork, rho_s: np.ndarray, sender_sites):
@@ -212,15 +210,6 @@ def _embedding(network: SpinNetwork, rho_s: np.ndarray, sender_sites):
         occupied = [site for q, site in enumerate(sender_sites) if (a >> (k - 1 - q)) & 1]
         embed.append(basis_index(occupied, n))
     return rho_s, embed
-
-
-def initial_density(network: SpinNetwork, rho_s: np.ndarray, sender_sites) -> np.ndarray:
-    """Embed a sender state into the network with the rest fully polarised."""
-    rho_s, embed = _embedding(network, rho_s, sender_sites)
-    dim = 1 << network.n_sites
-    sigma = np.zeros((dim, dim), dtype=complex)
-    sigma[np.ix_(embed, embed)] = rho_s
-    return sigma
 
 
 def _series_columns(network: SpinNetwork, embed: list, times: np.ndarray) -> np.ndarray:

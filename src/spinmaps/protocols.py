@@ -194,6 +194,23 @@ def _require_network(spec: ScenarioSpec) -> SpinNetwork:
     return spec.network
 
 
+def whole_number(value, name: str, minimum=None) -> int:
+    """``value`` as an int, if it is a whole number of at least ``minimum`` (when given).
+
+    3 and 3.0 are whole numbers; 2.5, True, "3" and NaN are not.  Anything
+    else raises ValueError naming the field ``name``.
+    """
+    try:
+        whole = int(value) == value and not isinstance(value, bool)
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not whole:
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value!r}")
+    return int(value)
+
+
 def _check_site_range(key: str, site: int, network: SpinNetwork):
     if not 0 <= site < network.n_sites:
         raise ValueError(f"sites.{key} {site} out of range for {network.n_sites} sites")
@@ -201,7 +218,7 @@ def _check_site_range(key: str, site: int, network: SpinNetwork):
 
 def _require_site(spec: ScenarioSpec, key: str, network: SpinNetwork) -> int:
     try:
-        site = int(spec.sites[key])
+        site = whole_number(spec.sites[key], f"sites.{key}")
     except KeyError:
         raise ValueError(f"scenario {spec.kind!r} needs the site assignment {key!r}") from None
     _check_site_range(key, site, network)
@@ -213,9 +230,9 @@ def _require_pair(spec: ScenarioSpec, key: str, network: SpinNetwork) -> tuple:
         pair = spec.sites[key]
     except KeyError:
         raise ValueError(f"scenario {spec.kind!r} needs the site pair {key!r}") from None
-    pair = tuple(int(s) for s in pair)
-    if len(pair) != 2:
-        raise ValueError(f"site pair {key!r} must have exactly two entries, got {pair}")
+    if not isinstance(pair, (list, tuple, np.ndarray)) or len(pair) != 2:
+        raise ValueError(f"sites.{key} must be a pair of two sites, got {pair!r}")
+    pair = tuple(whole_number(s, f"sites.{key}") for s in pair)
     if pair[0] == pair[1]:
         raise ValueError(f"sites.{key} must name two distinct sites, got {pair}")
     for site in pair:
@@ -331,17 +348,24 @@ def sweep(spec: ScenarioSpec, axis: str, values) -> list:
         params = ", ".join(SCENARIO_PARAMS[spec.kind]) or "none"
         raise ValueError(f"sweep.axis {axis!r} changes nothing in scenario {spec.kind!r} "
                          f"(accepted: 'p' on a Werner initial state, params: {params})")
-    values = list(values)
-    if not values:
+    grid = None
+    if not isinstance(values, str):  # a string would iterate as characters
+        try:
+            grid = [float(v) for v in values]
+        except (TypeError, ValueError):
+            pass
+    if grid is None:
+        raise ValueError(f"sweep.values must be a list of numbers, got {values!r}")
+    if not grid:
         raise ValueError("sweep grid is empty")
     results = []
-    for v in values:
+    for v in grid:
         if axis == "p" and werner:
-            new = replace(spec, initial={**spec.initial, "p": float(v)})
+            new = replace(spec, initial={**spec.initial, "p": v})
         else:
-            new = replace(spec, params={**spec.params, axis: float(v)})
+            new = replace(spec, params={**spec.params, axis: v})
         res = run(new)
-        results.append(replace(res, meta={**res.meta, axis: float(v)}))
+        results.append(replace(res, meta={**res.meta, axis: v}))
     return results
 
 
@@ -465,11 +489,9 @@ def _run_two_qubit(spec: ScenarioSpec, storage: bool = False) -> ScenarioResult:
 
 
 def _weak_pair_network(spec: ScenarioSpec) -> SpinNetwork:
-    wire = int(spec.params.get("wire_sites", 4))
+    wire = whole_number(spec.params.get("wire_sites", 4), "params.wire_sites", minimum=1)
     j = float(spec.params.get("J", 1.0))
     g = float(spec.params.get("g", 0.1))
-    if wire < 1:
-        raise ValueError("weak_pair needs at least one wire site")
     couplings = [g] + [j] * (wire - 1) + [g]
     return SpinNetwork.chain(couplings)
 
@@ -503,11 +525,9 @@ def _run_weak_pair(spec: ScenarioSpec) -> ScenarioResult:
 
 
 def _four_qubit_network(spec: ScenarioSpec) -> SpinNetwork:
-    wire = int(spec.params.get("wire_sites", 2))
+    wire = whole_number(spec.params.get("wire_sites", 2), "params.wire_sites", minimum=1)
     j = float(spec.params.get("J", 1.0))
     g = float(spec.params.get("g", 0.1))
-    if wire < 1:
-        raise ValueError("four_qubit_weak needs at least one wire site")
     couplings = [j, g] + [j] * (wire - 1) + [g, j]
     return SpinNetwork.chain(couplings)
 

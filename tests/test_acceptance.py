@@ -8,8 +8,8 @@ import numpy as np
 
 from spinmaps import (
     NetworkChannel,
+    SectorPropagator,
     SpinNetwork,
-    amplitudes,
     apply,
     concurrence,
     dual_rail_concurrence,
@@ -29,7 +29,6 @@ from spinmaps import (
     two_qubit_kraus,
     two_qubit_map_elements,
     two_qubit_sparsity_pattern,
-    vacuum_amplitude,
     werner_state,
     XState,
 )
@@ -118,18 +117,18 @@ def test_criterion_3_two_qubit_sparsity_and_elements():
         t = float(rng.uniform(0.2, 4.0))
         senders = _random_sites(rng, n, 2)
         receivers = _random_sites(rng, n, 2)
-        k1 = amplitudes(net, 1, t)
-        k2 = amplitudes(net, 2, t)
-        vac = vacuum_amplitude(net, t)
+        k1 = SectorPropagator(net, 1).table(t)
+        k2 = SectorPropagator(net, 2).table(t)
+        vac = NetworkChannel(net).vacuum(t)
         built = superop_from_kraus(two_qubit_kraus(k1, k2, senders, receivers, vac))
         assert np.abs(built[~pattern]).max() == 0.0
         elements = two_qubit_map_elements(k1, k2, senders, receivers, vac)
         worst_elem = max(worst_elem, float(np.abs(elements - built).max()))
     net5 = random_network(rng, 5)
     for t in (0.7, 1.9, 3.3):
-        k1 = amplitudes(net5, 1, t)
-        k2 = amplitudes(net5, 2, t)
-        vac = vacuum_amplitude(net5, t)
+        k1 = SectorPropagator(net5, 1).table(t)
+        k2 = SectorPropagator(net5, 2).table(t)
+        vac = NetworkChannel(net5).vacuum(t)
         for senders, receivers in (((0, 1), (3, 4)), ((1, 3), (1, 3)), ((4, 0), (2, 3))):
             elements = two_qubit_map_elements(k1, k2, senders, receivers, vac)
             built = superop_from_kraus(two_qubit_kraus(k1, k2, senders, receivers, vac))
@@ -293,7 +292,7 @@ def test_criterion_9_sector_engine_invariants():
         for k in (0, 1, 2):
             if k > n:
                 continue
-            a = amplitudes(net, k, t).amplitudes
+            a = SectorPropagator(net, k).table(t).amplitudes
             dim = a.shape[0]
             worst_unit = max(worst_unit, float(np.abs(a @ a.conj().T - np.eye(dim)).max()))
             worst_complete = max(worst_complete, float(np.abs((np.abs(a) ** 2).sum(axis=0) - 1.0).max()))
@@ -307,8 +306,8 @@ def test_criterion_9_sector_engine_invariants():
         fields = rng.normal(size=n) if trial % 2 else None
         chain = SpinNetwork.chain(rng.normal(size=n - 1), fields=fields)
         t = float(rng.uniform(0.0, 4.0))
-        k1 = amplitudes(chain, 1, t)
-        k2 = amplitudes(chain, 2, t)
+        k1 = SectorPropagator(chain, 1).table(t)
+        k2 = SectorPropagator(chain, 2).table(t)
         for src in combinations(range(n), 2):
             for tgt in combinations(range(n), 2):
                 det = pair_amplitude_determinant(chain, k1, *src, *tgt)
@@ -333,9 +332,12 @@ def test_criterion_10_magnetization_conservation():
         else:
             state = rng.normal(size=1 << 7) + 1j * rng.normal(size=1 << 7)
             state /= np.linalg.norm(state)
-        drift = abs(
-            magnetization_expectation(prop.evolve(state, t)) - magnetization_expectation(state)
-        )
+        if state.ndim == 2:
+            u = prop.unitary(t)
+            evolved = u @ state @ u.conj().T
+        else:
+            evolved = prop.evolve(state, t)
+        drift = abs(magnetization_expectation(evolved) - magnetization_expectation(state))
         worst = max(worst, drift)
     assert worst < 1e-10
     _report(10, f"magnetization drift < 1e-10 over 50 oracle evolutions (worst {worst:.2e})")

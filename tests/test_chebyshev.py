@@ -40,7 +40,7 @@ def test_chebyshev_tables_match_eigh_tables(n, k, seed, picks, times):
     net = random_graph_network(seed, n)
     grid = np.array(times + [0.0, -abs(times[0]) - 0.25])  # unsorted, with t = 0 and a negative time
     reference = SectorPropagator(net, k).table(grid)  # a full table always diagonalises
-    basis = reference.sector.basis
+    basis = [tuple(row) for row in reference.sector.sites.tolist()]
     sources = list(dict.fromkeys(basis[p % len(basis)] for p in picks))
     with pytest.MonkeyPatch.context() as mp:
         paths = PropagationPaths(mp)
@@ -142,7 +142,7 @@ def test_free_fermion_minors_match_chebyshev_columns_past_dense_reach(n, k, sour
     cols = SectorPropagator(net, k).table(times, sources)
     assert paths.counts == (0, 1)
     k1 = SectorPropagator(net, 1).table(times)  # full table: from eigh
-    basis = cols.sector.basis
+    basis = [tuple(row) for row in cols.sector.sites.tolist()]
     picks = rng.choice(len(basis), size=150, replace=False)
     for source in sources:
         for target in [basis[p] for p in picks] + [source, basis[0], basis[-1]]:
@@ -157,7 +157,8 @@ def test_determinant_shortcut_covers_k_one_to_four(rng):
         prop = SectorPropagator(net, k)
         table = prop.table(t)
         k1 = SectorPropagator(net, 1).table(t)
-        for source, target in itertools.product(prop.sector.basis[:5], prop.sector.basis[-5:]):
+        basis = [tuple(row) for row in prop.sector.sites.tolist()]
+        for source, target in itertools.product(basis[:5], basis[-5:]):
             minor = pair_amplitude_determinant(net, k1, *source, *target)
             assert abs(minor - table.amplitude(source, target)) <= 1e-12
     k1 = SectorPropagator(net, 1).table(t)

@@ -249,6 +249,7 @@ def test_verify_builds_each_sector_once(sector_builds, capsys):
     (["verify", "--trials", "0"], "--trials"),
     (["verify", "--tolerance", "nan"], "--tolerance"),
     (["verify", "--tolerance", "-1"], "--tolerance"),
+    (["verify", "--seed", "-1"], "--seed"),
 ])
 def test_bad_flags_exit_2_naming_the_flag(argv, flag, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("SPINMAPS_OUTPUT_DIR", str(tmp_path))
@@ -458,3 +459,59 @@ def test_sweep_and_figure_csv_bytes(tmp_path):
     assert main(["figure", "5", "--points", "2", "--output", str(out)]) == 0
     assert out.read_bytes().split(b"\r\n")[1:3] == [
         b"psi+,0.4,0.0,0.0,-0.0,-0.0", b"psi+,0.4,1.0,0.9999999999999983,0.04999999999999996,-0.35"]
+
+
+TRANSFER_CONFIG = ("scenario: two_qubit_transfer\nnetwork: {kind: uniform_chain, sites: 5}\n"
+                   "times: {list: [0.0, 1.0]}\ninitial: {kind: bell}\n")
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("sweep", GOOD_CONFIG + "sweep: {axis: p, values: 5}\n", "sweep.values must be a list of numbers, got 5"),
+    ("sweep", GOOD_CONFIG + "sweep: {axis: p, values: [0.5, abc]}\n",
+     "sweep.values must be a list of numbers, got [0.5, 'abc']"),
+    ("sweep", GOOD_CONFIG + "sweep: {axis: p, values: '01'}\n", "sweep.values must be a list of numbers, got '01'"),
+    ("sweep", "scenario: weak_pair\ntimes: {list: [0.0, 1.0]}\nsweep: {axis: wire_sites, values: [2, 2.5]}\n",
+     "params.wire_sites must be a whole number, got 2.5"),
+    ("run", QST_CONFIG.replace("sender: 0", "sender: 0.9"), "sites.sender must be a whole number, got 0.9"),
+    ("run", QST_CONFIG.replace("sender: 0", "sender: abc"), "sites.sender must be a whole number, got 'abc'"),
+    ("run", QST_CONFIG.replace("points: 3", "points: 2.7"), "times.points must be a whole number, got 2.7"),
+    ("run", QST_CONFIG.replace("points: 3", "points: -3"), "times.points must be at least 1, got -3"),
+    ("run", QST_CONFIG.replace("sites: 8", "sites: 8.5"), "network.sites must be a whole number, got 8.5"),
+    ("run", "scenario: weak_pair\ntimes: {list: [0.0, 1.0]}\nparams: {wire_sites: 2.5}\n",
+     "params.wire_sites must be a whole number, got 2.5"),
+    ("run", "scenario: four_qubit_weak\ntimes: {list: [0.0, 1.0]}\nparams: {wire_sites: 2.5}\n",
+     "params.wire_sites must be a whole number, got 2.5"),
+    ("run", "scenario: four_qubit_weak\ntimes: {list: [0.0, 1.0]}\nparams: {wire_sites: 0}\n",
+     "params.wire_sites must be at least 1, got 0"),
+    ("run", TRANSFER_CONFIG + "sites: {senders: 3, receivers: [3, 4]}\n",
+     "sites.senders must be a pair of two sites, got 3"),
+    ("run", TRANSFER_CONFIG + "sites: {senders: [0, 1], receivers: [3, 4.5]}\n",
+     "sites.receivers must be a whole number, got 4.5"),
+], ids=["sweep-values-int", "sweep-values-text", "sweep-values-string", "sweep-wire-sites", "sender-fraction", "sender-text",
+        "points-fraction", "points-negative", "network-sites", "weak-pair-wire-sites", "four-qubit-wire-sites",
+        "four-qubit-no-wire", "pair-number", "pair-fraction"])
+def test_sweep_values_and_whole_number_fields_exit_2_naming_the_field(tmp_path, capsys, command, text, message):
+    config = tmp_path / "run.yaml"
+    config.write_text(text)
+    out = tmp_path / "never.csv"
+    assert main([command, str(config), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"configuration error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("whole, text", [
+    (QST_CONFIG, QST_CONFIG.replace("sender: 0", "sender: 0.0").replace("points: 3", "points: 3.0")),
+    ("scenario: weak_pair\ntimes: {list: [0.0, 1.0]}\nparams: {wire_sites: 3}\n",
+     "scenario: weak_pair\ntimes: {list: [0.0, 1.0]}\nparams: {wire_sites: 3.0}\n"),
+    (TRANSFER_CONFIG + "sites: {senders: [0, 1], receivers: [3, 4]}\n",
+     TRANSFER_CONFIG + "sites: {senders: [0.0, 1], receivers: [3, 4.0]}\n"),
+], ids=["qst", "weak_pair", "two_qubit_transfer"])
+def test_whole_valued_floats_run_like_integers(tmp_path, whole, text):
+    outputs = []
+    for name, body in (("int", whole), ("float", text)):
+        config = tmp_path / f"{name}.yaml"
+        config.write_text(body)
+        outputs.append(tmp_path / f"{name}.csv")
+        assert main(["run", str(config), "--output", str(outputs[-1])]) == 0
+    assert outputs[0].read_bytes() == outputs[1].read_bytes()

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from spinmaps import (
+    AmplitudeTable,
     KrausSet,
     NetworkChannel,
+    SectorPropagator,
     SpinNetwork,
-    amplitudes,
     apply,
     assert_density_matrix,
     choi_from_kraus,
@@ -24,7 +25,6 @@ from spinmaps import (
     two_qubit_kraus,
     two_qubit_map_elements,
     two_qubit_sparsity_pattern,
-    vacuum_amplitude,
 )
 from spinmaps.maps import (
     apply_kraus,
@@ -231,8 +231,8 @@ def test_two_qubit_site_validation(rng):
         NetworkChannel(net).two_qubit((1, 1), (2, 3), 0.5)
     with pytest.raises(ValueError):
         NetworkChannel(net).two_qubit((0, 1), (2, 4), 0.5)
-    k1 = amplitudes(net, 1, 0.5)
-    k2 = amplitudes(net, 2, 0.7)
+    k1 = SectorPropagator(net, 1).table(0.5)
+    k2 = SectorPropagator(net, 2).table(0.7)
     with pytest.raises(ValueError):
         two_qubit_kraus(k1, k2, (0, 1), (2, 3))  # mismatched times
 
@@ -301,9 +301,9 @@ def test_element_table_matches_kraus_superoperator(rng):
         t = float(rng.uniform(0.2, 3.0))
         senders = tuple(int(x) for x in rng.choice(5, 2, replace=False))
         receivers = tuple(int(x) for x in rng.choice(5, 2, replace=False))
-        k1 = amplitudes(net, 1, t)
-        k2 = amplitudes(net, 2, t)
-        vac = vacuum_amplitude(net, t)
+        k1 = SectorPropagator(net, 1).table(t)
+        k2 = SectorPropagator(net, 2).table(t)
+        vac = NetworkChannel(net).vacuum(t)
         table = two_qubit_map_elements(k1, k2, senders, receivers, vac)
         built = superop_from_kraus(two_qubit_kraus(k1, k2, senders, receivers, vac))
         assert np.abs(table - built).max() < 1e-10
@@ -317,8 +317,8 @@ def test_merged_double_loss_operator_matches_per_pair_sum(rng):
             t = float(rng.uniform(0.2, 4.0))
             senders = tuple(int(x) for x in rng.choice(n, 2, replace=False))
             receivers = tuple(int(x) for x in rng.choice(n, 2, replace=False))
-            k1, k2 = amplitudes(net, 1, t), amplitudes(net, 2, t)
-            vac = vacuum_amplitude(net, t)
+            k1, k2 = SectorPropagator(net, 1).table(t), SectorPropagator(net, 2).table(t)
+            vac = NetworkChannel(net).vacuum(t)
             ks = two_qubit_kraus(k1, k2, senders, receivers, vac)
             assert len(ks.operators) == n  # E_0, n - 2 single losses, one merged E_2
             env = [k for k in range(n) if k not in receivers]
@@ -337,13 +337,30 @@ def test_network_maps_from_sender_columns_match_full_tables(rng):
         t = float(rng.uniform(0.2, 4.0))
         senders = tuple(int(x) for x in rng.choice(6, 2, replace=False))
         receivers = tuple(int(x) for x in rng.choice(6, 2, replace=False))
-        vac = vacuum_amplitude(net, t)
-        full = two_qubit_kraus(amplitudes(net, 1, t), amplitudes(net, 2, t), senders, receivers, vac)
+        vac = chan.vacuum(t)
+        k1, k2 = SectorPropagator(net, 1).table(t), SectorPropagator(net, 2).table(t)
+        full = two_qubit_kraus(k1, k2, senders, receivers, vac)
         built = chan.two_qubit(senders, receivers, t)
         assert np.abs(superop_from_kraus(built) - superop_from_kraus(full)).max() <= 1e-13
-        f = np.conj(vac) * amplitudes(net, 1, t).site_amplitude(senders[0], receivers[0])
+        f = np.conj(vac) * k1.site_amplitude(senders[0], receivers[0])
         one = chan.one_qubit(senders[0], receivers[0], t)
         assert np.abs(superop_from_kraus(one) - superop_from_kraus(one_qubit_kraus(f))).max() <= 1e-13
+
+
+def test_two_qubit_kraus_reads_whole_columns_without_scalar_lookups(rng, monkeypatch):
+    net = SpinNetwork.chain(rng.uniform(0.5, 1.5, 39), rng.uniform(-0.3, 0.3, 39), rng.uniform(-0.2, 0.2, 40))
+    chan = NetworkChannel(net)
+    senders, receivers, t = (3, 30), (35, 2), 1.3
+    k1, k2 = chan.k1.table(t, [(3,), (30,)]), chan.k2.table(t, [(3, 30)])
+    elements = two_qubit_map_elements(k1, k2, senders, receivers, chan.vacuum(t))  # scalar lookups
+
+    def no_lookup(*args):
+        raise AssertionError("two_qubit_kraus made a scalar amplitude lookup")
+
+    monkeypatch.setattr(AmplitudeTable, "amplitude", no_lookup)
+    ks = two_qubit_kraus(k1, k2, senders, receivers, chan.vacuum(t))
+    assert len(ks.operators) == 40
+    assert np.abs(superop_from_kraus(ks) - elements).max() < 1e-10
 
 
 def test_network_channel_builds_each_sector_once(rng, sector_builds):
@@ -385,9 +402,9 @@ def test_element_table_anchor_entries(rng):
     net = random_network(rng, 5)
     t = 1.1
     senders, receivers = (0, 2), (3, 4)
-    k1 = amplitudes(net, 1, t)
-    k2 = amplitudes(net, 2, t)
-    vac = vacuum_amplitude(net, t)
+    k1 = SectorPropagator(net, 1).table(t)
+    k2 = SectorPropagator(net, 2).table(t)
+    vac = NetworkChannel(net).vacuum(t)
     a = two_qubit_map_elements(k1, k2, senders, receivers, vac)
     assert a[0, 0] == 1.0
     fpair = np.conj(vac) * k2.amplitude(tuple(sorted(senders)), tuple(sorted(receivers)))

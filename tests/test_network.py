@@ -1,17 +1,18 @@
+import itertools
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinmaps import (
+    NetworkChannel,
     NumericalError,
     SectorPropagator,
     SpinNetwork,
-    amplitudes,
     build_sector_hamiltonian,
     full_unitary_from_sectors,
-    pair_amplitude,
     pair_amplitude_determinant,
-    vacuum_amplitude,
 )
 from spinmaps import network as network_module
 from spinmaps.network import AmplitudeTable, ExcitationSector, basis_index, reduced_state
@@ -42,7 +43,8 @@ def test_network_validation():
 def test_sector_basis_ordering():
     sector = ExcitationSector(4, 2)
     assert sector.dimension == 6
-    assert sector.basis == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+    assert sector.sites.tolist() == [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]
+    assert not any(isinstance(v, (tuple, dict)) for v in vars(sector).values())  # one basis, the array
     assert sector.index_of((2, 0)) == 1  # canonicalized lookup
     with pytest.raises(ValueError):
         ExcitationSector(4, 5)
@@ -90,7 +92,7 @@ def test_sector_out_of_range(rng):
 def test_amplitudes_zero_time_is_identity(rng):
     net = random_network(rng, 5)
     for k in (0, 1, 2):
-        table = amplitudes(net, k, 0.0)
+        table = SectorPropagator(net, k).table(0.0)
         assert np.allclose(table.amplitudes, np.eye(table.sector.dimension), atol=1e-14)
 
 
@@ -98,7 +100,7 @@ def test_two_site_amplitude_closed_form():
     j = 0.61
     net = SpinNetwork(np.array([[0.0, j], [j, 0.0]]))
     for t in (0.3, 1.7, 4.0):
-        table = amplitudes(net, 1, t)
+        table = SectorPropagator(net, 1).table(t)
         assert abs(table.site_amplitude(0, 1) - (-1j * np.sin(2 * j * t))) < 1e-12
         assert abs(table.site_amplitude(0, 0) - np.cos(2 * j * t)) < 1e-12
 
@@ -107,10 +109,10 @@ def test_three_site_chain_end_to_end_amplitude():
     j = 0.9
     net = SpinNetwork.uniform_chain(3, j)
     for t in (0.2, 0.9, 2.4):
-        f13 = amplitudes(net, 1, t).site_amplitude(0, 2)
+        f13 = SectorPropagator(net, 1).table(t).site_amplitude(0, 2)
         assert abs(f13 - (np.cos(2 * np.sqrt(2) * j * t) - 1.0) / 2.0) < 1e-12
     t_star = np.pi / (2 * np.sqrt(2) * j)
-    assert abs(abs(amplitudes(net, 1, t_star).site_amplitude(0, 2)) - 1.0) < 1e-12
+    assert abs(abs(SectorPropagator(net, 1).table(t_star).site_amplitude(0, 2)) - 1.0) < 1e-12
 
 
 def test_amplitude_unitarity_and_completeness(rng):
@@ -118,7 +120,7 @@ def test_amplitude_unitarity_and_completeness(rng):
         net = random_network(rng, int(rng.integers(2, 7)))
         t = float(rng.uniform(0.0, 4.0))
         for k in (1, 2):
-            a = amplitudes(net, k, t).amplitudes
+            a = SectorPropagator(net, k).table(t).amplitudes
             dim = a.shape[0]
             assert np.abs(a @ a.conj().T - np.eye(dim)).max() < 1e-10
             assert np.abs((np.abs(a) ** 2).sum(axis=0) - 1.0).max() < 1e-10
@@ -154,15 +156,17 @@ def test_cross_sector_amplitudes_vanish_by_construction(rng):
 
 def test_pair_amplitude_lookup_and_errors(rng):
     net = random_network(rng, 4)
-    table = amplitudes(net, 2, 0.0)
-    assert pair_amplitude(table, 0, 1, 0, 1) == pytest.approx(1.0)
-    assert pair_amplitude(table, 0, 1, 2, 3) == pytest.approx(0.0)
-    with pytest.raises(ValueError):
-        pair_amplitude(table, 1, 0, 2, 3)
-    with pytest.raises(ValueError):
-        pair_amplitude(table, 0, 1, 3, 2)
-    with pytest.raises(ValueError):
-        pair_amplitude(amplitudes(net, 1, 0.0), 0, 1, 2, 3)
+    table = SectorPropagator(net, 2).table(0.0)
+    assert table.amplitude((0, 1), (0, 1)) == pytest.approx(1.0)
+    assert table.amplitude((0, 1), (2, 3)) == pytest.approx(0.0)
+    table = SectorPropagator(net, 2).table(0.7)
+    assert table.amplitude((0, 1), (2, 3)) == table.amplitudes[5, 0]  # (0, 1) is the first pair, (2, 3) the last
+    assert table.amplitude((1, 0), (3, 2)) == table.amplitudes[5, 0]  # a pair in either order
+    for source, target in (((1, 1), (2, 3)), ((0, 1), (3, 4)), ((0, 1), (2,)), ((0, 1), (0.5, 2))):
+        with pytest.raises(ValueError, match="not a valid configuration"):
+            table.amplitude(source, target)
+    with pytest.raises(ValueError, match="not a valid configuration"):
+        SectorPropagator(net, 1).table(0.0).amplitude((0, 1), (2, 3))
 
 
 def test_determinant_identity_on_open_chain(rng):
@@ -170,11 +174,11 @@ def test_determinant_identity_on_open_chain(rng):
     # one-excitation amplitudes, cross-checked against the dense oracle
     net = SpinNetwork.uniform_chain(4, 1.1)
     t = 0.77
-    k1 = amplitudes(net, 1, t)
-    k2 = amplitudes(net, 2, t)
+    k1 = SectorPropagator(net, 1).table(t)
+    k2 = SectorPropagator(net, 2).table(t)
     f = k1.amplitudes
     det = f[2, 0] * f[3, 1] - f[3, 0] * f[2, 1]  # f_1^3 f_2^4 - f_1^4 f_2^3
-    direct = pair_amplitude(k2, 0, 1, 2, 3)
+    direct = k2.amplitude((0, 1), (2, 3))
     assert abs(det - direct) < 1e-12
     assert abs(pair_amplitude_determinant(net, k1, 0, 1, 2, 3) - direct) < 1e-12
     u = FullPropagator(net).unitary(t)
@@ -185,8 +189,8 @@ def test_determinant_identity_on_open_chain(rng):
 def test_determinant_with_fields(rng):
     net = SpinNetwork.chain(rng.normal(size=4), fields=rng.normal(size=5))
     t = 1.21
-    k1 = amplitudes(net, 1, t)
-    k2 = amplitudes(net, 2, t)
+    k1 = SectorPropagator(net, 1).table(t)
+    k2 = SectorPropagator(net, 2).table(t)
     worst = 0.0
     from itertools import combinations
 
@@ -201,7 +205,7 @@ def test_determinant_rejects_unsupported_networks(rng):
     ring = np.zeros((4, 4))
     for b in range(4):
         ring[b, (b + 1) % 4] = ring[(b + 1) % 4, b] = 1.0
-    k1 = amplitudes(SpinNetwork.uniform_chain(4), 1, 0.5)
+    k1 = SectorPropagator(SpinNetwork.uniform_chain(4), 1).table(0.5)
     with pytest.raises(ValueError):
         pair_amplitude_determinant(SpinNetwork(ring), k1, 0, 1, 2, 3)
     with_zz = SpinNetwork.chain([1.0, 1.0, 1.0], zz_couplings=[0.3, 0.3, 0.3])
@@ -213,18 +217,20 @@ def test_vacuum_amplitude_matches_full_propagator(rng):
     net = random_network(rng, 4)
     t = 0.9
     u = FullPropagator(net).unitary(t)
-    assert abs(vacuum_amplitude(net, t) - u[0, 0]) < 1e-12
+    assert abs(NetworkChannel(net).vacuum(t) - u[0, 0]) < 1e-12
 
 
-def test_vacuum_amplitude_reads_the_sector_diagonal_without_a_sector(rng, monkeypatch):
+def test_vacuum_amplitude_reads_the_sector_diagonal_without_a_sector(rng, monkeypatch, sector_builds):
     net = random_network(rng, 5)
     assert net.diagonal_energy() == build_sector_hamiltonian(net, 0).matrix[0, 0]
+    chan = NetworkChannel(net)
 
     def no_sector(network, k):
-        raise AssertionError("vacuum_amplitude built a sector Hamiltonian")
+        raise AssertionError("the vacuum phase built a sector Hamiltonian")
 
     monkeypatch.setattr(network_module, "build_sector_hamiltonian", no_sector)
-    assert vacuum_amplitude(net, 0.7) == complex(np.exp(-1j * net.diagonal_energy() * 0.7))
+    assert chan.vacuum(0.7) == complex(np.exp(-1j * net.diagonal_energy() * 0.7))
+    assert sector_builds == [1]  # the channel's k=1 propagator, never a k=0 one
 
 
 def test_disjoint_union_is_block_diagonal(rng):
@@ -244,11 +250,15 @@ def test_disjoint_union_is_block_diagonal(rng):
 
 
 def reference_sector_hamiltonian(network, k):
-    """Per-configuration loop with dictionary lookups, kept as the reference build."""
-    sector = ExcitationSector(network.n_sites, k)
+    """Per-configuration loop with dictionary lookups, kept as the reference build.
+
+    It enumerates its own lexicographic basis, so it reads nothing of the sector classes.
+    """
     n = network.n_sites
-    h = np.zeros((sector.dimension, sector.dimension), dtype=complex)
-    for a, occ in enumerate(sector.basis):
+    basis = list(itertools.combinations(range(n), k))
+    index = {occ: a for a, occ in enumerate(basis)}
+    h = np.zeros((len(basis), len(basis)), dtype=complex)
+    for a, occ in enumerate(basis):
         s = -np.ones(n)
         s[list(occ)] = 1.0
         h[a, a] = s @ network.fields + 0.5 * s @ network.zz @ s
@@ -257,7 +267,7 @@ def reference_sector_hamiltonian(network, k):
             for j in range(n):
                 if j in occ_set or network.xy[i, j] == 0.0:
                     continue
-                h[sector.index_of(occ_set - {i} | {j}), a] += 2.0 * network.xy[i, j]
+                h[index[tuple(sorted(occ_set - {i} | {j}))], a] += 2.0 * network.xy[i, j]
     return h
 
 
@@ -279,6 +289,32 @@ def test_sector_positions_match_index_of():
             assert list(sector.positions(sector.sites)) == list(range(sector.dimension))
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 9))
+def test_index_of_is_the_validated_rank_of_any_site_order(data, n):
+    k = data.draw(st.integers(0, n), label="k")
+    sector = ExcitationSector(n, k)
+    assert sector.sites.tolist() == [list(c) for c in itertools.combinations(range(n), k)]
+    a = data.draw(st.integers(0, sector.dimension - 1), label="position")
+    row = sector.sites[a].tolist()
+    order = data.draw(st.permutations(range(k)), label="order")
+    assert sector.index_of([row[q] for q in order]) == a == sector.positions(sector.sites[a:a + 1])[0]
+    assert sector.index_of(tuple(sector.sites[a][list(order)])) == a  # numpy integers are sites too
+    bad = [row + [data.draw(st.integers(0, n - 1), label="extra")]]  # one site too many
+    if k:
+        q = data.draw(st.integers(0, k - 1), label="slot")
+        for site in (None, data.draw(st.integers(-3, -1), label="negative"),
+                     n + data.draw(st.integers(0, 3), label="beyond"),
+                     row[q] + 0.5, float(row[q])):  # dropped, negative, out of range, non-integer, float
+            bad.append(row[:q] + ([] if site is None else [site]) + row[q + 1:])
+    if k >= 2:
+        bad.append(row[:-1] + [row[0]])  # a repeated site, the right count
+    for config in bad:
+        config = data.draw(st.permutations(config), label="bad order")
+        with pytest.raises(ValueError, match=re.escape(f"{config} is not a valid configuration of this sector")):
+            sector.index_of(config)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(3, 7),
@@ -291,7 +327,7 @@ def test_column_tables_match_full_table_columns(n, k, seed, t, picks):
     net = random_network(np.random.default_rng(seed), n)
     prop = SectorPropagator(net, k)
     full = prop.table(t)
-    basis = prop.sector.basis
+    basis = [tuple(row) for row in prop.sector.sites.tolist()]
     sources = list(dict.fromkeys(basis[p % len(basis)] for p in picks))
     cols = prop.table(t, [tuple(reversed(s)) for s in sources])  # order inside a source is free
     assert cols.sources == tuple(sources)
@@ -328,7 +364,7 @@ def test_corrupted_eigenbasis_raises_numerical_error(rng, monkeypatch):
 
 
 def test_column_gram_check_raises_numerical_error(rng):
-    table = amplitudes(random_network(rng, 4), 1, 0.7)
+    table = SectorPropagator(random_network(rng, 4), 1).table(0.7)
     sector, f = table.sector, table.amplitudes
     AmplitudeTable(sector, 0.7, f[:, [0, 2]], ((0,), (2,)))
     with pytest.raises(NumericalError, match="not orthonormal"):

@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 from spinmaps import (
     NetworkChannel,
     NumericalError,
+    SectorPropagator,
     SpinNetwork,
-    amplitudes,
     apply,
     magnetization_expectation,
     reduced_output,
@@ -16,7 +16,7 @@ from spinmaps import network, oracle
 from spinmaps.maps import partial_trace, random_density_matrix
 from spinmaps.network import basis_index
 from spinmaps.cli import main
-from spinmaps.oracle import MAX_SITES, FullPropagator, full_hamiltonian, hamiltonian_elements, initial_density
+from spinmaps.oracle import MAX_SITES, FullPropagator, full_hamiltonian, hamiltonian_elements
 
 from conftest import random_network
 
@@ -24,6 +24,16 @@ from conftest import random_network
 def random_state(rng, dim):
     psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return psi / np.linalg.norm(psi)
+
+
+def initial_density(network, rho_s, sender_sites):
+    """The sender state on ``sender_sites`` (in qubit order), every other spin in |0>, as a 2^N matrix."""
+    n, k = network.n_sites, len(sender_sites)
+    embed = [basis_index([s for q, s in enumerate(sender_sites) if (a >> (k - 1 - q)) & 1], n)
+             for a in range(2**k)]
+    sigma = np.zeros((1 << n, 1 << n), dtype=complex)
+    sigma[np.ix_(embed, embed)] = rho_s
+    return sigma
 
 
 def test_zero_time_is_identity(rng):
@@ -61,8 +71,12 @@ def test_magnetization_conserved(rng):
 def test_purity_preserved(rng):
     net = random_network(rng, 4)
     rho = np.outer(*(lambda p: (p, p.conj()))(random_state(rng, 16)))
-    out = FullPropagator(net).evolve(rho, 1.4)
+    prop = FullPropagator(net)
+    u = prop.unitary(1.4)
+    out = u @ rho @ u.conj().T
     assert abs(np.trace(out @ out).real - 1.0) < 1e-10
+    with pytest.raises(ValueError, match="state vector"):
+        prop.evolve(rho, 1.4)  # a density matrix evolves as U rho U^dag, above
 
 
 def test_excitation_overlap_matches_sector_amplitude(rng):
@@ -73,7 +87,7 @@ def test_excitation_overlap_matches_sector_amplitude(rng):
     for t in (0.3, 1.9):
         psi_t = prop.evolve(psi0, t)
         overlap = psi_t[basis_index((2,), 3)]
-        f13 = amplitudes(net, 1, t).site_amplitude(0, 2)
+        f13 = SectorPropagator(net, 1).table(t).site_amplitude(0, 2)
         assert abs(overlap - f13) < 1e-10
 
 
@@ -116,12 +130,12 @@ def test_central_equivalence_one_qubit(rng):
 
 def test_initial_density_validation(rng):
     net = random_network(rng, 4)
-    with pytest.raises(ValueError):
-        initial_density(net, random_density_matrix(4, rng), [1, 1])
-    with pytest.raises(ValueError):
-        initial_density(net, random_density_matrix(4, rng), [1, 4])
-    with pytest.raises(ValueError):
-        initial_density(net, random_density_matrix(2, rng), [1, 2])
+    with pytest.raises(ValueError, match="contain duplicates"):
+        reduced_output(net, random_density_matrix(4, rng), [1, 1], [0], 1.0)
+    with pytest.raises(ValueError, match="out of range"):
+        reduced_output(net, random_density_matrix(4, rng), [1, 4], [0], 1.0)
+    with pytest.raises(ValueError, match="does not match 2 sites"):
+        reduced_output(net, random_density_matrix(2, rng), [1, 2], [0], 1.0)
 
 
 def test_full_hamiltonian_is_real_symmetric(rng):
@@ -199,7 +213,7 @@ def test_reduced_output_rejects_bad_receivers(rng):
 
 
 def test_oracle_shares_no_code_with_sector_engine():
-    sector_engine = ("SectorPropagator", "build_sector_hamiltonian", "amplitudes",
+    sector_engine = ("SectorPropagator", "build_sector_hamiltonian", "reduced_state",
                      "AmplitudeTable", "ExcitationSector")
     bound = list(vars(oracle).values())
     for name in sector_engine:
