@@ -18,13 +18,9 @@ from .maps import (
     NetworkChannel,
     apply,
     assert_density_matrix,
-    choi_from_kraus,
     choi_from_superop,
     extend_with_identity,
     is_cptp,
-    is_hermiticity_preserving,
-    is_trace_preserving,
-    kraus_from_choi,
     one_qubit_kraus,
     partial_trace,
     superop_from_kraus,

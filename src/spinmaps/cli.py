@@ -94,25 +94,25 @@ def parse_config(text: str) -> dict:
     return cfg
 
 
-def serialize_config(cfg: dict) -> str:
-    return yaml.safe_dump(cfg, sort_keys=True)
+def _numbers(value, name: str):
+    """A number, or a (nested) list of numbers, as floats; each entry is checked by ``real_number``."""
+    if isinstance(value, (list, tuple)):
+        return [_numbers(v, name) for v in value]
+    return protocols.real_number(value, name)
 
 
 def _network_from_config(section: dict, where: str) -> SpinNetwork:
+    # every number the section gives, entry by entry; an absent optional field reads as None
+    num = {key: _numbers(value, f"{where}.{key}")
+           for key, value in section.items() if key not in ("kind", "sites") and value is not None}
     kind = section.get("kind", "chain")
     if kind == "uniform_chain":
         sites = protocols.whole_number(section["sites"], f"{where}.sites")
-        return SpinNetwork.uniform_chain(sites, float(section.get("coupling", 1.0)))
+        return SpinNetwork.uniform_chain(sites, num.get("coupling", 1.0))
     if kind == "chain":
-        return SpinNetwork.chain(
-            section["couplings"], section.get("zz_couplings"), section.get("fields")
-        )
+        return SpinNetwork.chain(num["couplings"], num.get("zz_couplings"), num.get("fields"))
     if kind == "matrix":
-        return SpinNetwork(
-            np.array(section["xy"], dtype=float),
-            np.array(section["zz"], dtype=float) if "zz" in section else None,
-            section.get("fields"),
-        )
+        return SpinNetwork(np.array(num["xy"]), num.get("zz"), num.get("fields"))
     raise ConfigError(f"unknown network kind {kind!r}")
 
 
@@ -120,9 +120,10 @@ def _times_from_config(section) -> tuple:
     if section is None:
         raise ConfigError("missing required section 'times'")
     if "list" in section:
-        return tuple(float(t) for t in section["list"])
+        return tuple(protocols.real_number(t, "times.list") for t in section["list"])
     try:
-        start, stop = float(section["start"]), float(section["stop"])
+        start = protocols.real_number(section["start"], "times.start")
+        stop = protocols.real_number(section["stop"], "times.stop")
         points = protocols.whole_number(section["points"], "times.points", minimum=1)
     except KeyError as exc:
         raise ConfigError(f"times section needs start/stop/points or list (missing {exc})") from exc
@@ -145,7 +146,7 @@ def spec_from_config(cfg: dict) -> protocols.ScenarioSpec:
             params=cfg.get("params") or {},
             verify_oracle=bool(verify.get("oracle", False)),
             verify_cptp=bool(verify.get("cptp", False)),
-            oracle_tol=float(tolerances.get("oracle", protocols.ORACLE_TOL)),
+            oracle_tol=protocols.real_number(tolerances.get("oracle", protocols.ORACLE_TOL), "tolerances.oracle"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc

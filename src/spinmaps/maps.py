@@ -1,8 +1,12 @@
-"""Quantum dynamical maps: Kraus sets, superoperators and Choi matrices.
+"""Quantum dynamical maps as Kraus sets, with their superoperator and Choi checks.
 
-Superoperators act on row-major vectorized density matrices, i.e. the column
-vector (rho_00, rho_01, ..., rho_dd); the matrix element A[(i,j),(n,m)] is
-sum_k (E_k)_{in} (E_k)*_{jm}, so A = sum_k kron(E_k, conj(E_k)).
+Every map a run builds is a :class:`KrausSet`, which :func:`apply` maps a
+state through and :func:`is_cptp` checks.  :func:`is_cptp` also takes a
+superoperator matrix, the one form a map that is not completely positive can
+take.  Superoperators act on row-major vectorized density matrices, i.e. the
+column vector (rho_00, rho_01, ..., rho_dd); the matrix element
+A[(i,j),(n,m)] is sum_k (E_k)_{in} (E_k)*_{jm}, so
+A = sum_k kron(E_k, conj(E_k)).
 
 The one- and two-qubit maps induced by a U(1) network on sender/receiver
 subsets are built from sector amplitude tables, in one place:
@@ -182,10 +186,6 @@ class KrausSet:
         return acc - np.eye(self.input_dim)
 
 
-def identity_kraus(dim: int) -> KrausSet:
-    return KrausSet((np.eye(dim, dtype=complex),))
-
-
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``np.kron`` of the last two axes, broadcast over a leading time axis."""
     out = np.einsum("...ij,...kl->...ikjl", a, b)
@@ -197,34 +197,20 @@ def superop_from_kraus(ks: KrausSet) -> np.ndarray:
     return sum(_kron(op, op.conj()) for op in ks.operators)
 
 
-def _check_state_shape(rho: np.ndarray, din: int):
-    if rho.ndim not in (2, 3) or rho.shape[-2:] != (din, din):
-        raise ValueError(f"state dimension {rho.shape} does not match input dim {din}")
-
-
 def apply_kraus(ks: KrausSet, rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
-    _check_state_shape(rho, ks.input_dim)
+    if rho.ndim not in (2, 3) or rho.shape[-2:] != (ks.input_dim, ks.input_dim):
+        raise ValueError(f"state dimension {rho.shape} does not match input dim {ks.input_dim}")
     return sum(op @ rho @ op.conj().swapaxes(-1, -2) for op in ks.operators)
 
 
-def apply_superop(a: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    a = np.asarray(a)
-    rho = np.asarray(rho, dtype=complex)
-    din = int(round(np.sqrt(a.shape[-1])))
-    dout = int(round(np.sqrt(a.shape[-2])))
-    _check_state_shape(rho, din)
-    out = a @ rho.reshape(rho.shape[:-2] + (-1, 1))
-    return out.reshape(out.shape[:-2] + (dout, dout))
-
-
-def apply(map_, rho: np.ndarray) -> np.ndarray:
-    """Apply a map (KrausSet or superoperator matrix) to a density matrix.
+def apply(ks: KrausSet, rho: np.ndarray) -> np.ndarray:
+    """Apply a Kraus set to a density matrix and validate the output.
 
     A map or a state with a leading time axis gives a (T, d, d) stack of
     outputs, each validated.
     """
-    out = apply_kraus(map_, rho) if isinstance(map_, KrausSet) else apply_superop(map_, rho)
+    out = apply_kraus(ks, rho)
     assert_density_matrix(out)
     return out
 
@@ -236,42 +222,6 @@ def choi_from_superop(a: np.ndarray, input_dim: int, output_dim: int) -> np.ndar
     a4 = a.reshape(lead + (output_dim, output_dim, input_dim, input_dim))
     d = input_dim * output_dim
     return a4.transpose(*range(len(lead)), *(len(lead) + q for q in (2, 0, 3, 1))).reshape(lead + (d, d))
-
-
-def choi_from_kraus(ks: KrausSet) -> np.ndarray:
-    return choi_from_superop(superop_from_kraus(ks), ks.input_dim, ks.output_dim)
-
-
-def kraus_from_choi(choi: np.ndarray, input_dim: int, output_dim: int, tol: float = 1e-12) -> KrausSet:
-    """Minimal Kraus set from the eigendecomposition of a (PSD) Choi matrix."""
-    w, v = np.linalg.eigh(np.asarray(choi))
-    ops = []
-    for lam, vec in zip(w, v.T):
-        if lam > tol:
-            ops.append(np.sqrt(lam) * vec.reshape(input_dim, output_dim).T)
-    if not ops:
-        raise ValueError("Choi matrix has no positive eigenvalues above tolerance")
-    return KrausSet(tuple(ops), complete=False)
-
-
-def is_trace_preserving(a: np.ndarray, atol: float = 1e-10) -> bool:
-    """Check sum_i A[(i,i),(n,m)] = delta_nm."""
-    a = np.asarray(a)
-    din = int(round(np.sqrt(a.shape[1])))
-    dout = int(round(np.sqrt(a.shape[0])))
-    a4 = a.reshape(dout, dout, din * din)
-    col = np.einsum("iix->x", a4)
-    return bool(np.abs(col - np.eye(din).reshape(-1)).max() <= atol)
-
-
-def is_hermiticity_preserving(a: np.ndarray, atol: float = 1e-10) -> bool:
-    """Check conj(A[(i,j),(n,m)]) = A[(j,i),(m,n)]."""
-    a = np.asarray(a)
-    din = int(round(np.sqrt(a.shape[1])))
-    dout = int(round(np.sqrt(a.shape[0])))
-    a4 = a.reshape(dout, dout, din, din)
-    swapped = a4.transpose(1, 0, 3, 2)
-    return bool(np.abs(a4.conj() - swapped).max() <= atol)
 
 
 @dataclass(frozen=True)
@@ -286,9 +236,12 @@ class CptpVerdict:
         return bool(np.all(self.ok))
 
 
-def is_cptp(map_, tol: float = 1e-9) -> CptpVerdict:
-    """Choi-PSD plus trace-preservation verdict with witness values.
+def is_cptp(map_) -> CptpVerdict:
+    """Choi-PSD (to -1e-9) plus trace-preservation (to 1e-10) verdict with witness values.
 
+    ``map_`` is a :class:`KrausSet` or a superoperator matrix; a Kraus set is
+    completely positive by construction, so a map that is not (such as a
+    closed-form reference matrix) reaches the check only as a superoperator.
     A stack of T maps gives T values in every field, slice by slice.
     """
     if isinstance(map_, KrausSet):
@@ -303,7 +256,7 @@ def is_cptp(map_, tol: float = 1e-9) -> CptpVerdict:
     # partial trace of the Choi matrix over the output factor
     tr_out = np.einsum("...nimi->...nm", choi.reshape(choi.shape[:-2] + (din, dout, din, dout)))
     trace_defect = np.abs(tr_out - np.eye(din)).max(axis=(-2, -1))
-    return CptpVerdict((min_eig >= -tol) & (trace_defect <= 1e-10), min_eig, trace_defect)
+    return CptpVerdict((min_eig >= PSD_FLOOR) & (trace_defect <= 1e-10), min_eig, trace_defect)
 
 
 # ---------------------------------------------------------------------------
@@ -332,19 +285,10 @@ def one_qubit_kraus(f) -> KrausSet:
     return KrausSet((e0, e1))
 
 
-def extend_with_identity(ks: KrausSet, side: str = "left") -> KrausSet:
-    """Tensor a one-qubit map with the identity map on a second qubit.
-
-    ``side="left"`` puts the identity on the left factor (first qubit).
-    """
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+def extend_with_identity(ks: KrausSet) -> KrausSet:
+    """Tensor the identity map on a first qubit with a one-qubit map on the second."""
     eye = np.eye(2, dtype=complex)
-    if side == "left":
-        ops = tuple(_kron(eye, op) for op in ks.operators)
-    else:
-        ops = tuple(_kron(op, eye) for op in ks.operators)
-    return KrausSet(ops, complete=ks.complete)
+    return KrausSet(tuple(_kron(eye, op) for op in ks.operators), complete=ks.complete)
 
 
 def tensor_map(m1: KrausSet, m2: KrausSet) -> KrausSet:

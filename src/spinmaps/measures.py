@@ -17,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import partial_trace
-
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SYSY = np.kron(_SY, _SY).real
 _SY4 = np.kron(_SYSY, _SYSY)
@@ -28,10 +26,10 @@ CLIP_TOL = 1e-9
 BELL_LABELS = ("phi+", "phi-", "psi+", "psi-")
 
 
-def _clip_unit(x, tol: float = CLIP_TOL):
-    """Clip a value (or every entry of an array) to [0, 1] after a ``tol`` window."""
+def _clip_unit(x):
+    """Clip a value (or every entry of an array) to [0, 1] after a ``CLIP_TOL`` window."""
     x = np.asarray(x, dtype=float)
-    outside = (x < -tol) | (x > 1.0 + tol)
+    outside = (x < -CLIP_TOL) | (x > 1.0 + CLIP_TOL)
     if outside.any():
         raise ValueError(f"measure value {x[outside][0]} outside [0, 1] beyond tolerance")
     clipped = np.minimum(np.maximum(x, 0.0), 1.0)
@@ -112,12 +110,13 @@ class XState:
         return rho
 
     @classmethod
-    def from_density_matrix(cls, rho: np.ndarray, atol: float = 1e-10) -> "XState":
+    def from_density_matrix(cls, rho: np.ndarray) -> "XState":
+        """The X state of ``rho``, whose entries off the two diagonals must vanish to 1e-10."""
         rho = np.asarray(rho, dtype=complex)
         mask = np.ones((4, 4), dtype=bool)
         mask[np.arange(4), np.arange(4)] = False
         mask[0, 3] = mask[3, 0] = mask[1, 2] = mask[2, 1] = False
-        if np.abs(rho[mask]).max() > atol:
+        if np.abs(rho[mask]).max() > 1e-10:
             raise ValueError("density matrix is not of X form")
         return cls(
             rho[0, 0].real, rho[1, 1].real, rho[2, 2].real, rho[3, 3].real,
@@ -243,29 +242,18 @@ def three_tangle_pure(psi):
     return _clip_unit(4.0 * np.abs(d1 - 2.0 * d2 + 4.0 * d3))
 
 
-def three_tangle_from_concurrences(psi) -> float:
-    """Same residual tangle via the concurrence expression (slower, noisier)."""
-    psi = _as_state_vector(psi, 3)
-    rho = np.outer(psi, psi.conj())
-    ra = partial_trace(rho, [0], [2, 2, 2])
-    c2_one_rest = 2.0 * (1.0 - np.trace(ra @ ra).real)
-    cab = concurrence(partial_trace(rho, [0, 1], [2, 2, 2]))
-    cac = concurrence(partial_trace(rho, [0, 2], [2, 2, 2]))
-    return _clip_unit(max(0.0, c2_one_rest - cab**2 - cac**2), tol=1e-6)
-
-
-def three_tangle_decomposition_bound(rho: np.ndarray, eig_tol: float = 1e-12):
+def three_tangle_decomposition_bound(rho: np.ndarray):
     """Average residual tangle over the eigendecomposition of a 3-qubit state (or a stack).
 
     Upper bound on the convex-roof extension; when it vanishes the convex
     roof is exactly zero, since a zero-average decomposition is minimal.
-    Eigenvectors with eigenvalue at most ``eig_tol`` do not enter.
+    Eigenvectors with eigenvalue at most 1e-12 do not enter.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim not in (2, 3) or rho.shape[-2:] != (8, 8):
         raise ValueError(f"expected an 8x8 three-qubit state, got {rho.shape}")
     w, v = np.linalg.eigh(rho)
-    keep = w > eig_tol
+    keep = w > 1e-12
     vecs = v.swapaxes(-1, -2)[keep]  # the kept eigenvectors as rows
     weighted = np.zeros(w.shape)
     weighted[keep] = w[keep] * three_tangle_pure(vecs / np.linalg.norm(vecs, axis=-1, keepdims=True))
@@ -273,10 +261,10 @@ def three_tangle_decomposition_bound(rho: np.ndarray, eig_tol: float = 1e-12):
     return float(total) if total.ndim == 0 else total
 
 
-def one_vs_rest_concurrence(psi, qubit: int, n_qubits: int = 4):
-    """sqrt(2 (1 - Tr rho_a^2)) for one qubit against the rest."""
-    psi = _as_state_vector(psi, n_qubits)
-    r = _reduced(psi, (qubit,), n_qubits)
+def one_vs_rest_concurrence(psi, qubit: int):
+    """sqrt(2 (1 - Tr rho_a^2)) for one qubit against the other three of four."""
+    psi = _as_state_vector(psi, 4)
+    r = _reduced(psi, (qubit,), 4)
     return _clip_unit(np.sqrt(np.maximum(0.0, 2.0 * (1.0 - _purity(r)))))
 
 

@@ -63,7 +63,7 @@ Conventions
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from math import comb
 from operator import getitem
@@ -210,24 +210,20 @@ class ExcitationSector:
     """Fixed-excitation-number subspace with a lexicographic subset basis.
 
     ``sites`` is the basis: a (dimension, k) integer array whose rows are the
-    ascending occupied sites of each configuration, in lexicographic order.
-    A configuration's position is its lexicographic rank, :meth:`index_of`
-    for one and :meth:`positions` for many.
+    ascending occupied sites of each configuration, in lexicographic order,
+    enumerated on first access.  A configuration's position is its
+    lexicographic rank, :meth:`index_of` for one and :meth:`positions` for
+    many; neither enumerates the basis.
     """
 
     n_sites: int
     excitation_count: int
-    sites: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n, k = self.n_sites, self.excitation_count
         if not 0 <= k <= n:
             raise ValueError(f"excitation count {k} out of range for {n} sites")
         d = self.dimension
-        flat = itertools.chain.from_iterable(itertools.combinations(range(n), k))
-        sites = np.fromiter(flat, dtype=np.intp, count=d * k).reshape(d, k)
-        sites.setflags(write=False)
-        object.__setattr__(self, "sites", sites)
         # signed rank weights: a row's position sums, over its slots q, d - 1 (slot 0 only) minus
         # C(n - 1 - c_q, k - q); clipping at d keeps the binomials no valid row reads in int64
         weights = np.array([[(d - 1 if q == 0 else 0) - min(comb(n - 1 - c, k - q), d) for c in range(n)]
@@ -238,6 +234,14 @@ class ExcitationSector:
     @property
     def dimension(self) -> int:
         return comb(self.n_sites, self.excitation_count)
+
+    @cached_property
+    def sites(self) -> np.ndarray:
+        n, k, d = self.n_sites, self.excitation_count, self.dimension
+        flat = itertools.chain.from_iterable(itertools.combinations(range(n), k))
+        sites = np.fromiter(flat, dtype=np.intp, count=d * k).reshape(d, k)
+        sites.setflags(write=False)
+        return sites
 
     def index_of(self, occupied) -> int:
         """Basis position of a configuration given as a site subset, in any order.

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -153,10 +154,13 @@ def build_initial_state(desc: dict, n_qubits: int) -> np.ndarray:
     if kind == "werner":
         if n_qubits != 2:
             raise ValueError("werner input needs a two-qubit slot")
-        return measures.werner_state(float(desc["p"]), desc.get("bell", "psi+"))
+        return measures.werner_state(real_number(desc.get("p"), "initial.p"), desc.get("bell", "psi+"))
     if kind == "xstate":
+        pops = desc.get("populations")
+        if not isinstance(pops, (list, tuple)) or len(pops) != 4:
+            raise ValueError(f"initial.populations must be a list of four numbers, got {pops!r}")
         x = measures.XState(
-            *(float(p) for p in desc["populations"]),
+            *(real_number(p, "initial.populations") for p in pops),
             rho03=_as_complex(desc.get("rho03", 0.0)),
             rho12=_as_complex(desc.get("rho12", 0.0)),
         )
@@ -209,6 +213,24 @@ def whole_number(value, name: str, minimum=None) -> int:
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be at least {minimum}, got {value!r}")
     return int(value)
+
+
+def real_number(value, name: str) -> float:
+    """``value`` as a float, if it is a real number.
+
+    3, 2.5 and NaN are real numbers; True, "3" and None are not.  Anything
+    else raises ValueError naming the field ``name``.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        hint = ""
+        if isinstance(value, str):
+            try:
+                float(value)
+                hint = " (YAML reads it as text: an exponent needs a decimal point, 1.0e-3 and not 1e-3)"
+            except ValueError:
+                pass
+        raise ValueError(f"{name} must be a real number, got {value!r}{hint}")
+    return float(value)
 
 
 def _check_site_range(key: str, site: int, network: SpinNetwork):
@@ -429,7 +451,7 @@ def _run_distribute_single(spec: ScenarioSpec) -> ScenarioResult:
     c_in = measures.concurrence(rho_in)
     x_in = _x_state_or_none(rho_in)
     f = maps.NetworkChannel(net).amplitude(sender, receiver, np.array(spec.times))
-    channel = maps.extend_with_identity(maps.one_qubit_kraus(f), side="left")
+    channel = maps.extend_with_identity(maps.one_qubit_kraus(f))
     out = maps.apply(channel, rho_in)
     c_out = measures.concurrence(out)
     if x_in is not None:
@@ -488,16 +510,16 @@ def _run_two_qubit(spec: ScenarioSpec, storage: bool = False) -> ScenarioResult:
     return _result(spec, columns, (net, senders, receivers, rho_in, out), channel)
 
 
-def _weak_pair_network(spec: ScenarioSpec) -> SpinNetwork:
-    wire = whole_number(spec.params.get("wire_sites", 4), "params.wire_sites", minimum=1)
-    j = float(spec.params.get("J", 1.0))
-    g = float(spec.params.get("g", 0.1))
-    couplings = [g] + [j] * (wire - 1) + [g]
-    return SpinNetwork.chain(couplings)
+def _chain_params(spec: ScenarioSpec, wire_sites: int) -> tuple:
+    """``params`` (wire_sites, J, g) of a weak-coupling chain; the defaults are ``wire_sites``, 1 and 0.1."""
+    params = spec.params
+    wire = whole_number(params.get("wire_sites", wire_sites), "params.wire_sites", minimum=1)
+    return wire, real_number(params.get("J", 1.0), "params.J"), real_number(params.get("g", 0.1), "params.g")
 
 
 def _run_weak_pair(spec: ScenarioSpec) -> ScenarioResult:
-    net = _weak_pair_network(spec)
+    wire, j, g = _chain_params(spec, 4)
+    net = SpinNetwork.chain([g] + [j] * (wire - 1) + [g])
     a, b = 0, net.n_sites - 1
     rho_in = build_initial_state(spec.initial or {"kind": "basis", "string": "10"}, 2)
     chan = maps.NetworkChannel(net)
@@ -524,17 +546,10 @@ def _run_weak_pair(spec: ScenarioSpec) -> ScenarioResult:
                    meta={"peak_time": peak_t, "peak_concurrence": peak_c})
 
 
-def _four_qubit_network(spec: ScenarioSpec) -> SpinNetwork:
-    wire = whole_number(spec.params.get("wire_sites", 2), "params.wire_sites", minimum=1)
-    j = float(spec.params.get("J", 1.0))
-    g = float(spec.params.get("g", 0.1))
-    couplings = [j, g] + [j] * (wire - 1) + [g, j]
-    return SpinNetwork.chain(couplings)
-
-
 def _run_four_qubit_weak(spec: ScenarioSpec) -> ScenarioResult:
     """(A1, A2, B1, B2) from a basis configuration: one sector column, reduced to the corners."""
-    net = _four_qubit_network(spec)
+    wire, j, g = _chain_params(spec, 2)
+    net = SpinNetwork.chain([j, g] + [j] * (wire - 1) + [g, j])
     n = net.n_sites
     corners = [0, 1, n - 2, n - 1]  # A1, A2, B1, B2
     initial = spec.initial or {"kind": "basis", "string": "1100"}
@@ -548,8 +563,6 @@ def _run_four_qubit_weak(spec: ScenarioSpec) -> ScenarioResult:
     red = reduced_state(table, occupied, corners)
     pairs = np.stack([maps.partial_trace(red, list(p), [2] * 4) for p in measures.PAIRS_4])
     pair_c = measures.concurrence(pairs.reshape(-1, 4, 4)).reshape(len(measures.PAIRS_4), -1)
-    g = float(spec.params.get("g", 0.1))
-    j = float(spec.params.get("J", 1.0))
     if label in ("1100", "1010"):
         reference = four_qubit_closed_form(g, j, times, label)
         fid = np.einsum("ti,tij,tj->t", reference.conj(), red, reference).real
@@ -564,8 +577,8 @@ def _run_four_qubit_weak(spec: ScenarioSpec) -> ScenarioResult:
 
 
 def _run_closed_form(spec: ScenarioSpec) -> ScenarioResult:
-    g = float(spec.params.get("g", 1e-2))
-    j = float(spec.params.get("J", 1.0))
+    g = real_number(spec.params.get("g", 1e-2), "params.g")
+    j = real_number(spec.params.get("J", 1.0), "params.J")
     label = _basis_label(spec.initial or {"kind": "basis", "string": "1100"}, 4)
     times = np.array(spec.times)
     psi = four_qubit_closed_form(g, j, times, label)

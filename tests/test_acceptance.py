@@ -99,7 +99,7 @@ def test_criterion_2_reference_matrix_reproduction():
         g = rng.uniform(0, 1) * np.exp(2j * np.pi * rng.uniform())
         single = superop_from_kraus(one_qubit_kraus(f))
         worst = max(worst, np.abs(single - one_qubit_transfer_matrix(np.conj(f))).max())
-        extended = superop_from_kraus(extend_with_identity(one_qubit_kraus(f), side="left"))
+        extended = superop_from_kraus(extend_with_identity(one_qubit_kraus(f)))
         worst = max(worst, np.abs(extended - distributed_pair_matrix(np.conj(f))).max())
         double = superop_from_kraus(tensor_map(one_qubit_kraus(f), one_qubit_kraus(g)))
         worst = max(worst, np.abs(double - dual_rail_matrix(np.conj(f), np.conj(g))).max())
@@ -154,7 +154,7 @@ def test_criterion_4_cptp_suite():
         maps_to_check.append(tensor_map(one_qubit_kraus(f), one_qubit_kraus(np.conj(f))))
     worst_eig, worst_tp = 0.0, 0.0
     for channel in maps_to_check:
-        verdict = is_cptp(channel, tol=1e-9)
+        verdict = is_cptp(channel)
         assert verdict.ok
         worst_eig = min(worst_eig, verdict.min_choi_eigenvalue)
         worst_tp = max(worst_tp, verdict.trace_defect)

@@ -13,7 +13,6 @@ from spinmaps.cli import (
     figure5_result,
     main,
     parse_config,
-    serialize_config,
     spec_from_config,
 )
 from spinmaps.oracle import MAX_SITES
@@ -43,7 +42,7 @@ verify:
 def test_parse_and_roundtrip():
     cfg = parse_config(GOOD_CONFIG)
     assert cfg["scenario"] == "distribute_single"
-    again = parse_config(serialize_config(cfg))
+    again = parse_config(yaml.safe_dump(cfg, sort_keys=True))
     assert again == cfg
     spec = spec_from_config(cfg)
     assert spec.network.n_sites == 3
@@ -461,6 +460,7 @@ def test_sweep_and_figure_csv_bytes(tmp_path):
         b"psi+,0.4,0.0,0.0,-0.0,-0.0", b"psi+,0.4,1.0,0.9999999999999983,0.04999999999999996,-0.35"]
 
 
+CHAIN_CONFIG = "scenario: qst\nnetwork: {{{}}}\nsites: {{sender: 0, receiver: 2}}\ntimes: {{list: [0.0, 1.0]}}\n"
 TRANSFER_CONFIG = ("scenario: two_qubit_transfer\nnetwork: {kind: uniform_chain, sites: 5}\n"
                    "times: {list: [0.0, 1.0]}\ninitial: {kind: bell}\n")
 
@@ -487,9 +487,38 @@ TRANSFER_CONFIG = ("scenario: two_qubit_transfer\nnetwork: {kind: uniform_chain,
      "sites.senders must be a pair of two sites, got 3"),
     ("run", TRANSFER_CONFIG + "sites: {senders: [0, 1], receivers: [3, 4.5]}\n",
      "sites.receivers must be a whole number, got 4.5"),
+    ("run", QST_CONFIG.replace("sites: 8", "sites: 8\n  coupling: abc"), "network.coupling must be a real number, got 'abc'"),
+    ("run", QST_CONFIG.replace("sites: 8", "sites: 8\n  coupling: true"), "network.coupling must be a real number, got True"),
+    ("run", CHAIN_CONFIG.format("couplings: [1.0, abc]"), "network.couplings must be a real number, got 'abc'"),
+    ("run", CHAIN_CONFIG.format("couplings: [1, 1], zz_couplings: [0.1, x]"),
+     "network.zz_couplings must be a real number, got 'x'"),
+    ("run", CHAIN_CONFIG.format("couplings: [1, 1], fields: [0, 0, true]"),
+     "network.fields must be a real number, got True"),
+    ("run", CHAIN_CONFIG.format("kind: matrix, xy: [[0, 1, 0], [1, 0, 1], [0, abc, 0]]"),
+     "network.xy must be a real number, got 'abc'"),
+    ("run", QST_CONFIG.replace("start: 0.0", "start: abc"), "times.start must be a real number, got 'abc'"),
+    ("run", QST_CONFIG.replace("stop: 1.0", "stop: [1.0]"), "times.stop must be a real number, got [1.0]"),
+    ("run", CHAIN_CONFIG.format("couplings: [1, 1]").replace("[0.0, 1.0]", "[0, 1, x]"),
+     "times.list must be a real number, got 'x'"),
+    ("run", "scenario: weak_pair\ntimes: {list: [0.0, 1.0]}\nparams: {g: abc}\n", "params.g must be a real number, got 'abc'"),
+    ("run", "scenario: four_qubit_weak\ntimes: {list: [0.0, 1.0]}\nparams: {J: true}\n",
+     "params.J must be a real number, got True"),
+    ("run", "scenario: closed_form_four_qubit\ntimes: {list: [0.0, 1.0]}\nparams: {g: 1e-3}\n",
+     "params.g must be a real number, got '1e-3' (YAML reads it as text: an exponent needs a decimal point, "
+     "1.0e-3 and not 1e-3)"),
+    ("run", GOOD_CONFIG.replace("p: 0.7", "p: abc"), "initial.p must be a real number, got 'abc'"),
+    ("run", GOOD_CONFIG.replace("  p: 0.7\n", ""), "initial.p must be a real number, got None"),
+    ("run", GOOD_CONFIG.replace("kind: werner\n  p: 0.7", "kind: xstate\n  populations: [0.5, 0.5, 0, abc]"),
+     "initial.populations must be a real number, got 'abc'"),
+    ("run", GOOD_CONFIG.replace("kind: werner\n  p: 0.7", "kind: xstate\n  populations: [0.5, 0.5]"),
+     "initial.populations must be a list of four numbers, got [0.5, 0.5]"),
+    ("run", GOOD_CONFIG + "tolerances: {oracle: abc}\n", "tolerances.oracle must be a real number, got 'abc'"),
 ], ids=["sweep-values-int", "sweep-values-text", "sweep-values-string", "sweep-wire-sites", "sender-fraction", "sender-text",
         "points-fraction", "points-negative", "network-sites", "weak-pair-wire-sites", "four-qubit-wire-sites",
-        "four-qubit-no-wire", "pair-number", "pair-fraction"])
+        "four-qubit-no-wire", "pair-number", "pair-fraction", "coupling-text", "coupling-bool", "couplings-entry",
+        "zz-entry", "fields-bool", "xy-entry", "start-text", "stop-list", "times-list-entry", "g-text", "J-bool",
+        "g-exponent-text", "werner-p-text", "werner-p-missing", "populations-entry", "populations-count",
+        "oracle-tolerance-text"])
 def test_sweep_values_and_whole_number_fields_exit_2_naming_the_field(tmp_path, capsys, command, text, message):
     config = tmp_path / "run.yaml"
     config.write_text(text)
@@ -506,7 +535,10 @@ def test_sweep_values_and_whole_number_fields_exit_2_naming_the_field(tmp_path, 
      "scenario: weak_pair\ntimes: {list: [0.0, 1.0]}\nparams: {wire_sites: 3.0}\n"),
     (TRANSFER_CONFIG + "sites: {senders: [0, 1], receivers: [3, 4]}\n",
      TRANSFER_CONFIG + "sites: {senders: [0.0, 1], receivers: [3, 4.0]}\n"),
-], ids=["qst", "weak_pair", "two_qubit_transfer"])
+    (QST_CONFIG.replace("sites: 8", "sites: 8\n  coupling: 1.0"), QST_CONFIG.replace("sites: 8", "sites: 8\n  coupling: 1")),
+    (CHAIN_CONFIG.format("couplings: [1.0, 0.5], fields: [0.0, 0.25, 0.0]"),
+     CHAIN_CONFIG.format("couplings: [1, 0.5], fields: [0, 0.25, 0]").replace("[0.0, 1.0]", "[0, 1]")),
+], ids=["qst", "weak_pair", "two_qubit_transfer", "int-coupling", "int-chain-and-times"])
 def test_whole_valued_floats_run_like_integers(tmp_path, whole, text):
     outputs = []
     for name, body in (("int", whole), ("float", text)):

@@ -24,7 +24,6 @@ from spinmaps.measures import (
     _SYSY,
     one_vs_rest_concurrence,
     pair_split_concurrence,
-    three_tangle_from_concurrences,
 )
 from spinmaps.protocols import four_qubit_closed_form
 
@@ -34,6 +33,16 @@ def wootters_spectrum_route(rho):
     rt = rho @ _SYSY @ rho.conj() @ _SYSY
     lam = np.sort(np.sqrt(np.clip(np.linalg.eigvals(rt).real, 0.0, None)))[::-1]
     return max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
+
+
+def three_tangle_from_concurrences(psi):
+    """Residual tangle C^2_{A(BC)} - C^2_{AB} - C^2_{AC} of a 3-qubit pure state, the direct (noisier) route."""
+    rho = np.outer(psi, psi.conj())
+    ra = partial_trace(rho, [0], [2, 2, 2])
+    c2_one_rest = 2.0 * (1.0 - np.trace(ra @ ra).real)
+    cab = concurrence(partial_trace(rho, [0, 1], [2, 2, 2]))
+    cac = concurrence(partial_trace(rho, [0, 2], [2, 2, 2]))
+    return max(0.0, c2_one_rest - cab**2 - cac**2)
 
 
 def random_x_state(rng):

@@ -289,6 +289,18 @@ def test_sector_positions_match_index_of():
             assert list(sector.positions(sector.sites)) == list(range(sector.dimension))
 
 
+def test_rank_lookups_do_not_enumerate_the_basis():
+    sector = ExcitationSector(40, 4)
+    assert sector.dimension == 91390
+    assert sector.positions(np.array([[0, 1, 2, 3], [0, 1, 2, 4], [36, 37, 38, 39]])).tolist() == [0, 1, 91389]
+    assert sector.index_of((39, 0, 38, 37)) == 9138  # the last of the C(39, 3) rows that start at site 0
+    assert "sites" not in vars(sector)  # neither lookup built the (d, k) basis array
+    sites = sector.sites
+    assert sites.shape == (91390, 4) and sites.dtype == np.intp and not sites.flags.writeable
+    assert sector.sites is sites
+    assert sites[9138].tolist() == [0, 37, 38, 39]
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), n=st.integers(1, 9))
 def test_index_of_is_the_validated_rank_of_any_site_order(data, n):

@@ -159,6 +159,7 @@ def test_stacked_kraus_set_and_apply_equal_per_slice(seed, steps, dim, n_ops, ki
         states = np.array(states)
     out_one, out_many = apply(stacked, rho), apply(stacked, states)
     superop = superop_from_kraus(stacked)
+    via_superop = (superop @ rho.reshape(-1)).reshape(-1, dim, dim)  # row-major vectorization
     verdict = is_cptp(stacked)
     for idx, ops in enumerate(maps_):
         single = KrausSet(ops)
@@ -166,7 +167,7 @@ def test_stacked_kraus_set_and_apply_equal_per_slice(seed, steps, dim, n_ops, ki
         assert np.abs(out_one[idx] - apply(single, rho)).max() <= TOL
         assert np.abs(out_many[idx] - apply(single, states[idx])).max() <= TOL
         assert np.abs(superop[idx] - superop_from_kraus(single)).max() <= TOL
-        assert np.abs(apply(superop, rho)[idx] - out_one[idx]).max() <= TOL
+        assert np.abs(via_superop[idx] - out_one[idx]).max() <= TOL
         for got, want in zip((op[idx] for op in stacked.operators), ops):
             assert np.array_equal(got, want)
         assert verdict.ok[idx] and is_cptp(single).ok
@@ -266,14 +267,12 @@ def test_incomplete_kraus_slice_fails_like_the_slice(rng):
 
 
 def test_non_psd_output_slice_fails_like_the_slice():
-    # partial transpose of the second qubit, rho[ab, cd] -> rho[ad, cb]: not completely positive
-    partial_transpose = np.zeros((16, 16))
-    for a, b, c, d in np.ndindex(2, 2, 2, 2):
-        partial_transpose[4 * (2 * a + b) + 2 * c + d, 4 * (2 * a + d) + 2 * c + b] = 1.0
-    superops = np.array([np.eye(16)] * 4)
-    superops[2] = partial_transpose
+    # a Kraus set maps states to PSD matrices, so a bad output slice comes from a lossy map
+    ops = np.array([np.eye(4)] * 4, dtype=complex)
+    ops[2] = np.diag([1.0, 1.0, 1.0, 0.5])
     bell = np.outer(bell_state("phi+"), bell_state("phi+").conj())
-    _same_error(lambda: apply(superops, bell), lambda: apply(partial_transpose, bell))
+    lossy, lossy_slice = KrausSet((ops,), complete=False), KrausSet((ops[2],), complete=False)
+    _same_error(lambda: apply(lossy, bell), lambda: apply(lossy_slice, bell))
     states = np.array([np.eye(4) / 4] * 3)
     states[1] = np.diag([0.6, 0.5, -0.05, -0.05])
     _same_error(lambda: assert_density_matrix(states), lambda: assert_density_matrix(states[1]))
