@@ -31,12 +31,10 @@ from .maps import (
     two_qubit_sparsity_pattern,
 )
 from .measures import (
-    MeasureReport,
     XState,
     bell_state,
     concurrence,
     dual_rail_concurrence,
-    four_qubit_concurrence,
     four_qubit_measures,
     four_tangle,
     three_tangle_decomposition_bound,

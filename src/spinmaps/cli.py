@@ -120,7 +120,10 @@ def _times_from_config(section) -> tuple:
     if section is None:
         raise ConfigError("missing required section 'times'")
     if "list" in section:
-        return tuple(protocols.real_number(t, "times.list") for t in section["list"])
+        times = section["list"]
+        if not isinstance(times, (list, tuple)):
+            raise ConfigError(f"times.list must be a list of numbers, got {times!r}")
+        return tuple(protocols.real_number(t, "times.list") for t in times)
     try:
         start = protocols.real_number(section["start"], "times.start")
         stop = protocols.real_number(section["stop"], "times.stop")
@@ -380,10 +383,10 @@ def _cmd_run(args) -> int:
     spec = _spec_with_tolerance(cfg, args.tolerance)
     result = _run_spec(spec)
     out = _resolve_output(args.output or cfg.get("output"), f"{spec.kind}.csv")
-    result.write_csv(out)
+    rows = result.write_csv(out)
     for key, value in result.meta.items():
         print(f"{key}: {value}")
-    print(f"wrote {len(result.rows)} rows to {out}")
+    print(f"wrote {rows} rows to {out}")
     return 0
 
 
@@ -401,8 +404,7 @@ def _cmd_sweep(args) -> int:
     parts = [{axis: res.meta[axis], **res.data} for res in results]
     result = protocols.ScenarioResult.concat(spec.kind, parts)
     out = _resolve_output(args.output or cfg.get("output"), f"{spec.kind}_{axis}_sweep.csv")
-    result.write_csv(out)
-    print(f"wrote {len(result.rows)} rows to {out}")
+    print(f"wrote {result.write_csv(out)} rows to {out}")
     return 0
 
 
@@ -429,8 +431,7 @@ def _cmd_figure(args) -> int:
     make = {3: figure3_result, 5: figure5_result, 7: figure7_result}[args.number]
     result = make() if args.points is None else make(args.points)
     out = _resolve_output(args.output, f"figure{args.number}.csv")
-    result.write_csv(out)
-    print(f"wrote {len(result.rows)} rows to {out}")
+    print(f"wrote {result.write_csv(out)} rows to {out}")
     return 0
 
 

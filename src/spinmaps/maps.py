@@ -316,7 +316,7 @@ def two_qubit_kraus(
     k2: AmplitudeTable,
     senders,
     receivers,
-    vacuum_amp: complex = 1.0,
+    vacuum_amp: complex,
 ) -> KrausSet:
     """Kraus operators of the two-qubit map from sender pair to receiver pair.
 
@@ -333,8 +333,10 @@ def two_qubit_kraus(
 
     The tables may hold only the columns read here: sources (i,) and (j,) of
     ``k1`` and (i, j) of ``k2``, each read once, with every target gathered
-    by its basis position.  Tables over T times (with T vacuum phases) give
-    (T, 4, 4) operators.
+    by its basis position.  Every amplitude is taken relative to
+    ``vacuum_amp``, the vacuum phase exp(-i E_vac t) at the tables' times
+    (:meth:`NetworkChannel.vacuum`).  Tables over T times (with T vacuum
+    phases) give (T, 4, 4) operators.
     """
     n_sites = k1.sector.n_sites
     if k2.sector.n_sites != n_sites:
@@ -430,13 +432,14 @@ def two_qubit_map_elements(
     k2: AmplitudeTable,
     senders,
     receivers,
-    vacuum_amp: complex = 1.0,
+    vacuum_amp: complex,
 ) -> np.ndarray:
     """Closed-form 16x16 superoperator of the two-qubit map, element by element.
 
     Independent of :func:`two_qubit_kraus`: every element is written out from
     the transition-amplitude tables, with environment sums running over all
-    sites (or site pairs) outside the receiver pair.  Must agree with the
+    sites (or site pairs) outside the receiver pair, relative to the vacuum
+    phase ``vacuum_amp`` at the tables' one time.  Must agree with the
     Kraus-built superoperator to 1e-10.
     """
     n_sites = k1.sector.n_sites

@@ -261,73 +261,49 @@ def three_tangle_decomposition_bound(rho: np.ndarray):
     return float(total) if total.ndim == 0 else total
 
 
-def one_vs_rest_concurrence(psi, qubit: int):
-    """sqrt(2 (1 - Tr rho_a^2)) for one qubit against the other three of four."""
-    psi = _as_state_vector(psi, 4)
-    r = _reduced(psi, (qubit,), 4)
-    return _clip_unit(np.sqrt(np.maximum(0.0, 2.0 * (1.0 - _purity(r)))))
-
-
-def pair_split_concurrence(psi, pair):
-    """sqrt((4/3) (1 - Tr rho_AB^2)) for a two-two bipartition of four qubits."""
-    psi = _as_state_vector(psi, 4)
-    r = _reduced(psi, tuple(pair), 4)
-    return _clip_unit(np.sqrt(np.maximum(0.0, (4.0 / 3.0) * (1.0 - _purity(r)))))
-
-
 SEPARABLE_LINEAR_ENTROPY = 1e-13
 
-_CUTS_4 = ((0,), (1,), (2,), (3,), (0, 1), (0, 2), (0, 3))
-
-
-def four_qubit_concurrence(psi):
-    """Geometric mean of the concurrence over all seven bipartitions.
-
-    Zero if and only if the pure state is separable across some bipartition.
-    The 1/7 power would blow partial-trace noise on a separable cut up to
-    ~1e-1, so any bipartition whose linear entropy falls below the
-    1e-13 separability floor forces an exact zero.
-    """
-    psi = _as_state_vector(psi, 4)
-    entropies = np.stack([np.maximum(0.0, 1.0 - _purity(_reduced(psi, cut, 4))) for cut in _CUTS_4])
-    scale = np.array([2.0] * 4 + [4.0 / 3.0] * 3).reshape((7,) + (1,) * (entropies.ndim - 1))
-    mean = np.prod(np.sqrt(scale * entropies), axis=0) ** (1.0 / 7.0)
-    return _clip_unit(np.where(entropies.min(axis=0) < SEPARABLE_LINEAR_ENTROPY, 0.0, mean))
-
-
+# qubits (0, 1, 2, 3) are (A1, A2, B1, B2); the pairs and their concurrence columns
 PAIRS_4 = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-SPLITS_4 = ((0, 1), (0, 2), (0, 3))
+PAIR_COLUMNS = ("c_a1a2", "c_a1b1", "c_a1b2", "c_a2b1", "c_a2b2", "c_b1b2")
+# the seven bipartitions, each qubit against the other three and then the pairs (0, 1),
+# (0, 2) and (0, 3) against the rest: the scale of each linear entropy, and the columns
+_CUT_SCALES = (2.0,) * 4 + (4.0 / 3.0,) * 3
+_CUT_COLUMNS = ("c_a1_rest", "c_a2_rest", "c_b1_rest", "c_b2_rest", "c_a1a2_b1b2", "c_a1b1_a2b2", "c_a1b2_a2b1")
+# the triples left by dropping qubit 0, 1, 2 and 3
+_TRIPLES_4 = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
+_TRIPLE_COLUMNS = ("tau3_a2b1b2", "tau3_a1b1b2", "tau3_a1a2b2", "tau3_a1a2b1")
 
 
-@dataclass(frozen=True)
-class MeasureReport:
-    """Every entanglement quantity of a four-qubit pure state."""
+def four_qubit_measures(psi) -> dict:
+    """The entanglement measures of a four-qubit pure state, as named columns.
 
-    pair_concurrence: dict
-    one_vs_rest: tuple
-    pair_vs_pair: dict
-    three_tangle_bound: dict
-    four_tangle: float
-    four_qubit_concurrence: float
-
-
-def four_qubit_measures(psi) -> MeasureReport:
-    """Full measure report for a four-qubit pure state.
-
-    For a (T, 16) stack every field holds arrays of T values.
+    In CSV order: the six pair concurrences (``PAIR_COLUMNS``); the
+    concurrence sqrt(2 (1 - Tr rho_q^2)) of each qubit against the other three
+    (``c_a1_rest`` ...); sqrt((4/3) (1 - Tr rho_AB^2)) of the three two-two
+    splits (``c_a1a2_b1b2`` ...); the three-tangle decomposition bound of each
+    triple (``tau3_a2b1b2`` ...); the four-tangle ``tau4``; and ``c4``, the
+    geometric mean of the seven bipartition concurrences.  ``c4`` is zero if
+    and only if the state is separable across some bipartition; since the 1/7
+    power would blow partial-trace noise on a separable cut up to ~1e-1, a
+    linear entropy below the 1e-13 separability floor on any cut forces an
+    exact zero.  Each of the 14 distinct marginals is formed once.  For a
+    (T, 16) stack every column holds T values.
     """
     psi = _as_state_vector(psi, 4)
     pair_states = np.stack([_reduced(psi, p, 4) for p in PAIRS_4], axis=-3)  # (..., 6, 4, 4)
     pair_c = concurrence(pair_states.reshape(-1, 4, 4)).reshape(pair_states.shape[:-2])
-    tangle3 = {}
-    for dropped in range(4):
-        kept = tuple(q for q in range(4) if q != dropped)
-        tangle3[kept] = three_tangle_decomposition_bound(_reduced(psi, kept, 4))
-    return MeasureReport(
-        pair_concurrence=dict(zip(PAIRS_4, np.moveaxis(pair_c, -1, 0))),
-        one_vs_rest=tuple(one_vs_rest_concurrence(psi, q) for q in range(4)),
-        pair_vs_pair={p: pair_split_concurrence(psi, p) for p in SPLITS_4},
-        three_tangle_bound=tangle3,
-        four_tangle=four_tangle(psi),
-        four_qubit_concurrence=four_qubit_concurrence(psi),
-    )
+    # the cut marginals: the single qubits, then the first three pairs, which are the two-two splits
+    cuts = [_reduced(psi, (q,), 4) for q in range(4)] + [pair_states[..., k, :, :] for k in range(3)]
+    entropies = np.stack([np.maximum(0.0, 1.0 - _purity(r)) for r in cuts])
+    # each cut's concurrence; c4 is the geometric mean of the unclipped values
+    roots = np.sqrt(np.reshape(_CUT_SCALES, (7,) + (1,) * (entropies.ndim - 1)) * entropies)
+    c4 = np.where(entropies.min(axis=0) < SEPARABLE_LINEAR_ENTROPY, 0.0, np.prod(roots, axis=0) ** (1.0 / 7.0))
+    tau3 = [three_tangle_decomposition_bound(_reduced(psi, kept, 4)) for kept in _TRIPLES_4]
+    return {
+        **dict(zip(PAIR_COLUMNS, np.moveaxis(pair_c, -1, 0))),
+        **dict(zip(_CUT_COLUMNS, map(_clip_unit, roots))),
+        **dict(zip(_TRIPLE_COLUMNS, tau3)),
+        "tau4": four_tangle(psi),
+        "c4": _clip_unit(c4),
+    }

@@ -120,11 +120,14 @@ class ScenarioResult:
     def column(self, name: str) -> np.ndarray:
         return np.array(self.data[name], dtype=float)
 
-    def write_csv(self, path):
+    def write_csv(self, path) -> int:
+        """Write the header and every row to ``path``; return the number of rows."""
+        rows = self.rows
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(self.columns)
-            writer.writerows(self.rows)  # Python floats, which csv writes as their shortest repr
+            writer.writerows(rows)  # Python floats, which csv writes as their shortest repr
+        return len(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +135,8 @@ class ScenarioResult:
 
 def _basis_label(desc: dict, n_qubits: int) -> str:
     """The ``string`` of a basis-state description, checked to name ``n_qubits`` qubits."""
+    if "string" not in desc:
+        raise ValueError("initial.string must give the basis state's label")
     string = desc["string"]
     if not isinstance(string, str):
         example = "0" * (n_qubits // 2) + "1" * (n_qubits - n_qubits // 2)
@@ -161,8 +166,8 @@ def build_initial_state(desc: dict, n_qubits: int) -> np.ndarray:
             raise ValueError(f"initial.populations must be a list of four numbers, got {pops!r}")
         x = measures.XState(
             *(real_number(p, "initial.populations") for p in pops),
-            rho03=_as_complex(desc.get("rho03", 0.0)),
-            rho12=_as_complex(desc.get("rho12", 0.0)),
+            rho03=_complex_number(desc.get("rho03", 0.0), "initial.rho03"),
+            rho12=_complex_number(desc.get("rho12", 0.0), "initial.rho12"),
         )
         return x.to_density_matrix()
     if kind == "basis":
@@ -170,7 +175,11 @@ def build_initial_state(desc: dict, n_qubits: int) -> np.ndarray:
         vec[int(_basis_label(desc, n_qubits), 2)] = 1.0
         return maps.pure_state_density(vec)
     if kind == "matrix":
-        rho = np.array([[_as_complex(v) for v in row] for row in desc["entries"]])
+        rows = desc.get("entries")
+        if not (isinstance(rows, (list, tuple)) and rows
+                and all(isinstance(row, (list, tuple)) and len(row) == len(rows) for row in rows)):
+            raise ValueError(f"initial.entries must be a square list of rows, got {rows!r}")
+        rho = np.array([[_complex_number(v, "initial.entries") for v in row] for row in rows])
         maps.assert_density_matrix(rho)
         if rho.shape != (2**n_qubits, 2**n_qubits):
             raise ValueError(f"matrix input has shape {rho.shape}, expected {(2**n_qubits,)*2}")
@@ -178,11 +187,13 @@ def build_initial_state(desc: dict, n_qubits: int) -> np.ndarray:
     raise ValueError(f"unknown initial-state kind {kind!r}")
 
 
-def _as_complex(value) -> complex:
-    if isinstance(value, (list, tuple)):
-        re, im = value
-        return complex(float(re), float(im))
-    return complex(value)
+def _complex_number(value, name: str) -> complex:
+    """``value`` as a complex number: a real number, or an [re, im] pair of them (see :func:`real_number`)."""
+    if not isinstance(value, (list, tuple)):
+        return complex(real_number(value, name))
+    if len(value) != 2:
+        raise ValueError(f"{name} must be a real number or an [re, im] pair, got {value!r}")
+    return complex(*(real_number(part, name) for part in value))
 
 
 def _x_state_or_none(rho: np.ndarray):
@@ -301,52 +312,30 @@ def four_qubit_closed_form(g: float, j_coupling: float, t, initial: str = "1100"
     return psi / norm
 
 
-_QUBITS = ("a1", "a2", "b1", "b2")
-
-
-def _qubit_names(qubits) -> str:
-    return "".join(_QUBITS[q] for q in qubits)
-
-
-def _measure_columns(report: measures.MeasureReport) -> dict:
-    """The four-qubit measures as named columns: pairs, one vs rest, splits, tangles."""
-    def rest(pair):
-        return tuple(q for q in range(4) if q not in pair)
-
-    return {
-        **{f"c_{_qubit_names(p)}": c for p, c in report.pair_concurrence.items()},
-        **{f"c_{_QUBITS[q]}_rest": c for q, c in enumerate(report.one_vs_rest)},
-        **{f"c_{_qubit_names(p)}_{_qubit_names(rest(p))}": c for p, c in report.pair_vs_pair.items()},
-        **{f"tau3_{_qubit_names(kept)}": tau for kept, tau in report.three_tangle_bound.items()},
-        "tau4": report.four_tangle,
-        "c4": report.four_qubit_concurrence,
-    }
-
-
-# phases at which the windows of four_qubit_measure_sweep start, and their span
+# figure 7: the closed form from ``FIGURE7_START`` at couplings g and J, over windows
+# starting at these phases and spanning WINDOW_WIDTH each
+FIGURE7_G = 1e-2
+FIGURE7_J = 1.0
+FIGURE7_START = "1010"
 WINDOW_STARTS = (0.0, np.pi / 2.0, np.pi)
 WINDOW_WIDTH = np.pi
 
 
-def four_qubit_measure_sweep(
-    g: float = 1e-2,
-    j_coupling: float = 1.0,
-    points_per_window: int = 1000,
-    initial: str = "1010",
-) -> ScenarioResult:
-    """Entanglement measures of the closed-form state over three time windows.
+def four_qubit_measure_sweep(points_per_window: int = 1000) -> ScenarioResult:
+    """Entanglement measures of the closed-form state over three time windows (figure 7).
 
     Windows start at the beginning, a quarter and a half of the slow period
     2*pi*J/g^2 (phases 0, pi/2, pi) and span half a period each.  The time
     grid maps phase theta to t = theta * J / g^2.
     """
+    g, j = FIGURE7_G, FIGURE7_J
     windows = []
     for w, start in enumerate(WINDOW_STARTS):  # one window at a time keeps the measures' peak memory
         thetas = np.linspace(start, start + WINDOW_WIDTH, points_per_window)
-        t = thetas * j_coupling / g**2
-        report = measures.four_qubit_measures(four_qubit_closed_form(g, j_coupling, t, initial))
-        windows.append({"window": w, "t": t, "theta": thetas, **_measure_columns(report)})
-    meta = {"g": g, "J": j_coupling, "initial": initial}
+        t = thetas * j / g**2
+        psi = four_qubit_closed_form(g, j, t, FIGURE7_START)
+        windows.append({"window": w, "t": t, "theta": thetas, **measures.four_qubit_measures(psi)})
+    meta = {"g": g, "J": j, "initial": FIGURE7_START}
     return ScenarioResult.concat("four_qubit_measure_sweep", windows, meta)
 
 
@@ -373,7 +362,7 @@ def sweep(spec: ScenarioSpec, axis: str, values) -> list:
     grid = None
     if not isinstance(values, str):  # a string would iterate as characters
         try:
-            grid = [float(v) for v in values]
+            grid = [real_number(v, "sweep.values") for v in values]
         except (TypeError, ValueError):
             pass
     if grid is None:
@@ -569,7 +558,7 @@ def _run_four_qubit_weak(spec: ScenarioSpec) -> ScenarioResult:
     else:
         fid = math.nan
     columns = {
-        **{f"c_{_qubit_names(p)}": c for p, c in zip(measures.PAIRS_4, pair_c)},
+        **dict(zip(measures.PAIR_COLUMNS, pair_c)),
         "purity": np.trace(red @ red, axis1=1, axis2=2).real,
         "closed_form_fidelity": fid,
     }
@@ -582,7 +571,7 @@ def _run_closed_form(spec: ScenarioSpec) -> ScenarioResult:
     label = _basis_label(spec.initial or {"kind": "basis", "string": "1100"}, 4)
     times = np.array(spec.times)
     psi = four_qubit_closed_form(g, j, times, label)
-    columns = {"theta": g**2 * times / j, **_measure_columns(measures.four_qubit_measures(psi))}
+    columns = {"theta": g**2 * times / j, **measures.four_qubit_measures(psi)}
     return _result(spec, columns, meta={"g": g, "J": j, "initial": label})
 
 

@@ -41,6 +41,7 @@ from spinmaps.maps import (
 )
 from spinmaps.measures import three_tangle_decomposition_bound
 from spinmaps.oracle import FullPropagator, reduced_output
+from spinmaps.protocols import FIGURE7_G, FIGURE7_J
 
 from conftest import random_network
 
@@ -257,8 +258,8 @@ def test_criterion_7_closed_form_suite():
 
 
 def test_criterion_8_weak_coupling_window_curves():
-    g, j = 1e-2, 1.0  # J^2/g^2 = 1e4
-    result = four_qubit_measure_sweep(g=g, j_coupling=j, points_per_window=1000)
+    g, j = FIGURE7_G, FIGURE7_J  # J^2/g^2 = 1e4
+    result = four_qubit_measure_sweep(points_per_window=1000)
     zero_row = result.rows[0]
     for name in result.columns[3:]:
         assert abs(zero_row[result.columns.index(name)]) < 1e-12

@@ -513,12 +513,36 @@ TRANSFER_CONFIG = ("scenario: two_qubit_transfer\nnetwork: {kind: uniform_chain,
     ("run", GOOD_CONFIG.replace("kind: werner\n  p: 0.7", "kind: xstate\n  populations: [0.5, 0.5]"),
      "initial.populations must be a list of four numbers, got [0.5, 0.5]"),
     ("run", GOOD_CONFIG + "tolerances: {oracle: abc}\n", "tolerances.oracle must be a real number, got 'abc'"),
+    ("run", GOOD_CONFIG.replace("kind: werner\n  p: 0.7", "kind: basis"),
+     "initial.string must give the basis state's label"),
+    ("run", GOOD_CONFIG.replace("kind: werner\n  p: 0.7", "kind: matrix"),
+     "initial.entries must be a square list of rows, got None"),
+    ("run", GOOD_CONFIG.replace("kind: werner\n  p: 0.7", "kind: matrix\n  entries: 3"),
+     "initial.entries must be a square list of rows, got 3"),
+    ("run", GOOD_CONFIG.replace("kind: werner\n  p: 0.7", "kind: matrix\n  entries: [[1, 0], [0]]"),
+     "initial.entries must be a square list of rows, got [[1, 0], [0]]"),
+    ("run", GOOD_CONFIG.replace("kind: werner\n  p: 0.7", "kind: xstate\n  populations: [0.5, 0, 0, 0.5]\n  rho03: abc"),
+     "initial.rho03 must be a real number, got 'abc'"),
+    ("run", GOOD_CONFIG.replace("kind: werner\n  p: 0.7", "kind: xstate\n  populations: [0.5, 0, 0, 0.5]\n  rho03: [0.1]"),
+     "initial.rho03 must be a real number or an [re, im] pair, got [0.1]"),
+    ("run", GOOD_CONFIG.replace("kind: werner\n  p: 0.7", "kind: xstate\n  populations: [0.25, 0.25, 0.25, 0.25]\n"
+                                "  rho03: true"),
+     "initial.rho03 must be a real number, got True"),
+    ("run", GOOD_CONFIG.replace("kind: werner\n  p: 0.7", "kind: xstate\n  populations: [0.5, 0, 0, 0.5]\n"
+                                "  rho12: [0.1, x]"),
+     "initial.rho12 must be a real number, got 'x'"),
+    ("run", CHAIN_CONFIG.format("couplings: [1, 1]").replace("[0.0, 1.0]", "3"),
+     "times.list must be a list of numbers, got 3"),
+    ("sweep", GOOD_CONFIG + "sweep: {axis: p, values: [true, 0.5]}\n",
+     "sweep.values must be a list of numbers, got [True, 0.5]"),
 ], ids=["sweep-values-int", "sweep-values-text", "sweep-values-string", "sweep-wire-sites", "sender-fraction", "sender-text",
         "points-fraction", "points-negative", "network-sites", "weak-pair-wire-sites", "four-qubit-wire-sites",
         "four-qubit-no-wire", "pair-number", "pair-fraction", "coupling-text", "coupling-bool", "couplings-entry",
         "zz-entry", "fields-bool", "xy-entry", "start-text", "stop-list", "times-list-entry", "g-text", "J-bool",
         "g-exponent-text", "werner-p-text", "werner-p-missing", "populations-entry", "populations-count",
-        "oracle-tolerance-text"])
+        "oracle-tolerance-text", "basis-no-string", "matrix-no-entries", "matrix-entries-number",
+        "matrix-entries-ragged", "rho03-text", "rho03-short-pair", "rho03-bool", "rho12-pair-entry",
+        "times-list-number", "sweep-values-bool"])
 def test_sweep_values_and_whole_number_fields_exit_2_naming_the_field(tmp_path, capsys, command, text, message):
     config = tmp_path / "run.yaml"
     config.write_text(text)

@@ -226,7 +226,7 @@ def test_two_qubit_site_validation(rng):
     k1 = SectorPropagator(net, 1).table(0.5)
     k2 = SectorPropagator(net, 2).table(0.7)
     with pytest.raises(ValueError):
-        two_qubit_kraus(k1, k2, (0, 1), (2, 3))  # mismatched times
+        two_qubit_kraus(k1, k2, (0, 1), (2, 3), NetworkChannel(net).vacuum(0.5))  # mismatched times
 
 
 def test_two_qubit_sparsity_pattern(rng):

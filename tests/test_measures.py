@@ -8,7 +8,6 @@ from spinmaps import (
     concurrence,
     dual_rail_concurrence,
     extend_with_identity,
-    four_qubit_concurrence,
     four_qubit_measures,
     four_tangle,
     one_qubit_kraus,
@@ -19,13 +18,25 @@ from spinmaps import (
     transferred_concurrence,
     werner_state,
 )
+from spinmaps import measures
 from spinmaps.maps import pure_state_density, random_density_matrix
 from spinmaps.measures import (
     _SYSY,
-    one_vs_rest_concurrence,
-    pair_split_concurrence,
+    SEPARABLE_LINEAR_ENTROPY,
+    _as_state_vector,
+    _clip_unit,
+    _purity,
+    _reduced,
 )
 from spinmaps.protocols import four_qubit_closed_form
+
+CUTS_4 = ((0,), (1,), (2,), (3,), (0, 1), (0, 2), (0, 3))
+ONE_VS_REST_COLUMNS = ("c_a1_rest", "c_a2_rest", "c_b1_rest", "c_b2_rest")
+SPLIT_COLUMNS = ("c_a1a2_b1b2", "c_a1b1_a2b2", "c_a1b2_a2b1")
+FOUR_QUBIT_COLUMNS = (
+    "c_a1a2", "c_a1b1", "c_a1b2", "c_a2b1", "c_a2b2", "c_b1b2", *ONE_VS_REST_COLUMNS, *SPLIT_COLUMNS,
+    "tau3_a2b1b2", "tau3_a1b1b2", "tau3_a1a2b2", "tau3_a1a2b1", "tau4", "c4",
+)
 
 
 def wootters_spectrum_route(rho):
@@ -43,6 +54,27 @@ def three_tangle_from_concurrences(psi):
     cab = concurrence(partial_trace(rho, [0, 1], [2, 2, 2]))
     cac = concurrence(partial_trace(rho, [0, 2], [2, 2, 2]))
     return max(0.0, c2_one_rest - cab**2 - cac**2)
+
+
+def one_vs_rest_reference(psi, qubit: int):
+    """sqrt(2 (1 - Tr rho_a^2)) for one qubit against the other three of four."""
+    r = _reduced(_as_state_vector(psi, 4), (qubit,), 4)
+    return _clip_unit(np.sqrt(np.maximum(0.0, 2.0 * (1.0 - _purity(r)))))
+
+
+def pair_split_reference(psi, pair):
+    """sqrt((4/3) (1 - Tr rho_AB^2)) for a two-two bipartition of four qubits."""
+    r = _reduced(_as_state_vector(psi, 4), tuple(pair), 4)
+    return _clip_unit(np.sqrt(np.maximum(0.0, (4.0 / 3.0) * (1.0 - _purity(r)))))
+
+
+def four_qubit_concurrence_reference(psi):
+    """Geometric mean of the concurrence over all seven bipartitions, zero below the separability floor."""
+    psi = _as_state_vector(psi, 4)
+    entropies = np.stack([np.maximum(0.0, 1.0 - _purity(_reduced(psi, cut, 4))) for cut in CUTS_4])
+    scale = np.array([2.0] * 4 + [4.0 / 3.0] * 3).reshape((7,) + (1,) * (entropies.ndim - 1))
+    mean = np.prod(np.sqrt(scale * entropies), axis=0) ** (1.0 / 7.0)
+    return _clip_unit(np.where(entropies.min(axis=0) < SEPARABLE_LINEAR_ENTROPY, 0.0, mean))
 
 
 def random_x_state(rng):
@@ -233,39 +265,71 @@ def test_decomposition_bound_vanishes_for_closed_form_marginals():
 
 
 # ---------------------------------------------------------------------------
-# four-qubit concurrence
+# four-qubit measures
+
+def w4():
+    psi = np.zeros(16, dtype=complex)
+    psi[[1, 2, 4, 8]] = 0.5
+    return psi
+
+
+def product_state(rng):
+    psi = np.ones(1, dtype=complex)
+    for _ in range(4):
+        psi = np.kron(psi, haar_qubit(rng)[:, 0])
+    return psi
+
 
 def test_four_qubit_concurrence_anchors():
     e0 = np.zeros(16, dtype=complex)
     e0[0] = 1.0
-    assert four_qubit_concurrence(e0) == pytest.approx(0.0, abs=1e-12)
+    assert four_qubit_measures(e0)["c4"] == pytest.approx(0.0, abs=1e-12)
     # Bell pairs across (A1,B2) and (A2,B1): the (14)(23)-type cut is pure
     pair = bell_state("psi+")
     psi = np.kron(pair, pair).reshape(2, 2, 2, 2).transpose(0, 2, 3, 1).reshape(16)
-    assert pair_split_concurrence(psi, (0, 3)) == pytest.approx(0.0, abs=1e-7)
-    assert four_qubit_concurrence(psi) == 0.0
-    assert four_qubit_concurrence(ghz(4)) > 0.9
+    columns = four_qubit_measures(psi)
+    assert columns["c_a1b2_a2b1"] == pytest.approx(0.0, abs=1e-7)
+    assert columns["c4"] == 0.0
+    assert four_qubit_measures(ghz(4))["c4"] > 0.9
 
 
 def test_four_qubit_concurrence_nonzero_on_entangled_evolution():
-    res = [
-        four_qubit_concurrence(four_qubit_closed_form(1e-2, 1.0, t, "1010"))
-        for t in np.linspace(10.0, 60.0, 7)
-    ]
-    assert max(res) > 0.3
+    psi = four_qubit_closed_form(1e-2, 1.0, np.linspace(10.0, 60.0, 7), "1010")
+    assert four_qubit_measures(psi)["c4"].max() > 0.3
 
 
 def test_measure_report_fields(rng):
-    psi = random_pure_state(rng, 16)
-    report = four_qubit_measures(psi)
-    assert set(report.pair_concurrence) == {(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)}
-    assert len(report.one_vs_rest) == 4
-    assert set(report.pair_vs_pair) == {(0, 1), (0, 2), (0, 3)}
-    assert set(report.three_tangle_bound) == {(1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)}
-    values = list(report.pair_concurrence.values()) + list(report.one_vs_rest)
-    values += list(report.pair_vs_pair.values())
-    values += [report.four_tangle, report.four_qubit_concurrence]
-    assert all(0.0 <= v <= 1.0 for v in values)
+    columns = four_qubit_measures(random_pure_state(rng, 16))
+    assert tuple(columns) == FOUR_QUBIT_COLUMNS
+    assert all(0.0 <= v <= 1.0 for v in columns.values())
+
+
+def test_four_qubit_measures_form_each_marginal_once(rng, monkeypatch):
+    kept = []
+
+    def counting(psi, keep, n_qubits):
+        kept.append(tuple(keep))
+        return _reduced(psi, keep, n_qubits)
+
+    monkeypatch.setattr(measures, "_reduced", counting)
+    four_qubit_measures(random_pure_state(rng, 16))
+    assert len(kept) == len(set(kept)) == 14  # 6 pairs, 4 single qubits, 4 triples
+
+
+def test_four_qubit_columns_equal_the_reference_formulas_bit_for_bit(rng):
+    named = [product_state(rng), ghz(4), w4()]
+    states = named + [np.array(named + [random_pure_state(rng, 16) for _ in range(5)])]
+    states += [random_pure_state(rng, 16) for _ in range(5)]
+    for psi in states:
+        columns = four_qubit_measures(psi)
+        for q, name in enumerate(ONE_VS_REST_COLUMNS):
+            assert np.array_equal(columns[name], one_vs_rest_reference(psi, q))
+        for pair, name in zip(CUTS_4[4:], SPLIT_COLUMNS):
+            assert np.array_equal(columns[name], pair_split_reference(psi, pair))
+        assert np.array_equal(columns["c4"], four_qubit_concurrence_reference(psi))
+    # the anchors: W and GHZ are entangled across every cut, the product state across none
+    assert four_qubit_measures(product_state(rng))["c4"] == 0.0
+    assert four_qubit_measures(w4())["c_a1_rest"] == pytest.approx(np.sqrt(3) / 2, abs=1e-12)
 
 
 def test_local_unitary_invariance(rng):
@@ -275,7 +339,7 @@ def test_local_unitary_invariance(rng):
         u = np.kron(np.kron(us[0], us[1]), np.kron(us[2], us[3]))
         rotated = u @ psi
         assert abs(four_tangle(psi) - four_tangle(rotated)) < 1e-10
-        assert abs(four_qubit_concurrence(psi) - four_qubit_concurrence(rotated)) < 1e-10
+        assert abs(four_qubit_measures(psi)["c4"] - four_qubit_measures(rotated)["c4"]) < 1e-10
         rho = partial_trace(pure_state_density(psi), [0, 1], [2] * 4)
         rho_rot = partial_trace(pure_state_density(rotated), [0, 1], [2] * 4)
         assert abs(concurrence(rho) - concurrence(rho_rot)) < 1e-10
@@ -286,7 +350,7 @@ def test_local_unitary_invariance(rng):
         assert abs(three_tangle_pure(psi3) - three_tangle_pure(u @ psi3)) < 1e-10
 
 
-def test_one_vs_rest_range(rng):
-    psi = ghz(4)
-    for q in range(4):
-        assert one_vs_rest_concurrence(psi, q) == pytest.approx(1.0, abs=1e-12)
+def test_one_vs_rest_range():
+    columns = four_qubit_measures(ghz(4))
+    for name in ONE_VS_REST_COLUMNS:
+        assert columns[name] == pytest.approx(1.0, abs=1e-12)

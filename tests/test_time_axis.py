@@ -124,16 +124,12 @@ def test_stacked_four_qubit_measures_equal_per_slice(seed, kinds):
     stacked = four_qubit_measures(stack)
     for idx, psi in enumerate(stack):
         single = four_qubit_measures(psi)
-        for field in ("pair_concurrence", "pair_vs_pair", "three_tangle_bound"):
-            for key, value in getattr(single, field).items():
-                assert abs(getattr(stacked, field)[key][idx] - value) <= TOL
-        for value, values in zip(single.one_vs_rest, stacked.one_vs_rest):
-            assert abs(values[idx] - value) <= TOL
-        assert abs(stacked.four_tangle[idx] - single.four_tangle) <= TOL
-        c4 = stacked.four_qubit_concurrence[idx]
-        assert abs(c4 - single.four_qubit_concurrence) <= TOL
+        assert tuple(single) == tuple(stacked)
+        for name, value in single.items():
+            assert abs(stacked[name][idx] - value) <= TOL
+        c4 = stacked["c4"][idx]
         # the separability floor gives the same exact zeros
-        assert (c4 == 0.0) == (single.four_qubit_concurrence == 0.0)
+        assert (c4 == 0.0) == (single["c4"] == 0.0)
         if kinds[idx] in ("product", "pair_product", "basis"):
             assert c4 == 0.0
 
