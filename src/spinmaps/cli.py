@@ -40,12 +40,11 @@ _TOP_KEYS = {
     "scenario", "network", "network_b", "sites", "initial", "times",
     "params", "verify", "tolerances", "output", "sweep",
 }
-_NETWORK_KEYS = {"kind", "sites", "coupling", "couplings", "zz_couplings", "fields", "xy", "zz"}
-_INITIAL_KEYS = {"kind", "label", "p", "bell", "populations", "rho03", "rho12", "string", "entries"}
-_TIMES_KEYS = {"start", "stop", "points", "list"}
-_VERIFY_KEYS = {"oracle", "cptp"}
-_TOLERANCE_KEYS = {"oracle"}
-_SWEEP_KEYS = {"axis", "values"}
+# the fields each network kind reads besides ``kind``, which defaults to chain
+_NETWORK_FIELDS = {"uniform_chain": ("sites", "coupling"), "chain": ("couplings", "zz_couplings", "fields"),
+                   "matrix": ("xy", "zz", "fields")}
+_SECTION_KEYS = {"times": {"start", "stop", "points", "list"}, "verify": {"oracle", "cptp"},
+                 "tolerances": {"oracle"}, "sweep": {"axis", "values"}}
 
 
 def _check_keys(section: dict, allowed: set, where: str):
@@ -77,17 +76,18 @@ def parse_config(text: str) -> dict:
     if "scenario" not in cfg:
         raise ConfigError("missing required key 'scenario'")
     if cfg["scenario"] not in protocols.SCENARIO_KINDS:
-        raise ConfigError(
-            f"unknown scenario {cfg['scenario']!r}, expected one of {protocols.SCENARIO_KINDS}"
-        )
-    for key, allowed in (
-        ("network", _NETWORK_KEYS), ("network_b", _NETWORK_KEYS),
-        ("initial", _INITIAL_KEYS), ("times", _TIMES_KEYS),
-        ("verify", _VERIFY_KEYS), ("tolerances", _TOLERANCE_KEYS),
-        ("sweep", _SWEEP_KEYS),
-    ):
+        raise ConfigError(f"unknown scenario {cfg['scenario']!r}, expected one of {protocols.SCENARIO_KINDS}")
+    for key, allowed in _SECTION_KEYS.items():
         if key in cfg and cfg[key] is not None:
             _check_keys(cfg[key], allowed, key)
+    try:  # the fields each section's kind reads, and an initial state the scenario reads
+        for key in ("network", "network_b"):
+            if cfg.get(key) is not None:
+                protocols.section_kind(cfg[key], _NETWORK_FIELDS, key, "network", "chain")
+        if cfg.get("initial") is not None:
+            protocols.read_initial(cfg["scenario"], cfg["initial"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     for key in ("sites", "params"):
         if key in cfg and not isinstance(cfg[key], dict):
             raise ConfigError(f"section {key!r} must be a mapping")
@@ -111,9 +111,7 @@ def _network_from_config(section: dict, where: str) -> SpinNetwork:
         return SpinNetwork.uniform_chain(sites, num.get("coupling", 1.0))
     if kind == "chain":
         return SpinNetwork.chain(num["couplings"], num.get("zz_couplings"), num.get("fields"))
-    if kind == "matrix":
-        return SpinNetwork(np.array(num["xy"]), num.get("zz"), num.get("fields"))
-    raise ConfigError(f"unknown network kind {kind!r}")
+    return SpinNetwork(np.array(num["xy"]), num.get("zz"), num.get("fields"))  # parse_config checked the kind
 
 
 def _times_from_config(section) -> tuple:

@@ -18,21 +18,13 @@ import csv
 import math
 import numbers
 from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
 from . import maps, measures, oracle
 from .network import SectorPropagator, SpinNetwork, reduced_state
-
-# the ``params`` each scenario kind reads; the channel kinds read none
-SCENARIO_PARAMS = {
-    **dict.fromkeys(("qst", "distribute_single", "distribute_dual", "two_qubit_transfer", "storage"), ()),
-    "weak_pair": ("wire_sites", "J", "g", "refine"),
-    "four_qubit_weak": ("wire_sites", "J", "g"),
-    "closed_form_four_qubit": ("g", "J"),
-}
-SCENARIO_KINDS = tuple(SCENARIO_PARAMS)
 
 ORACLE_TOL = 1e-8
 
@@ -41,9 +33,40 @@ class VerificationError(RuntimeError):
     """An on-the-fly invariant check (oracle equivalence, CPTP) failed."""
 
 
+class _Reads(NamedTuple):
+    """A scenario kind's runner, its initial state's qubits and default, and what else it reads (see SCENARIOS)."""
+
+    runner: Callable
+    qubits: int
+    initial: dict = {}
+    sites: tuple = ()
+    params: dict = {}
+    networks: tuple = ("network",)
+    basis: bool = False
+    cptp: bool = True
+    oracle: bool = True
+
+
+def _reject_unread(keys, accepted, prefix: str, reader: str):
+    for key in keys:
+        if key not in accepted:
+            raise ValueError(f"{prefix}{key} is not read by {reader} (accepted: {', '.join(accepted) or 'none'})")
+
+
+def section_kind(section: dict, fields: dict, where: str, what: str, default=None) -> str:
+    """The ``kind`` of the config section ``where``, once each of its other keys is one of ``fields[kind]``."""
+    if not isinstance(section, dict):
+        raise ValueError(f"section {where!r} must be a mapping")
+    kind = section.get("kind", default)
+    if kind not in fields:
+        raise ValueError(f"unknown {what} kind {kind!r}")
+    _reject_unread([key for key in section if key != "kind"], fields[kind], f"{where}.", f"{what} kind {kind!r}")
+    return kind
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """Declarative description of one protocol run."""
+    """Declarative description of one protocol run; building it reads every input (see SCENARIOS)."""
 
     kind: str
     times: tuple
@@ -55,14 +78,13 @@ class ScenarioSpec:
     verify_oracle: bool = False
     verify_cptp: bool = False
     oracle_tol: float = ORACLE_TOL
+    rho_in: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in SCENARIO_KINDS:
+        if self.kind not in SCENARIOS:
             raise ValueError(f"unknown scenario kind {self.kind!r}, expected one of {SCENARIO_KINDS}")
-        for key in self.params:
-            if key not in SCENARIO_PARAMS[self.kind]:
-                raise ValueError(f"params.{key} is not read by scenario {self.kind!r} "
-                                 f"(accepted: {', '.join(SCENARIO_PARAMS[self.kind]) or 'none'})")
+        reads, reader = SCENARIOS[self.kind], f"scenario {self.kind!r}"
+        _reject_unread(self.params, reads.params, "params.", reader)
         times = tuple(float(t) for t in self.times)
         if not times:
             raise ValueError("time grid is empty")
@@ -73,10 +95,34 @@ class ScenarioSpec:
         object.__setattr__(self, "times", times)
         if not (math.isfinite(self.oracle_tol) and self.oracle_tol > 0):
             raise ValueError(f"tolerances.oracle must be finite and positive, got {self.oracle_tol}")
-        if self.verify_cptp and self.kind in ("four_qubit_weak", "closed_form_four_qubit"):
+        if self.verify_cptp and not reads.cptp:
             raise ValueError(f"verify.cptp does not apply to scenario {self.kind!r}: it evolves no channel")
-        if self.verify_oracle and self.kind == "closed_form_four_qubit":
+        if self.verify_oracle and not reads.oracle:
             raise ValueError(f"verify.oracle does not apply to scenario {self.kind!r}: it evolves no network")
+        _reject_unread([name for name in ("network", "network_b") if getattr(self, name)], reads.networks, "", reader)
+        if reads.networks and self.network is None:
+            raise ValueError(f"scenario {self.kind!r} needs a network")
+        _reject_unread(self.sites, reads.sites, "sites.", reader)
+        object.__setattr__(self, "sites", {key: self._read_site(key) for key in reads.sites})
+        object.__setattr__(self, "params", {
+            key: whole_number(v, f"params.{key}", minimum=1) if isinstance(d, int) else real_number(v, f"params.{key}")
+            for key, d in reads.params.items() for v in [self.params.get(key, d)]})
+        object.__setattr__(self, "initial", read_initial(self.kind, self.initial))
+        object.__setattr__(self, "rho_in", build_initial_state(self.initial, reads.qubits))
+
+    def _read_site(self, key: str):
+        """``sites[key]``: a site of its network or, for a plural key, a pair of sites."""
+        pair, network = key.endswith("s"), (key.endswith("_b") and self.network_b) or self.network
+        value = self.sites.get(key)
+        if pair and (not isinstance(value, (list, tuple, np.ndarray)) or len(value) != 2):
+            raise ValueError(f"sites.{key} must be a pair of two sites, got {value!r}")
+        sites = tuple(whole_number(s, f"sites.{key}") for s in (value if pair else [value]))
+        if pair and sites[0] == sites[1]:
+            raise ValueError(f"sites.{key} must name two distinct sites, got {sites}")
+        for site in sites:
+            if not 0 <= site < network.n_sites:
+                raise ValueError(f"sites.{key} {site} out of range for {network.n_sites} sites")
+        return sites if pair else sites[0]
 
 
 def _equal_columns(data: dict) -> dict:
@@ -133,25 +179,27 @@ class ScenarioResult:
 # ---------------------------------------------------------------------------
 # initial states
 
-def _basis_label(desc: dict, n_qubits: int) -> str:
-    """The ``string`` of a basis-state description, checked to name ``n_qubits`` qubits."""
-    if "string" not in desc:
-        raise ValueError("initial.string must give the basis state's label")
-    string = desc["string"]
-    if not isinstance(string, str):
-        example = "0" * (n_qubits // 2) + "1" * (n_qubits - n_qubits // 2)
-        raise ValueError(
-            f"initial.string is the number {string!r}, not a label: YAML reads unquoted digits "
-            f"as a number (a leading 0 as octal); quote the label, e.g. string: '{example}'"
-        )
-    if len(string) != n_qubits or any(c not in "01" for c in string):
-        raise ValueError(f"basis string {string!r} does not describe {n_qubits} qubits")
-    return string
+# the fields each initial-state kind reads besides ``kind``
+INITIAL_FIELDS = {
+    "bell": ("label",), "werner": ("p", "bell"), "xstate": ("populations", "rho03", "rho12"),
+    "basis": ("string",), "matrix": ("entries",),
+}
+
+
+def read_initial(scenario: str, desc: dict) -> dict:
+    """``desc``, or the default state of ``scenario`` if it is empty, once it is a state the scenario reads."""
+    reads = SCENARIOS[scenario]
+    desc = reads.initial if desc == {} else desc
+    if reads.basis and isinstance(desc, dict) and desc.get("kind") != "basis":
+        raise ValueError(f"{scenario} starts from a basis configuration of (A1, A2, B1, B2); "
+                         f"initial.kind is {desc.get('kind')!r}")
+    section_kind(desc, INITIAL_FIELDS, "initial", "initial-state")
+    return dict(desc)  # a copy: the default is shared by every spec of its kind
 
 
 def build_initial_state(desc: dict, n_qubits: int) -> np.ndarray:
     """Density matrix from a state description dictionary."""
-    kind = desc.get("kind")
+    kind = section_kind(desc, INITIAL_FIELDS, "initial", "initial-state")
     if kind == "bell":
         if n_qubits != 2:
             raise ValueError("bell input needs a two-qubit slot")
@@ -171,20 +219,29 @@ def build_initial_state(desc: dict, n_qubits: int) -> np.ndarray:
         )
         return x.to_density_matrix()
     if kind == "basis":
+        if "string" not in desc:
+            raise ValueError("initial.string must give the basis state's label")
+        string = desc["string"]
+        if not isinstance(string, str):
+            example = "0" * (n_qubits // 2) + "1" * (n_qubits - n_qubits // 2)
+            raise ValueError(
+                f"initial.string is the number {string!r}, not a label: YAML reads unquoted digits "
+                f"as a number (a leading 0 as octal); quote the label, e.g. string: '{example}'"
+            )
+        if len(string) != n_qubits or any(c not in "01" for c in string):
+            raise ValueError(f"basis string {string!r} does not describe {n_qubits} qubits")
         vec = np.zeros(2**n_qubits, dtype=complex)
-        vec[int(_basis_label(desc, n_qubits), 2)] = 1.0
+        vec[int(string, 2)] = 1.0
         return maps.pure_state_density(vec)
-    if kind == "matrix":
-        rows = desc.get("entries")
-        if not (isinstance(rows, (list, tuple)) and rows
-                and all(isinstance(row, (list, tuple)) and len(row) == len(rows) for row in rows)):
-            raise ValueError(f"initial.entries must be a square list of rows, got {rows!r}")
-        rho = np.array([[_complex_number(v, "initial.entries") for v in row] for row in rows])
-        maps.assert_density_matrix(rho)
-        if rho.shape != (2**n_qubits, 2**n_qubits):
-            raise ValueError(f"matrix input has shape {rho.shape}, expected {(2**n_qubits,)*2}")
-        return rho
-    raise ValueError(f"unknown initial-state kind {kind!r}")
+    rows = desc.get("entries")  # a matrix
+    if not (isinstance(rows, (list, tuple)) and rows
+            and all(isinstance(row, (list, tuple)) and len(row) == len(rows) for row in rows)):
+        raise ValueError(f"initial.entries must be a square list of rows, got {rows!r}")
+    rho = np.array([[_complex_number(v, "initial.entries") for v in row] for row in rows])
+    maps.assert_density_matrix(rho)
+    if rho.shape != (2**n_qubits, 2**n_qubits):
+        raise ValueError(f"matrix input has shape {rho.shape}, expected {(2**n_qubits,)*2}")
+    return rho
 
 
 def _complex_number(value, name: str) -> complex:
@@ -201,12 +258,6 @@ def _x_state_or_none(rho: np.ndarray):
         return measures.XState.from_density_matrix(rho)
     except ValueError:
         return None
-
-
-def _require_network(spec: ScenarioSpec) -> SpinNetwork:
-    if spec.network is None:
-        raise ValueError(f"scenario {spec.kind!r} needs a network")
-    return spec.network
 
 
 def whole_number(value, name: str, minimum=None) -> int:
@@ -242,35 +293,6 @@ def real_number(value, name: str) -> float:
                 pass
         raise ValueError(f"{name} must be a real number, got {value!r}{hint}")
     return float(value)
-
-
-def _check_site_range(key: str, site: int, network: SpinNetwork):
-    if not 0 <= site < network.n_sites:
-        raise ValueError(f"sites.{key} {site} out of range for {network.n_sites} sites")
-
-
-def _require_site(spec: ScenarioSpec, key: str, network: SpinNetwork) -> int:
-    try:
-        site = whole_number(spec.sites[key], f"sites.{key}")
-    except KeyError:
-        raise ValueError(f"scenario {spec.kind!r} needs the site assignment {key!r}") from None
-    _check_site_range(key, site, network)
-    return site
-
-
-def _require_pair(spec: ScenarioSpec, key: str, network: SpinNetwork) -> tuple:
-    try:
-        pair = spec.sites[key]
-    except KeyError:
-        raise ValueError(f"scenario {spec.kind!r} needs the site pair {key!r}") from None
-    if not isinstance(pair, (list, tuple, np.ndarray)) or len(pair) != 2:
-        raise ValueError(f"sites.{key} must be a pair of two sites, got {pair!r}")
-    pair = tuple(whole_number(s, f"sites.{key}") for s in pair)
-    if pair[0] == pair[1]:
-        raise ValueError(f"sites.{key} must name two distinct sites, got {pair}")
-    for site in pair:
-        _check_site_range(key, site, network)
-    return pair
 
 
 # ---------------------------------------------------------------------------
@@ -344,21 +366,20 @@ def four_qubit_measure_sweep(points_per_window: int = 1000) -> ScenarioResult:
 
 def run(spec: ScenarioSpec) -> ScenarioResult:
     """Execute one scenario and return its time series."""
-    runner = _RUNNERS[spec.kind]
-    return runner(spec)
+    return SCENARIOS[spec.kind].runner(spec)
 
 
 def sweep(spec: ScenarioSpec, axis: str, values) -> list:
     """Run the scenario once per value of the swept parameter.
 
     ``axis="p"`` sweeps the Werner weight of a Werner initial state; any
-    other axis must be one of the ``params`` the scenario reads.
+    other axis must be one of the ``params`` the scenario reads.  Every
+    value's spec is built, so checked, before the first run.
     """
-    werner = spec.initial.get("kind") == "werner"
-    if axis not in SCENARIO_PARAMS[spec.kind] and not (axis == "p" and werner):
-        params = ", ".join(SCENARIO_PARAMS[spec.kind]) or "none"
+    params = SCENARIOS[spec.kind].params
+    if axis not in params and (axis, spec.initial["kind"]) != ("p", "werner"):
         raise ValueError(f"sweep.axis {axis!r} changes nothing in scenario {spec.kind!r} "
-                         f"(accepted: 'p' on a Werner initial state, params: {params})")
+                         f"(accepted: 'p' on a Werner initial state, params: {', '.join(params) or 'none'})")
     grid = None
     if not isinstance(values, str):  # a string would iterate as characters
         try:
@@ -369,15 +390,9 @@ def sweep(spec: ScenarioSpec, axis: str, values) -> list:
         raise ValueError(f"sweep.values must be a list of numbers, got {values!r}")
     if not grid:
         raise ValueError("sweep grid is empty")
-    results = []
-    for v in grid:
-        if axis == "p" and werner:
-            new = replace(spec, initial={**spec.initial, "p": v})
-        else:
-            new = replace(spec, params={**spec.params, axis: v})
-        res = run(new)
-        results.append(replace(res, meta={**res.meta, axis: v}))
-    return results
+    specs = [replace(spec, initial={**spec.initial, "p": v}) if axis == "p"
+             else replace(spec, params={**spec.params, axis: v}) for v in grid]
+    return [replace(res, meta={**res.meta, axis: v}) for v, res in zip(grid, map(run, specs))]
 
 
 def _result(spec: ScenarioSpec, columns: dict, check=None, channel=None, meta=None) -> ScenarioResult:
@@ -402,14 +417,14 @@ def _result(spec: ScenarioSpec, columns: dict, check=None, channel=None, meta=No
     return ScenarioResult(spec.kind, data, meta or {})
 
 
-def _oracle_deviations(spec, whole, senders, receivers, rho_in, rho_out) -> np.ndarray:
+def _oracle_deviations(spec, whole, senders, receivers, rho_out) -> np.ndarray:
     """Trace distance of each ``rho_out`` slice to the oracle's output at its time.
 
-    The oracle evolves ``rho_in`` from the ``senders`` of ``whole`` (the run's
-    network, or union of networks) and reads ``receivers``.
+    The oracle evolves ``spec.rho_in`` from the ``senders`` of ``whole`` (the
+    run's network, or union of networks) and reads ``receivers``.
     """
     oracle.require_series_memory(whole, 1 << len(senders), len(spec.times), "verify.oracle")
-    ref = oracle.reduced_output(whole, rho_in, senders, receivers, np.array(spec.times))
+    ref = oracle.reduced_output(whole, spec.rho_in, senders, receivers, np.array(spec.times))
     devs = maps.trace_distance(rho_out, ref)
     bad = np.flatnonzero(devs > spec.oracle_tol)
     if bad.size:
@@ -420,28 +435,24 @@ def _oracle_deviations(spec, whole, senders, receivers, rho_in, rho_out) -> np.n
 
 
 def _run_qst(spec: ScenarioSpec) -> ScenarioResult:
-    net = _require_network(spec)
-    sender, receiver = _require_site(spec, "sender", net), _require_site(spec, "receiver", net)
-    rho_in = build_initial_state(spec.initial or {"kind": "basis", "string": "1"}, 1)
+    net, sender, receiver = spec.network, spec.sites["sender"], spec.sites["receiver"]
     f = maps.NetworkChannel(net).amplitude(sender, receiver, np.array(spec.times))
     channel = maps.one_qubit_kraus(f)
-    out = maps.apply(channel, rho_in)
+    out = maps.apply(channel, spec.rho_in)
     columns = {
         "f_re": f.real, "f_im": f.imag, "f_abs": np.abs(f),
         "out_p1": out[:, 1, 1].real, "out_coh_re": out[:, 0, 1].real, "out_coh_im": out[:, 0, 1].imag,
     }
-    return _result(spec, columns, (net, [sender], [receiver], rho_in, out), channel)
+    return _result(spec, columns, (net, [sender], [receiver], out), channel)
 
 
 def _run_distribute_single(spec: ScenarioSpec) -> ScenarioResult:
-    net = _require_network(spec)
-    sender, receiver = _require_site(spec, "sender", net), _require_site(spec, "receiver", net)
-    rho_in = build_initial_state(spec.initial, 2)
-    c_in = measures.concurrence(rho_in)
-    x_in = _x_state_or_none(rho_in)
+    net, sender, receiver = spec.network, spec.sites["sender"], spec.sites["receiver"]
+    c_in = measures.concurrence(spec.rho_in)
+    x_in = _x_state_or_none(spec.rho_in)
     f = maps.NetworkChannel(net).amplitude(sender, receiver, np.array(spec.times))
     channel = maps.extend_with_identity(maps.one_qubit_kraus(f))
-    out = maps.apply(channel, rho_in)
+    out = maps.apply(channel, spec.rho_in)
     c_out = measures.concurrence(out)
     if x_in is not None:
         _, c1, c2 = measures.transferred_concurrence(x_in, f)
@@ -453,22 +464,19 @@ def _run_distribute_single(spec: ScenarioSpec) -> ScenarioResult:
     }
     # the oracle evolves the idle first qubit as an uncoupled site 0 beside the network
     whole = SpinNetwork(np.zeros((1, 1))).disjoint_union(net)
-    return _result(spec, columns, (whole, [0, sender + 1], [0, receiver + 1], rho_in, out), channel)
+    return _result(spec, columns, (whole, [0, sender + 1], [0, receiver + 1], out), channel)
 
 
 def _run_distribute_dual(spec: ScenarioSpec) -> ScenarioResult:
-    net_a = _require_network(spec)
-    net_b = spec.network_b or net_a
-    sa, ra = _require_site(spec, "sender_a", net_a), _require_site(spec, "receiver_a", net_a)
-    sb, rb = _require_site(spec, "sender_b", net_b), _require_site(spec, "receiver_b", net_b)
-    rho_in = build_initial_state(spec.initial, 2)
-    c_in = measures.concurrence(rho_in)
-    x_in = _x_state_or_none(rho_in)
+    net_a, net_b = spec.network, spec.network_b or spec.network
+    sa, ra, sb, rb = (spec.sites[key] for key in ("sender_a", "receiver_a", "sender_b", "receiver_b"))
+    c_in = measures.concurrence(spec.rho_in)
+    x_in = _x_state_or_none(spec.rho_in)
     times = np.array(spec.times)
     f = maps.NetworkChannel(net_a).amplitude(sa, ra, times)
     g = maps.NetworkChannel(net_b).amplitude(sb, rb, times)
     channel = maps.tensor_map(maps.one_qubit_kraus(f), maps.one_qubit_kraus(g))
-    out = maps.apply(channel, rho_in)
+    out = maps.apply(channel, spec.rho_in)
     c_out = measures.concurrence(out)
     # the closed form holds where both rails carry the same amplitude
     c1, c2 = np.full(f.shape, math.nan), np.full(f.shape, math.nan)
@@ -480,46 +488,37 @@ def _run_distribute_dual(spec: ScenarioSpec) -> ScenarioResult:
         "initial_concurrence": c_in, "ratio": c_out / c_in if c_in > 0 else math.nan,
     }
     na = net_a.n_sites
-    check = (net_a.disjoint_union(net_b), [sa, na + sb], [ra, na + rb], rho_in, out)
+    check = (net_a.disjoint_union(net_b), [sa, na + sb], [ra, na + rb], out)
     return _result(spec, columns, check, channel)
 
 
-def _run_two_qubit(spec: ScenarioSpec, storage: bool = False) -> ScenarioResult:
-    net = _require_network(spec)
-    senders = _require_pair(spec, "senders", net)
-    receivers = senders if storage else _require_pair(spec, "receivers", net)
-    rho_in = build_initial_state(spec.initial, 2)
-    channel = maps.NetworkChannel(net).two_qubit(senders, receivers, np.array(spec.times))
-    out = maps.apply(channel, rho_in)
+def _run_two_qubit(spec: ScenarioSpec) -> ScenarioResult:
+    """``two_qubit_transfer``, and ``storage``, whose receivers are its senders."""
+    senders = spec.sites["senders"]
+    receivers = spec.sites.get("receivers", senders)
+    channel = maps.NetworkChannel(spec.network).two_qubit(senders, receivers, np.array(spec.times))
+    out = maps.apply(channel, spec.rho_in)
     e0 = channel.operators[0]
     columns = {
         "f11_abs": np.abs(e0[:, 2, 2]), "f22_abs": np.abs(e0[:, 1, 1]), "fpair_abs": np.abs(e0[:, 3, 3]),
         "concurrence": measures.concurrence(out), "purity": np.trace(out @ out, axis1=1, axis2=2).real,
     }
-    return _result(spec, columns, (net, senders, receivers, rho_in, out), channel)
-
-
-def _chain_params(spec: ScenarioSpec, wire_sites: int) -> tuple:
-    """``params`` (wire_sites, J, g) of a weak-coupling chain; the defaults are ``wire_sites``, 1 and 0.1."""
-    params = spec.params
-    wire = whole_number(params.get("wire_sites", wire_sites), "params.wire_sites", minimum=1)
-    return wire, real_number(params.get("J", 1.0), "params.J"), real_number(params.get("g", 0.1), "params.g")
+    return _result(spec, columns, (spec.network, senders, receivers, out), channel)
 
 
 def _run_weak_pair(spec: ScenarioSpec) -> ScenarioResult:
-    wire, j, g = _chain_params(spec, 4)
-    net = SpinNetwork.chain([g] + [j] * (wire - 1) + [g])
+    g, j = spec.params["g"], spec.params["J"]
+    net = SpinNetwork.chain([g] + [j] * (spec.params["wire_sites"] - 1) + [g])
     a, b = 0, net.n_sites - 1
-    rho_in = build_initial_state(spec.initial or {"kind": "basis", "string": "10"}, 2)
     chan = maps.NetworkChannel(net)
     channel = chan.two_qubit((a, b), (a, b), np.array(spec.times))
-    out = maps.apply(channel, rho_in)
+    out = maps.apply(channel, spec.rho_in)
     conc = measures.concurrence(out)
     peak_idx = int(np.argmax(conc))
     peak_t, peak_c = spec.times[peak_idx], float(conc[peak_idx])
-    if spec.params.get("refine", True) and 0 < peak_idx < len(spec.times) - 1:
+    if 0 < peak_idx < len(spec.times) - 1:
         def negative_concurrence(t):
-            rho = maps.apply(chan.two_qubit((a, b), (a, b), t), rho_in)
+            rho = maps.apply(chan.two_qubit((a, b), (a, b), t), spec.rho_in)
             return -measures.concurrence(rho)
 
         bracket = (spec.times[peak_idx - 1], peak_t, spec.times[peak_idx + 1])
@@ -531,21 +530,17 @@ def _run_weak_pair(spec: ScenarioSpec) -> ScenarioResult:
             pass  # non-bracketing grid triple; keep the grid peak
     # E_0[1, 2] = f1(i, m) is f(a -> b), read from the k=1 column the channel already holds
     columns = {"f_ab_abs": np.abs(channel.operators[0][:, 1, 2]), "concurrence": conc}
-    return _result(spec, columns, (net, [a, b], [a, b], rho_in, out), channel,
+    return _result(spec, columns, (net, [a, b], [a, b], out), channel,
                    meta={"peak_time": peak_t, "peak_concurrence": peak_c})
 
 
 def _run_four_qubit_weak(spec: ScenarioSpec) -> ScenarioResult:
     """(A1, A2, B1, B2) from a basis configuration: one sector column, reduced to the corners."""
-    wire, j, g = _chain_params(spec, 2)
-    net = SpinNetwork.chain([j, g] + [j] * (wire - 1) + [g, j])
+    g, j = spec.params["g"], spec.params["J"]
+    net = SpinNetwork.chain([j, g] + [j] * (spec.params["wire_sites"] - 1) + [g, j])
     n = net.n_sites
     corners = [0, 1, n - 2, n - 1]  # A1, A2, B1, B2
-    initial = spec.initial or {"kind": "basis", "string": "1100"}
-    if initial.get("kind") != "basis":
-        raise ValueError("four_qubit_weak starts from a basis configuration of (A1, A2, B1, B2)")
-    rho_in = build_initial_state(initial, 4)
-    label = initial["string"]
+    label = spec.initial["string"]
     occupied = tuple(corners[q] for q, c in enumerate(label) if c == "1")
     times = np.array(spec.times)
     table = SectorPropagator(net, len(occupied)).table(times, [occupied])
@@ -562,26 +557,33 @@ def _run_four_qubit_weak(spec: ScenarioSpec) -> ScenarioResult:
         "purity": np.trace(red @ red, axis1=1, axis2=2).real,
         "closed_form_fidelity": fid,
     }
-    return _result(spec, columns, (net, corners, corners, rho_in, red), meta={"n_sites": n})
+    return _result(spec, columns, (net, corners, corners, red), meta={"n_sites": n})
 
 
 def _run_closed_form(spec: ScenarioSpec) -> ScenarioResult:
-    g = real_number(spec.params.get("g", 1e-2), "params.g")
-    j = real_number(spec.params.get("J", 1.0), "params.J")
-    label = _basis_label(spec.initial or {"kind": "basis", "string": "1100"}, 4)
+    g, j, label = spec.params["g"], spec.params["J"], spec.initial["string"]
     times = np.array(spec.times)
     psi = four_qubit_closed_form(g, j, times, label)
     columns = {"theta": g**2 * times / j, **measures.four_qubit_measures(psi)}
     return _result(spec, columns, meta={"g": g, "J": j, "initial": label})
 
 
-_RUNNERS = {
-    "qst": _run_qst,
-    "distribute_single": _run_distribute_single,
-    "distribute_dual": _run_distribute_dual,
-    "two_qubit_transfer": _run_two_qubit,
-    "storage": lambda spec: _run_two_qubit(spec, storage=True),
-    "weak_pair": _run_weak_pair,
-    "four_qubit_weak": _run_four_qubit_weak,
-    "closed_form_four_qubit": _run_closed_form,
+_FOUR_QUBITS = dict(qubits=4, initial={"kind": "basis", "string": "1100"}, networks=(), basis=True, cptp=False)
+
+# What each scenario kind reads besides its initial state: network sections (network_b defaults to network),
+# site keys (a plural key is a pair of sites, a _b key a site of network_b) and params with their defaults (an int
+# default reads a whole number of at least 1).  A built ScenarioSpec holds what it read: whole-number sites and
+# pairs, every param, the initial state's description and, as rho_in, its density matrix.
+SCENARIOS = {
+    "qst": _Reads(_run_qst, 1, {"kind": "basis", "string": "1"}, sites=("sender", "receiver")),
+    "distribute_single": _Reads(_run_distribute_single, 2, sites=("sender", "receiver")),
+    "distribute_dual": _Reads(_run_distribute_dual, 2, sites=("sender_a", "receiver_a", "sender_b", "receiver_b"),
+                              networks=("network", "network_b")),
+    "two_qubit_transfer": _Reads(_run_two_qubit, 2, sites=("senders", "receivers")),
+    "storage": _Reads(_run_two_qubit, 2, sites=("senders",)),
+    "weak_pair": _Reads(_run_weak_pair, 2, {"kind": "basis", "string": "10"},
+                        params={"wire_sites": 4, "J": 1.0, "g": 0.1}, networks=()),
+    "four_qubit_weak": _Reads(_run_four_qubit_weak, params={"wire_sites": 2, "J": 1.0, "g": 0.1}, **_FOUR_QUBITS),
+    "closed_form_four_qubit": _Reads(_run_closed_form, params={"g": 1e-2, "J": 1.0}, oracle=False, **_FOUR_QUBITS),
 }
+SCENARIO_KINDS = tuple(SCENARIOS)

@@ -58,6 +58,14 @@ def test_unknown_keys_rejected():
         parse_config("scenario: quantum_teleportation\ntimes: {start: 0, stop: 1, points: 2}\n")
     with pytest.raises(ConfigError):
         parse_config("times: {start: 0, stop: 1, points: 2}\n")
+    with pytest.raises(ConfigError, match=r"network.couplings is not read by network kind 'uniform_chain'"):
+        parse_config(QST_CONFIG.replace("  sites: 8\n", "  sites: 8\n  couplings: [1, 1]\n"))
+    with pytest.raises(ConfigError, match=r"initial.p is not read by initial-state kind 'basis'"):
+        parse_config(QST_CONFIG + "initial: {kind: basis, string: '1', p: 0.3}\n")
+    with pytest.raises(ConfigError, match="unknown network kind 'ring'"):
+        parse_config(QST_CONFIG.replace("kind: uniform_chain", "kind: ring"))
+    with pytest.raises(ConfigError, match="section 'initial' must be a mapping"):
+        parse_config(QST_CONFIG + "initial: [basis]\n")
 
 
 def test_run_writes_csv(tmp_path):
@@ -409,15 +417,46 @@ def test_malformed_yaml_exits_2_with_the_safe_load_message(tmp_path, capsys, tex
     assert not out.exists()
 
 
+DUAL_CONFIG = ("scenario: distribute_dual\nnetwork: {kind: uniform_chain, sites: 3}\ntimes: {list: [0.0, 1.0]}\n"
+               "sites: {sender_a: 0, receiver_a: 2, sender_b: 0, receiver_b: 1}\ninitial: {kind: werner, p: 0.9}\n")
+
+
 @pytest.mark.parametrize("command, text, message", [
     ("sweep", QST_CONFIG + "sweep: {axis: J, values: [0.5, 1.0, 2.0]}\n",
      "sweep.axis 'J' changes nothing in scenario 'qst'"),
     ("run", "scenario: weak_pair\ntimes: {list: [0.0, 1.0]}\nparams: {Jj: 5.0}\n",
-     "params.Jj is not read by scenario 'weak_pair' (accepted: wire_sites, J, g, refine)"),
+     "params.Jj is not read by scenario 'weak_pair' (accepted: wire_sites, J, g)"),
     ("sweep", GOOD_CONFIG.replace("  kind: werner\n  p: 0.7\n", "  kind: bell\n")
      + "sweep: {axis: p, values: [0.4, 0.9]}\n",
      "sweep.axis 'p' changes nothing in scenario 'distribute_single'"),
-], ids=["qst-axis-J", "weak_pair-params-Jj", "bell-axis-p"])
+    ("run", "scenario: weak_pair\ntimes: {list: [0.0, 1.0]}\nnetwork: {kind: uniform_chain, sites: 4}\n",
+     "network is not read by scenario 'weak_pair' (accepted: none)"),
+    ("run", QST_CONFIG + "network_b: {kind: uniform_chain, sites: 4}\n",
+     "network_b is not read by scenario 'qst' (accepted: network)"),
+    ("run", QST_CONFIG.replace("  receiver: 7\n", "  receiver: 7\n  receivers: [6, 7]\n"),
+     "sites.receivers is not read by scenario 'qst' (accepted: sender, receiver)"),
+    ("run", "scenario: weak_pair\ntimes: {list: [0.0, 1.0]}\nsites: {sender: 0}\n",
+     "sites.sender is not read by scenario 'weak_pair' (accepted: none)"),
+    ("run", "scenario: closed_form_four_qubit\ntimes: {list: [0.0, 1.0]}\ninitial: {kind: bell, string: '1100'}\n",
+     "closed_form_four_qubit starts from a basis configuration of (A1, A2, B1, B2); initial.kind is 'bell'"),
+    ("run", QST_CONFIG.replace("  sites: 8\n", "  sites: 8\n  couplings: [9, 9, 9, 9]\n"),
+     "network.couplings is not read by network kind 'uniform_chain' (accepted: sites, coupling)"),
+    ("run", QST_CONFIG.replace("  sites: 8\n", "  sites: 8\n  fields: [1, 1, 1, 1, 1]\n"),
+     "network.fields is not read by network kind 'uniform_chain' (accepted: sites, coupling)"),
+    ("run", "scenario: qst\nnetwork: {kind: matrix, xy: [[0, 1], [1, 0]], couplings: [9]}\n"
+            "sites: {sender: 0, receiver: 1}\ntimes: {list: [0.0, 1.0]}\n",
+     "network.couplings is not read by network kind 'matrix' (accepted: xy, zz, fields)"),
+    ("run", DUAL_CONFIG + "network_b: {couplings: [1, 1], zz: [[0, 1], [1, 0]]}\n",
+     "network_b.zz is not read by network kind 'chain' (accepted: couplings, zz_couplings, fields)"),
+    ("run", QST_CONFIG + "initial: {kind: basis, string: '1', p: 0.3}\n",
+     "initial.p is not read by initial-state kind 'basis' (accepted: string)"),
+    ("run", QST_CONFIG + "initial: {kind: basis, string: '1', entries: [[0, 0], [0, 1]]}\n",
+     "initial.entries is not read by initial-state kind 'basis' (accepted: string)"),
+    ("run", DUAL_CONFIG.replace("p: 0.9", "p: 0.9, populations: [1, 0, 0, 0]"),
+     "initial.populations is not read by initial-state kind 'werner' (accepted: p, bell)"),
+], ids=["qst-axis-J", "weak_pair-params-Jj", "bell-axis-p", "weak_pair-network", "qst-network_b", "qst-receivers",
+        "weak_pair-sender", "closed-form-bell", "uniform-couplings", "uniform-fields", "matrix-couplings",
+        "network_b-chain-zz", "basis-p", "basis-entries", "werner-populations"])
 def test_params_and_sweep_axes_that_change_nothing_exit_2(tmp_path, capsys, command, text, message):
     config = tmp_path / "run.yaml"
     config.write_text(text)
@@ -571,3 +610,17 @@ def test_whole_valued_floats_run_like_integers(tmp_path, whole, text):
         outputs.append(tmp_path / f"{name}.csv")
         assert main(["run", str(config), "--output", str(outputs[-1])]) == 0
     assert outputs[0].read_bytes() == outputs[1].read_bytes()
+
+
+def test_readme_example_configuration_runs_and_sweeps(tmp_path):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    example, sweep = [block.split("```")[0] for block in readme.split("```yaml\n")[1:3]]
+    assert example.startswith("scenario: distribute_single") and sweep.startswith("sweep:")
+    config, out = tmp_path / "example.yaml", tmp_path / "example.csv"
+    config.write_text(example)
+    assert main(["run", str(config), "--output", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 61
+    config.write_text(example + sweep)
+    assert main(["sweep", str(config), "--output", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 5 * 61
+

@@ -13,7 +13,7 @@ from spinmaps import (
     run,
     sweep,
 )
-from spinmaps import maps, oracle
+from spinmaps import maps, oracle, protocols
 from spinmaps.maps import pure_state_density, trace_distance
 from spinmaps.protocols import SCENARIO_KINDS, VerificationError, build_initial_state
 
@@ -374,9 +374,8 @@ def test_four_qubit_weak_fidelity_is_the_closed_form_overlap_with_the_oracle_sta
 @pytest.mark.parametrize("label", ["9", "110", "11000", "11x0"])
 def test_four_qubit_weak_rejects_labels_that_are_not_four_qubits(label):
     # YAML reads an unquoted 0011 as the octal integer 9
-    spec = ScenarioSpec(kind="four_qubit_weak", times=(0.0, 1.0), initial={"kind": "basis", "string": label})
     with pytest.raises(ValueError, match=f"basis string '{label}' does not describe 4 qubits"):
-        run(spec)
+        ScenarioSpec(kind="four_qubit_weak", times=(0.0, 1.0), initial={"kind": "basis", "string": label})
 
 
 def test_four_qubit_weak_oracle_check_flags_a_wrong_state(monkeypatch):
@@ -425,7 +424,7 @@ def test_runs_without_verify_oracle_never_build_the_dense_space(monkeypatch):
 
 def test_params_a_scenario_does_not_read_are_rejected():
     with pytest.raises(ValueError, match=r"params.Jj is not read by scenario 'weak_pair' "
-                                         r"\(accepted: wire_sites, J, g, refine\)"):
+                                         r"\(accepted: wire_sites, J, g\)"):
         ScenarioSpec(kind="weak_pair", times=(0.0, 1.0), params={"Jj": 5.0})
     with pytest.raises(ValueError, match=r"params.J is not read by scenario 'qst' \(accepted: none\)"):
         ScenarioSpec(kind="qst", times=(0.0, 1.0), params={"J": 1.0})
@@ -441,9 +440,45 @@ def test_sweep_rejects_axes_that_change_nothing():
                         sites={"sender": 0, "receiver": 2}, initial={"kind": "bell", "label": "psi+"})
     with pytest.raises(ValueError, match=r"sweep.axis 'p' changes nothing in scenario 'distribute_single'"):
         sweep(bell, "p", [0.4, 0.9])
-    weak = ScenarioSpec(kind="weak_pair", times=(0.0, 5.0, 10.0), params={"refine": False})
+    weak = ScenarioSpec(kind="weak_pair", times=(0.0, 5.0, 10.0))
     curves = [r.column("concurrence") for r in sweep(weak, "g", [0.1, 0.3])]
     assert not np.array_equal(*curves)
+
+
+def test_spec_holds_the_values_its_kind_reads():
+    dual = ScenarioSpec(kind="distribute_dual", times=(0.0, 1.0), network=chain3(),
+                        sites={"sender_a": 0.0, "receiver_a": 2, "sender_b": 1, "receiver_b": 2.0},
+                        initial={"kind": "werner", "p": 1})
+    assert dual.sites == {"sender_a": 0, "receiver_a": 2, "sender_b": 1, "receiver_b": 2}
+    assert all(type(site) is int for site in dual.sites.values())
+    assert np.array_equal(dual.rho_in, build_initial_state({"kind": "werner", "p": 1.0}, 2))
+    storage = ScenarioSpec(kind="storage", times=(0.0,), network=chain3(), sites={"senders": [2, 0]},
+                           initial={"kind": "bell"})
+    assert storage.sites == {"senders": (2, 0)}
+    weak = ScenarioSpec(kind="weak_pair", times=(0.0,), params={"g": 1})
+    assert weak.params == {"wire_sites": 4, "J": 1.0, "g": 1.0}
+    assert weak.initial == {"kind": "basis", "string": "10"} and weak.rho_in[2, 2] == 1.0
+    closed = ScenarioSpec(kind="closed_form_four_qubit", times=(0.0,))
+    assert closed.params == {"g": 1e-2, "J": 1.0} and closed.initial["string"] == "1100"
+    with pytest.raises(ValueError, match=r"sites.receiver_b 3 out of range for 3 sites"):
+        replace(dual, network_b=None, sites={**dual.sites, "receiver_b": 3})
+    longer = SpinNetwork.uniform_chain(4, 1.0)
+    assert replace(dual, network_b=longer, sites={**dual.sites, "receiver_b": 3}).sites["receiver_b"] == 3
+
+
+def test_sweep_builds_every_spec_before_the_first_run(monkeypatch):
+    """A bad value later in the grid is rejected before any value runs."""
+    def refuse(spec):
+        raise AssertionError("a run started before every swept spec was built")
+
+    monkeypatch.setattr(protocols, "run", refuse)
+    weak = ScenarioSpec(kind="weak_pair", times=(0.0, 1.0))
+    with pytest.raises(ValueError, match="params.wire_sites must be a whole number, got 2.5"):
+        sweep(weak, "wire_sites", [3, 4, 2.5])
+    werner = ScenarioSpec(kind="distribute_single", times=(0.0, 1.0), network=chain3(),
+                          sites={"sender": 0, "receiver": 2}, initial={"kind": "werner", "p": 0.5})
+    with pytest.raises(ValueError, match=r"Werner weight must be in \[0, 1\], got 2.0"):
+        sweep(werner, "p", [0.5, 2.0])
 
 
 def test_checks_run_once_per_grid(check_calls):

@@ -355,7 +355,11 @@ def _assert_grid_rows_equal_one_time_runs(fields, check_columns):
 
 
 def test_weak_pair_builds_one_k1_column_per_time(monkeypatch):
-    """16 times: 16 k=1 and 16 k=2 time slices (the f_ab column comes from E_0)."""
+    """16 times: 16 k=1 and 16 k=2 time slices (the f_ab column comes from E_0).
+
+    The concurrence rises over the whole grid, so its peak is the last time and
+    no golden-section refinement adds tables.
+    """
     built = {1: 0, 2: 0}
     table = SectorPropagator.table
 
@@ -364,8 +368,8 @@ def test_weak_pair_builds_one_k1_column_per_time(monkeypatch):
         return table(self, t, sources)
 
     monkeypatch.setattr(SectorPropagator, "table", counting_table)
-    spec = ScenarioSpec(kind="weak_pair", times=tuple(np.linspace(0.0, 40.0, 16)),
-                        params={"wire_sites": 5, "g": 0.1, "refine": False})
+    spec = ScenarioSpec(kind="weak_pair", times=tuple(np.linspace(0.0, 8.0, 16)),
+                        params={"wire_sites": 5, "g": 0.1})
     result = run(spec)
     assert built == {1: 16, 2: 16}
     chan = NetworkChannel(SpinNetwork.chain([0.1, 1.0, 1.0, 1.0, 1.0, 0.1]))
