@@ -12,13 +12,13 @@ a grid, and the series stops where the Bessel tail at a max|t| is negligible.
 This module holds the series only: the term count, the Bessel weights and the
 recurrence.  Each caller builds its own Hamiltonian and its spectral bounds,
 so the sector engine and the dense-space oracle share no Hamiltonian code.
+scipy is imported inside the functions that call it, so a run that builds no
+series never loads it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.blas import dger
-from scipy.special import jv, sindg
 
 # Largest 2 sum_{k >= K} |J_k(x)| the series may leave out; it bounds the
 # truncation error of every evolved unit column.
@@ -42,6 +42,8 @@ def chebyshev_terms(x: float) -> int:
     from the backward continued fraction x / (2k - x J_{k+1} / J_k), which is
     stable there, so even the smallest terms keep their relative accuracy.
     """
+    from scipy.special import jv
+
     x = abs(x)
     first = int(np.ceil(x))
     ratios = [0.0]
@@ -60,6 +62,8 @@ def _bessel_j(x: np.ndarray, terms: int) -> np.ndarray:
     once M - terms passes the negligible orders.  The M samples have modulus
     one, so J_0^2 + 2 sum_k J_k^2 = 1 holds to rounding.
     """
+    from scipy.special import sindg
+
     size = 1 << int(np.ceil(np.log2(terms + _negligible_order(np.abs(x).max(initial=0.0)))))
     sines = sindg(360.0 * np.arange(size) / size)  # exact angles: no 2pi rounding scaled by x
     return (np.fft.fft(np.exp(1j * np.multiply.outer(x, sines)))[:, :terms].real / size).T
@@ -75,6 +79,8 @@ def unit_columns(scaled, bounds, rows, times: np.ndarray, terms: int) -> np.ndar
     real weights (2 - delta_k0) (-1)^(k // 2) J_k(a t), because (-i)^k is real
     for even k and imaginary for odd k.  Memory is O((T + 3) d c).
     """
+    from scipy.linalg.blas import dger
+
     low, high = bounds
     centre = 0.5 * (high + low)
     half = max(0.5 * (high - low), np.finfo(float).tiny)  # zero width: H = b exactly, any a > 0 works

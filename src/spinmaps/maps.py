@@ -38,7 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .network import AmplitudeTable, SectorPropagator, SpinNetwork
+from .network import AmplitudeTable, NumericalError, SectorPropagator, SpinNetwork
 
 DENSITY_ATOL = 1e-10
 PSD_FLOOR = -1e-9
@@ -208,10 +208,15 @@ def apply(ks: KrausSet, rho: np.ndarray) -> np.ndarray:
     """Apply a Kraus set to a density matrix and validate the output.
 
     A map or a state with a leading time axis gives a (T, d, d) stack of
-    outputs, each validated.
+    outputs, each validated.  The map and the state were checked before, so
+    an invalid output is a failure of the computation: it raises
+    :class:`NumericalError` with the check's message.
     """
     out = apply_kraus(ks, rho)
-    assert_density_matrix(out)
+    try:
+        assert_density_matrix(out)
+    except ValueError as exc:
+        raise NumericalError(str(exc)) from exc
     return out
 
 

@@ -69,8 +69,6 @@ from math import comb
 from operator import getitem
 
 import numpy as np
-from scipy.linalg import block_diag
-from scipy.sparse import csr_array
 
 from .chebyshev import chebyshev_terms, unit_columns
 
@@ -96,7 +94,7 @@ CHEBYSHEV_SECONDS_PER_ENTRY = 0.56e-9
 
 
 class NumericalError(ArithmeticError):
-    """A numerical invariant (orthonormal eigenbasis, unitary propagator) failed.
+    """A numerical invariant (orthonormal eigenbasis, unitary propagator, valid output state) failed.
 
     Deliberately not a ``ValueError``: it reports a failure of the computation,
     not a bad input.
@@ -181,11 +179,11 @@ class SpinNetwork:
         The sites of ``self`` come first; site j of ``other`` becomes site
         ``self.n_sites + j``.
         """
-        return SpinNetwork(
-            block_diag(self.xy, other.xy),
-            block_diag(self.zz, other.zz),
-            np.concatenate([self.fields, other.fields]),
-        )
+        n, size = self.n_sites, self.n_sites + other.n_sites
+        xy, zz = np.zeros((size, size)), np.zeros((size, size))
+        xy[:n, :n], xy[n:, n:] = self.xy, other.xy
+        zz[:n, :n], zz[n:, n:] = self.zz, other.zz
+        return SpinNetwork(xy, zz, np.concatenate([self.fields, other.fields]))
 
     def diagonal_energy(self, occupied=()) -> float:
         """Field and ZZ energy of a configuration (the vacuum by default).
@@ -312,8 +310,10 @@ class SectorHamiltonian:
         _require_hermitian(np.abs(m - m.conj().T).max(), np.abs(m).max())
         return m
 
-    def sparse(self, shift: float = 0.0, scale: float = 1.0) -> csr_array:
-        """CSR matrix of scale * (H - shift), with the diagonal always stored."""
+    def sparse(self, shift: float = 0.0, scale: float = 1.0):
+        """CSR matrix (``scipy.sparse.csr_array``) of scale * (H - shift), with the diagonal always stored."""
+        from scipy.sparse import csr_array
+
         d = self.sector.dimension
         diag = np.arange(d)
         m = csr_array(

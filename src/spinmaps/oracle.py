@@ -49,7 +49,6 @@ from __future__ import annotations
 import os
 
 import numpy as np
-from scipy.sparse import csr_array
 
 from .chebyshev import chebyshev_terms, unit_columns
 from .maps import assert_density_matrix, partial_trace_outer
@@ -214,6 +213,8 @@ def _embedding(network: SpinNetwork, rho_s: np.ndarray, sender_sites):
 
 def _series_columns(network: SpinNetwork, embed: list, times: np.ndarray) -> np.ndarray:
     """``U(t)[:, embed]`` for every time, from the Chebyshev series on the sparse 2^N Hamiltonian."""
+    from scipy.sparse import csr_array
+
     diagonal, rows, cols, values = hamiltonian_elements(network)
     dim = diagonal.size
     radius = np.bincount(rows, np.abs(values), minlength=dim)

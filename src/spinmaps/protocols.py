@@ -21,7 +21,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import maps, measures, oracle
 from .network import SectorPropagator, SpinNetwork, reduced_state
@@ -517,6 +516,8 @@ def _run_weak_pair(spec: ScenarioSpec) -> ScenarioResult:
     peak_idx = int(np.argmax(conc))
     peak_t, peak_c = spec.times[peak_idx], float(conc[peak_idx])
     if 0 < peak_idx < len(spec.times) - 1:
+        from scipy.optimize import minimize_scalar
+
         def negative_concurrence(t):
             rho = maps.apply(chan.two_qubit((a, b), (a, b), t), spec.rho_in)
             return -measures.concurrence(rho)

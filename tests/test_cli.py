@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
-from spinmaps import cli, oracle
+from spinmaps import cli, maps, oracle
 from spinmaps.cli import (
     ConfigError,
     figure3_result,
@@ -209,6 +209,24 @@ def test_numerical_failure_exits_1(tmp_path, monkeypatch, capsys):
     assert main(["run", str(config), "--output", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("numerical failure:") and "eigenbasis is not orthonormal" in err
+    assert not out.exists()
+
+
+def test_invalid_output_state_is_a_numerical_failure(tmp_path, monkeypatch, capsys):
+    # the config and the input state are valid, so a bad output is the computation's fault
+    apply_kraus = maps.apply_kraus
+
+    def skewed_apply(ks, rho):
+        out = apply_kraus(ks, rho)
+        return out + 0.1 * np.triu(np.ones(out.shape[-2:]), 1)  # not Hermitian, trace kept
+
+    monkeypatch.setattr(maps, "apply_kraus", skewed_apply)
+    config = tmp_path / "qst.yaml"
+    config.write_text(QST_CONFIG)
+    out = tmp_path / "never.csv"
+    assert main(["run", str(config), "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and "density matrix is not Hermitian" in err
     assert not out.exists()
 
 

@@ -7,6 +7,7 @@ from spinmaps import (
     AmplitudeTable,
     KrausSet,
     NetworkChannel,
+    NumericalError,
     SectorPropagator,
     SpinNetwork,
     apply,
@@ -433,7 +434,7 @@ def test_constructed_maps_are_cptp(rng):
 def test_apply_validates_output(rng):
     rho = random_density_matrix(2, rng)
     bad = KrausSet((np.diag([1.0, 0.5]).astype(complex),), complete=False)
-    with pytest.raises(ValueError):
+    with pytest.raises(NumericalError):
         apply(bad, rho)  # trace not preserved -> invalid output state
     out = apply_kraus(bad, rho)
     assert np.trace(out).real < 1.0

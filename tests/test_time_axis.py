@@ -268,7 +268,7 @@ def test_non_psd_output_slice_fails_like_the_slice():
     ops[2] = np.diag([1.0, 1.0, 1.0, 0.5])
     bell = np.outer(bell_state("phi+"), bell_state("phi+").conj())
     lossy, lossy_slice = KrausSet((ops,), complete=False), KrausSet((ops[2],), complete=False)
-    _same_error(lambda: apply(lossy, bell), lambda: apply(lossy_slice, bell))
+    _same_error(lambda: apply(lossy, bell), lambda: apply(lossy_slice, bell), exc=NumericalError)
     states = np.array([np.eye(4) / 4] * 3)
     states[1] = np.diag([0.6, 0.5, -0.05, -0.05])
     _same_error(lambda: assert_density_matrix(states), lambda: assert_density_matrix(states[1]))
