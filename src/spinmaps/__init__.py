@@ -56,6 +56,7 @@ from .protocols import (
     four_qubit_measure_sweep,
     run,
     sweep,
+    sweep_specs,
 )
 
 __version__ = "0.1.0"

@@ -1,7 +1,8 @@
 """Command-line front end: scenario runs, parameter sweeps, verification, figures.
 
-Exit codes: 0 success, 1 verification or numerical failure, 2 configuration
-error.
+Each command first reads and checks every input, then computes.  Exit codes:
+0 success; 1 the computation failed (a verification or numerical check);
+2 configuration error, found while reading, before any computation.
 
 All output is CSV: UTF-8, header row, '.' decimal separator, one row per
 grid point, complex quantities split into _re/_im columns.
@@ -12,7 +13,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 import yaml
@@ -27,10 +27,6 @@ from .network import (
 )
 
 OUTPUT_DIR_ENV = "SPINMAPS_OUTPUT_DIR"
-
-
-class ConfigError(Exception):
-    """Malformed or inconsistent run configuration."""
 
 
 # ---------------------------------------------------------------------------
@@ -49,10 +45,10 @@ _SECTION_KEYS = {"times": {"start", "stop", "points", "list"}, "verify": {"oracl
 
 def _check_keys(section: dict, allowed: set, where: str):
     if not isinstance(section, dict):
-        raise ConfigError(f"section {where!r} must be a mapping")
+        raise ValueError(f"section {where!r} must be a mapping")
     unknown = set(section) - allowed
     if unknown:
-        raise ConfigError(f"unknown keys {sorted(unknown)} in section {where!r}")
+        raise ValueError(f"unknown keys {sorted(unknown)} in section {where!r}")
 
 
 # libyaml's parser, where PyYAML was built with it: the same safe constructor and
@@ -69,28 +65,20 @@ def parse_config(text: str) -> dict:
         try:
             cfg = yaml.safe_load(text)
         except yaml.YAMLError as exc:
-            raise ConfigError(f"invalid YAML: {exc}") from exc
+            raise ValueError(f"invalid YAML: {exc}") from exc
     if not isinstance(cfg, dict):
-        raise ConfigError("configuration must be a mapping at top level")
+        raise ValueError("configuration must be a mapping at top level")
     _check_keys(cfg, _TOP_KEYS, "top level")
     if "scenario" not in cfg:
-        raise ConfigError("missing required key 'scenario'")
+        raise ValueError("missing required key 'scenario'")
     if cfg["scenario"] not in protocols.SCENARIO_KINDS:
-        raise ConfigError(f"unknown scenario {cfg['scenario']!r}, expected one of {protocols.SCENARIO_KINDS}")
+        raise ValueError(f"unknown scenario {cfg['scenario']!r}, expected one of {protocols.SCENARIO_KINDS}")
     for key, allowed in _SECTION_KEYS.items():
         if key in cfg and cfg[key] is not None:
             _check_keys(cfg[key], allowed, key)
-    try:  # the fields each section's kind reads, and an initial state the scenario reads
-        for key in ("network", "network_b"):
-            if cfg.get(key) is not None:
-                protocols.section_kind(cfg[key], _NETWORK_FIELDS, key, "network", "chain")
-        if cfg.get("initial") is not None:
-            protocols.read_initial(cfg["scenario"], cfg["initial"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     for key in ("sites", "params"):
         if key in cfg and not isinstance(cfg[key], dict):
-            raise ConfigError(f"section {key!r} must be a mapping")
+            raise ValueError(f"section {key!r} must be a mapping")
     return cfg
 
 
@@ -102,67 +90,67 @@ def _numbers(value, name: str):
 
 
 def _network_from_config(section: dict, where: str) -> SpinNetwork:
+    kind = protocols.section_kind(section, _NETWORK_FIELDS, where, "network", "chain")
     # every number the section gives, entry by entry; an absent optional field reads as None
     num = {key: _numbers(value, f"{where}.{key}")
            for key, value in section.items() if key not in ("kind", "sites") and value is not None}
-    kind = section.get("kind", "chain")
     if kind == "uniform_chain":
         sites = protocols.whole_number(section["sites"], f"{where}.sites")
         return SpinNetwork.uniform_chain(sites, num.get("coupling", 1.0))
     if kind == "chain":
         return SpinNetwork.chain(num["couplings"], num.get("zz_couplings"), num.get("fields"))
-    return SpinNetwork(np.array(num["xy"]), num.get("zz"), num.get("fields"))  # parse_config checked the kind
+    return SpinNetwork(np.array(num["xy"]), num.get("zz"), num.get("fields"))
 
 
 def _times_from_config(section) -> tuple:
     if section is None:
-        raise ConfigError("missing required section 'times'")
+        raise ValueError("missing required section 'times'")
     if "list" in section:
         times = section["list"]
         if not isinstance(times, (list, tuple)):
-            raise ConfigError(f"times.list must be a list of numbers, got {times!r}")
+            raise ValueError(f"times.list must be a list of numbers, got {times!r}")
         return tuple(protocols.real_number(t, "times.list") for t in times)
     try:
         start = protocols.real_number(section["start"], "times.start")
         stop = protocols.real_number(section["stop"], "times.stop")
         points = protocols.whole_number(section["points"], "times.points", minimum=1)
     except KeyError as exc:
-        raise ConfigError(f"times section needs start/stop/points or list (missing {exc})") from exc
+        raise ValueError(f"times section needs start/stop/points or list (missing {exc})") from exc
     return tuple(np.linspace(start, stop, points))
 
 
-def spec_from_config(cfg: dict) -> protocols.ScenarioSpec:
-    try:
-        network = _network_from_config(cfg["network"], "network") if cfg.get("network") else None
-        network_b = _network_from_config(cfg["network_b"], "network_b") if cfg.get("network_b") else None
-        verify = cfg.get("verify") or {}
-        tolerances = cfg.get("tolerances") or {}
-        return protocols.ScenarioSpec(
-            kind=cfg["scenario"],
-            times=_times_from_config(cfg.get("times")),
-            network=network,
-            network_b=network_b,
-            sites=cfg.get("sites") or {},
-            initial=cfg.get("initial") or {},
-            params=cfg.get("params") or {},
-            verify_oracle=bool(verify.get("oracle", False)),
-            verify_cptp=bool(verify.get("cptp", False)),
-            oracle_tol=protocols.real_number(tolerances.get("oracle", protocols.ORACLE_TOL), "tolerances.oracle"),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+def spec_from_config(cfg: dict, tolerance=None) -> protocols.ScenarioSpec:
+    """The scenario ``cfg`` describes, every input read; ``tolerance``, if given, overrides ``tolerances.oracle``."""
+    verify, tolerances = cfg.get("verify") or {}, cfg.get("tolerances") or {}
+    oracle_tol = protocols.positive_tolerance(tolerances.get("oracle", protocols.ORACLE_TOL), "tolerances.oracle")
+    for key, value in verify.items():
+        if not isinstance(value, bool):
+            raise ValueError(f"verify.{key} must be true or false, got {value!r}")
+    return protocols.ScenarioSpec(
+        kind=cfg["scenario"],
+        times=_times_from_config(cfg.get("times")),
+        **{key: _network_from_config(cfg[key], key) for key in ("network", "network_b") if cfg.get(key) is not None},
+        sites=cfg.get("sites") or {},
+        initial={} if cfg.get("initial") is None else cfg["initial"],
+        params=cfg.get("params") or {},
+        verify_oracle=verify.get("oracle", False),
+        verify_cptp=verify.get("cptp", False),
+        oracle_tol=oracle_tol if tolerance is None else protocols.positive_tolerance(tolerance, "--tolerance"),
+    )
 
 
-def _resolve_output(path, default_name: str) -> str:
-    if path:
-        return str(path)
-    return os.path.join(os.environ.get(OUTPUT_DIR_ENV, "."), default_name)
+def _output_path(path, default_name: str) -> str:
+    """``path``, or ``default_name`` in ``SPINMAPS_OUTPUT_DIR``, once it names a file in a directory that exists."""
+    out = str(path) if path else os.path.join(os.environ.get(OUTPUT_DIR_ENV, "."), default_name)
+    if os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or "."):
+        raise ValueError(f"output {out!r} is not a file in a directory that exists")
+    return out
 
 
 # ---------------------------------------------------------------------------
 # verification suite
 
-def _run_checks(n_sites: int, seed: int, tol: float, trials: int, report=print) -> bool:
+def _run_checks(n_sites: int, seed: int, tol: float, trials: int, report=print) -> int:
     rng = np.random.default_rng(seed)
     j = rng.normal(size=(n_sites, n_sites))
     j = (j + j.T) / 2
@@ -246,8 +234,8 @@ def _run_checks(n_sites: int, seed: int, tol: float, trials: int, report=print) 
             direct = k2.amplitude((a, b), (c, e))
             worst_det = max(worst_det, abs(det - direct))
     check("determinant fast path (open chain)", worst_det, 1e-9)
-
-    return ok
+    report("verification " + ("passed" if ok else "FAILED"))
+    return 0 if ok else 1
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +280,8 @@ _CSV_NOTE = (
 )
 
 _EXIT_NOTE = (
-    "Exit codes: 0 success; 1 verification failure (oracle deviation, CPTP, "
-    "'verify' check) or numerical failure (a sector eigenbasis or propagator "
-    "failed its 1e-10 orthonormality check); 2 configuration error."
+    "Exit codes: 0 success; 1 a verification check (oracle deviation, CPTP, 'verify' check) or a "
+    "numerical check failed during the computation; 2 configuration error, found before any computation."
 )
 
 _FIGURE_COLUMNS = {
@@ -313,20 +300,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser(
-        "run", help="execute one scenario config and write CSV", epilog=_CSV_NOTE + " " + _EXIT_NOTE
-    )
-    p_run.add_argument("config", help="YAML scenario configuration file")
-    p_run.add_argument("--output", help="CSV output path (overrides config)")
-    p_run.add_argument("--tolerance", type=float, help="override the oracle-comparison tolerance")
-
-    p_sweep = sub.add_parser(
-        "sweep", help="run a scenario once per value of a swept parameter",
-        epilog="The swept value is prepended as the first CSV column. " + _CSV_NOTE,
-    )
-    p_sweep.add_argument("config", help="YAML configuration with a 'sweep:' section")
-    p_sweep.add_argument("--output", help="CSV output path (overrides config)")
-    p_sweep.add_argument("--tolerance", type=float, help="override the oracle-comparison tolerance")
+    for name, help_text, epilog, config_help in (
+        ("run", "execute one scenario config and write CSV", _CSV_NOTE + " " + _EXIT_NOTE,
+         "YAML scenario configuration file"),
+        ("sweep", "run a scenario once per value of a swept parameter",
+         "The swept value is prepended as the first CSV column. " + _CSV_NOTE,
+         "YAML configuration with a 'sweep:' section"),
+    ):
+        p_config = sub.add_parser(name, help=help_text, epilog=epilog)
+        p_config.add_argument("config", help=config_help)
+        p_config.add_argument("--output", help="CSV output path (overrides config)")
+        p_config.add_argument("--tolerance", type=float, help="override the oracle-comparison tolerance")
 
     p_verify = sub.add_parser(
         "verify", help="run the invariant suite (sector unitarity, oracle equivalence, CPTP)",
@@ -355,97 +339,71 @@ def _load_config(path: str) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             return parse_config(fh.read())
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
+        raise ValueError(f"cannot read config {path!r}: {exc}") from exc
 
 
-def _run_spec(spec):
-    try:
-        return protocols.run(spec)
-    except ValueError as exc:  # incomplete or inconsistent scenario description
-        raise ConfigError(str(exc)) from exc
-
-
-def _check_tolerance(tolerance):
-    if tolerance is not None and not (np.isfinite(tolerance) and tolerance > 0):
-        raise ConfigError(f"--tolerance must be finite and positive, got {tolerance}")
-
-
-def _spec_with_tolerance(cfg: dict, tolerance) -> protocols.ScenarioSpec:
-    _check_tolerance(tolerance)
-    spec = spec_from_config(cfg)
-    return spec if tolerance is None else replace(spec, oracle_tol=tolerance)
-
-
-def _cmd_run(args) -> int:
-    cfg = _load_config(args.config)
-    spec = _spec_with_tolerance(cfg, args.tolerance)
-    result = _run_spec(spec)
-    out = _resolve_output(args.output or cfg.get("output"), f"{spec.kind}.csv")
+def _write(result, out: str, show_meta=False) -> int:
     rows = result.write_csv(out)
-    for key, value in result.meta.items():
+    for key, value in result.meta.items() if show_meta else ():
         print(f"{key}: {value}")
     print(f"wrote {rows} rows to {out}")
     return 0
 
 
-def _cmd_sweep(args) -> int:
+def _read_run(args):
+    cfg = _load_config(args.config)
+    spec = spec_from_config(cfg, args.tolerance)
+    out = _output_path(args.output or cfg.get("output"), f"{spec.kind}.csv")
+    return lambda: _write(protocols.run(spec), out, show_meta=True)
+
+
+def _read_sweep(args):
     cfg = _load_config(args.config)
     sweep_cfg = cfg.get("sweep")
     if not sweep_cfg or "axis" not in sweep_cfg or "values" not in sweep_cfg:
-        raise ConfigError("sweep requires a 'sweep:' section with 'axis' and 'values'")
-    spec = _spec_with_tolerance(cfg, args.tolerance)
+        raise ValueError("sweep requires a 'sweep:' section with 'axis' and 'values'")
+    spec = spec_from_config(cfg, args.tolerance)
     axis = str(sweep_cfg["axis"])
-    try:
-        results = protocols.sweep(spec, axis, sweep_cfg["values"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    parts = [{axis: res.meta[axis], **res.data} for res in results]
-    result = protocols.ScenarioResult.concat(spec.kind, parts)
-    out = _resolve_output(args.output or cfg.get("output"), f"{spec.kind}_{axis}_sweep.csv")
-    print(f"wrote {result.write_csv(out)} rows to {out}")
-    return 0
+    swept = protocols.sweep_specs(spec, axis, sweep_cfg["values"])
+    out = _output_path(args.output or cfg.get("output"), f"{spec.kind}_{axis}_sweep.csv")
+    return lambda: _write(protocols.sweep(axis, swept), out)
 
 
-def _cmd_verify(args) -> int:
+def _read_verify(args):
     if args.sites < 3:
-        raise ConfigError("verify needs at least 3 sites")
+        raise ValueError("verify needs at least 3 sites")
     if args.trials < 1:
-        raise ConfigError(f"--trials must be at least 1, got {args.trials}")
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     if args.seed < 0:
-        raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
-    _check_tolerance(args.tolerance)
-    try:
-        oracle.require_dense_sites(args.sites, "--sites")
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    ok = _run_checks(args.sites, args.seed, args.tolerance, args.trials)
-    print("verification " + ("passed" if ok else "FAILED"))
-    return 0 if ok else 1
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
+    protocols.positive_tolerance(args.tolerance, "--tolerance")
+    oracle.require_dense_sites(args.sites, "--sites")
+    return lambda: _run_checks(args.sites, args.seed, args.tolerance, args.trials)
 
 
-def _cmd_figure(args) -> int:
+def _read_figure(args):
     if args.points is not None and args.points < 1:
-        raise ConfigError(f"--points must be at least 1, got {args.points}")
+        raise ValueError(f"--points must be at least 1, got {args.points}")
     make = {3: figure3_result, 5: figure5_result, 7: figure7_result}[args.number]
-    result = make() if args.points is None else make(args.points)
-    out = _resolve_output(args.output, f"figure{args.number}.csv")
-    print(f"wrote {result.write_csv(out)} rows to {out}")
-    return 0
+    out = _output_path(args.output, f"figure{args.number}.csv")
+    return lambda: _write(make() if args.points is None else make(args.points), out)
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handlers = {"run": _cmd_run, "sweep": _cmd_sweep, "verify": _cmd_verify, "figure": _cmd_figure}
+    """Each command reads and checks every input, then computes: exit 2 if reading fails, 1 if computing does."""
+    args = _build_parser().parse_args(argv)
+    readers = {"run": _read_run, "sweep": _read_sweep, "verify": _read_verify, "figure": _read_figure}
     try:
-        return handlers[args.command](args)
-    except ConfigError as exc:
+        compute = readers[args.command](args)
+    except Exception as exc:  # anything raised while reading is the input's fault
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    try:
+        return compute()
     except protocols.VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
-    except NumericalError as exc:
+    except (NumericalError, ValueError) as exc:  # every input was checked before the computation
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
 

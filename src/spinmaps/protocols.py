@@ -43,7 +43,8 @@ class _Reads(NamedTuple):
     networks: tuple = ("network",)
     basis: bool = False
     cptp: bool = True
-    oracle: bool = True
+    oracle: Callable = None
+    closed_form: bool = False
 
 
 def _reject_unread(keys, accepted, prefix: str, reader: str):
@@ -92,8 +93,7 @@ class ScenarioSpec:
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("time grid must be strictly increasing")
         object.__setattr__(self, "times", times)
-        if not (math.isfinite(self.oracle_tol) and self.oracle_tol > 0):
-            raise ValueError(f"tolerances.oracle must be finite and positive, got {self.oracle_tol}")
+        object.__setattr__(self, "oracle_tol", positive_tolerance(self.oracle_tol, "tolerances.oracle"))
         if self.verify_cptp and not reads.cptp:
             raise ValueError(f"verify.cptp does not apply to scenario {self.kind!r}: it evolves no channel")
         if self.verify_oracle and not reads.oracle:
@@ -106,8 +106,13 @@ class ScenarioSpec:
         object.__setattr__(self, "params", {
             key: whole_number(v, f"params.{key}", minimum=1) if isinstance(d, int) else real_number(v, f"params.{key}")
             for key, d in reads.params.items() for v in [self.params.get(key, d)]})
-        object.__setattr__(self, "initial", read_initial(self.kind, self.initial))
+        object.__setattr__(self, "initial", _read_initial(self.kind, self.initial))
         object.__setattr__(self, "rho_in", build_initial_state(self.initial, reads.qubits))
+        if self.verify_oracle:
+            whole, senders, _ = reads.oracle(self)
+            oracle.require_series_memory(whole, 1 << len(senders), len(times), "verify.oracle")
+        if reads.closed_form:
+            _check_closed_form(self.params["g"], self.params["J"], self.initial["string"])
 
     def _read_site(self, key: str):
         """``sites[key]``: a site of its network or, for a plural key, a pair of sites."""
@@ -185,7 +190,7 @@ INITIAL_FIELDS = {
 }
 
 
-def read_initial(scenario: str, desc: dict) -> dict:
+def _read_initial(scenario: str, desc: dict) -> dict:
     """``desc``, or the default state of ``scenario`` if it is empty, once it is a state the scenario reads."""
     reads = SCENARIOS[scenario]
     desc = reads.initial if desc == {} else desc
@@ -276,6 +281,14 @@ def whole_number(value, name: str, minimum=None) -> int:
     return int(value)
 
 
+def positive_tolerance(value, name: str) -> float:
+    """``value`` as a tolerance: a :func:`real_number`, finite and positive."""
+    tolerance = real_number(value, name)
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError(f"{name} must be finite and positive, got {tolerance}")
+    return tolerance
+
+
 def real_number(value, name: str) -> float:
     """``value`` as a float, if it is a real number.
 
@@ -297,6 +310,14 @@ def real_number(value, name: str) -> float:
 # ---------------------------------------------------------------------------
 # closed-form four-qubit evolutions
 
+def _check_closed_form(g: float, j_coupling: float, initial: str) -> None:
+    """Raise ValueError unless the closed form holds: positive couplings, from "1100" or "1010"."""
+    if g <= 0 or j_coupling <= 0:
+        raise ValueError(f"couplings must be positive, got g={g}, J={j_coupling}")
+    if initial not in ("1100", "1010"):
+        raise ValueError(f"initial must be '1100' or '1010', got {initial!r}")
+
+
 def four_qubit_closed_form(g: float, j_coupling: float, t, initial: str = "1100") -> np.ndarray:
     """Closed-form pure state of qubits (A1, A2, B1, B2) in the weak-coupling regime.
 
@@ -304,8 +325,7 @@ def four_qubit_closed_form(g: float, j_coupling: float, t, initial: str = "1100"
     excited) or "1010" (one excitation per pair).  Normalized to 1e-12.  An
     array of T times gives a (T, 16) stack of states.
     """
-    if g <= 0 or j_coupling <= 0:
-        raise ValueError(f"couplings must be positive, got g={g}, J={j_coupling}")
+    _check_closed_form(g, j_coupling, initial)
     t = np.asarray(t, dtype=float)
     theta = g**2 * t / j_coupling
     psi = np.zeros(t.shape + (16,), dtype=complex)
@@ -314,7 +334,7 @@ def four_qubit_closed_form(g: float, j_coupling: float, t, initial: str = "1100"
         psi[..., int("0101", 2)] = 0.5j * np.sin(theta)
         psi[..., int("1010", 2)] = -0.5j * np.sin(theta)
         psi[..., int("1100", 2)] = (1.0 + np.cos(theta)) / 2.0
-    elif initial == "1010":
+    else:
         fast_c, fast_s = np.cos(2.0 * j_coupling * t), np.sin(2.0 * j_coupling * t)
         psi[..., int("1010", 2)] = (fast_c + np.cos(theta)) / 2.0
         psi[..., int("0101", 2)] = (fast_c - np.cos(theta)) / 2.0
@@ -322,8 +342,6 @@ def four_qubit_closed_form(g: float, j_coupling: float, t, initial: str = "1100"
         psi[..., int("0110", 2)] = -0.5j * fast_s
         psi[..., int("1100", 2)] = -0.5j * np.sin(theta)
         psi[..., int("0011", 2)] = +0.5j * np.sin(theta)
-    else:
-        raise ValueError(f"initial must be '1100' or '1010', got {initial!r}")
     # each state's norm as np.linalg.norm takes it for one vector (a stacked axis sums
     # in another order), so a stacked state equals the single-time state bit for bit
     norm = np.array([np.linalg.norm(row) for row in psi.reshape(-1, 16)]).reshape(t.shape + (1,))
@@ -368,12 +386,10 @@ def run(spec: ScenarioSpec) -> ScenarioResult:
     return SCENARIOS[spec.kind].runner(spec)
 
 
-def sweep(spec: ScenarioSpec, axis: str, values) -> list:
-    """Run the scenario once per value of the swept parameter.
+def sweep_specs(spec: ScenarioSpec, axis: str, values) -> list:
+    """(value, spec) for each value of the swept parameter; every spec is built, so checked.
 
-    ``axis="p"`` sweeps the Werner weight of a Werner initial state; any
-    other axis must be one of the ``params`` the scenario reads.  Every
-    value's spec is built, so checked, before the first run.
+    ``axis`` is ``p``, the weight of a Werner initial state, or one of the ``params`` the scenario reads.
     """
     params = SCENARIOS[spec.kind].params
     if axis not in params and (axis, spec.initial["kind"]) != ("p", "werner"):
@@ -389,22 +405,26 @@ def sweep(spec: ScenarioSpec, axis: str, values) -> list:
         raise ValueError(f"sweep.values must be a list of numbers, got {values!r}")
     if not grid:
         raise ValueError("sweep grid is empty")
-    specs = [replace(spec, initial={**spec.initial, "p": v}) if axis == "p"
-             else replace(spec, params={**spec.params, axis: v}) for v in grid]
-    return [replace(res, meta={**res.meta, axis: v}) for v, res in zip(grid, map(run, specs))]
+    return [(v, replace(spec, initial={**spec.initial, "p": v}) if axis == "p"
+             else replace(spec, params={**spec.params, axis: v})) for v in grid]
 
 
-def _result(spec: ScenarioSpec, columns: dict, check=None, channel=None, meta=None) -> ScenarioResult:
+def sweep(axis: str, swept) -> ScenarioResult:
+    """Run each (value, spec) of :func:`sweep_specs`: one result, the swept value as its first column."""
+    return ScenarioResult.concat(swept[0][1].kind, [{axis: v, **run(spec).data} for v, spec in swept])
+
+
+def _result(spec: ScenarioSpec, columns: dict, rho_out=None, channel=None, meta=None) -> ScenarioResult:
     """``t``, then ``columns``, then the check columns ``spec`` asks for.
 
-    ``oracle_dev`` is :func:`_oracle_deviations` of ``check`` and
-    ``cptp_min_eig`` the minimum Choi eigenvalue of the stacked ``channel`` at
-    each time; a failure raises :class:`VerificationError` for the first time
-    it occurs at.
+    ``oracle_dev`` is :func:`_oracle_deviations` of the receiver states
+    ``rho_out`` and ``cptp_min_eig`` the minimum Choi eigenvalue of the stacked
+    ``channel`` at each time; a failure raises :class:`VerificationError` for
+    the first time it occurs at.
     """
     data = {"t": spec.times, **columns}
     if spec.verify_oracle:
-        data["oracle_dev"] = _oracle_deviations(spec, *check)
+        data["oracle_dev"] = _oracle_deviations(spec, rho_out)
     if spec.verify_cptp:
         verdict = maps.is_cptp(channel)
         bad = np.flatnonzero(~verdict.ok)
@@ -416,13 +436,9 @@ def _result(spec: ScenarioSpec, columns: dict, check=None, channel=None, meta=No
     return ScenarioResult(spec.kind, data, meta or {})
 
 
-def _oracle_deviations(spec, whole, senders, receivers, rho_out) -> np.ndarray:
-    """Trace distance of each ``rho_out`` slice to the oracle's output at its time.
-
-    The oracle evolves ``spec.rho_in`` from the ``senders`` of ``whole`` (the
-    run's network, or union of networks) and reads ``receivers``.
-    """
-    oracle.require_series_memory(whole, 1 << len(senders), len(spec.times), "verify.oracle")
+def _oracle_deviations(spec, rho_out) -> np.ndarray:
+    """Trace distance of each ``rho_out`` slice to the oracle's output (on what SCENARIOS names) at its time."""
+    whole, senders, receivers = SCENARIOS[spec.kind].oracle(spec)
     ref = oracle.reduced_output(whole, spec.rho_in, senders, receivers, np.array(spec.times))
     devs = maps.trace_distance(rho_out, ref)
     bad = np.flatnonzero(devs > spec.oracle_tol)
@@ -431,6 +447,38 @@ def _oracle_deviations(spec, whole, senders, receivers, rho_out) -> np.ndarray:
             f"map/oracle deviation {devs[bad[0]]:.3e} beyond tolerance at t={spec.times[bad[0]]}"
         )
     return devs
+
+
+# What verify.oracle evolves for a kind (see SCENARIOS): (whole network, sender sites, receiver sites) of a read spec
+
+def _idle_qubit_beside(spec):
+    """The idle first qubit as an uncoupled site 0 beside the network."""
+    sender, receiver = spec.sites["sender"], spec.sites["receiver"]
+    return SpinNetwork(np.zeros((1, 1))).disjoint_union(spec.network), [0, sender + 1], [0, receiver + 1]
+
+
+def _two_rails(spec):
+    net_a, net_b, na = spec.network, spec.network_b or spec.network, spec.network.n_sites
+    sa, ra, sb, rb = (spec.sites[key] for key in ("sender_a", "receiver_a", "sender_b", "receiver_b"))
+    return net_a.disjoint_union(net_b), [sa, na + sb], [ra, na + rb]
+
+
+def _pair(spec):
+    return spec.network, spec.sites["senders"], spec.sites.get("receivers", spec.sites["senders"])
+
+
+def _weak_pair_chain(spec):
+    g, j = spec.params["g"], spec.params["J"]
+    net = SpinNetwork.chain([g] + [j] * (spec.params["wire_sites"] - 1) + [g])
+    ends = [0, net.n_sites - 1]
+    return net, ends, ends
+
+
+def _four_qubit_chain(spec):
+    g, j = spec.params["g"], spec.params["J"]
+    net = SpinNetwork.chain([j, g] + [j] * (spec.params["wire_sites"] - 1) + [g, j])
+    corners = [0, 1, net.n_sites - 2, net.n_sites - 1]  # A1, A2, B1, B2
+    return net, corners, corners
 
 
 def _run_qst(spec: ScenarioSpec) -> ScenarioResult:
@@ -442,7 +490,7 @@ def _run_qst(spec: ScenarioSpec) -> ScenarioResult:
         "f_re": f.real, "f_im": f.imag, "f_abs": np.abs(f),
         "out_p1": out[:, 1, 1].real, "out_coh_re": out[:, 0, 1].real, "out_coh_im": out[:, 0, 1].imag,
     }
-    return _result(spec, columns, (net, [sender], [receiver], out), channel)
+    return _result(spec, columns, out, channel)
 
 
 def _run_distribute_single(spec: ScenarioSpec) -> ScenarioResult:
@@ -461,9 +509,7 @@ def _run_distribute_single(spec: ScenarioSpec) -> ScenarioResult:
         "f_re": f.real, "f_im": f.imag, "f_abs": np.abs(f), "concurrence": c_out, "c1": c1, "c2": c2,
         "initial_concurrence": c_in, "ratio": c_out / c_in if c_in > 0 else math.nan,
     }
-    # the oracle evolves the idle first qubit as an uncoupled site 0 beside the network
-    whole = SpinNetwork(np.zeros((1, 1))).disjoint_union(net)
-    return _result(spec, columns, (whole, [0, sender + 1], [0, receiver + 1], out), channel)
+    return _result(spec, columns, out, channel)
 
 
 def _run_distribute_dual(spec: ScenarioSpec) -> ScenarioResult:
@@ -486,29 +532,24 @@ def _run_distribute_dual(spec: ScenarioSpec) -> ScenarioResult:
         "f_abs": np.abs(f), "g_abs": np.abs(g), "concurrence": c_out, "c1": c1, "c2": c2,
         "initial_concurrence": c_in, "ratio": c_out / c_in if c_in > 0 else math.nan,
     }
-    na = net_a.n_sites
-    check = (net_a.disjoint_union(net_b), [sa, na + sb], [ra, na + rb], out)
-    return _result(spec, columns, check, channel)
+    return _result(spec, columns, out, channel)
 
 
 def _run_two_qubit(spec: ScenarioSpec) -> ScenarioResult:
     """``two_qubit_transfer``, and ``storage``, whose receivers are its senders."""
-    senders = spec.sites["senders"]
-    receivers = spec.sites.get("receivers", senders)
-    channel = maps.NetworkChannel(spec.network).two_qubit(senders, receivers, np.array(spec.times))
+    net, senders, receivers = _pair(spec)
+    channel = maps.NetworkChannel(net).two_qubit(senders, receivers, np.array(spec.times))
     out = maps.apply(channel, spec.rho_in)
     e0 = channel.operators[0]
     columns = {
         "f11_abs": np.abs(e0[:, 2, 2]), "f22_abs": np.abs(e0[:, 1, 1]), "fpair_abs": np.abs(e0[:, 3, 3]),
         "concurrence": measures.concurrence(out), "purity": np.trace(out @ out, axis1=1, axis2=2).real,
     }
-    return _result(spec, columns, (spec.network, senders, receivers, out), channel)
+    return _result(spec, columns, out, channel)
 
 
 def _run_weak_pair(spec: ScenarioSpec) -> ScenarioResult:
-    g, j = spec.params["g"], spec.params["J"]
-    net = SpinNetwork.chain([g] + [j] * (spec.params["wire_sites"] - 1) + [g])
-    a, b = 0, net.n_sites - 1
+    net, (a, b), _ = _weak_pair_chain(spec)
     chan = maps.NetworkChannel(net)
     channel = chan.two_qubit((a, b), (a, b), np.array(spec.times))
     out = maps.apply(channel, spec.rho_in)
@@ -531,16 +572,13 @@ def _run_weak_pair(spec: ScenarioSpec) -> ScenarioResult:
             pass  # non-bracketing grid triple; keep the grid peak
     # E_0[1, 2] = f1(i, m) is f(a -> b), read from the k=1 column the channel already holds
     columns = {"f_ab_abs": np.abs(channel.operators[0][:, 1, 2]), "concurrence": conc}
-    return _result(spec, columns, (net, [a, b], [a, b], out), channel,
-                   meta={"peak_time": peak_t, "peak_concurrence": peak_c})
+    return _result(spec, columns, out, channel, meta={"peak_time": peak_t, "peak_concurrence": peak_c})
 
 
 def _run_four_qubit_weak(spec: ScenarioSpec) -> ScenarioResult:
     """(A1, A2, B1, B2) from a basis configuration: one sector column, reduced to the corners."""
     g, j = spec.params["g"], spec.params["J"]
-    net = SpinNetwork.chain([j, g] + [j] * (spec.params["wire_sites"] - 1) + [g, j])
-    n = net.n_sites
-    corners = [0, 1, n - 2, n - 1]  # A1, A2, B1, B2
+    net, corners, _ = _four_qubit_chain(spec)
     label = spec.initial["string"]
     occupied = tuple(corners[q] for q, c in enumerate(label) if c == "1")
     times = np.array(spec.times)
@@ -548,7 +586,7 @@ def _run_four_qubit_weak(spec: ScenarioSpec) -> ScenarioResult:
     red = reduced_state(table, occupied, corners)
     pairs = np.stack([maps.partial_trace(red, list(p), [2] * 4) for p in measures.PAIRS_4])
     pair_c = measures.concurrence(pairs.reshape(-1, 4, 4)).reshape(len(measures.PAIRS_4), -1)
-    if label in ("1100", "1010"):
+    if g > 0 and j > 0 and label in ("1100", "1010"):  # where the closed form holds
         reference = four_qubit_closed_form(g, j, times, label)
         fid = np.einsum("ti,tij,tj->t", reference.conj(), red, reference).real
     else:
@@ -558,7 +596,7 @@ def _run_four_qubit_weak(spec: ScenarioSpec) -> ScenarioResult:
         "purity": np.trace(red @ red, axis1=1, axis2=2).real,
         "closed_form_fidelity": fid,
     }
-    return _result(spec, columns, (net, corners, corners, red), meta={"n_sites": n})
+    return _result(spec, columns, red, meta={"n_sites": net.n_sites})
 
 
 def _run_closed_form(spec: ScenarioSpec) -> ScenarioResult:
@@ -574,17 +612,20 @@ _FOUR_QUBITS = dict(qubits=4, initial={"kind": "basis", "string": "1100"}, netwo
 # What each scenario kind reads besides its initial state: network sections (network_b defaults to network),
 # site keys (a plural key is a pair of sites, a _b key a site of network_b) and params with their defaults (an int
 # default reads a whole number of at least 1).  A built ScenarioSpec holds what it read: whole-number sites and
-# pairs, every param, the initial state's description and, as rho_in, its density matrix.
+# pairs, every param, the initial state's description and, as rho_in, its density matrix.  ``oracle`` gives the
+# triple verify.oracle evolves (see above); a closed_form kind's couplings and label are checked when its spec is built.
 SCENARIOS = {
-    "qst": _Reads(_run_qst, 1, {"kind": "basis", "string": "1"}, sites=("sender", "receiver")),
-    "distribute_single": _Reads(_run_distribute_single, 2, sites=("sender", "receiver")),
+    "qst": _Reads(_run_qst, 1, {"kind": "basis", "string": "1"}, sites=("sender", "receiver"),
+                  oracle=lambda spec: (spec.network, [spec.sites["sender"]], [spec.sites["receiver"]])),
+    "distribute_single": _Reads(_run_distribute_single, 2, sites=("sender", "receiver"), oracle=_idle_qubit_beside),
     "distribute_dual": _Reads(_run_distribute_dual, 2, sites=("sender_a", "receiver_a", "sender_b", "receiver_b"),
-                              networks=("network", "network_b")),
-    "two_qubit_transfer": _Reads(_run_two_qubit, 2, sites=("senders", "receivers")),
-    "storage": _Reads(_run_two_qubit, 2, sites=("senders",)),
+                              networks=("network", "network_b"), oracle=_two_rails),
+    "two_qubit_transfer": _Reads(_run_two_qubit, 2, sites=("senders", "receivers"), oracle=_pair),
+    "storage": _Reads(_run_two_qubit, 2, sites=("senders",), oracle=_pair),
     "weak_pair": _Reads(_run_weak_pair, 2, {"kind": "basis", "string": "10"},
-                        params={"wire_sites": 4, "J": 1.0, "g": 0.1}, networks=()),
-    "four_qubit_weak": _Reads(_run_four_qubit_weak, params={"wire_sites": 2, "J": 1.0, "g": 0.1}, **_FOUR_QUBITS),
-    "closed_form_four_qubit": _Reads(_run_closed_form, params={"g": 1e-2, "J": 1.0}, oracle=False, **_FOUR_QUBITS),
+                        params={"wire_sites": 4, "J": 1.0, "g": 0.1}, networks=(), oracle=_weak_pair_chain),
+    "four_qubit_weak": _Reads(_run_four_qubit_weak, params={"wire_sites": 2, "J": 1.0, "g": 0.1},
+                              oracle=_four_qubit_chain, **_FOUR_QUBITS),
+    "closed_form_four_qubit": _Reads(_run_closed_form, params={"g": 1e-2, "J": 1.0}, closed_form=True, **_FOUR_QUBITS),
 }
 SCENARIO_KINDS = tuple(SCENARIOS)

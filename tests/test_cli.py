@@ -1,14 +1,14 @@
 import ast
 import csv
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from spinmaps import cli, maps, oracle
+from spinmaps import cli, maps, measures, oracle, protocols
 from spinmaps.cli import (
-    ConfigError,
     figure3_result,
     figure5_result,
     main,
@@ -50,22 +50,22 @@ def test_parse_and_roundtrip():
 
 
 def test_unknown_keys_rejected():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError):
         parse_config(GOOD_CONFIG + "banana: 1\n")
-    with pytest.raises(ConfigError):
-        parse_config(GOOD_CONFIG.replace("  p: 0.7", "  p: 0.7\n  q: 3"))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError):
+        spec_from_config(parse_config(GOOD_CONFIG.replace("  p: 0.7", "  p: 0.7\n  q: 3")))
+    with pytest.raises(ValueError):
         parse_config("scenario: quantum_teleportation\ntimes: {start: 0, stop: 1, points: 2}\n")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError):
         parse_config("times: {start: 0, stop: 1, points: 2}\n")
-    with pytest.raises(ConfigError, match=r"network.couplings is not read by network kind 'uniform_chain'"):
-        parse_config(QST_CONFIG.replace("  sites: 8\n", "  sites: 8\n  couplings: [1, 1]\n"))
-    with pytest.raises(ConfigError, match=r"initial.p is not read by initial-state kind 'basis'"):
-        parse_config(QST_CONFIG + "initial: {kind: basis, string: '1', p: 0.3}\n")
-    with pytest.raises(ConfigError, match="unknown network kind 'ring'"):
-        parse_config(QST_CONFIG.replace("kind: uniform_chain", "kind: ring"))
-    with pytest.raises(ConfigError, match="section 'initial' must be a mapping"):
-        parse_config(QST_CONFIG + "initial: [basis]\n")
+    with pytest.raises(ValueError, match=r"network.couplings is not read by network kind 'uniform_chain'"):
+        spec_from_config(parse_config(QST_CONFIG.replace("  sites: 8\n", "  sites: 8\n  couplings: [1, 1]\n")))
+    with pytest.raises(ValueError, match=r"initial.p is not read by initial-state kind 'basis'"):
+        spec_from_config(parse_config(QST_CONFIG + "initial: {kind: basis, string: '1', p: 0.3}\n"))
+    with pytest.raises(ValueError, match="unknown network kind 'ring'"):
+        spec_from_config(parse_config(QST_CONFIG.replace("kind: uniform_chain", "kind: ring")))
+    with pytest.raises(ValueError, match="section 'initial' must be a mapping"):
+        spec_from_config(parse_config(QST_CONFIG + "initial: [basis]\n"))
 
 
 def test_run_writes_csv(tmp_path):
@@ -642,3 +642,98 @@ def test_readme_example_configuration_runs_and_sweeps(tmp_path):
     assert main(["sweep", str(config), "--output", str(out)]) == 0
     assert len(out.read_text().splitlines()) == 1 + 5 * 61
 
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the computation started before every input was read")
+
+
+@pytest.mark.parametrize("argv", [["run", "{config}"], ["sweep", "{config}"], ["figure", "3", "--points", "5"]],
+                         ids=["run", "sweep", "figure"])
+@pytest.mark.parametrize("where", ["missing-directory", "a-directory", "missing-output-dir-env"])
+def test_output_path_is_checked_before_computing(tmp_path, monkeypatch, capsys, argv, where):
+    config = tmp_path / "run.yaml"
+    config.write_text(GOOD_CONFIG + "sweep: {axis: p, values: [0.5, 0.9]}\n")
+    monkeypatch.setattr(protocols, "run", _refuse)
+    monkeypatch.setattr(cli, "figure3_result", _refuse)
+    args = [a.format(config=config) for a in argv]
+    if where == "missing-output-dir-env":
+        path = tmp_path / "missing"
+        monkeypatch.setenv("SPINMAPS_OUTPUT_DIR", str(path))
+    else:
+        path = tmp_path / "missing" / "x.csv" if where == "missing-directory" else tmp_path
+        args += ["--output", str(path)]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error: output") and str(path) in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("verify, message", [
+    ("{oracle: 'false'}", "verify.oracle must be true or false, got 'false'"),
+    ("{oracle: true, cptp: 0.5}", "verify.cptp must be true or false, got 0.5"),
+    ("{cptp: null}", "verify.cptp must be true or false, got None"),
+])
+def test_verify_flags_must_be_booleans(tmp_path, capsys, verify, message):
+    config = tmp_path / "run.yaml"
+    config.write_text(QST_CONFIG + f"verify: {verify}\n")
+    out = tmp_path / "never.csv"
+    assert main(["run", str(config), "--output", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _skew_oracle_output(monkeypatch):
+    trace = oracle.partial_trace_outer
+
+    def skewed(*args):
+        out = trace(*args)
+        return out + 0.1 * np.triu(np.ones(out.shape[-2:]), 1)  # not Hermitian, trace kept
+
+    monkeypatch.setattr(oracle, "partial_trace_outer", skewed)
+
+
+def _fail_measure_check(monkeypatch, from_run=0):
+    """A measure's range check fails from the ``from_run``-th scenario run on (0: also outside any run)."""
+    runs, run, clip = [], protocols.run, measures._clip_unit
+
+    def failing(x):
+        if len(runs) >= from_run:
+            raise ValueError("measure value 1.5 outside [0, 1] beyond tolerance")
+        return clip(x)
+
+    monkeypatch.setattr(protocols, "run", lambda spec: runs.append(spec) or run(spec))
+    monkeypatch.setattr(measures, "_clip_unit", failing)
+
+
+SWEEP_CONFIG = GOOD_CONFIG.replace("verify:\n  oracle: true\n  cptp: true\n", "") + "sweep: {axis: p, values: [0.4, 0.9]}\n"
+DUAL_16_CONFIG = ("scenario: distribute_dual\nnetwork: {kind: uniform_chain, sites: 8}\n"
+                  "network_b: {kind: uniform_chain, sites: 8}\n"
+                  "sites: {sender_a: 0, receiver_a: 7, sender_b: 0, receiver_b: 7}\ninitial: {kind: bell}\n"
+                  "times: {list: [0.0, 1.0]}\nverify: {oracle: true}\n")
+
+
+@pytest.mark.parametrize("argv, text, patch, code, message", [
+    (["run", "{config}"], GOOD_CONFIG, _skew_oracle_output, 1, "numerical failure: density matrix is not Hermitian"),
+    (["verify", "--trials", "1"], None, _skew_oracle_output, 1, "numerical failure: density matrix is not Hermitian"),
+    (["figure", "3", "--points", "5"], None, _fail_measure_check, 1, "numerical failure: measure value 1.5"),
+    (["sweep", "{config}"], SWEEP_CONFIG, lambda mp: _fail_measure_check(mp, from_run=2), 1,
+     "numerical failure: measure value 1.5"),
+    (["run", "{config}"], DUAL_16_CONFIG, None, 2, "configuration error: verify.oracle: 16 sites"),
+    (["run", "{config}"], "scenario: four_qubit_weak\ntimes: {list: [0.0, 1.0]}\nparams: {g: -0.1}\n", None, 0, ""),
+], ids=["oracle-output-run", "oracle-output-verify", "figure-measure", "sweep-second-value", "oracle-cap",
+        "four-qubit-negative-g"])
+def test_exit_code_follows_the_phase(tmp_path, monkeypatch, capsys, sector_builds, argv, text, patch, code, message):
+    """Exit 2 for what reading finds, before any computation; exit 1 for a computation that fails."""
+    config, out = tmp_path / "run.yaml", tmp_path / "out.csv"
+    config.write_text(text or "")
+    if patch is not None:
+        patch(monkeypatch)
+    assert main([a.format(config=config) for a in argv] + ["--output", str(out)] * (argv[0] != "verify")) == code
+    err = capsys.readouterr().err
+    assert err.startswith(message) and (code != 0 or err == "")
+    if code == 2:
+        assert sector_builds == [] and not out.exists()
+    if code == 0:
+        with open(out, newline="") as fh:
+            assert all(math.isnan(float(row["closed_form_fidelity"])) for row in csv.DictReader(fh))

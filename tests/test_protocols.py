@@ -12,6 +12,7 @@ from spinmaps import (
     partial_trace,
     run,
     sweep,
+    sweep_specs,
 )
 from spinmaps import maps, oracle, protocols
 from spinmaps.maps import pure_state_density, trace_distance
@@ -277,8 +278,8 @@ def test_werner_sweep_orders_curves_bottom_to_top():
         sites={"sender": 0, "receiver": 2},
         initial={"kind": "werner", "p": 0.5},
     )
-    results = sweep(spec, "p", [0.4, 0.5, 0.7, 0.9, 1.0])
-    ratios = [r.column("ratio") for r in results]
+    result = sweep("p", sweep_specs(spec, "p", [0.4, 0.5, 0.7, 0.9, 1.0]))
+    ratios = result.column("ratio").reshape(5, -1)
     for low, high in zip(ratios, ratios[1:]):
         assert np.all(high >= low - 1e-12)
 
@@ -291,11 +292,11 @@ def test_sweep_carries_parameter_and_rejects_empty():
         sites={"sender": 0, "receiver": 2},
         initial={"kind": "werner", "p": 0.5},
     )
-    results = sweep(spec, "p", [0.4, 0.9])
-    assert [r.meta["p"] for r in results] == [0.4, 0.9]
-    assert results[0].rows != results[1].rows
+    result = sweep("p", sweep_specs(spec, "p", [0.4, 0.9]))
+    assert result.columns[0] == "p" and result.column("p").tolist() == [0.4, 0.4, 0.9, 0.9]
+    assert result.rows[:2] != result.rows[2:]
     with pytest.raises(ValueError):
-        sweep(spec, "p", [])
+        sweep_specs(spec, "p", [])
 
 
 def test_run_is_deterministic():
@@ -319,16 +320,15 @@ def test_dense_oracle_callers_name_the_memory_cap(monkeypatch):
     # verify.oracle takes the series oracle, whose estimate here is 80 (2^11 + 10 x 2^10) + 96 x 2^11 x 16 x 2 bytes
     assert oracle.series_peak_bytes(11, 10, 16, 2) == 7_274_496
     assert run(replace(spec, verify_oracle=True)).column("oracle_dev").max() <= 1e-12
-    spec = ScenarioSpec(
-        kind="qst", times=tuple(np.linspace(0.0, 1.0, 400)), network=SpinNetwork.uniform_chain(11),
-        sites={"sender": 0, "receiver": 10}, verify_oracle=True,
-    )
+    # the cap is checked when the spec is built, before anything runs
+    qst = dict(kind="qst", network=SpinNetwork.uniform_chain(11), sites={"sender": 0, "receiver": 10},
+               verify_oracle=True)
     with pytest.raises(ValueError, match=r"verify.oracle: 11 sites, 2 columns and 400 times exceed the "
                                          r"series-oracle cap \(estimated peak 0.147 GiB, physical memory"):
-        run(spec)
-    spec = replace(spec, times=(0.0, 1.0), network=SpinNetwork.uniform_chain(15), sites={"sender": 0, "receiver": 14})
+        ScenarioSpec(times=tuple(np.linspace(0.0, 1.0, 400)), **qst)
     with pytest.raises(ValueError, match=r"verify.oracle: 15 sites, .* ceiling 14 sites"):
-        run(spec)
+        ScenarioSpec(**{**qst, "times": (0.0, 1.0), "network": SpinNetwork.uniform_chain(15),
+                        "sites": {"sender": 0, "receiver": 14}})
     with pytest.raises(ValueError, match=r"dense Hamiltonian: 11 sites exceed the dense-oracle cap of 10 sites"):
         oracle.full_hamiltonian(SpinNetwork.uniform_chain(11))  # the dense path keeps the dense cap
 
@@ -435,13 +435,13 @@ def test_params_a_scenario_does_not_read_are_rejected():
 def test_sweep_rejects_axes_that_change_nothing():
     qst = ScenarioSpec(kind="qst", times=(0.2, 0.8), network=chain3(), sites={"sender": 0, "receiver": 2})
     with pytest.raises(ValueError, match=r"sweep.axis 'J' changes nothing in scenario 'qst'"):
-        sweep(qst, "J", [0.5, 1.0])
+        sweep_specs(qst, "J", [0.5, 1.0])
     bell = ScenarioSpec(kind="distribute_single", times=(0.2, 0.8), network=chain3(),
                         sites={"sender": 0, "receiver": 2}, initial={"kind": "bell", "label": "psi+"})
     with pytest.raises(ValueError, match=r"sweep.axis 'p' changes nothing in scenario 'distribute_single'"):
-        sweep(bell, "p", [0.4, 0.9])
+        sweep_specs(bell, "p", [0.4, 0.9])
     weak = ScenarioSpec(kind="weak_pair", times=(0.0, 5.0, 10.0))
-    curves = [r.column("concurrence") for r in sweep(weak, "g", [0.1, 0.3])]
+    curves = sweep("g", sweep_specs(weak, "g", [0.1, 0.3])).column("concurrence").reshape(2, -1)
     assert not np.array_equal(*curves)
 
 
@@ -474,11 +474,11 @@ def test_sweep_builds_every_spec_before_the_first_run(monkeypatch):
     monkeypatch.setattr(protocols, "run", refuse)
     weak = ScenarioSpec(kind="weak_pair", times=(0.0, 1.0))
     with pytest.raises(ValueError, match="params.wire_sites must be a whole number, got 2.5"):
-        sweep(weak, "wire_sites", [3, 4, 2.5])
+        sweep("wire_sites", sweep_specs(weak, "wire_sites", [3, 4, 2.5]))
     werner = ScenarioSpec(kind="distribute_single", times=(0.0, 1.0), network=chain3(),
                           sites={"sender": 0, "receiver": 2}, initial={"kind": "werner", "p": 0.5})
     with pytest.raises(ValueError, match=r"Werner weight must be in \[0, 1\], got 2.0"):
-        sweep(werner, "p", [0.5, 2.0])
+        sweep("p", sweep_specs(werner, "p", [0.5, 2.0]))
 
 
 def test_checks_run_once_per_grid(check_calls):
