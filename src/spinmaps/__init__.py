@@ -8,7 +8,6 @@ from .network import (
     SectorPropagator,
     SpinNetwork,
     build_sector_hamiltonian,
-    full_unitary_from_sectors,
     pair_amplitude_determinant,
     reduced_state,
 )
@@ -45,7 +44,6 @@ from .measures import (
 from .oracle import (
     FullPropagator,
     full_hamiltonian,
-    magnetization_expectation,
     reduced_output,
 )
 from .protocols import (

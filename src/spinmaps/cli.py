@@ -18,13 +18,7 @@ import numpy as np
 import yaml
 
 from . import maps, measures, oracle, protocols
-from .network import (
-    NumericalError,
-    SectorPropagator,
-    SpinNetwork,
-    full_unitary_from_sectors,
-    pair_amplitude_determinant,
-)
+from .network import NumericalError, SectorPropagator, SpinNetwork, pair_amplitude_determinant
 
 OUTPUT_DIR_ENV = "SPINMAPS_OUTPUT_DIR"
 
@@ -36,7 +30,7 @@ _TOP_KEYS = {
     "scenario", "network", "network_b", "sites", "initial", "times",
     "params", "verify", "tolerances", "output", "sweep",
 }
-# the fields each network kind reads besides ``kind``, which defaults to chain
+# the fields each network kind reads besides ``kind``, which defaults to chain; the first is required
 _NETWORK_FIELDS = {"uniform_chain": ("sites", "coupling"), "chain": ("couplings", "zz_couplings", "fields"),
                    "matrix": ("xy", "zz", "fields")}
 _SECTION_KEYS = {"times": {"start", "stop", "points", "list"}, "verify": {"oracle", "cptp"},
@@ -91,6 +85,9 @@ def _numbers(value, name: str):
 
 def _network_from_config(section: dict, where: str) -> SpinNetwork:
     kind = protocols.section_kind(section, _NETWORK_FIELDS, where, "network", "chain")
+    required = _NETWORK_FIELDS[kind][0]
+    if section.get(required) is None:
+        raise ValueError(f"{where}.{required} is required by network kind {kind!r}")
     # every number the section gives, entry by entry; an absent optional field reads as None
     num = {key: _numbers(value, f"{where}.{key}")
            for key, value in section.items() if key not in ("kind", "sites") and value is not None}
@@ -171,24 +168,29 @@ def _run_checks(n_sites: int, seed: int, tol: float, trials: int, report=print) 
 
     t = float(rng.uniform(0.5, 3.0))
     chan = maps.NetworkChannel(net)
-    held = (SectorPropagator(net, 0), chan.k1, chan.k2)
-    for k, propagator in enumerate(held):
-        a = propagator.table(t).amplitudes
+    tables = [propagator.table(t) for propagator in (SectorPropagator(net, 0), chan.k1, chan.k2)]
+    for k, table in enumerate(tables):
+        a = table.amplitudes
         dev = np.abs(a @ a.conj().T - np.eye(a.shape[0])).max()
         check(f"sector unitarity (k={k})", float(dev), 1e-10)
         col = np.abs((np.abs(a) ** 2).sum(axis=0) - 1.0).max()
         check(f"sector completeness (k={k})", float(col), 1e-10)
 
+    # each sector's table is U(t)'s block at the sector's basis states, and U(t) has no weight elsewhere
     prop = oracle.FullPropagator(net)
-    dev = np.abs(full_unitary_from_sectors(net, t, held) - prop.unitary(t)).max()
-    check("sector block assembly vs full unitary", float(dev), 1e-9)
-
-    psi = rng.normal(size=1 << n_sites) + 1j * rng.normal(size=1 << n_sites)
-    psi /= np.linalg.norm(psi)
-    drift = abs(
-        oracle.magnetization_expectation(prop.evolve(psi, t))
-        - oracle.magnetization_expectation(psi)
-    )
+    u = prop.unitary(t)
+    block = 0.0
+    magnetization = np.empty(1 << n_sites)  # total sigma^z of each basis state
+    for k in range(n_sites + 1):
+        table = tables[k] if k < len(tables) else SectorPropagator(net, k).table(t)
+        index = oracle.basis_index(table.sector.sites, n_sites)
+        cols = u[:, index]
+        block = max(block, np.abs(table.amplitudes - cols[index]).max())
+        cols[index] = 0.0
+        block = max(block, np.abs(cols).max())
+        magnetization[index] = 2 * k - n_sites
+    check("sector block assembly vs full unitary", float(block), 1e-9)
+    drift = np.abs(magnetization @ (np.abs(u) ** 2) - magnetization).max()
     check("magnetization conservation", float(drift), 1e-10)
 
     worst_1q = worst_2q = worst_elem = 0.0

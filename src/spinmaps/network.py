@@ -40,6 +40,9 @@ unitarity of f).  A failure raises :class:`NumericalError`, never
 The state on a few sites of one evolved configuration is
 :func:`reduced_state`, read from its stored column: U(1) symmetry makes it
 block diagonal in the number of kept excitations, so no 2^N vector forms.
+Nothing here indexes the 2^N space: its basis, bit order and dense
+propagator live in :mod:`spinmaps.oracle`, the independent check of this
+module.
 
 Networks that evolve side by side without interacting are one network, their
 :meth:`SpinNetwork.disjoint_union`; an idle external qubit is the union of a
@@ -558,38 +561,5 @@ def pair_amplitude_determinant(network: SpinNetwork, table_k1: AmplitudeTable, *
     if list(sources) != sorted(set(sources)) or list(targets) != sorted(set(targets)):
         raise ValueError(f"sites must be ascending within sources and targets, got {sources} -> {targets}")
     f = table_k1.site_amplitude
-    terms = []  # Leibniz expansion; the identity permutation comes first
-    for perm in itertools.permutations(range(k)):
-        term = f(sources[0], targets[perm[0]])
-        for a in range(1, k):
-            term = term * f(sources[a], targets[perm[a]])
-        inversions = sum(perm[a] > perm[b] for a, b in itertools.combinations(range(k), 2))
-        terms.append(-term if inversions % 2 else term)
-    det = sum(terms[1:], terms[0])
-    return det * np.exp(-1j * (k - 1) * network.fields.sum() * table_k1.time)
-
-
-def basis_index(occupied, n_sites: int) -> int:
-    """Full-space computational index of a configuration (site 0 = leftmost bit)."""
-    return sum(1 << (n_sites - 1 - s) for s in occupied)
-
-
-def full_unitary_from_sectors(network: SpinNetwork, t: float, propagators=()) -> np.ndarray:
-    """Assemble the 2^N propagator from all sector amplitude tables.
-
-    ``propagators`` may hold sector propagators of ``network`` that are
-    already diagonalised; every other sector is diagonalised here.
-    """
-    n = network.n_sites
-    held = {}
-    for prop in propagators:
-        if prop.network is not network:
-            raise ValueError("propagators must belong to the network being assembled")
-        held[prop.sector.excitation_count] = prop
-    dim = 1 << n
-    u = np.zeros((dim, dim), dtype=complex)
-    for k in range(n + 1):
-        table = (held[k] if k in held else SectorPropagator(network, k)).table(t)
-        glob = (1 << (n - 1 - table.sector.sites)).sum(axis=1)  # basis_index of every configuration
-        u[np.ix_(glob, glob)] = table.amplitudes
-    return u
+    minor = np.stack([np.stack([f(s, r) for r in targets], axis=-1) for s in sources], axis=-2)
+    return np.linalg.det(minor) * np.exp(-1j * (k - 1) * network.fields.sum() * table_k1.time)

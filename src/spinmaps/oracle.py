@@ -1,7 +1,8 @@
 """Brute-force evolution of the full 2^N network as ground truth.
 
 Site 0 occupies the leftmost (most significant) position of the basis
-bitstring; bit value 1 marks an excited spin (sigma^z = +1).
+bitstring; bit value 1 marks an excited spin (sigma^z = +1).  This module
+is the only one that indexes the 2^N space (:func:`basis_index`).
 
 The Hamiltonian is real symmetric (hopping elements 2 J_ij, a real
 diagonal).  :func:`hamiltonian_elements` builds it in one vectorised pass as
@@ -16,9 +17,9 @@ them:
 * :class:`FullPropagator` forms the dense float64 matrix
   (:func:`full_hamiltonian`, 8 * 4^N bytes) and diagonalises it once with a
   real-symmetric ``eigh``; ``U(t) = V e^{-iEt} V^T``.  ``spinmaps verify``
-  needs it for the full U(t) of its block-assembly check, and the tests use it
-  as the cross-check of the series.  No time point forms a 2^N x 2^N matrix
-  unless a caller asks for one through :meth:`FullPropagator.unitary`.
+  compares every sector table with its block of the full U(t), and the tests
+  use it as the cross-check of the series.  No time point forms a 2^N x 2^N
+  matrix unless a caller asks for one through :meth:`FullPropagator.unitary`.
 
 Either way :func:`reduced_output` contracts the columns with the sender state
 straight into the receiver state; given a 1-D grid of T times it returns a
@@ -52,7 +53,7 @@ import numpy as np
 
 from .chebyshev import chebyshev_terms, unit_columns
 from .maps import assert_density_matrix, partial_trace_outer
-from .network import NumericalError, SpinNetwork, basis_index
+from .network import NumericalError, SpinNetwork
 
 SITE_CEILING = 14
 ORTHONORMALITY_ATOL = 1e-10
@@ -155,6 +156,11 @@ def full_hamiltonian(network: SpinNetwork) -> np.ndarray:
     h = np.diag(diagonal)
     h[rows, cols] = values
     return h
+
+
+def basis_index(occupied, n_sites: int):
+    """Full-space index of a configuration (site 0 = leftmost bit), or of each row of an array of them."""
+    return (1 << (n_sites - 1 - np.asarray(occupied, dtype=np.intp))).sum(axis=-1)
 
 
 def _real_matmul(a: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -284,16 +290,3 @@ def reduced_output(
     out = partial_trace_outer(cols @ rho_s, cols, receiver_sites, [2] * n)
     assert_density_matrix(out, atol=1e-8, eig_floor=-1e-8)
     return out
-
-
-def magnetization_expectation(state: np.ndarray) -> float:
-    """Expectation of the total sigma^z for a vector or density-matrix state."""
-    state = np.asarray(state)
-    dim = state.shape[0]
-    n = dim.bit_length() - 1
-    if 1 << n != dim:
-        raise ValueError(f"state dimension {dim} is not a power of 2")
-    weights = np.array([2 * bin(b).count("1") - n for b in range(dim)], dtype=float)
-    if state.ndim == 1:
-        return float(weights @ (np.abs(state) ** 2))
-    return float(weights @ np.diag(state).real)

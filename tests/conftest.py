@@ -83,3 +83,15 @@ def random_network(rng, n_sites, with_zz=True, with_fields=True, scale=1.0):
         np.fill_diagonal(zz, 0.0)
     h = 0.6 * scale * rng.normal(size=n_sites) if with_fields else None
     return SpinNetwork(j, zz, h)
+
+
+def magnetization_expectation(state: np.ndarray) -> float:
+    """Expectation of the total sigma^z for a 2^N state vector or density matrix."""
+    state = np.asarray(state)
+    dim = state.shape[0]
+    n = dim.bit_length() - 1
+    assert 1 << n == dim, f"state dimension {dim} is not a power of 2"
+    weights = np.array([2 * bin(b).count("1") - n for b in range(dim)], dtype=float)
+    if state.ndim == 1:
+        return float(weights @ (np.abs(state) ** 2))
+    return float(weights @ np.diag(state).real)

@@ -18,7 +18,6 @@ from spinmaps import (
     four_qubit_measure_sweep,
     four_tangle,
     is_cptp,
-    magnetization_expectation,
     one_qubit_kraus,
     pair_amplitude_determinant,
     partial_trace,
@@ -43,7 +42,7 @@ from spinmaps.measures import three_tangle_decomposition_bound
 from spinmaps.oracle import FullPropagator, reduced_output
 from spinmaps.protocols import FIGURE7_G, FIGURE7_J
 
-from conftest import random_network
+from conftest import magnetization_expectation, random_network
 
 WERNER_WEIGHTS = (0.4, 0.5, 0.7, 0.9, 1.0)
 

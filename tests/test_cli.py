@@ -15,6 +15,7 @@ from spinmaps.cli import (
     parse_config,
     spec_from_config,
 )
+from spinmaps.network import AmplitudeTable, SectorPropagator
 from spinmaps.oracle import MAX_SITES
 
 GOOD_CONFIG = """\
@@ -263,9 +264,41 @@ def test_verify_sites_cap_follows_physical_memory(monkeypatch, capsys):
 def test_verify_builds_each_sector_once(sector_builds, capsys):
     assert main(["verify", "--sites", "8"]) == 0
     assert "verification passed" in capsys.readouterr().out
-    # k = 0, 1, 2 of the random network, reused when its 9 sectors are assembled into U(t)
+    # k = 0, 1, 2 of the random network, reused when its 9 sectors are compared with U(t)
     # (so only k = 3..8 are built there), and k = 1, 2 of the chain
     assert len(sector_builds) <= 11
+
+
+def _leak_across_sectors(monkeypatch):
+    """The dense U(t) with its vacuum and first one-excitation columns swapped: unitary, but not U(1)-symmetric."""
+    unitary = oracle.FullPropagator.unitary
+    monkeypatch.setattr(oracle.FullPropagator, "unitary",
+                        lambda prop, t: unitary(prop, t)[:, [1, 0, *range(2, 1 << prop.network.n_sites)]])
+
+
+def _rotate_sector_3(monkeypatch):
+    """Every k = 3 table times a global phase i: unitary, but not U(t)'s block."""
+    table = SectorPropagator.table
+
+    def rotated(prop, t, sources=None):
+        out = table(prop, t, sources)
+        if prop.sector.excitation_count != 3:
+            return out
+        return AmplitudeTable(out.sector, out.time, 1j * out.amplitudes, out.sources)
+
+    monkeypatch.setattr(SectorPropagator, "table", rotated)
+
+
+@pytest.mark.parametrize("patch, failing", [
+    (_leak_across_sectors, {"sector block assembly vs full unitary", "magnetization conservation"}),
+    (_rotate_sector_3, {"sector block assembly vs full unitary"}),
+], ids=["full-unitary-leaks", "sector-table-off"])
+def test_verify_fails_the_checks_a_wrong_propagator_breaks(monkeypatch, capsys, patch, failing):
+    patch(monkeypatch)
+    assert main(["verify", "--sites", "5", "--trials", "1"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert {line[5:line.index(":")] for line in lines if line.startswith("FAIL ")} == failing
+    assert lines[-1] == "verification FAILED"
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -592,6 +625,13 @@ TRANSFER_CONFIG = ("scenario: two_qubit_transfer\nnetwork: {kind: uniform_chain,
      "times.list must be a list of numbers, got 3"),
     ("sweep", GOOD_CONFIG + "sweep: {axis: p, values: [true, 0.5]}\n",
      "sweep.values must be a list of numbers, got [True, 0.5]"),
+    ("run", CHAIN_CONFIG.format("kind: chain"), "network.couplings is required by network kind 'chain'"),
+    ("run", CHAIN_CONFIG.format("kind: chain, couplings: null"), "network.couplings is required by network kind 'chain'"),
+    ("run", CHAIN_CONFIG.format(""), "network.couplings is required by network kind 'chain'"),
+    ("run", CHAIN_CONFIG.format("kind: uniform_chain"), "network.sites is required by network kind 'uniform_chain'"),
+    ("run", CHAIN_CONFIG.format("kind: matrix, zz: [[0, 1], [1, 0]]"), "network.xy is required by network kind 'matrix'"),
+    ("run", DUAL_CONFIG + "network_b: {kind: uniform_chain, coupling: 1.0}\n",
+     "network_b.sites is required by network kind 'uniform_chain'"),
 ], ids=["sweep-values-int", "sweep-values-text", "sweep-values-string", "sweep-wire-sites", "sender-fraction", "sender-text",
         "points-fraction", "points-negative", "network-sites", "weak-pair-wire-sites", "four-qubit-wire-sites",
         "four-qubit-no-wire", "pair-number", "pair-fraction", "coupling-text", "coupling-bool", "couplings-entry",
@@ -599,7 +639,8 @@ TRANSFER_CONFIG = ("scenario: two_qubit_transfer\nnetwork: {kind: uniform_chain,
         "g-exponent-text", "werner-p-text", "werner-p-missing", "populations-entry", "populations-count",
         "oracle-tolerance-text", "basis-no-string", "matrix-no-entries", "matrix-entries-number",
         "matrix-entries-ragged", "rho03-text", "rho03-short-pair", "rho03-bool", "rho12-pair-entry",
-        "times-list-number", "sweep-values-bool"])
+        "times-list-number", "sweep-values-bool", "chain-no-couplings", "chain-null-couplings",
+        "default-kind-no-couplings", "uniform_chain-no-sites", "matrix-no-xy", "network_b-no-sites"])
 def test_sweep_values_and_whole_number_fields_exit_2_naming_the_field(tmp_path, capsys, command, text, message):
     config = tmp_path / "run.yaml"
     config.write_text(text)

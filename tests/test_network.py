@@ -11,12 +11,11 @@ from spinmaps import (
     SectorPropagator,
     SpinNetwork,
     build_sector_hamiltonian,
-    full_unitary_from_sectors,
     pair_amplitude_determinant,
 )
 from spinmaps import network as network_module
-from spinmaps.network import AmplitudeTable, ExcitationSector, basis_index, reduced_state
-from spinmaps.oracle import FullPropagator, full_hamiltonian, reduced_output
+from spinmaps.network import AmplitudeTable, ExcitationSector, reduced_state
+from spinmaps.oracle import FullPropagator, basis_index, full_hamiltonian, reduced_output
 
 from conftest import random_network
 
@@ -127,31 +126,18 @@ def test_amplitude_unitarity_and_completeness(rng):
 
 
 def test_block_assembly_reproduces_full_unitary(rng):
+    # every sector table is the full unitary's block at the sector's basis states, and nothing leaves it
     for n in (3, 5):
         net = random_network(rng, n)
         t = float(rng.uniform(0.5, 2.0))
-        u_sectors = full_unitary_from_sectors(net, t)
         u_full = FullPropagator(net).unitary(t)
-        assert np.abs(u_sectors - u_full).max() < 1e-9
-
-
-def test_block_assembly_reuses_given_propagators(rng, sector_builds):
-    net = random_network(rng, 5)
-    held = (SectorPropagator(net, 1), SectorPropagator(net, 2))
-    u = full_unitary_from_sectors(net, 0.7, held)
-    assert sector_builds == [1, 2, 0, 3, 4, 5]
-    assert np.array_equal(u, full_unitary_from_sectors(net, 0.7))
-    with pytest.raises(ValueError, match="belong to the network"):
-        full_unitary_from_sectors(random_network(rng, 5), 0.7, held)
-
-
-def test_cross_sector_amplitudes_vanish_by_construction(rng):
-    # magnetization conservation: the assembled unitary is block diagonal
-    net = random_network(rng, 4)
-    u = full_unitary_from_sectors(net, 1.1)
-    weights = np.array([bin(b).count("1") for b in range(16)])
-    off = u[weights[:, None] != weights[None, :]]
-    assert np.abs(off).max() == 0.0
+        for k in range(n + 1):
+            table = SectorPropagator(net, k).table(t)
+            index = basis_index(table.sector.sites, n)
+            cols = u_full[:, index]
+            assert np.abs(table.amplitudes - cols[index]).max() < 1e-9
+            cols[index] = 0.0
+            assert np.abs(cols).max() < 1e-9
 
 
 def test_pair_amplitude_lookup_and_errors(rng):

@@ -8,17 +8,15 @@ from spinmaps import (
     SectorPropagator,
     SpinNetwork,
     apply,
-    magnetization_expectation,
     reduced_output,
     trace_distance,
 )
 from spinmaps import network, oracle
 from spinmaps.maps import partial_trace, random_density_matrix
-from spinmaps.network import basis_index
 from spinmaps.cli import main
-from spinmaps.oracle import MAX_SITES, FullPropagator, full_hamiltonian, hamiltonian_elements
+from spinmaps.oracle import MAX_SITES, FullPropagator, basis_index, full_hamiltonian, hamiltonian_elements
 
-from conftest import random_network
+from conftest import magnetization_expectation, random_network
 
 
 def random_state(rng, dim):
