@@ -25,10 +25,10 @@ import numpy as np
 CHEBYSHEV_TAIL = 1e-16
 
 
-def _negligible_order(x: float) -> int:
+def negligible_order(x: float) -> int:
     """An order past which |J_k(x)| is far below double precision (under 1e-35 for |x| <= 1e6).
 
-    J_k(x) falls off faster than exponentially once k passes |x| + |x|^(1/3).
+    J_k(x) falls off faster than exponentially once k passes |x| + |x|^(1/3); it bounds :func:`chebyshev_terms`.
     """
     return int(abs(x) + 20.0 * np.cbrt(abs(x)) + 40.0)
 
@@ -47,7 +47,7 @@ def chebyshev_terms(x: float) -> int:
     x = abs(x)
     first = int(np.ceil(x))
     ratios = [0.0]
-    for k in range(_negligible_order(x), first, -1):
+    for k in range(negligible_order(x), first, -1):
         ratios.append(x / (2 * k - x * ratios[-1]))
     values = abs(jv(first, x)) * np.cumprod([1.0] + ratios[:0:-1])  # |J_k(x)|, k = first, first + 1, ...
     tail = 2.0 * values[::-1].cumsum()[::-1]
@@ -64,7 +64,7 @@ def _bessel_j(x: np.ndarray, terms: int) -> np.ndarray:
     """
     from scipy.special import sindg
 
-    size = 1 << int(np.ceil(np.log2(terms + _negligible_order(np.abs(x).max(initial=0.0)))))
+    size = 1 << int(np.ceil(np.log2(terms + negligible_order(np.abs(x).max(initial=0.0)))))
     sines = sindg(360.0 * np.arange(size) / size)  # exact angles: no 2pi rounding scaled by x
     return (np.fft.fft(np.exp(1j * np.multiply.outer(x, sines)))[:, :terms].real / size).T
 

@@ -26,23 +26,12 @@ OUTPUT_DIR_ENV = "SPINMAPS_OUTPUT_DIR"
 # ---------------------------------------------------------------------------
 # configuration files
 
-_TOP_KEYS = {
-    "scenario", "network", "network_b", "sites", "initial", "times",
-    "params", "verify", "tolerances", "output", "sweep",
-}
 # the fields each network kind reads besides ``kind``, which defaults to chain; the first is required
 _NETWORK_FIELDS = {"uniform_chain": ("sites", "coupling"), "chain": ("couplings", "zz_couplings", "fields"),
                    "matrix": ("xy", "zz", "fields")}
-_SECTION_KEYS = {"times": {"start", "stop", "points", "list"}, "verify": {"oracle", "cptp"},
-                 "tolerances": {"oracle"}, "sweep": {"axis", "values"}}
-
-
-def _check_keys(section: dict, allowed: set, where: str):
-    if not isinstance(section, dict):
-        raise ValueError(f"section {where!r} must be a mapping")
-    unknown = set(section) - allowed
-    if unknown:
-        raise ValueError(f"unknown keys {sorted(unknown)} in section {where!r}")
+_SECTION_KEYS = {"times": ("start", "stop", "points", "list"), "verify": ("oracle", "cptp"),
+                 "tolerances": ("oracle",), "sweep": ("axis", "values")}
+_TOP_KEYS = ("scenario", "network", "network_b", "sites", "initial", "params", "output", *_SECTION_KEYS)
 
 
 # libyaml's parser, where PyYAML was built with it: the same safe constructor and
@@ -51,7 +40,7 @@ _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 def parse_config(text: str) -> dict:
-    """Parse and validate a YAML run configuration; unknown keys are rejected."""
+    """Parse a YAML run configuration once spinmaps reads every key of its top level and of ``_SECTION_KEYS``."""
     try:
         cfg = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError:
@@ -62,25 +51,18 @@ def parse_config(text: str) -> dict:
             raise ValueError(f"invalid YAML: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ValueError("configuration must be a mapping at top level")
-    _check_keys(cfg, _TOP_KEYS, "top level")
-    if "scenario" not in cfg:
-        raise ValueError("missing required key 'scenario'")
-    if cfg["scenario"] not in protocols.SCENARIO_KINDS:
-        raise ValueError(f"unknown scenario {cfg['scenario']!r}, expected one of {protocols.SCENARIO_KINDS}")
-    for key, allowed in _SECTION_KEYS.items():
-        if key in cfg and cfg[key] is not None:
-            _check_keys(cfg[key], allowed, key)
-    for key in ("sites", "params"):
-        if key in cfg and not isinstance(cfg[key], dict):
-            raise ValueError(f"section {key!r} must be a mapping")
+    protocols.reject_unread(cfg, _TOP_KEYS, "", "spinmaps")
+    for key, accepted in _SECTION_KEYS.items():
+        if cfg.get(key) is not None:
+            protocols.read_section(cfg[key], accepted, key, "spinmaps")
     return cfg
 
 
 def _numbers(value, name: str):
-    """A number, or a (nested) list of numbers, as floats; each entry is checked by ``real_number``."""
+    """A number, or a (nested) list of numbers, as floats; each entry is checked by ``finite_number``."""
     if isinstance(value, (list, tuple)):
         return [_numbers(v, name) for v in value]
-    return protocols.real_number(value, name)
+    return protocols.finite_number(value, name)
 
 
 def _network_from_config(section: dict, where: str) -> SpinNetwork:
@@ -124,12 +106,12 @@ def spec_from_config(cfg: dict, tolerance=None) -> protocols.ScenarioSpec:
         if not isinstance(value, bool):
             raise ValueError(f"verify.{key} must be true or false, got {value!r}")
     return protocols.ScenarioSpec(
-        kind=cfg["scenario"],
+        kind=cfg.get("scenario"),
         times=_times_from_config(cfg.get("times")),
         **{key: _network_from_config(cfg[key], key) for key in ("network", "network_b") if cfg.get(key) is not None},
-        sites=cfg.get("sites") or {},
+        sites=cfg.get("sites", {}),
         initial={} if cfg.get("initial") is None else cfg["initial"],
-        params=cfg.get("params") or {},
+        params=cfg.get("params", {}),
         verify_oracle=verify.get("oracle", False),
         verify_cptp=verify.get("cptp", False),
         oracle_tol=oracle_tol if tolerance is None else protocols.positive_tolerance(tolerance, "--tolerance"),
@@ -405,7 +387,7 @@ def main(argv=None) -> int:
     except protocols.VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
-    except (NumericalError, ValueError) as exc:  # every input was checked before the computation
+    except (NumericalError, ValueError, MemoryError) as exc:  # every input was checked before the computation
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
 

@@ -27,7 +27,8 @@ take the stack as well: :func:`superop_from_kraus`, :func:`choi_from_superop`
 and :func:`is_cptp` (one verdict value per slice), as do
 :func:`trace_distance`, :func:`partial_trace` and :func:`partial_trace_outer`.
 Every check runs on every slice at its usual tolerance; a scalar time is the
-case without the axis.
+case without the axis.  :func:`unit_vector` (finite, unit norm) and :func:`partial_trace_outer`
+also serve :mod:`spinmaps.measures` and the oracle; :func:`partial_trace` is their reference.
 """
 
 from __future__ import annotations
@@ -70,18 +71,28 @@ def assert_density_matrix(rho: np.ndarray, atol: float = DENSITY_ATOL, eig_floor
         raise ValueError(f"density matrix has negative eigenvalue {w.min():.3e}")
 
 
-def _unit_vector(psi: np.ndarray) -> np.ndarray:
+def unit_vector(psi, dim: int) -> np.ndarray:
+    """``psi`` as a unit vector of ``dim`` entries, or a (T, dim) stack of them.
+
+    Any other shape holding ``dim`` entries is read as one flattened vector.
+    Every entry must be finite and every vector's norm 1 to 1e-10.
+    """
     psi = np.asarray(psi, dtype=complex)
+    if not (psi.ndim == 2 and psi.shape[1] == dim):
+        psi = psi.reshape(-1)
+        if psi.size != dim:
+            raise ValueError(f"expected a state vector of {dim} entries, got {psi.size}")
     if not np.isfinite(psi).all():  # a NaN norm passes the comparison below
         raise ValueError("state vector has non-finite entries")
-    norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > 1e-10:
-        raise ValueError(f"state vector norm is {norm}, expected 1")
+    norm = np.linalg.norm(psi, axis=-1)
+    dev = np.abs(norm - 1.0)
+    if (dev > 1e-10).any():
+        raise ValueError(f"state vector norm is {np.ravel(norm)[np.argmax(dev)]}, expected 1")
     return psi
 
 
 def pure_state_density(psi: np.ndarray) -> np.ndarray:
-    psi = _unit_vector(psi)
+    psi = unit_vector(psi, np.size(psi))
     return np.outer(psi, psi.conj())
 
 

@@ -9,6 +9,8 @@ stack of state vectors, and :func:`transferred_concurrence` and
 :func:`dual_rail_concurrence` an array of amplitudes; each then returns one
 value per slice.  Every clip, norm and amplitude-bound check runs on every
 slice at its usual tolerance and raises the same error as for a single state.
+Pure states are checked by :func:`spinmaps.maps.unit_vector` and reduced by
+:func:`spinmaps.maps.partial_trace_outer` of the state with itself.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .maps import partial_trace_outer, unit_vector
 
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SYSY = np.kron(_SY, _SY).real
@@ -178,34 +182,6 @@ def dual_rail_concurrence(x: XState, f):
     return _branches(c1, c2)
 
 
-def _as_state_vector(psi, n_qubits: int) -> np.ndarray:
-    """Unit n-qubit state vector, or a (T, 2^n) stack of them, each checked to 1e-10.
-
-    Any other shape holding 2^n entries is read as one flattened vector.
-    """
-    dim = 2**n_qubits
-    psi = np.asarray(psi, dtype=complex)
-    if not (psi.ndim == 2 and psi.shape[1] == dim):
-        psi = psi.reshape(-1)
-        if psi.size != dim:
-            raise ValueError(f"expected a {n_qubits}-qubit vector, got length {psi.size}")
-    norm = np.linalg.norm(psi, axis=-1)
-    dev = np.abs(norm - 1.0)
-    if (dev > 1e-10).any():
-        raise ValueError(f"state vector norm is {np.ravel(norm)[np.argmax(dev)]}, expected 1")
-    return psi
-
-
-def _reduced(psi: np.ndarray, keep, n_qubits: int) -> np.ndarray:
-    """Reduced states on the qubits ``keep`` of pure states psi (..., 2^n), by one einsum."""
-    ket = "abcdefgh"[:n_qubits]
-    bra = "".join("ABCDEFGH"[q] if q in keep else ket[q] for q in range(n_qubits))
-    out = "".join(ket[q] for q in keep) + "".join(bra[q] for q in keep)
-    a = psi.reshape(psi.shape[:-1] + (2,) * n_qubits)
-    d = 2 ** len(keep)
-    return np.einsum(f"...{ket},...{bra}->...{out}", a, a.conj()).reshape(psi.shape[:-1] + (d, d))
-
-
 def _purity(r: np.ndarray) -> np.ndarray:
     """Tr r^2 of a state or of every state in a stack."""
     return np.trace(r @ r, axis1=-2, axis2=-1).real
@@ -213,7 +189,7 @@ def _purity(r: np.ndarray) -> np.ndarray:
 
 def four_tangle(psi):
     """|<psi| sy x sy x sy x sy |psi*>|^2 for a four-qubit pure state (or a stack)."""
-    psi = _as_state_vector(psi, 4)
+    psi = unit_vector(psi, 16)
     val = np.sum((psi.conj() @ _SY4) * psi.conj(), axis=-1)
     return _clip_unit(np.abs(val) ** 2)
 
@@ -225,7 +201,7 @@ def three_tangle_pure(psi):
     hyperdeterminant), which is algebraically identical to the concurrence
     expression but avoids the sqrt-of-eigenvalue noise floor near zero.
     """
-    psi = _as_state_vector(psi, 3)
+    psi = unit_vector(psi, 8)
     a = psi.reshape(psi.shape[:-1] + (2, 2, 2))
     a000, a001, a010, a011 = a[..., 0, 0, 0], a[..., 0, 0, 1], a[..., 0, 1, 0], a[..., 0, 1, 1]
     a100, a101, a110, a111 = a[..., 1, 0, 0], a[..., 1, 0, 1], a[..., 1, 1, 0], a[..., 1, 1, 1]
@@ -267,7 +243,8 @@ SEPARABLE_LINEAR_ENTROPY = 1e-13
 PAIRS_4 = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 PAIR_COLUMNS = ("c_a1a2", "c_a1b1", "c_a1b2", "c_a2b1", "c_a2b2", "c_b1b2")
 # the seven bipartitions, each qubit against the other three and then the pairs (0, 1),
-# (0, 2) and (0, 3) against the rest: the scale of each linear entropy, and the columns
+# (0, 2) and (0, 3) against the rest: the kept qubits, the scale of each linear entropy, and the columns
+_CUTS = ((0,), (1,), (2,), (3,), (0, 1), (0, 2), (0, 3))
 _CUT_SCALES = (2.0,) * 4 + (4.0 / 3.0,) * 3
 _CUT_COLUMNS = ("c_a1_rest", "c_a2_rest", "c_b1_rest", "c_b2_rest", "c_a1a2_b1b2", "c_a1b1_a2b2", "c_a1b2_a2b1")
 # the triples left by dropping qubit 0, 1, 2 and 3
@@ -290,16 +267,17 @@ def four_qubit_measures(psi) -> dict:
     exact zero.  Each of the 14 distinct marginals is formed once.  For a
     (T, 16) stack every column holds T values.
     """
-    psi = _as_state_vector(psi, 4)
-    pair_states = np.stack([_reduced(psi, p, 4) for p in PAIRS_4], axis=-3)  # (..., 6, 4, 4)
+    psi = unit_vector(psi, 16)
+    col = psi[..., None]  # each state as a one-column block
+    rho = {keep: partial_trace_outer(col, col, keep, [2] * 4) for keep in _CUTS[:4] + PAIRS_4}
+    pair_states = np.stack([rho[p] for p in PAIRS_4], axis=-3)  # (..., 6, 4, 4)
     pair_c = concurrence(pair_states.reshape(-1, 4, 4)).reshape(pair_states.shape[:-2])
-    # the cut marginals: the single qubits, then the first three pairs, which are the two-two splits
-    cuts = [_reduced(psi, (q,), 4) for q in range(4)] + [pair_states[..., k, :, :] for k in range(3)]
-    entropies = np.stack([np.maximum(0.0, 1.0 - _purity(r)) for r in cuts])
+    entropies = np.stack([np.maximum(0.0, 1.0 - _purity(rho[cut])) for cut in _CUTS])
     # each cut's concurrence; c4 is the geometric mean of the unclipped values
     roots = np.sqrt(np.reshape(_CUT_SCALES, (7,) + (1,) * (entropies.ndim - 1)) * entropies)
     c4 = np.where(entropies.min(axis=0) < SEPARABLE_LINEAR_ENTROPY, 0.0, np.prod(roots, axis=0) ** (1.0 / 7.0))
-    tau3 = [three_tangle_decomposition_bound(_reduced(psi, kept, 4)) for kept in _TRIPLES_4]
+    # each triple's marginal is formed as its bound needs it, so only one (T, 8, 8) stack is held at a time
+    tau3 = [three_tangle_decomposition_bound(partial_trace_outer(col, col, kept, [2] * 4)) for kept in _TRIPLES_4]
     return {
         **dict(zip(PAIR_COLUMNS, np.moveaxis(pair_c, -1, 0))),
         **dict(zip(_CUT_COLUMNS, map(_clip_unit, roots))),

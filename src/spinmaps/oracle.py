@@ -34,8 +34,8 @@ an ``eigh`` path that the tests compare its series against.
 Memory caps, both never above ``SITE_CEILING`` sites:
 
 * the series path needs :func:`series_peak_bytes`, a few MB at N = 14 for a
-  short grid; :func:`require_series_memory` checks it against physical
-  memory for ``verify.oracle`` runs and for :func:`reduced_output` itself.
+  short grid, its Chebyshev terms included; :func:`require_series_memory` checks
+  it against physical memory for ``verify.oracle`` and :func:`reduced_output`.
 * the dense build needs about five times the 8 * 4^N bytes of H (measured
   peak RSS: +167 MB at N = 11, +653 MB at N = 12).  :func:`max_sites` turns
   that estimate into the largest network :func:`full_hamiltonian` (so
@@ -47,11 +47,12 @@ No scenario computes its results here.
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
 
-from .chebyshev import chebyshev_terms, unit_columns
+from .chebyshev import chebyshev_terms, negligible_order, unit_columns
 from .maps import assert_density_matrix, partial_trace_outer
 from .network import NumericalError, SpinNetwork
 
@@ -67,19 +68,21 @@ def dense_peak_bytes(n_sites: int) -> int:
     return 5 * 8 * 4**n_sites
 
 
-def series_peak_bytes(n_sites: int, bonds: int, columns: int, times: int) -> int:
-    """Estimated peak memory of :func:`reduced_output` on the Chebyshev series path.
+def series_peak_bytes(n_sites: int, bonds: int, columns: int, times: int, terms: int) -> int:
+    """Estimated peak memory of :func:`reduced_output` on the Chebyshev series path of ``terms`` terms.
 
     80 bytes per stored element of the sparse Hamiltonian (2^N diagonal
     elements and 2^(N-1) hops per XY bond) for its build, plus 96 bytes per
     entry of the (times, 2^N, columns) complex column stack, which is held
     about five times over (the series' sums and their combination, then the
-    copies the partial trace makes).  Measured with ``tracemalloc``: 49-61
-    bytes per element for the build (N = 12, 14, chain and all-to-all) and
-    80 bytes per stack entry (N = 11-13, T = 100-1000).
+    copies the partial trace makes), plus 40 bytes per entry of the Bessel
+    weights' (times, M) FFT, M the power of two at or above 2 * terms, and 16
+    per (terms, times) weight.  Measured with ``tracemalloc``: 49-61 bytes per
+    build element (N = 12, 14, chain and all-to-all), 80 per stack entry
+    (N = 11-13, T = 100-1000), 32-38 per FFT entry (T = 2-400, K = 150-50 000).
     """
-    dim = 1 << n_sites
-    return 80 * (dim + bonds * dim // 2) + 96 * dim * columns * times
+    dim, fft = 1 << n_sites, 1 << (2 * terms - 1).bit_length()
+    return 80 * (dim + bonds * dim // 2) + 96 * dim * columns * times + 40 * times * fft + 16 * terms * times
 
 
 def physical_memory_bytes() -> int:
@@ -108,21 +111,26 @@ def require_dense_sites(n_sites: int, what: str) -> None:
         )
 
 
-def require_series_memory(network: SpinNetwork, columns: int, times: int, what: str) -> None:
+def require_series_memory(network: SpinNetwork, columns: int, times: np.ndarray, what: str) -> None:
     """Raise ValueError, naming ``what`` and the memory estimate, where the series path does not fit.
 
     The path accepts at most ``SITE_CEILING`` sites and a :func:`series_peak_bytes`
-    estimate within physical memory.
+    estimate within physical memory on the grid ``times``, its terms bounded by :func:`negligible_order`
+    of max|t| (sum|h| + sum_{i<j} |zz_ij| + 2 sum_{i<j} |J_ij|), which bounds the series' Gershgorin interval.
     """
-    n = network.n_sites
-    bonds = int(np.count_nonzero(np.triu(network.xy, 1)))
-    need, memory = series_peak_bytes(n, bonds, columns, times), physical_memory_bytes()
+    n, bonds = network.n_sites, int(np.count_nonzero(np.triu(network.xy, 1)))
+    with np.errstate(over="ignore"):  # an overflow is an infinite estimate
+        x = np.abs(times).max(initial=0.0) * (np.abs(network.fields).sum() + 0.5 * np.abs(network.zz).sum()
+                                              + np.abs(network.xy).sum())
+    terms = negligible_order(x) if np.isfinite(x) else math.inf
+    need = series_peak_bytes(n, bonds, columns, times.size, terms) if np.isfinite(x) else math.inf
+    memory = physical_memory_bytes()
     if n > SITE_CEILING or need > memory:
         gib = 2.0**30
         raise ValueError(
-            f"{what}: {n} sites, {columns} columns and {times} times exceed the series-oracle cap "
-            f"(estimated peak {need / gib:.3g} GiB, physical memory {memory / gib:.3g} GiB, "
-            f"ceiling {SITE_CEILING} sites)"
+            f"{what}: {n} sites, {columns} columns and {times.size} times exceed the series-oracle cap "
+            f"(estimated peak {need / gib:.3g} GiB for at most {terms} Chebyshev terms, "
+            f"physical memory {memory / gib:.3g} GiB, ceiling {SITE_CEILING} sites)"
         )
 
 
@@ -198,14 +206,20 @@ class FullPropagator:
         return _real_matmul(self.eigvecs, phases * _real_matmul(self.eigvecs.T, psi))
 
 
+def _sites(sites, n: int, role: str) -> list:
+    """``sites`` as a list, once they are distinct sites of an ``n``-site network."""
+    sites = list(sites)
+    if len(set(sites)) != len(sites):
+        raise ValueError(f"{role} sites {sites} contain duplicates")
+    if any(not 0 <= s < n for s in sites):
+        raise ValueError(f"{role} sites {sites} out of range for {n} sites")
+    return sites
+
+
 def _embedding(network: SpinNetwork, rho_s: np.ndarray, sender_sites):
     """Validated sender state and the full-space index of each of its basis states."""
-    sender_sites = list(sender_sites)
     n = network.n_sites
-    if len(set(sender_sites)) != len(sender_sites):
-        raise ValueError(f"sender sites {sender_sites} contain duplicates")
-    if any(not 0 <= s < n for s in sender_sites):
-        raise ValueError(f"sender sites {sender_sites} out of range for {n} sites")
+    sender_sites = _sites(sender_sites, n, "sender")
     k = len(sender_sites)
     rho_s = np.asarray(rho_s, dtype=complex)
     if rho_s.shape != (2**k, 2**k):
@@ -260,12 +274,8 @@ def reduced_output(
     Either way the columns must stay orthonormal, |C^dag C - 1| <= 1e-10 at
     every time, or :class:`NumericalError` is raised.
     """
-    receiver_sites = list(receiver_sites)
     n = network.n_sites
-    if len(set(receiver_sites)) != len(receiver_sites):
-        raise ValueError(f"receiver sites {receiver_sites} contain duplicates")
-    if any(not 0 <= r < n for r in receiver_sites):
-        raise ValueError(f"receiver sites {receiver_sites} out of range for {n} sites")
+    receiver_sites = _sites(receiver_sites, n, "receiver")
     rho_s, embed = _embedding(network, rho_s, sender_sites)
     times = np.array(t, dtype=float)
     if times.ndim > 1:
@@ -279,7 +289,7 @@ def reduced_output(
     support = np.flatnonzero(weighed.any(axis=0) | weighed.any(axis=1))
     embed, rho_s = [embed[a] for a in support], rho_s[np.ix_(support, support)]
     if propagator is None:
-        require_series_memory(network, len(embed), times.size, "oracle series")
+        require_series_memory(network, len(embed), times, "oracle series")
         cols = _series_columns(network, embed, times)
     else:
         cols = propagator.columns(embed, times)

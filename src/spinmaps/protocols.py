@@ -47,20 +47,30 @@ class _Reads(NamedTuple):
     closed_form: bool = False
 
 
-def _reject_unread(keys, accepted, prefix: str, reader: str):
+def reject_unread(keys, accepted, prefix: str, reader: str):
+    """Raise ValueError at the first of ``keys`` that ``reader`` does not read: one not in ``accepted``."""
     for key in keys:
         if key not in accepted:
             raise ValueError(f"{prefix}{key} is not read by {reader} (accepted: {', '.join(accepted) or 'none'})")
 
 
-def section_kind(section: dict, fields: dict, where: str, what: str, default=None) -> str:
-    """The ``kind`` of the config section ``where``, once each of its other keys is one of ``fields[kind]``."""
+def _mapping(section, where: str) -> dict:
     if not isinstance(section, dict):
         raise ValueError(f"section {where!r} must be a mapping")
-    kind = section.get("kind", default)
+    return section
+
+
+def read_section(section, accepted, where: str, reader: str) -> None:
+    """Raise ValueError unless the config section ``where`` is a mapping whose every key is one of ``accepted``."""
+    reject_unread(_mapping(section, where), accepted, f"{where}.", reader)
+
+
+def section_kind(section: dict, fields: dict, where: str, what: str, default=None) -> str:
+    """The ``kind`` of the config section ``where``, once each of its other keys is one of ``fields[kind]``."""
+    kind = _mapping(section, where).get("kind", default)
     if kind not in fields:
         raise ValueError(f"unknown {what} kind {kind!r}")
-    _reject_unread([key for key in section if key != "kind"], fields[kind], f"{where}.", f"{what} kind {kind!r}")
+    reject_unread([key for key in section if key != "kind"], fields[kind], f"{where}.", f"{what} kind {kind!r}")
     return kind
 
 
@@ -81,10 +91,10 @@ class ScenarioSpec:
     rho_in: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in SCENARIOS:
+        if self.kind not in SCENARIO_KINDS:
             raise ValueError(f"unknown scenario kind {self.kind!r}, expected one of {SCENARIO_KINDS}")
         reads, reader = SCENARIOS[self.kind], f"scenario {self.kind!r}"
-        _reject_unread(self.params, reads.params, "params.", reader)
+        read_section(self.params, reads.params, "params", reader)
         times = tuple(float(t) for t in self.times)
         if not times:
             raise ValueError("time grid is empty")
@@ -98,21 +108,28 @@ class ScenarioSpec:
             raise ValueError(f"verify.cptp does not apply to scenario {self.kind!r}: it evolves no channel")
         if self.verify_oracle and not reads.oracle:
             raise ValueError(f"verify.oracle does not apply to scenario {self.kind!r}: it evolves no network")
-        _reject_unread([name for name in ("network", "network_b") if getattr(self, name)], reads.networks, "", reader)
+        reject_unread([name for name in ("network", "network_b") if getattr(self, name)], reads.networks, "", reader)
         if reads.networks and self.network is None:
             raise ValueError(f"scenario {self.kind!r} needs a network")
-        _reject_unread(self.sites, reads.sites, "sites.", reader)
+        read_section(self.sites, reads.sites, "sites", reader)
         object.__setattr__(self, "sites", {key: self._read_site(key) for key in reads.sites})
         object.__setattr__(self, "params", {
-            key: whole_number(v, f"params.{key}", minimum=1) if isinstance(d, int) else real_number(v, f"params.{key}")
+            key: whole_number(v, f"params.{key}", minimum=1) if isinstance(d, int)
+            else finite_number(v, f"params.{key}")
             for key, d in reads.params.items() for v in [self.params.get(key, d)]})
-        object.__setattr__(self, "initial", _read_initial(self.kind, self.initial))
-        object.__setattr__(self, "rho_in", build_initial_state(self.initial, reads.qubits))
+        initial = reads.initial if self.initial == {} else self.initial
+        if reads.basis and isinstance(initial, dict) and initial.get("kind") != "basis":
+            raise ValueError(f"{self.kind} starts from a basis configuration of (A1, A2, B1, B2); "
+                             f"initial.kind is {initial.get('kind')!r}")
+        object.__setattr__(self, "rho_in", build_initial_state(initial, reads.qubits))
+        object.__setattr__(self, "initial", dict(initial))  # a copy: the default is shared by every spec of its kind
         if self.verify_oracle:
             whole, senders, _ = reads.oracle(self)
-            oracle.require_series_memory(whole, 1 << len(senders), len(times), "verify.oracle")
-        if reads.closed_form:
-            _check_closed_form(self.params["g"], self.params["J"], self.initial["string"])
+            oracle.require_series_memory(whole, 1 << len(senders), np.array(times), "verify.oracle")
+        g, j, label = self.params.get("g"), self.params.get("J"), self.initial.get("string")
+        if reads.closed_form and not closed_form_holds(g, j, label, times):
+            raise ValueError(f"params.g = {g}, params.J = {j} and initial.string {label!r} leave the closed form: "
+                             "it needs '1100' or '1010', g, J > 0 and finite phases g^2 max|t| / J and 2 J max|t|")
 
     def _read_site(self, key: str):
         """``sites[key]``: a site of its network or, for a plural key, a pair of sites."""
@@ -190,17 +207,6 @@ INITIAL_FIELDS = {
 }
 
 
-def _read_initial(scenario: str, desc: dict) -> dict:
-    """``desc``, or the default state of ``scenario`` if it is empty, once it is a state the scenario reads."""
-    reads = SCENARIOS[scenario]
-    desc = reads.initial if desc == {} else desc
-    if reads.basis and isinstance(desc, dict) and desc.get("kind") != "basis":
-        raise ValueError(f"{scenario} starts from a basis configuration of (A1, A2, B1, B2); "
-                         f"initial.kind is {desc.get('kind')!r}")
-    section_kind(desc, INITIAL_FIELDS, "initial", "initial-state")
-    return dict(desc)  # a copy: the default is shared by every spec of its kind
-
-
 def build_initial_state(desc: dict, n_qubits: int) -> np.ndarray:
     """Density matrix from a state description dictionary."""
     kind = section_kind(desc, INITIAL_FIELDS, "initial", "initial-state")
@@ -211,13 +217,13 @@ def build_initial_state(desc: dict, n_qubits: int) -> np.ndarray:
     if kind == "werner":
         if n_qubits != 2:
             raise ValueError("werner input needs a two-qubit slot")
-        return measures.werner_state(real_number(desc.get("p"), "initial.p"), desc.get("bell", "psi+"))
+        return measures.werner_state(finite_number(desc.get("p"), "initial.p"), desc.get("bell", "psi+"))
     if kind == "xstate":
         pops = desc.get("populations")
         if not isinstance(pops, (list, tuple)) or len(pops) != 4:
             raise ValueError(f"initial.populations must be a list of four numbers, got {pops!r}")
         x = measures.XState(
-            *(real_number(p, "initial.populations") for p in pops),
+            *(finite_number(p, "initial.populations") for p in pops),
             rho03=_complex_number(desc.get("rho03", 0.0), "initial.rho03"),
             rho12=_complex_number(desc.get("rho12", 0.0), "initial.rho12"),
         )
@@ -249,12 +255,12 @@ def build_initial_state(desc: dict, n_qubits: int) -> np.ndarray:
 
 
 def _complex_number(value, name: str) -> complex:
-    """``value`` as a complex number: a real number, or an [re, im] pair of them (see :func:`real_number`)."""
+    """``value`` as a complex number: a finite real number, or an [re, im] pair of them (see :func:`finite_number`)."""
     if not isinstance(value, (list, tuple)):
-        return complex(real_number(value, name))
+        return complex(finite_number(value, name))
     if len(value) != 2:
         raise ValueError(f"{name} must be a real number or an [re, im] pair, got {value!r}")
-    return complex(*(real_number(part, name) for part in value))
+    return complex(*(finite_number(part, name) for part in value))
 
 
 def _x_state_or_none(rho: np.ndarray):
@@ -307,15 +313,25 @@ def real_number(value, name: str) -> float:
     return float(value)
 
 
+def finite_number(value, name: str) -> float:
+    """``value`` as a float, if it is a :func:`real_number` that is finite (not NaN or infinite)."""
+    number = real_number(value, name)
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be finite, got {number}")
+    return number
+
+
 # ---------------------------------------------------------------------------
 # closed-form four-qubit evolutions
 
-def _check_closed_form(g: float, j_coupling: float, initial: str) -> None:
-    """Raise ValueError unless the closed form holds: positive couplings, from "1100" or "1010"."""
-    if g <= 0 or j_coupling <= 0:
-        raise ValueError(f"couplings must be positive, got g={g}, J={j_coupling}")
-    if initial not in ("1100", "1010"):
-        raise ValueError(f"initial must be '1100' or '1010', got {initial!r}")
+def closed_form_holds(g: float, j_coupling: float, initial: str, t) -> bool:
+    """Whether :func:`four_qubit_closed_form` holds: from "1100" or "1010" at g, J > 0 with finite phases."""
+    if not (g > 0 and j_coupling > 0 and initial in ("1100", "1010")):
+        return False
+    t_max = np.abs(np.asarray(t, dtype=float)).max(initial=0.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # the phases g^2 max|t| / J and 2 J max|t|; an overflow is inf
+        phases = np.float64(g) ** 2 * t_max / j_coupling, 2.0 * np.float64(j_coupling) * t_max
+    return bool(np.isfinite(phases).all())
 
 
 def four_qubit_closed_form(g: float, j_coupling: float, t, initial: str = "1100") -> np.ndarray:
@@ -325,7 +341,8 @@ def four_qubit_closed_form(g: float, j_coupling: float, t, initial: str = "1100"
     excited) or "1010" (one excitation per pair).  Normalized to 1e-12.  An
     array of T times gives a (T, 16) stack of states.
     """
-    _check_closed_form(g, j_coupling, initial)
+    if not closed_form_holds(g, j_coupling, initial, t):
+        raise ValueError(f"no closed form at g={g}, J={j_coupling} from {initial!r} over these times")
     t = np.asarray(t, dtype=float)
     theta = g**2 * t / j_coupling
     psi = np.zeros(t.shape + (16,), dtype=complex)
@@ -345,9 +362,9 @@ def four_qubit_closed_form(g: float, j_coupling: float, t, initial: str = "1100"
     # each state's norm as np.linalg.norm takes it for one vector (a stacked axis sums
     # in another order), so a stacked state equals the single-time state bit for bit
     norm = np.array([np.linalg.norm(row) for row in psi.reshape(-1, 16)]).reshape(t.shape + (1,))
-    dev = np.abs(norm - 1.0)
-    if (dev > 1e-12).any():
-        raise ValueError(f"closed-form state norm {norm.flat[np.argmax(dev)]} off unity")
+    off = ~(np.abs(norm - 1.0) <= 1e-12)  # a NaN norm is off too
+    if off.any():
+        raise ValueError(f"closed-form state norm {norm[off][0]} off unity")
     return psi / norm
 
 
@@ -405,6 +422,7 @@ def sweep_specs(spec: ScenarioSpec, axis: str, values) -> list:
         raise ValueError(f"sweep.values must be a list of numbers, got {values!r}")
     if not grid:
         raise ValueError("sweep grid is empty")
+    grid = [finite_number(v, "sweep.values") for v in grid]
     return [(v, replace(spec, initial={**spec.initial, "p": v}) if axis == "p"
              else replace(spec, params={**spec.params, axis: v})) for v in grid]
 
@@ -586,7 +604,7 @@ def _run_four_qubit_weak(spec: ScenarioSpec) -> ScenarioResult:
     red = reduced_state(table, occupied, corners)
     pairs = np.stack([maps.partial_trace(red, list(p), [2] * 4) for p in measures.PAIRS_4])
     pair_c = measures.concurrence(pairs.reshape(-1, 4, 4)).reshape(len(measures.PAIRS_4), -1)
-    if g > 0 and j > 0 and label in ("1100", "1010"):  # where the closed form holds
+    if closed_form_holds(g, j, label, times):
         reference = four_qubit_closed_form(g, j, times, label)
         fid = np.einsum("ti,tij,tj->t", reference.conj(), red, reference).real
     else:

@@ -51,14 +51,19 @@ def test_parse_and_roundtrip():
 
 
 def test_unknown_keys_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^banana is not read by spinmaps \(accepted: scenario, network, network_b, "):
         parse_config(GOOD_CONFIG + "banana: 1\n")
+    with pytest.raises(ValueError, match=r"^times.step is not read by spinmaps \(accepted: start, stop, points, "):
+        parse_config("scenario: qst\ntimes: {start: 0, stop: 1, step: 2}\n")
+    with pytest.raises(ValueError, match=r"^section 'verify' must be a mapping"):
+        parse_config(QST_CONFIG + "verify: [oracle]\n")
     with pytest.raises(ValueError):
         spec_from_config(parse_config(GOOD_CONFIG.replace("  p: 0.7", "  p: 0.7\n  q: 3")))
-    with pytest.raises(ValueError):
-        parse_config("scenario: quantum_teleportation\ntimes: {start: 0, stop: 1, points: 2}\n")
-    with pytest.raises(ValueError):
-        parse_config("times: {start: 0, stop: 1, points: 2}\n")
+    # the scenario kind is checked once, where the spec is built
+    with pytest.raises(ValueError, match="unknown scenario kind 'quantum_teleportation'"):
+        spec_from_config(parse_config("scenario: quantum_teleportation\ntimes: {start: 0, stop: 1, points: 2}\n"))
+    with pytest.raises(ValueError, match="unknown scenario kind None"):
+        spec_from_config(parse_config("times: {start: 0, stop: 1, points: 2}\n"))
     with pytest.raises(ValueError, match=r"network.couplings is not read by network kind 'uniform_chain'"):
         spec_from_config(parse_config(QST_CONFIG.replace("  sites: 8\n", "  sites: 8\n  couplings: [1, 1]\n")))
     with pytest.raises(ValueError, match=r"initial.p is not read by initial-state kind 'basis'"):
@@ -651,6 +656,35 @@ def test_sweep_values_and_whole_number_fields_exit_2_naming_the_field(tmp_path, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, text, message", [
+    ("run", "scenario: weak_pair\ntimes: {list: [0.0, 1.0]}\nparams: {g: .nan}\n", "params.g must be finite, got nan"),
+    ("run", "scenario: four_qubit_weak\ntimes: {list: [0.0, 1.0]}\nparams: {g: .nan}\n",
+     "params.g must be finite, got nan"),
+    ("run", "scenario: closed_form_four_qubit\ntimes: {list: [0.0, 1.0]}\nparams: {g: .nan}\n",
+     "params.g must be finite, got nan"),
+    ("run", "scenario: closed_form_four_qubit\ntimes: {list: [0.0, 1.0]}\nparams: {J: -.inf}\n",
+     "params.J must be finite, got -inf"),
+    ("run", GOOD_CONFIG.replace("kind: werner\n  p: 0.7", "kind: xstate\n  populations: [.nan, 0.0, 0.0, 1.0]"),
+     "initial.populations must be finite, got nan"),
+    ("run", GOOD_CONFIG.replace("kind: werner\n  p: 0.7", "kind: xstate\n  populations: [0.5, 0, 0, 0.5]\n"
+                                "  rho03: [0.1, .nan]"),
+     "initial.rho03 must be finite, got nan"),
+    ("run", GOOD_CONFIG.replace("p: 0.7", "p: .nan"), "initial.p must be finite, got nan"),
+    ("sweep", "scenario: weak_pair\ntimes: {list: [0.0, 1.0]}\nsweep: {axis: g, values: [0.1, .nan]}\n",
+     "sweep.values must be finite, got nan"),
+    ("run", QST_CONFIG.replace("sites: 8", "sites: 8\n  coupling: .nan"), "network.coupling must be finite, got nan"),
+    ("run", CHAIN_CONFIG.format("couplings: [1.0, .inf]"), "network.couplings must be finite, got inf"),
+], ids=["weak_pair-g", "four_qubit_weak-g", "closed-form-g", "closed-form-J", "xstate-populations", "xstate-rho03",
+        "werner-p", "sweep-values", "uniform-coupling", "chain-couplings"])
+def test_non_finite_numbers_exit_2_naming_the_field(tmp_path, capsys, sector_builds, command, text, message):
+    config = tmp_path / "run.yaml"
+    config.write_text(text)
+    out = tmp_path / "never.csv"
+    assert main([command, str(config), "--output", str(out)]) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert sector_builds == [] and not out.exists()
+
+
 @pytest.mark.parametrize("whole, text", [
     (QST_CONFIG, QST_CONFIG.replace("sender: 0", "sender: 0.0").replace("points: 3", "points: 3.0")),
     ("scenario: weak_pair\ntimes: {list: [0.0, 1.0]}\nparams: {wire_sites: 3}\n",
@@ -747,6 +781,23 @@ def _fail_measure_check(monkeypatch, from_run=0):
     monkeypatch.setattr(measures, "_clip_unit", failing)
 
 
+def _refuse_series(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the oracle series started")
+
+    monkeypatch.setattr(oracle, "unit_columns", refuse)
+
+
+def _exhaust_memory(monkeypatch):
+    def exhausted(*args):
+        raise MemoryError()
+
+    monkeypatch.setattr(maps, "apply", exhausted)
+
+
+# an 8-site chain whose series would take about 1.4e9 Chebyshev terms: the weights alone exceed any memory
+TERMS_CONFIG = ("scenario: qst\nnetwork: {kind: uniform_chain, sites: 8, coupling: 1.0e+4}\nsites: {sender: 0, receiver: 7}\n"
+                "times: {start: 0.0, stop: 1.0e+4, points: 2}\nverify: {oracle: true}\n")
 SWEEP_CONFIG = GOOD_CONFIG.replace("verify:\n  oracle: true\n  cptp: true\n", "") + "sweep: {axis: p, values: [0.4, 0.9]}\n"
 DUAL_16_CONFIG = ("scenario: distribute_dual\nnetwork: {kind: uniform_chain, sites: 8}\n"
                   "network_b: {kind: uniform_chain, sites: 8}\n"
@@ -762,8 +813,15 @@ DUAL_16_CONFIG = ("scenario: distribute_dual\nnetwork: {kind: uniform_chain, sit
      "numerical failure: measure value 1.5"),
     (["run", "{config}"], DUAL_16_CONFIG, None, 2, "configuration error: verify.oracle: 16 sites"),
     (["run", "{config}"], "scenario: four_qubit_weak\ntimes: {list: [0.0, 1.0]}\nparams: {g: -0.1}\n", None, 0, ""),
+    (["run", "{config}"], "scenario: four_qubit_weak\ntimes: {list: [0.0, 1.0]}\nparams: {g: 1.0e+200}\n", None, 0, ""),
+    (["run", "{config}"], "scenario: closed_form_four_qubit\ntimes: {list: [0.0, 1.0]}\nparams: {g: 1.0e+200}\n", None,
+     2, "configuration error: params.g = 1e+200, params.J = 1.0 and initial.string '1100' leave the closed form"),
+    (["run", "{config}"], TERMS_CONFIG, _refuse_series, 2,
+     "configuration error: verify.oracle: 8 sites, 2 columns and 2 times exceed the series-oracle cap"),
+    (["run", "{config}"], GOOD_CONFIG, _exhaust_memory, 1, "numerical failure: "),
 ], ids=["oracle-output-run", "oracle-output-verify", "figure-measure", "sweep-second-value", "oracle-cap",
-        "four-qubit-negative-g"])
+        "four-qubit-negative-g", "four-qubit-overflowing-g", "closed-form-overflowing-g", "oracle-terms-cap",
+        "memory-error"])
 def test_exit_code_follows_the_phase(tmp_path, monkeypatch, capsys, sector_builds, argv, text, patch, code, message):
     """Exit 2 for what reading finds, before any computation; exit 1 for a computation that fails."""
     config, out = tmp_path / "run.yaml", tmp_path / "out.csv"

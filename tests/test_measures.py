@@ -19,14 +19,12 @@ from spinmaps import (
     werner_state,
 )
 from spinmaps import measures
-from spinmaps.maps import pure_state_density, random_density_matrix
+from spinmaps.maps import partial_trace_outer, pure_state_density, random_density_matrix, unit_vector
 from spinmaps.measures import (
     _SYSY,
     SEPARABLE_LINEAR_ENTROPY,
-    _as_state_vector,
     _clip_unit,
     _purity,
-    _reduced,
 )
 from spinmaps.protocols import four_qubit_closed_form
 
@@ -56,22 +54,27 @@ def three_tangle_from_concurrences(psi):
     return max(0.0, c2_one_rest - cab**2 - cac**2)
 
 
+def marginal(psi, keep):
+    """Reduced states on the qubits ``keep`` of a four-qubit pure state (or a stack), as the measures form them."""
+    col = unit_vector(psi, 16)[..., None]
+    return partial_trace_outer(col, col, keep, [2] * 4)
+
+
 def one_vs_rest_reference(psi, qubit: int):
     """sqrt(2 (1 - Tr rho_a^2)) for one qubit against the other three of four."""
-    r = _reduced(_as_state_vector(psi, 4), (qubit,), 4)
+    r = marginal(psi, (qubit,))
     return _clip_unit(np.sqrt(np.maximum(0.0, 2.0 * (1.0 - _purity(r)))))
 
 
 def pair_split_reference(psi, pair):
     """sqrt((4/3) (1 - Tr rho_AB^2)) for a two-two bipartition of four qubits."""
-    r = _reduced(_as_state_vector(psi, 4), tuple(pair), 4)
+    r = marginal(psi, tuple(pair))
     return _clip_unit(np.sqrt(np.maximum(0.0, (4.0 / 3.0) * (1.0 - _purity(r)))))
 
 
 def four_qubit_concurrence_reference(psi):
     """Geometric mean of the concurrence over all seven bipartitions, zero below the separability floor."""
-    psi = _as_state_vector(psi, 4)
-    entropies = np.stack([np.maximum(0.0, 1.0 - _purity(_reduced(psi, cut, 4))) for cut in CUTS_4])
+    entropies = np.stack([np.maximum(0.0, 1.0 - _purity(marginal(psi, cut))) for cut in CUTS_4])
     scale = np.array([2.0] * 4 + [4.0 / 3.0] * 3).reshape((7,) + (1,) * (entropies.ndim - 1))
     mean = np.prod(np.sqrt(scale * entropies), axis=0) ** (1.0 / 7.0)
     return _clip_unit(np.where(entropies.min(axis=0) < SEPARABLE_LINEAR_ENTROPY, 0.0, mean))
@@ -304,14 +307,28 @@ def test_measure_report_fields(rng):
     assert all(0.0 <= v <= 1.0 for v in columns.values())
 
 
+def test_pure_state_measures_check_every_vector_of_a_stack(rng):
+    good = random_pure_state(rng, 16)
+    for psi in (np.full(16, np.nan), np.array([good, np.full(16, np.nan)])):
+        for measure in (four_tangle, four_qubit_measures):
+            with pytest.raises(ValueError, match="state vector has non-finite entries"):
+                measure(psi)
+    with pytest.raises(ValueError, match="state vector has non-finite entries"):
+        three_tangle_pure(np.full(8, np.inf))
+    with pytest.raises(ValueError, match=r"state vector norm is 2.0\d*, expected 1"):
+        four_qubit_measures(np.array([good, 2.0 * good]))
+    with pytest.raises(ValueError, match="expected a state vector of 8 entries, got 16"):
+        three_tangle_pure(good)
+
+
 def test_four_qubit_measures_form_each_marginal_once(rng, monkeypatch):
     kept = []
 
-    def counting(psi, keep, n_qubits):
+    def counting(a, b, keep, dims):
         kept.append(tuple(keep))
-        return _reduced(psi, keep, n_qubits)
+        return partial_trace_outer(a, b, keep, dims)
 
-    monkeypatch.setattr(measures, "_reduced", counting)
+    monkeypatch.setattr(measures, "partial_trace_outer", counting)
     four_qubit_measures(random_pure_state(rng, 16))
     assert len(kept) == len(set(kept)) == 14  # 6 pairs, 4 single qubits, 4 triples
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -271,6 +273,27 @@ def test_reduced_output_rejects_bad_times_naming_t(rng, t):
     net = random_network(rng, 4)
     with pytest.raises(ValueError, match=r"^t must be"):
         reduced_output(net, random_density_matrix(2, rng), [0], [3], t)
+
+
+def test_series_memory_cap_counts_the_chebyshev_terms(rng, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the oracle series started")
+
+    monkeypatch.setattr(oracle, "unit_columns", refuse)
+    # about 4e9 terms: their Bessel weights alone would take hundreds of GiB
+    with pytest.raises(ValueError, match=r"^oracle series: 3 sites, 1 columns and 2 times exceed the series-oracle "
+                                         r"cap \(estimated peak .* GiB for at most 400\d{7} Chebyshev terms"):
+        reduced_output(SpinNetwork.uniform_chain(3), np.diag([0.0, 1.0]), [0], [2], [0.0, 1e9])
+    # the cap's term count bounds the series' own, taken at the Gershgorin half-width of the full H
+    monkeypatch.setattr(oracle, "physical_memory_bytes", lambda: 0)  # every estimate is rejected, naming its terms
+    for n, chain in ((2, True), (5, False), (8, False), (8, True)):
+        net = verify_network(rng, n, chain)
+        diagonal, rows, _, values = hamiltonian_elements(net)
+        radius = np.bincount(rows, np.abs(values), minlength=diagonal.size)
+        half = 0.5 * ((diagonal + radius).max() - (diagonal - radius).min())
+        with pytest.raises(ValueError, match=r"for at most \d+ Chebyshev terms") as info:
+            oracle.require_series_memory(net, 1, np.array([0.5, -7.0]), "oracle series")
+        assert oracle.chebyshev_terms(7.0 * half) <= int(re.search(r"at most (\d+)", str(info.value)).group(1))
 
 
 def test_truncated_oracle_series_raises_numerical_error(rng, monkeypatch, tmp_path, capsys):

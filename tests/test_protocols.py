@@ -196,6 +196,25 @@ def test_closed_form_initial_states():
         four_qubit_closed_form(0.1, 1.0, 0.1, "0111")
 
 
+@pytest.mark.parametrize("g, j, label, t", [
+    (0.0, 1.0, "1100", [1.0]), (0.1, -1.0, "1010", [1.0]), (np.nan, 1.0, "1100", [1.0]), (0.1, 1.0, "0111", [1.0]),
+    (1e200, 1.0, "1100", [0.0]), (1e160, 1.0, "1010", [1.0]), (0.1, 1e-310, "1100", [1e10]),
+    (0.1, 1e300, "1010", [-1e10, 0.0]), (0.1, 1.0, "1100", [0.0, np.inf]),
+], ids=["g-zero", "J-negative", "g-nan", "label", "g-squared-overflows", "phase-g", "phase-J-small", "phase-J-large",
+        "infinite-time"])
+def test_closed_form_holds_only_with_positive_couplings_and_finite_phases(g, j, label, t):
+    assert protocols.closed_form_holds(0.1, 1.0, "1100", [0.0, 5.0])
+    assert not protocols.closed_form_holds(g, j, label, t)
+    with pytest.raises(ValueError, match="no closed form at"):
+        four_qubit_closed_form(g, j, t, label)
+
+
+def test_closed_form_norm_check_catches_nan(monkeypatch):
+    monkeypatch.setattr(protocols, "closed_form_holds", lambda *args: True)  # let an infinite phase through
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="closed-form state norm nan off unity"):
+        four_qubit_closed_form(0.1, 1.0, [0.0, np.inf])
+
+
 def test_closed_form_bell_product_time():
     g, j = 1e-2, 1.0
     t_star = np.pi * j / (2 * g**2)
@@ -318,13 +337,14 @@ def test_dense_oracle_callers_name_the_memory_cap(monkeypatch):
     )
     assert run(spec).meta == {"n_sites": 11}  # the sector engine has no dense cap
     # verify.oracle takes the series oracle, whose estimate here is 80 (2^11 + 10 x 2^10) + 96 x 2^11 x 16 x 2 bytes
-    assert oracle.series_peak_bytes(11, 10, 16, 2) == 7_274_496
+    # for the build and the columns, plus 40 x 2 x 256 + 16 x 107 x 2 bytes for the weights of 107 terms
+    assert oracle.series_peak_bytes(11, 10, 16, 2, 107) == 7_274_496 + 23_904
     assert run(replace(spec, verify_oracle=True)).column("oracle_dev").max() <= 1e-12
     # the cap is checked when the spec is built, before anything runs
     qst = dict(kind="qst", network=SpinNetwork.uniform_chain(11), sites={"sender": 0, "receiver": 10},
                verify_oracle=True)
-    with pytest.raises(ValueError, match=r"verify.oracle: 11 sites, 2 columns and 400 times exceed the "
-                                         r"series-oracle cap \(estimated peak 0.147 GiB, physical memory"):
+    with pytest.raises(ValueError, match=r"verify.oracle: 11 sites, 2 columns and 400 times exceed the series-oracle "
+                                         r"cap \(estimated peak 0.152 GiB for at most 114 Chebyshev terms, physical"):
         ScenarioSpec(times=tuple(np.linspace(0.0, 1.0, 400)), **qst)
     with pytest.raises(ValueError, match=r"verify.oracle: 15 sites, .* ceiling 14 sites"):
         ScenarioSpec(**{**qst, "times": (0.0, 1.0), "network": SpinNetwork.uniform_chain(15),
