@@ -158,27 +158,34 @@ def partial_trace_outer(a: np.ndarray, b: np.ndarray, keep, dims) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KrausSet:
-    """A quantum map as a tuple of Kraus operators.
+    """A quantum map as a stack of Kraus operators.
 
     Every operator is a (d_out, d_in) matrix, or every operator is a
     (T, d_out, d_in) stack: then the set holds one map per time of a grid.
-    With ``complete=True`` (the default) the completeness relation
-    sum_k E_k^dag E_k = 1 is checked to 1e-10 at construction, on every slice.
+    The set is given as a sequence of such operators or as an array whose
+    first axis runs over them, and ``operators`` holds them as one complex
+    (K, [T,] d_out, d_in) array, so ``len(operators)`` is K.  Every sum over
+    the operators is one stacked product reduced over that first axis, in
+    the order of Python's ``sum``.  With ``complete=True`` (the default) the
+    completeness relation sum_k E_k^dag E_k = 1 is checked to 1e-10 at
+    construction, on every slice.
     """
 
-    operators: tuple
+    operators: np.ndarray
     complete: bool = True
 
     def __post_init__(self):
-        if not self.operators:
+        ops = self.operators
+        if not isinstance(ops, np.ndarray):
+            ops = [np.asarray(op, dtype=complex) for op in ops]
+        if not len(ops):
             raise ValueError("KrausSet needs at least one operator")
-        ops = tuple(np.asarray(op, dtype=complex) for op in self.operators)
         shape = ops[0].shape
         if len(shape) not in (2, 3):
             raise ValueError("Kraus operators must be matrices (or stacks of matrices)")
         if any(op.shape != shape for op in ops):
             raise ValueError("all Kraus operators must share the same shape")
-        object.__setattr__(self, "operators", ops)
+        object.__setattr__(self, "operators", np.asarray(ops, dtype=complex))
         if self.complete:
             dev = np.abs(self.completeness_defect()).max()
             if dev > COMPLETENESS_ATOL:
@@ -186,15 +193,15 @@ class KrausSet:
 
     @property
     def input_dim(self) -> int:
-        return self.operators[0].shape[-1]
+        return self.operators.shape[-1]
 
     @property
     def output_dim(self) -> int:
-        return self.operators[0].shape[-2]
+        return self.operators.shape[-2]
 
     def completeness_defect(self) -> np.ndarray:
-        acc = sum(op.conj().swapaxes(-1, -2) @ op for op in self.operators)
-        return acc - np.eye(self.input_dim)
+        ops = self.operators
+        return (ops.conj().swapaxes(-1, -2) @ ops).sum(axis=0) - np.eye(self.input_dim)
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -205,14 +212,17 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def superop_from_kraus(ks: KrausSet) -> np.ndarray:
     """Superoperator matrix A = sum_k kron(E_k, conj(E_k)) (one per slice of a stack)."""
-    return sum(_kron(op, op.conj()) for op in ks.operators)
+    return _kron(ks.operators, ks.operators.conj()).sum(axis=0)
 
 
 def apply_kraus(ks: KrausSet, rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim not in (2, 3) or rho.shape[-2:] != (ks.input_dim, ks.input_dim):
         raise ValueError(f"state dimension {rho.shape} does not match input dim {ks.input_dim}")
-    return sum(op @ rho @ op.conj().swapaxes(-1, -2) for op in ks.operators)
+    ops = ks.operators
+    if rho.ndim == 3 and ops.ndim == 3:  # one map for a stack of states: the state axis follows the operator axis
+        ops = ops[:, None]
+    return (ops @ rho @ ops.conj().swapaxes(-1, -2)).sum(axis=0)
 
 
 def apply(ks: KrausSet, rho: np.ndarray) -> np.ndarray:
@@ -293,27 +303,29 @@ def one_qubit_kraus(f) -> KrausSet:
     rem = 1.0 - modulus**2
     if (rem < -1e-10).any():
         raise ValueError(f"amplitude modulus {modulus.max()} exceeds 1")
-    e0 = np.zeros(f.shape + (2, 2), dtype=complex)
-    e0[..., 0, 0] = 1.0
-    e0[..., 1, 1] = f
-    e1 = np.zeros(f.shape + (2, 2), dtype=complex)
-    e1[..., 0, 1] = np.sqrt(np.maximum(rem, 0.0))
-    return KrausSet((e0, e1))
+    ops = np.zeros((2,) + f.shape + (2, 2), dtype=complex)
+    ops[0, ..., 0, 0] = 1.0
+    ops[0, ..., 1, 1] = f
+    ops[1, ..., 0, 1] = np.sqrt(np.maximum(rem, 0.0))
+    return KrausSet(ops)
 
 
 def extend_with_identity(ks: KrausSet) -> KrausSet:
     """Tensor the identity map on a first qubit with a one-qubit map on the second."""
-    eye = np.eye(2, dtype=complex)
-    return KrausSet(tuple(_kron(eye, op) for op in ks.operators), complete=ks.complete)
+    return KrausSet(_kron(np.eye(2, dtype=complex), ks.operators), complete=ks.complete)
 
 
 def tensor_map(m1: KrausSet, m2: KrausSet) -> KrausSet:
     """Kronecker composition of two maps acting on independent systems.
 
-    Stacked maps must share their time axis (a single map broadcasts).
+    Stacked maps must share their time axis (a single map broadcasts).  The
+    operators run over those of ``m1``, each with every operator of ``m2``.
     """
-    ops = tuple(_kron(a, b) for a in m1.operators for b in m2.operators)
-    return KrausSet(ops, complete=m1.complete and m2.complete)
+    a, b = m1.operators, m2.operators
+    if a.ndim != b.ndim:  # give the single map the time axis of the stacked one
+        a, b = (x if x.ndim == 4 else x[:, None] for x in (a, b))
+    ops = _kron(a[:, None], b[None])
+    return KrausSet(ops.reshape((-1,) + ops.shape[2:]), complete=m1.complete and m2.complete)
 
 
 # ---------------------------------------------------------------------------
@@ -393,9 +405,10 @@ def two_qubit_kraus(
     e1[..., 0, 2] = f_i[2:]
     e1[..., 1, 3] = f_ij[1:ne + 1]
     e1[..., 2, 3] = f_ij[ne + 1:]
-    lost = ~np.isin(k2.sector.sites, (n, m)).any(axis=1)  # targets with both excitations outside
+    sites = k2.sector.sites
+    lost = ((sites != n) & (sites != m)).all(axis=1)  # targets with both excitations outside
     e2[..., 0, 3] = np.sqrt(np.sum(np.abs(g * col_ij[..., lost]) ** 2, axis=-1))
-    return KrausSet(tuple(ops))
+    return KrausSet(ops)
 
 
 class NetworkChannel:

@@ -89,6 +89,54 @@ def test_kraus_completeness_enforced():
     KrausSet((bad,), complete=False)  # explicit opt-out is allowed
 
 
+@pytest.mark.parametrize("operators, message", [
+    ((), "needs at least one operator"),
+    (np.zeros((0, 2, 2)), "needs at least one operator"),
+    ((np.eye(2), np.eye(3)), "must share the same shape"),
+    ((np.eye(2), np.ones((2, 2, 2))), "must share the same shape"),
+    ((np.ones(2),), "must be matrices"),
+    (np.eye(2), "must be matrices"),  # a bare matrix is a stack of vectors
+    (np.ones((1, 1, 2, 2, 2)), "must be matrices"),
+])
+def test_kraus_set_rejects_empty_ragged_and_non_matrix_operators(operators, message):
+    with pytest.raises(ValueError, match=message):
+        KrausSet(operators, complete=False)
+
+
+def _kron_ref(a, b):
+    """Kronecker product of one pair of operators, broadcast over a time axis.
+
+    The same elementwise products as ``maps`` forms (np.kron multiplies complex
+    numbers with a different rounding).
+    """
+    out = np.einsum("...ij,...kl->...ikjl", a, b)
+    return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
+
+
+def _stacked_sets(rng, dim, n_env, steps=7):
+    """One random complete set per time, as a Kraus set of (T, dim, dim) operators."""
+    return KrausSet(np.stack([random_complete_kraus(rng, dim, n_env).operators for _ in range(steps)], axis=1))
+
+
+def test_stacked_kraus_sums_equal_per_operator_python_sums(rng):
+    sets = [random_complete_kraus(rng, 2, 2), random_complete_kraus(rng, 4, 5),
+            _stacked_sets(rng, 2, 2), _stacked_sets(rng, 4, 3)]
+    for ks in sets:
+        ops = list(ks.operators)  # the reference sums run over the operators one by one
+        dim = ks.input_dim
+        assert ks.operators.dtype == complex and len(ks.operators) == len(ops)
+        defect = sum(op.conj().swapaxes(-1, -2) @ op for op in ops) - np.eye(dim)
+        assert np.array_equal(ks.completeness_defect(), defect)
+        assert np.array_equal(superop_from_kraus(ks), sum(_kron_ref(op, op.conj()) for op in ops))
+        for rho in (random_density_matrix(dim, rng), np.array([random_density_matrix(dim, rng) for _ in range(7)])):
+            assert np.array_equal(apply(ks, rho), sum(op @ rho @ op.conj().swapaxes(-1, -2) for op in ops))
+        eye = np.eye(2, dtype=complex)
+        assert np.array_equal(extend_with_identity(ks).operators, np.array([_kron_ref(eye, op) for op in ops]))
+        for other in sets:
+            want = np.array([_kron_ref(a, b) for a in ops for b in other.operators])
+            assert np.array_equal(tensor_map(ks, other).operators, want)
+
+
 def test_choi_of_identity_qubit_map():
     choi = choi_from_superop(superop_from_kraus(identity_kraus(2)), 2, 2)
     assert np.allclose(np.sort(np.linalg.eigvalsh(choi)), [0.0, 0.0, 0.0, 2.0], atol=1e-12)

@@ -268,6 +268,30 @@ def test_sector_hamiltonian_is_real_symmetric_and_matches_reference_loop(rng):
             assert np.array_equal(h, reference_sector_hamiltonian(net, k).real)
 
 
+def test_sector_diagonal_matches_the_per_configuration_expression_at_workload_sizes(rng):
+    """The stacked diagonal, over several row blocks, is bitwise the scalar expression of each configuration."""
+    cases = [
+        (SpinNetwork.chain(rng.uniform(0.5, 1.5, 39), rng.uniform(-0.3, 0.3, 39), rng.uniform(-0.2, 0.2, 40)), 2),
+        (random_network(rng, 30), 2),  # dense ZZ couplings
+        (SpinNetwork.chain(rng.uniform(0.5, 1.5, 49), rng.uniform(-0.3, 0.3, 49), rng.uniform(-0.2, 0.2, 50)), 3),
+    ]
+    for net, k in cases:
+        reference = []
+        for occ in itertools.combinations(range(net.n_sites), k):
+            s = -np.ones(net.n_sites)
+            s[list(occ)] = 1.0
+            reference.append(s @ net.fields + 0.5 * s @ net.zz @ s)
+        assert np.array_equal(build_sector_hamiltonian(net, k).diagonal, reference)
+    assert len(reference) == 19600 > 4 * network_module.DIAGONAL_BLOCK_ROWS
+    occupied = ExcitationSector(50, 3).occupation()
+    assert np.array_equal(net.diagonal_energy(occupied[::-1].reshape(2, -1, 50)).ravel(), reference[::-1])
+    s = -np.ones(50)
+    assert net.diagonal_energy() == s @ net.fields + 0.5 * s @ net.zz @ s  # the vacuum, as a scalar
+    for bad in (occupied[:, :49], [0, 2, 7]):  # a site list is not an occupation
+        with pytest.raises(ValueError, match="boolean with 50 sites on its last axis"):
+            net.diagonal_energy(bad)
+
+
 def test_sector_positions_match_index_of():
     for n in range(1, 9):
         for k in range(n + 1):
