@@ -287,8 +287,10 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, help_text, epilog, config_help in (
         ("run", "execute one scenario config and write CSV", _CSV_NOTE + " " + _EXIT_NOTE,
          "YAML scenario configuration file"),
-        ("sweep", "run a scenario once per value of a swept parameter",
-         "The swept value is prepended as the first CSV column. " + _CSV_NOTE,
+        ("sweep", "run a scenario for each value of a swept parameter",
+         "The swept value is prepended as the first CSV column. A sweep of 'p', the Werner weight of the "
+         "initial state, builds the map once and reads it out for each weight; a 'params' sweep builds one "
+         "map per value. " + _CSV_NOTE,
          "YAML configuration with a 'sweep:' section"),
     ):
         p_config = sub.add_parser(name, help=help_text, epilog=epilog)

@@ -4,12 +4,15 @@ Every scenario is described by a :class:`ScenarioSpec` and produces a
 :class:`ScenarioResult`: named columns of one value per time/parameter grid
 point, in deterministic grid order; identical specs yield identical results.
 
-Every run is one pass over the whole time grid: one stacked channel (see
-:mod:`spinmaps.maps`) and one ``apply``, or for ``four_qubit_weak`` one sector
-column reduced by :func:`spinmaps.network.reduced_state`, then one call of
-each measure per grid.  The checks a spec asks for take the grid too: one
-oracle call (the one place a run evolves the 2^N space, by the sparse series)
-and one stacked CPTP verdict, each raising at the first time that fails.
+Every run is one pass over the whole time grid, in two steps.  The build
+takes everything the spec reads but its initial state: one stacked channel
+(see :mod:`spinmaps.maps`) and, where asked, its stacked CPTP verdict.  The
+read-out takes the initial state: one ``apply``, or for ``four_qubit_weak``
+one sector column reduced by :func:`spinmaps.network.reduced_state`, then one
+call of each measure per grid, and, where asked, one oracle call (the one
+place a run evolves the 2^N space, by the sparse series).  Each check raises
+at the first time that fails.  A sweep of the Werner weight reads one build
+out for each weight.
 """
 
 from __future__ import annotations
@@ -33,9 +36,13 @@ class VerificationError(RuntimeError):
 
 
 class _Reads(NamedTuple):
-    """A scenario kind's runner, its initial state's qubits and default, and what else it reads (see SCENARIOS)."""
+    """A scenario kind's build and read-out, its initial state's qubits and default, and what else it reads.
 
-    runner: Callable
+    See SCENARIOS.
+    """
+
+    build: Callable
+    read: Callable
     qubits: int
     initial: dict = {}
     sites: tuple = ()
@@ -146,6 +153,13 @@ class ScenarioSpec:
         return sites if pair else sites[0]
 
 
+def _csv_text(text: str) -> str:
+    """``text`` as a ``csv.writer`` cell: quoted, quotes doubled, where it holds a comma, a quote or a line break."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _equal_columns(data: dict) -> dict:
     """Columns of one length: numbers as float64 arrays, text as text, a scalar repeated."""
     arrays = [np.asarray(value) for value in data.values()]
@@ -188,13 +202,21 @@ class ScenarioResult:
         return np.array(self.data[name], dtype=float)
 
     def write_csv(self, path) -> int:
-        """Write the header and every row to ``path``; return the number of rows."""
-        rows = self.rows
+        """Write the header and every row to ``path``, as ``csv.writer`` would; return the number of rows.
+
+        A number is written as the shortest repr of its float, and the header and
+        text cells are quoted only where they hold a comma, a quote or a line
+        break.  The rows go out in one write, formatted a column at a time: a
+        ``p`` sweep's many rows come from one map (see :func:`sweep`), and
+        formatting them is the larger part of writing them.
+        """
+        cells = [list(map(float.__repr__, values.tolist())) if values.dtype.kind == "f"
+                 else [_csv_text(text) for text in values.tolist()] for values in self.data.values()]
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self.columns)
-            writer.writerows(rows)  # Python floats, which csv writes as their shortest repr
-        return len(rows)
+            csv.writer(fh).writerow(self.columns)
+            # a row of one empty cell is written quoted, as csv.writer writes it
+            fh.write("".join((",".join(row) or '""') + "\r\n" for row in zip(*cells)))
+        return len(cells[0]) if cells else 0
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +421,9 @@ def four_qubit_measure_sweep(points_per_window: int = 1000) -> ScenarioResult:
 # scenario runners
 
 def run(spec: ScenarioSpec) -> ScenarioResult:
-    """Execute one scenario and return its time series."""
-    return SCENARIOS[spec.kind].runner(spec)
+    """Execute one scenario and return its time series: build its map, then read it out for ``spec``'s initial state."""
+    reads = SCENARIOS[spec.kind]
+    return reads.read(spec, reads.build(spec))
 
 
 def sweep_specs(spec: ScenarioSpec, axis: str, values) -> list:
@@ -428,29 +451,56 @@ def sweep_specs(spec: ScenarioSpec, axis: str, values) -> list:
 
 
 def sweep(axis: str, swept) -> ScenarioResult:
-    """Run each (value, spec) of :func:`sweep_specs`: one result, the swept value as its first column."""
-    return ScenarioResult.concat(swept[0][1].kind, [{axis: v, **run(spec).data} for v, spec in swept])
+    """Run each (value, spec) of :func:`sweep_specs`: one result, the swept value as its first column.
+
+    The map is built from everything a spec reads but its initial state, so a ``p`` sweep builds it
+    once and reads it out for each weight; a ``params`` sweep builds one for each value.
+    """
+    kind = swept[0][1].kind
+    reads = SCENARIOS[kind]
+    shared = reads.build(swept[0][1]) if axis == "p" else None
+    parts = []
+    for v, spec in swept:
+        built = shared if axis == "p" else reads.build(spec)
+        parts.append({axis: v, **reads.read(spec, built).data})
+    return ScenarioResult.concat(kind, parts)
 
 
-def _result(spec: ScenarioSpec, columns: dict, rho_out=None, channel=None, meta=None) -> ScenarioResult:
+class _ChannelMap(NamedTuple):
+    """A channel kind's stacked map over the time grid, built from everything its spec reads but the initial state.
+
+    ``held`` is what the read-out takes from the build besides the channel (amplitudes, or the
+    :class:`maps.NetworkChannel` a peak search evaluates at other times); ``cptp`` is the stacked
+    :func:`maps.is_cptp` verdict where the spec asks for it.
+    """
+
+    channel: maps.KrausSet
+    held: tuple
+    cptp: maps.CptpVerdict = None
+
+
+def _channel_map(spec: ScenarioSpec, channel: maps.KrausSet, *held) -> _ChannelMap:
+    return _ChannelMap(channel, held, maps.is_cptp(channel) if spec.verify_cptp else None)
+
+
+def _result(spec: ScenarioSpec, columns: dict, rho_out=None, cptp=None, meta=None) -> ScenarioResult:
     """``t``, then ``columns``, then the check columns ``spec`` asks for.
 
     ``oracle_dev`` is :func:`_oracle_deviations` of the receiver states
-    ``rho_out`` and ``cptp_min_eig`` the minimum Choi eigenvalue of the stacked
-    ``channel`` at each time; a failure raises :class:`VerificationError` for
-    the first time it occurs at.
+    ``rho_out`` and ``cptp_min_eig`` the minimum Choi eigenvalue at each time
+    of the stacked verdict ``cptp``; a failure raises :class:`VerificationError`
+    for the first time it occurs at.
     """
     data = {"t": spec.times, **columns}
     if spec.verify_oracle:
         data["oracle_dev"] = _oracle_deviations(spec, rho_out)
     if spec.verify_cptp:
-        verdict = maps.is_cptp(channel)
-        bad = np.flatnonzero(~verdict.ok)
+        bad = np.flatnonzero(~cptp.ok)
         if bad.size:
             raise VerificationError(
-                f"map failed the CPTP check (min Choi eigenvalue {verdict.min_choi_eigenvalue[bad[0]]:.3e})"
+                f"map failed the CPTP check (min Choi eigenvalue {cptp.min_choi_eigenvalue[bad[0]]:.3e})"
             )
-        data["cptp_min_eig"] = verdict.min_choi_eigenvalue
+        data["cptp_min_eig"] = cptp.min_choi_eigenvalue
     return ScenarioResult(spec.kind, data, meta or {})
 
 
@@ -499,25 +549,33 @@ def _four_qubit_chain(spec):
     return net, corners, corners
 
 
-def _run_qst(spec: ScenarioSpec) -> ScenarioResult:
+def _build_qst(spec: ScenarioSpec) -> _ChannelMap:
     net, sender, receiver = spec.network, spec.sites["sender"], spec.sites["receiver"]
     f = maps.NetworkChannel(net).amplitude(sender, receiver, np.array(spec.times))
-    channel = maps.one_qubit_kraus(f)
-    out = maps.apply(channel, spec.rho_in)
+    return _channel_map(spec, maps.one_qubit_kraus(f), f)
+
+
+def _read_qst(spec: ScenarioSpec, built: _ChannelMap) -> ScenarioResult:
+    (f,) = built.held
+    out = maps.apply(built.channel, spec.rho_in)
     columns = {
         "f_re": f.real, "f_im": f.imag, "f_abs": np.abs(f),
         "out_p1": out[:, 1, 1].real, "out_coh_re": out[:, 0, 1].real, "out_coh_im": out[:, 0, 1].imag,
     }
-    return _result(spec, columns, out, channel)
+    return _result(spec, columns, out, built.cptp)
 
 
-def _run_distribute_single(spec: ScenarioSpec) -> ScenarioResult:
+def _build_distribute_single(spec: ScenarioSpec) -> _ChannelMap:
     net, sender, receiver = spec.network, spec.sites["sender"], spec.sites["receiver"]
+    f = maps.NetworkChannel(net).amplitude(sender, receiver, np.array(spec.times))
+    return _channel_map(spec, maps.extend_with_identity(maps.one_qubit_kraus(f)), f)
+
+
+def _read_distribute_single(spec: ScenarioSpec, built: _ChannelMap) -> ScenarioResult:
+    (f,) = built.held
     c_in = measures.concurrence(spec.rho_in)
     x_in = _x_state_or_none(spec.rho_in)
-    f = maps.NetworkChannel(net).amplitude(sender, receiver, np.array(spec.times))
-    channel = maps.extend_with_identity(maps.one_qubit_kraus(f))
-    out = maps.apply(channel, spec.rho_in)
+    out = maps.apply(built.channel, spec.rho_in)
     c_out = measures.concurrence(out)
     if x_in is not None:
         _, c1, c2 = measures.transferred_concurrence(x_in, f)
@@ -527,19 +585,23 @@ def _run_distribute_single(spec: ScenarioSpec) -> ScenarioResult:
         "f_re": f.real, "f_im": f.imag, "f_abs": np.abs(f), "concurrence": c_out, "c1": c1, "c2": c2,
         "initial_concurrence": c_in, "ratio": c_out / c_in if c_in > 0 else math.nan,
     }
-    return _result(spec, columns, out, channel)
+    return _result(spec, columns, out, built.cptp)
 
 
-def _run_distribute_dual(spec: ScenarioSpec) -> ScenarioResult:
+def _build_distribute_dual(spec: ScenarioSpec) -> _ChannelMap:
     net_a, net_b = spec.network, spec.network_b or spec.network
     sa, ra, sb, rb = (spec.sites[key] for key in ("sender_a", "receiver_a", "sender_b", "receiver_b"))
-    c_in = measures.concurrence(spec.rho_in)
-    x_in = _x_state_or_none(spec.rho_in)
     times = np.array(spec.times)
     f = maps.NetworkChannel(net_a).amplitude(sa, ra, times)
     g = maps.NetworkChannel(net_b).amplitude(sb, rb, times)
-    channel = maps.tensor_map(maps.one_qubit_kraus(f), maps.one_qubit_kraus(g))
-    out = maps.apply(channel, spec.rho_in)
+    return _channel_map(spec, maps.tensor_map(maps.one_qubit_kraus(f), maps.one_qubit_kraus(g)), f, g)
+
+
+def _read_distribute_dual(spec: ScenarioSpec, built: _ChannelMap) -> ScenarioResult:
+    f, g = built.held
+    c_in = measures.concurrence(spec.rho_in)
+    x_in = _x_state_or_none(spec.rho_in)
+    out = maps.apply(built.channel, spec.rho_in)
     c_out = measures.concurrence(out)
     # the closed form holds where both rails carry the same amplitude
     c1, c2 = np.full(f.shape, math.nan), np.full(f.shape, math.nan)
@@ -550,27 +612,34 @@ def _run_distribute_dual(spec: ScenarioSpec) -> ScenarioResult:
         "f_abs": np.abs(f), "g_abs": np.abs(g), "concurrence": c_out, "c1": c1, "c2": c2,
         "initial_concurrence": c_in, "ratio": c_out / c_in if c_in > 0 else math.nan,
     }
-    return _result(spec, columns, out, channel)
+    return _result(spec, columns, out, built.cptp)
 
 
-def _run_two_qubit(spec: ScenarioSpec) -> ScenarioResult:
+def _build_two_qubit(spec: ScenarioSpec) -> _ChannelMap:
     """``two_qubit_transfer``, and ``storage``, whose receivers are its senders."""
     net, senders, receivers = _pair(spec)
-    channel = maps.NetworkChannel(net).two_qubit(senders, receivers, np.array(spec.times))
-    out = maps.apply(channel, spec.rho_in)
-    e0 = channel.operators[0]
+    return _channel_map(spec, maps.NetworkChannel(net).two_qubit(senders, receivers, np.array(spec.times)))
+
+
+def _read_two_qubit(spec: ScenarioSpec, built: _ChannelMap) -> ScenarioResult:
+    out = maps.apply(built.channel, spec.rho_in)
+    e0 = built.channel.operators[0]
     columns = {
         "f11_abs": np.abs(e0[:, 2, 2]), "f22_abs": np.abs(e0[:, 1, 1]), "fpair_abs": np.abs(e0[:, 3, 3]),
         "concurrence": measures.concurrence(out), "purity": np.trace(out @ out, axis1=1, axis2=2).real,
     }
-    return _result(spec, columns, out, channel)
+    return _result(spec, columns, out, built.cptp)
 
 
-def _run_weak_pair(spec: ScenarioSpec) -> ScenarioResult:
+def _build_weak_pair(spec: ScenarioSpec) -> _ChannelMap:
     net, (a, b), _ = _weak_pair_chain(spec)
     chan = maps.NetworkChannel(net)
-    channel = chan.two_qubit((a, b), (a, b), np.array(spec.times))
-    out = maps.apply(channel, spec.rho_in)
+    return _channel_map(spec, chan.two_qubit((a, b), (a, b), np.array(spec.times)), chan, (a, b))
+
+
+def _read_weak_pair(spec: ScenarioSpec, built: _ChannelMap) -> ScenarioResult:
+    chan, (a, b) = built.held
+    out = maps.apply(built.channel, spec.rho_in)
     conc = measures.concurrence(out)
     peak_idx = int(np.argmax(conc))
     peak_t, peak_c = spec.times[peak_idx], float(conc[peak_idx])
@@ -589,14 +658,14 @@ def _run_weak_pair(spec: ScenarioSpec) -> ScenarioResult:
         except ValueError:
             pass  # non-bracketing grid triple; keep the grid peak
     # E_0[1, 2] = f1(i, m) is f(a -> b), read from the k=1 column the channel already holds
-    columns = {"f_ab_abs": np.abs(channel.operators[0][:, 1, 2]), "concurrence": conc}
-    return _result(spec, columns, out, channel, meta={"peak_time": peak_t, "peak_concurrence": peak_c})
+    columns = {"f_ab_abs": np.abs(built.channel.operators[0][:, 1, 2]), "concurrence": conc}
+    return _result(spec, columns, out, built.cptp, meta={"peak_time": peak_t, "peak_concurrence": peak_c})
 
 
-def _run_four_qubit_weak(spec: ScenarioSpec) -> ScenarioResult:
-    """(A1, A2, B1, B2) from a basis configuration: one sector column, reduced to the corners."""
+def _read_four_qubit_weak(spec: ScenarioSpec, built) -> ScenarioResult:
+    """(A1, A2, B1, B2) from a basis configuration: one sector column of the chain ``built``, reduced to the corners."""
     g, j = spec.params["g"], spec.params["J"]
-    net, corners, _ = _four_qubit_chain(spec)
+    net, corners, _ = built
     label = spec.initial["string"]
     occupied = tuple(corners[q] for q, c in enumerate(label) if c == "1")
     times = np.array(spec.times)
@@ -617,7 +686,7 @@ def _run_four_qubit_weak(spec: ScenarioSpec) -> ScenarioResult:
     return _result(spec, columns, red, meta={"n_sites": net.n_sites})
 
 
-def _run_closed_form(spec: ScenarioSpec) -> ScenarioResult:
+def _read_closed_form(spec: ScenarioSpec, _built) -> ScenarioResult:
     g, j, label = spec.params["g"], spec.params["J"], spec.initial["string"]
     times = np.array(spec.times)
     psi = four_qubit_closed_form(g, j, times, label)
@@ -630,20 +699,25 @@ _FOUR_QUBITS = dict(qubits=4, initial={"kind": "basis", "string": "1100"}, netwo
 # What each scenario kind reads besides its initial state: network sections (network_b defaults to network),
 # site keys (a plural key is a pair of sites, a _b key a site of network_b) and params with their defaults (an int
 # default reads a whole number of at least 1).  A built ScenarioSpec holds what it read: whole-number sites and
-# pairs, every param, the initial state's description and, as rho_in, its density matrix.  ``oracle`` gives the
-# triple verify.oracle evolves (see above); a closed_form kind's couplings and label are checked when its spec is built.
+# pairs, every param, the initial state's description and, as rho_in, its density matrix.  ``build`` makes the
+# kind's map from all of it but the initial state, and ``read`` reads that map out for the spec's initial state.
+# ``oracle`` gives the triple verify.oracle evolves (see above); a closed_form kind's couplings and label are
+# checked when its spec is built.
 SCENARIOS = {
-    "qst": _Reads(_run_qst, 1, {"kind": "basis", "string": "1"}, sites=("sender", "receiver"),
+    "qst": _Reads(_build_qst, _read_qst, 1, {"kind": "basis", "string": "1"}, sites=("sender", "receiver"),
                   oracle=lambda spec: (spec.network, [spec.sites["sender"]], [spec.sites["receiver"]])),
-    "distribute_single": _Reads(_run_distribute_single, 2, sites=("sender", "receiver"), oracle=_idle_qubit_beside),
-    "distribute_dual": _Reads(_run_distribute_dual, 2, sites=("sender_a", "receiver_a", "sender_b", "receiver_b"),
+    "distribute_single": _Reads(_build_distribute_single, _read_distribute_single, 2, sites=("sender", "receiver"),
+                                oracle=_idle_qubit_beside),
+    "distribute_dual": _Reads(_build_distribute_dual, _read_distribute_dual, 2,
+                              sites=("sender_a", "receiver_a", "sender_b", "receiver_b"),
                               networks=("network", "network_b"), oracle=_two_rails),
-    "two_qubit_transfer": _Reads(_run_two_qubit, 2, sites=("senders", "receivers"), oracle=_pair),
-    "storage": _Reads(_run_two_qubit, 2, sites=("senders",), oracle=_pair),
-    "weak_pair": _Reads(_run_weak_pair, 2, {"kind": "basis", "string": "10"},
+    "two_qubit_transfer": _Reads(_build_two_qubit, _read_two_qubit, 2, sites=("senders", "receivers"), oracle=_pair),
+    "storage": _Reads(_build_two_qubit, _read_two_qubit, 2, sites=("senders",), oracle=_pair),
+    "weak_pair": _Reads(_build_weak_pair, _read_weak_pair, 2, {"kind": "basis", "string": "10"},
                         params={"wire_sites": 4, "J": 1.0, "g": 0.1}, networks=(), oracle=_weak_pair_chain),
-    "four_qubit_weak": _Reads(_run_four_qubit_weak, params={"wire_sites": 2, "J": 1.0, "g": 0.1},
+    "four_qubit_weak": _Reads(_four_qubit_chain, _read_four_qubit_weak, params={"wire_sites": 2, "J": 1.0, "g": 0.1},
                               oracle=_four_qubit_chain, **_FOUR_QUBITS),
-    "closed_form_four_qubit": _Reads(_run_closed_form, params={"g": 1e-2, "J": 1.0}, closed_form=True, **_FOUR_QUBITS),
+    "closed_form_four_qubit": _Reads(lambda spec: None, _read_closed_form, params={"g": 1e-2, "J": 1.0},
+                                     closed_form=True, **_FOUR_QUBITS),
 }
 SCENARIO_KINDS = tuple(SCENARIOS)

@@ -401,6 +401,30 @@ def test_csv_writes_floats_as_their_shortest_repr(tmp_path):
     assert out.read_bytes() == b"name,a,b\r\npsi+,0.30000000000000004,1.0\r\nphi-,1e-17,nan\r\n"
 
 
+EDGE_FLOATS = [math.nan, 0.0, -0.0, math.inf, -math.inf, 5e-324, 1e16, 1e-5, 0.1 + 0.2, -1.5e300, 2.0**53 + 1]
+
+
+@pytest.mark.parametrize("data", [
+    {"x": EDGE_FLOATS, "y": EDGE_FLOATS[::-1]},
+    {"label": ["a,b", 'say "hi"', "two\nlines", "cr\rlf", "plain", ""], "v": EDGE_FLOATS[:6]},
+    {"a,b": [1.0], 'q"': [2.0], "line\nbreak": [3.0]},
+    {"t": [], "family": np.array([], dtype=str)},
+    {"only": ["", "x", ""]},
+], ids=["edge-floats", "text-cells", "header", "zero-rows", "one-empty-cell"])
+def test_csv_bytes_equal_csv_writer(tmp_path, data):
+    """write_csv writes what csv.writer writes for the same header and rows of Python floats and text."""
+    from spinmaps.protocols import ScenarioResult
+
+    result = ScenarioResult("x", data)
+    out, ref = tmp_path / "out.csv", tmp_path / "ref.csv"
+    assert result.write_csv(out) == len(result.rows)
+    with open(ref, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(result.columns)
+        writer.writerows(result.rows)
+    assert out.read_bytes() == ref.read_bytes()
+
+
 TRANSFER_N80 = """\
 scenario: two_qubit_transfer
 network:
@@ -769,15 +793,19 @@ def _skew_oracle_output(monkeypatch):
 
 
 def _fail_measure_check(monkeypatch, from_run=0):
-    """A measure's range check fails from the ``from_run``-th scenario run on (0: also outside any run)."""
-    runs, run, clip = [], protocols.run, measures._clip_unit
+    """A measure's range check fails from the ``from_run``-th scenario read-out on (0: also outside any run)."""
+    runs, clip = [], measures._clip_unit
 
     def failing(x):
         if len(runs) >= from_run:
             raise ValueError("measure value 1.5 outside [0, 1] beyond tolerance")
         return clip(x)
 
-    monkeypatch.setattr(protocols, "run", lambda spec: runs.append(spec) or run(spec))
+    def counted(read):
+        return lambda spec, built: runs.append(spec) or read(spec, built)
+
+    for kind, reads in protocols.SCENARIOS.items():
+        monkeypatch.setitem(protocols.SCENARIOS, kind, reads._replace(read=counted(reads.read)))
     monkeypatch.setattr(measures, "_clip_unit", failing)
 
 

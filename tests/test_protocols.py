@@ -486,6 +486,47 @@ def test_spec_holds_the_values_its_kind_reads():
     assert replace(dual, network_b=longer, sites={**dual.sites, "receiver_b": 3}).sites["receiver_b"] == 3
 
 
+WEIGHTS = [0.4, 0.55, 0.7, 0.85, 1.0]
+
+
+@pytest.mark.parametrize("kind, sites, builds", [
+    ("distribute_single", {"sender": 0, "receiver": 3}, [1]),
+    ("distribute_dual", {"sender_a": 0, "receiver_a": 3, "sender_b": 1, "receiver_b": 3}, [1, 1]),
+    ("two_qubit_transfer", {"senders": [0, 1], "receivers": [3, 2]}, [1, 2]),
+])
+def test_werner_sweep_builds_one_map(sector_builds, kind, sites, builds):
+    """A p sweep builds the map once and reads it out per weight: the columns of one run per weight."""
+    net = SpinNetwork.chain([1.0, 0.8, 1.2], [0.1, -0.2, 0.05], [0.1, 0.0, -0.1, 0.2])
+    spec = ScenarioSpec(kind=kind, times=tuple(np.linspace(0.1, 4.0, 11)), network=net, sites=sites,
+                        initial={"kind": "werner", "p": 0.5})
+    swept = sweep_specs(spec, "p", WEIGHTS)
+    result = sweep("p", swept)
+    assert sector_builds == builds
+    runs = [run(s) for _, s in swept]
+    assert result.columns == ("p",) + runs[0].columns
+    assert np.array_equal(result.column("p"), np.repeat(WEIGHTS, 11))
+    for name in runs[0].columns:
+        assert np.array_equal(result.column(name), np.concatenate([r.column(name) for r in runs]), equal_nan=True)
+
+
+def test_params_sweep_builds_a_map_per_value(sector_builds):
+    weak = ScenarioSpec(kind="weak_pair", times=(0.0, 5.0, 10.0))
+    result = sweep("g", sweep_specs(weak, "g", [0.1, 0.2, 0.3]))
+    assert sector_builds == [1, 2] * 3
+    assert len(result.rows) == 9
+
+
+def test_werner_sweep_checks_each_weight_and_the_map_once(check_calls):
+    """verify.oracle reads each weight's outputs; the CPTP verdict is of the one map."""
+    spec = ScenarioSpec(kind="distribute_single", times=(0.2, 0.9, 1.6), network=chain3(),
+                        sites={"sender": 0, "receiver": 2}, initial={"kind": "werner", "p": 0.5},
+                        verify_oracle=True, verify_cptp=True)
+    result = sweep("p", sweep_specs(spec, "p", [0.4, 0.7, 1.0]))
+    assert check_calls == {"reduced_output": 3, "is_cptp": 1}
+    assert result.column("oracle_dev").max() <= 1e-10
+    assert np.array_equal(result.column("cptp_min_eig"), np.tile(run(spec).column("cptp_min_eig"), 3))
+
+
 def test_sweep_builds_every_spec_before_the_first_run(monkeypatch):
     """A bad value later in the grid is rejected before any value runs."""
     def refuse(spec):
