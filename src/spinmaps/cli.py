@@ -26,96 +26,21 @@ OUTPUT_DIR_ENV = "SPINMAPS_OUTPUT_DIR"
 # ---------------------------------------------------------------------------
 # configuration files
 
-# the fields each network kind reads besides ``kind``, which defaults to chain; the first is required
-_NETWORK_FIELDS = {"uniform_chain": ("sites", "coupling"), "chain": ("couplings", "zz_couplings", "fields"),
-                   "matrix": ("xy", "zz", "fields")}
-_SECTION_KEYS = {"times": ("start", "stop", "points", "list"), "verify": ("oracle", "cptp"),
-                 "tolerances": ("oracle",), "sweep": ("axis", "values")}
-_TOP_KEYS = ("scenario", "network", "network_b", "sites", "initial", "params", "output", *_SECTION_KEYS)
-
-
 # libyaml's parser, where PyYAML was built with it: the same safe constructor and
 # resolver as yaml.safe_load, about 7x faster on a run configuration
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
-def parse_config(text: str) -> dict:
-    """Parse a YAML run configuration once spinmaps reads every key of its top level and of ``_SECTION_KEYS``."""
+def parse_config(text: str):
+    """Parse a YAML run configuration; :func:`spinmaps.protocols.spec_from_config` reads what it holds."""
     try:
-        cfg = yaml.load(text, Loader=_YAML_LOADER)
+        return yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError:
         # libyaml's messages omit the source line; report the pure-Python parser's
         try:
-            cfg = yaml.safe_load(text)
+            return yaml.safe_load(text)
         except yaml.YAMLError as exc:
             raise ValueError(f"invalid YAML: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ValueError("configuration must be a mapping at top level")
-    protocols.reject_unread(cfg, _TOP_KEYS, "", "spinmaps")
-    for key, accepted in _SECTION_KEYS.items():
-        if cfg.get(key) is not None:
-            protocols.read_section(cfg[key], accepted, key, "spinmaps")
-    return cfg
-
-
-def _numbers(value, name: str):
-    """A number, or a (nested) list of numbers, as floats; each entry is checked by ``finite_number``."""
-    if isinstance(value, (list, tuple)):
-        return [_numbers(v, name) for v in value]
-    return protocols.finite_number(value, name)
-
-
-def _network_from_config(section: dict, where: str) -> SpinNetwork:
-    kind = protocols.section_kind(section, _NETWORK_FIELDS, where, "network", "chain")
-    required = _NETWORK_FIELDS[kind][0]
-    if section.get(required) is None:
-        raise ValueError(f"{where}.{required} is required by network kind {kind!r}")
-    # every number the section gives, entry by entry; an absent optional field reads as None
-    num = {key: _numbers(value, f"{where}.{key}")
-           for key, value in section.items() if key not in ("kind", "sites") and value is not None}
-    if kind == "uniform_chain":
-        sites = protocols.whole_number(section["sites"], f"{where}.sites")
-        return SpinNetwork.uniform_chain(sites, num.get("coupling", 1.0))
-    if kind == "chain":
-        return SpinNetwork.chain(num["couplings"], num.get("zz_couplings"), num.get("fields"))
-    return SpinNetwork(np.array(num["xy"]), num.get("zz"), num.get("fields"))
-
-
-def _times_from_config(section) -> tuple:
-    if section is None:
-        raise ValueError("missing required section 'times'")
-    if "list" in section:
-        times = section["list"]
-        if not isinstance(times, (list, tuple)):
-            raise ValueError(f"times.list must be a list of numbers, got {times!r}")
-        return tuple(protocols.real_number(t, "times.list") for t in times)
-    try:
-        start = protocols.real_number(section["start"], "times.start")
-        stop = protocols.real_number(section["stop"], "times.stop")
-        points = protocols.whole_number(section["points"], "times.points", minimum=1)
-    except KeyError as exc:
-        raise ValueError(f"times section needs start/stop/points or list (missing {exc})") from exc
-    return tuple(np.linspace(start, stop, points))
-
-
-def spec_from_config(cfg: dict, tolerance=None) -> protocols.ScenarioSpec:
-    """The scenario ``cfg`` describes, every input read; ``tolerance``, if given, overrides ``tolerances.oracle``."""
-    verify, tolerances = cfg.get("verify") or {}, cfg.get("tolerances") or {}
-    oracle_tol = protocols.positive_tolerance(tolerances.get("oracle", protocols.ORACLE_TOL), "tolerances.oracle")
-    for key, value in verify.items():
-        if not isinstance(value, bool):
-            raise ValueError(f"verify.{key} must be true or false, got {value!r}")
-    return protocols.ScenarioSpec(
-        kind=cfg.get("scenario"),
-        times=_times_from_config(cfg.get("times")),
-        **{key: _network_from_config(cfg[key], key) for key in ("network", "network_b") if cfg.get(key) is not None},
-        sites=cfg.get("sites", {}),
-        initial={} if cfg.get("initial") is None else cfg["initial"],
-        params=cfg.get("params", {}),
-        verify_oracle=verify.get("oracle", False),
-        verify_cptp=verify.get("cptp", False),
-        oracle_tol=oracle_tol if tolerance is None else protocols.positive_tolerance(tolerance, "--tolerance"),
-    )
 
 
 def _output_path(path, default_name: str) -> str:
@@ -250,11 +175,6 @@ def figure5_result(points: int = 201) -> protocols.ScenarioResult:
     return protocols.ScenarioResult.concat("figure5", curves)
 
 
-def figure7_result(points: int = 1000) -> protocols.ScenarioResult:
-    """Four-qubit measures of the weak-coupling closed form over three windows."""
-    return protocols.four_qubit_measure_sweep(points_per_window=points)
-
-
 # ---------------------------------------------------------------------------
 # entry point
 
@@ -320,7 +240,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse_config(fh.read())
@@ -328,30 +248,25 @@ def _load_config(path: str) -> dict:
         raise ValueError(f"cannot read config {path!r}: {exc}") from exc
 
 
-def _write(result, out: str, show_meta=False) -> int:
+def _write(result, out: str) -> int:
+    """Write ``result`` to ``out``, then print its meta (a run's report) and the rows written."""
     rows = result.write_csv(out)
-    for key, value in result.meta.items() if show_meta else ():
+    for key, value in result.meta.items():
         print(f"{key}: {value}")
     print(f"wrote {rows} rows to {out}")
     return 0
 
 
-def _read_run(args):
+def _read_config_command(args):
+    """``run`` or ``sweep``: every spec the config file describes, read by :mod:`spinmaps.protocols`."""
     cfg = _load_config(args.config)
-    spec = spec_from_config(cfg, args.tolerance)
-    out = _output_path(args.output or cfg.get("output"), f"{spec.kind}.csv")
-    return lambda: _write(protocols.run(spec), out, show_meta=True)
-
-
-def _read_sweep(args):
-    cfg = _load_config(args.config)
-    sweep_cfg = cfg.get("sweep")
-    if not sweep_cfg or "axis" not in sweep_cfg or "values" not in sweep_cfg:
-        raise ValueError("sweep requires a 'sweep:' section with 'axis' and 'values'")
-    spec = spec_from_config(cfg, args.tolerance)
-    axis = str(sweep_cfg["axis"])
-    swept = protocols.sweep_specs(spec, axis, sweep_cfg["values"])
-    out = _output_path(args.output or cfg.get("output"), f"{spec.kind}_{axis}_sweep.csv")
+    tolerance = None if args.tolerance is None else protocols.positive_tolerance(args.tolerance, "--tolerance")
+    if args.command == "run":
+        spec = protocols.spec_from_config(cfg, tolerance)
+        out = _output_path(args.output or cfg.get("output"), f"{spec.kind}.csv")
+        return lambda: _write(protocols.run(spec), out)
+    axis, swept = protocols.sweep_from_config(cfg, tolerance)
+    out = _output_path(args.output or cfg.get("output"), f"{swept[0][1].kind}_{axis}_sweep.csv")
     return lambda: _write(protocols.sweep(axis, swept), out)
 
 
@@ -370,7 +285,7 @@ def _read_verify(args):
 def _read_figure(args):
     if args.points is not None and args.points < 1:
         raise ValueError(f"--points must be at least 1, got {args.points}")
-    make = {3: figure3_result, 5: figure5_result, 7: figure7_result}[args.number]
+    make = {3: figure3_result, 5: figure5_result, 7: protocols.four_qubit_measure_sweep}[args.number]
     out = _output_path(args.output, f"figure{args.number}.csv")
     return lambda: _write(make() if args.points is None else make(args.points), out)
 
@@ -378,9 +293,9 @@ def _read_figure(args):
 def main(argv=None) -> int:
     """Each command reads and checks every input, then computes: exit 2 if reading fails, 1 if computing does."""
     args = _build_parser().parse_args(argv)
-    readers = {"run": _read_run, "sweep": _read_sweep, "verify": _read_verify, "figure": _read_figure}
+    readers = {"verify": _read_verify, "figure": _read_figure}
     try:
-        compute = readers[args.command](args)
+        compute = readers.get(args.command, _read_config_command)(args)
     except Exception as exc:  # anything raised while reading is the input's fault
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

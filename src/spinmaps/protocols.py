@@ -36,7 +36,7 @@ class VerificationError(RuntimeError):
 
 
 class _Reads(NamedTuple):
-    """A scenario kind's build and read-out, its initial state's qubits and default, and what else it reads.
+    """A scenario kind's build, read-out and report, its initial state's qubits and default, and what else it reads.
 
     See SCENARIOS.
     """
@@ -52,6 +52,7 @@ class _Reads(NamedTuple):
     cptp: bool = True
     oracle: Callable = None
     closed_form: bool = False
+    report: Callable = None
 
 
 def reject_unread(keys, accepted, prefix: str, reader: str):
@@ -101,8 +102,11 @@ class ScenarioSpec:
         if self.kind not in SCENARIO_KINDS:
             raise ValueError(f"unknown scenario kind {self.kind!r}, expected one of {SCENARIO_KINDS}")
         reads, reader = SCENARIOS[self.kind], f"scenario {self.kind!r}"
+        for flag, value in (("oracle", self.verify_oracle), ("cptp", self.verify_cptp)):
+            if not isinstance(value, bool):  # a truthy "no" must not turn a check on
+                raise ValueError(f"verify.{flag} must be true or false, got {value!r}")
         read_section(self.params, reads.params, "params", reader)
-        times = tuple(float(t) for t in self.times)
+        times = tuple(real_number(t, "times") for t in self.times)
         if not times:
             raise ValueError("time grid is empty")
         if not all(map(math.isfinite, times)):
@@ -183,11 +187,10 @@ class ScenarioResult:
         object.__setattr__(self, "data", _equal_columns(self.data))
 
     @classmethod
-    def concat(cls, kind: str, parts, meta=None) -> "ScenarioResult":
+    def concat(cls, kind: str, parts) -> "ScenarioResult":
         """The column dicts ``parts``, which name the same columns, one after another."""
         parts = [_equal_columns(part) for part in parts]
-        return cls(kind, {name: np.concatenate([part[name] for part in parts]) for name in parts[0]},
-                   meta or {})
+        return cls(kind, {name: np.concatenate([part[name] for part in parts]) for name in parts[0]})
 
     @property
     def columns(self) -> tuple:
@@ -323,16 +326,17 @@ def real_number(value, name: str) -> float:
     3, 2.5 and NaN are real numbers; True, "3" and None are not.  Anything
     else raises ValueError naming the field ``name``.
     """
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        hint = ""
-        if isinstance(value, str):
-            try:
-                float(value)
-                hint = " (YAML reads it as text: an exponent needs a decimal point, 1.0e-3 and not 1e-3)"
-            except ValueError:
-                pass
-        raise ValueError(f"{name} must be a real number, got {value!r}{hint}")
-    return float(value)
+    # a float (numpy's float64 is one) first: a time grid is read entry by entry
+    if isinstance(value, float) or (isinstance(value, numbers.Real) and not isinstance(value, bool)):
+        return float(value)
+    hint = ""
+    if isinstance(value, str):
+        try:
+            float(value)
+            hint = " (YAML reads it as text: an exponent needs a decimal point, 1.0e-3 and not 1e-3)"
+        except ValueError:
+            pass
+    raise ValueError(f"{name} must be a real number, got {value!r}{hint}")
 
 
 def finite_number(value, name: str) -> float:
@@ -341,6 +345,94 @@ def finite_number(value, name: str) -> float:
     if not math.isfinite(number):
         raise ValueError(f"{name} must be finite, got {number}")
     return number
+
+
+# ---------------------------------------------------------------------------
+# run configurations: every section of a parsed configuration file is read here
+
+# the fields each network kind reads besides ``kind``, which defaults to chain; the first is required
+NETWORK_FIELDS = {"uniform_chain": ("sites", "coupling"), "chain": ("couplings", "zz_couplings", "fields"),
+                  "matrix": ("xy", "zz", "fields")}
+_SECTION_KEYS = {"times": ("start", "stop", "points", "list"), "verify": ("oracle", "cptp"),
+                 "tolerances": ("oracle",), "sweep": ("axis", "values")}
+_TOP_KEYS = ("scenario", "network", "network_b", "sites", "initial", "params", "output", *_SECTION_KEYS)
+
+
+def _numbers(value, name: str):
+    """A number, or a (nested) list of numbers, as floats; each entry is checked by ``finite_number``."""
+    if isinstance(value, (list, tuple)):
+        return [_numbers(v, name) for v in value]
+    return finite_number(value, name)
+
+
+def _network_from_config(section, where: str) -> SpinNetwork:
+    """The network of the section ``where``; a ``SpinNetwork`` error is prefixed with the section's name."""
+    kind = section_kind(section, NETWORK_FIELDS, where, "network", "chain")
+    required = NETWORK_FIELDS[kind][0]
+    if section.get(required) is None:
+        raise ValueError(f"{where}.{required} is required by network kind {kind!r}")
+    # every number the section gives, entry by entry (sites a whole number); an absent optional field reads as None
+    num = {key: whole_number(value, f"{where}.sites") if key == "sites" else _numbers(value, f"{where}.{key}")
+           for key, value in section.items() if key != "kind" and value is not None}
+    try:
+        if kind == "uniform_chain":
+            return SpinNetwork.uniform_chain(num["sites"], num.get("coupling", 1.0))
+        if kind == "chain":
+            return SpinNetwork.chain(num["couplings"], num.get("zz_couplings"), num.get("fields"))
+        return SpinNetwork(np.array(num["xy"]), num.get("zz"), num.get("fields"))
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
+
+
+def _times_from_config(section):
+    """The ``times`` section's grid: its ``list``, or ``points`` times from ``start`` to ``stop``; never both."""
+    if section is None:
+        raise ValueError("missing required section 'times'")
+    if "list" in section:
+        reject_unread(section, ("list",), "times.", "times given as a list")
+        if not isinstance(section["list"], (list, tuple)):
+            raise ValueError(f"times.list must be a list of numbers, got {section['list']!r}")
+        return section["list"]
+    try:
+        start = real_number(section["start"], "times.start")
+        stop = real_number(section["stop"], "times.stop")
+        points = whole_number(section["points"], "times.points", minimum=1)
+    except KeyError as exc:
+        raise ValueError(f"times section needs start/stop/points or list (missing {exc})") from exc
+    return tuple(np.linspace(start, stop, points))
+
+
+def spec_from_config(cfg, tolerance=None) -> ScenarioSpec:
+    """The scenario of a parsed configuration file, every key read; ``tolerance`` replaces ``tolerances.oracle``."""
+    if not isinstance(cfg, dict):
+        raise ValueError("configuration must be a mapping at top level")
+    reject_unread(cfg, _TOP_KEYS, "", "spinmaps")
+    for key, accepted in _SECTION_KEYS.items():
+        if cfg.get(key) is not None:
+            read_section(cfg[key], accepted, key, "spinmaps")
+    verify = cfg.get("verify") or {}
+    spec = ScenarioSpec(
+        kind=cfg.get("scenario"),
+        times=_times_from_config(cfg.get("times")),
+        **{key: _network_from_config(cfg[key], key) for key in ("network", "network_b") if cfg.get(key) is not None},
+        sites=cfg.get("sites", {}),
+        initial={} if cfg.get("initial") is None else cfg["initial"],
+        params=cfg.get("params", {}),
+        verify_oracle=verify.get("oracle", False),
+        verify_cptp=verify.get("cptp", False),
+        oracle_tol=(cfg.get("tolerances") or {}).get("oracle", ORACLE_TOL),
+    )
+    return spec if tolerance is None else replace(spec, oracle_tol=tolerance)
+
+
+def sweep_from_config(cfg, tolerance=None) -> tuple:
+    """``(axis, sweep_specs(...))`` of the ``sweep`` section of a parsed configuration file (see spec_from_config)."""
+    spec = spec_from_config(cfg, tolerance)
+    section = cfg.get("sweep")
+    if not section or "axis" not in section or "values" not in section:
+        raise ValueError("sweep requires a 'sweep:' section with 'axis' and 'values'")
+    axis = str(section["axis"])
+    return axis, sweep_specs(spec, axis, section["values"])
 
 
 # ---------------------------------------------------------------------------
@@ -413,17 +505,18 @@ def four_qubit_measure_sweep(points_per_window: int = 1000) -> ScenarioResult:
         t = thetas * j / g**2
         psi = four_qubit_closed_form(g, j, t, FIGURE7_START)
         windows.append({"window": w, "t": t, "theta": thetas, **measures.four_qubit_measures(psi)})
-    meta = {"g": g, "J": j, "initial": FIGURE7_START}
-    return ScenarioResult.concat("four_qubit_measure_sweep", windows, meta)
+    return ScenarioResult.concat("four_qubit_measure_sweep", windows)
 
 
 # ---------------------------------------------------------------------------
 # scenario runners
 
 def run(spec: ScenarioSpec) -> ScenarioResult:
-    """Execute one scenario and return its time series: build its map, then read it out for ``spec``'s initial state."""
+    """Execute one scenario: build its map, read it out for ``spec``'s initial state, add its kind's report as meta."""
     reads = SCENARIOS[spec.kind]
-    return reads.read(spec, reads.build(spec))
+    built = reads.build(spec)
+    result = reads.read(spec, built)
+    return replace(result, meta=reads.report(spec, built, result)) if reads.report else result
 
 
 def sweep_specs(spec: ScenarioSpec, axis: str, values) -> list:
@@ -435,12 +528,10 @@ def sweep_specs(spec: ScenarioSpec, axis: str, values) -> list:
     if axis not in params and (axis, spec.initial["kind"]) != ("p", "werner"):
         raise ValueError(f"sweep.axis {axis!r} changes nothing in scenario {spec.kind!r} "
                          f"(accepted: 'p' on a Werner initial state, params: {', '.join(params) or 'none'})")
-    grid = None
-    if not isinstance(values, str):  # a string would iterate as characters
-        try:
-            grid = [real_number(v, "sweep.values") for v in values]
-        except (TypeError, ValueError):
-            pass
+    try:  # a string would iterate as characters
+        grid = None if isinstance(values, str) else [real_number(v, "sweep.values") for v in values]
+    except (TypeError, ValueError):
+        grid = None
     if grid is None:
         raise ValueError(f"sweep.values must be a list of numbers, got {values!r}")
     if not grid:
@@ -454,7 +545,7 @@ def sweep(axis: str, swept) -> ScenarioResult:
     """Run each (value, spec) of :func:`sweep_specs`: one result, the swept value as its first column.
 
     The map is built from everything a spec reads but its initial state, so a ``p`` sweep builds it
-    once and reads it out for each weight; a ``params`` sweep builds one for each value.
+    once and reads it out for each weight; a ``params`` sweep builds one for each value.  It makes no report.
     """
     kind = swept[0][1].kind
     reads = SCENARIOS[kind]
@@ -483,7 +574,7 @@ def _channel_map(spec: ScenarioSpec, channel: maps.KrausSet, *held) -> _ChannelM
     return _ChannelMap(channel, held, maps.is_cptp(channel) if spec.verify_cptp else None)
 
 
-def _result(spec: ScenarioSpec, columns: dict, rho_out=None, cptp=None, meta=None) -> ScenarioResult:
+def _result(spec: ScenarioSpec, columns: dict, rho_out=None, cptp=None) -> ScenarioResult:
     """``t``, then ``columns``, then the check columns ``spec`` asks for.
 
     ``oracle_dev`` is :func:`_oracle_deviations` of the receiver states
@@ -501,7 +592,7 @@ def _result(spec: ScenarioSpec, columns: dict, rho_out=None, cptp=None, meta=Non
                 f"map failed the CPTP check (min Choi eigenvalue {cptp.min_choi_eigenvalue[bad[0]]:.3e})"
             )
         data["cptp_min_eig"] = cptp.min_choi_eigenvalue
-    return ScenarioResult(spec.kind, data, meta or {})
+    return ScenarioResult(spec.kind, data)
 
 
 def _oracle_deviations(spec, rho_out) -> np.ndarray:
@@ -549,10 +640,12 @@ def _four_qubit_chain(spec):
     return net, corners, corners
 
 
-def _build_qst(spec: ScenarioSpec) -> _ChannelMap:
+def _build_one_rail(spec: ScenarioSpec) -> _ChannelMap:
+    """``qst``'s one-qubit channel, and ``distribute_single``'s, which keeps its first qubit idle."""
     net, sender, receiver = spec.network, spec.sites["sender"], spec.sites["receiver"]
     f = maps.NetworkChannel(net).amplitude(sender, receiver, np.array(spec.times))
-    return _channel_map(spec, maps.one_qubit_kraus(f), f)
+    channel = maps.one_qubit_kraus(f)
+    return _channel_map(spec, channel if spec.kind == "qst" else maps.extend_with_identity(channel), f)
 
 
 def _read_qst(spec: ScenarioSpec, built: _ChannelMap) -> ScenarioResult:
@@ -561,29 +654,6 @@ def _read_qst(spec: ScenarioSpec, built: _ChannelMap) -> ScenarioResult:
     columns = {
         "f_re": f.real, "f_im": f.imag, "f_abs": np.abs(f),
         "out_p1": out[:, 1, 1].real, "out_coh_re": out[:, 0, 1].real, "out_coh_im": out[:, 0, 1].imag,
-    }
-    return _result(spec, columns, out, built.cptp)
-
-
-def _build_distribute_single(spec: ScenarioSpec) -> _ChannelMap:
-    net, sender, receiver = spec.network, spec.sites["sender"], spec.sites["receiver"]
-    f = maps.NetworkChannel(net).amplitude(sender, receiver, np.array(spec.times))
-    return _channel_map(spec, maps.extend_with_identity(maps.one_qubit_kraus(f)), f)
-
-
-def _read_distribute_single(spec: ScenarioSpec, built: _ChannelMap) -> ScenarioResult:
-    (f,) = built.held
-    c_in = measures.concurrence(spec.rho_in)
-    x_in = _x_state_or_none(spec.rho_in)
-    out = maps.apply(built.channel, spec.rho_in)
-    c_out = measures.concurrence(out)
-    if x_in is not None:
-        _, c1, c2 = measures.transferred_concurrence(x_in, f)
-    else:
-        c1 = c2 = math.nan
-    columns = {
-        "f_re": f.real, "f_im": f.imag, "f_abs": np.abs(f), "concurrence": c_out, "c1": c1, "c2": c2,
-        "initial_concurrence": c_in, "ratio": c_out / c_in if c_in > 0 else math.nan,
     }
     return _result(spec, columns, out, built.cptp)
 
@@ -597,21 +667,26 @@ def _build_distribute_dual(spec: ScenarioSpec) -> _ChannelMap:
     return _channel_map(spec, maps.tensor_map(maps.one_qubit_kraus(f), maps.one_qubit_kraus(g)), f, g)
 
 
-def _read_distribute_dual(spec: ScenarioSpec, built: _ChannelMap) -> ScenarioResult:
-    f, g = built.held
+def _read_distribute(spec: ScenarioSpec, built: _ChannelMap) -> ScenarioResult:
+    """The concurrence one rail (amplitude f) or two rails (f and g) carry, with its X-state closed form c1, c2."""
+    f = built.held[0]
     c_in = measures.concurrence(spec.rho_in)
     x_in = _x_state_or_none(spec.rho_in)
     out = maps.apply(built.channel, spec.rho_in)
     c_out = measures.concurrence(out)
-    # the closed form holds where both rails carry the same amplitude
     c1, c2 = np.full(f.shape, math.nan), np.full(f.shape, math.nan)
-    same = np.abs(f - g) < 1e-12
-    if x_in is not None and same.any():
-        _, c1[same], c2[same] = measures.dual_rail_concurrence(x_in, f[same])
-    columns = {
-        "f_abs": np.abs(f), "g_abs": np.abs(g), "concurrence": c_out, "c1": c1, "c2": c2,
-        "initial_concurrence": c_in, "ratio": c_out / c_in if c_in > 0 else math.nan,
-    }
+    if spec.kind == "distribute_single":
+        amplitudes = {"f_re": f.real, "f_im": f.imag, "f_abs": np.abs(f)}
+        if x_in is not None:
+            _, c1, c2 = measures.transferred_concurrence(x_in, f)
+    else:  # the closed form holds where both rails carry the same amplitude
+        g = built.held[1]
+        amplitudes = {"f_abs": np.abs(f), "g_abs": np.abs(g)}
+        same = np.abs(f - g) < 1e-12
+        if x_in is not None and same.any():
+            _, c1[same], c2[same] = measures.dual_rail_concurrence(x_in, f[same])
+    columns = {**amplitudes, "concurrence": c_out, "c1": c1, "c2": c2,
+               "initial_concurrence": c_in, "ratio": c_out / c_in if c_in > 0 else math.nan}
     return _result(spec, columns, out, built.cptp)
 
 
@@ -638,9 +713,16 @@ def _build_weak_pair(spec: ScenarioSpec) -> _ChannelMap:
 
 
 def _read_weak_pair(spec: ScenarioSpec, built: _ChannelMap) -> ScenarioResult:
-    chan, (a, b) = built.held
     out = maps.apply(built.channel, spec.rho_in)
-    conc = measures.concurrence(out)
+    # E_0[1, 2] = f1(i, m) is f(a -> b), read from the k=1 column the channel already holds
+    columns = {"f_ab_abs": np.abs(built.channel.operators[0][:, 1, 2]), "concurrence": measures.concurrence(out)}
+    return _result(spec, columns, out, built.cptp)
+
+
+def _report_weak_pair(spec: ScenarioSpec, built: _ChannelMap, result: ScenarioResult) -> dict:
+    """The concurrence peak: the grid's highest, refined by a golden-section search between its neighbours."""
+    chan, (a, b) = built.held
+    conc = result.data["concurrence"]
     peak_idx = int(np.argmax(conc))
     peak_t, peak_c = spec.times[peak_idx], float(conc[peak_idx])
     if 0 < peak_idx < len(spec.times) - 1:
@@ -657,9 +739,7 @@ def _read_weak_pair(spec: ScenarioSpec, built: _ChannelMap) -> ScenarioResult:
                 peak_t, peak_c = float(res.x), float(-res.fun)
         except ValueError:
             pass  # non-bracketing grid triple; keep the grid peak
-    # E_0[1, 2] = f1(i, m) is f(a -> b), read from the k=1 column the channel already holds
-    columns = {"f_ab_abs": np.abs(built.channel.operators[0][:, 1, 2]), "concurrence": conc}
-    return _result(spec, columns, out, built.cptp, meta={"peak_time": peak_t, "peak_concurrence": peak_c})
+    return {"peak_time": peak_t, "peak_concurrence": peak_c}
 
 
 def _read_four_qubit_weak(spec: ScenarioSpec, built) -> ScenarioResult:
@@ -683,7 +763,7 @@ def _read_four_qubit_weak(spec: ScenarioSpec, built) -> ScenarioResult:
         "purity": np.trace(red @ red, axis1=1, axis2=2).real,
         "closed_form_fidelity": fid,
     }
-    return _result(spec, columns, red, meta={"n_sites": net.n_sites})
+    return _result(spec, columns, red)
 
 
 def _read_closed_form(spec: ScenarioSpec, _built) -> ScenarioResult:
@@ -691,7 +771,7 @@ def _read_closed_form(spec: ScenarioSpec, _built) -> ScenarioResult:
     times = np.array(spec.times)
     psi = four_qubit_closed_form(g, j, times, label)
     columns = {"theta": g**2 * times / j, **measures.four_qubit_measures(psi)}
-    return _result(spec, columns, meta={"g": g, "J": j, "initial": label})
+    return _result(spec, columns)
 
 
 _FOUR_QUBITS = dict(qubits=4, initial={"kind": "basis", "string": "1100"}, networks=(), basis=True, cptp=False)
@@ -702,22 +782,26 @@ _FOUR_QUBITS = dict(qubits=4, initial={"kind": "basis", "string": "1100"}, netwo
 # pairs, every param, the initial state's description and, as rho_in, its density matrix.  ``build`` makes the
 # kind's map from all of it but the initial state, and ``read`` reads that map out for the spec's initial state.
 # ``oracle`` gives the triple verify.oracle evolves (see above); a closed_form kind's couplings and label are
-# checked when its spec is built.
+# checked when its spec is built.  ``report`` gives what ``run`` adds as the result's meta, which
+# ``spinmaps run`` prints beside the CSV; a sweep makes none.
 SCENARIOS = {
-    "qst": _Reads(_build_qst, _read_qst, 1, {"kind": "basis", "string": "1"}, sites=("sender", "receiver"),
+    "qst": _Reads(_build_one_rail, _read_qst, 1, {"kind": "basis", "string": "1"}, sites=("sender", "receiver"),
                   oracle=lambda spec: (spec.network, [spec.sites["sender"]], [spec.sites["receiver"]])),
-    "distribute_single": _Reads(_build_distribute_single, _read_distribute_single, 2, sites=("sender", "receiver"),
+    "distribute_single": _Reads(_build_one_rail, _read_distribute, 2, sites=("sender", "receiver"),
                                 oracle=_idle_qubit_beside),
-    "distribute_dual": _Reads(_build_distribute_dual, _read_distribute_dual, 2,
+    "distribute_dual": _Reads(_build_distribute_dual, _read_distribute, 2,
                               sites=("sender_a", "receiver_a", "sender_b", "receiver_b"),
                               networks=("network", "network_b"), oracle=_two_rails),
     "two_qubit_transfer": _Reads(_build_two_qubit, _read_two_qubit, 2, sites=("senders", "receivers"), oracle=_pair),
     "storage": _Reads(_build_two_qubit, _read_two_qubit, 2, sites=("senders",), oracle=_pair),
     "weak_pair": _Reads(_build_weak_pair, _read_weak_pair, 2, {"kind": "basis", "string": "10"},
-                        params={"wire_sites": 4, "J": 1.0, "g": 0.1}, networks=(), oracle=_weak_pair_chain),
+                        params={"wire_sites": 4, "J": 1.0, "g": 0.1}, networks=(), oracle=_weak_pair_chain,
+                        report=_report_weak_pair),
     "four_qubit_weak": _Reads(_four_qubit_chain, _read_four_qubit_weak, params={"wire_sites": 2, "J": 1.0, "g": 0.1},
-                              oracle=_four_qubit_chain, **_FOUR_QUBITS),
+                              oracle=_four_qubit_chain, report=lambda spec, built, _: {"n_sites": built[0].n_sites},
+                              **_FOUR_QUBITS),
     "closed_form_four_qubit": _Reads(lambda spec: None, _read_closed_form, params={"g": 1e-2, "J": 1.0},
-                                     closed_form=True, **_FOUR_QUBITS),
+                                     closed_form=True, **_FOUR_QUBITS,
+                                     report=lambda spec, *_: {**spec.params, "initial": spec.initial["string"]}),
 }
 SCENARIO_KINDS = tuple(SCENARIOS)

@@ -13,10 +13,10 @@ from spinmaps.cli import (
     figure5_result,
     main,
     parse_config,
-    spec_from_config,
 )
 from spinmaps.network import AmplitudeTable, SectorPropagator
 from spinmaps.oracle import MAX_SITES
+from spinmaps.protocols import spec_from_config
 
 GOOD_CONFIG = """\
 scenario: distribute_single
@@ -52,11 +52,11 @@ def test_parse_and_roundtrip():
 
 def test_unknown_keys_rejected():
     with pytest.raises(ValueError, match=r"^banana is not read by spinmaps \(accepted: scenario, network, network_b, "):
-        parse_config(GOOD_CONFIG + "banana: 1\n")
+        spec_from_config(parse_config(GOOD_CONFIG + "banana: 1\n"))
     with pytest.raises(ValueError, match=r"^times.step is not read by spinmaps \(accepted: start, stop, points, "):
-        parse_config("scenario: qst\ntimes: {start: 0, stop: 1, step: 2}\n")
+        spec_from_config(parse_config("scenario: qst\ntimes: {start: 0, stop: 1, step: 2}\n"))
     with pytest.raises(ValueError, match=r"^section 'verify' must be a mapping"):
-        parse_config(QST_CONFIG + "verify: [oracle]\n")
+        spec_from_config(parse_config(QST_CONFIG + "verify: [oracle]\n"))
     with pytest.raises(ValueError):
         spec_from_config(parse_config(GOOD_CONFIG.replace("  p: 0.7", "  p: 0.7\n  q: 3")))
     # the scenario kind is checked once, where the spec is built
@@ -343,6 +343,16 @@ def test_bad_oracle_tolerance_in_config_exits_2(tmp_path, capsys, tolerance):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_bad_oracle_tolerance_in_config_exits_2_beside_a_good_flag(tmp_path, capsys, command):
+    config = tmp_path / "run.yaml"
+    config.write_text(GOOD_CONFIG + "tolerances: {oracle: -1.0e-8}\nsweep: {axis: p, values: [0.5, 0.9]}\n")
+    out = tmp_path / "never.csv"
+    assert main([command, str(config), "--output", str(out), "--tolerance", "1.0e-6"]) == 2
+    assert capsys.readouterr().err == "configuration error: tolerances.oracle must be finite and positive, got -1e-08\n"
+    assert not out.exists()
+
+
 def test_non_finite_time_exits_2_naming_times(tmp_path, capsys):
     config = tmp_path / "run.yaml"
     config.write_text("scenario: four_qubit_weak\ntimes:\n  list: [0.0, .nan]\n")
@@ -618,7 +628,7 @@ TRANSFER_CONFIG = ("scenario: two_qubit_transfer\nnetwork: {kind: uniform_chain,
     ("run", QST_CONFIG.replace("start: 0.0", "start: abc"), "times.start must be a real number, got 'abc'"),
     ("run", QST_CONFIG.replace("stop: 1.0", "stop: [1.0]"), "times.stop must be a real number, got [1.0]"),
     ("run", CHAIN_CONFIG.format("couplings: [1, 1]").replace("[0.0, 1.0]", "[0, 1, x]"),
-     "times.list must be a real number, got 'x'"),
+     "times must be a real number, got 'x'"),
     ("run", "scenario: weak_pair\ntimes: {list: [0.0, 1.0]}\nparams: {g: abc}\n", "params.g must be a real number, got 'abc'"),
     ("run", "scenario: four_qubit_weak\ntimes: {list: [0.0, 1.0]}\nparams: {J: true}\n",
      "params.J must be a real number, got True"),
@@ -661,6 +671,13 @@ TRANSFER_CONFIG = ("scenario: two_qubit_transfer\nnetwork: {kind: uniform_chain,
     ("run", CHAIN_CONFIG.format("kind: matrix, zz: [[0, 1], [1, 0]]"), "network.xy is required by network kind 'matrix'"),
     ("run", DUAL_CONFIG + "network_b: {kind: uniform_chain, coupling: 1.0}\n",
      "network_b.sites is required by network kind 'uniform_chain'"),
+    ("run", CHAIN_CONFIG.format("couplings: [1, 1]").replace("{list: [0.0, 1.0]}",
+                                                             "{list: [0.0, 1.0], start: 5.0, stop: 9.0, points: 100}"),
+     "times.start is not read by times given as a list (accepted: list)"),
+    ("run", DUAL_CONFIG + "network_b: {kind: matrix, xy: [[0, 1, 0], [0.5, 0, 1], [0, 1, 0]]}\n",
+     "network_b: xy couplings must be symmetric"),
+    ("run", CHAIN_CONFIG.format("couplings: [1, 1, 1], fields: [0.1, 0.2]"),
+     "network: fields must have shape (4,), got (2,)"),
 ], ids=["sweep-values-int", "sweep-values-text", "sweep-values-string", "sweep-wire-sites", "sender-fraction", "sender-text",
         "points-fraction", "points-negative", "network-sites", "weak-pair-wire-sites", "four-qubit-wire-sites",
         "four-qubit-no-wire", "pair-number", "pair-fraction", "coupling-text", "coupling-bool", "couplings-entry",
@@ -669,7 +686,8 @@ TRANSFER_CONFIG = ("scenario: two_qubit_transfer\nnetwork: {kind: uniform_chain,
         "oracle-tolerance-text", "basis-no-string", "matrix-no-entries", "matrix-entries-number",
         "matrix-entries-ragged", "rho03-text", "rho03-short-pair", "rho03-bool", "rho12-pair-entry",
         "times-list-number", "sweep-values-bool", "chain-no-couplings", "chain-null-couplings",
-        "default-kind-no-couplings", "uniform_chain-no-sites", "matrix-no-xy", "network_b-no-sites"])
+        "default-kind-no-couplings", "uniform_chain-no-sites", "matrix-no-xy", "network_b-no-sites",
+        "times-list-and-start", "network_b-asymmetric", "fields-shape"])
 def test_sweep_values_and_whole_number_fields_exit_2_naming_the_field(tmp_path, capsys, command, text, message):
     config = tmp_path / "run.yaml"
     config.write_text(text)

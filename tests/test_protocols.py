@@ -48,6 +48,19 @@ def test_checks_without_a_channel_or_network_are_rejected(kind, flag, field):
         ScenarioSpec(kind=kind, times=(0.0, 1.0), **{flag: True})
 
 
+@pytest.mark.parametrize("field, message", [
+    ({"times": ("0", "1.5")}, "times must be a real number, got '0'"),
+    ({"times": (0.0, True)}, "times must be a real number, got True"),
+    ({"verify_oracle": "no"}, "verify.oracle must be true or false, got 'no'"),
+    ({"verify_cptp": 1}, "verify.cptp must be true or false, got 1"),
+])
+def test_library_specs_get_the_config_checks(field, message):
+    """A spec built in code is read as strictly as one from a config file: no float() of text, no truthy flags."""
+    qst = dict(kind="qst", times=(0.0, 1.5), network=chain3(), sites={"sender": 0, "receiver": 2})
+    with pytest.raises(ValueError, match=f"^{message}"):
+        ScenarioSpec(**{**qst, **field})
+
+
 def test_initial_state_descriptions(rng):
     assert np.allclose(build_initial_state({"kind": "basis", "string": "10"}, 2),
                        np.diag([0, 0, 1, 0]).astype(complex))
@@ -525,6 +538,23 @@ def test_werner_sweep_checks_each_weight_and_the_map_once(check_calls):
     assert check_calls == {"reduced_output": 3, "is_cptp": 1}
     assert result.column("oracle_dev").max() <= 1e-10
     assert np.array_equal(result.column("cptp_min_eig"), np.tile(run(spec).column("cptp_min_eig"), 3))
+
+
+def test_only_run_searches_for_the_weak_pair_peak(monkeypatch):
+    """The golden-section peak search is the report ``run`` adds; a sweep reports nothing, so searches nothing."""
+    import scipy.optimize
+
+    searches, search = [], scipy.optimize.minimize_scalar
+    monkeypatch.setattr(scipy.optimize, "minimize_scalar",
+                        lambda *args, **kw: searches.append(args) or search(*args, **kw))
+    weak = ScenarioSpec(kind="weak_pair", times=tuple(np.linspace(0.0, 24.8, 16)), params={"wire_sites": 9})
+    swept = sweep_specs(weak, "g", [0.1, 0.2, 0.3])
+    result = sweep("g", swept)
+    assert searches == [] and result.meta == {}
+    single = run(swept[1][1])
+    assert len(searches) == 1 and set(single.meta) == {"peak_time", "peak_concurrence"}
+    assert single.meta["peak_concurrence"] >= single.column("concurrence").max()
+    assert np.array_equal(result.column("concurrence")[16:32], single.column("concurrence"))
 
 
 def test_sweep_builds_every_spec_before_the_first_run(monkeypatch):
