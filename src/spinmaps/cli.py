@@ -271,23 +271,18 @@ def _read_config_command(args):
 
 
 def _read_verify(args):
-    if args.sites < 3:
-        raise ValueError("verify needs at least 3 sites")
-    if args.trials < 1:
-        raise ValueError(f"--trials must be at least 1, got {args.trials}")
-    if args.seed < 0:
-        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
+    for flag, value, minimum in (("--sites", args.sites, 3), ("--trials", args.trials, 1), ("--seed", args.seed, 0)):
+        protocols.whole_number(value, flag, minimum=minimum)
     protocols.positive_tolerance(args.tolerance, "--tolerance")
     oracle.require_dense_sites(args.sites, "--sites")
     return lambda: _run_checks(args.sites, args.seed, args.tolerance, args.trials)
 
 
 def _read_figure(args):
-    if args.points is not None and args.points < 1:
-        raise ValueError(f"--points must be at least 1, got {args.points}")
+    points = () if args.points is None else (protocols.whole_number(args.points, "--points", minimum=1),)
     make = {3: figure3_result, 5: figure5_result, 7: protocols.four_qubit_measure_sweep}[args.number]
     out = _output_path(args.output, f"figure{args.number}.csv")
-    return lambda: _write(make() if args.points is None else make(args.points), out)
+    return lambda: _write(make(*points), out)
 
 
 def main(argv=None) -> int:

@@ -28,7 +28,8 @@ and :func:`is_cptp` (one verdict value per slice), as do
 :func:`trace_distance`, :func:`partial_trace` and :func:`partial_trace_outer`.
 Every check runs on every slice at its usual tolerance; a scalar time is the
 case without the axis.  :func:`unit_vector` (finite, unit norm) and :func:`partial_trace_outer`
-also serve :mod:`spinmaps.measures` and the oracle; :func:`partial_trace` is their reference.
+also serve :mod:`spinmaps.measures` and the oracle; :func:`partial_trace` is their reference,
+and :func:`amplitude_modulus` is the one bound |f|^2 <= 1 + 1e-10 of the maps and the closed forms.
 """
 
 from __future__ import annotations
@@ -39,11 +40,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .network import AmplitudeTable, NumericalError, SectorPropagator, SpinNetwork
+from .network import AmplitudeTable, NumericalError, SectorPropagator, SpinNetwork, check_sites, check_times
 
 DENSITY_ATOL = 1e-10
 PSD_FLOOR = -1e-9
 COMPLETENESS_ATOL = 1e-10
+AMPLITUDE_ATOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -117,9 +119,7 @@ def partial_trace(rho: np.ndarray, keep, dims) -> np.ndarray:
     total = int(np.prod(dims))
     if rho.ndim not in (2, 3) or rho.shape[-2:] != (total, total):
         raise ValueError(f"state of shape {rho.shape} inconsistent with factor dims {dims}")
-    keep = list(keep)
-    if len(set(keep)) != len(keep) or any(not 0 <= q < len(dims) for q in keep):
-        raise ValueError(f"invalid subsystem selection {keep} for {len(dims)} factors")
+    keep = check_sites(keep, len(dims), "kept")
     rest = [q for q in range(len(dims)) if q not in keep]
     lead, order = rho.shape[:-2], keep + rest
     resh = rho.reshape(lead + tuple(dims + dims))
@@ -137,14 +137,13 @@ def partial_trace_outer(a: np.ndarray, b: np.ndarray, keep, dims) -> np.ndarray:
     stacks of blocks.  The cost is O(prod(dims) * m * d_keep) instead of
     O(prod(dims)^2 * m).
     """
-    dims, keep = list(dims), list(keep)
+    dims = list(dims)
     a, b = np.asarray(a), np.asarray(b)
     total = int(np.prod(dims))
     lead = a.shape[:-2] if a.ndim == 3 else ()
     if a.shape != b.shape or a.ndim > 3 or a.shape[len(lead)] != total:
         raise ValueError(f"blocks of shapes {a.shape}, {b.shape} inconsistent with factor dims {dims}")
-    if len(set(keep)) != len(keep) or any(not 0 <= q < len(dims) for q in keep):
-        raise ValueError(f"invalid subsystem selection {keep} for {len(dims)} factors")
+    keep = check_sites(keep, len(dims), "kept")
     rest = [q for q in range(len(dims)) if q not in keep]
     perm = [*range(len(lead)), *(len(lead) + q for q in keep + rest), len(lead) + len(dims)]
     dk = int(np.prod([dims[q] for q in keep]))
@@ -288,25 +287,30 @@ def is_cptp(map_) -> CptpVerdict:
 # ---------------------------------------------------------------------------
 # one-qubit map
 
+def amplitude_modulus(f) -> np.ndarray:
+    """|f| of a transition amplitude (or of each of an array), clipped to 1 once |f|^2 <= 1 + 1e-10."""
+    modulus = np.abs(np.asarray(f, dtype=complex))
+    if (modulus**2 > 1.0 + AMPLITUDE_ATOL).any():
+        raise ValueError(f"amplitude modulus {modulus.max()} exceeds 1")
+    return np.minimum(modulus, 1.0)
+
+
 def one_qubit_kraus(f) -> KrausSet:
     """Kraus pair of the single-excitation map with transition amplitude f.
 
     E_0 = [[1, 0], [0, f]] together with a single leakage operator
     [[0, sqrt(1-|f|^2)], [0, 0]] that stands in for the whole family of
     environment-resolved operators (only the total 1-|f|^2 enters the map).
-    An array of T amplitudes gives (T, 2, 2) operators.
+    An array of T amplitudes gives (T, 2, 2) operators.  |f| is bounded by
+    :func:`amplitude_modulus`.
     """
     f = np.asarray(f, dtype=complex)
     if f.ndim > 1:
         raise ValueError(f"amplitudes must be a scalar or a 1-D array, got shape {f.shape}")
-    modulus = np.abs(f)
-    rem = 1.0 - modulus**2
-    if (rem < -1e-10).any():
-        raise ValueError(f"amplitude modulus {modulus.max()} exceeds 1")
     ops = np.zeros((2,) + f.shape + (2, 2), dtype=complex)
     ops[0, ..., 0, 0] = 1.0
     ops[0, ..., 1, 1] = f
-    ops[1, ..., 0, 1] = np.sqrt(np.maximum(rem, 0.0))
+    ops[1, ..., 0, 1] = np.sqrt(1.0 - amplitude_modulus(f) ** 2)
     return KrausSet(ops)
 
 
@@ -330,14 +334,6 @@ def tensor_map(m1: KrausSet, m2: KrausSet) -> KrausSet:
 
 # ---------------------------------------------------------------------------
 # two-qubit map
-
-def _check_pair(pair, n: int, label: str):
-    a, b = pair
-    if a == b:
-        raise ValueError(f"{label} sites must be distinct, got {pair}")
-    if not (0 <= a < n and 0 <= b < n):
-        raise ValueError(f"{label} sites {pair} out of range for {n} sites")
-
 
 def two_qubit_kraus(
     k1: AmplitudeTable,
@@ -373,10 +369,8 @@ def two_qubit_kraus(
         raise ValueError("two_qubit_kraus needs a k=1 and a k=2 table")
     if not np.array_equal(k1.time, k2.time):
         raise ValueError(f"amplitude tables at different times: {k1.time} vs {k2.time}")
-    _check_pair(senders, n_sites, "sender")
-    _check_pair(receivers, n_sites, "receiver")
-    i, j = senders
-    n, m = receivers
+    i, j = check_sites(senders, n_sites, "sender")
+    n, m = check_sites(receivers, n_sites, "receiver")
     gauge = np.conj(np.asarray(vacuum_amp, dtype=complex))
     if gauge.shape not in ((), np.shape(k1.time)):
         raise ValueError(f"vacuum phases of shape {gauge.shape} do not match the tables' times")
@@ -434,13 +428,12 @@ class NetworkChannel:
 
     def vacuum(self, t):
         """Phase exp(-i E_vac t) of the fully polarised configuration."""
-        return np.exp(-1j * self._e_vac * np.asarray(t, dtype=float))[()]
+        return np.exp(-1j * self._e_vac * np.asarray(check_times(t)))[()]
 
     def amplitude(self, sender: int, receiver: int, t):
         """Vacuum-gauged one-excitation amplitude f from sender to receiver at time t."""
         n = self.network.n_sites
-        if not (0 <= sender < n and 0 <= receiver < n):
-            raise ValueError(f"sites ({sender}, {receiver}) out of range for {n} sites")
+        (sender,), (receiver,) = check_sites([sender], n, "sender"), check_sites([receiver], n, "receiver")
         return np.conj(self.vacuum(t)) * self.k1.table(t, [(sender,)]).site_amplitude(sender, receiver)
 
     def one_qubit(self, sender: int, receiver: int, t) -> KrausSet:
@@ -449,10 +442,9 @@ class NetworkChannel:
 
     def two_qubit(self, senders, receivers, t) -> KrausSet:
         """Map from the sender pair to the receiver pair at time t (see :func:`two_qubit_kraus`)."""
-        _check_pair(senders, self.network.n_sites, "sender")
-        i, j = senders
+        i, j = check_sites(senders, self.network.n_sites, "sender")
         return two_qubit_kraus(
-            self.k1.table(t, [(i,), (j,)]), self.k2.table(t, [(i, j)]), senders, receivers, self.vacuum(t)
+            self.k1.table(t, [(i,), (j,)]), self.k2.table(t, [(i, j)]), (i, j), receivers, self.vacuum(t)
         )
 
 
@@ -472,10 +464,8 @@ def two_qubit_map_elements(
     Kraus-built superoperator to 1e-10.
     """
     n_sites = k1.sector.n_sites
-    _check_pair(senders, n_sites, "sender")
-    _check_pair(receivers, n_sites, "receiver")
-    i, j = senders
-    n, m = receivers
+    i, j = check_sites(senders, n_sites, "sender")
+    n, m = check_sites(receivers, n_sites, "receiver")
     gauge = np.conj(complex(vacuum_amp))
 
     def f1(src, tgt):

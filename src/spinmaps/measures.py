@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import partial_trace_outer, unit_vector
+from .maps import amplitude_modulus, partial_trace_outer, unit_vector
 
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SYSY = np.kron(_SY, _SY).real
@@ -138,14 +138,6 @@ class XState:
         return _clip_unit(2.0 * max(0.0, c1, c2))
 
 
-def _amplitude_modulus(f) -> np.ndarray:
-    """|f| of an amplitude or an array of them, each checked |f| <= 1 + 1e-10."""
-    af = np.abs(np.asarray(f, dtype=complex))
-    if (af > 1.0 + 1e-10).any():
-        raise ValueError(f"amplitude modulus {af.max()} exceeds 1")
-    return np.minimum(af, 1.0)
-
-
 def _branches(c1, c2):
     """(C, C1, C2) with C = 2*max(0, C1, C2); floats for a scalar amplitude."""
     c = _clip_unit(2.0 * np.maximum(0.0, np.maximum(c1, c2)))
@@ -161,7 +153,7 @@ def transferred_concurrence(x: XState, f):
     C = 2*max(0, C1, C2), for an X-state input and transition amplitude f
     (or an array of amplitudes, giving arrays).
     """
-    af = _amplitude_modulus(f)
+    af = amplitude_modulus(f)
     rem = 1.0 - af**2
     c1 = af * (abs(x.rho12) - np.sqrt(x.p33 * (x.p00 + x.p11 * rem)))
     c2 = af * (abs(x.rho03) - np.sqrt(x.p11 * (x.p22 + x.p33 * rem)))
@@ -174,7 +166,7 @@ def dual_rail_concurrence(x: XState, f):
     Returns (C, C1, C2) for an X-state carried by two equal-amplitude rails
     (arrays for an array of amplitudes).
     """
-    af = _amplitude_modulus(f)
+    af = amplitude_modulus(f)
     a2 = af**2
     rem = 1.0 - a2
     c1 = a2 * (abs(x.rho12) - np.sqrt(x.p33 * (x.p00 + rem * (x.p11 + x.p22 + rem * x.p33))))

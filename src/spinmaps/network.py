@@ -66,10 +66,10 @@ Conventions
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
-from operator import getitem
 
 import numpy as np
 
@@ -104,6 +104,36 @@ class NumericalError(ArithmeticError):
     Deliberately not a ``ValueError``: it reports a failure of the computation,
     not a bad input.
     """
+
+
+def check_sites(sites, n: int, role: str) -> list:
+    """``sites`` as a list of ints below ``n``, none repeated; a bool, float or text site raises, naming ``role``."""
+    try:
+        sites = list(sites)
+        if bool in map(type, sites):  # operator.index reads a bool as an int
+            raise TypeError
+        ints = list(map(operator.index, sites))  # ints and numpy integers
+    except TypeError:
+        raise ValueError(f"{role} sites must be integers, got {sites!r}") from None
+    if len(set(ints)) != len(ints):
+        raise ValueError(f"{role} sites {ints} contain duplicates")
+    for site in ints:
+        if not 0 <= site < n:
+            raise ValueError(f"{role} sites {ints} out of range for {n} sites")
+    return ints
+
+
+def check_times(t):
+    """``t`` as a float or a 1-D float array (a copy); text, bools, None, NaN or inf raise ValueError naming ``t``."""
+    times = np.asarray(t)
+    if times.dtype.kind not in "iuf":
+        raise ValueError(f"t must be a real number or a 1-D array of them, got {t!r}")
+    if times.ndim > 1:
+        raise ValueError(f"t must be a time or a 1-D array of times, got shape {times.shape}")
+    times = times.astype(float)
+    if not np.isfinite(times).all():
+        raise ValueError(f"t must be finite, got {t}")
+    return float(times) if times.ndim == 0 else times
 
 
 def _symmetric_matrix(mat, n: int, name: str) -> np.ndarray:
@@ -261,17 +291,15 @@ class ExcitationSector:
         """Basis position of a configuration given as a site subset, in any order.
 
         The validated scalar form of :meth:`positions`: ``occupied`` must name
-        k distinct integer sites of the network.
+        k sites of the network by the rule of :func:`check_sites`.
         """
-        k = self.excitation_count
         try:
-            key = sorted(occupied)
-            if len(key) == k and len(set(key)) == k and (not k or 0 <= key[0] and key[-1] < self.n_sites):
-                # list indexing accepts integers only: a float site raises TypeError
-                return sum(map(getitem, self._rank_rows, key))
-        except TypeError:
-            pass
-        raise ValueError(f"{occupied} is not a valid configuration of this sector")
+            key = sorted(check_sites(occupied, self.n_sites, "occupied"))
+        except ValueError:
+            key = None
+        if key is None or len(key) != self.excitation_count:
+            raise ValueError(f"{occupied} is not a valid configuration of this sector")
+        return sum(map(operator.getitem, self._rank_rows, key))
 
     def positions(self, sites: np.ndarray) -> np.ndarray:
         """Basis positions of configurations given as rows of ascending sites.
@@ -347,7 +375,7 @@ class SectorHamiltonian:
         return float((self.diagonal - radius).min()), float((self.diagonal + radius).max())
 
 
-def _orthonormality_defect(cols: np.ndarray) -> float:
+def orthonormality_defect(cols: np.ndarray) -> float:
     """max |C^dag C - 1| over the Gram matrix of the columns of C (of every C in a stack)."""
     gram = cols.conj().swapaxes(-1, -2) @ cols
     diag = np.arange(gram.shape[-1])
@@ -380,14 +408,14 @@ class AmplitudeTable:
         width = d if self.sources is None else len(self.sources)
         if f.shape != np.shape(self.time) + (d, width):
             raise ValueError(f"amplitude matrix must be {d}x{width} per time, got {f.shape}")
-        dev = _orthonormality_defect(f)
+        dev = orthonormality_defect(f)
         if dev > UNITARITY_ATOL:
             raise NumericalError(f"amplitude columns are not orthonormal (deviation {dev:.2e})")
 
     def _column(self, source) -> int:
         if self.sources is None:
             return self.sector.index_of(source)
-        key = tuple(sorted(source))
+        key = tuple(sorted(check_sites(source, self.sector.n_sites, "source")))
         try:
             return self.sources.index(key)
         except ValueError:
@@ -448,15 +476,12 @@ class SectorPropagator:
     def table(self, t, sources=None) -> AmplitudeTable:
         """Amplitudes at time t from the listed source configurations (all if None).
 
-        ``t`` is a time or a 1-D array of T times; the table then holds a
-        leading time axis.  Any real times work, negative and zero included,
-        in any order.
+        ``t`` is a time or a 1-D array of T times (:func:`check_times`); the
+        table then holds a leading time axis.  Any finite times work, negative
+        and zero included, in any order.
         """
-        times = np.array(t, dtype=float)
-        if times.ndim > 1:
-            raise ValueError(f"times must be a scalar or a 1-D array, got shape {times.shape}")
-        if not np.isfinite(times).all():
-            raise ValueError(f"time must be finite, got {t}")
+        time = check_times(t)
+        times = np.asarray(time)
         if sources is None:
             rows = slice(None)
         else:
@@ -469,7 +494,6 @@ class SectorPropagator:
             f = self._eigh_columns(times, rows)
         else:
             f = self._chebyshev_columns(times, rows, terms)
-        time = float(times) if times.ndim == 0 else times
         return AmplitudeTable(self.sector, time, f, sources)
 
     def _affordable_terms(self, times: np.ndarray, width: int):
@@ -496,7 +520,7 @@ class SectorPropagator:
         """V (exp(-iEt) * V[rows, :]^T) for every time, as one real product; (T..., d, c)."""
         if self._eigen is None:
             eigvals, eigvecs = np.linalg.eigh(self.hamiltonian.matrix)
-            dev = _orthonormality_defect(eigvecs)
+            dev = orthonormality_defect(eigvecs)
             if dev > UNITARITY_ATOL:
                 raise NumericalError(f"sector eigenbasis is not orthonormal (deviation {dev:.2e})")
             self._eigen = eigvals, eigvecs
@@ -529,9 +553,7 @@ def reduced_state(table: AmplitudeTable, source, keep) -> np.ndarray:
     """
     sector = table.sector
     n, k = sector.n_sites, sector.excitation_count
-    keep = [int(s) for s in keep]
-    if len(set(keep)) != len(keep) or any(not 0 <= s < n for s in keep):
-        raise ValueError(f"kept sites {keep} must be distinct sites of the {n}-site network")
+    keep = check_sites(keep, n, "kept")
     q, d = len(keep), sector.dimension
     psi = table.column(source)
     flat = psi.reshape(-1, d)

@@ -54,10 +54,9 @@ import numpy as np
 
 from .chebyshev import chebyshev_terms, negligible_order, unit_columns
 from .maps import assert_density_matrix, partial_trace_outer
-from .network import NumericalError, SpinNetwork
+from .network import UNITARITY_ATOL, NumericalError, SpinNetwork, check_sites, check_times, orthonormality_defect
 
 SITE_CEILING = 14
-ORTHONORMALITY_ATOL = 1e-10
 
 
 def dense_peak_bytes(n_sites: int) -> int:
@@ -206,20 +205,10 @@ class FullPropagator:
         return _real_matmul(self.eigvecs, phases * _real_matmul(self.eigvecs.T, psi))
 
 
-def _sites(sites, n: int, role: str) -> list:
-    """``sites`` as a list, once they are distinct sites of an ``n``-site network."""
-    sites = list(sites)
-    if len(set(sites)) != len(sites):
-        raise ValueError(f"{role} sites {sites} contain duplicates")
-    if any(not 0 <= s < n for s in sites):
-        raise ValueError(f"{role} sites {sites} out of range for {n} sites")
-    return sites
-
-
 def _embedding(network: SpinNetwork, rho_s: np.ndarray, sender_sites):
     """Validated sender state and the full-space index of each of its basis states."""
     n = network.n_sites
-    sender_sites = _sites(sender_sites, n, "sender")
+    sender_sites = check_sites(sender_sites, n, "sender")
     k = len(sender_sites)
     rho_s = np.asarray(rho_s, dtype=complex)
     if rho_s.shape != (2**k, 2**k):
@@ -263,7 +252,8 @@ def reduced_output(
     every other spin starts in |0>, the whole network evolves for time t, and
     all sites except ``receiver_sites`` are traced out (receiver qubit order
     follows the given site order).  A 1-D array of T times, in any order and
-    possibly empty, gives a stack of T receiver states.
+    possibly empty, gives a stack of T receiver states.  Sites and times are
+    read by :func:`spinmaps.network.check_sites` and :func:`~spinmaps.network.check_times`.
 
     With C = U(t)[:, embed] the evolved state is C rho_s C^dag, so only the
     embedded columns are evolved, and of those only the ones rho_s weighs (a
@@ -275,13 +265,9 @@ def reduced_output(
     every time, or :class:`NumericalError` is raised.
     """
     n = network.n_sites
-    receiver_sites = _sites(receiver_sites, n, "receiver")
+    receiver_sites = check_sites(receiver_sites, n, "receiver")
     rho_s, embed = _embedding(network, rho_s, sender_sites)
-    times = np.array(t, dtype=float)
-    if times.ndim > 1:
-        raise ValueError(f"t must be a time or a 1-D array of times, got shape {times.shape}")
-    if not np.isfinite(times).all():
-        raise ValueError(f"t must be finite, got {t}")
+    times = np.asarray(check_times(t))
     if times.size == 0:
         dim = 1 << len(receiver_sites)
         return np.zeros((0, dim, dim), dtype=complex)
@@ -293,9 +279,8 @@ def reduced_output(
         cols = _series_columns(network, embed, times)
     else:
         cols = propagator.columns(embed, times)
-    gram = cols.conj().swapaxes(-1, -2) @ cols
-    dev = float(np.abs(gram - np.eye(len(embed))).max(initial=0.0))
-    if dev > ORTHONORMALITY_ATOL:
+    dev = orthonormality_defect(cols)
+    if dev > UNITARITY_ATOL:
         raise NumericalError(f"oracle columns are not orthonormal (deviation {dev:.2e})")
     out = partial_trace_outer(cols @ rho_s, cols, receiver_sites, [2] * n)
     assert_density_matrix(out, atol=1e-8, eig_floor=-1e-8)

@@ -17,6 +17,7 @@ out for each weight.
 
 from __future__ import annotations
 
+import copy
 import csv
 import math
 import numbers
@@ -26,7 +27,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import maps, measures, oracle
-from .network import SectorPropagator, SpinNetwork, reduced_state
+from .network import SectorPropagator, SpinNetwork, check_times, reduced_state
 
 ORACLE_TOL = 1e-8
 
@@ -106,7 +107,10 @@ class ScenarioSpec:
             if not isinstance(value, bool):  # a truthy "no" must not turn a check on
                 raise ValueError(f"verify.{flag} must be true or false, got {value!r}")
         read_section(self.params, reads.params, "params", reader)
-        times = tuple(real_number(t, "times") for t in self.times)
+        try:
+            times = tuple(real_number(t, "times") for t in self.times)
+        except TypeError:  # not iterable
+            raise ValueError(f"times must be a list of real numbers, got {self.times!r}") from None
         if not times:
             raise ValueError("time grid is empty")
         if not all(map(math.isfinite, times)):
@@ -330,7 +334,7 @@ def real_number(value, name: str) -> float:
     if isinstance(value, float) or (isinstance(value, numbers.Real) and not isinstance(value, bool)):
         return float(value)
     hint = ""
-    if isinstance(value, str):
+    if isinstance(value, str) and "e" in value.lower():
         try:
             float(value)
             hint = " (YAML reads it as text: an exponent needs a decimal point, 1.0e-3 and not 1e-3)"
@@ -455,9 +459,9 @@ def four_qubit_closed_form(g: float, j_coupling: float, t, initial: str = "1100"
     excited) or "1010" (one excitation per pair).  Normalized to 1e-12.  An
     array of T times gives a (T, 16) stack of states.
     """
+    t = np.asarray(check_times(t))
     if not closed_form_holds(g, j_coupling, initial, t):
         raise ValueError(f"no closed form at g={g}, J={j_coupling} from {initial!r} over these times")
-    t = np.asarray(t, dtype=float)
     theta = g**2 * t / j_coupling
     psi = np.zeros(t.shape + (16,), dtype=complex)
     if initial == "1100":
@@ -520,7 +524,7 @@ def run(spec: ScenarioSpec) -> ScenarioResult:
 
 
 def sweep_specs(spec: ScenarioSpec, axis: str, values) -> list:
-    """(value, spec) for each value of the swept parameter; every spec is built, so checked.
+    """(value, spec) for each value of the swept parameter; every value is checked here, before any computing.
 
     ``axis`` is ``p``, the weight of a Werner initial state, or one of the ``params`` the scenario reads.
     """
@@ -537,8 +541,16 @@ def sweep_specs(spec: ScenarioSpec, axis: str, values) -> list:
     if not grid:
         raise ValueError("sweep grid is empty")
     grid = [finite_number(v, "sweep.values") for v in grid]
-    return [(v, replace(spec, initial={**spec.initial, "p": v}) if axis == "p"
-             else replace(spec, params={**spec.params, axis: v})) for v in grid]
+    return [(v, _with_weight(spec, v) if axis == "p" else replace(spec, params={**spec.params, axis: v}))
+            for v in grid]
+
+
+def _with_weight(spec: ScenarioSpec, p: float) -> ScenarioSpec:
+    """``spec`` with Werner weight ``p``: only the initial state is read again, every other field is read already."""
+    swept, initial = copy.copy(spec), {**spec.initial, "p": p}
+    object.__setattr__(swept, "initial", initial)
+    object.__setattr__(swept, "rho_in", build_initial_state(initial, SCENARIOS[spec.kind].qubits))
+    return swept
 
 
 def sweep(axis: str, swept) -> ScenarioResult:

@@ -313,6 +313,7 @@ def test_verify_fails_the_checks_a_wrong_propagator_breaks(monkeypatch, capsys, 
     (["verify", "--tolerance", "nan"], "--tolerance"),
     (["verify", "--tolerance", "-1"], "--tolerance"),
     (["verify", "--seed", "-1"], "--seed"),
+    (["verify", "--sites", "2"], "--sites"),
 ])
 def test_bad_flags_exit_2_naming_the_flag(argv, flag, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("SPINMAPS_OUTPUT_DIR", str(tmp_path))
@@ -635,6 +636,8 @@ TRANSFER_CONFIG = ("scenario: two_qubit_transfer\nnetwork: {kind: uniform_chain,
     ("run", "scenario: closed_form_four_qubit\ntimes: {list: [0.0, 1.0]}\nparams: {g: 1e-3}\n",
      "params.g must be a real number, got '1e-3' (YAML reads it as text: an exponent needs a decimal point, "
      "1.0e-3 and not 1e-3)"),
+    ("run", "scenario: closed_form_four_qubit\ntimes: {list: [0.0, 1.0]}\nparams: {g: '0.5'}\n",
+     "params.g must be a real number, got '0.5'"),
     ("run", GOOD_CONFIG.replace("p: 0.7", "p: abc"), "initial.p must be a real number, got 'abc'"),
     ("run", GOOD_CONFIG.replace("  p: 0.7\n", ""), "initial.p must be a real number, got None"),
     ("run", GOOD_CONFIG.replace("kind: werner\n  p: 0.7", "kind: xstate\n  populations: [0.5, 0.5, 0, abc]"),
@@ -682,7 +685,7 @@ TRANSFER_CONFIG = ("scenario: two_qubit_transfer\nnetwork: {kind: uniform_chain,
         "points-fraction", "points-negative", "network-sites", "weak-pair-wire-sites", "four-qubit-wire-sites",
         "four-qubit-no-wire", "pair-number", "pair-fraction", "coupling-text", "coupling-bool", "couplings-entry",
         "zz-entry", "fields-bool", "xy-entry", "start-text", "stop-list", "times-list-entry", "g-text", "J-bool",
-        "g-exponent-text", "werner-p-text", "werner-p-missing", "populations-entry", "populations-count",
+        "g-exponent-text", "g-quoted-decimal", "werner-p-text", "werner-p-missing", "populations-entry", "populations-count",
         "oracle-tolerance-text", "basis-no-string", "matrix-no-entries", "matrix-entries-number",
         "matrix-entries-ragged", "rho03-text", "rho03-short-pair", "rho03-bool", "rho12-pair-entry",
         "times-list-number", "sweep-values-bool", "chain-no-couplings", "chain-null-couplings",

@@ -198,6 +198,18 @@ def test_amplitude_bound_enforced(rng):
         dual_rail_concurrence(x, 1.001)
 
 
+@pytest.mark.parametrize("reads", [
+    one_qubit_kraus,
+    lambda f: transferred_concurrence(XState.werner(0.8), f),
+    lambda f: dual_rail_concurrence(XState.werner(0.8), f),
+], ids=["one_qubit_kraus", "transferred_concurrence", "dual_rail_concurrence"])
+def test_one_amplitude_bound_for_maps_and_closed_forms(reads):
+    """|f|^2 <= 1 + 1e-10 everywhere: 1 + 4e-11 passes, 1 + 1e-10 (|f|^2 = 1 + 2e-10) does not."""
+    reads(np.array([0.5, 1.0 + 4e-11]))
+    with pytest.raises(ValueError, match=r"^amplitude modulus 1.0000000001 exceeds 1"):
+        reads(np.array([0.5, 1.0 + 1e-10]))
+
+
 # ---------------------------------------------------------------------------
 # tangles
 

@@ -53,12 +53,22 @@ def test_checks_without_a_channel_or_network_are_rejected(kind, flag, field):
     ({"times": (0.0, True)}, "times must be a real number, got True"),
     ({"verify_oracle": "no"}, "verify.oracle must be true or false, got 'no'"),
     ({"verify_cptp": 1}, "verify.cptp must be true or false, got 1"),
+    ({"times": 3}, "times must be a list of real numbers, got 3"),
 ])
 def test_library_specs_get_the_config_checks(field, message):
     """A spec built in code is read as strictly as one from a config file: no float() of text, no truthy flags."""
     qst = dict(kind="qst", times=(0.0, 1.5), network=chain3(), sites={"sender": 0, "receiver": 2})
     with pytest.raises(ValueError, match=f"^{message}"):
         ScenarioSpec(**{**qst, **field})
+
+
+@pytest.mark.parametrize("text, hinted", [("0.5", False), ("0", False), ("abc", False), ("1e-3", True),
+                                          ("2E5", True)])
+def test_real_number_hints_at_yaml_only_for_an_exponent(text, hinted):
+    hint = " (YAML reads it as text: an exponent needs a decimal point, 1.0e-3 and not 1e-3)"
+    with pytest.raises(ValueError) as info:
+        protocols.real_number(text, "params.g")
+    assert str(info.value) == f"params.g must be a real number, got {text!r}" + (hint if hinted else "")
 
 
 def test_initial_state_descriptions(rng):
@@ -209,23 +219,26 @@ def test_closed_form_initial_states():
         four_qubit_closed_form(0.1, 1.0, 0.1, "0111")
 
 
-@pytest.mark.parametrize("g, j, label, t", [
-    (0.0, 1.0, "1100", [1.0]), (0.1, -1.0, "1010", [1.0]), (np.nan, 1.0, "1100", [1.0]), (0.1, 1.0, "0111", [1.0]),
-    (1e200, 1.0, "1100", [0.0]), (1e160, 1.0, "1010", [1.0]), (0.1, 1e-310, "1100", [1e10]),
-    (0.1, 1e300, "1010", [-1e10, 0.0]), (0.1, 1.0, "1100", [0.0, np.inf]),
+@pytest.mark.parametrize("g, j, label, t, message", [
+    (0.0, 1.0, "1100", [1.0], "no closed form at"), (0.1, -1.0, "1010", [1.0], "no closed form at"),
+    (np.nan, 1.0, "1100", [1.0], "no closed form at"), (0.1, 1.0, "0111", [1.0], "no closed form at"),
+    (1e200, 1.0, "1100", [0.0], "no closed form at"), (1e160, 1.0, "1010", [1.0], "no closed form at"),
+    (0.1, 1e-310, "1100", [1e10], "no closed form at"), (0.1, 1e300, "1010", [-1e10, 0.0], "no closed form at"),
+    (0.1, 1.0, "1100", [0.0, np.inf], r"^t must be finite, got \[0.0, inf\]"),  # the time rule comes first
 ], ids=["g-zero", "J-negative", "g-nan", "label", "g-squared-overflows", "phase-g", "phase-J-small", "phase-J-large",
         "infinite-time"])
-def test_closed_form_holds_only_with_positive_couplings_and_finite_phases(g, j, label, t):
+def test_closed_form_holds_only_with_positive_couplings_and_finite_phases(g, j, label, t, message):
     assert protocols.closed_form_holds(0.1, 1.0, "1100", [0.0, 5.0])
     assert not protocols.closed_form_holds(g, j, label, t)
-    with pytest.raises(ValueError, match="no closed form at"):
+    with pytest.raises(ValueError, match=message):
         four_qubit_closed_form(g, j, t, label)
 
 
 def test_closed_form_norm_check_catches_nan(monkeypatch):
     monkeypatch.setattr(protocols, "closed_form_holds", lambda *args: True)  # let an infinite phase through
-    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="closed-form state norm nan off unity"):
-        four_qubit_closed_form(0.1, 1.0, [0.0, np.inf])
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="closed-form state norm nan off unity"):
+        four_qubit_closed_form(0.1, 1e-310, [0.0, 1e10])  # g^2 t / J overflows: an infinite phase
 
 
 def test_closed_form_bell_product_time():
@@ -555,6 +568,24 @@ def test_only_run_searches_for_the_weak_pair_peak(monkeypatch):
     assert len(searches) == 1 and set(single.meta) == {"peak_time", "peak_concurrence"}
     assert single.meta["peak_concurrence"] >= single.column("concurrence").max()
     assert np.array_equal(result.column("concurrence")[16:32], single.column("concurrence"))
+
+
+def test_a_p_sweep_reads_the_spec_once(monkeypatch):
+    """Each weight re-reads only its initial state; the rest of the spec is read once."""
+    post_inits = []
+    read_spec = ScenarioSpec.__post_init__
+    monkeypatch.setattr(ScenarioSpec, "__post_init__", lambda spec: post_inits.append(spec.kind) or read_spec(spec))
+    cfg = {"scenario": "distribute_single", "network": {"kind": "uniform_chain", "sites": 4},
+           "sites": {"sender": 0, "receiver": 3}, "initial": {"kind": "werner", "p": 0.5},
+           "times": {"start": 0.0, "stop": 2.0, "points": 4},
+           "sweep": {"axis": "p", "values": [0.4, 0.7, 0.9, 1.0, 0.0]}}
+    axis, swept = protocols.sweep_from_config(cfg)
+    assert post_inits == ["distribute_single"]
+    assert axis == "p" and [v for v, _ in swept] == [0.4, 0.7, 0.9, 1.0, 0.0]
+    for v, spec in swept:
+        assert spec.initial == {"kind": "werner", "p": v}
+        assert np.array_equal(spec.rho_in, build_initial_state({"kind": "werner", "p": v}, 2))
+    assert swept[0][1].initial is not swept[1][1].initial
 
 
 def test_sweep_builds_every_spec_before_the_first_run(monkeypatch):
