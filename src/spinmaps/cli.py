@@ -124,7 +124,7 @@ def _run_checks(n_sites: int, seed: int, tol: float, trials: int, report=print) 
         worst_choi = max(worst_choi, -verdict2.min_choi_eigenvalue, verdict2.trace_defect)
 
         k1, k2 = chan.k1.table(tt), chan.k2.table(tt)
-        elem = maps.two_qubit_map_elements(k1, k2, senders, receivers, chan.vacuum(tt))
+        elem = maps.two_qubit_map_elements(k1, k2, senders, receivers)
         built = maps.superop_from_kraus(channel2)
         worst_elem = max(worst_elem, float(np.abs(elem - built).max()))
 
@@ -133,7 +133,7 @@ def _run_checks(n_sites: int, seed: int, tol: float, trials: int, report=print) 
     check("element table vs Kraus superoperator", worst_elem, 1e-10)
     check("CPTP (Choi PSD + trace preservation)", worst_choi, 1e-9)
 
-    chain = SpinNetwork.chain(rng.normal(size=n_sites - 1))
+    chain = SpinNetwork.chain(rng.normal(size=n_sites - 1), fields=0.5 * rng.normal(size=n_sites))
     k1 = SectorPropagator(chain, 1).table(t)
     k2 = SectorPropagator(chain, 2).table(t)
     worst_det = 0.0

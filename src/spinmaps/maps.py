@@ -12,10 +12,10 @@ The one- and two-qubit maps induced by a U(1) network on sender/receiver
 subsets are built from sector amplitude tables, in one place:
 :class:`NetworkChannel` holds a network's sector propagators and turns their
 sender columns into :func:`one_qubit_kraus` and :func:`two_qubit_kraus`
-sets.  All amplitudes entering a map are taken relative to the vacuum phase
-exp(-i E_vac t), which makes the vacuum-vacuum Kraus element exactly 1 and
-the resulting channel equal to the exact reduced dynamics for arbitrary
-fields and ZZ couplings.
+sets.  The sector tables measure energies from the vacuum
+(:mod:`spinmaps.network`), so their amplitudes are the ones the maps take:
+the vacuum-vacuum Kraus element is exactly 1 and the channel is the exact
+reduced dynamics for arbitrary fields and ZZ couplings.
 
 Time grids are a leading axis.  Given an array of T times (or amplitudes),
 :class:`NetworkChannel`, :func:`one_qubit_kraus`, :func:`two_qubit_kraus`,
@@ -40,7 +40,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .network import AmplitudeTable, NumericalError, SectorPropagator, SpinNetwork, check_sites, check_times
+from .network import AmplitudeTable, NumericalError, SectorPropagator, SpinNetwork, check_sites
 
 DENSITY_ATOL = 1e-10
 PSD_FLOOR = -1e-9
@@ -340,7 +340,6 @@ def two_qubit_kraus(
     k2: AmplitudeTable,
     senders,
     receivers,
-    vacuum_amp: complex,
 ) -> KrausSet:
     """Kraus operators of the two-qubit map from sender pair to receiver pair.
 
@@ -357,10 +356,7 @@ def two_qubit_kraus(
 
     The tables may hold only the columns read here: sources (i,) and (j,) of
     ``k1`` and (i, j) of ``k2``, each read once, with every target gathered
-    by its basis position.  Every amplitude is taken relative to
-    ``vacuum_amp``, the vacuum phase exp(-i E_vac t) at the tables' times
-    (:meth:`NetworkChannel.vacuum`).  Tables over T times (with T vacuum
-    phases) give (T, 4, 4) operators.
+    by its basis position.  Tables over T times give (T, 4, 4) operators.
     """
     n_sites = k1.sector.n_sites
     if k2.sector.n_sites != n_sites:
@@ -369,11 +365,8 @@ def two_qubit_kraus(
         raise ValueError("two_qubit_kraus needs a k=1 and a k=2 table")
     if not np.array_equal(k1.time, k2.time):
         raise ValueError(f"amplitude tables at different times: {k1.time} vs {k2.time}")
-    i, j = check_sites(senders, n_sites, "sender")
-    n, m = check_sites(receivers, n_sites, "receiver")
-    gauge = np.conj(np.asarray(vacuum_amp, dtype=complex))
-    if gauge.shape not in ((), np.shape(k1.time)):
-        raise ValueError(f"vacuum phases of shape {gauge.shape} do not match the tables' times")
+    i, j = check_sites(senders, n_sites, "sender", 2)
+    n, m = check_sites(receivers, n_sites, "receiver", 2)
     env = np.array([k for k in range(n_sites) if k not in (n, m)], dtype=np.intp)
     ne = env.size
     # targets of k=1: m, n, then each environment site k; of k=2: (n, m), then every (k, m), then every (n, k)
@@ -381,12 +374,11 @@ def two_qubit_kraus(
     pairs = np.concatenate([[[n, m]], np.column_stack([env, np.full(ne, m)]),
                             np.column_stack([np.full(ne, n), env])])
     two = k2.sector.positions(np.sort(pairs, axis=1))
-    # vacuum-gauged amplitudes gathered from the three source columns, target axis first
-    g = gauge[..., None]
+    # amplitudes gathered from the three source columns, target axis first
     col_ij = k2.column((i, j))
-    f_i = np.moveaxis(g * k1.column((i,))[..., one], -1, 0)
-    f_j = np.moveaxis(g * k1.column((j,))[..., one], -1, 0)
-    f_ij = np.moveaxis(g * col_ij[..., two], -1, 0)
+    f_i = np.moveaxis(k1.column((i,))[..., one], -1, 0)
+    f_j = np.moveaxis(k1.column((j,))[..., one], -1, 0)
+    f_ij = np.moveaxis(col_ij[..., two], -1, 0)
     ops = np.zeros((n_sites,) + np.shape(k1.time) + (4, 4), dtype=complex)
     e0, e1, e2 = ops[0], ops[1:-1], ops[-1]  # E_0, one E_1 per environment site, the merged E_2
     e0[..., 0, 0] = 1.0
@@ -401,40 +393,35 @@ def two_qubit_kraus(
     e1[..., 2, 3] = f_ij[ne + 1:]
     sites = k2.sector.sites
     lost = ((sites != n) & (sites != m)).all(axis=1)  # targets with both excitations outside
-    e2[..., 0, 3] = np.sqrt(np.sum(np.abs(g * col_ij[..., lost]) ** 2, axis=-1))
+    e2[..., 0, 3] = np.sqrt(np.sum(np.abs(col_ij[..., lost]) ** 2, axis=-1))
     return KrausSet(ops)
 
 
 class NetworkChannel:
     """The one- and two-qubit channels that one network induces between its sites.
 
-    Holds the k=1 sector propagator, builds the k=2 one on first use, and
-    computes the vacuum energy once, so each sector is diagonalised once for
-    any number of times and site choices.  Every channel reads only the
-    sender columns of its sectors: (i,) of k=1 for one qubit, (i,), (j,) of
-    k=1 and (i, j) of k=2 for two.  Every method takes a time or a 1-D array
-    of T times; for an array, one table per sector covers the whole grid and
-    the result carries a leading time axis.
+    Holds the k=1 sector propagator and builds the k=2 one on first use, so
+    each sector is diagonalised once for any number of times and site
+    choices.  Every channel reads only the sender columns of its sectors:
+    (i,) of k=1 for one qubit, (i,), (j,) of k=1 and (i, j) of k=2 for two.
+    Every method takes a time or a 1-D array of T times; for an array, one
+    table per sector covers the whole grid and the result carries a leading
+    time axis.
     """
 
     def __init__(self, network: SpinNetwork):
         self.network = network
         self.k1 = SectorPropagator(network, 1)
-        self._e_vac = network.diagonal_energy()
 
     @cached_property
     def k2(self) -> SectorPropagator:
         return SectorPropagator(self.network, 2)
 
-    def vacuum(self, t):
-        """Phase exp(-i E_vac t) of the fully polarised configuration."""
-        return np.exp(-1j * self._e_vac * np.asarray(check_times(t)))[()]
-
     def amplitude(self, sender: int, receiver: int, t):
-        """Vacuum-gauged one-excitation amplitude f from sender to receiver at time t."""
+        """One-excitation amplitude f from sender to receiver at time t."""
         n = self.network.n_sites
         (sender,), (receiver,) = check_sites([sender], n, "sender"), check_sites([receiver], n, "receiver")
-        return np.conj(self.vacuum(t)) * self.k1.table(t, [(sender,)]).site_amplitude(sender, receiver)
+        return self.k1.table(t, [(sender,)]).site_amplitude(sender, receiver)
 
     def one_qubit(self, sender: int, receiver: int, t) -> KrausSet:
         """Map from one sender site to one receiver site at time t."""
@@ -442,10 +429,10 @@ class NetworkChannel:
 
     def two_qubit(self, senders, receivers, t) -> KrausSet:
         """Map from the sender pair to the receiver pair at time t (see :func:`two_qubit_kraus`)."""
-        i, j = check_sites(senders, self.network.n_sites, "sender")
-        return two_qubit_kraus(
-            self.k1.table(t, [(i,), (j,)]), self.k2.table(t, [(i, j)]), (i, j), receivers, self.vacuum(t)
-        )
+        n = self.network.n_sites
+        i, j = check_sites(senders, n, "sender", 2)
+        check_sites(receivers, n, "receiver", 2)  # before either sector table is built
+        return two_qubit_kraus(self.k1.table(t, [(i,), (j,)]), self.k2.table(t, [(i, j)]), (i, j), receivers)
 
 
 def two_qubit_map_elements(
@@ -453,26 +440,23 @@ def two_qubit_map_elements(
     k2: AmplitudeTable,
     senders,
     receivers,
-    vacuum_amp: complex,
 ) -> np.ndarray:
     """Closed-form 16x16 superoperator of the two-qubit map, element by element.
 
     Independent of :func:`two_qubit_kraus`: every element is written out from
     the transition-amplitude tables, with environment sums running over all
-    sites (or site pairs) outside the receiver pair, relative to the vacuum
-    phase ``vacuum_amp`` at the tables' one time.  Must agree with the
-    Kraus-built superoperator to 1e-10.
+    sites (or site pairs) outside the receiver pair, at the tables' one time.
+    Must agree with the Kraus-built superoperator to 1e-10.
     """
     n_sites = k1.sector.n_sites
-    i, j = check_sites(senders, n_sites, "sender")
-    n, m = check_sites(receivers, n_sites, "receiver")
-    gauge = np.conj(complex(vacuum_amp))
+    i, j = check_sites(senders, n_sites, "sender", 2)
+    n, m = check_sites(receivers, n_sites, "receiver", 2)
 
     def f1(src, tgt):
-        return gauge * k1.amplitude((src,), (tgt,))
+        return k1.amplitude((src,), (tgt,))
 
     def f2(tgt_a, tgt_b):
-        return gauge * k2.amplitude(tuple(sorted((i, j))), tuple(sorted((tgt_a, tgt_b))))
+        return k2.amplitude(tuple(sorted((i, j))), tuple(sorted((tgt_a, tgt_b))))
 
     env = [k for k in range(n_sites) if k not in (n, m)]
     env_pairs = list(itertools.combinations(env, 2))

@@ -54,11 +54,10 @@ Conventions
   element 2*J_ij between configurations that differ by moving a single
   excitation from site i to site j.
 * |0> is the sigma^z = -1 state; an "excitation" is a flipped (up) spin.
-* Sector diagonals carry the full field/ZZ energy of each configuration,
-  :meth:`SpinNetwork.diagonal_energy`, with no constant subtracted.  Phases
-  relative to the vacuum (the empty configuration) divide by the vacuum phase
-  exp(-i E_vac t) with E_vac = ``diagonal_energy()``, as
-  :class:`spinmaps.maps.NetworkChannel` does.
+* Energies are measured from the vacuum (the empty configuration): each
+  sector diagonal holds :meth:`SpinNetwork.diagonal_energy` of a
+  configuration minus that of the vacuum.  Every amplitude is therefore the
+  transition amplitude relative to the vacuum, and the vacuum amplitude is 1.
 * Construction is sign-free (hard-core boson / spin basis); no fermionic
   strings enter for any coupling graph.
 """
@@ -106,8 +105,11 @@ class NumericalError(ArithmeticError):
     """
 
 
-def check_sites(sites, n: int, role: str) -> list:
-    """``sites`` as a list of ints below ``n``, none repeated; a bool, float or text site raises, naming ``role``."""
+def check_sites(sites, n: int, role: str, count: int | None = None) -> list:
+    """``sites`` as a list of ints below ``n``, none repeated, ``count`` of them if given.
+
+    A bool, float or text site, or a list of another length, raises ValueError naming ``role``.
+    """
     try:
         sites = list(sites)
         if bool in map(type, sites):  # operator.index reads a bool as an int
@@ -115,6 +117,8 @@ def check_sites(sites, n: int, role: str) -> list:
         ints = list(map(operator.index, sites))  # ints and numpy integers
     except TypeError:
         raise ValueError(f"{role} sites must be integers, got {sites!r}") from None
+    if count is not None and len(ints) != count:
+        raise ValueError(f"{role} sites {ints} must name {count} sites")
     if len(set(ints)) != len(ints):
         raise ValueError(f"{role} sites {ints} contain duplicates")
     for site in ints:
@@ -294,11 +298,9 @@ class ExcitationSector:
         k sites of the network by the rule of :func:`check_sites`.
         """
         try:
-            key = sorted(check_sites(occupied, self.n_sites, "occupied"))
+            key = sorted(check_sites(occupied, self.n_sites, "occupied", self.excitation_count))
         except ValueError:
-            key = None
-        if key is None or len(key) != self.excitation_count:
-            raise ValueError(f"{occupied} is not a valid configuration of this sector")
+            raise ValueError(f"{occupied} is not a valid configuration of this sector") from None
         return sum(map(operator.getitem, self._rank_rows, key))
 
     def positions(self, sites: np.ndarray) -> np.ndarray:
@@ -441,13 +443,14 @@ def build_sector_hamiltonian(network: SpinNetwork, k: int) -> SectorHamiltonian:
 
     Off-diagonal elements are 2*J_ij between configurations differing by one
     excitation hop from i to j; the diagonal holds the
-    :meth:`SpinNetwork.diagonal_energy` of each configuration.  All hops are
+    :meth:`SpinNetwork.diagonal_energy` of each configuration measured from
+    the vacuum's, so the k = 0 sector is the scalar 0.  All hops are
     found at once: every (configuration, ordered bond (i, j)) pair with i
     occupied and j empty gives one element.
     """
     sector = ExcitationSector(network.n_sites, k)
     occupied = sector.occupation()
-    diagonal = network.diagonal_energy(occupied)
+    diagonal = network.diagonal_energy(occupied) - network.diagonal_energy()
     bond_i, bond_j = np.nonzero(network.xy)
     src, bond = np.nonzero(occupied[:, bond_i] & ~occupied[:, bond_j])
     i, j = bond_i[bond], bond_j[bond]
@@ -582,10 +585,10 @@ def pair_amplitude_determinant(network: SpinNetwork, table_k1: AmplitudeTable, *
     chains with zero ZZ couplings, where the dynamics is that of free
     fermions (Lieb, Schultz & Mattis, Ann. Phys. 16, 407 (1961)): the
     amplitude is the k x k minor det[f_{s_a}^{r_b}] of the k = 1 table
-    (f_i^n f_j^m - f_i^m f_j^n for a pair), times exp(-i (k - 1) sum(h) t),
-    because H_k is the sum of k one-excitation Hamiltonians plus (k - 1)
-    sum(h) in the vacuum-referenced diagonal convention.  The table needs the
-    k source columns; with a time axis, one value per time is returned.
+    (f_i^n f_j^m - f_i^m f_j^n for a pair), since with energies measured from
+    the vacuum H_k is the sum of k one-excitation Hamiltonians.  The table
+    needs the k source columns; with a time axis, one value per time is
+    returned.
     """
     if not network.is_open_chain() or np.any(network.zz):
         raise ValueError("determinant shortcut requires an open chain with zero ZZ couplings")
@@ -597,4 +600,4 @@ def pair_amplitude_determinant(network: SpinNetwork, table_k1: AmplitudeTable, *
         raise ValueError(f"sites must be ascending within sources and targets, got {sources} -> {targets}")
     f = table_k1.site_amplitude
     minor = np.stack([np.stack([f(s, r) for r in targets], axis=-1) for s in sources], axis=-2)
-    return np.linalg.det(minor) * np.exp(-1j * (k - 1) * network.fields.sum() * table_k1.time)
+    return np.linalg.det(minor)

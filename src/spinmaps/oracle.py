@@ -139,7 +139,8 @@ MAX_SITES = max_sites()  # the cap on this machine, fixed at import
 def hamiltonian_elements(network: SpinNetwork) -> tuple:
     """(diagonal, rows, cols, values) of the real symmetric 2^N Hamiltonian.
 
-    ``diagonal[b]`` is the field and ZZ energy of basis state b; hop h is the
+    ``diagonal[b]`` is the field and ZZ energy of basis state b minus that of
+    basis state 0, the vacuum, as the sector engine measures it; hop h is the
     element ``values[h]`` = 2 J_ij at (``rows[h]``, ``cols[h]``), between two
     states that differ by one excitation on bond (i, j), in both directions,
     and no position repeats.  Every bond is read as ``xy[i, j]`` with i < j.
@@ -149,7 +150,8 @@ def hamiltonian_elements(network: SpinNetwork) -> tuple:
     shifts = n - 1 - np.arange(n)
     bits = (np.arange(dim)[:, None] >> shifts) & 1
     s = 2.0 * bits - 1.0
-    diagonal = s @ network.fields + 0.5 * np.einsum("bi,ij,bj->b", s, network.zz, s)
+    energy = s @ network.fields + 0.5 * np.einsum("bi,ij,bj->b", s, network.zz, s)
+    diagonal = energy - energy[0]
     i, j = np.nonzero(np.triu(network.xy, 1))
     cols, bond = np.nonzero(bits[:, i] != bits[:, j])  # one of the two sites excited: it can hop
     rows = cols ^ ((1 << shifts[i]) | (1 << shifts[j]))[bond]

@@ -119,19 +119,17 @@ def test_criterion_3_two_qubit_sparsity_and_elements():
         receivers = _random_sites(rng, n, 2)
         k1 = SectorPropagator(net, 1).table(t)
         k2 = SectorPropagator(net, 2).table(t)
-        vac = NetworkChannel(net).vacuum(t)
-        built = superop_from_kraus(two_qubit_kraus(k1, k2, senders, receivers, vac))
+        built = superop_from_kraus(two_qubit_kraus(k1, k2, senders, receivers))
         assert np.abs(built[~pattern]).max() == 0.0
-        elements = two_qubit_map_elements(k1, k2, senders, receivers, vac)
+        elements = two_qubit_map_elements(k1, k2, senders, receivers)
         worst_elem = max(worst_elem, float(np.abs(elements - built).max()))
     net5 = random_network(rng, 5)
     for t in (0.7, 1.9, 3.3):
         k1 = SectorPropagator(net5, 1).table(t)
         k2 = SectorPropagator(net5, 2).table(t)
-        vac = NetworkChannel(net5).vacuum(t)
         for senders, receivers in (((0, 1), (3, 4)), ((1, 3), (1, 3)), ((4, 0), (2, 3))):
-            elements = two_qubit_map_elements(k1, k2, senders, receivers, vac)
-            built = superop_from_kraus(two_qubit_kraus(k1, k2, senders, receivers, vac))
+            elements = two_qubit_map_elements(k1, k2, senders, receivers)
+            built = superop_from_kraus(two_qubit_kraus(k1, k2, senders, receivers))
             worst_elem = max(worst_elem, float(np.abs(elements - built).max()))
     assert worst_elem < 1e-10
     _report(3, f"exact U(1) sparsity pattern; element tables match Kraus build (worst {worst_elem:.2e})")

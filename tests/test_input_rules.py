@@ -1,5 +1,7 @@
 """One bad-input table for the engine: every entry point applies the same site rule and the same time rule."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from spinmaps.protocols import four_qubit_closed_form
 N = 5
 NET = SpinNetwork.chain([1.0, 0.8, 1.2, 0.9], [0.1, -0.2, 0.0, 0.3], [0.1, 0.0, -0.1, 0.2, 0.05])
 CHAN = NetworkChannel(NET)
-K1, K2, VACUUM = CHAN.k1.table(0.7), CHAN.k2.table(0.7), CHAN.vacuum(0.7)
+K1, K2 = CHAN.k1.table(0.7), CHAN.k2.table(0.7)
 PAIR_TABLE = SectorPropagator(NET, 2).table(0.7, [(0, 3)])
 SENDER_STATE = np.diag([0.0, 1.0]).astype(complex)
 VECTOR = np.full((1 << N, 1), (1 << N) ** -0.5, dtype=complex)
@@ -23,10 +25,10 @@ SITE_ENTRIES = {
     "amplitude-receiver": ("receiver", [4], lambda s: CHAN.amplitude(0, s[0], 0.7)),
     "two_qubit-senders": ("sender", [0, 1], lambda s: CHAN.two_qubit(s, (3, 4), 0.7)),
     "two_qubit-receivers": ("receiver", [3, 4], lambda s: CHAN.two_qubit((0, 1), s, 0.7)),
-    "two_qubit_kraus-senders": ("sender", [0, 1], lambda s: two_qubit_kraus(K1, K2, s, (3, 4), VACUUM)),
-    "two_qubit_kraus-receivers": ("receiver", [3, 4], lambda s: two_qubit_kraus(K1, K2, (0, 1), s, VACUUM)),
-    "map_elements-senders": ("sender", [0, 1], lambda s: two_qubit_map_elements(K1, K2, s, (3, 4), VACUUM)),
-    "map_elements-receivers": ("receiver", [3, 4], lambda s: two_qubit_map_elements(K1, K2, (0, 1), s, VACUUM)),
+    "two_qubit_kraus-senders": ("sender", [0, 1], lambda s: two_qubit_kraus(K1, K2, s, (3, 4))),
+    "two_qubit_kraus-receivers": ("receiver", [3, 4], lambda s: two_qubit_kraus(K1, K2, (0, 1), s)),
+    "map_elements-senders": ("sender", [0, 1], lambda s: two_qubit_map_elements(K1, K2, s, (3, 4))),
+    "map_elements-receivers": ("receiver", [3, 4], lambda s: two_qubit_map_elements(K1, K2, (0, 1), s)),
     "reduced_state": ("kept", [1, 3], lambda s: reduced_state(PAIR_TABLE, (0, 3), s)),
     "reduced_state-source": ("source", [0, 3], lambda s: reduced_state(PAIR_TABLE, s, [1, 3])),
     "partial_trace": ("kept", [0, 2], lambda s: partial_trace(STATE, s, [2] * N)),
@@ -36,6 +38,9 @@ SITE_ENTRIES = {
 }
 # each replaces the last good site; "repeat" appends the first (amplitude takes one site, which cannot repeat)
 BAD_SITES = {"float": 0.7, "bool": True, "text": "1", "negative": -1, "n": N, "repeat": None}
+# the entry points that read a pair of sites, given three or one of them
+PAIR_ENTRIES = [entry for entry in SITE_ENTRIES if entry.startswith(("two_qubit", "map_elements"))]
+BAD_COUNTS = {"three": lambda good: good + [2], "one": lambda good: good[:1]}
 
 # every entry point that reads a time grid
 TIME_ENTRIES = {
@@ -60,6 +65,15 @@ def test_bad_sites_name_their_role(entry, bad):
     role, good, call = SITE_ENTRIES[entry]
     sites = good + good[:1] if bad == "repeat" else good[:-1] + [BAD_SITES[bad]]
     with pytest.raises(ValueError, match=f"^{role} sites "):
+        call(sites)
+
+
+@pytest.mark.parametrize("entry", PAIR_ENTRIES)
+@pytest.mark.parametrize("count", BAD_COUNTS)
+def test_a_pair_of_sites_names_its_role_when_the_count_is_wrong(entry, count):
+    role, good, call = SITE_ENTRIES[entry]
+    sites = BAD_COUNTS[count](good)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{role} sites {sites} must name 2 sites')}$"):
         call(sites)
 
 

@@ -270,12 +270,16 @@ def test_two_qubit_site_validation(rng):
     net = random_network(rng, 4)
     with pytest.raises(ValueError):
         NetworkChannel(net).two_qubit((1, 1), (2, 3), 0.5)
-    with pytest.raises(ValueError):
-        NetworkChannel(net).two_qubit((0, 1), (2, 4), 0.5)
+    chan = NetworkChannel(net)
+    for receivers, message in (((2, 4), r"^receiver sites \[2, 4\] out of range for 4 sites$"),
+                               ((3,), r"^receiver sites \[3\] must name 2 sites$")):
+        with pytest.raises(ValueError, match=message):
+            chan.two_qubit((0, 1), receivers, 0.5)
+    assert "k2" not in vars(chan)  # the receivers are checked before either sector table is built
     k1 = SectorPropagator(net, 1).table(0.5)
     k2 = SectorPropagator(net, 2).table(0.7)
     with pytest.raises(ValueError):
-        two_qubit_kraus(k1, k2, (0, 1), (2, 3), NetworkChannel(net).vacuum(0.5))  # mismatched times
+        two_qubit_kraus(k1, k2, (0, 1), (2, 3))  # mismatched times
 
 
 def test_two_qubit_sparsity_pattern(rng):
@@ -344,9 +348,8 @@ def test_element_table_matches_kraus_superoperator(rng):
         receivers = tuple(int(x) for x in rng.choice(5, 2, replace=False))
         k1 = SectorPropagator(net, 1).table(t)
         k2 = SectorPropagator(net, 2).table(t)
-        vac = NetworkChannel(net).vacuum(t)
-        table = two_qubit_map_elements(k1, k2, senders, receivers, vac)
-        built = superop_from_kraus(two_qubit_kraus(k1, k2, senders, receivers, vac))
+        table = two_qubit_map_elements(k1, k2, senders, receivers)
+        built = superop_from_kraus(two_qubit_kraus(k1, k2, senders, receivers))
         assert np.abs(table - built).max() < 1e-10
 
 
@@ -359,14 +362,13 @@ def test_merged_double_loss_operator_matches_per_pair_sum(rng):
             senders = tuple(int(x) for x in rng.choice(n, 2, replace=False))
             receivers = tuple(int(x) for x in rng.choice(n, 2, replace=False))
             k1, k2 = SectorPropagator(net, 1).table(t), SectorPropagator(net, 2).table(t)
-            vac = NetworkChannel(net).vacuum(t)
-            ks = two_qubit_kraus(k1, k2, senders, receivers, vac)
+            ks = two_qubit_kraus(k1, k2, senders, receivers)
             assert len(ks.operators) == n  # E_0, n - 2 single losses, one merged E_2
             env = [k for k in range(n) if k not in receivers]
             reference = sum(np.kron(op, op.conj()) for op in ks.operators[:-1])
             for k, l in itertools.combinations(env, 2):
                 e2 = np.zeros((4, 4), dtype=complex)
-                e2[0, 3] = np.conj(vac) * k2.amplitude(sorted(senders), (k, l))
+                e2[0, 3] = k2.amplitude(sorted(senders), (k, l))
                 reference = reference + np.kron(e2, e2.conj())
             assert np.abs(superop_from_kraus(ks) - reference).max() <= 1e-14
 
@@ -378,12 +380,11 @@ def test_network_maps_from_sender_columns_match_full_tables(rng):
         t = float(rng.uniform(0.2, 4.0))
         senders = tuple(int(x) for x in rng.choice(6, 2, replace=False))
         receivers = tuple(int(x) for x in rng.choice(6, 2, replace=False))
-        vac = chan.vacuum(t)
         k1, k2 = SectorPropagator(net, 1).table(t), SectorPropagator(net, 2).table(t)
-        full = two_qubit_kraus(k1, k2, senders, receivers, vac)
+        full = two_qubit_kraus(k1, k2, senders, receivers)
         built = chan.two_qubit(senders, receivers, t)
         assert np.abs(superop_from_kraus(built) - superop_from_kraus(full)).max() <= 1e-13
-        f = np.conj(vac) * k1.site_amplitude(senders[0], receivers[0])
+        f = k1.site_amplitude(senders[0], receivers[0])
         one = chan.one_qubit(senders[0], receivers[0], t)
         assert np.abs(superop_from_kraus(one) - superop_from_kraus(one_qubit_kraus(f))).max() <= 1e-13
 
@@ -393,13 +394,13 @@ def test_two_qubit_kraus_reads_whole_columns_without_scalar_lookups(rng, monkeyp
     chan = NetworkChannel(net)
     senders, receivers, t = (3, 30), (35, 2), 1.3
     k1, k2 = chan.k1.table(t, [(3,), (30,)]), chan.k2.table(t, [(3, 30)])
-    elements = two_qubit_map_elements(k1, k2, senders, receivers, chan.vacuum(t))  # scalar lookups
+    elements = two_qubit_map_elements(k1, k2, senders, receivers)  # scalar lookups
 
     def no_lookup(*args):
         raise AssertionError("two_qubit_kraus made a scalar amplitude lookup")
 
     monkeypatch.setattr(AmplitudeTable, "amplitude", no_lookup)
-    ks = two_qubit_kraus(k1, k2, senders, receivers, chan.vacuum(t))
+    ks = two_qubit_kraus(k1, k2, senders, receivers)
     assert len(ks.operators) == 40
     assert np.abs(superop_from_kraus(ks) - elements).max() < 1e-10
 
@@ -445,10 +446,9 @@ def test_element_table_anchor_entries(rng):
     senders, receivers = (0, 2), (3, 4)
     k1 = SectorPropagator(net, 1).table(t)
     k2 = SectorPropagator(net, 2).table(t)
-    vac = NetworkChannel(net).vacuum(t)
-    a = two_qubit_map_elements(k1, k2, senders, receivers, vac)
+    a = two_qubit_map_elements(k1, k2, senders, receivers)
     assert a[0, 0] == 1.0
-    fpair = np.conj(vac) * k2.amplitude(tuple(sorted(senders)), tuple(sorted(receivers)))
+    fpair = k2.amplitude(tuple(sorted(senders)), tuple(sorted(receivers)))
     assert abs(a[3, 3] - np.conj(fpair)) < 1e-14  # coherence slot carries f_ij^nm*
     assert abs(a[15, 15] - abs(fpair) ** 2) < 1e-14
 

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinmaps import (
-    NetworkChannel,
     NumericalError,
     SectorPropagator,
     SpinNetwork,
@@ -17,7 +16,7 @@ from spinmaps import network as network_module
 from spinmaps.network import AmplitudeTable, ExcitationSector, reduced_state
 from spinmaps.oracle import FullPropagator, basis_index, full_hamiltonian, reduced_output
 
-from conftest import random_network
+from conftest import PropagationPaths, random_network
 
 
 def test_network_validation():
@@ -62,9 +61,10 @@ def test_vacuum_sector_is_scalar(rng):
     net = random_network(rng, 4)
     h0 = build_sector_hamiltonian(net, 0)
     assert h0.matrix.shape == (1, 1)
+    assert h0.matrix[0, 0] == 0.0  # energies are measured from the vacuum
     # all spins down: s_i = -1 everywhere
     expected = -net.fields.sum() + 0.5 * net.zz.sum()
-    assert abs(h0.matrix[0, 0] - expected) < 1e-12
+    assert abs(net.diagonal_energy() - expected) < 1e-12
 
 
 def test_three_site_chain_spectrum_matches_dense_oracle():
@@ -199,24 +199,37 @@ def test_determinant_rejects_unsupported_networks(rng):
         pair_amplitude_determinant(with_zz, k1, 0, 1, 2, 3)
 
 
-def test_vacuum_amplitude_matches_full_propagator(rng):
-    net = random_network(rng, 4)
-    t = 0.9
-    u = FullPropagator(net).unitary(t)
-    assert abs(NetworkChannel(net).vacuum(t) - u[0, 0]) < 1e-12
+def unshifted_tables(network, k, times):
+    """exp(-i H_k t) of the sector Hamiltonian whose diagonal is the full diagonal_energy, by a dense eigh."""
+    h = build_sector_hamiltonian(network, k)
+    matrix = h.matrix
+    matrix[np.diag_indices_from(matrix)] = network.diagonal_energy(h.sector.occupation())
+    eigvals, eigvecs = np.linalg.eigh(matrix)
+    return np.einsum("ae,te,be->tab", eigvecs, np.exp(-1j * np.multiply.outer(times, eigvals)), eigvecs)
 
 
-def test_vacuum_amplitude_reads_the_sector_diagonal_without_a_sector(rng, monkeypatch, sector_builds):
-    net = random_network(rng, 5)
-    assert net.diagonal_energy() == build_sector_hamiltonian(net, 0).matrix[0, 0]
-    chan = NetworkChannel(net)
-
-    def no_sector(network, k):
-        raise AssertionError("the vacuum phase built a sector Hamiltonian")
-
-    monkeypatch.setattr(network_module, "build_sector_hamiltonian", no_sector)
-    assert chan.vacuum(0.7) == complex(np.exp(-1j * net.diagonal_energy() * 0.7))
-    assert sector_builds == [1]  # the channel's k=1 propagator, never a k=0 one
+def test_sector_tables_are_amplitudes_relative_to_the_vacuum(rng):
+    """The k = 0 table is exactly 1; every other table is exp(+i E_vac t) times that of the unshifted H_k."""
+    times = np.concatenate([np.linspace(0.0, 250.0, 9), rng.uniform(0.0, 250.0, 3)])
+    nets = [random_network(rng, n) for n in (3, 5, 6)]  # fields and ZZ couplings on every pair
+    nets.append(SpinNetwork.chain(rng.normal(size=7), 0.4 * rng.normal(size=7), 0.6 * rng.normal(size=8)))
+    worst = 0.0
+    for net in nets:
+        assert np.array_equal(SectorPropagator(net, 0).table(times).amplitudes, np.ones((times.size, 1, 1)))
+        vacuum = np.exp(1j * net.diagonal_energy() * times)[:, None, None]
+        for k in (1, 2):
+            reference = vacuum * unshifted_tables(net, k, times)
+            basis = [tuple(row) for row in ExcitationSector(net.n_sites, k).sites.tolist()]
+            sources = [basis[0], basis[-1]]
+            with pytest.MonkeyPatch.context() as mp:
+                paths = PropagationPaths(mp)
+                full = SectorPropagator(net, k).table(times)  # a full table always diagonalises
+                mp.setattr(network_module, "EIGH_SECONDS_PER_D3", 1e9)  # every column table pays
+                cols = SectorPropagator(net, k).table(times, sources)
+            assert paths.counts == (1, 1)
+            worst = max(worst, np.abs(full.amplitudes - reference).max(),
+                        np.abs(cols.amplitudes - reference[..., [basis.index(s) for s in sources]]).max())
+    assert worst <= 1e-12  # two eigh phases apart by about |E| t eps, with |E| < 10 here
 
 
 def test_disjoint_union_is_block_diagonal(rng):
@@ -241,13 +254,15 @@ def reference_sector_hamiltonian(network, k):
     It enumerates its own lexicographic basis, so it reads nothing of the sector classes.
     """
     n = network.n_sites
+    s = -np.ones(n)
+    vacuum = s @ network.fields + 0.5 * s @ network.zz @ s  # energies are measured from the vacuum's
     basis = list(itertools.combinations(range(n), k))
     index = {occ: a for a, occ in enumerate(basis)}
     h = np.zeros((len(basis), len(basis)), dtype=complex)
     for a, occ in enumerate(basis):
         s = -np.ones(n)
         s[list(occ)] = 1.0
-        h[a, a] = s @ network.fields + 0.5 * s @ network.zz @ s
+        h[a, a] = s @ network.fields + 0.5 * s @ network.zz @ s - vacuum
         occ_set = set(occ)
         for i in occ:
             for j in range(n):
@@ -269,7 +284,10 @@ def test_sector_hamiltonian_is_real_symmetric_and_matches_reference_loop(rng):
 
 
 def test_sector_diagonal_matches_the_per_configuration_expression_at_workload_sizes(rng):
-    """The stacked diagonal, over several row blocks, is bitwise the scalar expression of each configuration."""
+    """The stacked diagonal, over several row blocks, is bitwise the scalar expression of each configuration.
+
+    The sector diagonal is that expression minus the vacuum's.
+    """
     cases = [
         (SpinNetwork.chain(rng.uniform(0.5, 1.5, 39), rng.uniform(-0.3, 0.3, 39), rng.uniform(-0.2, 0.2, 40)), 2),
         (random_network(rng, 30), 2),  # dense ZZ couplings
@@ -281,7 +299,9 @@ def test_sector_diagonal_matches_the_per_configuration_expression_at_workload_si
             s = -np.ones(net.n_sites)
             s[list(occ)] = 1.0
             reference.append(s @ net.fields + 0.5 * s @ net.zz @ s)
-        assert np.array_equal(build_sector_hamiltonian(net, k).diagonal, reference)
+        s = -np.ones(net.n_sites)
+        vacuum = s @ net.fields + 0.5 * s @ net.zz @ s
+        assert np.array_equal(build_sector_hamiltonian(net, k).diagonal, np.array(reference) - vacuum)
     assert len(reference) == 19600 > 4 * network_module.DIAGONAL_BLOCK_ROWS
     occupied = ExcitationSector(50, 3).occupation()
     assert np.array_equal(net.diagonal_energy(occupied[::-1].reshape(2, -1, 50)).ravel(), reference[::-1])

@@ -145,12 +145,16 @@ def test_full_hamiltonian_is_real_symmetric(rng):
 
 
 def loop_hamiltonian(network):
-    """The dense 2^N Hamiltonian built bond by bond, as a reference for the vectorised builder."""
+    """The dense 2^N Hamiltonian built bond by bond, as a reference for the vectorised builder.
+
+    Its diagonal is measured from the energy of basis state 0, the vacuum.
+    """
     n = network.n_sites
     dim = 1 << n
     bits = (np.arange(dim)[:, None] >> (n - 1 - np.arange(n))) & 1
     s = 2.0 * bits - 1.0
-    h = np.diag(s @ network.fields + 0.5 * np.einsum("bi,ij,bj->b", s, network.zz, s))
+    energy = s @ network.fields + 0.5 * np.einsum("bi,ij,bj->b", s, network.zz, s)
+    h = np.diag(energy - energy[0])
     states = np.arange(dim)
     for i in range(n):
         for j in range(i + 1, n):
