@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinmaps import (
+    NetworkChannel,
     NumericalError,
     SectorPropagator,
     SpinNetwork,
@@ -197,6 +198,36 @@ def test_determinant_rejects_unsupported_networks(rng):
     with_zz = SpinNetwork.chain([1.0, 1.0, 1.0], zz_couplings=[0.3, 0.3, 0.3])
     with pytest.raises(ValueError):
         pair_amplitude_determinant(with_zz, k1, 0, 1, 2, 3)
+
+
+def test_vacuum_amplitude_matches_full_propagator(rng):
+    """The vacuum amplitude, the k = 0 table, is the dense U(t)[0, 0]: both are 1."""
+    net = random_network(rng, 4)
+    t = 0.9
+    u = FullPropagator(net).unitary(t)
+    vacuum = SectorPropagator(net, 0).table(t).amplitudes[0, 0]
+    assert vacuum == 1.0
+    assert abs(vacuum - u[0, 0]) < 1e-12
+
+
+def test_vacuum_amplitude_reads_the_sector_diagonal_without_a_sector(rng, monkeypatch, sector_builds):
+    """Every sector diagonal has the vacuum's energy taken off, so no channel builds a k = 0 sector."""
+    net = random_network(rng, 5)
+    assert build_sector_hamiltonian(net, 0).matrix[0, 0] == 0.0
+    h1 = build_sector_hamiltonian(net, 1)
+    assert np.array_equal(h1.diagonal, net.diagonal_energy(h1.sector.occupation()) - net.diagonal_energy())
+    chan = NetworkChannel(net)
+    build = network_module.build_sector_hamiltonian
+
+    def no_vacuum_sector(network, k):
+        if k == 0:
+            raise AssertionError("a channel built the k = 0 sector Hamiltonian")
+        return build(network, k)
+
+    monkeypatch.setattr(network_module, "build_sector_hamiltonian", no_vacuum_sector)
+    chan.one_qubit(0, 4, 0.7)
+    chan.two_qubit((0, 1), (3, 4), 0.7)
+    assert sector_builds == [1, 2]  # the channel's k=1 and k=2 propagators, never a k=0 one
 
 
 def unshifted_tables(network, k, times):
