@@ -8,7 +8,6 @@ from .network import (
     SectorPropagator,
     SpinNetwork,
     build_sector_hamiltonian,
-    pair_amplitude_determinant,
     reduced_state,
 )
 from .maps import (

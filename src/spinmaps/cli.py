@@ -18,7 +18,7 @@ import numpy as np
 import yaml
 
 from . import maps, measures, oracle, protocols
-from .network import NumericalError, SectorPropagator, SpinNetwork, pair_amplitude_determinant
+from .network import NumericalError, SectorPropagator, SpinNetwork
 
 OUTPUT_DIR_ENV = "SPINMAPS_OUTPUT_DIR"
 
@@ -133,16 +133,18 @@ def _run_checks(n_sites: int, seed: int, tol: float, trials: int, report=print) 
     check("element table vs Kraus superoperator", worst_elem, 1e-10)
     check("CPTP (Choi PSD + trace preservation)", worst_choi, 1e-9)
 
+    # free-fermion two-qubit maps (k = 1 minors) against the k = 2 sector's, on an open chain with fields:
+    # overlapping pairs, a reversed sender pair, and storage; a chain not taken as free fermions fails
     chain = SpinNetwork.chain(rng.normal(size=n_sites - 1), fields=0.5 * rng.normal(size=n_sites))
-    k1 = SectorPropagator(chain, 1).table(t)
-    k2 = SectorPropagator(chain, 2).table(t)
-    worst_det = 0.0
-    for (a, b) in ((0, 1), (0, n_sites - 1)):
-        for (c, e) in ((0, 1), (1, n_sites - 1)):
-            det = pair_amplitude_determinant(chain, k1, a, b, c, e)
-            direct = k2.amplitude((a, b), (c, e))
-            worst_det = max(worst_det, abs(det - direct))
-    check("determinant fast path (open chain)", worst_det, 1e-9)
+    free = maps.NetworkChannel(chain)
+    a, b, c = (int(x) for x in rng.choice(n_sites, size=3, replace=False))
+    worst_free = 0.0 if free.free_fermion else np.inf
+    for senders, receivers in (((a, b), (b, c)), ((b, a), (c, a)), ((a, c), (c, a))):
+        k1, k2 = free.k1.table(t, [(senders[0],), (senders[1],)]), free.k2.table(t, [senders])
+        sector = maps.superop_from_kraus(maps.two_qubit_kraus(k1, k2, senders, receivers))
+        built = maps.superop_from_kraus(free.two_qubit(senders, receivers, t))
+        worst_free = max(worst_free, float(np.abs(built - sector).max()))
+    check("free-fermion two-qubit map vs k=2 sector (open chain)", worst_free, 1e-10)
     report("verification " + ("passed" if ok else "FAILED"))
     return 0 if ok else 1
 

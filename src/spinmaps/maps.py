@@ -15,7 +15,9 @@ sender columns into :func:`one_qubit_kraus` and :func:`two_qubit_kraus`
 sets.  The sector tables measure energies from the vacuum
 (:mod:`spinmaps.network`), so their amplitudes are the ones the maps take:
 the vacuum-vacuum Kraus element is exactly 1 and the channel is the exact
-reduced dynamics for arbitrary fields and ZZ couplings.
+reduced dynamics for arbitrary fields and ZZ couplings.  On an open chain with
+no ZZ coupling the two-qubit map reads the k = 1 table alone (free fermions,
+see :func:`two_qubit_kraus`).
 
 Time grids are a leading axis.  Given an array of T times (or amplitudes),
 :class:`NetworkChannel`, :func:`one_qubit_kraus`, :func:`two_qubit_kraus`,
@@ -337,7 +339,7 @@ def tensor_map(m1: KrausSet, m2: KrausSet) -> KrausSet:
 
 def two_qubit_kraus(
     k1: AmplitudeTable,
-    k2: AmplitudeTable,
+    k2: AmplitudeTable | None,
     senders,
     receivers,
 ) -> KrausSet:
@@ -349,36 +351,63 @@ def two_qubit_kraus(
     4x4 block-diagonal E_0, one E_1^k for every site k outside the receiver
     pair (one excitation left in the environment) and a single E_2 for both
     excitations lost.  Every environment-pair operator E_2^{kl} has its only
-    entry f_2(k, l) at [0, 3], so their sum of kron(E, conj(E)) equals that of
-    one operator with entry sqrt(sum_{k<l} |f_2(k, l)|^2) there, just as
+    entry f_ij(k, l) at [0, 3], so their sum of kron(E, conj(E)) equals that of
+    one operator with entry sqrt(sum_{k<l} |f_ij(k, l)|^2) there, just as
     :func:`one_qubit_kraus` merges its leakage operators.  An N-site network
     gives N operators.
+
+    The pair amplitudes f_ij at the targets (n, m), (k, m) and (n, k) come
+    from one of two sources:
+
+    * a k = 2 table ``k2``: they are gathered from its (i, j) column, and the
+      merged weight sums that column over the targets off the receivers;
+    * ``k2=None``, valid only on a free-fermion network (an open chain with
+      no ZZ coupling, which :class:`NetworkChannel` decides): with F the k = 1
+      columns of the senders in ascending order, f_ij at a < b is the 2 x 2
+      minor det F[{a, b}, :] (Lieb, Schultz & Mattis, Ann. Phys. 16, 407
+      (1961)), and by Cauchy-Binet the merged weight is
+      sqrt(det(F_env^dag F_env)) over the rows F_env of the sites outside the
+      receivers, the determinant clipped at 0 for rounding.
 
     The tables may hold only the columns read here: sources (i,) and (j,) of
     ``k1`` and (i, j) of ``k2``, each read once, with every target gathered
     by its basis position.  Tables over T times give (T, 4, 4) operators.
     """
     n_sites = k1.sector.n_sites
-    if k2.sector.n_sites != n_sites:
-        raise ValueError("amplitude tables belong to different networks")
-    if k1.sector.excitation_count != 1 or k2.sector.excitation_count != 2:
+    if k1.sector.excitation_count != 1 or k2 is not None and k2.sector.excitation_count != 2:
         raise ValueError("two_qubit_kraus needs a k=1 and a k=2 table")
-    if not np.array_equal(k1.time, k2.time):
-        raise ValueError(f"amplitude tables at different times: {k1.time} vs {k2.time}")
+    if k2 is not None:
+        if k2.sector.n_sites != n_sites:
+            raise ValueError("amplitude tables belong to different networks")
+        if not np.array_equal(k1.time, k2.time):
+            raise ValueError(f"amplitude tables at different times: {k1.time} vs {k2.time}")
     i, j = check_sites(senders, n_sites, "sender", 2)
     n, m = check_sites(receivers, n_sites, "receiver", 2)
     env = np.array([k for k in range(n_sites) if k not in (n, m)], dtype=np.intp)
     ne = env.size
     # targets of k=1: m, n, then each environment site k; of k=2: (n, m), then every (k, m), then every (n, k)
     one = k1.sector.positions(np.concatenate([[m, n], env])[:, None])
-    pairs = np.concatenate([[[n, m]], np.column_stack([env, np.full(ne, m)]),
-                            np.column_stack([np.full(ne, n), env])])
-    two = k2.sector.positions(np.sort(pairs, axis=1))
-    # amplitudes gathered from the three source columns, target axis first
-    col_ij = k2.column((i, j))
-    f_i = np.moveaxis(k1.column((i,))[..., one], -1, 0)
-    f_j = np.moveaxis(k1.column((j,))[..., one], -1, 0)
-    f_ij = np.moveaxis(col_ij[..., two], -1, 0)
+    pairs = np.sort(np.concatenate([[[n, m]], np.column_stack([env, np.full(ne, m)]),
+                                    np.column_stack([np.full(ne, n), env])]), axis=1)
+    # amplitudes gathered from the source columns, target axis first
+    col_i, col_j = k1.column((i,)), k1.column((j,))
+    f_i = np.moveaxis(col_i[..., one], -1, 0)
+    f_j = np.moveaxis(col_j[..., one], -1, 0)
+    if k2 is None:
+        lo, hi = (col_i, col_j) if i < j else (col_j, col_i)
+        a, b = pairs.T
+        f_ij = np.moveaxis(lo[..., a] * hi[..., b] - lo[..., b] * hi[..., a], -1, 0)
+        # det of the Gram matrix [[|lo|^2, lo^dag hi], [hi^dag lo, |hi|^2]] of the environment rows
+        lo_env, hi_env = lo[..., env], hi[..., env]
+        gram_det = (np.sum(np.abs(lo_env) ** 2, axis=-1) * np.sum(np.abs(hi_env) ** 2, axis=-1)
+                    - np.abs(np.sum(lo_env.conj() * hi_env, axis=-1)) ** 2)
+        lost = np.sqrt(np.maximum(gram_det, 0.0))
+    else:
+        col_ij = k2.column((i, j))
+        f_ij = np.moveaxis(col_ij[..., k2.sector.positions(pairs)], -1, 0)
+        sites = k2.sector.sites
+        outside = ((sites != n) & (sites != m)).all(axis=1)  # targets with both excitations outside
+        lost = np.sqrt(np.sum(np.abs(col_ij[..., outside]) ** 2, axis=-1))
     ops = np.zeros((n_sites,) + np.shape(k1.time) + (4, 4), dtype=complex)
     e0, e1, e2 = ops[0], ops[1:-1], ops[-1]  # E_0, one E_1 per environment site, the merged E_2
     e0[..., 0, 0] = 1.0
@@ -391,27 +420,30 @@ def two_qubit_kraus(
     e1[..., 0, 2] = f_i[2:]
     e1[..., 1, 3] = f_ij[1:ne + 1]
     e1[..., 2, 3] = f_ij[ne + 1:]
-    sites = k2.sector.sites
-    lost = ((sites != n) & (sites != m)).all(axis=1)  # targets with both excitations outside
-    e2[..., 0, 3] = np.sqrt(np.sum(np.abs(col_ij[..., lost]) ** 2, axis=-1))
+    e2[..., 0, 3] = lost
     return KrausSet(ops)
 
 
 class NetworkChannel:
     """The one- and two-qubit channels that one network induces between its sites.
 
-    Holds the k=1 sector propagator and builds the k=2 one on first use, so
-    each sector is diagonalised once for any number of times and site
-    choices.  Every channel reads only the sender columns of its sectors:
-    (i,) of k=1 for one qubit, (i,), (j,) of k=1 and (i, j) of k=2 for two.
-    Every method takes a time or a 1-D array of T times; for an array, one
-    table per sector covers the whole grid and the result carries a leading
-    time axis.
+    Holds the k=1 sector propagator, and builds the k=2 one on first use
+    where two-qubit maps need it, so each sector is diagonalised once for any
+    number of times and site choices.  Whether they need it is decided once,
+    at construction: on a free-fermion network, an open chain (dual rails of
+    :meth:`SpinNetwork.disjoint_union` included) with no ZZ coupling, every
+    pair amplitude is a 2 x 2 minor of the k=1 table (see
+    :func:`two_qubit_kraus`) and no k=2 sector is built.  Every channel reads
+    only the sender columns of its sectors: (i,) of k=1 for one qubit, (i,),
+    (j,) of k=1 and, off free fermions, (i, j) of k=2 for two.  Every method
+    takes a time or a 1-D array of T times; for an array, one table per
+    sector covers the whole grid and the result carries a leading time axis.
     """
 
     def __init__(self, network: SpinNetwork):
         self.network = network
         self.k1 = SectorPropagator(network, 1)
+        self.free_fermion = network.is_open_chain() and not network.zz.any()
 
     @cached_property
     def k2(self) -> SectorPropagator:
@@ -432,7 +464,9 @@ class NetworkChannel:
         n = self.network.n_sites
         i, j = check_sites(senders, n, "sender", 2)
         check_sites(receivers, n, "receiver", 2)  # before either sector table is built
-        return two_qubit_kraus(self.k1.table(t, [(i,), (j,)]), self.k2.table(t, [(i, j)]), (i, j), receivers)
+        k1 = self.k1.table(t, [(i,), (j,)])
+        k2 = None if self.free_fermion else self.k2.table(t, [(i, j)])
+        return two_qubit_kraus(k1, k2, (i, j), receivers)
 
 
 def two_qubit_map_elements(

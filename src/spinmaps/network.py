@@ -59,7 +59,14 @@ Conventions
   configuration minus that of the vacuum.  Every amplitude is therefore the
   transition amplitude relative to the vacuum, and the vacuum amplitude is 1.
 * Construction is sign-free (hard-core boson / spin basis); no fermionic
-  strings enter for any coupling graph.
+  strings enter the sector engine for any coupling graph.
+* The one exception is the two-qubit map on a free-fermion network, an open
+  chain with no ZZ coupling: there no hop passes another excitation, so the
+  Jordan-Wigner map adds no sign, H_k is k free fermions, and the
+  k-excitation amplitude from sources s to configuration c is the minor
+  det F[c, s] of the k = 1 table F (Lieb, Schultz & Mattis, Ann. Phys. 16,
+  407 (1961)).  :class:`spinmaps.maps.NetworkChannel` builds such maps from
+  the k = 1 table alone and never builds their k = 2 sector.
 """
 
 from __future__ import annotations
@@ -575,29 +582,3 @@ def reduced_state(table: AmplitudeTable, source, keep) -> np.ndarray:
         g[:, np.searchsorted(patterns, pattern[members]), env.positions(env_sites)] = flat[:, members]
         rho[:, patterns[:, None], patterns] = g @ g.conj().swapaxes(-1, -2)
     return rho.reshape(psi.shape[:-1] + rho.shape[1:])
-
-
-def pair_amplitude_determinant(network: SpinNetwork, table_k1: AmplitudeTable, *sites) -> complex:
-    """k-excitation amplitude from one-excitation data (free-fermion shortcut), k <= 4.
-
-    ``sites`` lists k ascending source sites, then k ascending target sites:
-    ``(i, j, n, m)`` is the pair amplitude f_ij^nm.  Valid only for open
-    chains with zero ZZ couplings, where the dynamics is that of free
-    fermions (Lieb, Schultz & Mattis, Ann. Phys. 16, 407 (1961)): the
-    amplitude is the k x k minor det[f_{s_a}^{r_b}] of the k = 1 table
-    (f_i^n f_j^m - f_i^m f_j^n for a pair), since with energies measured from
-    the vacuum H_k is the sum of k one-excitation Hamiltonians.  The table
-    needs the k source columns; with a time axis, one value per time is
-    returned.
-    """
-    if not network.is_open_chain() or np.any(network.zz):
-        raise ValueError("determinant shortcut requires an open chain with zero ZZ couplings")
-    k = len(sites) // 2
-    if len(sites) != 2 * k or not 1 <= k <= 4:
-        raise ValueError(f"need k source then k target sites with 1 <= k <= 4, got {sites}")
-    sources, targets = sites[:k], sites[k:]
-    if list(sources) != sorted(set(sources)) or list(targets) != sorted(set(targets)):
-        raise ValueError(f"sites must be ascending within sources and targets, got {sources} -> {targets}")
-    f = table_k1.site_amplitude
-    minor = np.stack([np.stack([f(s, r) for r in targets], axis=-1) for s in sources], axis=-2)
-    return np.linalg.det(minor)

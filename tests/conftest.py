@@ -95,3 +95,28 @@ def magnetization_expectation(state: np.ndarray) -> float:
     if state.ndim == 1:
         return float(weights @ (np.abs(state) ** 2))
     return float(weights @ np.diag(state).real)
+
+
+def pair_amplitude_determinant(network: SpinNetwork, table_k1, *sites) -> complex:
+    """k-excitation amplitude from one-excitation data (free-fermion reference), k <= 4.
+
+    ``sites`` lists k ascending source sites, then k ascending target sites:
+    ``(i, j, n, m)`` is the pair amplitude f_ij^nm.  Valid only for open
+    chains with zero ZZ couplings, where the dynamics is that of free
+    fermions (Lieb, Schultz & Mattis, Ann. Phys. 16, 407 (1961)): the
+    amplitude is the k x k minor det[f_{s_a}^{r_b}] of the k = 1 table, read
+    one scalar at a time and independent of the minors ``maps.two_qubit_kraus``
+    forms.  The table needs the k source columns; with a time axis, one value
+    per time is returned.
+    """
+    if not network.is_open_chain() or np.any(network.zz):
+        raise ValueError("determinant shortcut requires an open chain with zero ZZ couplings")
+    k = len(sites) // 2
+    if len(sites) != 2 * k or not 1 <= k <= 4:
+        raise ValueError(f"need k source then k target sites with 1 <= k <= 4, got {sites}")
+    sources, targets = sites[:k], sites[k:]
+    if list(sources) != sorted(set(sources)) or list(targets) != sorted(set(targets)):
+        raise ValueError(f"sites must be ascending within sources and targets, got {sources} -> {targets}")
+    f = table_k1.site_amplitude
+    minor = np.stack([np.stack([f(s, r) for r in targets], axis=-1) for s in sources], axis=-2)
+    return np.linalg.det(minor)

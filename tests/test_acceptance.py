@@ -19,7 +19,6 @@ from spinmaps import (
     four_tangle,
     is_cptp,
     one_qubit_kraus,
-    pair_amplitude_determinant,
     partial_trace,
     superop_from_kraus,
     tensor_map,
@@ -42,7 +41,7 @@ from spinmaps.measures import three_tangle_decomposition_bound
 from spinmaps.oracle import FullPropagator, reduced_output
 from spinmaps.protocols import FIGURE7_G, FIGURE7_J
 
-from conftest import magnetization_expectation, random_network
+from conftest import magnetization_expectation, pair_amplitude_determinant, random_network
 
 WERNER_WEIGHTS = (0.4, 0.5, 0.7, 0.9, 1.0)
 

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from spinmaps import NumericalError, SectorPropagator, SpinNetwork, pair_amplitude_determinant
+from spinmaps import NumericalError, SectorPropagator, SpinNetwork
 from spinmaps import chebyshev, network as network_module
 from spinmaps.network import ExcitationSector, SectorHamiltonian, build_sector_hamiltonian
 
-from conftest import PropagationPaths
+from conftest import PropagationPaths, pair_amplitude_determinant
 
 
 def random_graph_network(seed: int, n: int) -> SpinNetwork:

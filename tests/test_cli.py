@@ -454,19 +454,29 @@ times:
 """
 
 
+def _transfer_on_zz_chain(sites: int) -> str:
+    """TRANSFER_N80 on a chain of ``sites`` with ZZ 0.2 on every bond, which keeps its k = 2 sector."""
+    chain = f"network: {{kind: chain, couplings: {[1.0] * (sites - 1)}, zz_couplings: {[0.2] * (sites - 1)}}}\n"
+    return TRANSFER_N80.replace("network:\n  kind: uniform_chain\n  sites: 80\n", chain)
+
+
 def test_two_qubit_transfer_at_80_sites_skips_the_k2_eigh(tmp_path, paths):
-    config = tmp_path / "n80.yaml"
-    config.write_text(TRANSFER_N80)
-    out = tmp_path / "n80.csv"
-    assert main(["run", str(config), "--output", str(out)]) == 0
-    assert len(out.read_text().splitlines()) == 7
+    """The uniform chain builds no k = 2 sector; with a ZZ coupling its d = 3160 columns take the series."""
+    for name, text in (("n80", TRANSFER_N80), ("n80zz", _transfer_on_zz_chain(80))):
+        config = tmp_path / f"{name}.yaml"
+        config.write_text(text)
+        out = tmp_path / f"{name}.csv"
+        assert main(["run", str(config), "--output", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 7
+        assert paths.chebyshev == (name == "n80zz")
     assert (3160, 3160) not in paths.eigh_shapes  # the k = 2 sector of 80 sites
     assert all(shape[0] <= 80 for shape in paths.eigh_shapes)
 
 
 @pytest.mark.parametrize("sites, d", [(10, 45), (9, 36)])
 def test_point_sweep_sized_sectors_take_eigh(tmp_path, paths, sites, d):
-    text = TRANSFER_N80.replace("sites: 80", f"sites: {sites}").replace("[78, 79]", f"[{sites - 2}, {sites - 1}]")
+    """A ZZ coupling keeps the k = 2 sector, which a ZZ-free chain never builds; at these sizes both take eigh."""
+    text = _transfer_on_zz_chain(sites).replace("[78, 79]", f"[{sites - 2}, {sites - 1}]")
     config = tmp_path / "small.yaml"
     config.write_text(text.replace("points: 6", "points: 200"))
     assert main(["run", str(config), "--output", str(tmp_path / "small.csv")]) == 0

@@ -11,13 +11,12 @@ from spinmaps import (
     SectorPropagator,
     SpinNetwork,
     build_sector_hamiltonian,
-    pair_amplitude_determinant,
 )
 from spinmaps import network as network_module
 from spinmaps.network import AmplitudeTable, ExcitationSector, reduced_state
 from spinmaps.oracle import FullPropagator, basis_index, full_hamiltonian, reduced_output
 
-from conftest import PropagationPaths, random_network
+from conftest import PropagationPaths, pair_amplitude_determinant, random_network
 
 
 def test_network_validation():

@@ -355,7 +355,7 @@ def _assert_grid_rows_equal_one_time_runs(fields, check_columns):
 
 
 def test_weak_pair_builds_one_k1_column_per_time(monkeypatch):
-    """16 times: 16 k=1 and 16 k=2 time slices (the f_ab column comes from E_0).
+    """16 times: 16 k=1 time slices and no k=2 one (a ZZ-free chain; the f_ab column comes from E_0).
 
     The concurrence rises over the whole grid, so its peak is the last time and
     no golden-section refinement adds tables.
@@ -371,7 +371,7 @@ def test_weak_pair_builds_one_k1_column_per_time(monkeypatch):
     spec = ScenarioSpec(kind="weak_pair", times=tuple(np.linspace(0.0, 8.0, 16)),
                         params={"wire_sites": 5, "g": 0.1})
     result = run(spec)
-    assert built == {1: 16, 2: 16}
+    assert built == {1: 16, 2: 0}
     chan = NetworkChannel(SpinNetwork.chain([0.1, 1.0, 1.0, 1.0, 1.0, 0.1]))
     expected = np.abs(chan.amplitude(0, 6, np.array(spec.times)))
     assert np.abs(result.column("f_ab_abs") - expected).max() <= 1e-14
