@@ -38,11 +38,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .network import AmplitudeTable, NumericalError, SectorPropagator, SpinNetwork, check_sites
+from .network import AmplitudeTable, ExcitationSector, NumericalError, SectorPropagator, SpinNetwork, check_sites
 
 DENSITY_ATOL = 1e-10
 PSD_FLOOR = -1e-9
@@ -66,8 +66,8 @@ def assert_density_matrix(rho: np.ndarray, atol: float = DENSITY_ATOL, eig_floor
         raise ValueError("density matrix has non-finite entries")
     if np.abs(rho - rho.conj().swapaxes(-1, -2)).max() > atol:
         raise ValueError("density matrix is not Hermitian")
-    trace = np.trace(rho, axis1=-2, axis2=-1)
-    worst = np.argmax(np.abs(trace - 1.0))
+    trace = rho.trace(axis1=-2, axis2=-1)
+    worst = np.abs(trace - 1.0).argmax()
     if abs(trace.flat[worst] - 1.0) > atol:
         raise ValueError(f"density matrix trace is {trace.flat[worst]}, expected 1")
     w = np.linalg.eigvalsh(rho)
@@ -184,7 +184,7 @@ class KrausSet:
         shape = ops[0].shape
         if len(shape) not in (2, 3):
             raise ValueError("Kraus operators must be matrices (or stacks of matrices)")
-        if any(op.shape != shape for op in ops):
+        if isinstance(ops, list) and any(op.shape != shape for op in ops):  # an array's operators share one shape
             raise ValueError("all Kraus operators must share the same shape")
         object.__setattr__(self, "operators", np.asarray(ops, dtype=complex))
         if self.complete:
@@ -337,6 +337,20 @@ def tensor_map(m1: KrausSet, m2: KrausSet) -> KrausSet:
 # ---------------------------------------------------------------------------
 # two-qubit map
 
+@lru_cache(maxsize=64)
+def _pair_targets(n_sites: int, n: int, m: int) -> tuple:
+    """The target bookkeeping of :func:`two_qubit_kraus` for receivers (n, m): read-only, shared by every call."""
+    env = np.array([k for k in range(n_sites) if k not in (n, m)], dtype=np.intp)
+    # targets of k=1: m, n, then each environment site k; of k=2: (n, m), then every (k, m), then every (n, k)
+    one = ExcitationSector(n_sites, 1).positions(np.concatenate([[m, n], env])[:, None])
+    pairs = np.sort(np.concatenate([[[n, m]], np.column_stack([env, np.full_like(env, m)]),
+                                    np.column_stack([np.full_like(env, n), env])]), axis=1)
+    pair_rows = ExcitationSector(n_sites, 2).positions(pairs)
+    for index in (env, one, pairs, pair_rows):
+        index.setflags(write=False)
+    return env, one, pairs, pair_rows
+
+
 def two_qubit_kraus(
     k1: AmplitudeTable,
     k2: AmplitudeTable | None,
@@ -383,32 +397,26 @@ def two_qubit_kraus(
             raise ValueError(f"amplitude tables at different times: {k1.time} vs {k2.time}")
     i, j = check_sites(senders, n_sites, "sender", 2)
     n, m = check_sites(receivers, n_sites, "receiver", 2)
-    env = np.array([k for k in range(n_sites) if k not in (n, m)], dtype=np.intp)
+    env, one, pairs, pair_rows = _pair_targets(n_sites, n, m)
     ne = env.size
-    # targets of k=1: m, n, then each environment site k; of k=2: (n, m), then every (k, m), then every (n, k)
-    one = k1.sector.positions(np.concatenate([[m, n], env])[:, None])
-    pairs = np.sort(np.concatenate([[[n, m]], np.column_stack([env, np.full(ne, m)]),
-                                    np.column_stack([np.full(ne, n), env])]), axis=1)
     # amplitudes gathered from the source columns, target axis first
     col_i, col_j = k1.column((i,)), k1.column((j,))
-    f_i = np.moveaxis(col_i[..., one], -1, 0)
-    f_j = np.moveaxis(col_j[..., one], -1, 0)
+    f_i, f_j = col_i.take(one, axis=-1).T, col_j.take(one, axis=-1).T
     if k2 is None:
         lo, hi = (col_i, col_j) if i < j else (col_j, col_i)
         a, b = pairs.T
-        f_ij = np.moveaxis(lo[..., a] * hi[..., b] - lo[..., b] * hi[..., a], -1, 0)
+        f_ij = (lo.take(a, axis=-1) * hi.take(b, axis=-1) - lo.take(b, axis=-1) * hi.take(a, axis=-1)).T
         # det of the Gram matrix [[|lo|^2, lo^dag hi], [hi^dag lo, |hi|^2]] of the environment rows
-        lo_env, hi_env = lo[..., env], hi[..., env]
-        gram_det = (np.sum(np.abs(lo_env) ** 2, axis=-1) * np.sum(np.abs(hi_env) ** 2, axis=-1)
-                    - np.abs(np.sum(lo_env.conj() * hi_env, axis=-1)) ** 2)
+        lo_env, hi_env = lo[..., env], hi[..., env]  # not take: the layout sets the order of the sums below
+        gram_det = ((np.abs(lo_env) ** 2).sum(axis=-1) * (np.abs(hi_env) ** 2).sum(axis=-1)
+                    - np.abs((lo_env.conj() * hi_env).sum(axis=-1)) ** 2)
         lost = np.sqrt(np.maximum(gram_det, 0.0))
     else:
         col_ij = k2.column((i, j))
-        f_ij = np.moveaxis(col_ij[..., k2.sector.positions(pairs)], -1, 0)
-        sites = k2.sector.sites
-        outside = ((sites != n) & (sites != m)).all(axis=1)  # targets with both excitations outside
-        lost = np.sqrt(np.sum(np.abs(col_ij[..., outside]) ** 2, axis=-1))
-    ops = np.zeros((n_sites,) + np.shape(k1.time) + (4, 4), dtype=complex)
+        f_ij = col_ij.take(pair_rows, axis=-1).T
+        # the pair rows are every target holding n or m: the rest have both excitations in the environment
+        lost = np.sqrt((np.abs(np.delete(col_ij, pair_rows, axis=-1)) ** 2).sum(axis=-1))
+    ops = np.zeros((n_sites,) + col_i.shape[:-1] + (4, 4), dtype=complex)
     e0, e1, e2 = ops[0], ops[1:-1], ops[-1]  # E_0, one E_1 per environment site, the merged E_2
     e0[..., 0, 0] = 1.0
     e0[..., 1, 1] = f_j[0]
@@ -486,11 +494,17 @@ def two_qubit_map_elements(
     i, j = check_sites(senders, n_sites, "sender", 2)
     n, m = check_sites(receivers, n_sites, "receiver", 2)
 
+    f1_columns = {i: k1.column((i,)), j: k1.column((j,))}
+    col_ij = k2.column((i, j))
+    lower, upper = np.triu_indices(n_sites, 1)
+    pair_position = np.zeros((n_sites, n_sites), dtype=np.intp)
+    pair_position[lower, upper] = pair_position[upper, lower] = k2.sector.positions(np.column_stack([lower, upper]))
+
     def f1(src, tgt):
-        return k1.amplitude((src,), (tgt,))
+        return f1_columns[src][..., tgt]  # a k=1 configuration's position is its site
 
     def f2(tgt_a, tgt_b):
-        return k2.amplitude(tuple(sorted((i, j))), tuple(sorted((tgt_a, tgt_b))))
+        return col_ij[..., pair_position[tgt_a, tgt_b]]
 
     env = [k for k in range(n_sites) if k not in (n, m)]
     env_pairs = list(itertools.combinations(env, 2))

@@ -542,7 +542,7 @@ class SectorPropagator:
         block = np.multiply(phases[..., None], cols, order="C")
         # real V times the complex block as one real product over interleaved (re, im) columns
         f = (eigvecs @ block.reshape(d, -1).view(float)).view(complex).reshape(block.shape)
-        return np.moveaxis(f, 0, -2)
+        return f.swapaxes(0, -2)  # (d, T..., c) -> (T..., d, c): a view, a no-op without the time axis
 
     def _chebyshev_columns(self, times: np.ndarray, rows: list, terms: int) -> np.ndarray:
         """Chebyshev series of exp(-iHt) on the unit columns ``rows``, every time at once; (T..., d, c)."""

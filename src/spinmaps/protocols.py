@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import maps, measures, oracle
-from .network import SectorPropagator, SpinNetwork, check_times, reduced_state
+from .network import NumericalError, SectorPropagator, SpinNetwork, check_times, reduced_state
 
 ORACLE_TOL = 1e-8
 
@@ -741,8 +741,10 @@ def _report_weak_pair(spec: ScenarioSpec, built: _ChannelMap, result: ScenarioRe
         from scipy.optimize import minimize_scalar
 
         def negative_concurrence(t):
-            rho = maps.apply(chan.two_qubit((a, b), (a, b), t), spec.rho_in)
-            return -measures.concurrence(rho)
+            try:
+                return -measures.concurrence(maps.apply(chan.two_qubit((a, b), (a, b), t), spec.rho_in))
+            except ValueError as exc:  # a failed map or measure, not the bracket rejection tolerated below
+                raise NumericalError(str(exc)) from exc
 
         bracket = (spec.times[peak_idx - 1], peak_t, spec.times[peak_idx + 1])
         try:
@@ -750,7 +752,7 @@ def _report_weak_pair(spec: ScenarioSpec, built: _ChannelMap, result: ScenarioRe
             if -res.fun >= peak_c:
                 peak_t, peak_c = float(res.x), float(-res.fun)
         except ValueError:
-            pass  # non-bracketing grid triple; keep the grid peak
+            pass  # scipy's rejection of a non-bracketing grid triple; keep the grid peak
     return {"peak_time": peak_t, "peak_concurrence": peak_c}
 
 

@@ -120,3 +120,45 @@ def pair_amplitude_determinant(network: SpinNetwork, table_k1, *sites) -> comple
     f = table_k1.site_amplitude
     minor = np.stack([np.stack([f(s, r) for r in targets], axis=-1) for s in sources], axis=-2)
     return np.linalg.det(minor)
+
+
+def rebuilt_two_qubit_kraus(k1, k2, senders, receivers) -> maps.KrausSet:
+    """``maps.two_qubit_kraus`` with its site bookkeeping rebuilt on every call, from the enumerated k = 2 basis.
+
+    The reference for the cached bookkeeping: the same amplitudes, gathered in
+    the same order by the same arithmetic, so the operators must be equal.
+    """
+    i, j = senders
+    n, m = receivers
+    n_sites = k1.sector.n_sites
+    env = np.array([k for k in range(n_sites) if k not in (n, m)], dtype=np.intp)
+    ne = env.size
+    one = k1.sector.positions(np.concatenate([[m, n], env])[:, None])
+    pairs = np.sort(np.concatenate([[[n, m]], np.column_stack([env, np.full(ne, m)]),
+                                    np.column_stack([np.full(ne, n), env])]), axis=1)
+    col_i, col_j = k1.column((i,)), k1.column((j,))
+    f_i = np.moveaxis(col_i[..., one], -1, 0)
+    f_j = np.moveaxis(col_j[..., one], -1, 0)
+    if k2 is None:
+        lo, hi = (col_i, col_j) if i < j else (col_j, col_i)
+        a, b = pairs.T
+        f_ij = np.moveaxis(lo[..., a] * hi[..., b] - lo[..., b] * hi[..., a], -1, 0)
+        lo_env, hi_env = lo[..., env], hi[..., env]
+        gram_det = (np.sum(np.abs(lo_env) ** 2, axis=-1) * np.sum(np.abs(hi_env) ** 2, axis=-1)
+                    - np.abs(np.sum(lo_env.conj() * hi_env, axis=-1)) ** 2)
+        lost = np.sqrt(np.maximum(gram_det, 0.0))
+    else:
+        col_ij = k2.column((i, j))
+        f_ij = np.moveaxis(col_ij[..., k2.sector.positions(pairs)], -1, 0)
+        sites = k2.sector.sites
+        outside = ((sites != n) & (sites != m)).all(axis=1)
+        lost = np.sqrt(np.sum(np.abs(col_ij[..., outside]) ** 2, axis=-1))
+    ops = np.zeros((n_sites,) + np.shape(k1.time) + (4, 4), dtype=complex)
+    e0, e1, e2 = ops[0], ops[1:-1], ops[-1]
+    e0[..., 0, 0] = 1.0
+    e0[..., 1, 1], e0[..., 1, 2], e0[..., 2, 1], e0[..., 2, 2] = f_j[0], f_i[0], f_j[1], f_i[1]
+    e0[..., 3, 3] = f_ij[0]
+    e1[..., 0, 1], e1[..., 0, 2] = f_j[2:], f_i[2:]
+    e1[..., 1, 3], e1[..., 2, 3] = f_ij[1:ne + 1], f_ij[ne + 1:]
+    e2[..., 0, 3] = lost
+    return maps.KrausSet(ops)

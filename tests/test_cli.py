@@ -840,6 +840,18 @@ def _fail_measure_check(monkeypatch, from_run=0):
     monkeypatch.setattr(measures, "_clip_unit", failing)
 
 
+def _fail_peak_search(monkeypatch):
+    """The concurrence of one state raises: the weak_pair peak search's, not the grid's (a stack of states)."""
+    concurrence = measures.concurrence
+
+    def failing(rho):
+        if np.ndim(rho) == 2:
+            raise ValueError("measure value 1.5 outside [0, 1] beyond tolerance")
+        return concurrence(rho)
+
+    monkeypatch.setattr(measures, "concurrence", failing)
+
+
 def _refuse_series(monkeypatch):
     def refuse(*args):
         raise AssertionError("the oracle series started")
@@ -857,6 +869,8 @@ def _exhaust_memory(monkeypatch):
 # an 8-site chain whose series would take about 1.4e9 Chebyshev terms: the weights alone exceed any memory
 TERMS_CONFIG = ("scenario: qst\nnetwork: {kind: uniform_chain, sites: 8, coupling: 1.0e+4}\nsites: {sender: 0, receiver: 7}\n"
                 "times: {start: 0.0, stop: 1.0e+4, points: 2}\nverify: {oracle: true}\n")
+# the grid peak lies inside [0, 24.8], so the golden-section search runs
+WEAK_PAIR_CONFIG = "scenario: weak_pair\nparams: {wire_sites: 9}\ntimes: {start: 0.0, stop: 24.8, points: 16}\n"
 SWEEP_CONFIG = GOOD_CONFIG.replace("verify:\n  oracle: true\n  cptp: true\n", "") + "sweep: {axis: p, values: [0.4, 0.9]}\n"
 DUAL_16_CONFIG = ("scenario: distribute_dual\nnetwork: {kind: uniform_chain, sites: 8}\n"
                   "network_b: {kind: uniform_chain, sites: 8}\n"
@@ -878,9 +892,10 @@ DUAL_16_CONFIG = ("scenario: distribute_dual\nnetwork: {kind: uniform_chain, sit
     (["run", "{config}"], TERMS_CONFIG, _refuse_series, 2,
      "configuration error: verify.oracle: 8 sites, 2 columns and 2 times exceed the series-oracle cap"),
     (["run", "{config}"], GOOD_CONFIG, _exhaust_memory, 1, "numerical failure: "),
+    (["run", "{config}"], WEAK_PAIR_CONFIG, _fail_peak_search, 1, "numerical failure: measure value 1.5"),
 ], ids=["oracle-output-run", "oracle-output-verify", "figure-measure", "sweep-second-value", "oracle-cap",
         "four-qubit-negative-g", "four-qubit-overflowing-g", "closed-form-overflowing-g", "oracle-terms-cap",
-        "memory-error"])
+        "memory-error", "weak-pair-peak-search"])
 def test_exit_code_follows_the_phase(tmp_path, monkeypatch, capsys, sector_builds, argv, text, patch, code, message):
     """Exit 2 for what reading finds, before any computation; exit 1 for a computation that fails."""
     config, out = tmp_path / "run.yaml", tmp_path / "out.csv"

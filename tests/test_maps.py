@@ -25,6 +25,7 @@ from spinmaps import (
     two_qubit_sparsity_pattern,
 )
 from spinmaps.maps import (
+    _pair_targets,
     apply_kraus,
     distributed_pair_matrix,
     dual_rail_matrix,
@@ -36,7 +37,7 @@ from spinmaps.maps import (
 from spinmaps.measures import bell_state, concurrence
 from spinmaps.oracle import FullPropagator, reduced_output
 
-from conftest import random_network
+from conftest import random_network, rebuilt_two_qubit_kraus
 
 
 def random_amplitude(rng):
@@ -403,6 +404,29 @@ def test_two_qubit_kraus_reads_whole_columns_without_scalar_lookups(rng, monkeyp
     ks = two_qubit_kraus(k1, k2, senders, receivers)
     assert len(ks.operators) == 40
     assert np.abs(superop_from_kraus(ks) - elements).max() < 1e-10
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_cached_pair_bookkeeping_gives_the_rebuilt_operators(rng, n):
+    free = SpinNetwork.chain(rng.uniform(0.5, 1.5, n - 1), fields=rng.uniform(-0.3, 0.3, n))
+    zz = SpinNetwork.chain(rng.uniform(0.5, 1.5, n - 1), rng.uniform(-0.3, 0.3, n - 1), rng.uniform(-0.3, 0.3, n))
+    p = [int(x) for x in rng.permutation(n)]
+    # storage, a reversed sender pair, then (n >= 3) overlapping pairs and (n >= 4) pairs apart
+    pairs = [((p[0], p[1]), (p[0], p[1])), ((max(p[:2]), min(p[:2])), (p[1], p[0]))]
+    if n >= 3:
+        pairs.append(((p[0], p[1]), (p[1], p[2])))
+    if n >= 4:
+        pairs.append(((p[0], p[1]), (p[3], p[2])))
+    for net in (free, zz, random_network(rng, n)):
+        k1_prop, k2_prop = SectorPropagator(net, 1), SectorPropagator(net, 2)
+        for t, (senders, receivers) in itertools.product((1.7, np.array([0.0, 2.3, 9.1])), pairs):
+            k1 = k1_prop.table(t, [(senders[0],), (senders[1],)])
+            for k2 in [k2_prop.table(t, [senders])] + [None] * (net is free):
+                built = two_qubit_kraus(k1, k2, senders, receivers).operators
+                assert np.array_equal(built, rebuilt_two_qubit_kraus(k1, k2, senders, receivers).operators)
+    for index in _pair_targets(n, p[0], p[1]):  # shared by every call: read-only
+        with pytest.raises(ValueError, match="read-only"):
+            index[...] = 0
 
 
 def test_network_channel_builds_each_sector_once(rng, sector_builds):

@@ -14,7 +14,7 @@ from spinmaps import (
     sweep,
     sweep_specs,
 )
-from spinmaps import maps, oracle, protocols
+from spinmaps import maps, measures, oracle, protocols
 from spinmaps.maps import pure_state_density, trace_distance
 from spinmaps.protocols import SCENARIO_KINDS, VerificationError, build_initial_state
 
@@ -205,6 +205,19 @@ def test_weak_pair_peak_at_half_transfer_time():
     high = conc > 0.5
     edges = np.flatnonzero(np.diff(high.astype(int)) != 0)
     assert len(edges) == 2  # one contiguous high-concurrence window -> one maximum
+
+
+def test_weak_pair_peak_search_keeps_the_grid_peak_when_scipy_rejects_the_bracket(monkeypatch):
+    # a flat objective off the grid: scipy rejects the grid triple as no bracket (a ValueError of its own);
+    # an error inside the objective is a numerical failure instead (test_cli, "weak-pair-peak-search")
+    spec = ScenarioSpec(kind="weak_pair", times=tuple(np.linspace(0.0, 24.8, 16)), params={"wire_sites": 9})
+    concurrence = measures.concurrence
+    monkeypatch.setattr(measures, "concurrence", lambda rho: 0.5 if np.ndim(rho) == 2 else concurrence(rho))
+    flat = run(spec)
+    peak = int(np.argmax(flat.column("concurrence")))
+    assert 0 < peak < 15
+    assert flat.meta["peak_time"] == spec.times[peak]
+    assert flat.meta["peak_concurrence"] == flat.column("concurrence")[peak]
 
 
 def test_closed_form_initial_states():
