@@ -18,11 +18,17 @@ series never loads it.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 # Largest 2 sum_{k >= K} |J_k(x)| the series may leave out; it bounds the
 # truncation error of every evolved unit column.
 CHEBYSHEV_TAIL = 1e-16
+# Series terms per block of unit_columns; the block holds fewer where it would pass both
+# SERIES_BLOCK_BYTES and the size of the series' sums
+SERIES_BLOCK = 64
+SERIES_BLOCK_BYTES = 1 << 20
 
 
 def negligible_order(x: float) -> int:
@@ -69,36 +75,79 @@ def _bessel_j(x: np.ndarray, terms: int) -> np.ndarray:
     return (np.fft.fft(np.exp(1j * np.multiply.outer(x, sines)))[:, :terms].real / size).T
 
 
+def block_width(terms: int, entries: int, times: int) -> int:
+    """Terms per block of :func:`unit_columns` for ``entries`` = d c and ``times`` times; even, at least 2.
+
+    ``SERIES_BLOCK``, or fewer: ``terms`` rounded up to even, or as many rows
+    of ``entries`` float64 as fit in ``SERIES_BLOCK_BYTES`` or in the sums'
+    2 ``times`` rows, whichever holds more.
+    """
+    fit = max(2 * times, SERIES_BLOCK_BYTES // (8 * entries))
+    return max(2, min(SERIES_BLOCK, terms + terms % 2, fit - fit % 2))
+
+
 def unit_columns(scaled, bounds, rows, times: np.ndarray, terms: int) -> np.ndarray:
     """exp(-iHt) on the unit columns ``rows`` for every time at once; (T..., d, c).
 
     ``bounds`` = (low, high) encloses the spectrum of H, and
     ``scaled(shift, scale)`` returns the real (d, d) matrix scale * (H - shift)
-    with a sparse product; ``terms`` is :func:`chebyshev_terms` of
+    as a ``scipy.sparse`` CSR array; ``terms`` is :func:`chebyshev_terms` of
     (high - low) / 2 * max|t|.  Even and odd terms are summed apart, each with
     real weights (2 - delta_k0) (-1)^(k // 2) J_k(a t), because (-i)^k is real
-    for even k and imaginary for odd k.  Memory is O((T + 3) d c).
+    for even k and imaginary for odd k.
+
+    Each term T_k(H') v is one call of the CSR kernel that scipy's ``@``
+    calls (``csr_matvec`` for one column, ``csr_matvecs`` for more), so the
+    row sums keep their order.  It is written into a zeroed row of a
+    (B + 2, d c) block, B = :func:`block_width`, whose first two rows carry
+    the last two terms of the block before.  Each block is added into the
+    even and odd sums with one batched product against its (B, T) Bessel
+    weights, zero past the last term.  Memory is O((4 T + B) d c + K T) for
+    K terms (the sums, one block's share of them, the block and the
+    weights), and the (T, d, c) complex result.
     """
-    from scipy.linalg.blas import dger
+    from scipy.sparse import _sparsetools
 
     low, high = bounds
     centre = 0.5 * (high + low)
     half = max(0.5 * (high - low), np.finfo(float).tiny)  # zero width: H = b exactly, any a > 0 works
     two_h = scaled(centre, 2.0 / half)  # 2 H' = 2 (H - b) / a
     d, c = two_h.shape[0], len(rows)
-    if times.size == 0 or c == 0:  # BLAS takes no empty operands
+    if two_h.shape != (d, d):
+        raise ValueError(f"the scaled matrix must be square, got shape {two_h.shape}")
+    two_h.check_format(full_check=True)  # the kernels below index with its arrays unchecked
+    if times.size == 0 or c == 0:
         return np.zeros(times.shape + (d, c), dtype=complex)
     flat = times.reshape(-1)
-    order = np.arange(terms)
-    weights = _bessel_j(half * flat, terms) * np.where(order % 4 < 2, 2.0, -2.0)[:, None]  # (K, T)
+    width = block_width(terms, d * c, flat.size)
+    # weights[k, t], zero past the last term so that every block is full
+    weights = np.zeros((-(-terms // width) * width, flat.size))
+    np.multiply(_bessel_j(half * flat, terms), np.where(np.arange(terms) % 4 < 2, 2.0, -2.0)[:, None],
+                out=weights[:terms])
     weights[0] *= 0.5
-    sums = [np.zeros((d * c, flat.size), order="F") for _ in range(2)]  # even and odd terms
-    prev, cur = None, np.zeros((d, c))
-    cur[rows, np.arange(c)] = 1.0  # T_0 v = v
-    for k in range(terms):
-        # rank-1 update sums += T_k(H') v (x) weights_k, in place in BLAS
-        sums[k % 2] = dger(1.0, cur.reshape(-1), weights[k], a=sums[k % 2], overwrite_a=True)
-        if k + 1 < terms:
-            prev, cur = cur, 0.5 * (two_h @ cur) if k == 0 else two_h @ cur - prev
-    f = np.exp(-1j * centre * flat)[:, None] * (sums[0] - 1j * sums[1]).T
+    sums, part = np.zeros((2, flat.size, d * c)), np.empty((2, flat.size, d * c))  # even and odd terms
+    if c == 1:
+        product = functools.partial(_sparsetools.csr_matvec, d, d, two_h.indptr, two_h.indices, two_h.data)
+    else:
+        product = functools.partial(_sparsetools.csr_matvecs, d, d, c, two_h.indptr, two_h.indices, two_h.data)
+    block = np.empty((width + 2, d * c))
+    row = list(block)  # row r + 2 holds the block's term r; rows 0 and 1 the two terms before it
+    for start in range(0, terms, width):
+        block[2:] = 0.0  # the kernels add into their output row
+        for r in range(2, min(width, terms - start) + 2):
+            if start + r == 2:
+                block[2, np.asarray(rows) * c + np.arange(c)] = 1.0  # T_0 v = v
+                continue
+            product(row[r - 1], row[r])  # 2 H' T_{k-1} v
+            if start + r == 3:
+                row[r] *= 0.5  # T_1 = H' T_0
+            else:
+                row[r] -= row[r - 2]  # T_k = 2 H' T_{k-1} - T_{k-2}
+        # part[p, t] = sum over the block's terms k of parity p of weights[k, t] T_k(H') v
+        np.matmul(weights[start:start + width].reshape(width // 2, 2, -1).transpose(1, 2, 0),
+                  block[2:].reshape(width // 2, 2, -1).transpose(1, 0, 2), out=part)
+        sums += part
+        block[:2] = block[width:]
+    del block, row, part  # freed before the complex temporaries below
+    f = np.exp(-1j * centre * flat)[:, None] * (sums[0] - 1j * sums[1])
     return f.reshape(times.shape + (d, c))

@@ -91,15 +91,16 @@ UNITARITY_ATOL = 1e-10
 #   where fixed costs dominate.  The constant fits d = 250-300, where the two
 #   paths cross for typical grids; below that it underestimates eigh, which
 #   keeps small sectors on eigh.
-# * one Chebyshev step on a (d, c) block for T times, least-squares fit over
-#   d = 66-7140, c = 1-4, T = 1-400 (within a factor 1.5): 11 us, plus 1.3 ns
-#   per stored nonzero and column (sparse product), plus per time 0.21 us
-#   (Bessel weights) and 0.56 ns per row and column (accumulation).
+# * one Chebyshev step on a (d, c) block for T times, least-squares fit of the
+#   relative error over d = 66-7140, c = 1-4, T = 1-400 (within a factor 1.7):
+#   3 us (kernel call and loop), plus 1.3 ns per stored nonzero and column
+#   (sparse product), plus per time 0.12 us (Bessel weights) and 0.21 ns per
+#   row and column (blocked sums).
 EIGH_SECONDS_PER_D3 = 4e-10
-CHEBYSHEV_STEP_SECONDS = 11e-6
+CHEBYSHEV_STEP_SECONDS = 3e-6
 CHEBYSHEV_SECONDS_PER_NONZERO = 1.3e-9
-CHEBYSHEV_SECONDS_PER_TIME = 0.21e-6
-CHEBYSHEV_SECONDS_PER_ENTRY = 0.56e-9
+CHEBYSHEV_SECONDS_PER_TIME = 0.12e-6
+CHEBYSHEV_SECONDS_PER_ENTRY = 0.21e-9
 # rows of one stacked diagonal product: the (rows, N) spin block stays under 2 MB at N = 50
 DIAGONAL_BLOCK_ROWS = 4096
 
@@ -364,17 +365,35 @@ class SectorHamiltonian:
         return m
 
     def sparse(self, shift: float = 0.0, scale: float = 1.0):
-        """CSR matrix (``scipy.sparse.csr_array``) of scale * (H - shift), with the diagonal always stored."""
-        from scipy.sparse import csr_array
+        """CSR matrix (``scipy.sparse.csr_array``) of scale * (H - shift), with the diagonal always stored.
+
+        Built from the diagonal and the hops by the two kernels of scipy's COO
+        to CSR conversion, ``coo_tocsr`` and ``csr_sort_indices``, so its
+        arrays are that conversion's, in canonical order.  Hermiticity is
+        checked against the transpose from ``csr_tocsc``: where every hop has
+        its mirror hop the two share their index arrays.
+        """
+        from scipy.sparse import _sparsetools, csr_array
 
         d = self.sector.dimension
+        hops = np.concatenate([self.rows, self.cols])
+        if hops.size and not 0 <= hops.min() <= hops.max() < d:
+            raise ValueError(f"hop positions must lie in [0, {d})")
         diag = np.arange(d)
-        m = csr_array(
-            (scale * np.concatenate([self.diagonal - shift, self.values]),
-             (np.concatenate([diag, self.rows]), np.concatenate([diag, self.cols]))),
-            shape=(d, d),
-        )
-        _require_hermitian(abs(m - m.T).max(), abs(m).max())
+        values = scale * np.concatenate([self.diagonal - shift, self.values])
+        indptr, indices = np.empty(d + 1, dtype=np.int64), np.empty(values.size, dtype=np.int64)
+        data = np.empty_like(values)
+        _sparsetools.coo_tocsr(d, d, values.size, np.concatenate([diag, self.rows]), np.concatenate([diag, self.cols]),
+                               values, indptr, indices, data)
+        _sparsetools.csr_sort_indices(d, indptr, indices, data)
+        m = csr_array((data, indices, indptr), shape=(d, d))
+        t_indptr, t_indices, t_data = np.empty_like(indptr), np.empty_like(indices), np.empty_like(data)
+        _sparsetools.csr_tocsc(d, d, indptr, indices, data, t_indptr, t_indices, t_data)
+        if np.array_equal(t_indptr, indptr) and np.array_equal(t_indices, indices):
+            defect = np.abs(data - t_data).max()
+        else:  # a hop without its mirror hop, which reads as zero
+            defect = abs(m - m.T).max()
+        _require_hermitian(defect, np.abs(data).max())
         return m
 
     @cached_property
@@ -453,7 +472,7 @@ def build_sector_hamiltonian(network: SpinNetwork, k: int) -> SectorHamiltonian:
     :meth:`SpinNetwork.diagonal_energy` of each configuration measured from
     the vacuum's, so the k = 0 sector is the scalar 0.  All hops are
     found at once: every (configuration, ordered bond (i, j)) pair with i
-    occupied and j empty gives one element.
+    occupied and j empty gives one element, in (configuration, bond) order.
     """
     sector = ExcitationSector(network.n_sites, k)
     occupied = sector.occupation()
@@ -462,7 +481,9 @@ def build_sector_hamiltonian(network: SpinNetwork, k: int) -> SectorHamiltonian:
     src, bond = np.nonzero(occupied[:, bond_i] & ~occupied[:, bond_j])
     i, j = bond_i[bond], bond_j[bond]
     rows = sector.sites[src]
-    hopped = np.sort(np.where(rows == i[:, None], j[:, None], rows), axis=1)
+    hopped = np.where(rows == i[:, None], j[:, None], rows)
+    if not network.is_open_chain():  # on a chain a hop to an empty neighbour keeps the row ascending
+        hopped.sort(axis=1)
     return SectorHamiltonian(sector, diagonal, sector.positions(hopped), src, 2.0 * network.xy[i, j])
 
 
@@ -520,7 +541,10 @@ class SectorPropagator:
         if step >= budget:  # not even one step pays; skip the term count
             return None
         low, high = self.hamiltonian.spectral_bounds
-        terms = chebyshev_terms(0.5 * (high - low) * np.abs(times).max(initial=0.0))
+        x = 0.5 * (high - low) * np.abs(times).max(initial=0.0)
+        if np.ceil(x) * step >= budget:  # the series takes more than x terms; skip their count
+            return None
+        terms = chebyshev_terms(x)
         if terms * step >= budget:
             return None
         self._chebyshev_seconds += terms * step

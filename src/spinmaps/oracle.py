@@ -52,7 +52,7 @@ import os
 
 import numpy as np
 
-from .chebyshev import chebyshev_terms, negligible_order, unit_columns
+from .chebyshev import block_width, chebyshev_terms, negligible_order, unit_columns
 from .maps import assert_density_matrix, partial_trace_outer
 from .network import UNITARITY_ATOL, NumericalError, SpinNetwork, check_sites, check_times, orthonormality_defect
 
@@ -74,14 +74,20 @@ def series_peak_bytes(n_sites: int, bonds: int, columns: int, times: int, terms:
     elements and 2^(N-1) hops per XY bond) for its build, plus 96 bytes per
     entry of the (times, 2^N, columns) complex column stack, which is held
     about five times over (the series' sums and their combination, then the
-    copies the partial trace makes), plus 40 bytes per entry of the Bessel
-    weights' (times, M) FFT, M the power of two at or above 2 * terms, and 16
-    per (terms, times) weight.  Measured with ``tracemalloc``: 49-61 bytes per
-    build element (N = 12, 14, chain and all-to-all), 80 per stack entry
-    (N = 11-13, T = 100-1000), 32-38 per FFT entry (T = 2-400, K = 150-50 000).
+    copies the partial trace makes), plus the series' (B + 2, 2^N x columns)
+    float64 block, B its :func:`~spinmaps.chebyshev.block_width`, plus 40
+    bytes per entry of the Bessel weights' (times, M) FFT, M the power of two
+    at or above 2 * terms, and 16 per (terms + B, times) weight, zero-padded
+    to whole blocks.  Measured with ``tracemalloc``: 49-61 bytes per build
+    element (N = 12, 14, chain and all-to-all), 80 per stack entry (N = 11-13,
+    T = 2-1000, 2-16 columns), 32-38 per FFT entry (T = 2-400, K = 150-50 000).
+    The block is freed before the sums are combined, and its width keeps it
+    within the sums or 1 MB, so it leaves the measured peak unchanged.
     """
     dim, fft = 1 << n_sites, 1 << (2 * terms - 1).bit_length()
-    return 80 * (dim + bonds * dim // 2) + 96 * dim * columns * times + 40 * times * fft + 16 * terms * times
+    width = block_width(terms, dim * columns, times)
+    return (80 * (dim + bonds * dim // 2) + 96 * dim * columns * times + 8 * (width + 2) * dim * columns
+            + 40 * times * fft + 16 * (terms + width) * times)
 
 
 def physical_memory_bytes() -> int:

@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from spinmaps import SectorPropagator, SpinNetwork, maps, oracle
+from spinmaps import SectorPropagator, SpinNetwork, chebyshev, maps, oracle
 
 
 @pytest.fixture
@@ -120,6 +120,36 @@ def pair_amplitude_determinant(network: SpinNetwork, table_k1, *sites) -> comple
     f = table_k1.site_amplitude
     minor = np.stack([np.stack([f(s, r) for r in targets], axis=-1) for s in sources], axis=-2)
     return np.linalg.det(minor)
+
+
+def per_term_unit_columns(scaled, bounds, rows, times: np.ndarray, terms: int) -> np.ndarray:
+    """``chebyshev.unit_columns`` with one sparse ``@`` and one rank-1 ``dger`` per term.
+
+    The reference for the blocked sums: the same recurrence and weights, each
+    term added into the even or odd sums as it is made.
+    """
+    from scipy.linalg.blas import dger
+
+    low, high = bounds
+    centre = 0.5 * (high + low)
+    half = max(0.5 * (high - low), np.finfo(float).tiny)
+    two_h = scaled(centre, 2.0 / half)
+    d, c = two_h.shape[0], len(rows)
+    if times.size == 0 or c == 0:
+        return np.zeros(times.shape + (d, c), dtype=complex)
+    flat = times.reshape(-1)
+    order = np.arange(terms)
+    weights = chebyshev._bessel_j(half * flat, terms) * np.where(order % 4 < 2, 2.0, -2.0)[:, None]
+    weights[0] *= 0.5
+    sums = [np.zeros((d * c, flat.size), order="F") for _ in range(2)]
+    prev, cur = None, np.zeros((d, c))
+    cur[rows, np.arange(c)] = 1.0
+    for k in range(terms):
+        sums[k % 2] = dger(1.0, cur.reshape(-1), weights[k], a=sums[k % 2], overwrite_a=True)
+        if k + 1 < terms:
+            prev, cur = cur, 0.5 * (two_h @ cur) if k == 0 else two_h @ cur - prev
+    f = np.exp(-1j * centre * flat)[:, None] * (sums[0] - 1j * sums[1]).T
+    return f.reshape(times.shape + (d, c))
 
 
 def rebuilt_two_qubit_kraus(k1, k2, senders, receivers) -> maps.KrausSet:

@@ -11,7 +11,9 @@ from spinmaps import NumericalError, SectorPropagator, SpinNetwork
 from spinmaps import chebyshev, network as network_module
 from spinmaps.network import ExcitationSector, SectorHamiltonian, build_sector_hamiltonian
 
-from conftest import PropagationPaths, pair_amplitude_determinant
+from conftest import PropagationPaths, pair_amplitude_determinant, per_term_unit_columns
+
+BLOCK = chebyshev.SERIES_BLOCK
 
 
 def random_graph_network(seed: int, n: int) -> SpinNetwork:
@@ -72,11 +74,140 @@ def test_sparse_matrix_equals_dense_matrix():
 
 def test_non_hermitian_hops_are_rejected_in_either_form():
     sector = ExcitationSector(3, 1)
-    h = SectorHamiltonian(sector, np.zeros(3), np.array([1]), np.array([0]), np.array([0.5]))  # no (0, 1) partner
-    with pytest.raises(ValueError, match="not Hermitian"):
-        h.matrix
-    with pytest.raises(ValueError, match="not Hermitian"):
-        h.sparse(0.1, 2.0)
+
+    def hops(rows, cols, values):
+        return SectorHamiltonian(sector, np.zeros(3), np.array(rows), np.array(cols), np.array(values))
+
+    for h in (hops([1], [0], [0.5]),  # no (0, 1) partner
+              hops([1, 0, 2], [0, 1, 1], [0.5, 0.5, 0.3]),  # one partner missing among matched hops
+              hops([1, 0], [0, 1], [0.5, 0.4])):  # a wrong partner value
+        with pytest.raises(ValueError, match="not Hermitian"):
+            h.matrix
+        with pytest.raises(ValueError, match="not Hermitian"):
+            h.sparse(0.1, 2.0)
+    within = hops([1, 0, 2], [0, 1, 1], [0.5, 0.5 + 1e-13, 1e-13])  # both defects under 1e-12: accepted
+    assert np.array_equal(within.sparse().toarray(), within.matrix)
+    with pytest.raises(ValueError, match=r"hop positions must lie in \[0, 3\)"):
+        hops([0, 2], [3, 1], [1e-15, 0.0]).sparse()  # a hop past the sector
+
+
+@pytest.mark.parametrize("net, k", [
+    (SpinNetwork.chain([0.9, 1.2, 0.7, 1.1, 1.0, 0.8, 1.3]), 3),
+    (SpinNetwork.chain([0.9, 1.2, 0.7, 1.1, 1.0], [0.2, -0.1, 0.3, 0.0, -0.2], [0.1, 0.0, -0.3, 0.2, 0.4, -0.1]), 2),
+    (random_graph_network(4, 7), 3),
+    (SpinNetwork(np.ones((6, 6)) - np.eye(6)), 2),  # every pair of sites coupled
+    (SpinNetwork.uniform_chain(5), 0),
+    (SpinNetwork(np.zeros((1, 1)), fields=[0.4]), 1),
+], ids=["chain", "zz-chain", "graph", "all-to-all", "k0", "n1"])
+def test_sparse_arrays_equal_scipy_coo_conversion(net, k):
+    from scipy.sparse import csr_array
+
+    h = build_sector_hamiltonian(net, k)
+    d = h.sector.dimension
+    diag = np.arange(d)
+    for shift, scale in ((0.0, 1.0), (0.3, -2.5)):
+        ours = h.sparse(shift, scale)
+        coo = csr_array((scale * np.concatenate([h.diagonal - shift, h.values]),
+                         (np.concatenate([diag, h.rows]), np.concatenate([diag, h.cols]))), shape=(d, d))
+        assert ours.shape == coo.shape
+        for name in ("indptr", "indices", "data"):
+            mine, theirs = getattr(ours, name), getattr(coo, name)
+            assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs), name
+
+
+@pytest.mark.parametrize("width", [1, 3])
+def test_csr_kernels_equal_the_sparse_product_bit_for_bit(width, rng):
+    from scipy.sparse import _sparsetools
+
+    m = build_sector_hamiltonian(random_graph_network(11, 10), 3).sparse(0.2, 0.7)
+    d = m.shape[0]
+    x = rng.normal(size=(d, width))
+    y = np.zeros(d * width)
+    if width == 1:
+        _sparsetools.csr_matvec(d, d, m.indptr, m.indices, m.data, x.reshape(-1), y)
+    else:
+        _sparsetools.csr_matvecs(d, d, width, m.indptr, m.indices, m.data, x.reshape(-1), y)
+    assert np.array_equal(y.reshape(d, width), m @ x)
+
+
+def series_grids(rng) -> list:
+    """No time, one time, six unsorted times with 0 and negatives, and 200 random times."""
+    return [np.array([]), np.array([-0.7]), np.array([0.3, -1.1, 2.0, 0.0, -0.2, 1.4]),
+            rng.uniform(-3.0, 3.0, 200)]
+
+
+@pytest.mark.parametrize("terms", [1, 2, 3, BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + 2, 2 * BLOCK + 1])
+@pytest.mark.parametrize("width", [1, 2, 3, 4])
+def test_blocked_series_matches_the_per_term_reference(terms, width, rng):
+    h = build_sector_hamiltonian(random_graph_network(7, 8), 2)  # d = 28
+    rows = [27, 0, 13, 5][:width]
+    for times in series_grids(rng):
+        got = chebyshev.unit_columns(h.sparse, h.spectral_bounds, rows, times, terms)
+        want = per_term_unit_columns(h.sparse, h.spectral_bounds, rows, times, terms)
+        assert got.shape == want.shape == (times.size, 28, width)
+        assert np.abs(got - want).max(initial=0.0) <= 1e-14
+
+
+@pytest.mark.parametrize("width", [1, 4])
+def test_blocks_narrowed_to_the_sums_match_the_reference(width, rng, monkeypatch):
+    h = build_sector_hamiltonian(random_graph_network(7, 8), 2)
+    rows = [27, 0, 13, 5][:width]
+    monkeypatch.setattr(chebyshev, "SERIES_BLOCK_BYTES", 8)  # blocks of 2 T terms, 2 at least
+    terms = 2 * BLOCK + 1
+    for times in series_grids(rng)[1:]:
+        assert chebyshev.block_width(terms, 28 * width, times.size) == min(2 * times.size, BLOCK)
+        got = chebyshev.unit_columns(h.sparse, h.spectral_bounds, rows, times, terms)
+        want = per_term_unit_columns(h.sparse, h.spectral_bounds, rows, times, terms)
+        assert np.abs(got - want).max() <= 1e-14
+
+
+def affordable_terms_with_full_count(prop, times, width):
+    """``SectorPropagator._affordable_terms`` that counts the terms before every comparison with the budget."""
+    d = prop.sector.dimension
+    step = (network_module.CHEBYSHEV_STEP_SECONDS + network_module.CHEBYSHEV_SECONDS_PER_NONZERO
+            * prop.hamiltonian.nnz * width + times.size * (network_module.CHEBYSHEV_SECONDS_PER_TIME
+                                                           + network_module.CHEBYSHEV_SECONDS_PER_ENTRY * d * width))
+    budget = network_module.EIGH_SECONDS_PER_D3 * d**3 - prop._chebyshev_seconds
+    low, high = prop.hamiltonian.spectral_bounds
+    terms = chebyshev.chebyshev_terms(0.5 * (high - low) * np.abs(times).max(initial=0.0))
+    if terms * step >= budget:
+        return None
+    prop._chebyshev_seconds += terms * step
+    return terms
+
+
+def test_term_count_shortcut_makes_the_full_count_choice(rng):
+    choices = set()
+    for n, k in ((8, 2), (14, 2), (25, 2), (40, 2), (16, 3)):
+        net = SpinNetwork.chain(rng.uniform(0.5, 1.5, n - 1), rng.uniform(-0.3, 0.3, n - 1), rng.uniform(-0.3, 0.3, n))
+        prop = SectorPropagator(net, k)
+        budget = network_module.EIGH_SECONDS_PER_D3 * prop.sector.dimension**3
+        for tmax, points, width, spent in itertools.product((0.0, 0.3, 2.0, 12.0, 60.0, 400.0), (1, 6, 200),
+                                                            (1, 2, 4), (0.0, 0.5, 0.95)):
+            times = np.linspace(-tmax, tmax, points)
+            prop._chebyshev_seconds = spent * budget
+            got = prop._affordable_terms(times, width)
+            got_spent = prop._chebyshev_seconds
+            prop._chebyshev_seconds = spent * budget
+            assert got == affordable_terms_with_full_count(prop, times, width)
+            assert got_spent == prop._chebyshev_seconds
+            choices.add(got is None)
+    assert choices == {True, False}
+
+
+@pytest.mark.parametrize("zz", [False, True])
+def test_chain_hops_skip_the_sort_and_equal_the_general_path(zz, monkeypatch):
+    rng = np.random.default_rng(5)
+    for n in range(1, 15):
+        net = SpinNetwork.chain(rng.uniform(0.5, 1.5, n - 1), rng.uniform(-0.3, 0.3, n - 1) if zz else None,
+                                rng.uniform(-0.3, 0.3, n))
+        for k in range(min(n, 4) + 1):
+            chain = build_sector_hamiltonian(net, k)
+            with monkeypatch.context() as mp:
+                mp.setattr(SpinNetwork, "is_open_chain", lambda self: False)  # the sorted search of any graph
+                general = build_sector_hamiltonian(net, k)
+            for name in ("diagonal", "rows", "cols", "values"):
+                assert np.array_equal(getattr(chain, name), getattr(general, name)), (n, k, name)
 
 
 def test_truncated_series_raises_numerical_error(monkeypatch):
