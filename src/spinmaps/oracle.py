@@ -194,7 +194,7 @@ class FullPropagator:
 
     def unitary(self, t: float) -> np.ndarray:
         phases = np.exp(-1j * self.eigvals * t)
-        return (self.eigvecs * phases) @ self.eigvecs.T
+        return _real_matmul(self.eigvecs, phases[:, None] * self.eigvecs.T)
 
     def columns(self, indices, t) -> np.ndarray:
         """``unitary(t)[:, indices]`` at O(4^N) cost per column and time.

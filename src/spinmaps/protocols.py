@@ -731,28 +731,67 @@ def _read_weak_pair(spec: ScenarioSpec, built: _ChannelMap) -> ScenarioResult:
     return _result(spec, columns, out, built.cptp)
 
 
+def golden_section(f, xa, xb, xc):
+    """``(x, f(x))`` at the minimum of ``f`` that the bracket ``xa, xb, xc`` holds, or None if it holds none.
+
+    A bracket is three points in order (either way round) whose middle value is below both ends.  This is
+    scipy 1.17's golden-section search (``minimize_scalar(method="golden")`` with a 3-point bracket): its
+    constants, its floating-point expressions in their order and its pick between the last two points, so the
+    result has its bits.  Where scipy raises ``ValueError`` for a triple that is no bracket, this returns None;
+    where scipy evaluates ``f(xb)`` a second time, this reuses the first value.
+    """
+    if xa > xc:
+        xa, xc = xc, xa
+    if not (xa < xb < xc):
+        return None
+    fa, fb, fc = f(xa), f(xb), f(xc)
+    if not (fb < fa and fb < fc):
+        return None
+    gr = 0.61803399  # golden ratio conjugate, to scipy's digits
+    gc = 1.0 - gr
+    tol = math.sqrt(np.finfo(float).eps)
+    x0, x3 = xa, xc
+    if abs(xc - xb) > abs(xb - xa):
+        x1, f1 = xb, fb
+        x2 = xb + gc * (xc - xb)
+        f2 = f(x2)
+    else:
+        x2, f2 = xb, fb
+        x1 = xb - gc * (xb - xa)
+        f1 = f(x1)
+    for _ in range(5000):
+        if abs(x3 - x0) <= tol * (abs(x1) + abs(x2)):
+            break
+        if f2 < f1:
+            x0, x1, f1 = x1, x2, f2
+            x2 = gr * x1 + gc * x3
+            f2 = f(x2)
+        else:
+            x3, x2, f2 = x2, x1, f1
+            x1 = gr * x2 + gc * x0
+            f1 = f(x1)
+    return (x1, f1) if f1 < f2 else (x2, f2)
+
+
 def _report_weak_pair(spec: ScenarioSpec, built: _ChannelMap, result: ScenarioResult) -> dict:
-    """The concurrence peak: the grid's highest, refined by a golden-section search between its neighbours."""
+    """The concurrence peak: the grid's highest, refined by :func:`golden_section` between its neighbours.
+
+    The grid peak stays where its neighbours and it make no bracket, or where the search finds no higher value.
+    """
     chan, (a, b) = built.held
     conc = result.data["concurrence"]
     peak_idx = int(np.argmax(conc))
     peak_t, peak_c = spec.times[peak_idx], float(conc[peak_idx])
     if 0 < peak_idx < len(spec.times) - 1:
-        from scipy.optimize import minimize_scalar
-
         def negative_concurrence(t):
             try:
                 return -measures.concurrence(maps.apply(chan.two_qubit((a, b), (a, b), t), spec.rho_in))
-            except ValueError as exc:  # a failed map or measure, not the bracket rejection tolerated below
+            except ValueError as exc:  # a failed map or measure is a numerical failure, not a bad config
                 raise NumericalError(str(exc)) from exc
 
-        bracket = (spec.times[peak_idx - 1], peak_t, spec.times[peak_idx + 1])
-        try:
-            res = minimize_scalar(negative_concurrence, bracket=bracket, method="golden")
-            if -res.fun >= peak_c:
-                peak_t, peak_c = float(res.x), float(-res.fun)
-        except ValueError:
-            pass  # scipy's rejection of a non-bracketing grid triple; keep the grid peak
+        found = golden_section(negative_concurrence, spec.times[peak_idx - 1], peak_t, spec.times[peak_idx + 1])
+        if found is not None and -found[1] >= peak_c:
+            peak_t, peak_c = float(found[0]), float(-found[1])
     return {"peak_time": peak_t, "peak_concurrence": peak_c}
 
 

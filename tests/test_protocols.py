@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinmaps import (
     ScenarioSpec,
@@ -569,11 +570,8 @@ def test_werner_sweep_checks_each_weight_and_the_map_once(check_calls):
 
 def test_only_run_searches_for_the_weak_pair_peak(monkeypatch):
     """The golden-section peak search is the report ``run`` adds; a sweep reports nothing, so searches nothing."""
-    import scipy.optimize
-
-    searches, search = [], scipy.optimize.minimize_scalar
-    monkeypatch.setattr(scipy.optimize, "minimize_scalar",
-                        lambda *args, **kw: searches.append(args) or search(*args, **kw))
+    searches, search = [], protocols.golden_section
+    monkeypatch.setattr(protocols, "golden_section", lambda *args: searches.append(args) or search(*args))
     weak = ScenarioSpec(kind="weak_pair", times=tuple(np.linspace(0.0, 24.8, 16)), params={"wire_sites": 9})
     swept = sweep_specs(weak, "g", [0.1, 0.2, 0.3])
     result = sweep("g", swept)
@@ -582,6 +580,51 @@ def test_only_run_searches_for_the_weak_pair_peak(monkeypatch):
     assert len(searches) == 1 and set(single.meta) == {"peak_time", "peak_concurrence"}
     assert single.meta["peak_concurrence"] >= single.column("concurrence").max()
     assert np.array_equal(result.column("concurrence")[16:32], single.column("concurrence"))
+
+
+def _objective(kind: str, p: float, c: float):
+    """A smooth, flat, stepped or partly NaN function of x with its low point at or near ``p``."""
+    def f(x):
+        if kind == "smooth":
+            return (x - p) ** 2 + 0.1 * c * np.sin(3.0 * x)
+        if kind == "flat":
+            return c
+        if kind == "stepped":  # plateaus: ties between the two inner points
+            return round(c * (x - p) ** 2, 1)
+        return np.nan if 0.0 < x - p < 0.1 * abs(c) else (x - p) ** 2  # NaN beside the low point
+
+    return f
+
+
+_REALS = st.floats(-8.0, 8.0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(kind=st.sampled_from(["smooth", "flat", "stepped", "nan"]), p=_REALS, c=_REALS, around=st.booleans(),
+       xs=st.tuples(_REALS, _REALS, _REALS), gaps=st.tuples(st.floats(1e-6, 4.0), st.floats(1e-6, 4.0)),
+       middle=st.floats(-0.9, 0.9))
+def test_golden_section_has_the_bits_of_scipys_search(kind, p, c, around, xs, gaps, middle):
+    """Equal x and f(x) bits for every bracket, and None exactly where scipy rejects the triple."""
+    from scipy.optimize import minimize_scalar
+
+    f = _objective(kind, p, c)
+    if around:  # a triple about the low point, most of them brackets
+        xs = (p - gaps[0], p + middle * min(gaps), p + gaps[1])
+    found = protocols.golden_section(f, *xs)
+    try:
+        res = minimize_scalar(f, bracket=xs, method="golden")
+    except ValueError:
+        assert found is None
+        return
+    assert found is not None
+    assert np.array(found, dtype=float).tobytes() == np.array([res.x, res.fun], dtype=float).tobytes()
+
+
+def test_golden_section_evaluates_the_middle_point_once():
+    calls = []
+    x, fx = protocols.golden_section(lambda t: calls.append(t) or (t - 1.0) ** 2, 0.0, 0.8, 3.0)
+    assert calls.count(0.8) == 1 and abs(x - 1.0) < 1e-7 and fx < 1e-14
+    assert calls[:3] == [0.0, 0.8, 3.0]
 
 
 def test_a_p_sweep_reads_the_spec_once(monkeypatch):
