@@ -9,11 +9,11 @@ H' = (H - b) / a.  The real three-term recurrence T_{k+1} = 2H' T_k - T_{k-1}
 runs on the columns with sparse products, one recurrence serves every time of
 a grid, and the series stops where the Bessel tail at a max|t| is negligible.
 
-This module holds the series only: the term count, the Bessel weights and the
-recurrence.  Each caller builds its own Hamiltonian and its spectral bounds,
-so the sector engine and the dense-space oracle share no Hamiltonian code.
-scipy is imported inside the functions that call it, so a run that builds no
-series never loads it.
+This module holds the series: the CSR matrix of H from its elements
+(:func:`symmetric_csr`), the term count, the Bessel weights and the
+recurrence.  Each caller builds its own elements and spectral bounds, so the
+sector engine and the dense-space oracle share no Hamiltonian code.  scipy is
+imported inside the functions that call it: a run with no series never loads it.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import functools
 
 import numpy as np
 
+HERMITICITY_ATOL = 1e-12
 # Largest 2 sum_{k >= K} |J_k(x)| the series may leave out; it bounds the
 # truncation error of every evolved unit column.
 CHEBYSHEV_TAIL = 1e-16
@@ -29,6 +30,43 @@ CHEBYSHEV_TAIL = 1e-16
 # SERIES_BLOCK_BYTES and the size of the series' sums
 SERIES_BLOCK = 64
 SERIES_BLOCK_BYTES = 1 << 20
+
+
+def require_hermitian(defect: float, scale: float):
+    """ValueError where ``defect`` = max|H - H^dag| passes ``HERMITICITY_ATOL`` times max(1, ``scale``)."""
+    if defect > HERMITICITY_ATOL * max(1.0, scale):
+        raise ValueError("Hamiltonian is not Hermitian")
+
+
+def symmetric_csr(diagonal: np.ndarray, rows: np.ndarray, cols: np.ndarray, values: np.ndarray):
+    """CSR array of a real symmetric H, with its ``diagonal`` always stored.
+
+    H holds ``values[h]`` at (``rows[h]``, ``cols[h]``) off the diagonal, and
+    no position repeats.  scipy's COO to CSR kernels, ``coo_tocsr`` and
+    ``csr_sort_indices``, build it, so its arrays are that conversion's, in
+    canonical order.  ValueError where a position lies outside H or H is not
+    symmetric, checked against the transpose from ``csr_tocsc``.
+    """
+    from scipy.sparse import _sparsetools, csr_array
+
+    d = diagonal.size
+    if rows.size and not 0 <= min(rows.min(), cols.min()) <= max(rows.max(), cols.max()) < d:
+        raise ValueError(f"hop positions must lie in [0, {d})")
+    diag = np.arange(d)
+    indptr, indices = np.empty(d + 1, dtype=np.int64), np.empty(d + values.size, dtype=np.int64)
+    data = np.empty(d + values.size)
+    _sparsetools.coo_tocsr(d, d, data.size, np.concatenate([diag, rows]), np.concatenate([diag, cols]),
+                           np.concatenate([diagonal, values]), indptr, indices, data)
+    _sparsetools.csr_sort_indices(d, indptr, indices, data)
+    m = csr_array((data, indices, indptr), shape=(d, d))
+    t_indptr, t_indices, t_data = np.empty_like(indptr), np.empty_like(indices), np.empty_like(data)
+    _sparsetools.csr_tocsc(d, d, indptr, indices, data, t_indptr, t_indices, t_data)
+    if np.array_equal(t_indptr, indptr) and np.array_equal(t_indices, indices):
+        defect = np.abs(np.subtract(data, t_data, out=t_data), out=t_data).max()  # in place: no temporaries
+    else:  # an element without its mirror, which reads as zero
+        defect = abs(m - m.T).max()
+    require_hermitian(defect, np.abs(data).max())
+    return m
 
 
 def negligible_order(x: float) -> int:
@@ -86,15 +124,16 @@ def block_width(terms: int, entries: int, times: int) -> int:
     return max(2, min(SERIES_BLOCK, terms + terms % 2, fit - fit % 2))
 
 
-def unit_columns(scaled, bounds, rows, times: np.ndarray, terms: int) -> np.ndarray:
+def unit_columns(h, bounds, rows, times: np.ndarray, terms: int) -> np.ndarray:
     """exp(-iHt) on the unit columns ``rows`` for every time at once; (T..., d, c).
 
-    ``bounds`` = (low, high) encloses the spectrum of H, and
-    ``scaled(shift, scale)`` returns the real (d, d) matrix scale * (H - shift)
-    as a ``scipy.sparse`` CSR array; ``terms`` is :func:`chebyshev_terms` of
-    (high - low) / 2 * max|t|.  Even and odd terms are summed apart, each with
-    real weights (2 - delta_k0) (-1)^(k // 2) J_k(a t), because (-i)^k is real
-    for even k and imaginary for odd k.
+    ``h`` is H as a ``scipy.sparse`` CSR array that stores each diagonal
+    element once, as :func:`symmetric_csr` builds it; ``bounds`` = (low,
+    high) encloses its spectrum, and ``terms`` is :func:`chebyshev_terms` of
+    (high - low) / 2 * max|t|.  The data of 2H' = 2 (H - b) / a are formed
+    once per call on the arrays of ``h``.  Even and odd terms are summed
+    apart, each with real weights (2 - delta_k0) (-1)^(k // 2) J_k(a t),
+    because (-i)^k is real for even k and imaginary for odd k.
 
     Each term T_k(H') v is one call of the CSR kernel that scipy's ``@``
     calls (``csr_matvec`` for one column, ``csr_matvecs`` for more), so the
@@ -111,11 +150,14 @@ def unit_columns(scaled, bounds, rows, times: np.ndarray, terms: int) -> np.ndar
     low, high = bounds
     centre = 0.5 * (high + low)
     half = max(0.5 * (high - low), np.finfo(float).tiny)  # zero width: H = b exactly, any a > 0 works
-    two_h = scaled(centre, 2.0 / half)  # 2 H' = 2 (H - b) / a
-    d, c = two_h.shape[0], len(rows)
-    if two_h.shape != (d, d):
-        raise ValueError(f"the scaled matrix must be square, got shape {two_h.shape}")
-    two_h.check_format(full_check=True)  # the kernels below index with its arrays unchecked
+    d, c = h.shape[0], len(rows)
+    if h.shape != (d, d):
+        raise ValueError(f"the matrix must be square, got shape {h.shape}")
+    h.check_format(full_check=True)  # the kernels below index with its arrays unchecked
+    on_diagonal = h.indices == np.repeat(np.arange(d), np.diff(h.indptr))
+    if np.count_nonzero(on_diagonal) != d:
+        raise ValueError(f"the matrix must store its {d} diagonal elements once each")
+    two_h = np.where(on_diagonal, h.data - centre, h.data) * (2.0 / half)  # 2 H' = 2 (H - b) / a
     if times.size == 0 or c == 0:
         return np.zeros(times.shape + (d, c), dtype=complex)
     flat = times.reshape(-1)
@@ -127,9 +169,9 @@ def unit_columns(scaled, bounds, rows, times: np.ndarray, terms: int) -> np.ndar
     weights[0] *= 0.5
     sums, part = np.zeros((2, flat.size, d * c)), np.empty((2, flat.size, d * c))  # even and odd terms
     if c == 1:
-        product = functools.partial(_sparsetools.csr_matvec, d, d, two_h.indptr, two_h.indices, two_h.data)
+        product = functools.partial(_sparsetools.csr_matvec, d, d, h.indptr, h.indices, two_h)
     else:
-        product = functools.partial(_sparsetools.csr_matvecs, d, d, c, two_h.indptr, two_h.indices, two_h.data)
+        product = functools.partial(_sparsetools.csr_matvecs, d, d, c, h.indptr, h.indices, two_h)
     block = np.empty((width + 2, d * c))
     row = list(block)  # row r + 2 holds the block's term r; rows 0 and 1 the two terms before it
     for start in range(0, terms, width):

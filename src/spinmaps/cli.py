@@ -54,7 +54,7 @@ def _output_path(path, default_name: str) -> str:
 # ---------------------------------------------------------------------------
 # verification suite
 
-def _run_checks(n_sites: int, seed: int, tol: float, trials: int, report=print) -> int:
+def _run_checks(n_sites: int, seed: int, tol: float, trials: int) -> int:
     rng = np.random.default_rng(seed)
     j = rng.normal(size=(n_sites, n_sites))
     j = (j + j.T) / 2
@@ -68,9 +68,9 @@ def _run_checks(n_sites: int, seed: int, tol: float, trials: int, report=print) 
     def check(name: str, witness: float, limit: float):
         nonlocal ok
         if witness <= limit:
-            report(f"ok   {name}: witness {witness:.3e} <= {limit:.1e}")
+            print(f"ok   {name}: witness {witness:.3e} <= {limit:.1e}")
         else:
-            report(f"FAIL {name}: witness {witness:.3e} > {limit:.1e}")
+            print(f"FAIL {name}: witness {witness:.3e} > {limit:.1e}")
             ok = False
 
     t = float(rng.uniform(0.5, 3.0))
@@ -145,7 +145,7 @@ def _run_checks(n_sites: int, seed: int, tol: float, trials: int, report=print) 
         built = maps.superop_from_kraus(free.two_qubit(senders, receivers, t))
         worst_free = max(worst_free, float(np.abs(built - sector).max()))
     check("free-fermion two-qubit map vs k=2 sector (open chain)", worst_free, 1e-10)
-    report("verification " + ("passed" if ok else "FAILED"))
+    print("verification " + ("passed" if ok else "FAILED"))
     return 0 if ok else 1
 
 

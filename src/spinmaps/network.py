@@ -18,9 +18,9 @@ A table's columns come from one of two paths:
   per propagator, after which a table is V (exp(-iEt) * V[sources, :]^T), one
   product for all T times.
 * Chebyshev (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)), the series
-  of :mod:`spinmaps.chebyshev` on the CSR matrix, with the spectrum enclosed
-  by Gershgorin discs: a real three-term recurrence on the source columns
-  serves every time of the grid.  No eigendecomposition is needed.
+  of :mod:`spinmaps.chebyshev` on the CSR matrix, built once per propagator,
+  spectrum enclosed by Gershgorin discs: a real three-term recurrence on the
+  source columns serves every time of the grid.  No eigendecomposition.
 
 Selection rule (in :meth:`SectorPropagator.table`): a full table, or any
 table of a propagator that is already diagonalised, uses ``eigh``.  A column
@@ -79,9 +79,8 @@ from math import comb
 
 import numpy as np
 
-from .chebyshev import chebyshev_terms, unit_columns
+from .chebyshev import chebyshev_terms, require_hermitian, symmetric_csr, unit_columns
 
-HERMITICITY_ATOL = 1e-12
 UNITARITY_ATOL = 1e-10
 
 # Cost model of the two propagation paths, in seconds, calibrated on a 2-core
@@ -328,19 +327,14 @@ class ExcitationSector:
         return occupied
 
 
-def _require_hermitian(defect: float, scale: float):
-    if defect > HERMITICITY_ATOL * max(1.0, scale):
-        raise ValueError("sector Hamiltonian is not Hermitian")
-
-
 @dataclass(frozen=True)
 class SectorHamiltonian:
     """Real symmetric H_k of one sector, held as its diagonal and its hops.
 
     ``diagonal[a]`` is the energy of configuration a; hop h is the element
     ``values[h]`` at (``rows[h]``, ``cols[h]``), and no position repeats.  The
-    dense and the CSR matrix are formed from these on demand, and each is
-    checked to be Hermitian when it is formed (``ValueError`` otherwise).
+    dense matrix is formed on every access, the CSR matrix on the first, and
+    each is checked to be Hermitian when formed (``ValueError`` otherwise).
     """
 
     sector: ExcitationSector
@@ -361,40 +355,13 @@ class SectorHamiltonian:
         m = np.zeros((d, d))
         m[np.arange(d), np.arange(d)] = self.diagonal
         m[self.rows, self.cols] = self.values
-        _require_hermitian(np.abs(m - m.conj().T).max(), np.abs(m).max())
+        require_hermitian(np.abs(m - m.conj().T).max(), np.abs(m).max())
         return m
 
-    def sparse(self, shift: float = 0.0, scale: float = 1.0):
-        """CSR matrix (``scipy.sparse.csr_array``) of scale * (H - shift), with the diagonal always stored.
-
-        Built from the diagonal and the hops by the two kernels of scipy's COO
-        to CSR conversion, ``coo_tocsr`` and ``csr_sort_indices``, so its
-        arrays are that conversion's, in canonical order.  Hermiticity is
-        checked against the transpose from ``csr_tocsc``: where every hop has
-        its mirror hop the two share their index arrays.
-        """
-        from scipy.sparse import _sparsetools, csr_array
-
-        d = self.sector.dimension
-        hops = np.concatenate([self.rows, self.cols])
-        if hops.size and not 0 <= hops.min() <= hops.max() < d:
-            raise ValueError(f"hop positions must lie in [0, {d})")
-        diag = np.arange(d)
-        values = scale * np.concatenate([self.diagonal - shift, self.values])
-        indptr, indices = np.empty(d + 1, dtype=np.int64), np.empty(values.size, dtype=np.int64)
-        data = np.empty_like(values)
-        _sparsetools.coo_tocsr(d, d, values.size, np.concatenate([diag, self.rows]), np.concatenate([diag, self.cols]),
-                               values, indptr, indices, data)
-        _sparsetools.csr_sort_indices(d, indptr, indices, data)
-        m = csr_array((data, indices, indptr), shape=(d, d))
-        t_indptr, t_indices, t_data = np.empty_like(indptr), np.empty_like(indices), np.empty_like(data)
-        _sparsetools.csr_tocsc(d, d, indptr, indices, data, t_indptr, t_indices, t_data)
-        if np.array_equal(t_indptr, indptr) and np.array_equal(t_indices, indices):
-            defect = np.abs(data - t_data).max()
-        else:  # a hop without its mirror hop, which reads as zero
-            defect = abs(m - m.T).max()
-        _require_hermitian(defect, np.abs(data).max())
-        return m
+    @cached_property
+    def sparse(self):
+        """CSR matrix of H from :func:`~spinmaps.chebyshev.symmetric_csr`, with the diagonal always stored."""
+        return symmetric_csr(self.diagonal, self.rows, self.cols, self.values)
 
     @cached_property
     def spectral_bounds(self) -> tuple:
@@ -499,7 +466,6 @@ class SectorPropagator:
 
     def __init__(self, network: SpinNetwork, k: int):
         self.hamiltonian = build_sector_hamiltonian(network, k)
-        self.network = network
         self.sector = self.hamiltonian.sector
         self._eigen = None  # (E, V) once diagonalised
         self._chebyshev_seconds = 0.0  # estimated cost of the Chebyshev tables built so far

@@ -11,8 +11,9 @@ them:
 
 * :func:`reduced_output`, by default, evolves only the embedded sender
   columns ``U(t)[:, embed]`` with the Chebyshev series of
-  :mod:`spinmaps.chebyshev` on the CSR matrix (spectrum bounded by
-  Gershgorin discs), for every time of a grid in one recurrence.  It never
+  :mod:`spinmaps.chebyshev` on the range- and Hermiticity-checked CSR matrix
+  of :func:`~spinmaps.chebyshev.symmetric_csr` (spectrum bounded by Gershgorin
+  discs), for every time of a grid in one recurrence.  It never
   forms or diagonalises a dense 2^N matrix.
 * :class:`FullPropagator` forms the dense float64 matrix
   (:func:`full_hamiltonian`, 8 * 4^N bytes) and diagonalises it once with a
@@ -27,9 +28,9 @@ straight into the receiver state; given a 1-D grid of T times it returns a
 1e-10 on every slice (:class:`NumericalError` otherwise).
 
 This module builds the full space itself and shares with the sector engine
-only the network description and the series, so that it stays an independent
-check of it: each side builds its own Hamiltonian and bounds, and each keeps
-an ``eigh`` path that the tests compare its series against.
+only the network description and the series, its CSR conversion included, so
+that it stays an independent check of it: each side builds its own Hamiltonian
+elements and bounds, and keeps an ``eigh`` path the tests compare it against.
 
 Memory caps, both never above ``SITE_CEILING`` sites:
 
@@ -52,7 +53,7 @@ import os
 
 import numpy as np
 
-from .chebyshev import block_width, chebyshev_terms, negligible_order, unit_columns
+from .chebyshev import block_width, chebyshev_terms, negligible_order, symmetric_csr, unit_columns
 from .maps import assert_density_matrix, partial_trace_outer
 from .network import UNITARITY_ATOL, NumericalError, SpinNetwork, check_sites, check_times, orthonormality_defect
 
@@ -230,20 +231,11 @@ def _embedding(network: SpinNetwork, rho_s: np.ndarray, sender_sites):
 
 def _series_columns(network: SpinNetwork, embed: list, times: np.ndarray) -> np.ndarray:
     """``U(t)[:, embed]`` for every time, from the Chebyshev series on the sparse 2^N Hamiltonian."""
-    from scipy.sparse import csr_array
-
     diagonal, rows, cols, values = hamiltonian_elements(network)
-    dim = diagonal.size
-    radius = np.bincount(rows, np.abs(values), minlength=dim)
+    radius = np.bincount(rows, np.abs(values), minlength=diagonal.size)
     low, high = float((diagonal - radius).min()), float((diagonal + radius).max())  # Gershgorin
-    index = np.arange(dim)
-    rows, cols = np.concatenate([index, rows]), np.concatenate([index, cols])
-
-    def scaled(shift, scale):
-        return csr_array((scale * np.concatenate([diagonal - shift, values]), (rows, cols)), shape=(dim, dim))
-
     terms = chebyshev_terms(0.5 * (high - low) * np.abs(times).max(initial=0.0))
-    return unit_columns(scaled, (low, high), embed, times, terms)
+    return unit_columns(symmetric_csr(diagonal, rows, cols, values), (low, high), embed, times, terms)
 
 
 def reduced_output(

@@ -337,7 +337,7 @@ def real_number(value, name: str) -> float:
     if isinstance(value, str) and "e" in value.lower():
         try:
             float(value)
-            hint = " (YAML reads it as text: an exponent needs a decimal point, 1.0e-3 and not 1e-3)"
+            hint = " (YAML reads it as text: write an exponent as 1.0e-3 or 1.0e+3, with a decimal point and a sign)"
         except ValueError:
             pass
     raise ValueError(f"{name} must be a real number, got {value!r}{hint}")

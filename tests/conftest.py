@@ -122,19 +122,21 @@ def pair_amplitude_determinant(network: SpinNetwork, table_k1, *sites) -> comple
     return np.linalg.det(minor)
 
 
-def per_term_unit_columns(scaled, bounds, rows, times: np.ndarray, terms: int) -> np.ndarray:
+def per_term_unit_columns(h, bounds, rows, times: np.ndarray, terms: int) -> np.ndarray:
     """``chebyshev.unit_columns`` with one sparse ``@`` and one rank-1 ``dger`` per term.
 
     The reference for the blocked sums: the same recurrence and weights, each
-    term added into the even or odd sums as it is made.
+    term added into the even or odd sums as it is made, on 2H' formed by
+    scipy's sparse arithmetic from the CSR array ``h``.
     """
     from scipy.linalg.blas import dger
+    from scipy.sparse import eye_array
 
     low, high = bounds
     centre = 0.5 * (high + low)
     half = max(0.5 * (high - low), np.finfo(float).tiny)
-    two_h = scaled(centre, 2.0 / half)
-    d, c = two_h.shape[0], len(rows)
+    d, c = h.shape[0], len(rows)
+    two_h = (2.0 / half) * (h - centre * eye_array(d, format="csr"))
     if times.size == 0 or c == 0:
         return np.zeros(times.shape + (d, c), dtype=complex)
     flat = times.reshape(-1)

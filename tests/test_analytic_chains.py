@@ -19,9 +19,12 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from spinmaps import SectorPropagator, SpinNetwork
+from spinmaps import NetworkChannel, SectorPropagator, SpinNetwork
 from spinmaps import network as network_module
+
+from conftest import PropagationPaths
 
 BOUND = 1e-12
 PATHS = {"eigh": 0.0, "chebyshev": 1e9}  # EIGH_SECONDS_PER_D3 that forces each path
@@ -47,15 +50,32 @@ def site_column(net: SpinNetwork, source: int, times: np.ndarray) -> np.ndarray:
     return table.column((source,))[..., table.sector.positions(np.arange(net.n_sites)[:, None])]
 
 
+def pst_column(n: int, lam: float, times: np.ndarray) -> np.ndarray:
+    """The closed-form k = 1 column of the PST chain from site 0, (T, N), its targets in site order."""
+    j = np.arange(n)
+    cos, sin = np.cos(lam * times)[:, None], np.sin(lam * times)[:, None]
+    binom = np.sqrt([float(comb(n - 1, int(x))) for x in j])
+    return binom * cos ** (n - 1 - j) * (-1j * sin) ** j
+
+
 @pytest.mark.parametrize("n", [6, 40, 200])
 def test_pst_column_matches_its_closed_form(n, path, rng):
     lam = float(rng.uniform(0.3, 1.5))
     times = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 40.0, 8))])
-    j = np.arange(n)
-    cos, sin = np.cos(lam * times)[:, None], np.sin(lam * times)[:, None]
-    binom = np.sqrt([float(comb(n - 1, int(x))) for x in j])
-    expected = binom * cos ** (n - 1 - j) * (-1j * sin) ** j
-    assert np.abs(site_column(pst_chain(n, lam), 0, times) - expected).max() < BOUND
+    assert np.abs(site_column(pst_chain(n, lam), 0, times) - pst_column(n, lam, times)).max() < BOUND
+
+
+@pytest.mark.parametrize("engine", sorted(PATHS))
+@settings(max_examples=12, deadline=None)
+@given(n=st.integers(2, 400), lam=st.floats(0.3, 1.5), t=st.floats(-40.0, 40.0))
+def test_pst_column_matches_its_closed_form_at_any_length(engine, n, lam, t):
+    times = np.array([t])
+    with pytest.MonkeyPatch.context() as mp:
+        paths = PropagationPaths(mp)
+        mp.setattr(network_module, "EIGH_SECONDS_PER_D3", PATHS[engine])
+        column = site_column(pst_chain(n, lam), 0, times)
+    assert paths.counts == ((1, 0) if engine == "eigh" else (0, 1))
+    assert np.abs(column - pst_column(n, lam, times)).max() < BOUND
 
 
 @pytest.mark.parametrize("n", [7, 60])
@@ -76,3 +96,14 @@ def test_pst_chain_mirrors_k_excitations(k, n, path):
     mirror = tuple(n - 1 - s for s in source)
     table = SectorPropagator(pst_chain(n, lam), k).table(np.pi / (2.0 * lam), [source])
     assert abs(abs(table.amplitude(source, mirror)) - 1.0) < BOUND
+
+
+@pytest.mark.parametrize("n", [8, 50, 300])
+def test_free_fermion_map_at_the_transfer_time_is_the_mirror_swap(n, path, sector_builds):
+    lam = 0.8
+    kraus = NetworkChannel(pst_chain(n, lam)).two_qubit((0, 1), (n - 1, n - 2), np.pi / (2.0 * lam))
+    e0 = kraus.operators[0]
+    # E_0 carries each sender's excitation and the pair to their mirror sites, up to phases
+    assert np.abs(np.abs(e0) - np.eye(4)).max() < BOUND
+    assert np.abs(kraus.operators[1:]).max() < BOUND  # every E_1 and the merged E_2: nothing is lost
+    assert sector_builds == [1]  # the k = 1 table alone: no k = 2 sector

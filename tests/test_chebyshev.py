@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from spinmaps import NumericalError, SectorPropagator, SpinNetwork
-from spinmaps import chebyshev, network as network_module
+from spinmaps import chebyshev, network as network_module, oracle
 from spinmaps.network import ExcitationSector, SectorHamiltonian, build_sector_hamiltonian
 
 from conftest import PropagationPaths, pair_amplitude_determinant, per_term_unit_columns
@@ -67,9 +67,25 @@ def test_gershgorin_interval_encloses_the_spectrum(n, k, seed):
 
 def test_sparse_matrix_equals_dense_matrix():
     h = build_sector_hamiltonian(random_graph_network(5, 9), 3)
-    assert np.array_equal(h.sparse().toarray(), h.matrix)
-    assert np.allclose(h.sparse(0.3, 2.5).toarray(), 2.5 * (h.matrix - 0.3 * np.eye(84)), atol=1e-14)
-    assert h.nnz == h.sparse().nnz
+    assert np.array_equal(h.sparse.toarray(), h.matrix)
+    assert h.nnz == h.sparse.nnz
+    assert h.sparse is h.sparse  # built on the first access only
+
+
+def test_a_propagator_builds_its_csr_once_for_all_its_series_tables(rng, paths, monkeypatch):
+    built = []
+
+    def counting(*elements):
+        built.append(elements[0].size)
+        return chebyshev.symmetric_csr(*elements)
+
+    monkeypatch.setattr(network_module, "symmetric_csr", counting)
+    monkeypatch.setattr(network_module, "EIGH_SECONDS_PER_D3", 1e9)  # every column table takes the series
+    prop = SectorPropagator(open_xy_chain(rng, 25), 2)  # d = 300
+    for t in (np.linspace(0.5, 12.0, 6), 1.0, 2.5):
+        prop.table(t, [(3, 8)])
+    prop.table(4.0, [(0, 1), (3, 8)])
+    assert paths.counts == (0, 4) and built == [300]
 
 
 def test_non_hermitian_hops_are_rejected_in_either_form():
@@ -84,11 +100,11 @@ def test_non_hermitian_hops_are_rejected_in_either_form():
         with pytest.raises(ValueError, match="not Hermitian"):
             h.matrix
         with pytest.raises(ValueError, match="not Hermitian"):
-            h.sparse(0.1, 2.0)
+            h.sparse
     within = hops([1, 0, 2], [0, 1, 1], [0.5, 0.5 + 1e-13, 1e-13])  # both defects under 1e-12: accepted
-    assert np.array_equal(within.sparse().toarray(), within.matrix)
+    assert np.array_equal(within.sparse.toarray(), within.matrix)
     with pytest.raises(ValueError, match=r"hop positions must lie in \[0, 3\)"):
-        hops([0, 2], [3, 1], [1e-15, 0.0]).sparse()  # a hop past the sector
+        hops([0, 2], [3, 1], [1e-15, 0.0]).sparse  # a hop past the sector
 
 
 @pytest.mark.parametrize("net, k", [
@@ -98,28 +114,32 @@ def test_non_hermitian_hops_are_rejected_in_either_form():
     (SpinNetwork(np.ones((6, 6)) - np.eye(6)), 2),  # every pair of sites coupled
     (SpinNetwork.uniform_chain(5), 0),
     (SpinNetwork(np.zeros((1, 1)), fields=[0.4]), 1),
-], ids=["chain", "zz-chain", "graph", "all-to-all", "k0", "n1"])
+    (random_graph_network(9, 8), None),  # the oracle's 2^N elements
+], ids=["chain", "zz-chain", "graph", "all-to-all", "k0", "n1", "oracle"])
 def test_sparse_arrays_equal_scipy_coo_conversion(net, k):
     from scipy.sparse import csr_array
 
-    h = build_sector_hamiltonian(net, k)
-    d = h.sector.dimension
+    if k is None:
+        diagonal, rows, cols, values = oracle.hamiltonian_elements(net)
+        ours = chebyshev.symmetric_csr(diagonal, rows, cols, values)
+    else:
+        h = build_sector_hamiltonian(net, k)
+        diagonal, rows, cols, values, ours = h.diagonal, h.rows, h.cols, h.values, h.sparse
+    d = diagonal.size
     diag = np.arange(d)
-    for shift, scale in ((0.0, 1.0), (0.3, -2.5)):
-        ours = h.sparse(shift, scale)
-        coo = csr_array((scale * np.concatenate([h.diagonal - shift, h.values]),
-                         (np.concatenate([diag, h.rows]), np.concatenate([diag, h.cols]))), shape=(d, d))
-        assert ours.shape == coo.shape
-        for name in ("indptr", "indices", "data"):
-            mine, theirs = getattr(ours, name), getattr(coo, name)
-            assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs), name
+    coo = csr_array((np.concatenate([diagonal, values]), (np.concatenate([diag, rows]), np.concatenate([diag, cols]))),
+                    shape=(d, d))
+    assert ours.shape == coo.shape
+    for name in ("indptr", "indices", "data"):
+        mine, theirs = getattr(ours, name), getattr(coo, name)
+        assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs), name
 
 
 @pytest.mark.parametrize("width", [1, 3])
 def test_csr_kernels_equal_the_sparse_product_bit_for_bit(width, rng):
     from scipy.sparse import _sparsetools
 
-    m = build_sector_hamiltonian(random_graph_network(11, 10), 3).sparse(0.2, 0.7)
+    m = build_sector_hamiltonian(random_graph_network(11, 10), 3).sparse
     d = m.shape[0]
     x = rng.normal(size=(d, width))
     y = np.zeros(d * width)

@@ -644,8 +644,8 @@ TRANSFER_CONFIG = ("scenario: two_qubit_transfer\nnetwork: {kind: uniform_chain,
     ("run", "scenario: four_qubit_weak\ntimes: {list: [0.0, 1.0]}\nparams: {J: true}\n",
      "params.J must be a real number, got True"),
     ("run", "scenario: closed_form_four_qubit\ntimes: {list: [0.0, 1.0]}\nparams: {g: 1e-3}\n",
-     "params.g must be a real number, got '1e-3' (YAML reads it as text: an exponent needs a decimal point, "
-     "1.0e-3 and not 1e-3)"),
+     "params.g must be a real number, got '1e-3' (YAML reads it as text: write an exponent as "
+     "1.0e-3 or 1.0e+3, with a decimal point and a sign)"),
     ("run", "scenario: closed_form_four_qubit\ntimes: {list: [0.0, 1.0]}\nparams: {g: '0.5'}\n",
      "params.g must be a real number, got '0.5'"),
     ("run", GOOD_CONFIG.replace("p: 0.7", "p: abc"), "initial.p must be a real number, got 'abc'"),

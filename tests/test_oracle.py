@@ -279,6 +279,25 @@ def test_reduced_output_rejects_bad_times_naming_t(rng, t):
         reduced_output(net, random_density_matrix(2, rng), [0], [3], t)
 
 
+def test_series_oracle_checks_its_csr_like_the_sector_engine(rng, monkeypatch):
+    """The oracle's CSR comes from the same checked builder: a skewed or out-of-range element list is refused."""
+    net, rho = random_network(rng, 4), random_density_matrix(2, rng)
+    elements = hamiltonian_elements
+
+    def skewed(network):
+        diagonal, rows, cols, values = elements(network)
+        return diagonal, rows, cols, values * (1.0 + 1e-3 * (rows < cols))  # upper hops off their mirrors
+
+    def stray(network):
+        diagonal, rows, cols, values = elements(network)
+        return diagonal, rows, cols + (cols == cols.max()) * diagonal.size, values  # a hop past the 2^N space
+
+    for broken, message in ((skewed, "not Hermitian"), (stray, r"hop positions must lie in \[0, 16\)")):
+        monkeypatch.setattr(oracle, "hamiltonian_elements", broken)
+        with pytest.raises(ValueError, match=message):
+            reduced_output(net, rho, [0], [3], [0.5, 1.0])
+
+
 def test_series_memory_cap_counts_the_chebyshev_terms(rng, monkeypatch):
     def refuse(*args):
         raise AssertionError("the oracle series started")

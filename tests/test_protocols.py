@@ -64,9 +64,9 @@ def test_library_specs_get_the_config_checks(field, message):
 
 
 @pytest.mark.parametrize("text, hinted", [("0.5", False), ("0", False), ("abc", False), ("1e-3", True),
-                                          ("2E5", True)])
+                                          ("2E5", True), ("1.0e3", True), ("1.0e300", True)])
 def test_real_number_hints_at_yaml_only_for_an_exponent(text, hinted):
-    hint = " (YAML reads it as text: an exponent needs a decimal point, 1.0e-3 and not 1e-3)"
+    hint = " (YAML reads it as text: write an exponent as 1.0e-3 or 1.0e+3, with a decimal point and a sign)"
     with pytest.raises(ValueError) as info:
         protocols.real_number(text, "params.g")
     assert str(info.value) == f"params.g must be a real number, got {text!r}" + (hint if hinted else "")
