@@ -12,8 +12,10 @@ a grid, and the series stops where the Bessel tail at a max|t| is negligible.
 This module holds the series: the CSR matrix of H from its elements
 (:func:`symmetric_csr`), the term count, the Bessel weights and the
 recurrence.  Each caller builds its own elements and spectral bounds, so the
-sector engine and the dense-space oracle share no Hamiltonian code.  scipy is
-imported inside the functions that call it: a run with no series never loads it.
+sector engine and the dense-space oracle share no Hamiltonian code.  The Bessel
+functions are numpy's own FFT quadrature (:func:`_bessel_j`), so scipy serves
+only the sparse kernels, imported inside the functions that call them: a run
+with no series never loads it.
 """
 
 from __future__ import annotations
@@ -84,18 +86,32 @@ def chebyshev_terms(x: float) -> int:
     ``CHEBYSHEV_TAIL``; |T_k(H')| <= 1 makes the tail a bound on the error of
     a unit column.  K exceeds |x|, and above |x| the ratios J_k / J_{k-1} come
     from the backward continued fraction x / (2k - x J_{k+1} / J_k), which is
-    stable there, so even the smallest terms keep their relative accuracy.
+    stable there, so even the smallest terms keep their relative accuracy; they
+    scale J_K(x) at K = ceil|x| from :func:`_bessel_j`, the weights' routine.
     """
-    from scipy.special import jv
-
     x = abs(x)
     first = int(np.ceil(x))
     ratios = [0.0]
     for k in range(negligible_order(x), first, -1):
         ratios.append(x / (2 * k - x * ratios[-1]))
-    values = abs(jv(first, x)) * np.cumprod([1.0] + ratios[:0:-1])  # |J_k(x)|, k = first, first + 1, ...
+    seed = abs(_bessel_j(np.array([x]), first + 1)[first, 0])
+    values = seed * np.cumprod([1.0] + ratios[:0:-1])  # |J_k(x)|, k = first, first + 1, ...
     tail = 2.0 * values[::-1].cumsum()[::-1]
     return first + int(np.argmax(tail < CHEBYSHEV_TAIL))
+
+
+def _circle_sines(size: int) -> np.ndarray:
+    """sin(2 pi m / size) for m < size, a multiple of 8, from sines and cosines of angles in [0, pi/4].
+
+    The angles (pi/4) (j / (size/8)) round once, and symmetry maps them onto
+    the circle, so no 2 pi rounding is scaled by m and multiples of 90 degrees
+    are exactly 0 or +-1.
+    """
+    q = size // 8
+    angles = (np.pi / 4) * (np.arange(q + 1) / q)
+    s, c = np.sin(angles), np.cos(angles)
+    half = np.concatenate([s[:q], c[:0:-1], c[:q], s[:0:-1]])  # the four octants of [0, pi)
+    return np.concatenate([half, -half])
 
 
 def _bessel_j(x: np.ndarray, terms: int) -> np.ndarray:
@@ -106,11 +122,8 @@ def _bessel_j(x: np.ndarray, terms: int) -> np.ndarray:
     once M - terms passes the negligible orders.  The M samples have modulus
     one, so J_0^2 + 2 sum_k J_k^2 = 1 holds to rounding.
     """
-    from scipy.special import sindg
-
     size = 1 << int(np.ceil(np.log2(terms + negligible_order(np.abs(x).max(initial=0.0)))))
-    sines = sindg(360.0 * np.arange(size) / size)  # exact angles: no 2pi rounding scaled by x
-    return (np.fft.fft(np.exp(1j * np.multiply.outer(x, sines)))[:, :terms].real / size).T
+    return (np.fft.fft(np.exp(1j * np.multiply.outer(x, _circle_sines(size))))[:, :terms].real / size).T
 
 
 def block_width(terms: int, entries: int, times: int) -> int:

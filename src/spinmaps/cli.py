@@ -11,6 +11,7 @@ grid point, complex quantities split into _re/_im columns.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -198,6 +199,7 @@ _FIGURE_COLUMNS = {
 }
 
 
+@functools.cache  # built by the first main call, then reused by every later one in the process
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spinmaps",

@@ -168,6 +168,17 @@ def _csv_text(text: str) -> str:
     return text
 
 
+def _csv_cells(values: np.ndarray) -> list:
+    """The CSV cells of a column, each distinct value formatted once; floats by bit pattern, so -0.0 stays apart."""
+    if values.dtype.kind == "f":
+        distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
+        cells = map(float.__repr__, distinct.view(float).tolist())
+    else:
+        distinct, inverse = np.unique(values, return_inverse=True)
+        cells = map(_csv_text, distinct.tolist())
+    return np.array(list(cells), dtype=object)[inverse].tolist()
+
+
 def _equal_columns(data: dict) -> dict:
     """Columns of one length: numbers as float64 arrays, text as text, a scalar repeated."""
     arrays = [np.asarray(value) for value in data.values()]
@@ -213,12 +224,11 @@ class ScenarioResult:
 
         A number is written as the shortest repr of its float, and the header and
         text cells are quoted only where they hold a comma, a quote or a line
-        break.  The rows go out in one write, formatted a column at a time: a
-        ``p`` sweep's many rows come from one map (see :func:`sweep`), and
-        formatting them is the larger part of writing them.
+        break.  The rows go out in one write, formatted a column at a time and
+        each distinct value once: a ``p`` sweep's many rows come from one map
+        (see :func:`sweep`), and formatting them is the larger part of writing them.
         """
-        cells = [list(map(float.__repr__, values.tolist())) if values.dtype.kind == "f"
-                 else [_csv_text(text) for text in values.tolist()] for values in self.data.values()]
+        cells = [_csv_cells(values) for values in self.data.values()]
         with open(path, "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerow(self.columns)
             # a row of one empty cell is written quoted, as csv.writer writes it

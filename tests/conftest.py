@@ -154,6 +154,24 @@ def per_term_unit_columns(h, bounds, rows, times: np.ndarray, terms: int) -> np.
     return f.reshape(times.shape + (d, c))
 
 
+def jv_seeded_terms(x: float) -> int:
+    """``chebyshev.chebyshev_terms`` with its tail seeded by ``scipy.special.jv`` at order ceil|x|.
+
+    The reference for the seed from ``chebyshev._bessel_j``: the same backward
+    continued fraction and tail, so the term counts must be equal.
+    """
+    from scipy.special import jv
+
+    x = abs(x)
+    first = int(np.ceil(x))
+    ratios = [0.0]
+    for k in range(chebyshev.negligible_order(x), first, -1):
+        ratios.append(x / (2 * k - x * ratios[-1]))
+    values = abs(jv(first, x)) * np.cumprod([1.0] + ratios[:0:-1])
+    tail = 2.0 * values[::-1].cumsum()[::-1]
+    return first + int(np.argmax(tail < chebyshev.CHEBYSHEV_TAIL))
+
+
 def rebuilt_two_qubit_kraus(k1, k2, senders, receivers) -> maps.KrausSet:
     """``maps.two_qubit_kraus`` with its site bookkeeping rebuilt on every call, from the enumerated k = 2 basis.
 

@@ -11,7 +11,7 @@ from spinmaps import NumericalError, SectorPropagator, SpinNetwork
 from spinmaps import chebyshev, network as network_module, oracle
 from spinmaps.network import ExcitationSector, SectorHamiltonian, build_sector_hamiltonian
 
-from conftest import PropagationPaths, pair_amplitude_determinant, per_term_unit_columns
+from conftest import PropagationPaths, jv_seeded_terms, pair_amplitude_determinant, per_term_unit_columns
 
 BLOCK = chebyshev.SERIES_BLOCK
 
@@ -249,6 +249,30 @@ def test_term_count_leaves_a_negligible_bessel_tail():
         assert 2.0 * np.abs(jv(orders[1:], x)).sum() < chebyshev.CHEBYSHEV_TAIL
         assert 2.0 * np.abs(jv(orders, x)).sum() >= chebyshev.CHEBYSHEV_TAIL
     assert chebyshev.chebyshev_terms(0.0) == 1
+
+
+def test_term_count_equals_the_jv_seeded_count():
+    grid = np.concatenate([np.arange(20001) * 0.0025, np.logspace(-12.0, 5.0, 1000),
+                           np.random.default_rng(29).uniform(0.0, 5000.0, 1000)])
+    assert [chebyshev.chebyshev_terms(x) for x in grid] == [jv_seeded_terms(x) for x in grid]
+
+
+@pytest.mark.parametrize("size", [8, 64, 128, 1 << 12, 1 << 18])
+def test_circle_sines_match_sindg(size):
+    from scipy.special import sindg
+
+    sines, reference = chebyshev._circle_sines(size), sindg(360.0 * np.arange(size) / size)
+    assert np.abs(sines - reference).max() <= 2.3e-16
+    quarter = sines[::size // 4]  # 0, 90, 180 and 270 degrees, signed zeros included
+    assert quarter.tolist() == [0.0, 1.0, 0.0, -1.0]
+    assert np.array_equal(np.signbit(quarter), np.signbit(reference[::size // 4]))
+
+
+def test_bessel_weights_stay_near_jv():
+    from scipy.special import jv
+
+    orders = np.arange(3100)
+    assert np.abs(chebyshev._bessel_j(np.array([3000.0]), orders.size)[:, 0] - jv(orders, 3000.0)).max() <= 5e-14
 
 
 def test_column_tables_skip_eigh_until_the_budget_is_spent(rng, paths):

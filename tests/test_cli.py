@@ -1,5 +1,6 @@
 import ast
 import csv
+import io
 import math
 from pathlib import Path
 
@@ -105,6 +106,23 @@ def test_malformed_config_exits_2_without_output(tmp_path):
     assert main(["run", str(config), "--output", str(out)]) == 2
     assert not out.exists()
     assert main(["run", str(tmp_path / "missing.yaml"), "--output", str(out)]) == 2
+
+
+def test_main_builds_one_parser_and_keeps_its_usage_errors(tmp_path, capsys):
+    cli._build_parser.cache_clear()
+    out = tmp_path / "f3.csv"
+    assert main(["figure", "3", "--points", "3", "--output", str(out)]) == 0
+    assert main(["figure", "3", "--output", str(out)]) == 0  # --points back at its default
+    assert "wrote 15 rows" in capsys.readouterr().out.splitlines()[0]
+    assert len(out.read_text().splitlines()) == 1 + 5 * 201
+    assert cli._build_parser.cache_info()[:2] == (1, 1)  # one hit, one miss: one parser
+    with pytest.raises(SystemExit) as fresh:
+        cli._build_parser.__wrapped__().parse_args(["figure", "4"])
+    message = capsys.readouterr().err
+    with pytest.raises(SystemExit) as reused:
+        main(["figure", "4"])
+    assert fresh.value.code == reused.value.code == 2
+    assert capsys.readouterr().err == message and "invalid choice: 4" in message
 
 
 def test_verify_passes_on_default_network(capsys):
@@ -413,6 +431,18 @@ def test_csv_writes_floats_as_their_shortest_repr(tmp_path):
 
 
 EDGE_FLOATS = [math.nan, 0.0, -0.0, math.inf, -math.inf, 5e-324, 1e16, 1e-5, 0.1 + 0.2, -1.5e300, 2.0**53 + 1]
+# values repeated down a column, and bit patterns that print alike: two more quiet nans, one of them signed
+OTHER_NANS = np.array([0x7FF8000000000001, -0x0008000000000000], dtype=np.int64).view(float).tolist()
+REPEATED_FLOATS = [-0.0, math.nan, math.inf, -math.inf, 1e16, 1e-05, 9.999999999999999e-05, 0.0] * 3 + OTHER_NANS
+
+
+def per_cell_csv(result) -> bytes:
+    """The bytes ``write_csv`` wrote when it formatted every cell with its own call."""
+    cells = [list(map(float.__repr__, values.tolist())) if values.dtype.kind == "f"
+             else [protocols._csv_text(text) for text in values.tolist()] for values in result.data.values()]
+    header = io.StringIO(newline="")
+    csv.writer(header).writerow(result.columns)
+    return (header.getvalue() + "".join((",".join(row) or '""') + "\r\n" for row in zip(*cells))).encode()
 
 
 @pytest.mark.parametrize("data", [
@@ -421,9 +451,16 @@ EDGE_FLOATS = [math.nan, 0.0, -0.0, math.inf, -math.inf, 5e-324, 1e16, 1e-5, 0.1
     {"a,b": [1.0], 'q"': [2.0], "line\nbreak": [3.0]},
     {"t": [], "family": np.array([], dtype=str)},
     {"only": ["", "x", ""]},
-], ids=["edge-floats", "text-cells", "header", "zero-rows", "one-empty-cell"])
+    {"x": REPEATED_FLOATS, "y": REPEATED_FLOATS[::-1], "p": 0.7},
+    {"t": np.linspace(0.0, 1.0, 4), "p": np.broadcast_to(-0.0, 4), "family": "psi+"},
+    {"label": ["a,b", 'say "hi"', "cr\r\nlf", "a,b", "", 'say "hi"'], "v": np.arange(6.0) % 2},
+    {"only": ["", "", ""]},
+    {},
+], ids=["edge-floats", "text-cells", "header", "zero-rows", "one-empty-cell", "repeated-floats", "broadcast",
+        "repeated-text", "one-empty-column", "no-columns"])
 def test_csv_bytes_equal_csv_writer(tmp_path, data):
-    """write_csv writes what csv.writer writes for the same header and rows of Python floats and text."""
+    """write_csv writes what csv.writer writes for the same header and rows of Python floats and text,
+    and what it wrote when it formatted every cell with its own call."""
     from spinmaps.protocols import ScenarioResult
 
     result = ScenarioResult("x", data)
@@ -433,7 +470,7 @@ def test_csv_bytes_equal_csv_writer(tmp_path, data):
         writer = csv.writer(fh)
         writer.writerow(result.columns)
         writer.writerows(result.rows)
-    assert out.read_bytes() == ref.read_bytes()
+    assert out.read_bytes() == ref.read_bytes() == per_cell_csv(result)
 
 
 TRANSFER_N80 = """\

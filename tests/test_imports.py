@@ -37,6 +37,16 @@ times: {start: 0.0, stop: 314.0, points: 40}
 """
 
 
+# a k = 2 sector of d = 300 on a ZZ chain, whose one column at 6 times takes the Chebyshev series
+SERIES_RUN = """\
+scenario: two_qubit_transfer
+network: {kind: chain, couplings: %s, zz_couplings: %s}
+sites: {senders: [0, 1], receivers: [24, 23]}
+initial: {kind: bell, label: psi+}
+times: {start: 0.5, stop: 12.0, points: 6}
+""" % ([1.0] * 24, [0.2] * 24)
+
+
 def _run(tmp_path, name, config):
     (tmp_path / f"{name}.yaml").write_text(config)
     return ["run", str(tmp_path / f"{name}.yaml"), "--output", str(tmp_path / f"{name}.csv")]
@@ -55,6 +65,9 @@ def test_scipy_loads_only_where_a_run_calls_it(tmp_path):
     # the weak pair's golden-section peak search is the package's own, so it loads no scipy either
     runs = figure, _run(tmp_path, "eigh", CHAIN_RUN % "false"), _run(tmp_path, "weak_pair", WEAK_PAIR_RUN)
     assert _scipy_after(tmp_path, *runs) == [[], [], [], []]
-    # positive control: the probe sees scipy where a run does call it
-    *_, oracle_run = _scipy_after(tmp_path, _run(tmp_path, "oracle", CHAIN_RUN % "true"))
-    assert "scipy.sparse" in oracle_run
+    # positive control: the probe sees scipy where a run does call it, but never scipy.special: the
+    # series' Bessel weights and term count are the package's own
+    for name, config in ("oracle", CHAIN_RUN % "true"), ("series", SERIES_RUN):
+        *_, loaded = _scipy_after(tmp_path, _run(tmp_path, name, config))
+        assert "scipy.sparse" in loaded
+        assert not [m for m in loaded if m.split(".")[:2] == ["scipy", "special"]], name
