@@ -139,7 +139,7 @@ def _run_checks(n_sites: int, seed: int, tol: float, trials: int) -> int:
     chain = SpinNetwork.chain(rng.normal(size=n_sites - 1), fields=0.5 * rng.normal(size=n_sites))
     free = maps.NetworkChannel(chain)
     a, b, c = (int(x) for x in rng.choice(n_sites, size=3, replace=False))
-    worst_free = 0.0 if free.free_fermion else np.inf
+    worst_free = 0.0 if free.k1.free_fermion else np.inf
     for senders, receivers in (((a, b), (b, c)), ((b, a), (c, a)), ((a, c), (c, a))):
         k1, k2 = free.k1.table(t, [(senders[0],), (senders[1],)]), free.k2.table(t, [senders])
         sector = maps.superop_from_kraus(maps.two_qubit_kraus(k1, k2, senders, receivers))

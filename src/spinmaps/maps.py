@@ -2,8 +2,8 @@
 
 Every map a run builds is a :class:`KrausSet`, which :func:`apply` maps a
 state through and :func:`is_cptp` checks.  :func:`is_cptp` also takes a
-superoperator matrix, the one form a map that is not completely positive can
-take.  Superoperators act on row-major vectorized density matrices, i.e. the
+superoperator matrix, the one form a map that is not CPTP can take.
+Superoperators act on row-major vectorized density matrices, i.e. the
 column vector (rho_00, rho_01, ..., rho_dd); the matrix element
 A[(i,j),(n,m)] is sum_k (E_k)_{in} (E_k)*_{jm}, so
 A = sum_k kron(E_k, conj(E_k)).
@@ -15,15 +15,15 @@ sender columns into :func:`one_qubit_kraus` and :func:`two_qubit_kraus`
 sets.  The sector tables measure energies from the vacuum
 (:mod:`spinmaps.network`), so their amplitudes are the ones the maps take:
 the vacuum-vacuum Kraus element is exactly 1 and the channel is the exact
-reduced dynamics for arbitrary fields and ZZ couplings.  On an open chain with
-no ZZ coupling the two-qubit map reads the k = 1 table alone (free fermions,
-see :func:`two_qubit_kraus`).
+reduced dynamics for arbitrary fields and ZZ couplings.  Where a table is
+``free_fermion`` (an open chain with no ZZ coupling) the two-qubit map reads
+the k = 1 table alone (see :func:`two_qubit_kraus`).
 
 Time grids are a leading axis.  Given an array of T times (or amplitudes),
 :class:`NetworkChannel`, :func:`one_qubit_kraus`, :func:`two_qubit_kraus`,
 :func:`extend_with_identity` and :func:`tensor_map` build one
-:class:`KrausSet` whose operators are (T, d, d) stacks; :func:`apply` maps a
-state (or a (T, d, d) stack of states) through every slice at once and
+:class:`KrausSet` whose operators are (T, d, d) stacks; :func:`apply` maps one
+state through every slice at once (or T states through the T slices) and
 :func:`assert_density_matrix` checks each output slice.  The per-map routines
 take the stack as well: :func:`superop_from_kraus`, :func:`choi_from_superop`
 and :func:`is_cptp` (one verdict value per slice), as do
@@ -161,36 +161,31 @@ def partial_trace_outer(a: np.ndarray, b: np.ndarray, keep, dims) -> np.ndarray:
 class KrausSet:
     """A quantum map as a stack of Kraus operators.
 
-    Every operator is a (d_out, d_in) matrix, or every operator is a
-    (T, d_out, d_in) stack: then the set holds one map per time of a grid.
-    The set is given as a sequence of such operators or as an array whose
-    first axis runs over them, and ``operators`` holds them as one complex
-    (K, [T,] d_out, d_in) array, so ``len(operators)`` is K.  Every sum over
-    the operators is one stacked product reduced over that first axis, in
-    the order of Python's ``sum``.  With ``complete=True`` (the default) the
-    completeness relation sum_k E_k^dag E_k = 1 is checked to 1e-10 at
-    construction, on every slice.
+    ``operators`` is one non-empty complex (K, [T,] d_out, d_in) array, taken
+    with ``np.asarray``: K operators, each a (d_out, d_in) matrix or, with a
+    time axis, a (T, d_out, d_in) stack holding one map per time of a grid.
+    Any other form raises ValueError.  Every sum over the operators is one
+    stacked product reduced over the first axis, in the order of Python's
+    ``sum``.  The completeness relation sum_k E_k^dag E_k = 1 is checked to
+    1e-10 at construction, on every slice; a map that is not complete reaches
+    :func:`is_cptp` only as a superoperator.
     """
 
     operators: np.ndarray
-    complete: bool = True
 
     def __post_init__(self):
-        ops = self.operators
-        if not isinstance(ops, np.ndarray):
-            ops = [np.asarray(op, dtype=complex) for op in ops]
-        if not len(ops):
+        try:
+            ops = np.asarray(self.operators, dtype=complex)
+        except ValueError:  # numpy refuses a ragged set
+            raise ValueError("all Kraus operators must share the same shape") from None
+        if ops.shape[:1] == (0,):
             raise ValueError("KrausSet needs at least one operator")
-        shape = ops[0].shape
-        if len(shape) not in (2, 3):
-            raise ValueError("Kraus operators must be matrices (or stacks of matrices)")
-        if isinstance(ops, list) and any(op.shape != shape for op in ops):  # an array's operators share one shape
-            raise ValueError("all Kraus operators must share the same shape")
-        object.__setattr__(self, "operators", np.asarray(ops, dtype=complex))
-        if self.complete:
-            dev = np.abs(self.completeness_defect()).max()
-            if dev > COMPLETENESS_ATOL:
-                raise ValueError(f"Kraus completeness violated by {dev:.3e}")
+        if ops.ndim not in (3, 4):
+            raise ValueError(f"Kraus operators must be matrices (or stacks of matrices), got shape {ops.shape}")
+        object.__setattr__(self, "operators", ops)
+        dev = np.abs(self.completeness_defect()).max()
+        if dev > COMPLETENESS_ATOL:
+            raise ValueError(f"Kraus completeness violated by {dev:.3e}")
 
     @property
     def input_dim(self) -> int:
@@ -217,21 +212,20 @@ def superop_from_kraus(ks: KrausSet) -> np.ndarray:
 
 
 def apply_kraus(ks: KrausSet, rho: np.ndarray) -> np.ndarray:
+    """sum_k E_k rho E_k^dag of one (d, d) state, or of a (T, d, d) stack through a map's T slices."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.ndim not in (2, 3) or rho.shape[-2:] != (ks.input_dim, ks.input_dim):
-        raise ValueError(f"state dimension {rho.shape} does not match input dim {ks.input_dim}")
     ops = ks.operators
-    if rho.ndim == 3 and ops.ndim == 3:  # one map for a stack of states: the state axis follows the operator axis
-        ops = ops[:, None]
+    if rho.shape[-2:] != (ks.input_dim, ks.input_dim) or rho.shape[:-2] not in ((), ops.shape[1:-2]):
+        raise ValueError(f"state of shape {rho.shape} does not match a map of shape {ops.shape[1:]}")
     return (ops @ rho @ ops.conj().swapaxes(-1, -2)).sum(axis=0)
 
 
 def apply(ks: KrausSet, rho: np.ndarray) -> np.ndarray:
     """Apply a Kraus set to a density matrix and validate the output.
 
-    A map or a state with a leading time axis gives a (T, d, d) stack of
-    outputs, each validated.  The map and the state were checked before, so
-    an invalid output is a failure of the computation: it raises
+    A map with a leading time axis gives a (T, d, d) stack of outputs, each
+    validated (see :func:`apply_kraus`).  The map and the state were checked
+    before, so an invalid output is a failure of the computation: it raises
     :class:`NumericalError` with the check's message.
     """
     out = apply_kraus(ks, rho)
@@ -318,20 +312,20 @@ def one_qubit_kraus(f) -> KrausSet:
 
 def extend_with_identity(ks: KrausSet) -> KrausSet:
     """Tensor the identity map on a first qubit with a one-qubit map on the second."""
-    return KrausSet(_kron(np.eye(2, dtype=complex), ks.operators), complete=ks.complete)
+    return KrausSet(_kron(np.eye(2, dtype=complex), ks.operators))
 
 
 def tensor_map(m1: KrausSet, m2: KrausSet) -> KrausSet:
     """Kronecker composition of two maps acting on independent systems.
 
-    Stacked maps must share their time axis (a single map broadcasts).  The
+    Both maps are single, or both stacked on the same time axis.  The
     operators run over those of ``m1``, each with every operator of ``m2``.
     """
     a, b = m1.operators, m2.operators
-    if a.ndim != b.ndim:  # give the single map the time axis of the stacked one
-        a, b = (x if x.ndim == 4 else x[:, None] for x in (a, b))
+    if a.shape[1:-2] != b.shape[1:-2]:
+        raise ValueError(f"maps on time axes {a.shape[1:-2]} and {b.shape[1:-2]} do not compose")
     ops = _kron(a[:, None], b[None])
-    return KrausSet(ops.reshape((-1,) + ops.shape[2:]), complete=m1.complete and m2.complete)
+    return KrausSet(ops.reshape((-1,) + ops.shape[2:]))
 
 
 # ---------------------------------------------------------------------------
@@ -375,13 +369,14 @@ def two_qubit_kraus(
 
     * a k = 2 table ``k2``: they are gathered from its (i, j) column, and the
       merged weight sums that column over the targets off the receivers;
-    * ``k2=None``, valid only on a free-fermion network (an open chain with
-      no ZZ coupling, which :class:`NetworkChannel` decides): with F the k = 1
-      columns of the senders in ascending order, f_ij at a < b is the 2 x 2
-      minor det F[{a, b}, :] (Lieb, Schultz & Mattis, Ann. Phys. 16, 407
-      (1961)), and by Cauchy-Binet the merged weight is
-      sqrt(det(F_env^dag F_env)) over the rows F_env of the sites outside the
-      receivers, the determinant clipped at 0 for rounding.
+    * ``k2=None``, only where ``k1.free_fermion`` holds (an open chain with
+      no ZZ coupling, see :class:`~spinmaps.network.SectorPropagator`;
+      ValueError naming ``k2`` otherwise): with F the k = 1 columns of the
+      senders in ascending order, f_ij at a < b is the 2 x 2 minor
+      det F[{a, b}, :] (Lieb, Schultz & Mattis, Ann. Phys. 16, 407 (1961)),
+      and by Cauchy-Binet the merged weight is sqrt(det(F_env^dag F_env))
+      over the rows F_env of the sites outside the receivers, the
+      determinant clipped at 0 for rounding.
 
     The tables may hold only the columns read here: sources (i,) and (j,) of
     ``k1`` and (i, j) of ``k2``, each read once, with every target gathered
@@ -390,6 +385,8 @@ def two_qubit_kraus(
     n_sites = k1.sector.n_sites
     if k1.sector.excitation_count != 1 or k2 is not None and k2.sector.excitation_count != 2:
         raise ValueError("two_qubit_kraus needs a k=1 and a k=2 table")
+    if k2 is None and not k1.free_fermion:
+        raise ValueError("k2 is required: k=1 minors are pair amplitudes only on an open chain with no ZZ coupling")
     if k2 is not None:
         if k2.sector.n_sites != n_sites:
             raise ValueError("amplitude tables belong to different networks")
@@ -437,10 +434,10 @@ class NetworkChannel:
 
     Holds the k=1 sector propagator, and builds the k=2 one on first use
     where two-qubit maps need it, so each sector is diagonalised once for any
-    number of times and site choices.  Whether they need it is decided once,
-    at construction: on a free-fermion network, an open chain (dual rails of
-    :meth:`SpinNetwork.disjoint_union` included) with no ZZ coupling, every
-    pair amplitude is a 2 x 2 minor of the k=1 table (see
+    number of times and site choices.  They need it unless ``k1.free_fermion``
+    holds, the verdict the k=1 propagator reaches at construction: on an open
+    chain (dual rails of :meth:`SpinNetwork.disjoint_union` included) with no
+    ZZ coupling, every pair amplitude is a 2 x 2 minor of the k=1 table (see
     :func:`two_qubit_kraus`) and no k=2 sector is built.  Every channel reads
     only the sender columns of its sectors: (i,) of k=1 for one qubit, (i,),
     (j,) of k=1 and, off free fermions, (i, j) of k=2 for two.  Every method
@@ -451,7 +448,6 @@ class NetworkChannel:
     def __init__(self, network: SpinNetwork):
         self.network = network
         self.k1 = SectorPropagator(network, 1)
-        self.free_fermion = network.is_open_chain() and not network.zz.any()
 
     @cached_property
     def k2(self) -> SectorPropagator:
@@ -473,7 +469,7 @@ class NetworkChannel:
         i, j = check_sites(senders, n, "sender", 2)
         check_sites(receivers, n, "receiver", 2)  # before either sector table is built
         k1 = self.k1.table(t, [(i,), (j,)])
-        k2 = None if self.free_fermion else self.k2.table(t, [(i, j)])
+        k2 = None if self.k1.free_fermion else self.k2.table(t, [(i, j)])
         return two_qubit_kraus(k1, k2, (i, j), receivers)
 
 

@@ -49,7 +49,7 @@ def bell_state(label: str) -> np.ndarray:
         "psi+": [0, s, s, 0],
         "psi-": [0, s, -s, 0],
     }
-    if label not in table:
+    if label not in BELL_LABELS:  # not the dict: an unhashable label is unknown, not a TypeError
         raise ValueError(f"unknown Bell label {label!r}, expected one of {BELL_LABELS}")
     return np.array(table[label], dtype=complex)
 

@@ -65,8 +65,10 @@ Conventions
   Jordan-Wigner map adds no sign, H_k is k free fermions, and the
   k-excitation amplitude from sources s to configuration c is the minor
   det F[c, s] of the k = 1 table F (Lieb, Schultz & Mattis, Ann. Phys. 16,
-  407 (1961)).  :class:`spinmaps.maps.NetworkChannel` builds such maps from
-  the k = 1 table alone and never builds their k = 2 sector.
+  407 (1961)).  :class:`SectorPropagator` decides this once, as
+  ``free_fermion``, which each of its tables carries: only there does
+  :func:`spinmaps.maps.two_qubit_kraus` take the k = 1 table alone, and no
+  k = 2 sector is built.
 """
 
 from __future__ import annotations
@@ -390,12 +392,14 @@ class AmplitudeTable:
     lookup returns one value per time.  The stored columns must be
     orthonormal at every time, |f^dag f - 1| <= 1e-10 (for a full table: f is
     unitary); otherwise :class:`NumericalError` is raised at construction.
+    ``free_fermion`` is the building propagator's verdict (see Conventions).
     """
 
     sector: ExcitationSector
     time: float | np.ndarray
     amplitudes: np.ndarray
     sources: tuple = None
+    free_fermion: bool = False
 
     def __post_init__(self):
         f = np.asarray(self.amplitudes)
@@ -461,12 +465,13 @@ class SectorPropagator:
     Chebyshev series or from a real-symmetric ``eigh``, by the selection rule
     of the module docstring; ``eigh`` runs at most once, inside the first
     table that needs it, and its eigenbasis is checked to be orthonormal to
-    1e-10 (:class:`NumericalError` otherwise).
+    1e-10 (:class:`NumericalError` otherwise).  ``free_fermion``: see Conventions.
     """
 
     def __init__(self, network: SpinNetwork, k: int):
         self.hamiltonian = build_sector_hamiltonian(network, k)
         self.sector = self.hamiltonian.sector
+        self.free_fermion = network.is_open_chain() and not network.zz.any()
         self._eigen = None  # (E, V) once diagonalised
         self._chebyshev_seconds = 0.0  # estimated cost of the Chebyshev tables built so far
 
@@ -491,7 +496,7 @@ class SectorPropagator:
             f = self._eigh_columns(times, rows)
         else:
             f = self._chebyshev_columns(times, rows, terms)
-        return AmplitudeTable(self.sector, time, f, sources)
+        return AmplitudeTable(self.sector, time, f, sources, self.free_fermion)
 
     def _affordable_terms(self, times: np.ndarray, width: int):
         """Term count of a Chebyshev table, or None where ``eigh`` is cheaper.

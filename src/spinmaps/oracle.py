@@ -194,8 +194,7 @@ class FullPropagator:
         self.eigvals, self.eigvecs = np.linalg.eigh(full_hamiltonian(network))
 
     def unitary(self, t: float) -> np.ndarray:
-        phases = np.exp(-1j * self.eigvals * t)
-        return _real_matmul(self.eigvecs, phases[:, None] * self.eigvecs.T)
+        return self.columns(slice(None), t)
 
     def columns(self, indices, t) -> np.ndarray:
         """``unitary(t)[:, indices]`` at O(4^N) cost per column and time.
@@ -215,13 +214,17 @@ class FullPropagator:
 
 
 def _embedding(network: SpinNetwork, rho_s: np.ndarray, sender_sites):
-    """Validated sender state and the full-space index of each of its basis states."""
+    """Validated sender state (a density matrix) and the full-space index of each of its basis states."""
     n = network.n_sites
     sender_sites = check_sites(sender_sites, n, "sender")
     k = len(sender_sites)
     rho_s = np.asarray(rho_s, dtype=complex)
     if rho_s.shape != (2**k, 2**k):
         raise ValueError(f"sender state shape {rho_s.shape} does not match {k} sites")
+    try:
+        assert_density_matrix(rho_s)
+    except ValueError as exc:
+        raise ValueError(f"sender state: {exc}") from exc
     embed = []
     for a in range(2**k):
         occupied = [site for q, site in enumerate(sender_sites) if (a >> (k - 1 - q)) & 1]
@@ -248,10 +251,11 @@ def reduced_output(
 ) -> np.ndarray:
     """Exact reduced state on the receiver sites after full evolution.
 
-    The sender state is placed on ``sender_sites`` (in the given qubit order),
-    every other spin starts in |0>, the whole network evolves for time t, and
-    all sites except ``receiver_sites`` are traced out (receiver qubit order
-    follows the given site order).  A 1-D array of T times, in any order and
+    The sender state, a density matrix checked before any evolution
+    (ValueError naming it), is placed on ``sender_sites`` (in the given qubit
+    order), every other spin starts in |0>, the whole network evolves for
+    time t, and all sites except ``receiver_sites`` are traced out (receiver
+    qubit order follows the given site order).  A 1-D array of T times, in any order and
     possibly empty, gives a stack of T receiver states.  Sites and times are
     read by :func:`spinmaps.network.check_sites` and :func:`~spinmaps.network.check_times`.
 

@@ -18,9 +18,9 @@ out for each weight.
 from __future__ import annotations
 
 import copy
-import csv
 import math
 import numbers
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
@@ -228,10 +228,11 @@ class ScenarioResult:
         each distinct value once: a ``p`` sweep's many rows come from one map
         (see :func:`sweep`), and formatting them is the larger part of writing them.
         """
+        header = ",".join(map(_csv_text, self.columns))
         cells = [_csv_cells(values) for values in self.data.values()]
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerow(self.columns)
-            # a row of one empty cell is written quoted, as csv.writer writes it
+            # a line of one empty cell is written quoted, as csv.writer writes it (a header of none stays empty)
+            fh.write((header or '""' * len(self.columns)) + "\r\n")
             fh.write("".join((",".join(row) or '""') + "\r\n" for row in zip(*cells)))
         return len(cells[0]) if cells else 0
 
@@ -246,27 +247,41 @@ INITIAL_FIELDS = {
 }
 
 
+@contextmanager
+def _field_errors(name: str):
+    """A ValueError raised inside, by a check of the value read from the config field ``name``, names it first."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from exc
+
+
 def build_initial_state(desc: dict, n_qubits: int) -> np.ndarray:
-    """Density matrix from a state description dictionary."""
+    """Density matrix from a state description dictionary; a rejection names the field it read."""
     kind = section_kind(desc, INITIAL_FIELDS, "initial", "initial-state")
-    if kind == "bell":
+    if kind in ("bell", "werner"):
         if n_qubits != 2:
-            raise ValueError("bell input needs a two-qubit slot")
-        return maps.pure_state_density(measures.bell_state(desc.get("label", "psi+")))
-    if kind == "werner":
-        if n_qubits != 2:
-            raise ValueError("werner input needs a two-qubit slot")
-        return measures.werner_state(finite_number(desc.get("p"), "initial.p"), desc.get("bell", "psi+"))
+            raise ValueError(f"initial.kind: {kind} input needs a two-qubit slot")
+        label = "label" if kind == "bell" else "bell"
+        with _field_errors(f"initial.{label}"):
+            psi = measures.bell_state(desc.get(label, "psi+"))
+        if kind == "bell":
+            return maps.pure_state_density(psi)
+        p = finite_number(desc.get("p"), "initial.p")
+        with _field_errors("initial.p"):  # the label is valid: the weight fails
+            return measures.werner_state(p, desc.get("bell", "psi+"))
     if kind == "xstate":
         pops = desc.get("populations")
         if not isinstance(pops, (list, tuple)) or len(pops) != 4:
             raise ValueError(f"initial.populations must be a list of four numbers, got {pops!r}")
-        x = measures.XState(
-            *(finite_number(p, "initial.populations") for p in pops),
-            rho03=_complex_number(desc.get("rho03", 0.0), "initial.rho03"),
-            rho12=_complex_number(desc.get("rho12", 0.0), "initial.rho12"),
-        )
-        return x.to_density_matrix()
+        pops = [finite_number(p, "initial.populations") for p in pops]
+        coherences = {key: _complex_number(desc.get(key, 0.0), f"initial.{key}") for key in ("rho03", "rho12")}
+        with _field_errors("initial.populations"):
+            measures.XState(*pops)  # the populations alone, then each coherence against them
+        for key, value in coherences.items():
+            with _field_errors(f"initial.{key}"):
+                measures.XState(*pops, **{key: value})
+        return measures.XState(*pops, **coherences).to_density_matrix()
     if kind == "basis":
         if "string" not in desc:
             raise ValueError("initial.string must give the basis state's label")
@@ -278,7 +293,7 @@ def build_initial_state(desc: dict, n_qubits: int) -> np.ndarray:
                 f"as a number (a leading 0 as octal); quote the label, e.g. string: '{example}'"
             )
         if len(string) != n_qubits or any(c not in "01" for c in string):
-            raise ValueError(f"basis string {string!r} does not describe {n_qubits} qubits")
+            raise ValueError(f"initial.string: basis string {string!r} does not describe {n_qubits} qubits")
         vec = np.zeros(2**n_qubits, dtype=complex)
         vec[int(string, 2)] = 1.0
         return maps.pure_state_density(vec)
@@ -287,9 +302,10 @@ def build_initial_state(desc: dict, n_qubits: int) -> np.ndarray:
             and all(isinstance(row, (list, tuple)) and len(row) == len(rows) for row in rows)):
         raise ValueError(f"initial.entries must be a square list of rows, got {rows!r}")
     rho = np.array([[_complex_number(v, "initial.entries") for v in row] for row in rows])
-    maps.assert_density_matrix(rho)
+    with _field_errors("initial.entries"):
+        maps.assert_density_matrix(rho)
     if rho.shape != (2**n_qubits, 2**n_qubits):
-        raise ValueError(f"matrix input has shape {rho.shape}, expected {(2**n_qubits,)*2}")
+        raise ValueError(f"initial.entries: matrix input has shape {rho.shape}, expected {(2**n_qubits,)*2}")
     return rho
 
 
@@ -388,14 +404,12 @@ def _network_from_config(section, where: str) -> SpinNetwork:
     # every number the section gives, entry by entry (sites a whole number); an absent optional field reads as None
     num = {key: whole_number(value, f"{where}.sites") if key == "sites" else _numbers(value, f"{where}.{key}")
            for key, value in section.items() if key != "kind" and value is not None}
-    try:
+    with _field_errors(where):
         if kind == "uniform_chain":
             return SpinNetwork.uniform_chain(num["sites"], num.get("coupling", 1.0))
         if kind == "chain":
             return SpinNetwork.chain(num["couplings"], num.get("zz_couplings"), num.get("fields"))
         return SpinNetwork(np.array(num["xy"]), num.get("zz"), num.get("fields"))
-    except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from exc
 
 
 def _times_from_config(section):

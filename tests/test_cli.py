@@ -456,8 +456,10 @@ def per_cell_csv(result) -> bytes:
     {"label": ["a,b", 'say "hi"', "cr\r\nlf", "a,b", "", 'say "hi"'], "v": np.arange(6.0) % 2},
     {"only": ["", "", ""]},
     {},
+    {"p,q": [0.4], 'say "p"': [0.5], "cr\rp": [0.6], "lf\np": [0.7], "crlf\r\np": [0.8], "t": [0.0]},
+    {"": [0.4, 0.9]},
 ], ids=["edge-floats", "text-cells", "header", "zero-rows", "one-empty-cell", "repeated-floats", "broadcast",
-        "repeated-text", "one-empty-column", "no-columns"])
+        "repeated-text", "one-empty-column", "no-columns", "header-quoting", "one-empty-name"])
 def test_csv_bytes_equal_csv_writer(tmp_path, data):
     """write_csv writes what csv.writer writes for the same header and rows of Python floats and text,
     and what it wrote when it formatted every cell with its own call."""
@@ -773,6 +775,48 @@ def test_non_finite_numbers_exit_2_naming_the_field(tmp_path, capsys, sector_bui
     config.write_text(text)
     out = tmp_path / "never.csv"
     assert main([command, str(config), "--output", str(out)]) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert sector_builds == [] and not out.exists()
+
+
+def _initial(text: str) -> str:
+    """GOOD_CONFIG (a two-qubit slot) with the initial state ``text``."""
+    return GOOD_CONFIG.replace("kind: werner\n  p: 0.7", text)
+
+
+@pytest.mark.parametrize("text, message", [
+    (_initial("kind: werner\n  p: 1.5"), "initial.p: Werner weight must be in [0, 1], got 1.5"),
+    (_initial("kind: werner\n  p: 0.7\n  bell: xx"),
+     f"initial.bell: unknown Bell label 'xx', expected one of {measures.BELL_LABELS}"),
+    (_initial("kind: bell\n  label: xx"),
+     f"initial.label: unknown Bell label 'xx', expected one of {measures.BELL_LABELS}"),
+    (_initial("kind: bell\n  label: [1]"),
+     f"initial.label: unknown Bell label [1], expected one of {measures.BELL_LABELS}"),
+    (QST_CONFIG + "initial: {kind: bell}\n", "initial.kind: bell input needs a two-qubit slot"),
+    (QST_CONFIG + "initial: {kind: werner, p: 0.5}\n", "initial.kind: werner input needs a two-qubit slot"),
+    (_initial("kind: basis\n  string: '101'"), "initial.string: basis string '101' does not describe 2 qubits"),
+    (_initial("kind: xstate\n  populations: [1.5, -0.5, 0, 0]"),
+     "initial.populations: negative population in (1.5, -0.5, 0.0, 0.0)"),
+    (_initial("kind: xstate\n  populations: [0.5, 0.5, 0.5, 0.5]"),
+     "initial.populations: populations sum to 2.0, expected 1"),
+    (_initial("kind: xstate\n  populations: [0.5, 0, 0, 0.5]\n  rho03: 0.6"),
+     "initial.rho03: |rho03|^2 exceeds p00*p33 (not positive semidefinite)"),
+    (_initial("kind: xstate\n  populations: [0, 0.5, 0.5, 0]\n  rho12: [0, 0.6]"),
+     "initial.rho12: |rho12|^2 exceeds p11*p22 (not positive semidefinite)"),
+    (_initial("kind: matrix\n  entries: [[0.5, 0.1, 0, 0], [0, 0.5, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]"),
+     "initial.entries: density matrix is not Hermitian"),
+    (_initial("kind: matrix\n  entries: [[0.7, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]"),
+     "initial.entries: density matrix trace is (0.7+0j), expected 1"),
+    (_initial("kind: matrix\n  entries: [[1, 0], [0, 0]]"),
+     "initial.entries: matrix input has shape (2, 2), expected (4, 4)"),
+], ids=["werner-p-range", "werner-bell-label", "bell-label", "bell-label-list", "bell-one-qubit-slot",
+        "werner-one-qubit-slot", "basis-string-length", "populations-negative", "populations-sum", "rho03-psd", "rho12-psd",
+        "matrix-not-hermitian", "matrix-trace", "matrix-shape"])
+def test_initial_state_rejections_exit_2_naming_the_field(tmp_path, capsys, sector_builds, text, message):
+    config = tmp_path / "run.yaml"
+    config.write_text(text)
+    out = tmp_path / "never.csv"
+    assert main(["run", str(config), "--output", str(out)]) == 2
     assert capsys.readouterr().err == f"configuration error: {message}\n"
     assert sector_builds == [] and not out.exists()
 

@@ -56,7 +56,7 @@ def test_free_fermion_maps_match_the_k2_sector(rng, monkeypatch, paths, path):
     times = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 250.0, 7))])
     for net in networks:
         chan = NetworkChannel(net)
-        assert chan.free_fermion
+        assert chan.k1.free_fermion
         for senders, receivers in pair_cases(rng, net.n_sites):
             free = superop_from_kraus(chan.two_qubit(senders, receivers, times))
             assert np.abs(free - sector_superop(chan, senders, receivers, times)).max() <= 1e-12
@@ -107,7 +107,7 @@ def test_zz_bonds_and_rings_keep_the_k2_sector(rng, sector_builds):
     for net in (one_zz, SpinNetwork(ring)):
         sector_builds.clear()
         chan = NetworkChannel(net)
-        assert not chan.free_fermion
+        assert not chan.k1.free_fermion
         times = np.array([0.7, 3.1, 9.4])
         rho = random_density_matrix(4, rng)
         out = apply(chan.two_qubit((0, 1), (5, 4), times), rho)
@@ -131,3 +131,23 @@ def test_free_path_keeps_the_column_and_completeness_checks(rng, monkeypatch):
     monkeypatch.setattr(KrausSet, "completeness_defect", lambda ks: defect(ks) + 1e-6)
     with pytest.raises(ValueError, match="Kraus completeness violated"):
         chan.two_qubit((0, 1), (7, 6), 2.5)
+
+
+def test_minors_need_the_free_fermion_verdict_of_the_table(rng):
+    """The k = 1 minors give wrong pair amplitudes off free fermions, so a table of such a network refuses them."""
+    zz_chain = SpinNetwork.chain([1.0, 0.8, 1.2, 0.9], zz_couplings=[0.5, -0.4, 0.3, 0.6])
+    ring = open_chain(rng, 5).xy.copy()
+    ring[0, 4] = ring[4, 0] = 0.8
+    for net, free in ((zz_chain, False), (SpinNetwork(ring), False), (open_chain(rng, 5), True)):
+        chan = NetworkChannel(net)
+        k1, k2 = chan.k1.table(1.3, [(0,), (1,)]), chan.k2.table(1.3, [(0, 1)])
+        assert chan.k1.free_fermion == chan.k2.free_fermion == k1.free_fermion == k2.free_fermion == free
+        assert not hasattr(chan, "free_fermion")
+        rho = random_density_matrix(4, rng)
+        ref = reduced_output(net, rho, (0, 1), (4, 3), 1.3, propagator=FullPropagator(net))
+        assert trace_distance(apply(two_qubit_kraus(k1, k2, (0, 1), (4, 3)), rho), ref) <= 1e-12
+        if free:
+            assert trace_distance(apply(two_qubit_kraus(k1, None, (0, 1), (4, 3)), rho), ref) <= 1e-12
+        else:
+            with pytest.raises(ValueError, match="^k2 is required"):
+                two_qubit_kraus(k1, None, (0, 1), (4, 3))

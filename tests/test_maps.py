@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from spinmaps import maps
 from spinmaps import (
     AmplitudeTable,
     KrausSet,
@@ -85,9 +86,10 @@ def test_random_complete_kraus_satisfies_superop_constraints(rng):
 
 def test_kraus_completeness_enforced():
     bad = np.array([[1.0, 0.0], [0.0, 0.5]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="Kraus completeness violated by 7.500e-01"):
         KrausSet((bad,))
-    KrausSet((bad,), complete=False)  # explicit opt-out is allowed
+    with pytest.raises(TypeError):  # there is no opt-out: a map that is not complete is a superoperator
+        KrausSet((bad,), complete=False)
 
 
 @pytest.mark.parametrize("operators, message", [
@@ -101,7 +103,7 @@ def test_kraus_completeness_enforced():
 ])
 def test_kraus_set_rejects_empty_ragged_and_non_matrix_operators(operators, message):
     with pytest.raises(ValueError, match=message):
-        KrausSet(operators, complete=False)
+        KrausSet(operators)
 
 
 def _kron_ref(a, b):
@@ -129,13 +131,30 @@ def test_stacked_kraus_sums_equal_per_operator_python_sums(rng):
         defect = sum(op.conj().swapaxes(-1, -2) @ op for op in ops) - np.eye(dim)
         assert np.array_equal(ks.completeness_defect(), defect)
         assert np.array_equal(superop_from_kraus(ks), sum(_kron_ref(op, op.conj()) for op in ops))
-        for rho in (random_density_matrix(dim, rng), np.array([random_density_matrix(dim, rng) for _ in range(7)])):
+        states = [random_density_matrix(dim, rng)]
+        if ks.operators.ndim == 4:  # a stacked map also takes one state per time
+            states.append(np.array([random_density_matrix(dim, rng) for _ in range(7)]))
+        for rho in states:
             assert np.array_equal(apply(ks, rho), sum(op @ rho @ op.conj().swapaxes(-1, -2) for op in ops))
         eye = np.eye(2, dtype=complex)
         assert np.array_equal(extend_with_identity(ks).operators, np.array([_kron_ref(eye, op) for op in ops]))
         for other in sets:
-            want = np.array([_kron_ref(a, b) for a in ops for b in other.operators])
-            assert np.array_equal(tensor_map(ks, other).operators, want)
+            if other.operators.ndim == ks.operators.ndim:  # both single, or both on the one grid
+                want = np.array([_kron_ref(a, b) for a in ops for b in other.operators])
+                assert np.array_equal(tensor_map(ks, other).operators, want)
+
+
+def test_single_and_stacked_maps_do_not_mix(rng):
+    """A map of K operators and a stack of K == T slices would broadcast silently wrong: every mix is refused."""
+    single, stacked = random_complete_kraus(rng, 2, 3), _stacked_sets(rng, 2, 2, steps=3)
+    states = np.array([random_density_matrix(2, rng) for _ in range(3)])
+    for ks, rho in ((single, states), (_stacked_sets(rng, 2, 2, steps=4), states), (stacked, states[:, None])):
+        with pytest.raises(ValueError, match="does not match a map of shape"):
+            apply_kraus(ks, rho)
+    assert np.array_equal(apply(stacked, states[0]), apply(stacked, np.array([states[0]] * 3)))
+    for m1, m2 in ((single, stacked), (stacked, single), (stacked, _stacked_sets(rng, 2, 2, steps=1))):
+        with pytest.raises(ValueError, match="do not compose"):
+            tensor_map(m1, m2)
 
 
 def test_choi_of_identity_qubit_map():
@@ -503,15 +522,14 @@ def test_constructed_maps_are_cptp(rng):
         assert verdict2.ok
 
 
-def test_apply_validates_output(rng):
+def test_apply_validates_output(rng, monkeypatch):
     rho = random_density_matrix(2, rng)
-    bad = KrausSet((np.diag([1.0, 0.5]).astype(complex),), complete=False)
-    with pytest.raises(NumericalError):
-        apply(bad, rho)  # trace not preserved -> invalid output state
-    out = apply_kraus(bad, rho)
-    assert np.trace(out).real < 1.0
     with pytest.raises(ValueError):
         apply(identity_kraus(2), random_density_matrix(4, rng))  # dimension mismatch
+    lossy = np.diag([1.0, 0.5]).astype(complex)  # no Kraus set holds it: it does not preserve the trace
+    monkeypatch.setattr(maps, "apply_kraus", lambda ks, state: lossy @ state @ lossy.conj().T)
+    with pytest.raises(NumericalError, match="density matrix trace is"):
+        apply(identity_kraus(2), rho)  # trace not preserved -> invalid output state
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

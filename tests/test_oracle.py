@@ -138,6 +138,23 @@ def test_initial_density_validation(rng):
         reduced_output(net, random_density_matrix(2, rng), [1, 2], [0], 1.0)
 
 
+@pytest.mark.parametrize("rho, message", [
+    (np.diag([2.0, 0.0]), r"density matrix trace is \(2\+0j\)"),
+    (np.array([[0.5, 0.9], [0.9, 0.5]]), "density matrix has negative eigenvalue -4.000e-01"),
+    (np.array([[0.5, 0.1], [0.0, 0.5]]), "density matrix is not Hermitian"),
+], ids=["trace-2", "not-psd", "not-hermitian"])
+def test_sender_state_is_checked_before_any_evolution(rng, monkeypatch, rho, message):
+    def refuse(*args):
+        raise AssertionError("the oracle evolved an invalid sender state")
+
+    monkeypatch.setattr(oracle, "_series_columns", refuse)
+    monkeypatch.setattr(FullPropagator, "columns", refuse)
+    net = random_network(rng, 4)
+    for propagator in (None, FullPropagator(net)):
+        with pytest.raises(ValueError, match=f"^sender state: {message}"):
+            reduced_output(net, rho, [1], [3], np.array([0.5, 1.0]), propagator=propagator)
+
+
 def test_full_hamiltonian_is_real_symmetric(rng):
     h = full_hamiltonian(random_network(rng, 5))
     assert h.dtype == np.float64

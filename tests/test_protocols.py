@@ -435,7 +435,7 @@ def test_four_qubit_weak_fidelity_is_the_closed_form_overlap_with_the_oracle_sta
 @pytest.mark.parametrize("label", ["9", "110", "11000", "11x0"])
 def test_four_qubit_weak_rejects_labels_that_are_not_four_qubits(label):
     # YAML reads an unquoted 0011 as the octal integer 9
-    with pytest.raises(ValueError, match=f"basis string '{label}' does not describe 4 qubits"):
+    with pytest.raises(ValueError, match=f"^initial.string: basis string '{label}' does not describe 4 qubits$"):
         ScenarioSpec(kind="four_qubit_weak", times=(0.0, 1.0), initial={"kind": "basis", "string": label})
 
 
@@ -656,7 +656,7 @@ def test_sweep_builds_every_spec_before_the_first_run(monkeypatch):
         sweep("wire_sites", sweep_specs(weak, "wire_sites", [3, 4, 2.5]))
     werner = ScenarioSpec(kind="distribute_single", times=(0.0, 1.0), network=chain3(),
                           sites={"sender": 0, "receiver": 2}, initial={"kind": "werner", "p": 0.5})
-    with pytest.raises(ValueError, match=r"Werner weight must be in \[0, 1\], got 2.0"):
+    with pytest.raises(ValueError, match=r"^initial.p: Werner weight must be in \[0, 1\], got 2.0$"):
         sweep("p", sweep_specs(werner, "p", [0.5, 2.0]))
 
 
@@ -696,17 +696,17 @@ def test_cptp_check_reports_the_failing_slice(monkeypatch):
     times = tuple(np.linspace(0.5, 3.0, 6))
     spec = ScenarioSpec(kind="qst", times=times, network=chain3(), sites={"sender": 0, "receiver": 2},
                         initial={"kind": "basis", "string": "0"}, verify_cptp=True)
-    kraus = maps.one_qubit_kraus
+    is_cptp = maps.is_cptp
 
-    def leaky(f):
-        e0, e1 = kraus(f).operators
-        e0 = e0.copy()
-        e0[[3, 5], 1, 1] *= 1.5  # |0><0| goes through unchanged, so apply still passes
-        return maps.KrausSet((e0, e1), complete=False)
+    def leaky(channel):
+        """The map's superoperator with |1><1| -> 2.25 |f|^2 |1><1| at two times: no Kraus set is this map."""
+        superop = maps.superop_from_kraus(channel)
+        superop[[3, 5], 3, 3] *= 2.25
+        return superop
 
-    monkeypatch.setattr(maps, "one_qubit_kraus", leaky)
-    stacked = leaky(maps.NetworkChannel(chain3()).amplitude(0, 2, np.array(times)))
-    single = maps.is_cptp(maps.KrausSet(tuple(op[3] for op in stacked.operators), complete=False))
+    monkeypatch.setattr(maps, "is_cptp", lambda channel: is_cptp(leaky(channel)))
+    f = maps.NetworkChannel(chain3()).amplitude(0, 2, np.array(times))
+    single = is_cptp(leaky(maps.one_qubit_kraus(f))[3])
     assert not single.ok
     with pytest.raises(VerificationError) as info:
         run(spec)

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_network
+from spinmaps import maps
 from spinmaps import (
     KrausSet,
     NetworkChannel,
@@ -262,13 +263,19 @@ def test_incomplete_kraus_slice_fails_like_the_slice(rng):
     _same_error(lambda: KrausSet(tuple(np.array(ops) for ops in zip(*maps_))), lambda: KrausSet(maps_[3]))
 
 
-def test_non_psd_output_slice_fails_like_the_slice():
-    # a Kraus set maps states to PSD matrices, so a bad output slice comes from a lossy map
+def test_non_psd_output_slice_fails_like_the_slice(monkeypatch):
+    # a Kraus set maps states to valid states, so a bad output slice comes from a lossy product in its place
     ops = np.array([np.eye(4)] * 4, dtype=complex)
     ops[2] = np.diag([1.0, 1.0, 1.0, 0.5])
     bell = np.outer(bell_state("phi+"), bell_state("phi+").conj())
-    lossy, lossy_slice = KrausSet((ops,), complete=False), KrausSet((ops[2],), complete=False)
-    _same_error(lambda: apply(lossy, bell), lambda: apply(lossy_slice, bell), exc=NumericalError)
+
+    def lossy_apply(ks, rho):  # the operator stack of the map's shape in place of its own
+        lossy = ops if ks.operators.ndim == 4 else ops[2]
+        return lossy @ rho @ lossy.conj().swapaxes(-1, -2)
+
+    monkeypatch.setattr(maps, "apply_kraus", lossy_apply)
+    identity, identity_stack = KrausSet(np.eye(4)[None]), KrausSet(np.array([np.eye(4)] * 4)[None])
+    _same_error(lambda: apply(identity_stack, bell), lambda: apply(identity, bell), exc=NumericalError)
     states = np.array([np.eye(4) / 4] * 3)
     states[1] = np.diag([0.6, 0.5, -0.05, -0.05])
     _same_error(lambda: assert_density_matrix(states), lambda: assert_density_matrix(states[1]))
