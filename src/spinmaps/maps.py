@@ -29,7 +29,8 @@ take the stack as well: :func:`superop_from_kraus`, :func:`choi_from_superop`
 and :func:`is_cptp` (one verdict value per slice), as do
 :func:`trace_distance`, :func:`partial_trace` and :func:`partial_trace_outer`.
 Every check runs on every slice at its usual tolerance; a scalar time is the
-case without the axis.  :func:`unit_vector` (finite, unit norm) and :func:`partial_trace_outer`
+case without the axis, and an empty grid gives an axis of length 0.
+:func:`unit_vector` (finite, unit norm) and :func:`partial_trace_outer`
 also serve :mod:`spinmaps.measures` and the oracle; :func:`partial_trace` is their reference,
 and :func:`amplitude_modulus` is the one bound |f|^2 <= 1 + 1e-10 of the maps and the closed forms.
 """
@@ -57,11 +58,13 @@ def assert_density_matrix(rho: np.ndarray, atol: float = DENSITY_ATOL, eig_floor
     """Raise ValueError unless rho is finite, Hermitian, unit-trace and PSD within tolerance.
 
     ``rho`` is a (d, d) matrix or a (T, d, d) stack, checked slice by slice;
-    a message names the worst slice's value.
+    a message names the worst slice's value.  A stack of no slices passes.
     """
     rho = np.asarray(rho)
     if rho.ndim not in (2, 3) or rho.shape[-1] != rho.shape[-2]:
         raise ValueError(f"density matrix must be square, got shape {rho.shape}")
+    if rho.ndim == 3 and len(rho) == 0:  # an empty time grid
+        return
     if not np.isfinite(rho).all():  # NaN fails every comparison below
         raise ValueError("density matrix has non-finite entries")
     if np.abs(rho - rho.conj().swapaxes(-1, -2)).max() > atol:
@@ -148,8 +151,8 @@ def partial_trace_outer(a: np.ndarray, b: np.ndarray, keep, dims) -> np.ndarray:
     keep = check_sites(keep, len(dims), "kept")
     rest = [q for q in range(len(dims)) if q not in keep]
     perm = [*range(len(lead)), *(len(lead) + q for q in keep + rest), len(lead) + len(dims)]
-    dk = int(np.prod([dims[q] for q in keep]))
-    a_rows, b_rows = (x.reshape(lead + tuple(dims) + (-1,)).transpose(perm).reshape(lead + (dk, -1))
+    dk, m = int(np.prod([dims[q] for q in keep])), int(np.prod(a.shape[len(lead) + 1:]))  # m = 1 for a vector
+    a_rows, b_rows = (x.reshape(lead + tuple(dims) + (m,)).transpose(perm).reshape(lead + (dk, total // dk * m))
                       for x in (a, b))
     return a_rows @ b_rows.conj().swapaxes(-1, -2)
 
@@ -180,10 +183,10 @@ class KrausSet:
             raise ValueError("all Kraus operators must share the same shape") from None
         if ops.shape[:1] == (0,):
             raise ValueError("KrausSet needs at least one operator")
-        if ops.ndim not in (3, 4):
+        if ops.ndim not in (3, 4) or 0 in ops.shape[-2:]:
             raise ValueError(f"Kraus operators must be matrices (or stacks of matrices), got shape {ops.shape}")
         object.__setattr__(self, "operators", ops)
-        dev = np.abs(self.completeness_defect()).max()
+        dev = np.abs(self.completeness_defect()).max(initial=0.0)  # no slices on an empty time grid
         if dev > COMPLETENESS_ATOL:
             raise ValueError(f"Kraus completeness violated by {dev:.3e}")
 
@@ -325,7 +328,7 @@ def tensor_map(m1: KrausSet, m2: KrausSet) -> KrausSet:
     if a.shape[1:-2] != b.shape[1:-2]:
         raise ValueError(f"maps on time axes {a.shape[1:-2]} and {b.shape[1:-2]} do not compose")
     ops = _kron(a[:, None], b[None])
-    return KrausSet(ops.reshape((-1,) + ops.shape[2:]))
+    return KrausSet(ops.reshape((len(a) * len(b),) + ops.shape[2:]))
 
 
 # ---------------------------------------------------------------------------

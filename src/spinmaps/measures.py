@@ -11,6 +11,17 @@ value per slice.  Every clip, norm and amplitude-bound check runs on every
 slice at its usual tolerance and raises the same error as for a single state.
 Pure states are checked by :func:`spinmaps.maps.unit_vector` and reduced by
 :func:`spinmaps.maps.partial_trace_outer` of the state with itself.
+
+:func:`concurrence` has two routes.  The X-state closed form serves the
+slices of a (T, 4, 4) stack that are X states (exact zeros off the diagonal
+and anti-diagonal) with every eigenvalue above 2e-14 of the largest; every
+state a U(1) map makes from a Werner, Bell or basis input is X, and so is
+every pair marginal of a fixed-excitation four-qubit state.  All other slices,
+and a single state, where selecting would cost more than it saves, take the
+eigenvector route.  That route zeroes eigenvalues below 1e-14 of the largest,
+which moves a near-singular state's concurrence by up to about 2e-7; the
+closed form is kept off such slices so that both routes give the same values
+to rounding.
 """
 
 from __future__ import annotations
@@ -62,25 +73,85 @@ def werner_state(p: float, bell: str = "psi+") -> np.ndarray:
     return p * np.outer(psi, psi.conj()) + (1.0 - p) * np.eye(4) / 4.0
 
 
-def concurrence(rho: np.ndarray):
-    """Wootters concurrence of a two-qubit density matrix (or a (T, 4, 4) stack).
+def _x_concurrence(p00, p11, p22, p33, rho03, rho12):
+    """2 max(0, |rho12| - sqrt(p00 p33), |rho03| - sqrt(p11 p22)), unclipped, of X states (or arrays of them).
+
+    The closed-form Wootters concurrence of a state with support on the
+    diagonal and anti-diagonal only (Wootters, PRL 80, 2245 (1998); Yu and
+    Eberly, Quantum Inf. Comput. 7, 459 (2007)).
+    """
+    c1 = abs(rho12) - np.sqrt(np.maximum(p00 * p33, 0.0))  # abs: Python's correctly rounded modulus on a scalar
+    c2 = abs(rho03) - np.sqrt(np.maximum(p11 * p22, 0.0))
+    return 2.0 * np.maximum(0.0, np.maximum(c1, c2))
+
+
+# the eight entries of a 4 x 4 matrix off the diagonal and the anti-diagonal
+_OFF_X = (np.eye(4) + np.eye(4)[::-1]) == 0
+# twice the eigen-cutoff of _eigen_concurrence: a block eigenvalue above it stays above the cutoff in eigh,
+# whose eigenvalues are off by about 1e-16 of the largest
+_CLOSED_FORM_FLOOR = 2e-14
+
+
+def _closed_form_slices(rho: np.ndarray) -> np.ndarray:
+    """Which slices of a (T, 4, 4) stack take the X-state closed form.
+
+    A slice qualifies when its eight off-X entries are exactly zero and the
+    two eigenvalues of each of its 2 x 2 blocks, (0, 3) and (1, 2), lie above
+    ``_CLOSED_FORM_FLOOR`` times the largest: there the eigen-cutoff of
+    :func:`_eigen_concurrence` drops nothing, so both routes compute the same
+    quantity.  Like ``eigh``, the blocks read the real diagonal and the lower
+    triangle.  A non-finite slice fails the comparison and does not qualify.
+    """
+    p = rho.diagonal(axis1=-2, axis2=-1).real
+    with np.errstate(invalid="ignore", over="ignore"):  # an infinite or NaN bound fails the comparison
+        mean = 0.5 * (p[:, [0, 1]] + p[:, [3, 2]])
+        radius = np.hypot(0.5 * (p[:, [0, 1]] - p[:, [3, 2]]), np.abs(rho[:, [3, 2], [0, 1]]))
+        full_rank = (mean - radius).min(axis=-1) > _CLOSED_FORM_FLOOR * (mean + radius).max(axis=-1)
+    return full_rank & ~rho[:, _OFF_X].any(axis=-1)
+
+
+def _eigen_concurrence(rho: np.ndarray) -> np.ndarray:
+    """Unclipped Wootters concurrence of any two-qubit state (or stack), through its eigenvectors.
 
     The lambda_i are the decreasing square-rooted eigenvalues of
     rho (sy x sy) rho* (sy x sy); they are evaluated here as the singular
     values of the symmetric overlap matrix of the subnormalized eigenvectors
     of rho, which is exact on rank-deficient states where the direct
     eigenvalue route loses half the working precision to the square root.
-    Eigen-directions below 1e-14 of the largest eigenvalue are zeroed, which
-    only adds zero singular values.
+    Eigen-directions below 1e-14 of the largest eigenvalue are zeroed.  That
+    is not exact: dropping an eigenvalue w removes about sqrt(w) from the
+    lambda_i, so a state with such an eigenvalue can read a concurrence off
+    by up to about sqrt(1e-14) = 1e-7 (of a unit-trace state) per eigenvalue
+    dropped.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim not in (2, 3) or rho.shape[-2:] != (4, 4):
-        raise ValueError(f"concurrence needs a 4x4 state, got {rho.shape}")
     w, v = np.linalg.eigh(rho)
     keep = w > np.maximum(w.max(axis=-1, keepdims=True), 0.0) * 1e-14
     x = v * np.sqrt(np.where(keep, w, 0.0))[..., None, :]
     lam = np.linalg.svd(x.swapaxes(-1, -2) @ _SYSY @ x, compute_uv=False)
-    return _clip_unit(np.maximum(0.0, lam[..., 0] - lam[..., 1:].sum(axis=-1)))
+    return np.maximum(0.0, lam[..., 0] - lam[..., 1:].sum(axis=-1))
+
+
+def concurrence(rho: np.ndarray):
+    """Wootters concurrence of a two-qubit density matrix (or a (T, 4, 4) stack).
+
+    A single state goes through :func:`_eigen_concurrence`.  In a stack, the
+    slices :func:`_closed_form_slices` selects (X states whose blocks keep
+    every eigenvalue above the eigen-cutoff) take the X-state closed form, and
+    the rest go through :func:`_eigen_concurrence` in one batched call.  On a
+    single state the selection would cost more than it saves.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim not in (2, 3) or rho.shape[-2:] != (4, 4):
+        raise ValueError(f"concurrence needs a 4x4 state, got {rho.shape}")
+    if rho.ndim == 2:
+        return _clip_unit(_eigen_concurrence(rho))
+    closed = _closed_form_slices(rho)
+    c = np.empty(len(rho))
+    x = rho[closed]
+    c[closed] = _x_concurrence(*x.diagonal(axis1=-2, axis2=-1).real.T, x[:, 3, 0], x[:, 2, 1])
+    if not closed.all():
+        c[~closed] = _eigen_concurrence(rho[~closed])
+    return _clip_unit(c)
 
 
 @dataclass(frozen=True)
@@ -133,9 +204,7 @@ class XState:
 
     def concurrence(self) -> float:
         """Closed-form Wootters concurrence of an X state."""
-        c1 = abs(self.rho12) - np.sqrt(max(self.p00 * self.p33, 0.0))
-        c2 = abs(self.rho03) - np.sqrt(max(self.p11 * self.p22, 0.0))
-        return _clip_unit(2.0 * max(0.0, c1, c2))
+        return _clip_unit(_x_concurrence(self.p00, self.p11, self.p22, self.p33, self.rho03, self.rho12))
 
 
 def _branches(c1, c2):

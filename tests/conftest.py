@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spinmaps import SectorPropagator, SpinNetwork, chebyshev, maps, oracle
+from spinmaps.measures import _SYSY, _clip_unit
 
 
 @pytest.fixture
@@ -212,3 +213,19 @@ def rebuilt_two_qubit_kraus(k1, k2, senders, receivers) -> maps.KrausSet:
     e1[..., 1, 3], e1[..., 2, 3] = f_ij[1:ne + 1], f_ij[ne + 1:]
     e2[..., 0, 3] = lost
     return maps.KrausSet(ops)
+
+
+def concurrence_reference(rho: np.ndarray):
+    """``measures.concurrence`` before X-state slices of a stack took the closed form: every slice by eigh + svd.
+
+    The reference for the closed-form route: on the slices that stay on the
+    eigen route the results must be bitwise equal, on the others equal to 1e-14.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim not in (2, 3) or rho.shape[-2:] != (4, 4):
+        raise ValueError(f"concurrence needs a 4x4 state, got {rho.shape}")
+    w, v = np.linalg.eigh(rho)
+    keep = w > np.maximum(w.max(axis=-1, keepdims=True), 0.0) * 1e-14
+    x = v * np.sqrt(np.where(keep, w, 0.0))[..., None, :]
+    lam = np.linalg.svd(x.swapaxes(-1, -2) @ _SYSY @ x, compute_uv=False)
+    return _clip_unit(np.maximum(0.0, lam[..., 0] - lam[..., 1:].sum(axis=-1)))

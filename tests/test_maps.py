@@ -100,6 +100,7 @@ def test_kraus_completeness_enforced():
     ((np.ones(2),), "must be matrices"),
     (np.eye(2), "must be matrices"),  # a bare matrix is a stack of vectors
     (np.ones((1, 1, 2, 2, 2)), "must be matrices"),
+    (np.zeros((1, 0, 0)), "must be matrices"),  # an empty time axis passes; an empty matrix does not
 ])
 def test_kraus_set_rejects_empty_ragged_and_non_matrix_operators(operators, message):
     with pytest.raises(ValueError, match=message):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import concurrence_reference
 from spinmaps import (
     XState,
     apply,
@@ -140,6 +141,102 @@ def test_xstate_closed_form_equals_wootters(rng):
         x = random_x_state(rng)
         worst = max(worst, abs(x.concurrence() - concurrence(x.to_density_matrix())))
     assert worst < 1e-10
+
+
+def full_rank_x_stack(rng, size):
+    """X states with every population above 1/61 and each coherence at most 0.9 of its bound.
+
+    The eigen route takes the square root of each eigenvalue, so its rounding
+    grows as 1e-16 / sqrt(r) on a state whose smallest eigenvalue is a fraction
+    r of the largest; here r stays above about 5e-3, where that is below 1e-14.
+    """
+    pops = rng.uniform(0.05, 1.0, (size, 4))
+    pops /= pops.sum(axis=1, keepdims=True)
+    bounds = np.sqrt(pops[:, [0, 1]] * pops[:, [3, 2]])
+    coherences = bounds * rng.uniform(0.0, 0.9, (size, 2)) * np.exp(2j * np.pi * rng.uniform(size=(size, 2)))
+    rho = np.zeros((size, 4, 4), dtype=complex)
+    rho[:, np.arange(4), np.arange(4)] = pops
+    rho[:, [0, 1], [3, 2]] = coherences
+    rho[:, [3, 2], [0, 1]] = coherences.conj()
+    return rho
+
+
+def test_stacked_full_rank_x_states_take_the_closed_form(rng):
+    stack = full_rank_x_stack(rng, 10_000)
+    assert measures._closed_form_slices(stack).all()
+    c = concurrence(stack)
+    assert 0.2 < np.mean(c > 0.0) < 0.5  # entangled and separable states both occur
+    assert np.abs(c - concurrence_reference(stack)).max() <= 1e-14
+
+
+# A stored state of a perfbench point_sweep row (seed 0, sweep_single_n12, data row 15): an X state with
+# p11 = 1.6e-14 and p33 = 3.8e-15, where the eigen-cutoff drops two eigen-directions.
+CUTOFF_STATE = np.zeros((4, 4), dtype=complex)
+CUTOFF_STATE[np.arange(4), np.arange(4)] = (
+    4.9999999999998351e-01, 1.6414706084908814e-14 + 9.860761315262648e-32j, 4.9999999999999611e-01,
+    3.8031258139063791e-15)
+CUTOFF_STATE[1, 2] = -1.7625147098858859e-09 + 6.269251025099460e-08j
+CUTOFF_STATE[2, 1] = CUTOFF_STATE[1, 2].conjugate()
+# lambda_1 - lambda_2 - lambda_3 - lambda_4 of rho (sy x sy) rho* (sy x sy) by a 60-digit mpmath eigen-solve
+CUTOFF_STATE_CONCURRENCE = 3.8220734375396050e-08
+
+
+def test_mixed_stack_keeps_the_eigen_route_off_full_rank_x_slices(rng):
+    full_rank = full_rank_x_stack(rng, 4)
+    single_excitation = np.diag([0.3, 0.25, 0.45, 0.0]).astype(complex)  # p33 = 0: rank 3
+    single_excitation[1, 2] = single_excitation[2, 1] = np.sqrt(0.25 * 0.45) * 0.8
+    pure = pure_state_density(bell_state("psi-"))  # X, rank 1
+    near_x = full_rank[0].copy()
+    near_x[0, 1] = near_x[1, 0] = 1e-17  # one off-X entry not exactly zero
+    stack = np.array([full_rank[0], random_density_matrix(4, rng), single_excitation, full_rank[1],
+                      CUTOFF_STATE, pure, near_x, full_rank[2], np.eye(4) / 4, full_rank[3]])
+    closed = measures._closed_form_slices(stack)
+    assert closed.tolist() == [True, False, False, True, False, False, False, True, True, True]
+    c, ref = concurrence(stack), concurrence_reference(stack)
+    assert np.array_equal(c[~closed], ref[~closed])
+    assert np.abs(c[closed] - ref[closed]).max() <= 1e-14
+
+
+@pytest.mark.parametrize("entry", [np.inf, np.nan, 1e308])
+def test_non_finite_or_huge_slice_takes_the_eigen_route_without_a_warning(rng, entry):
+    stack = full_rank_x_stack(rng, 3)
+    stack[1, 0, 0] = stack[1, 3, 3] = entry
+    assert measures._closed_form_slices(stack).tolist() == [True, False, True]
+
+    def outcome(fn):  # the middle slice's value, or the error the eigen route raises on it
+        try:
+            return repr(fn(stack)[1])
+        except (ValueError, np.linalg.LinAlgError) as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+    assert outcome(concurrence) == outcome(concurrence_reference)
+
+
+def test_full_rank_x_stack_makes_no_eigh_or_svd_call(rng, monkeypatch):
+    calls = []
+    for name in ("eigh", "svd"):
+        def counting(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    stack = full_rank_x_stack(rng, 50)
+    assert concurrence(stack).shape == (50,) and calls == []
+    concurrence(stack[0])  # a single state takes the eigen route, as the counting shows
+    assert calls == ["eigh", "svd"]
+
+
+def test_single_state_takes_the_eigen_route_bit_for_bit(rng):
+    states = [random_density_matrix(4, rng), random_x_state(rng).to_density_matrix(), werner_state(0.8),
+              full_rank_x_stack(rng, 1)[0], CUTOFF_STATE, pure_state_density(bell_state("phi+"))]
+    for rho in states:
+        assert concurrence(rho) == concurrence_reference(rho)
+
+
+@pytest.mark.xfail(strict=True, reason="the eigen route zeroes eigenvalues below 1e-14 of the largest, which "
+                   "removes about sqrt(w) from the lambda_i and reads this state's concurrence 8.7e-8 too high")
+def test_eigen_cutoff_keeps_a_near_singular_x_state_exact():
+    assert abs(concurrence(CUTOFF_STATE) - CUTOFF_STATE_CONCURRENCE) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

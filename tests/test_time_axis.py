@@ -37,8 +37,15 @@ from spinmaps.maps import (
     superop_from_kraus,
     trace_distance,
 )
-from spinmaps.measures import XState, _clip_unit, bell_state
-from spinmaps.network import AmplitudeTable, NumericalError
+from spinmaps.measures import (
+    XState,
+    _clip_unit,
+    bell_state,
+    four_tangle,
+    three_tangle_decomposition_bound,
+    three_tangle_pure,
+)
+from spinmaps.network import AmplitudeTable, NumericalError, reduced_state
 from spinmaps.oracle import FullPropagator, reduced_output
 
 TOL = 1e-12
@@ -243,6 +250,60 @@ def test_stacked_closed_forms_equal_per_amplitude(rng):
         c, c1, c2 = fn(x, f)
         for idx, value in enumerate(f):
             assert (c[idx], c1[idx], c2[idx]) == fn(x, value)
+
+
+# ---------------------------------------------------------------------------
+# an empty time grid gives an empty time axis at every layer
+
+_NO_TIMES = np.array([])
+_CHAIN = SpinNetwork.uniform_chain(4)
+
+
+def _no_maps():
+    return one_qubit_kraus(_NO_TIMES)  # operators of shape (2, 0, 2, 2)
+
+
+def _checked(stack):
+    assert_density_matrix(stack)
+    return stack
+
+
+@pytest.mark.parametrize("call", [
+    lambda: NetworkChannel(_CHAIN).amplitude(0, 3, _NO_TIMES),
+    lambda: NetworkChannel(_CHAIN).one_qubit(0, 3, _NO_TIMES).operators[0],
+    lambda: NetworkChannel(_CHAIN).two_qubit((0, 1), (3, 2), _NO_TIMES).operators[0],
+    lambda: SectorPropagator(_CHAIN, 2).table(_NO_TIMES, [(0, 1)]).amplitudes,
+    lambda: reduced_state(SectorPropagator(_CHAIN, 2).table(_NO_TIMES, [(0, 1)]), (0, 1), [2, 3]),
+    lambda: _no_maps().operators[0],
+    lambda: maps.extend_with_identity(_no_maps()).operators[0],
+    lambda: maps.tensor_map(_no_maps(), _no_maps()).operators[0],
+    lambda: apply(maps.tensor_map(_no_maps(), _no_maps()), werner_state(0.7)),
+    lambda: maps.apply_kraus(_no_maps(), np.zeros((0, 2, 2))),
+    lambda: _checked(np.zeros((0, 4, 4))),
+    lambda: superop_from_kraus(_no_maps()),
+    lambda: choi_from_superop(superop_from_kraus(_no_maps()), 2, 2),
+    lambda: is_cptp(_no_maps()).ok,
+    lambda: trace_distance(np.zeros((0, 4, 4)), np.zeros((0, 4, 4))),
+    lambda: maps.partial_trace(np.zeros((0, 4, 4)), [0], [2, 2]),
+    lambda: partial_trace_outer(np.zeros((0, 4, 1)), np.zeros((0, 4, 1)), [0], [2, 2]),
+    lambda: maps.amplitude_modulus(_NO_TIMES),
+    lambda: concurrence(np.zeros((0, 4, 4))),
+    lambda: transferred_concurrence(XState.werner(0.8), _NO_TIMES)[0],
+    lambda: dual_rail_concurrence(XState.werner(0.8), _NO_TIMES)[0],
+    lambda: four_qubit_measures(np.zeros((0, 16)))["c4"],
+    lambda: four_tangle(np.zeros((0, 16))),
+    lambda: three_tangle_pure(np.zeros((0, 8))),
+    lambda: three_tangle_decomposition_bound(np.zeros((0, 8, 8))),
+    lambda: reduced_output(_CHAIN, werner_state(0.7), [0, 1], [3, 2], _NO_TIMES),
+], ids=["amplitude", "one_qubit", "two_qubit", "table", "reduced_state", "one_qubit_kraus",
+        "extend_with_identity", "tensor_map", "apply", "apply_kraus", "assert_density_matrix",
+        "superop_from_kraus", "choi_from_superop", "is_cptp", "trace_distance", "partial_trace",
+        "partial_trace_outer", "amplitude_modulus", "concurrence", "transferred_concurrence",
+        "dual_rail_concurrence", "four_qubit_measures", "four_tangle", "three_tangle_pure",
+        "three_tangle_decomposition_bound", "reduced_output"])
+def test_empty_time_grid_gives_an_empty_time_axis(call):
+    out = np.asarray(call())
+    assert out.ndim >= 1 and len(out) == 0
 
 
 # ---------------------------------------------------------------------------
