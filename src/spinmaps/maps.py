@@ -63,6 +63,8 @@ def assert_density_matrix(rho: np.ndarray, atol: float = DENSITY_ATOL, eig_floor
     rho = np.asarray(rho)
     if rho.ndim not in (2, 3) or rho.shape[-1] != rho.shape[-2]:
         raise ValueError(f"density matrix must be square, got shape {rho.shape}")
+    if rho.shape[-1] == 0:  # no trace to be 1, and nothing for the reductions below
+        raise ValueError(f"density matrix must have at least one row, got shape {rho.shape}")
     if rho.ndim == 3 and len(rho) == 0:  # an empty time grid
         return
     if not np.isfinite(rho).all():  # NaN fails every comparison below

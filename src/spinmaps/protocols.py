@@ -755,14 +755,15 @@ def _read_weak_pair(spec: ScenarioSpec, built: _ChannelMap) -> ScenarioResult:
     return _result(spec, columns, out, built.cptp)
 
 
-def golden_section(f, xa, xb, xc):
+def brent(f, xa, xb, xc):
     """``(x, f(x))`` at the minimum of ``f`` that the bracket ``xa, xb, xc`` holds, or None if it holds none.
 
     A bracket is three points in order (either way round) whose middle value is below both ends.  This is
-    scipy 1.17's golden-section search (``minimize_scalar(method="golden")`` with a 3-point bracket): its
-    constants, its floating-point expressions in their order and its pick between the last two points, so the
-    result has its bits.  Where scipy raises ``ValueError`` for a triple that is no bracket, this returns None;
-    where scipy evaluates ``f(xb)`` a second time, this reuses the first value.
+    Brent's method (R. P. Brent, *Algorithms for Minimization without Derivatives*, 1973): a parabola through
+    the best three points so far, with a golden-section step wherever the parabola's vertex would leave the
+    bracket or the steps stop shrinking.  It is scipy 1.17's ``minimize_scalar(method="brent")`` with a 3-point
+    bracket: its tolerances and its floating-point expressions in their order, so the result has its bits.
+    Where scipy raises ``ValueError`` for a triple that is no bracket, this returns None.
     """
     if xa > xc:
         xa, xc = xc, xa
@@ -771,36 +772,66 @@ def golden_section(f, xa, xb, xc):
     fa, fb, fc = f(xa), f(xb), f(xc)
     if not (fb < fa and fb < fc):
         return None
-    gr = 0.61803399  # golden ratio conjugate, to scipy's digits
-    gc = 1.0 - gr
-    tol = math.sqrt(np.finfo(float).eps)
-    x0, x3 = xa, xc
-    if abs(xc - xb) > abs(xb - xa):
-        x1, f1 = xb, fb
-        x2 = xb + gc * (xc - xb)
-        f2 = f(x2)
-    else:
-        x2, f2 = xb, fb
-        x1 = xb - gc * (xb - xa)
-        f1 = f(x1)
-    for _ in range(5000):
-        if abs(x3 - x0) <= tol * (abs(x1) + abs(x2)):
+    tol, mintol, cg = 1.48e-8, 1.0e-11, 0.3819660  # scipy's relative and absolute tolerances; 2 - golden ratio
+    a, b = xa, xc
+    x = w = v = xb  # the best point, the second best and the one before it
+    fx = fw = fv = fb
+    deltax = rat = 0.0  # the step before last and the last step
+    for _ in range(500):
+        tol1 = tol * abs(x) + mintol
+        tol2 = 2.0 * tol1
+        xmid = 0.5 * (a + b)
+        if abs(x - xmid) < (tol2 - 0.5 * (b - a)):
             break
-        if f2 < f1:
-            x0, x1, f1 = x1, x2, f2
-            x2 = gr * x1 + gc * x3
-            f2 = f(x2)
+        if abs(deltax) <= tol1:
+            deltax = a - x if x >= xmid else b - x  # a golden-section step into the larger part
+            rat = cg * deltax
+        else:  # the vertex of the parabola through x, w and v
+            tmp1 = (x - w) * (fx - fv)
+            tmp2 = (x - v) * (fx - fw)
+            p = (x - v) * tmp2 - (x - w) * tmp1
+            tmp2 = 2.0 * (tmp2 - tmp1)
+            if tmp2 > 0.0:
+                p = -p
+            tmp2 = abs(tmp2)
+            dx_temp, deltax = deltax, rat
+            if p > tmp2 * (a - x) and p < tmp2 * (b - x) and abs(p) < abs(0.5 * tmp2 * dx_temp):
+                rat = p / tmp2
+                u = x + rat
+                if (u - a) < tol2 or (b - u) < tol2:  # no closer than tol2 to the bracket's ends
+                    rat = tol1 if xmid - x >= 0 else -tol1
+            else:
+                deltax = a - x if x >= xmid else b - x
+                rat = cg * deltax
+        if abs(rat) < tol1:  # a step of at least tol1
+            u = x + tol1 if rat >= 0 else x - tol1
         else:
-            x3, x2, f2 = x2, x1, f1
-            x1 = gr * x2 + gc * x0
-            f1 = f(x1)
-    return (x1, f1) if f1 < f2 else (x2, f2)
+            u = x + rat
+        fu = f(u)
+        if fu > fx:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, w, fv, fw = w, u, fw, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+        else:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, w, x, fv, fw, fx = w, x, u, fw, fx, fu
+    return x, fx
 
 
 def _report_weak_pair(spec: ScenarioSpec, built: _ChannelMap, result: ScenarioResult) -> dict:
-    """The concurrence peak: the grid's highest, refined by :func:`golden_section` between its neighbours.
+    """The concurrence peak: the grid's highest, refined by :func:`brent` between its neighbours.
 
-    The grid peak stays where its neighbours and it make no bracket, or where the search finds no higher value.
+    Each step of the search builds the map at one scalar time and reads its output's concurrence; the first
+    peak of a 16-point grid takes 11 to 17 of them.  The grid peak stays where its neighbours and it make no bracket, or
+    where the search finds no higher value.
     """
     chan, (a, b) = built.held
     conc = result.data["concurrence"]
@@ -813,7 +844,7 @@ def _report_weak_pair(spec: ScenarioSpec, built: _ChannelMap, result: ScenarioRe
             except ValueError as exc:  # a failed map or measure is a numerical failure, not a bad config
                 raise NumericalError(str(exc)) from exc
 
-        found = golden_section(negative_concurrence, spec.times[peak_idx - 1], peak_t, spec.times[peak_idx + 1])
+        found = brent(negative_concurrence, spec.times[peak_idx - 1], peak_t, spec.times[peak_idx + 1])
         if found is not None and -found[1] >= peak_c:
             peak_t, peak_c = float(found[0]), float(-found[1])
     return {"peak_time": peak_t, "peak_concurrence": peak_c}

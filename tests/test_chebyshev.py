@@ -279,7 +279,7 @@ def test_column_tables_skip_eigh_until_the_budget_is_spent(rng, paths):
     prop = SectorPropagator(open_xy_chain(rng, 25), 2)  # d = 300
     prop.table(np.linspace(0.5, 12.0, 6), [(3, 8)])
     assert paths.counts == (0, 1)
-    # scalar tables, as in a golden-section refinement: Chebyshev until the estimated cost of
+    # scalar tables, as in the Brent peak refinement: Chebyshev until the estimated cost of
     # the series would pass that of one eigh, then one eigh that every later table reuses
     for t in np.linspace(1.0, 9.0, 200):
         prop.table(t, [(3, 8)])

@@ -950,7 +950,7 @@ def _exhaust_memory(monkeypatch):
 # an 8-site chain whose series would take about 1.4e9 Chebyshev terms: the weights alone exceed any memory
 TERMS_CONFIG = ("scenario: qst\nnetwork: {kind: uniform_chain, sites: 8, coupling: 1.0e+4}\nsites: {sender: 0, receiver: 7}\n"
                 "times: {start: 0.0, stop: 1.0e+4, points: 2}\nverify: {oracle: true}\n")
-# the grid peak lies inside [0, 24.8], so the golden-section search runs
+# the grid peak lies inside [0, 24.8], so Brent's peak search runs
 WEAK_PAIR_CONFIG = "scenario: weak_pair\nparams: {wire_sites: 9}\ntimes: {start: 0.0, stop: 24.8, points: 16}\n"
 SWEEP_CONFIG = GOOD_CONFIG.replace("verify:\n  oracle: true\n  cptp: true\n", "") + "sweep: {axis: p, values: [0.4, 0.9]}\n"
 DUAL_16_CONFIG = ("scenario: distribute_dual\nnetwork: {kind: uniform_chain, sites: 8}\n"

@@ -93,7 +93,7 @@ def test_zz_free_chains_build_no_k2_sector(rng, no_k2_sector):
     storage = run(ScenarioSpec(kind="storage", times=times, network=chain, sites={"senders": [2, 5]},
                                initial={"kind": "werner", "p": 0.9}, verify_oracle=True))
     assert storage.column("oracle_dev").max() <= 1e-12
-    # the grid peak lies inside the grid, so the report's golden-section search evaluates maps off the grid
+    # the grid peak lies inside the grid, so the report's Brent search evaluates maps off the grid
     weak = run(ScenarioSpec(kind="weak_pair", times=tuple(np.linspace(0.0, 314.0, 40)),
                             params={"wire_sites": 2, "J": 1.0, "g": 0.05}, verify_oracle=True))
     assert weak.meta["peak_concurrence"] > weak.column("concurrence").max()

@@ -62,7 +62,7 @@ def _scipy_after(tmp_path, *runs):
 
 def test_scipy_loads_only_where_a_run_calls_it(tmp_path):
     figure = ["figure", "3", "--points", "5", "--output", str(tmp_path / "f3.csv")]
-    # the weak pair's golden-section peak search is the package's own, so it loads no scipy either
+    # the weak pair's Brent peak search is the package's own, so it loads no scipy either
     runs = figure, _run(tmp_path, "eigh", CHAIN_RUN % "false"), _run(tmp_path, "weak_pair", WEAK_PAIR_RUN)
     assert _scipy_after(tmp_path, *runs) == [[], [], [], []]
     # positive control: the probe sees scipy where a run does call it, but never scipy.special: the

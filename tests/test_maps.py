@@ -533,6 +533,21 @@ def test_apply_validates_output(rng, monkeypatch):
         apply(identity_kraus(2), rho)  # trace not preserved -> invalid output state
 
 
+@pytest.mark.parametrize("state, message", [
+    (np.zeros((2, 3)), r"must be square, got shape \(2, 3\)"),
+    (np.zeros((0, 0)), r"at least one row, got shape \(0, 0\)"),
+    (np.zeros((2, 0, 0)), r"at least one row, got shape \(2, 0, 0\)"),
+])
+def test_states_without_a_square_matrix_are_rejected(state, message):
+    with pytest.raises(ValueError, match=message):
+        assert_density_matrix(state)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_an_empty_time_axis_of_states_passes(d):
+    assert_density_matrix(np.zeros((0, d, d)))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_states_are_rejected(bad):
     rho = np.full((2, 2), bad)

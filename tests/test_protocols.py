@@ -569,9 +569,9 @@ def test_werner_sweep_checks_each_weight_and_the_map_once(check_calls):
 
 
 def test_only_run_searches_for_the_weak_pair_peak(monkeypatch):
-    """The golden-section peak search is the report ``run`` adds; a sweep reports nothing, so searches nothing."""
-    searches, search = [], protocols.golden_section
-    monkeypatch.setattr(protocols, "golden_section", lambda *args: searches.append(args) or search(*args))
+    """The Brent peak search is the report ``run`` adds; a sweep reports nothing, so searches nothing."""
+    searches, search = [], protocols.brent
+    monkeypatch.setattr(protocols, "brent", lambda *args: searches.append(args) or search(*args))
     weak = ScenarioSpec(kind="weak_pair", times=tuple(np.linspace(0.0, 24.8, 16)), params={"wire_sites": 9})
     swept = sweep_specs(weak, "g", [0.1, 0.2, 0.3])
     result = sweep("g", swept)
@@ -603,16 +603,16 @@ _REALS = st.floats(-8.0, 8.0)
 @given(kind=st.sampled_from(["smooth", "flat", "stepped", "nan"]), p=_REALS, c=_REALS, around=st.booleans(),
        xs=st.tuples(_REALS, _REALS, _REALS), gaps=st.tuples(st.floats(1e-6, 4.0), st.floats(1e-6, 4.0)),
        middle=st.floats(-0.9, 0.9))
-def test_golden_section_has_the_bits_of_scipys_search(kind, p, c, around, xs, gaps, middle):
+def test_brent_has_the_bits_of_scipys_search(kind, p, c, around, xs, gaps, middle):
     """Equal x and f(x) bits for every bracket, and None exactly where scipy rejects the triple."""
     from scipy.optimize import minimize_scalar
 
     f = _objective(kind, p, c)
     if around:  # a triple about the low point, most of them brackets
         xs = (p - gaps[0], p + middle * min(gaps), p + gaps[1])
-    found = protocols.golden_section(f, *xs)
+    found = protocols.brent(f, *xs)
     try:
-        res = minimize_scalar(f, bracket=xs, method="golden")
+        res = minimize_scalar(f, bracket=xs, method="brent")
     except ValueError:
         assert found is None
         return
@@ -620,11 +620,40 @@ def test_golden_section_has_the_bits_of_scipys_search(kind, p, c, around, xs, ga
     assert np.array(found, dtype=float).tobytes() == np.array([res.x, res.fun], dtype=float).tobytes()
 
 
-def test_golden_section_evaluates_the_middle_point_once():
+def test_brent_evaluates_the_middle_point_once():
     calls = []
-    x, fx = protocols.golden_section(lambda t: calls.append(t) or (t - 1.0) ** 2, 0.0, 0.8, 3.0)
+    x, fx = protocols.brent(lambda t: calls.append(t) or (t - 1.0) ** 2, 0.0, 0.8, 3.0)
     assert calls.count(0.8) == 1 and abs(x - 1.0) < 1e-7 and fx < 1e-14
     assert calls[:3] == [0.0, 0.8, 3.0]
+
+
+@pytest.mark.parametrize("left, right", [(1.0, 0.98), (0.98, 1.0)])
+def test_brent_lands_on_a_local_minimum_of_a_two_minimum_bracket(left, right):
+    """The search is local: it stops at one of the two low points, not always the lower, below the middle value."""
+    def f(x):
+        return -(left * np.exp(-((x - 1.0) / 0.4) ** 2) + right * np.exp(-((x - 2.5) / 0.4) ** 2))
+
+    xa, xb, xc = 0.0, 1.8, 4.0  # the middle point lies between the two low points
+    x, fx = protocols.brent(f, xa, xb, xc)
+    assert xa < x < xc and fx <= f(xb)
+    assert min(abs(x - 1.0), abs(x - 2.5)) < 0.05
+    h = 1e-4
+    assert fx <= f(x - h) and fx <= f(x + h)
+
+
+def test_the_weak_pair_peak_search_takes_at_most_17_maps(monkeypatch):
+    """A 21-site wire at g = 0.1 over [0, 2 t*], as in the benchmark: 17 maps at most, each at one time."""
+    wire, g = 21, 0.1
+    kappa = 2.0 * g * np.sqrt(2.0 / (wire + 1))  # the ends' coupling to the wire's zero mode
+    spec = ScenarioSpec(kind="weak_pair", times=tuple(np.linspace(0.0, np.pi / (np.sqrt(2.0) * kappa), 16)),
+                        params={"wire_sites": wire, "J": 1.0, "g": g}, initial={"kind": "basis", "string": "10"})
+    times, search = [], protocols.brent
+    monkeypatch.setattr(protocols, "brent", lambda f, *bracket: search(lambda t: times.append(t) or f(t), *bracket))
+    result = run(spec)
+    assert 3 < len(times) <= 17 and all(np.ndim(t) == 0 for t in times)
+    peak = int(np.argmax(result.column("concurrence")))
+    assert spec.times[peak - 1] < result.meta["peak_time"] < spec.times[peak + 1]
+    assert result.meta["peak_concurrence"] >= result.column("concurrence").max()
 
 
 def test_a_p_sweep_reads_the_spec_once(monkeypatch):

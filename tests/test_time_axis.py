@@ -426,7 +426,7 @@ def test_weak_pair_builds_one_k1_column_per_time(monkeypatch):
     """16 times: 16 k=1 time slices and no k=2 one (a ZZ-free chain; the f_ab column comes from E_0).
 
     The concurrence rises over the whole grid, so its peak is the last time and
-    no golden-section refinement adds tables.
+    no Brent refinement adds tables.
     """
     built = {1: 0, 2: 0}
     table = SectorPropagator.table
