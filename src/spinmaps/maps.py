@@ -142,7 +142,9 @@ def partial_trace_outer(a: np.ndarray, b: np.ndarray, keep, dims) -> np.ndarray:
 
     ``a`` and ``b`` are (prod(dims), m) blocks, vectors (m = 1) or (T, prod(dims), m)
     stacks of blocks.  The cost is O(prod(dims) * m * d_keep) instead of
-    O(prod(dims)^2 * m).
+    O(prod(dims)^2 * m), and the extra memory one copy of each block, with its
+    factors permuted kept-first (``b``'s conjugated in the same pass; ``a``'s is
+    a view where the kept factors already lead, in order).
     """
     dims = list(dims)
     a, b = np.asarray(a), np.asarray(b)
@@ -154,9 +156,10 @@ def partial_trace_outer(a: np.ndarray, b: np.ndarray, keep, dims) -> np.ndarray:
     rest = [q for q in range(len(dims)) if q not in keep]
     perm = [*range(len(lead)), *(len(lead) + q for q in keep + rest), len(lead) + len(dims)]
     dk, m = int(np.prod([dims[q] for q in keep])), int(np.prod(a.shape[len(lead) + 1:]))  # m = 1 for a vector
-    a_rows, b_rows = (x.reshape(lead + tuple(dims) + (m,)).transpose(perm).reshape(lead + (dk, total // dk * m))
-                      for x in (a, b))
-    return a_rows @ b_rows.conj().swapaxes(-1, -2)
+    a_rows, b_rows = (x.reshape(lead + tuple(dims) + (m,)).transpose(perm) for x in (a, b))
+    b_conj = np.conjugate(b_rows, out=np.empty_like(b_rows, order="C"))  # permuted and conjugated in one copy
+    shape = lead + (dk, total // dk * m)
+    return a_rows.reshape(shape) @ b_conj.reshape(shape).swapaxes(-1, -2)
 
 
 # ---------------------------------------------------------------------------

@@ -55,8 +55,10 @@ Conventions
   excitation from site i to site j.
 * |0> is the sigma^z = -1 state; an "excitation" is a flipped (up) spin.
 * Energies are measured from the vacuum (the empty configuration): each
-  sector diagonal holds :meth:`SpinNetwork.diagonal_energy` of a
-  configuration minus that of the vacuum.  Every amplitude is therefore the
+  sector diagonal holds a configuration's field and ZZ energy,
+  sum_i h_i s_i + sum_{i<j} zz_ij s_i s_j with s = +1 on the occupied sites
+  and -1 elsewhere, minus that of the vacuum, summed over the occupied sites
+  alone (:func:`build_sector_hamiltonian`).  Every amplitude is therefore the
   transition amplitude relative to the vacuum, and the vacuum amplitude is 1.
 * Construction is sign-free (hard-core boson / spin basis); no fermionic
   strings enter the sector engine for any coupling graph.
@@ -102,8 +104,6 @@ CHEBYSHEV_STEP_SECONDS = 3e-6
 CHEBYSHEV_SECONDS_PER_NONZERO = 1.3e-9
 CHEBYSHEV_SECONDS_PER_TIME = 0.12e-6
 CHEBYSHEV_SECONDS_PER_ENTRY = 0.21e-9
-# rows of one stacked diagonal product: the (rows, N) spin block stays under 2 MB at N = 50
-DIAGONAL_BLOCK_ROWS = 4096
 
 
 class NumericalError(ArithmeticError):
@@ -233,27 +233,6 @@ class SpinNetwork:
         zz[:n, :n], zz[n:, n:] = self.zz, other.zz
         return SpinNetwork(xy, zz, np.concatenate([self.fields, other.fields]))
 
-    def diagonal_energy(self, occupied=None):
-        """Field and ZZ energy of configurations given as a (..., N) boolean occupation stack.
-
-        sum_i h_i s_i + sum_{i<j} zz_ij s_i s_j with s = +1 on the occupied
-        sites and -1 elsewhere, one value per row (a scalar for one row; the
-        vacuum by default).  Each row is the same BLAS dot and gemv as the
-        scalar s @ h + 0.5 * s @ zz @ s, as a stacked product over blocks of
-        rows, so every value is bitwise the scalar one.
-        """
-        occupied = np.zeros(self.n_sites, dtype=bool) if occupied is None else np.asarray(occupied)
-        if occupied.dtype != bool or occupied.shape[-1:] != (self.n_sites,):
-            raise ValueError(f"occupation must be boolean with {self.n_sites} sites on its last axis, "
-                             f"got {occupied.dtype} of shape {occupied.shape}")
-        flat = occupied.reshape(-1, self.n_sites)
-        energy = np.empty(len(flat))
-        for start in range(0, len(flat), DIAGONAL_BLOCK_ROWS):
-            spins = np.where(flat[start:start + DIAGONAL_BLOCK_ROWS], 1.0, -1.0)[:, None, :]
-            block = spins @ self.fields[:, None] + (0.5 * spins) @ self.zz @ spins.swapaxes(-1, -2)
-            energy[start:start + len(block)] = block.reshape(-1)
-        return energy.reshape(occupied.shape[:-1])[()]
-
     def is_open_chain(self) -> bool:
         """True if XY couplings live only on nearest-neighbour bonds."""
         off = self.xy.copy()
@@ -320,13 +299,6 @@ class ExcitationSector:
         """
         k = self.excitation_count
         return self._rank_weights[np.arange(k), sites].sum(axis=1)
-
-    def occupation(self) -> np.ndarray:
-        """(dimension, n) boolean matrix whose row a marks the occupied sites of configuration a."""
-        d = self.dimension
-        occupied = np.zeros((d, self.n_sites), dtype=bool)
-        occupied[np.arange(d)[:, None], self.sites] = True
-        return occupied
 
 
 @dataclass(frozen=True)
@@ -436,26 +408,38 @@ class AmplitudeTable:
 
 
 def build_sector_hamiltonian(network: SpinNetwork, k: int) -> SectorHamiltonian:
-    """Real symmetric Hamiltonian restricted to the k-excitation sector.
+    """Real symmetric Hamiltonian restricted to the k-excitation sector, read from ``sector.sites``.
 
     Off-diagonal elements are 2*J_ij between configurations differing by one
-    excitation hop from i to j; the diagonal holds the
-    :meth:`SpinNetwork.diagonal_energy` of each configuration measured from
-    the vacuum's, so the k = 0 sector is the scalar 0.  All hops are
-    found at once: every (configuration, ordered bond (i, j)) pair with i
-    occupied and j empty gives one element, in (configuration, bond) order.
+    excitation hop from i to j.  The diagonal holds each configuration's
+    field and ZZ energy measured from the vacuum's,
+    E(c) - E(0) = 2 sum_{i in c} (h_i - sum_j zz_ij) + 4 sum_{i<j in c} zz_ij,
+    so the k = 0 sector is the scalar 0.  All hops are found at once from a
+    padded table of each site's neighbours (padded with the site itself,
+    which is never empty): every (configuration, occupied slot, empty
+    neighbour) gives one element, in (configuration, bond) order.  The work
+    is O(d k^2 deg), deg the largest number of neighbours, and no (d, N)
+    array forms.
     """
-    sector = ExcitationSector(network.n_sites, k)
-    occupied = sector.occupation()
-    diagonal = network.diagonal_energy(occupied) - network.diagonal_energy()
+    n = network.n_sites
+    sector = ExcitationSector(n, k)
+    sites = sector.sites
+    single = 2.0 * (network.fields - network.zz.sum(axis=1))
+    diagonal = single[sites].sum(axis=1)
+    for a, b in itertools.combinations(range(k), 2):
+        diagonal += 4.0 * network.zz[sites[:, a], sites[:, b]]
     bond_i, bond_j = np.nonzero(network.xy)
-    src, bond = np.nonzero(occupied[:, bond_i] & ~occupied[:, bond_j])
-    i, j = bond_i[bond], bond_j[bond]
-    rows = sector.sites[src]
-    hopped = np.where(rows == i[:, None], j[:, None], rows)
-    if not network.is_open_chain():  # on a chain a hop to an empty neighbour keeps the row ascending
-        hopped.sort(axis=1)
-    return SectorHamiltonian(sector, diagonal, sector.positions(hopped), src, 2.0 * network.xy[i, j])
+    degree = np.bincount(bond_i, minlength=n)
+    neighbours = np.repeat(np.arange(n)[:, None], degree.max(initial=0), axis=1)
+    neighbours[bond_i, np.arange(bond_i.size) - (np.cumsum(degree) - degree)[bond_i]] = bond_j
+    targets = neighbours[sites]  # (d, k, deg)
+    src, slot, nb = np.nonzero((targets[..., None] != sites[:, None, None, :]).all(axis=-1))
+    i, j = sites[src, slot], targets[src, slot, nb]
+    hopped = sites[src]
+    hopped[np.arange(src.size), slot] = j
+    hopped.sort(axis=1)
+    # np.nonzero's index arrays are views of one (hops, 3) block; a copy of the stored one frees the block
+    return SectorHamiltonian(sector, diagonal, sector.positions(hopped), src.copy(), 2.0 * network.xy[i, j])
 
 
 class SectorPropagator:
@@ -553,8 +537,9 @@ def reduced_state(table: AmplitudeTable, source, keep) -> np.ndarray:
     leading time axis if the table has one.  Every configuration splits into
     m kept excitations and k - m elsewhere, so the state is block diagonal in
     m and each block is G_m G_m^dag, where G_m gathers psi into (kept pattern,
-    rest configuration) of ExcitationSector(n - q, k - m); the work and memory
-    stay O(T d).  The table's Gram check guarantees a unit trace to 1e-10.
+    rest configuration) of ExcitationSector(n - q, k - m), read from the
+    sector's (d, k) ``sites``; the work and memory stay O(T d + d k).  The
+    table's Gram check guarantees a unit trace to 1e-10.
     """
     sector = table.sector
     n, k = sector.n_sites, sector.excitation_count
@@ -562,17 +547,20 @@ def reduced_state(table: AmplitudeTable, source, keep) -> np.ndarray:
     q, d = len(keep), sector.dimension
     psi = table.column(source)
     flat = psi.reshape(-1, d)
-    occupied = sector.occupation()
-    kept = occupied[:, keep]
-    rest = occupied[:, np.setdiff1d(np.arange(n), keep)]
-    pattern, count = kept @ (1 << np.arange(q)[::-1]), kept.sum(axis=1)
+    sites = sector.sites
+    bit = np.zeros(n, dtype=np.intp)
+    bit[keep] = 1 << np.arange(q)[::-1]
+    kept = bit > 0
+    pattern, count = bit[sites].sum(axis=1), kept[sites].sum(axis=1)
+    renumber = np.cumsum(~kept) - 1  # each rest site's position among the rest sites
     pattern_count = np.array([bin(p).count("1") for p in range(1 << q)])
     rho = np.zeros((flat.shape[0], 1 << q, 1 << q), dtype=complex)
     for m in range(max(0, k - (n - q)), min(q, k) + 1):
         members = np.flatnonzero(count == m)
         patterns = np.flatnonzero(pattern_count == m)  # kept patterns with m excitations, ascending
         env = ExcitationSector(n - q, k - m)
-        env_sites = np.nonzero(rest[members])[1].reshape(members.size, k - m)
+        rows = sites[members]
+        env_sites = renumber[rows[~kept[rows]]].reshape(members.size, k - m)
         g = np.zeros((flat.shape[0], patterns.size, env.dimension), dtype=complex)
         g[:, np.searchsorted(patterns, pattern[members]), env.positions(env_sites)] = flat[:, members]
         rho[:, patterns[:, None], patterns] = g @ g.conj().swapaxes(-1, -2)

@@ -72,22 +72,24 @@ def series_peak_bytes(n_sites: int, bonds: int, columns: int, times: int, terms:
     """Estimated peak memory of :func:`reduced_output` on the Chebyshev series path of ``terms`` terms.
 
     80 bytes per stored element of the sparse Hamiltonian (2^N diagonal
-    elements and 2^(N-1) hops per XY bond) for its build, plus 96 bytes per
+    elements and 2^(N-1) hops per XY bond) for its build, plus 64 bytes per
     entry of the (times, 2^N, columns) complex column stack, which is held
-    about five times over (the series' sums and their combination, then the
-    copies the partial trace makes), plus the series' (B + 2, 2^N x columns)
-    float64 block, B its :func:`~spinmaps.chebyshev.block_width`, plus 40
-    bytes per entry of the Bessel weights' (times, M) FFT, M the power of two
-    at or above 2 * terms, and 16 per (terms + B, times) weight, zero-padded
-    to whole blocks.  Measured with ``tracemalloc``: 49-61 bytes per build
-    element (N = 12, 14, chain and all-to-all), 80 per stack entry (N = 11-13,
-    T = 2-1000, 2-16 columns), 32-38 per FFT entry (T = 2-400, K = 150-50 000).
+    at most four times over (the series' sums and their combination make
+    three; then the columns, their product with the sender state and one
+    permuted copy of each in the partial trace make four), plus the series'
+    (B + 2, 2^N x columns) float64 block, B its
+    :func:`~spinmaps.chebyshev.block_width`, plus 40 bytes per entry of the
+    Bessel weights' (times, M) FFT, M the power of two at or above
+    2 * terms, and 16 per (terms + B, times) weight, zero-padded to whole
+    blocks.  Measured with ``tracemalloc``: 49-61 bytes per build
+    element (N = 12, 14, chain and all-to-all), 64 per stack entry (N = 11-13,
+    T = 2-1000, 1-16 columns), 32-38 per FFT entry (T = 2-400, K = 150-50 000).
     The block is freed before the sums are combined, and its width keeps it
     within the sums or 1 MB, so it leaves the measured peak unchanged.
     """
     dim, fft = 1 << n_sites, 1 << (2 * terms - 1).bit_length()
     width = block_width(terms, dim * columns, times)
-    return (80 * (dim + bonds * dim // 2) + 96 * dim * columns * times + 8 * (width + 2) * dim * columns
+    return (80 * (dim + bonds * dim // 2) + 64 * dim * columns * times + 8 * (width + 2) * dim * columns
             + 40 * times * fft + 16 * (terms + width) * times)
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from spinmaps import SectorPropagator, SpinNetwork, chebyshev, maps, oracle
 from spinmaps.measures import _SYSY, _clip_unit
+from spinmaps.network import ExcitationSector
 
 
 @pytest.fixture
@@ -84,6 +85,36 @@ def random_network(rng, n_sites, with_zz=True, with_fields=True, scale=1.0):
         np.fill_diagonal(zz, 0.0)
     h = 0.6 * scale * rng.normal(size=n_sites) if with_fields else None
     return SpinNetwork(j, zz, h)
+
+
+def configuration_energy(network: SpinNetwork, occupied) -> float:
+    """Field and ZZ energy s @ h + 0.5 * s @ zz @ s of one configuration, s = +1 on the ``occupied`` sites, -1 elsewhere.
+
+    ``occupied = ()`` is the vacuum.  The sector diagonal holds this energy minus the vacuum's.
+    """
+    s = -np.ones(network.n_sites)
+    s[list(occupied)] = 1.0
+    return s @ network.fields + 0.5 * s @ network.zz @ s
+
+
+def mask_search_hops(network: SpinNetwork, k: int) -> tuple:
+    """(rows, cols, values) of the k-sector hops by a search over a (d, N) occupation mask.
+
+    The reference for the neighbour-table search of ``build_sector_hamiltonian``:
+    every (configuration, ordered bond (i, j)) pair with i occupied and j empty
+    gives one element 2 J_ij, in (configuration, bond) order, at the rank of
+    the sorted hopped configuration.
+    """
+    sector = ExcitationSector(network.n_sites, k)
+    occupied = np.zeros((sector.dimension, network.n_sites), dtype=bool)
+    occupied[np.arange(sector.dimension)[:, None], sector.sites] = True
+    bond_i, bond_j = np.nonzero(network.xy)
+    src, bond = np.nonzero(occupied[:, bond_i] & ~occupied[:, bond_j])
+    i, j = bond_i[bond], bond_j[bond]
+    rows = sector.sites[src]
+    hopped = np.where(rows == i[:, None], j[:, None], rows)
+    hopped.sort(axis=1)
+    return sector.positions(hopped), src, 2.0 * network.xy[i, j]
 
 
 def magnetization_expectation(state: np.ndarray) -> float:

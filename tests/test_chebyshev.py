@@ -215,21 +215,6 @@ def test_term_count_shortcut_makes_the_full_count_choice(rng):
     assert choices == {True, False}
 
 
-@pytest.mark.parametrize("zz", [False, True])
-def test_chain_hops_skip_the_sort_and_equal_the_general_path(zz, monkeypatch):
-    rng = np.random.default_rng(5)
-    for n in range(1, 15):
-        net = SpinNetwork.chain(rng.uniform(0.5, 1.5, n - 1), rng.uniform(-0.3, 0.3, n - 1) if zz else None,
-                                rng.uniform(-0.3, 0.3, n))
-        for k in range(min(n, 4) + 1):
-            chain = build_sector_hamiltonian(net, k)
-            with monkeypatch.context() as mp:
-                mp.setattr(SpinNetwork, "is_open_chain", lambda self: False)  # the sorted search of any graph
-                general = build_sector_hamiltonian(net, k)
-            for name in ("diagonal", "rows", "cols", "values"):
-                assert np.array_equal(getattr(chain, name), getattr(general, name)), (n, k, name)
-
-
 def test_truncated_series_raises_numerical_error(monkeypatch):
     net = random_graph_network(3, 10)
     terms = network_module.chebyshev_terms

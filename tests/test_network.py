@@ -1,5 +1,6 @@
 import itertools
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +17,13 @@ from spinmaps import network as network_module
 from spinmaps.network import AmplitudeTable, ExcitationSector, reduced_state
 from spinmaps.oracle import FullPropagator, basis_index, full_hamiltonian, reduced_output
 
-from conftest import PropagationPaths, pair_amplitude_determinant, random_network
+from conftest import (
+    PropagationPaths,
+    configuration_energy,
+    mask_search_hops,
+    pair_amplitude_determinant,
+    random_network,
+)
 
 
 def test_network_validation():
@@ -64,7 +71,7 @@ def test_vacuum_sector_is_scalar(rng):
     assert h0.matrix[0, 0] == 0.0  # energies are measured from the vacuum
     # all spins down: s_i = -1 everywhere
     expected = -net.fields.sum() + 0.5 * net.zz.sum()
-    assert abs(net.diagonal_energy() - expected) < 1e-12
+    assert abs(configuration_energy(net, ()) - expected) < 1e-12
 
 
 def test_three_site_chain_spectrum_matches_dense_oracle():
@@ -214,7 +221,7 @@ def test_vacuum_amplitude_reads_the_sector_diagonal_without_a_sector(rng, monkey
     net = random_network(rng, 5)
     assert build_sector_hamiltonian(net, 0).matrix[0, 0] == 0.0
     h1 = build_sector_hamiltonian(net, 1)
-    assert np.array_equal(h1.diagonal, net.diagonal_energy(h1.sector.occupation()) - net.diagonal_energy())
+    assert_exact_diagonal(net, h1)
     chan = NetworkChannel(net)
     build = network_module.build_sector_hamiltonian
 
@@ -230,10 +237,10 @@ def test_vacuum_amplitude_reads_the_sector_diagonal_without_a_sector(rng, monkey
 
 
 def unshifted_tables(network, k, times):
-    """exp(-i H_k t) of the sector Hamiltonian whose diagonal is the full diagonal_energy, by a dense eigh."""
+    """exp(-i H_k t) of the sector Hamiltonian whose diagonal is each configuration's full energy, by a dense eigh."""
     h = build_sector_hamiltonian(network, k)
     matrix = h.matrix
-    matrix[np.diag_indices_from(matrix)] = network.diagonal_energy(h.sector.occupation())
+    matrix[np.diag_indices_from(matrix)] = [configuration_energy(network, occ) for occ in h.sector.sites]
     eigvals, eigvecs = np.linalg.eigh(matrix)
     return np.einsum("ae,te,be->tab", eigvecs, np.exp(-1j * np.multiply.outer(times, eigvals)), eigvecs)
 
@@ -246,7 +253,7 @@ def test_sector_tables_are_amplitudes_relative_to_the_vacuum(rng):
     worst = 0.0
     for net in nets:
         assert np.array_equal(SectorPropagator(net, 0).table(times).amplitudes, np.ones((times.size, 1, 1)))
-        vacuum = np.exp(1j * net.diagonal_energy() * times)[:, None, None]
+        vacuum = np.exp(1j * configuration_energy(net, ()) * times)[:, None, None]
         for k in (1, 2):
             reference = vacuum * unshifted_tables(net, k, times)
             basis = [tuple(row) for row in ExcitationSector(net.n_sites, k).sites.tolist()]
@@ -279,20 +286,17 @@ def test_disjoint_union_is_block_diagonal(rng):
 
 
 def reference_sector_hamiltonian(network, k):
-    """Per-configuration loop with dictionary lookups, kept as the reference build.
+    """The hops of H_k by a per-configuration loop with dictionary lookups, kept as the reference build.
 
-    It enumerates its own lexicographic basis, so it reads nothing of the sector classes.
+    Its diagonal is zero: the diagonal is checked against exact rational sums
+    (:func:`assert_exact_diagonal`).  It enumerates its own lexicographic
+    basis, so it reads nothing of the sector classes.
     """
     n = network.n_sites
-    s = -np.ones(n)
-    vacuum = s @ network.fields + 0.5 * s @ network.zz @ s  # energies are measured from the vacuum's
     basis = list(itertools.combinations(range(n), k))
     index = {occ: a for a, occ in enumerate(basis)}
     h = np.zeros((len(basis), len(basis)), dtype=complex)
     for a, occ in enumerate(basis):
-        s = -np.ones(n)
-        s[list(occ)] = 1.0
-        h[a, a] = s @ network.fields + 0.5 * s @ network.zz @ s - vacuum
         occ_set = set(occ)
         for i in occ:
             for j in range(n):
@@ -302,44 +306,91 @@ def reference_sector_hamiltonian(network, k):
     return h
 
 
+def rational_energy_shift(network, occupied) -> tuple:
+    """E(c) - E(0) of one configuration as an exact rational sum of the float inputs, and its magnitude.
+
+    From the definition, sum_i h_i (s_i + 1) + sum_{i<j} zz_ij (s_i s_j - 1)
+    with s = +1 on the occupied sites: a field counts twice on an occupied
+    site, and a coupling -2 times where exactly one of its sites is
+    occupied.  The magnitude is 2 sum_{i in c} (|h_i| + sum_j |zz_ij|), the
+    size of every field and coupling an occupied site carries.
+    """
+    occupied = set(occupied)
+    shift = sum(2 * Fraction(network.fields[i]) for i in occupied)
+    shift -= sum(2 * Fraction(network.zz[i, j]) for i in occupied for j in range(network.n_sites) if j not in occupied)
+    rows = list(occupied)
+    return shift, 2.0 * (np.abs(network.fields[rows]).sum() + np.abs(network.zz[rows]).sum())
+
+
+def assert_exact_diagonal(network, h, rows=None):
+    """Each diagonal value on ``rows`` (all by default) is within 2 eps x its magnitude of the exact E(c) - E(0)."""
+    rows = range(h.sector.dimension) if rows is None else rows
+    for a in rows:
+        exact, magnitude = rational_energy_shift(network, h.sector.sites[a].tolist())
+        error = abs(Fraction(h.diagonal[a]) - exact)
+        assert error <= 2 * np.finfo(float).eps * magnitude, (h.sector.sites[a], float(error), magnitude)
+
+
 def test_sector_hamiltonian_is_real_symmetric_and_matches_reference_loop(rng):
     nets = [random_network(rng, n) for n in range(1, 8)]
     nets.append(SpinNetwork.chain(rng.normal(size=8), rng.normal(size=8), rng.normal(size=9)))
     for net in nets:
         for k in range(net.n_sites + 1):
-            h = build_sector_hamiltonian(net, k).matrix
-            assert h.dtype == np.float64
-            assert np.array_equal(h, h.T)
-            assert np.array_equal(h, reference_sector_hamiltonian(net, k).real)
+            h = build_sector_hamiltonian(net, k)
+            matrix = h.matrix
+            assert matrix.dtype == np.float64
+            assert np.array_equal(matrix, matrix.T)
+            matrix[np.diag_indices_from(matrix)] = 0.0
+            assert np.array_equal(matrix, reference_sector_hamiltonian(net, k).real)  # every hop, bit for bit
+            assert_exact_diagonal(net, h)
 
 
-def test_sector_diagonal_matches_the_per_configuration_expression_at_workload_sizes(rng):
-    """The stacked diagonal, over several row blocks, is bitwise the scalar expression of each configuration.
+def test_sector_diagonal_matches_exact_rational_sums(rng):
+    """E(c) - E(0) = 2 sum_{i in c} (h_i - sum_j zz_ij) + 4 sum_{i<j in c} zz_ij, read from the sector's sites.
 
-    The sector diagonal is that expression minus the vacuum's.
+    Every configuration of random chains and dense networks, k <= 4, over
+    scales from 1e-3 to 1e3 and with fields far below the couplings; then
+    sampled rows at workload sizes, up to a 600-site chain.
     """
+    for trial in range(24):
+        n, scale = int(rng.integers(2, 13)), 10.0 ** rng.uniform(-3, 3)
+        if trial % 3 == 0:
+            net = SpinNetwork.chain(scale * rng.normal(size=n - 1), scale * rng.normal(size=n - 1),
+                                    scale * rng.normal(size=n))
+        else:
+            dense = random_network(rng, n, scale=scale)
+            fields = dense.fields * (1e-3 if trial % 3 == 2 else 1.0)  # fields that ZZ row sums swamp
+            net = SpinNetwork(dense.xy, 5.0 * dense.zz, fields)
+        for k in range(min(n, 4) + 1):
+            assert_exact_diagonal(net, build_sector_hamiltonian(net, k))
     cases = [
         (SpinNetwork.chain(rng.uniform(0.5, 1.5, 39), rng.uniform(-0.3, 0.3, 39), rng.uniform(-0.2, 0.2, 40)), 2),
         (random_network(rng, 30), 2),  # dense ZZ couplings
         (SpinNetwork.chain(rng.uniform(0.5, 1.5, 49), rng.uniform(-0.3, 0.3, 49), rng.uniform(-0.2, 0.2, 50)), 3),
+        (SpinNetwork.chain(rng.uniform(0.5, 1.5, 599), rng.uniform(-0.3, 0.3, 599), rng.uniform(-0.2, 0.2, 600)), 2),
     ]
     for net, k in cases:
-        reference = []
-        for occ in itertools.combinations(range(net.n_sites), k):
-            s = -np.ones(net.n_sites)
-            s[list(occ)] = 1.0
-            reference.append(s @ net.fields + 0.5 * s @ net.zz @ s)
-        s = -np.ones(net.n_sites)
-        vacuum = s @ net.fields + 0.5 * s @ net.zz @ s
-        assert np.array_equal(build_sector_hamiltonian(net, k).diagonal, np.array(reference) - vacuum)
-    assert len(reference) == 19600 > 4 * network_module.DIAGONAL_BLOCK_ROWS
-    occupied = ExcitationSector(50, 3).occupation()
-    assert np.array_equal(net.diagonal_energy(occupied[::-1].reshape(2, -1, 50)).ravel(), reference[::-1])
-    s = -np.ones(50)
-    assert net.diagonal_energy() == s @ net.fields + 0.5 * s @ net.zz @ s  # the vacuum, as a scalar
-    for bad in (occupied[:, :49], [0, 2, 7]):  # a site list is not an occupation
-        with pytest.raises(ValueError, match="boolean with 50 sites on its last axis"):
-            net.diagonal_energy(bad)
+        h = build_sector_hamiltonian(net, k)
+        assert_exact_diagonal(net, h, rng.choice(h.sector.dimension, 60, replace=False))
+
+
+@pytest.mark.parametrize("zz", [False, True])
+def test_sector_hops_equal_the_occupation_mask_search(zz):
+    """Rows, cols and values of every hop equal, bit for bit, those of a search over the (d, N) occupation mask."""
+    rng = np.random.default_rng(5)
+    cases = [(SpinNetwork.chain(rng.uniform(0.5, 1.5, n - 1), rng.uniform(-0.3, 0.3, n - 1) if zz else None,
+                                rng.uniform(-0.3, 0.3, n)), {*range(min(n, 4) + 1), n}) for n in range(1, 15)]
+    sparse = np.triu(np.where(rng.random((10, 10)) < 0.3, rng.normal(size=(10, 10)), 0.0), 1)
+    sparse[3] = sparse[:, 3] = 0.0  # an uncoupled site
+    cases.append((SpinNetwork(sparse + sparse.T, None, rng.normal(size=10)), range(11)))
+    cases.append((random_network(rng, 9, with_zz=zz), range(10)))  # all to all
+    for net, counts in cases:
+        for k in counts:
+            h = build_sector_hamiltonian(net, k)
+            rows, cols, values = mask_search_hops(net, k)
+            for name, expected in (("rows", rows), ("cols", cols), ("values", values)):
+                got = getattr(h, name)
+                assert got.dtype == expected.dtype and np.array_equal(got, expected), (net.n_sites, k, name)
 
 
 def test_sector_positions_match_index_of():

@@ -376,16 +376,16 @@ def test_dense_oracle_callers_name_the_memory_cap(monkeypatch):
         initial={"kind": "basis", "string": "1100"},
     )
     assert run(spec).meta == {"n_sites": 11}  # the sector engine has no dense cap
-    # verify.oracle takes the series oracle, whose estimate here is 80 (2^11 + 10 x 2^10) + 96 x 2^11 x 16 x 2 bytes
+    # verify.oracle takes the series oracle, whose estimate here is 80 (2^11 + 10 x 2^10) + 64 x 2^11 x 16 x 2 bytes
     # for the build and the columns, plus 40 x 2 x 256 + 16 x (107 + 4) x 2 bytes for the weights of 107 terms
     # in blocks of 4, plus 8 x (4 + 2) x 2^11 x 16 bytes for the block
-    assert oracle.series_peak_bytes(11, 10, 16, 2, 107) == 7_274_496 + 24_032 + 1_572_864
+    assert oracle.series_peak_bytes(11, 10, 16, 2, 107) == 5_177_344 + 24_032 + 1_572_864
     assert run(replace(spec, verify_oracle=True)).column("oracle_dev").max() <= 1e-12
     # the cap is checked when the spec is built, before anything runs
     qst = dict(kind="qst", network=SpinNetwork.uniform_chain(11), sites={"sender": 0, "receiver": 10},
                verify_oracle=True)
     with pytest.raises(ValueError, match=r"verify.oracle: 11 sites, 2 columns and 400 times exceed the series-oracle "
-                                         r"cap \(estimated peak 0.154 GiB for at most 114 Chebyshev terms, physical"):
+                                         r"cap \(estimated peak 0.105 GiB for at most 114 Chebyshev terms, physical"):
         ScenarioSpec(times=tuple(np.linspace(0.0, 1.0, 400)), **qst)
     with pytest.raises(ValueError, match=r"verify.oracle: 15 sites, .* ceiling 14 sites"):
         ScenarioSpec(**{**qst, "times": (0.0, 1.0), "network": SpinNetwork.uniform_chain(15),
