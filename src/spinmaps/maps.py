@@ -11,8 +11,9 @@ A = sum_k kron(E_k, conj(E_k)).
 The one- and two-qubit maps induced by a U(1) network on sender/receiver
 subsets are built from sector amplitude tables, in one place:
 :class:`NetworkChannel` holds a network's sector propagators and turns their
-sender columns into :func:`one_qubit_kraus` and :func:`two_qubit_kraus`
-sets.  The sector tables measure energies from the vacuum
+sender columns into :func:`one_qubit_kraus` and :func:`two_qubit_kraus` sets,
+the latter in a canonical form of at most six operators on any number of
+sites.  The sector tables measure energies from the vacuum
 (:mod:`spinmaps.network`), so their amplitudes are the ones the maps take:
 the vacuum-vacuum Kraus element is exactly 1 and the channel is the exact
 reduced dynamics for arbitrary fields and ZZ couplings.  Where a table is
@@ -344,7 +345,7 @@ def _pair_targets(n_sites: int, n: int, m: int) -> tuple:
     """The target bookkeeping of :func:`two_qubit_kraus` for receivers (n, m): read-only, shared by every call."""
     env = np.array([k for k in range(n_sites) if k not in (n, m)], dtype=np.intp)
     # targets of k=1: m, n, then each environment site k; of k=2: (n, m), then every (k, m), then every (n, k)
-    one = ExcitationSector(n_sites, 1).positions(np.concatenate([[m, n], env])[:, None])
+    one = np.concatenate([[m, n], env])  # a k=1 configuration's position is its site
     pairs = np.sort(np.concatenate([[[n, m]], np.column_stack([env, np.full_like(env, m)]),
                                     np.column_stack([np.full_like(env, n), env])]), axis=1)
     pair_rows = ExcitationSector(n_sites, 2).positions(pairs)
@@ -363,14 +364,16 @@ def two_qubit_kraus(
 
     ``senders=(i, j)`` and ``receivers=(n, m)`` assign network sites to the
     first/second qubit of the 4-dimensional input/output space in the order
-    given; the pairs may coincide (storage) or overlap.  The set contains the
-    4x4 block-diagonal E_0, one E_1^k for every site k outside the receiver
-    pair (one excitation left in the environment) and a single E_2 for both
-    excitations lost.  Every environment-pair operator E_2^{kl} has its only
-    entry f_ij(k, l) at [0, 3], so their sum of kron(E, conj(E)) equals that of
-    one operator with entry sqrt(sum_{k<l} |f_ij(k, l)|^2) there, just as
-    :func:`one_qubit_kraus` merges its leakage operators.  An N-site network
-    gives N operators.
+    given; the pairs may coincide (storage) or overlap.  The set holds the
+    4x4 block-diagonal E_0, single-loss operators E_1 (one excitation left in
+    the environment) and one E_2 for both excitations lost: 2 + min(N - 2, 4)
+    operators on N sites.  Site k's own E_1^k would have f_j(k), f_i(k),
+    f_ij(k, m), f_ij(n, k) at [0, 1], [0, 2], [1, 3], [2, 3]; the rows of R in
+    a QR of their (N - 2, 4) block have the same Gram matrix, so give the same
+    map (Nielsen & Chuang, Thm 8.2).  The environment-pair operators E_2^{kl},
+    each with f_ij(k, l) at [0, 3], give the map of one operator with entry
+    sqrt(sum_{k<l} |f_ij(k, l)|^2) there, just as :func:`one_qubit_kraus`
+    merges its leakage operators.
 
     The pair amplitudes f_ij at the targets (n, m), (k, m) and (n, k) come
     from one of two sources:
@@ -403,14 +406,13 @@ def two_qubit_kraus(
     i, j = check_sites(senders, n_sites, "sender", 2)
     n, m = check_sites(receivers, n_sites, "receiver", 2)
     env, one, pairs, pair_rows = _pair_targets(n_sites, n, m)
-    ne = env.size
-    # amplitudes gathered from the source columns, target axis first
+    # amplitudes gathered from the source columns, target axis last
     col_i, col_j = k1.column((i,)), k1.column((j,))
-    f_i, f_j = col_i.take(one, axis=-1).T, col_j.take(one, axis=-1).T
+    f_i, f_j = col_i.take(one, axis=-1), col_j.take(one, axis=-1)
     if k2 is None:
         lo, hi = (col_i, col_j) if i < j else (col_j, col_i)
         a, b = pairs.T
-        f_ij = (lo.take(a, axis=-1) * hi.take(b, axis=-1) - lo.take(b, axis=-1) * hi.take(a, axis=-1)).T
+        f_ij = lo.take(a, axis=-1) * hi.take(b, axis=-1) - lo.take(b, axis=-1) * hi.take(a, axis=-1)
         # det of the Gram matrix [[|lo|^2, lo^dag hi], [hi^dag lo, |hi|^2]] of the environment rows
         lo_env, hi_env = lo[..., env], hi[..., env]  # not take: the layout sets the order of the sums below
         gram_det = ((np.abs(lo_env) ** 2).sum(axis=-1) * (np.abs(hi_env) ** 2).sum(axis=-1)
@@ -418,21 +420,17 @@ def two_qubit_kraus(
         lost = np.sqrt(np.maximum(gram_det, 0.0))
     else:
         col_ij = k2.column((i, j))
-        f_ij = col_ij.take(pair_rows, axis=-1).T
+        f_ij = col_ij.take(pair_rows, axis=-1)
         # the pair rows are every target holding n or m: the rest have both excitations in the environment
         lost = np.sqrt((np.abs(np.delete(col_ij, pair_rows, axis=-1)) ** 2).sum(axis=-1))
-    ops = np.zeros((n_sites,) + col_i.shape[:-1] + (4, 4), dtype=complex)
-    e0, e1, e2 = ops[0], ops[1:-1], ops[-1]  # E_0, one E_1 per environment site, the merged E_2
+    block = np.stack([f_j[..., 2:], f_i[..., 2:], f_ij[..., 1:env.size + 1], f_ij[..., env.size + 1:]], axis=-1)
+    r = np.linalg.qr(block, mode="r")  # block^T conj(block) = r^T conj(r): the rows of r give the same map
+    ops = np.zeros((2 + r.shape[-2],) + col_i.shape[:-1] + (4, 4), dtype=complex)
+    e0, e1, e2 = ops[0], ops[1:-1], ops[-1]  # E_0, the min(N - 2, 4) single losses, the merged E_2
     e0[..., 0, 0] = 1.0
-    e0[..., 1, 1] = f_j[0]
-    e0[..., 1, 2] = f_i[0]
-    e0[..., 2, 1] = f_j[1]
-    e0[..., 2, 2] = f_i[1]
-    e0[..., 3, 3] = f_ij[0]
-    e1[..., 0, 1] = f_j[2:]
-    e1[..., 0, 2] = f_i[2:]
-    e1[..., 1, 3] = f_ij[1:ne + 1]
-    e1[..., 2, 3] = f_ij[ne + 1:]
+    e0[..., 1, 1], e0[..., 1, 2], e0[..., 2, 1], e0[..., 2, 2] = f_j[..., 0], f_i[..., 0], f_j[..., 1], f_i[..., 1]
+    e0[..., 3, 3] = f_ij[..., 0]
+    e1[..., [0, 0, 1, 2], [1, 2, 3, 3]] = r.swapaxes(0, -2)  # operator axis first
     e2[..., 0, 3] = lost
     return KrausSet(ops)
 

@@ -297,8 +297,10 @@ class ExcitationSector:
         Vectorised :meth:`index_of` without validation: the lexicographic rank
         of c_0 < ... < c_{k-1} is d - 1 - sum_q C(n - 1 - c_q, k - q).
         """
-        k = self.excitation_count
-        return self._rank_weights[np.arange(k), sites].sum(axis=1)
+        total = np.zeros(len(sites), dtype=np.int64)
+        for q, weights in enumerate(self._rank_weights):  # slot by slot: no (rows, k) gather
+            total += weights[sites[:, q]]
+        return total
 
 
 @dataclass(frozen=True)

@@ -205,10 +205,12 @@ def jv_seeded_terms(x: float) -> int:
 
 
 def rebuilt_two_qubit_kraus(k1, k2, senders, receivers) -> maps.KrausSet:
-    """``maps.two_qubit_kraus`` with its site bookkeeping rebuilt on every call, from the enumerated k = 2 basis.
+    """The per-site two-qubit Kraus set, its site bookkeeping rebuilt on every call from the enumerated k = 2 basis.
 
-    The reference for the cached bookkeeping: the same amplitudes, gathered in
-    the same order by the same arithmetic, so the operators must be equal.
+    The reference for ``maps.two_qubit_kraus``: E_0, one E_1^k per environment
+    site k and the merged E_2, N operators on N sites.  E_0 and E_2 come from
+    the same amplitudes by the same arithmetic, so they must be equal; the
+    canonical set's superoperator must lie within rounding of this one's.
     """
     i, j = senders
     n, m = receivers

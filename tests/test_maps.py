@@ -375,7 +375,8 @@ def test_element_table_matches_kraus_superoperator(rng):
 
 
 def test_merged_double_loss_operator_matches_per_pair_sum(rng):
-    # reference: one E_2^{kl} with entry f_2(k, l) at [0, 3] per environment pair
+    # reference: E_0 and one E_1^k per environment site k from the per-site set, and one E_2^{kl} with
+    # entry f_2(k, l) at [0, 3] per environment pair
     for n in (4, 5, 7):
         net = random_network(rng, n)
         for _ in range(3):
@@ -384,9 +385,10 @@ def test_merged_double_loss_operator_matches_per_pair_sum(rng):
             receivers = tuple(int(x) for x in rng.choice(n, 2, replace=False))
             k1, k2 = SectorPropagator(net, 1).table(t), SectorPropagator(net, 2).table(t)
             ks = two_qubit_kraus(k1, k2, senders, receivers)
-            assert len(ks.operators) == n  # E_0, n - 2 single losses, one merged E_2
+            assert len(ks.operators) == 2 + min(n - 2, 4)  # E_0, at most 4 single losses, one merged E_2
             env = [k for k in range(n) if k not in receivers]
-            reference = sum(np.kron(op, op.conj()) for op in ks.operators[:-1])
+            per_site = rebuilt_two_qubit_kraus(k1, k2, senders, receivers).operators
+            reference = sum(np.kron(op, op.conj()) for op in per_site[:-1])
             for k, l in itertools.combinations(env, 2):
                 e2 = np.zeros((4, 4), dtype=complex)
                 e2[0, 3] = k2.amplitude(sorted(senders), (k, l))
@@ -422,8 +424,10 @@ def test_two_qubit_kraus_reads_whole_columns_without_scalar_lookups(rng, monkeyp
 
     monkeypatch.setattr(AmplitudeTable, "amplitude", no_lookup)
     ks = two_qubit_kraus(k1, k2, senders, receivers)
-    assert len(ks.operators) == 40
+    assert len(ks.operators) == 6  # at 40 sites as at 6
     assert np.abs(superop_from_kraus(ks) - elements).max() < 1e-10
+    per_site = rebuilt_two_qubit_kraus(k1, k2, senders, receivers)
+    assert np.abs(superop_from_kraus(ks) - superop_from_kraus(per_site)).max() <= 1e-13
 
 
 @pytest.mark.parametrize("n", range(2, 13))
@@ -442,11 +446,33 @@ def test_cached_pair_bookkeeping_gives_the_rebuilt_operators(rng, n):
         for t, (senders, receivers) in itertools.product((1.7, np.array([0.0, 2.3, 9.1])), pairs):
             k1 = k1_prop.table(t, [(senders[0],), (senders[1],)])
             for k2 in [k2_prop.table(t, [senders])] + [None] * (net is free):
-                built = two_qubit_kraus(k1, k2, senders, receivers).operators
-                assert np.array_equal(built, rebuilt_two_qubit_kraus(k1, k2, senders, receivers).operators)
+                built = two_qubit_kraus(k1, k2, senders, receivers)
+                rebuilt = rebuilt_two_qubit_kraus(k1, k2, senders, receivers)
+                # E_0 and the merged E_2 keep the per-site arithmetic; the single losses keep their map
+                assert np.array_equal(built.operators[0], rebuilt.operators[0])
+                assert np.array_equal(built.operators[-1], rebuilt.operators[-1])
+                assert np.abs(superop_from_kraus(built) - superop_from_kraus(rebuilt)).max() <= 1e-13
     for index in _pair_targets(n, p[0], p[1]):  # shared by every call: read-only
         with pytest.raises(ValueError, match="read-only"):
             index[...] = 0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 9, 17, 50])
+def test_canonical_two_qubit_set_has_the_per_site_map(rng, n):
+    # the k = 2 table on a ZZ chain, and the k = 1 minors on a chain with fields; below N = 6 the
+    # environment has fewer than 4 sites, at N = 2 none
+    free = SpinNetwork.chain(rng.uniform(0.5, 1.5, n - 1), fields=rng.uniform(-0.3, 0.3, n))
+    zz = SpinNetwork.chain(rng.uniform(0.5, 1.5, n - 1), rng.uniform(-0.3, 0.3, n - 1), rng.uniform(-0.3, 0.3, n))
+    p = [int(x) for x in rng.permutation(n)]
+    senders, receivers = (p[0], p[1]), (p[-1], p[-2])
+    for net, t in itertools.product((free, zz), (2.3, np.linspace(0.0, 12.0, 5))):
+        k1 = SectorPropagator(net, 1).table(t, [(senders[0],), (senders[1],)])
+        k2 = None if net is free else SectorPropagator(net, 2).table(t, [senders])
+        ks = two_qubit_kraus(k1, k2, senders, receivers)
+        assert len(ks.operators) == 2 + min(n - 2, 4)
+        assert ks.operators.shape[1:] == np.shape(t) + (4, 4)
+        per_site = rebuilt_two_qubit_kraus(k1, k2, senders, receivers)
+        assert np.abs(superop_from_kraus(ks) - superop_from_kraus(per_site)).max() <= 1e-13
 
 
 def test_network_channel_builds_each_sector_once(rng, sector_builds):

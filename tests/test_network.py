@@ -400,6 +400,19 @@ def test_sector_positions_match_index_of():
             assert list(sector.positions(sector.sites)) == list(range(sector.dimension))
 
 
+@pytest.mark.parametrize("k", range(6))
+def test_sector_positions_of_random_rows_match_index_of(rng, k):
+    # the slot-by-slot rank sum against the scalar rank, up to sectors far too large to enumerate
+    for n in (k, k + 1, 13, 60, 1000):
+        sector = ExcitationSector(n, k)
+        rows = np.sort(np.array([rng.choice(sector.n_sites, k, replace=False) for _ in range(40)],
+                                dtype=np.intp).reshape(40, k), axis=1)
+        got = sector.positions(rows)
+        assert got.dtype == np.int64 and got.shape == (40,)
+        assert got.tolist() == [sector.index_of(row) for row in rows.tolist()]
+    assert ExcitationSector(9, k).positions(np.zeros((0, k), dtype=np.intp)).shape == (0,)
+
+
 def test_rank_lookups_do_not_enumerate_the_basis():
     sector = ExcitationSector(40, 4)
     assert sector.dimension == 91390
