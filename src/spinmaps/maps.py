@@ -221,12 +221,17 @@ def superop_from_kraus(ks: KrausSet) -> np.ndarray:
 
 
 def apply_kraus(ks: KrausSet, rho: np.ndarray) -> np.ndarray:
-    """sum_k E_k rho E_k^dag of one (d, d) state, or of a (T, d, d) stack through a map's T slices."""
+    """sum_k E_k rho E_k^dag of one (d, d) state, or of a (T, d, d) stack through a map's T slices.
+
+    One state takes every E_k rho in one product; E_k^dag and the sum over k follow per slice, in Python's order.
+    """
     rho = np.asarray(rho, dtype=complex)
     ops = ks.operators
-    if rho.shape[-2:] != (ks.input_dim, ks.input_dim) or rho.shape[:-2] not in ((), ops.shape[1:-2]):
+    d_in = ks.input_dim
+    if rho.shape[-2:] != (d_in, d_in) or rho.shape[:-2] not in ((), ops.shape[1:-2]):
         raise ValueError(f"state of shape {rho.shape} does not match a map of shape {ops.shape[1:]}")
-    return (ops @ rho @ ops.conj().swapaxes(-1, -2)).sum(axis=0)
+    left = (ops.reshape(-1, d_in) @ rho).reshape(ops.shape) if rho.ndim == 2 else ops @ rho
+    return (left @ ops.conj().swapaxes(-1, -2)).sum(axis=0)
 
 
 def apply(ks: KrausSet, rho: np.ndarray) -> np.ndarray:

@@ -10,7 +10,8 @@ stack of state vectors, and :func:`transferred_concurrence` and
 value per slice.  Every clip, norm and amplitude-bound check runs on every
 slice at its usual tolerance and raises the same error as for a single state.
 Pure states are checked by :func:`spinmaps.maps.unit_vector` and reduced by
-:func:`spinmaps.maps.partial_trace_outer` of the state with itself.
+:func:`spinmaps.maps.partial_trace_outer` of the state with itself, but for
+the rank-2 triple marginals of four qubits, read from 8 x 2 Schmidt factors.
 
 :func:`concurrence` has two routes.  The X-state closed form serves the
 slices of a (T, 4, 4) stack that are X states (exact zeros off the diagonal
@@ -279,23 +280,28 @@ def three_tangle_pure(psi):
     return _clip_unit(4.0 * np.abs(d1 - 2.0 * d2 + 4.0 * d3))
 
 
+def _average_tangle(w: np.ndarray, v: np.ndarray):
+    """sum_i w_i tau3(v_i) over the weights w_i > 1e-12, for columns v_i of ``v`` (normalised here)."""
+    keep = w > 1e-12
+    vecs = v.swapaxes(-1, -2)[keep]  # the kept vectors as rows
+    weighted = np.zeros(w.shape)
+    weighted[keep] = w[keep] * three_tangle_pure(vecs / np.linalg.norm(vecs, axis=-1, keepdims=True))
+    total = weighted.sum(axis=-1)
+    return float(total) if total.ndim == 0 else total
+
+
 def three_tangle_decomposition_bound(rho: np.ndarray):
     """Average residual tangle over the eigendecomposition of a 3-qubit state (or a stack).
 
     Upper bound on the convex-roof extension; when it vanishes the convex
     roof is exactly zero, since a zero-average decomposition is minimal.
-    Eigenvectors with eigenvalue at most 1e-12 do not enter.
+    Eigenvectors with eigenvalue at most 1e-12 do not enter.  At a degenerate
+    eigenvalue the bound is that of the eigenbasis ``eigh`` returns, one of many.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim not in (2, 3) or rho.shape[-2:] != (8, 8):
         raise ValueError(f"expected an 8x8 three-qubit state, got {rho.shape}")
-    w, v = np.linalg.eigh(rho)
-    keep = w > 1e-12
-    vecs = v.swapaxes(-1, -2)[keep]  # the kept eigenvectors as rows
-    weighted = np.zeros(w.shape)
-    weighted[keep] = w[keep] * three_tangle_pure(vecs / np.linalg.norm(vecs, axis=-1, keepdims=True))
-    total = weighted.sum(axis=-1)
-    return float(total) if total.ndim == 0 else total
+    return _average_tangle(*np.linalg.eigh(rho))
 
 
 SEPARABLE_LINEAR_ENTROPY = 1e-13
@@ -308,8 +314,7 @@ PAIR_COLUMNS = ("c_a1a2", "c_a1b1", "c_a1b2", "c_a2b1", "c_a2b2", "c_b1b2")
 _CUTS = ((0,), (1,), (2,), (3,), (0, 1), (0, 2), (0, 3))
 _CUT_SCALES = (2.0,) * 4 + (4.0 / 3.0,) * 3
 _CUT_COLUMNS = ("c_a1_rest", "c_a2_rest", "c_b1_rest", "c_b2_rest", "c_a1a2_b1b2", "c_a1b1_a2b2", "c_a1b2_a2b1")
-# the triples left by dropping qubit 0, 1, 2 and 3
-_TRIPLES_4 = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
+# the bounds of the triples left by dropping qubit 0, 1, 2 and 3
 _TRIPLE_COLUMNS = ("tau3_a2b1b2", "tau3_a1b1b2", "tau3_a1a2b2", "tau3_a1a2b1")
 
 
@@ -325,8 +330,8 @@ def four_qubit_measures(psi) -> dict:
     and only if the state is separable across some bipartition; since the 1/7
     power would blow partial-trace noise on a separable cut up to ~1e-1, a
     linear entropy below the 1e-13 separability floor on any cut forces an
-    exact zero.  Each of the 14 distinct marginals is formed once.  For a
-    (T, 16) stack every column holds T values.
+    exact zero.  Each of the 10 pair and one-qubit marginals is formed once,
+    and no triple marginal.  For a (T, 16) stack every column holds T values.
     """
     psi = unit_vector(psi, 16)
     col = psi[..., None]  # each state as a one-column block
@@ -337,8 +342,13 @@ def four_qubit_measures(psi) -> dict:
     # each cut's concurrence; c4 is the geometric mean of the unclipped values
     roots = np.sqrt(np.reshape(_CUT_SCALES, (7,) + (1,) * (entropies.ndim - 1)) * entropies)
     c4 = np.where(entropies.min(axis=0) < SEPARABLE_LINEAR_ENTROPY, 0.0, np.prod(roots, axis=0) ** (1.0 / 7.0))
-    # each triple's marginal is formed as its bound needs it, so only one (T, 8, 8) stack is held at a time
-    tau3 = [three_tangle_decomposition_bound(partial_trace_outer(col, col, kept, [2] * 4)) for kept in _TRIPLES_4]
+    # dropping qubit q leaves M M^dag, M the state as (8, 2) with q's axis last; its nonzero eigenpairs are
+    # (w, M v) for the eigenpairs (w, v) of M^dag M (Nielsen and Chuang, Thm 2.7), so no triple marginal is formed
+    qubits = psi.reshape(psi.shape[:-1] + (2,) * 4)
+    tau3 = []
+    for m in (np.moveaxis(qubits, q - 4, -1).reshape(psi.shape[:-1] + (8, 2)) for q in range(4)):
+        w, v = np.linalg.eigh(m.conj().swapaxes(-1, -2) @ m)
+        tau3.append(_average_tangle(w, m @ v))
     return {
         **dict(zip(PAIR_COLUMNS, np.moveaxis(pair_c, -1, 0))),
         **dict(zip(_CUT_COLUMNS, map(_clip_unit, roots))),

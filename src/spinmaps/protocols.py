@@ -230,10 +230,14 @@ class ScenarioResult:
         """
         header = ",".join(map(_csv_text, self.columns))
         cells = [_csv_cells(values) for values in self.data.values()]
+        # a line of one empty cell is written quoted, as csv.writer writes it (a header of none stays empty)
+        if len(cells) == 1:
+            cells = [[cell or '""' for cell in cells[0]]]
+        body = "\r\n".join(map(",".join, zip(*cells)))
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            # a line of one empty cell is written quoted, as csv.writer writes it (a header of none stays empty)
             fh.write((header or '""' * len(self.columns)) + "\r\n")
-            fh.write("".join((",".join(row) or '""') + "\r\n" for row in zip(*cells)))
+            fh.write(body)  # then its line end, apart: the body + "\r\n" would copy the whole body
+            fh.write("\r\n" if body else "")
         return len(cells[0]) if cells else 0
 
 
@@ -501,9 +505,8 @@ def four_qubit_closed_form(g: float, j_coupling: float, t, initial: str = "1100"
         psi[..., int("0110", 2)] = -0.5j * fast_s
         psi[..., int("1100", 2)] = -0.5j * np.sin(theta)
         psi[..., int("0011", 2)] = +0.5j * np.sin(theta)
-    # each state's norm as np.linalg.norm takes it for one vector (a stacked axis sums
-    # in another order), so a stacked state equals the single-time state bit for bit
-    norm = np.array([np.linalg.norm(row) for row in psi.reshape(-1, 16)]).reshape(t.shape + (1,))
+    # a single time is normed as a stack of one, so a stacked state equals the single-time state bit for bit
+    norm = np.linalg.norm(psi.reshape(-1, 16), axis=-1).reshape(t.shape + (1,))
     off = ~(np.abs(norm - 1.0) <= 1e-12)  # a NaN norm is off too
     if off.any():
         raise ValueError(f"closed-form state norm {norm[off][0]} off unity")

@@ -458,8 +458,12 @@ def per_cell_csv(result) -> bytes:
     {},
     {"p,q": [0.4], 'say "p"': [0.5], "cr\rp": [0.6], "lf\np": [0.7], "crlf\r\np": [0.8], "t": [0.0]},
     {"": [0.4, 0.9]},
+    {"only": [""]},
+    {"t": []},
+    {"family": np.array([], dtype=str)},
 ], ids=["edge-floats", "text-cells", "header", "zero-rows", "one-empty-cell", "repeated-floats", "broadcast",
-        "repeated-text", "one-empty-column", "no-columns", "header-quoting", "one-empty-name"])
+        "repeated-text", "one-empty-column", "no-columns", "header-quoting", "one-empty-name", "one-empty-row",
+        "zero-rows-one-column", "zero-rows-one-text-column"])
 def test_csv_bytes_equal_csv_writer(tmp_path, data):
     """write_csv writes what csv.writer writes for the same header and rows of Python floats and text,
     and what it wrote when it formatted every cell with its own call."""

@@ -145,6 +145,25 @@ def test_stacked_kraus_sums_equal_per_operator_python_sums(rng):
                 assert np.array_equal(tensor_map(ks, other).operators, want)
 
 
+@pytest.mark.parametrize("k, steps, dim", [(6, 200, 4), (2, 1000, 2), (6, None, 4), (3, 0, 4), (4, 0, 2)])
+def test_apply_equals_per_operator_python_sums_at_size(rng, k, steps, dim):
+    """One state goes through all operators and slices in one product; it and a (T, d, d) stack of states
+    give each slice's per-operator Python sum bit for bit."""
+    if steps is None:
+        ks = random_complete_kraus(rng, dim, k)
+    elif steps:
+        ks = _stacked_sets(rng, dim, k, steps=steps)
+    else:
+        ks = KrausSet(np.zeros((k, 0, dim, dim), dtype=complex))
+    states = [random_density_matrix(dim, rng)]
+    if steps is not None:
+        states.append(np.array([random_density_matrix(dim, rng) for _ in range(steps)]).reshape(steps, dim, dim))
+    for rho in states:
+        out = apply(ks, rho)
+        assert out.shape == ks.operators.shape[1:]
+        assert np.array_equal(out, sum(op @ rho @ op.conj().swapaxes(-1, -2) for op in ks.operators))
+
+
 def test_single_and_stacked_maps_do_not_mix(rng):
     """A map of K operators and a stack of K == T slices would broadcast silently wrong: every mix is refused."""
     single, stacked = random_complete_kraus(rng, 2, 3), _stacked_sets(rng, 2, 2, steps=3)

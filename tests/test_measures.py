@@ -439,7 +439,68 @@ def test_four_qubit_measures_form_each_marginal_once(rng, monkeypatch):
 
     monkeypatch.setattr(measures, "partial_trace_outer", counting)
     four_qubit_measures(random_pure_state(rng, 16))
-    assert len(kept) == len(set(kept)) == 14  # 6 pairs, 4 single qubits, 4 triples
+    assert len(kept) == len(set(kept)) == 10  # 6 pairs and 4 single qubits
+    assert all(len(keep) < 3 for keep in kept)  # the triple bounds read the Schmidt factors instead
+
+
+TRIPLES_4 = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))  # the qubits left by dropping qubit 0, 1, 2 and 3
+TRIPLE_COLUMNS = FOUR_QUBIT_COLUMNS[13:17]
+
+
+def schmidt_weights(psi, dropped: int):
+    """The two eigenvalues of the marginal left by dropping ``dropped``, from the 2 x 2 marginal of that qubit."""
+    return np.linalg.eigvalsh(marginal(psi, (dropped,)))
+
+
+def assert_triple_bounds_match_the_marginals(psi, tol=1e-12):
+    """Each tau3 column against the bound of the 8 x 8 marginal, where the two Schmidt weights differ by 1e-6."""
+    columns = four_qubit_measures(psi)
+    for dropped, (kept, name) in enumerate(zip(TRIPLES_4, TRIPLE_COLUMNS)):
+        want = three_tangle_decomposition_bound(marginal(psi, kept))
+        assert np.shape(columns[name]) == np.shape(want) == np.shape(psi)[:-1]
+        w = schmidt_weights(psi, dropped)
+        distinct = w[..., 1] - w[..., 0] > 1e-6
+        assert np.all(np.abs(np.asarray(columns[name]) - want)[distinct] <= tol)
+        assert np.all((0.0 <= np.asarray(columns[name])) & (np.asarray(columns[name]) <= 1.0))
+
+
+def test_triple_bounds_equal_the_marginal_bounds(rng):
+    stacks = [np.array([random_pure_state(rng, 16) for _ in range(t)]).reshape(t, 16) for t in (0, 1, 64)]
+    for psi in stacks + [random_pure_state(rng, 16)]:
+        assert_triple_bounds_match_the_marginals(psi)
+    assert isinstance(four_qubit_measures(random_pure_state(rng, 16))["tau3_a2b1b2"], float)
+    # the figure 7 windows: the closed form's triples hold no three-way entanglement
+    for start in (0.0, np.pi / 2.0, np.pi):
+        psi = four_qubit_closed_form(1e-2, 1.0, np.linspace(start, start + np.pi, 200) / 1e-4, "1010")
+        assert_triple_bounds_match_the_marginals(psi)
+        assert all(np.all(four_qubit_measures(psi)[name] <= 1e-12) for name in TRIPLE_COLUMNS)
+    # the anchors: GHZ and W leave triples of exactly zero bound, a product state one zero to rounding
+    for psi in (ghz(4), w4()):
+        assert_triple_bounds_match_the_marginals(psi)
+        assert [four_qubit_measures(psi)[name] for name in TRIPLE_COLUMNS] == [0.0] * 4
+    prod = product_state(rng)
+    assert_triple_bounds_match_the_marginals(prod)
+    assert all(four_qubit_measures(prod)[name] <= 1e-15 for name in TRIPLE_COLUMNS)
+
+
+def test_triple_bound_with_equal_schmidt_weights_averages_the_gram_eigenbasis(rng):
+    """(|0>|a> + |1>|b>)/sqrt2 with orthonormal a, b: dropping qubit 0 leaves (|a><a| + |b><b|)/2, whose
+    eigenbasis is any rotation of (a, b); the bound is the average over the basis the 2 x 2 eigh returns."""
+    ghz3, w3 = ghz(3), np.zeros(8, dtype=complex)
+    w3[[1, 2, 4]] = 1 / np.sqrt(3)
+    # a diagonal Gram matrix: eigh returns (a, b) themselves, so the bound is (tau3(GHZ) + tau3(W)) / 2
+    assert four_qubit_measures(np.concatenate([ghz3, w3]) / np.sqrt(2))["tau3_a2b1b2"] == pytest.approx(0.5, abs=1e-15)
+    g = rng.normal(size=(8, 2)) + 1j * rng.normal(size=(8, 2))
+    ab = np.linalg.qr(g)[0]  # two random orthonormal columns
+    psi = np.concatenate([ab[:, 0], ab[:, 1]]) / np.sqrt(2)
+    m = psi.reshape(2, 8).T  # qubit 0's axis last
+    w, v = np.linalg.eigh(m.conj().T @ m)
+    assert w[1] - w[0] < 1e-15
+    vecs = (m @ v).T
+    want = sum(wi * three_tangle_pure(u / np.linalg.norm(u)) for wi, u in zip(w, vecs))
+    got = four_qubit_measures(psi)["tau3_a2b1b2"]
+    assert got == pytest.approx(want, abs=1e-15)
+    assert 0.0 <= got <= 1.0
 
 
 def test_four_qubit_columns_equal_the_reference_formulas_bit_for_bit(rng):

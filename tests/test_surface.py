@@ -6,9 +6,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "spinmaps"
 
-# the paper's closed-form maps: independent references the tests check the Kraus maps against
+# independent references the tests check fast paths against: the paper's closed-form maps, which the
+# Kraus maps are checked against, and the three-tangle bound of a general three-qubit state, which the
+# four-qubit measures' Schmidt-factor bounds are checked against
 REFERENCES = {"one_qubit_transfer_matrix", "distributed_pair_matrix", "dual_rail_matrix",
-              "two_qubit_sparsity_pattern"}
+              "two_qubit_sparsity_pattern", "three_tangle_decomposition_bound"}
 
 
 def _read_names(node) -> set:
